@@ -58,7 +58,6 @@ from .reduced import (
     SolveReport,
     apply_boundary,
     continuation_in_b2,
-    gradient_norm,
     minimize,
     ode_residual,
     read_profile_csv,

@@ -52,8 +52,24 @@ def _write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _finite_or_null(obj):
+    """Copy of a JSON payload with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(val) for val in obj]
+    return obj
+
+
+def _json_text(obj, indent=None) -> str:
+    """Strict JSON: a non-finite value (e.g. of a failed solve) is ``null``."""
+    return json.dumps(_finite_or_null(obj), indent=indent, allow_nan=False)
+
+
 def _write_json(path: str, obj) -> None:
-    _write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
+    _write_text_atomic(path, _json_text(obj, indent=2) + "\n")
 
 
 def _write_profile(path: str, profile: Profile) -> None:
@@ -248,7 +264,7 @@ def cmd_residual(args) -> int:
         "el2d_l2": l2,
     }
     _write_json(f"{out}_summary.json", summary)
-    print(json.dumps(summary))
+    print(_json_text(summary))
     return 0
 
 
@@ -372,7 +388,7 @@ def cmd_energy(args) -> int:
         "e0": e0.value if e0.finite else "infinite",
         "e0_constraint_deviation": e0.max_deviation,
     }
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload, indent=2)
     print(text)
     if eff["out"] != _PARAM_DEFAULTS["out"]:
         _write_json(f"{eff['out']}_energy.json", payload)

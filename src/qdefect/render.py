@@ -8,7 +8,6 @@ traceless spectrum always contains a negative eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,9 @@ import numpy as np
 from .errors import InvalidParams
 from .params import ModelParams
 from .reduced import Profile
-from .tensor import QTensor, ansatz_components, ansatz_eigenvalues, biaxiality, eigen3
+from .tensor import (
+    ansatz_components, ansatz_eigenvalues, biaxiality_components, eigenvalues_components,
+)
 
 SVG_HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -54,85 +55,83 @@ class RenderSpec:
     def __post_init__(self):
         if self.style not in ("rod", "box"):
             raise InvalidParams(f"glyph style must be 'rod' or 'box', got {self.style!r}")
-        if self.density < 4:
-            raise InvalidParams("glyph density must be at least 4")
+        if not 4 <= self.density <= 256:  # 256 rings are 262,145 glyphs
+            raise InvalidParams("glyph density must be in [4, 256]")
+        if self.shift is not None and not np.isfinite(self.shift):
+            raise InvalidParams(f"box shift must be finite, got {self.shift}")
         if self.size < 64:
             raise InvalidParams("image size must be at least 64 px")
 
 
-def _lattice(params: ModelParams, density: int):
-    """Polar glyph lattice: ``density`` rings plus the centre point."""
-    points = [(0.0, 0.0)]
-    for j in range(1, density + 1):
-        r = params.R * j / density
-        for a in range(4 * density):
-            points.append((r, 2.0 * math.pi * a / (4 * density)))
-    return points
-
-
-def _profile_interp(profile: Profile, r: float):
-    u = float(np.interp(r, profile.grid.nodes, profile.u))
-    v = float(np.interp(r, profile.grid.nodes, profile.v))
-    return u, v
-
-
 def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
-    """Glyph-lattice rendering of the lifted two-mode field."""
+    """Glyph-lattice rendering of the lifted two-mode field.
+
+    The lattice is polar: ``density`` rings plus the centre point.  Glyph
+    axes come from the closed-form eigen-frame of ``u F_n + v F_3``
+    (``e3``, ``n_perp``, ``n(phi)``), not from a per-glyph eigensolve.
+    """
     size = spec.size
     cx = cy = size / 2.0
     px_scale = 0.45 * size / params.R
-    points = _lattice(params, spec.density)
+    m = 4 * spec.density
+    # the centre point, then 4 * density points on each ring
+    r = np.repeat(params.R * np.arange(spec.density + 1) / spec.density, m)[m - 1:]
+    phi = np.concatenate([[0.0], np.tile(2.0 * np.pi * np.arange(m) / m, spec.density)])
+    u = np.interp(r, profile.grid.nodes, profile.u)
+    v = np.interp(r, profile.grid.nodes, profile.v)
 
-    tensors = []
-    for r, phi in points:
-        u, v = _profile_interp(profile, r)
-        tensors.append((r, phi, QTensor(ansatz_components(u, v, phi, params.k))))
-
-    spectra = [eigen3(q) for _, _, q in tensors]
-    gap_max = max(lam[2] - lam[1] for lam, _ in spectra) or 1.0
-    lam_min = min(lam[0] for lam, _ in spectra)
-    shift = spec.shift if spec.shift is not None else 1.1 * abs(lam_min)
-    lam_span = max(lam[2] for lam, _ in spectra) + shift or 1.0
+    comps = ansatz_components(u, v, phi, params.k)
+    lam = eigenvalues_components(comps)  # ascending
+    gap = lam[:, 2] - lam[:, 1]
+    gap_max = float(np.max(gap)) or 1.0
+    shift = spec.shift if spec.shift is not None else 1.1 * abs(float(np.min(lam[:, 0])))
+    lam_span = float(np.max(lam[:, 2])) + shift or 1.0
     cell = 0.9 * size / (2.0 * spec.density + 1)
+    colors = [biaxiality_color(b) for b in biaxiality_components(comps).tolist()]
+    x = (cx + r * np.cos(phi) * px_scale).tolist()
+    y = (cy - r * np.sin(phi) * px_scale).tolist()
+
+    # in-plane frame axes n(phi), n_perp with eigen3's sign rule (largest entry > 0)
+    n = np.stack([np.cos(0.5 * params.k * phi), np.sin(0.5 * params.k * phi)], axis=-1)
+    n_perp = np.stack([-n[:, 1], n[:, 0]], axis=-1)
+    for a in (n, n_perp):
+        a *= np.sign(np.where(np.abs(a[:, 0]) >= np.abs(a[:, 1]), a[:, 0], a[:, 1]))[:, None]
+    frame_lam = ansatz_eigenvalues(u, v)  # (lam_z, lam_perp, lam_n)
 
     parts = [SVG_HEADER.format(w=size, h=size)]
     parts.append(
         f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{params.R * px_scale:.2f}" '
         'fill="none" stroke="#888888" stroke-width="1"/>\n'
     )
-    for (r, phi, q), (lam, vecs) in zip(tensors, spectra):
-        x = cx + r * math.cos(phi) * px_scale
-        y = cy - r * math.sin(phi) * px_scale
-        color = biaxiality_color(biaxiality(q))
-        if spec.style == "rod":
-            leading = vecs[:, 2]
-            ip = math.hypot(leading[0], leading[1])
-            length = cell * (lam[2] - lam[1]) / gap_max
-            if ip < 1e-9 or length < 0.05 * cell:
+    if spec.style == "rod":
+        leading = np.argmax(frame_lam, axis=-1)  # e3 leading: no planar axis
+        length = cell * gap / gap_max
+        d = np.where((leading == 2)[:, None], n, n_perp) * (length / 2.0)[:, None]
+        dot = (leading == 0) | (length < 0.05 * cell)
+        for xi, yi, (dxi, dyi), is_dot, color in zip(x, y, d.tolist(), dot.tolist(), colors):
+            if is_dot:
                 parts.append(
-                    f'<circle class="glyph-dot" cx="{x:.3f}" cy="{y:.3f}" '
+                    f'<circle class="glyph-dot" cx="{xi:.3f}" cy="{yi:.3f}" '
                     f'r="{0.12 * cell:.3f}" fill="{color}"/>\n'
                 )
-                continue
-            dx = leading[0] / ip * length / 2.0
-            dy = leading[1] / ip * length / 2.0
+            else:
+                parts.append(
+                    f'<line class="glyph" x1="{xi - dxi:.3f}" y1="{yi + dyi:.3f}" '
+                    f'x2="{xi + dxi:.3f}" y2="{yi - dyi:.3f}" '
+                    f'stroke="{color}" stroke-width="{0.16 * cell:.3f}" '
+                    'stroke-linecap="round"/>\n'
+                )
+    else:
+        wa = cell * (frame_lam[:, 2] + shift) / lam_span
+        wb = cell * (frame_lam[:, 1] + shift) / lam_span
+        ang = -np.degrees(np.arctan2(n[:, 1], n[:, 0]))
+        rows = zip(x, y, wa.tolist(), wb.tolist(), ang.tolist(), colors)
+        for xi, yi, wai, wbi, angi, color in rows:
             parts.append(
-                f'<line class="glyph" x1="{x - dx:.3f}" y1="{y + dy:.3f}" '
-                f'x2="{x + dx:.3f}" y2="{y - dy:.3f}" '
-                f'stroke="{color}" stroke-width="{0.16 * cell:.3f}" '
-                'stroke-linecap="round"/>\n'
-            )
-        else:
-            order = np.argsort(np.abs(vecs[2, :]))  # most in-plane axes first
-            va = vecs[:, order[0]]
-            wa = cell * (lam[order[0]] + shift) / lam_span
-            wb = cell * (lam[order[1]] + shift) / lam_span
-            ang = -math.degrees(math.atan2(va[1], va[0]))
-            parts.append(
-                f'<rect class="glyph-box" x="{-wa / 2:.3f}" y="{-wb / 2:.3f}" '
-                f'width="{wa:.3f}" height="{wb:.3f}" fill="{color}" '
+                f'<rect class="glyph-box" x="{-wai / 2:.3f}" y="{-wbi / 2:.3f}" '
+                f'width="{wai:.3f}" height="{wbi:.3f}" fill="{color}" '
                 f'fill-opacity="0.85" stroke="#333333" stroke-width="0.5" '
-                f'transform="translate({x:.3f} {y:.3f}) rotate({ang:.3f})"/>\n'
+                f'transform="translate({xi:.3f} {yi:.3f}) rotate({angi:.3f})"/>\n'
             )
     parts.append("</svg>\n")
     return "".join(parts)

@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qdefect
 from qdefect import read_profile_csv
-from qdefect.cli import main
+from qdefect.cli import _json_text, main
 
 
 def run(tmp_path, *argv):
@@ -183,6 +187,13 @@ def test_render_rejects_bad_density(tmp_path):
     assert run(
         tmp_path, "render", "--branch", "minus", "--k", "1", "--density", "2"
     ) == 2
+    assert run(
+        tmp_path, "render", "--branch", "minus", "--k", "1", "--density", "257"
+    ) == 2
+    assert run(
+        tmp_path, "render", "--branch", "minus", "--k", "1", "--style", "box",
+        "--shift", "nan",
+    ) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +265,56 @@ def test_energy_on_limit_profile_is_finite_e0(tmp_path, capsys):
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["e0"] == pytest.approx(0.5, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input and strict JSON
+# ---------------------------------------------------------------------------
+
+SRC_DIR = str(Path(qdefect.__file__).resolve().parents[1])
+
+
+@pytest.fixture(scope="module")
+def nan_csv(tmp_path_factory):
+    """A valid profile CSV with one interior ``u`` entry set to ``nan``."""
+    d = tmp_path_factory.mktemp("nan")
+    assert run(d, "limit", "--k", "1", "--n", "64", "-o", "lim") == 0
+    lines = (d / "lim_minus.csv").read_text().splitlines()
+    cols = lines[20].split(",")
+    cols[1] = "nan"
+    lines[20] = ",".join(cols)
+    path = d / "nan_profile.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--init", "file", "--init-file", "{csv}", "--L", "0.01", "--k", "1",
+         "--n", "64", "-o", "{d}/nanrun"),
+        ("energy", "--input", "{csv}", "--L", "0.01", "--k", "1"),
+        ("residual", "--input", "{csv}", "--L", "0.01", "--k", "1", "-o", "{d}/res"),
+        ("render", "--input", "{csv}", "--k", "1", "-o", "{d}/img"),
+    ],
+    ids=["solve", "energy", "residual", "render"],
+)
+def test_non_finite_csv_exits_2_promptly(nan_csv, argv):
+    # a fresh interpreter, so a hang shows as a timeout instead of a stuck suite
+    args = [a.format(csv=nan_csv, d=nan_csv.parent) for a in argv]
+    code = "import sys; from qdefect.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=2.0, env=env,
+    )
+    assert proc.returncode == 2
+    assert "[E_IO]" in proc.stderr and "line 21" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_json_output_is_strict_with_non_finite_as_null():
+    payload = {"energy": math.nan, "records": [{"g": math.inf, "ok": 1.5}], "tag": "x"}
+    text = _json_text(payload)
+    assert text == '{"energy": null, "records": [{"g": null, "ok": 1.5}], "tag": "x"}'
+    json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token}"))

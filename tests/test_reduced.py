@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from qdefect import (
     Branch,
+    CsvFormatError,
     GridError,
     InvalidParams,
     ModelParams,
@@ -271,6 +273,43 @@ def test_minimize_rejects_bad_inputs():
         minimize(p, grid, tol=-1.0)
     with pytest.raises(InvalidParams):
         minimize(p, grid, init="nonsense")
+
+
+def test_minimize_rejects_non_finite_init():
+    p = params(L=0.01)
+    grid = RadialGrid.uniform(1.0, 64)
+    for bad in (math.nan, math.inf):
+        init = explicit_profile(Branch.MINUS, p.with_updates(L=0.0), grid)
+        init.u[20] = bad
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidParams):
+            minimize(p, grid, init=init)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_newton_damping_is_bounded_when_the_hessian_is_nan(monkeypatch):
+    # a NaN Hessian makes the damping scale NaN, so only the rejection
+    # count can end the damping loop
+    import qdefect.reduced as reduced
+
+    def nan_hessian(u, v, grid, prm):
+        return np.full((7, 2 * grid.n_segments - 1), np.nan)
+
+    monkeypatch.setattr(reduced, "_assemble_hessian_banded", nan_hessian)
+    p = params(L=0.05)
+    grid = RadialGrid.uniform(1.0, 64)
+    with pytest.raises(NonConvergence) as info:
+        minimize(p, grid, init="ramp", newton_switch=1e9)
+    assert info.value.report.iterations == 1
+
+
+def test_read_profile_csv_rejects_non_finite(tmp_path):
+    for bad in ("nan", "inf", "-inf", "NaN"):
+        path = tmp_path / "p.csv"
+        path.write_text(f"r,u,v\n0.0,0.0,-0.4\n0.5,{bad},-0.4\n1.0,0.7,-0.4\n")
+        with pytest.raises(CsvFormatError) as info:
+            read_profile_csv(path)
+        assert info.value.line == 3
 
 
 def test_minimize_nonconvergence_reports_best_iterate():

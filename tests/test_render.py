@@ -8,12 +8,18 @@ from qdefect import (
     Branch,
     InvalidParams,
     ModelParams,
+    QTensor,
     RadialGrid,
     RenderSpec,
+    ansatz_components,
+    biaxiality,
+    eigen3,
     eigenvalue_chart_svg,
     explicit_profile,
     glyph_svg,
+    minimize,
 )
+from qdefect.render import biaxiality_color
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -37,6 +43,12 @@ def test_render_spec_validation():
         RenderSpec(density=3)
     with pytest.raises(InvalidParams):
         RenderSpec(size=10)
+    RenderSpec(density=256, shift=0.5)
+    with pytest.raises(InvalidParams):
+        RenderSpec(density=257)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams):
+            RenderSpec(style="box", shift=bad)
 
 
 def test_glyph_svg_is_valid_svg11(minus_profile):
@@ -150,3 +162,130 @@ def test_minus_branch_chart_has_no_interior_crossing():
             pts[el.get("id")] = coords
     diff = pts["lambda1"][1:-1, 1] - pts["lambda3"][1:-1, 1]
     assert np.all(diff > 0.0) or np.all(diff < 0.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the closed-form frame against a per-glyph eigen3 reference
+# ---------------------------------------------------------------------------
+
+def eigen3_lattice(profile, params, density, size=640):
+    """``(xy, lam, vecs, colour)`` from one ``eigen3`` solve per lattice point."""
+    cx = cy = size / 2.0
+    px_scale = 0.45 * size / params.R
+    lattice = [(0.0, 0.0)] + [
+        (params.R * j / density, 2.0 * math.pi * a / (4 * density))
+        for j in range(1, density + 1)
+        for a in range(4 * density)
+    ]
+    points = []
+    for r, phi in lattice:
+        u = float(np.interp(r, profile.grid.nodes, profile.u))
+        v = float(np.interp(r, profile.grid.nodes, profile.v))
+        q = QTensor(ansatz_components(u, v, phi, params.k))
+        lam, vecs = eigen3(q)
+        xy = (cx + r * math.cos(phi) * px_scale, cy - r * math.sin(phi) * px_scale)
+        points.append((xy, lam, vecs, biaxiality_color(biaxiality(q))))
+    return points
+
+
+def reference_glyphs(points, density, style, size=640):
+    """Expected ``(tag, class, colour, width, points)`` per glyph, where
+    ``points`` are the rod end points or the box corners in px."""
+    cell = 0.9 * size / (2.0 * density + 1)
+    gap_max = max(lam[2] - lam[1] for _, lam, _, _ in points)
+    shift = 1.1 * abs(min(lam[0] for _, lam, _, _ in points))
+    lam_span = max(lam[2] for _, lam, _, _ in points) + shift
+    glyphs = []
+    for (x, y), lam, vecs, color in points:
+        if style == "rod":
+            leading = vecs[:, 2]
+            ip = math.hypot(leading[0], leading[1])
+            length = cell * (lam[2] - lam[1]) / gap_max
+            if ip < 1e-9 or length < 0.05 * cell:
+                glyphs.append(("circle", "glyph-dot", color, 0.12 * cell, [(x, y)]))
+                continue
+            dx = leading[0] / ip * length / 2.0
+            dy = leading[1] / ip * length / 2.0
+            ends = [(x - dx, y + dy), (x + dx, y - dy)]
+            glyphs.append(("line", "glyph", color, 0.16 * cell, ends))
+        else:
+            order = np.argsort(np.abs(vecs[2, :]))  # most in-plane axes first
+            va = vecs[:, order[0]]
+            wa = cell * (lam[order[0]] + shift) / lam_span
+            wb = cell * (lam[order[1]] + shift) / lam_span
+            ang = -math.degrees(math.atan2(va[1], va[0]))
+            corners = _box_corners((x, y, ang), -wa / 2, -wb / 2, wa, wb)
+            glyphs.append(("rect", "glyph-box", color, 0.5, corners))
+    return glyphs
+
+
+def _box_corners(transform, x0, y0, w, h):
+    """Corners of an SVG rect under ``translate(tx ty) rotate(angle)``."""
+    tx, ty, angle = transform
+    c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+    return [
+        (tx + c * px - s * py, ty + s * px + c * py)
+        for px in (x0, x0 + w)
+        for py in (y0, y0 + h)
+    ]
+
+
+def _nums(el, *names):
+    return [float(el.get(name)) for name in names]
+
+
+def parsed_glyphs(text):
+    """``(tag, class, colour, width, points)`` per glyph of a rendered SVG."""
+    glyphs = []
+    for el in ET.fromstring(text):
+        tag = el.tag.replace(SVG_NS, "")
+        cls = el.get("class")
+        if cls is None:  # the rim circle
+            continue
+        if tag == "circle":
+            r, cx, cy = _nums(el, "r", "cx", "cy")
+            glyphs.append((tag, cls, el.get("fill"), r, [(cx, cy)]))
+        elif tag == "line":
+            width, x1, y1, x2, y2 = _nums(el, "stroke-width", "x1", "y1", "x2", "y2")
+            glyphs.append((tag, cls, el.get("stroke"), width, [(x1, y1), (x2, y2)]))
+        else:
+            transform = [
+                float(t) for t in el.get("transform").replace("translate(", "")
+                .replace(") rotate(", " ").rstrip(")").split()
+            ]
+            width, *rect = _nums(el, "stroke-width", "x", "y", "width", "height")
+            glyphs.append((tag, cls, el.get("fill"), width, _box_corners(transform, *rect)))
+    return glyphs
+
+
+def _oracle_cases():
+    for k in (-3, -2, -1, 1, 2, 3, 4):
+        p = limit_params(k)
+        grid = RadialGrid.uniform(p.R, 128)
+        for branch in (Branch.MINUS, Branch.PLUS):
+            yield f"k={k}-{branch.value}", p, explicit_profile(branch, p, grid)
+    p = ModelParams(a2=1.0, b2=1.0, c2=1.0, L=0.01, R=1.0, k=1)
+    prof, _ = minimize(p, RadialGrid.for_defect(p.R, 128, p.k))
+    yield "b2=1-solved", p, prof
+
+
+def test_glyphs_match_eigen3_reference():
+    # rods: same end points in either order (endpoints swap where the
+    # director is exactly diagonal and eigen3's sign is round-off);
+    # boxes: same corner set (the in-plane axis order may differ)
+    tol = 2e-3
+    density = 8
+    for name, p, prof in _oracle_cases():
+        points = eigen3_lattice(prof, p, density)
+        for style in ("rod", "box"):
+            got = parsed_glyphs(glyph_svg(prof, p, RenderSpec(style=style, density=density)))
+            want = reference_glyphs(points, density, style)
+            assert len(got) == len(want) == 1 + 4 * density * density, (name, style)
+            for g, w in zip(got, want):
+                assert g[:3] == w[:3], (name, style)
+                assert g[3] == pytest.approx(w[3], abs=tol), (name, style)
+                dist = np.linalg.norm(
+                    np.array(g[4])[:, None, :] - np.array(w[4])[None, :, :], axis=-1
+                )
+                assert np.all(dist.min(axis=0) < tol), (name, style)
+                assert np.all(dist.min(axis=1) < tol), (name, style)
