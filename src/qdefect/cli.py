@@ -31,6 +31,7 @@ from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
 from .reduced import (
     Profile,
+    _warm_started,
     apply_boundary,
     minimize,
     ode_residual,
@@ -171,6 +172,15 @@ def _float_or_none(x):
     return None if x is None else float(x)
 
 
+def _init(eff: dict, params: ModelParams):
+    """The ``init`` argument of ``minimize``: a preset or the ``--init-file`` profile."""
+    if eff["init"] != "file":
+        return eff["init"]
+    if not eff["init_file"]:
+        raise InvalidParams("--init file requires --init-file")
+    return apply_boundary(read_profile_csv(eff["init_file"]), params)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -179,11 +189,7 @@ def cmd_solve(args) -> int:
     eff = _effective(args, _PARAM_DEFAULTS)
     params = _model_params(eff)
     grid = _grid(eff, params)
-    init = eff["init"]
-    if init == "file":
-        if not eff["init_file"]:
-            raise InvalidParams("--init file requires --init-file")
-        init = apply_boundary(read_profile_csv(eff["init_file"]), params)
+    init = _init(eff, params)
     out = eff["out"]
     try:
         profile, report = minimize(
@@ -324,7 +330,6 @@ def cmd_sweep(args) -> int:
     base = _model_params(eff)
     grid = _grid(eff, base)
     out = eff["out"]
-    tol = float(eff["tol"])
 
     reference = harmonic.explicit_profile(
         harmonic.Branch.MINUS, base.with_updates(b2=0.0, L=0.0), grid
@@ -332,30 +337,19 @@ def cmd_sweep(args) -> int:
 
     records = []
     failed = False
-    prev = None  # (params, profile) of last converged step
-    sweep_name = "b2" if b2_list is not None else "L"
-    for value in b2_list if b2_list is not None else l_list:
-        p_step = base.with_updates(**{sweep_name: value})
-        if prev is None:
-            init = "explicit"
-        else:
-            prev_params, prev_profile = prev
-            scale = p_step.s_plus / prev_params.s_plus
-            init = apply_boundary(
-                Profile(grid, prev_profile.u * scale, prev_profile.v * scale), p_step
-            )
-        record = {sweep_name: value, "s_plus": p_step.s_plus}
-        try:
-            profile, report = minimize(p_step, grid, init=init, tol=tol)
-            converged = True
-        except NonConvergence as exc:
-            profile, report = exc.profile, exc.report
-            converged = False
+    sweep_name, values = ("b2", b2_list) if b2_list is not None else ("L", l_list)
+    steps = _warm_started(
+        base, grid, sweep_name, values, init=_init(eff, base),
+        tol=float(eff["tol"]), max_flow_iter=int(eff["max_iter"]),
+    )
+    for p_step, profile, report, error in steps:
+        record = {sweep_name: getattr(p_step, sweep_name), "s_plus": p_step.s_plus}
+        if error is not None:
             failed = True
-            record["error"] = str(exc)
+            record["error"] = str(error)
         record.update(
             {
-                "converged": converged,
+                "converged": error is None,
                 "energy": report.energy,
                 "grad_norm": report.grad_norm,
                 "u_R": float(profile.u[-1]),
@@ -365,8 +359,6 @@ def cmd_sweep(args) -> int:
             }
         )
         records.append(record)
-        if converged:
-            prev = (p_step, profile)
     _write_json(f"{out}_sweep.json", {"parameter": sweep_name, "records": records})
     print(f"sweep: {len(records)} steps ({'with failures' if failed else 'all converged'})")
     return 1 if failed else 0
@@ -434,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="parameter continuation sweep")
     _add_param_flags(p_sweep)
-    p_sweep.add_argument("--b2-list", dest="b2_list", help="comma-separated ascending b2 values")
+    p_sweep.add_argument("--b2-list", dest="b2_list", help="comma-separated monotone b2 values")
     p_sweep.add_argument("--L-list", dest="L_list", help="comma-separated monotone L values")
     p_sweep.set_defaults(func=cmd_sweep)
 

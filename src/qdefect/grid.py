@@ -120,19 +120,6 @@ class RadialGrid:
         wg = h[:, None] * GAUSS_W[None, :] * rg
         return rg, wg
 
-    def interpolate(self, values, rg):
-        """Piecewise-linear interpolation of node data to per-segment radii.
-
-        ``values`` has leading axis ``N + 1``; ``rg`` is ``(N, G)``.  The
-        result has shape ``(N, G, *values.shape[1:])``.
-        """
-        values = np.asarray(values, dtype=float)
-        t = (rg - self.nodes[:-1, None]) / self.h[:, None]
-        t = t.reshape(t.shape + (1,) * (values.ndim - 1))
-        left = values[:-1][:, None]
-        right = values[1:][:, None]
-        return left * (1.0 - t) + right * t
-
     def same_nodes(self, other: "RadialGrid") -> bool:
         return self.nodes.shape == other.nodes.shape and bool(
             np.array_equal(self.nodes, other.nodes)

@@ -36,9 +36,9 @@ from .field import (
     polar_laplacian,
     ResidualField,
 )
-from .grid import GAUSS_W, GAUSS_XI, PolarGrid, RadialGrid
+from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
-from .reduced import Profile
+from .reduced import Profile, _P1Gauss
 from .tensor import QTensor, frob_sq
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
@@ -210,19 +210,14 @@ def e0_energy(p, params: ModelParams, strict: bool = False) -> E0Result:
     yield the infinite sentinel, or :class:`ConstraintViolated` when
     ``strict``.
     """
+    k2 = float(params.k * params.k)
     if isinstance(p, PsiProfile):
-        grid = p.grid
-        h = grid.h
-        dpsi = np.diff(p.psi) / h
-        k2 = float(params.k * params.k)
-        total = 0.0
-        for g in range(GAUSS_XI.size):
-            rg = grid.nodes[:-1] + h * GAUSS_XI[g]
-            xi = GAUSS_XI[g]
-            psig = (1.0 - xi) * p.psi[:-1] + xi * p.psi[1:]
-            dens = 0.5 * (rg * dpsi**2 + k2 * np.sin(psig) ** 2 / rg)
-            total += float(np.sum(h * GAUSS_W[g] * dens))
-        return E0Result(finite=True, value=params.limit_norm_sq * total, max_deviation=0.0)
+        q = _P1Gauss(p.grid)
+        dpsi = np.diff(p.psi) / q.h
+        sg = np.sin(q.at_gauss(p.psi))
+        dens = 0.5 * (dpsi * dpsi)[:, None] + 0.5 * k2 * sg * sg / q.rg2
+        value = params.limit_norm_sq * float(np.sum(q.wg * dens))
+        return E0Result(finite=True, value=value, max_deviation=0.0)
 
     if not isinstance(p, Profile):
         raise InvalidParams(f"expected Profile or PsiProfile, got {type(p)!r}")
@@ -232,15 +227,9 @@ def e0_energy(p, params: ModelParams, strict: bool = False) -> E0Result:
         if strict:
             raise ConstraintViolated("limit energy needs |Q|^2 = (2/3) s_plus^2", dev)
         return E0Result(finite=False, value=None, max_deviation=dev)
-    grid = p.grid
-    h = grid.h
-    du = np.diff(p.u) / h
-    dv = np.diff(p.v) / h
-    k2 = float(params.k * params.k)
-    rg, wg = grid.gauss_points()
-    ug = grid.interpolate(p.u, rg)
-    dens = 0.5 * (du * du + dv * dv)[:, None] + 0.5 * k2 * ug * ug / (rg * rg)
-    return E0Result(finite=True, value=float(np.sum(wg * dens)), max_deviation=dev)
+    q = _P1Gauss(p.grid)
+    dens = q.dirichlet_density(p.u, p.v, q.at_gauss(p.u), k2)
+    return E0Result(finite=True, value=float(np.sum(q.wg * dens)), max_deviation=dev)
 
 
 @dataclass

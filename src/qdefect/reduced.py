@@ -13,16 +13,18 @@ with ``f`` the bulk potential expressed through ``|Y|^2 = u^2 + v^2`` and
 
 Discretisation: piecewise-linear profiles with per-segment Gauss-Legendre
 quadrature (exact for the quartic potential of interpolated data, and for
-the measure ``r dr``).  The discrete energy is smooth in the node values,
-so the stationarity system solved by the Newton phase is exactly the weak
-form of the Euler-Lagrange ODEs; the strong-form finite-difference
-residual is reported separately by :func:`ode_residual`.
+the measure ``r dr``) in one kernel, :class:`_P1Gauss`, which evaluates
+every term.  The discrete energy is smooth in the node values, so the
+stationarity system solved by the Newton phase is exactly the weak form of
+the Euler-Lagrange ODEs; the strong-form finite-difference residual is
+reported separately by :func:`ode_residual`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
@@ -154,14 +156,53 @@ def _fhat_hessian(u, v, p: ModelParams):
 
 
 # ---------------------------------------------------------------------------
-# energy, gradient, Hessian
+# the P1/Gauss kernel: energy, gradient, Hessian
 # ---------------------------------------------------------------------------
+
+class _P1Gauss:
+    """The P1/Gauss kernel of one radial grid: Gauss weights ``wg`` of
+    ``int f(r) r dr``, interpolation parameter ``t``, squared Gauss radii
+    ``rg2`` (all ``(N, 5)``).  Built per solve or public call, never cached
+    on the grid (that would keep every held grid's arrays alive); ``rg`` is
+    dropped and ``seg_r`` built on first use to keep a call's peak memory low.
+    """
+
+    def __init__(self, grid: RadialGrid):
+        self.grid = grid
+        self.h = grid.h
+        rg, self.wg = grid.gauss_points()
+        self.t = (rg - grid.nodes[:-1, None]) / self.h[:, None]
+        self.rg2 = rg * rg
+
+    @cached_property
+    def seg_r(self) -> np.ndarray:
+        return self.wg.sum(axis=1)  # exact per-segment integral of r dr
+
+    def at_gauss(self, values) -> np.ndarray:
+        """Piecewise-linear interpolation of node data to the Gauss radii."""
+        return values[:-1][:, None] * (1.0 - self.t) + values[1:][:, None] * self.t
+
+    def dirichlet_density(self, u, v, ug, k2: float) -> np.ndarray:
+        """``(u'^2 + v'^2 + k^2 u^2 / r^2) / 2`` at the Gauss radii."""
+        du = np.diff(u) / self.h
+        dv = np.diff(v) / self.h
+        return 0.5 * (du * du + dv * dv)[:, None] + 0.5 * k2 * ug * ug / self.rg2
+
 
 def _check_operands(profile: Profile, params: ModelParams):
     if profile.u.shape != profile.grid.nodes.shape:
         raise GridError("profile does not match its grid")
     if params.L <= 0.0:
         raise InvalidParams("the reduced functional requires L > 0")
+
+
+def _energy(q: _P1Gauss, u, v, params: ModelParams) -> float:
+    ug = q.at_gauss(u)
+    # the bulk term first: its temporaries are freed before the Dirichlet
+    # term's, so a one-shot call peaks one (N, 5) array lower
+    bulk = _fhat(ug, q.at_gauss(v), params) / params.L
+    dens = q.dirichlet_density(u, v, ug, float(params.k * params.k)) + bulk
+    return float(np.sum(q.wg * dens))
 
 
 def reduced_energy(profile: Profile, params: ModelParams) -> float:
@@ -171,43 +212,29 @@ def reduced_energy(profile: Profile, params: ModelParams) -> float:
     radii only, which is finite for admissible data (``u(0) = 0``).
     """
     _check_operands(profile, params)
-    grid = profile.grid
-    rg, wg = grid.gauss_points()
-    du = np.diff(profile.u) / grid.h
-    dv = np.diff(profile.v) / grid.h
-    ug = grid.interpolate(profile.u, rg)
-    vg = grid.interpolate(profile.v, rg)
-    k2 = float(params.k * params.k)
-    dens = (
-        0.5 * (du * du + dv * dv)[:, None]
-        + 0.5 * k2 * ug * ug / (rg * rg)
-        + _fhat(ug, vg, params) / params.L
-    )
-    return float(np.sum(wg * dens))
+    return _energy(_P1Gauss(profile.grid), profile.u, profile.v, params)
 
 
-def _raw_gradient(u, v, grid: RadialGrid, params: ModelParams):
+def _raw_gradient(q: _P1Gauss, u, v, params: ModelParams):
     """Partial derivatives of the discrete energy wrt every node value."""
-    rg, wg = grid.gauss_points()
-    h = grid.h
-    seg_r = wg.sum(axis=1)  # exact per-segment integral of r dr
+    h = q.h
     du = np.diff(u) / h
     dv = np.diff(v) / h
-    ug = grid.interpolate(u, rg)
-    vg = grid.interpolate(v, rg)
+    ug = q.at_gauss(u)
+    vg = q.at_gauss(v)
     k2 = float(params.k * params.k)
 
     gu = np.zeros_like(u)
     gv = np.zeros_like(v)
-    au = seg_r * du / h
-    av = seg_r * dv / h
+    au = q.seg_r * du / h
+    av = q.seg_r * dv / h
     gu[:-1] -= au
     gu[1:] += au
     gv[:-1] -= av
     gv[1:] += av
 
-    wfu = wg * (k2 * ug / (rg * rg) + _fhat_u(ug, vg, params) / params.L)
-    wfv = wg * (_fhat_v(ug, vg, params) / params.L)
+    wfu = q.wg * (k2 * ug / q.rg2 + _fhat_u(ug, vg, params) / params.L)
+    wfv = q.wg * (_fhat_v(ug, vg, params) / params.L)
     gu[:-1] += wfu @ (1.0 - GAUSS_XI)
     gu[1:] += wfu @ GAUSS_XI
     gv[:-1] += wfv @ (1.0 - GAUSS_XI)
@@ -235,7 +262,7 @@ def reduced_gradient(profile: Profile, params: ModelParams):
     Entries at fixed degrees of freedom are zero.
     """
     _check_operands(profile, params)
-    gu, gv = _raw_gradient(profile.u, profile.v, profile.grid, params)
+    gu, gv = _raw_gradient(_P1Gauss(profile.grid), profile.u, profile.v, params)
     _project(gu, gv)
     m = profile.grid.node_masses
     return gu / m, gv / m
@@ -249,22 +276,17 @@ def _free_index_maps(n):
     return iu, iv
 
 
-def _assemble_hessian_banded(u, v, grid: RadialGrid, params: ModelParams):
+def _assemble_hessian_banded(q: _P1Gauss, u, v, params: ModelParams):
     """Banded (l=u=3) Hessian of the discrete energy over free DOFs.
 
     Free DOFs are interleaved ``[v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}]``.
     """
-    n = grid.n_segments
-    rg, wg = grid.gauss_points()
-    h = grid.h
-    seg_r = wg.sum(axis=1)
-    ug = grid.interpolate(u, rg)
-    vg = grid.interpolate(v, rg)
+    n = q.grid.n_segments
     k2 = float(params.k * params.k)
-    fuu, fuv, fvv = _fhat_hessian(ug, vg, params)
+    fuu, fuv, fvv = _fhat_hessian(q.at_gauss(u), q.at_gauss(v), params)
 
     hloc = np.zeros((n, 4, 4))
-    stiff = seg_r / (h * h)
+    stiff = q.seg_r / (q.h * q.h)
     for a, b in ((0, 2), (1, 3)):
         hloc[:, a, a] += stiff
         hloc[:, b, b] += stiff
@@ -275,9 +297,9 @@ def _assemble_hessian_banded(u, v, grid: RadialGrid, params: ModelParams):
         xi = GAUSS_XI[g]
         bu = np.array([1.0 - xi, 0.0, xi, 0.0])
         bv = np.array([0.0, 1.0 - xi, 0.0, xi])
-        cuu = wg[:, g] * (k2 / rg[:, g] ** 2 + fuu[:, g] / params.L)
-        cuv = wg[:, g] * fuv[:, g] / params.L
-        cvv = wg[:, g] * fvv[:, g] / params.L
+        cuu = q.wg[:, g] * (k2 / q.rg2[:, g] + fuu[:, g] / params.L)
+        cuv = q.wg[:, g] * fuv[:, g] / params.L
+        cvv = q.wg[:, g] * fvv[:, g] / params.L
         hloc += cuu[:, None, None] * np.outer(bu, bu)
         hloc += cuv[:, None, None] * (np.outer(bu, bv) + np.outer(bv, bu))
         hloc += cvv[:, None, None] * np.outer(bv, bv)
@@ -311,20 +333,17 @@ def _unpack_free(x, n):
     return du, dv
 
 
-def _quadratic_stiffness(grid: RadialGrid, params: ModelParams):
+def _quadratic_stiffness(q: _P1Gauss, params: ModelParams):
     """Tridiagonal stiffness of the L-independent quadratic energy part.
 
     Returns per-field ``(diag, off)`` over the free DOFs: u on nodes
     ``1..N-1`` (Dirichlet both ends, includes the k^2/r^2 term), v on
     ``0..N-1`` (natural at the origin).
     """
-    n = grid.n_segments
-    rg, wg = grid.gauss_points()
-    h = grid.h
-    seg_r = wg.sum(axis=1)
-    stiff = seg_r / (h * h)
+    n = q.grid.n_segments
+    stiff = q.seg_r / (q.h * q.h)
     k2 = float(params.k * params.k)
-    sing = wg * (k2 / (rg * rg))
+    sing = q.wg * (k2 / q.rg2)
     s_ll = sing @ (1.0 - GAUSS_XI) ** 2
     s_rr = sing @ GAUSS_XI**2
     s_lr = sing @ (GAUSS_XI * (1.0 - GAUSS_XI))
@@ -526,7 +545,8 @@ def minimize(
     masses = grid.node_masses
     mu_free = masses[1:n]
     mv_free = masses[0:n]
-    (ku_d, ku_o), (kv_d, kv_o) = _quadratic_stiffness(grid, params)
+    q = _P1Gauss(grid)
+    (ku_d, ku_o), (kv_d, kv_o) = _quadratic_stiffness(q, params)
 
     tau = 0.5 * params.L / params.a2
     tau_floor = 1e-12 * tau
@@ -538,12 +558,12 @@ def minimize(
         chol_v = _chol_upper(mv_free + t * kv_d, t * kv_o)
 
     def grad_and_norm(uu, vv):
-        gu, gv = _raw_gradient(uu, vv, grid, params)
+        gu, gv = _raw_gradient(q, uu, vv, params)
         _project(gu, gv)
         return gu, gv, _mass_norm(gu, gv, masses)
 
     refactor(tau)
-    energy = reduced_energy(Profile(grid, u, v), params)
+    energy = _energy(q, u, v, params)
     flow_iters = 0
     gu, gv, gn = grad_and_norm(u, v)
     while gn > newton_switch and flow_iters < max_flow_iter:
@@ -551,7 +571,7 @@ def minimize(
         dv = np.zeros_like(v)
         du[1:n] = cho_solve_banded((chol_u, False), -tau * gu[1:n], check_finite=False)
         dv[0:n] = cho_solve_banded((chol_v, False), -tau * gv[0:n], check_finite=False)
-        e_new = reduced_energy(Profile(grid, u + du, v + dv), params)
+        e_new = _energy(q, u + du, v + dv, params)
         flow_iters += 1
         if e_new <= energy:
             u = u + du
@@ -578,15 +598,12 @@ def minimize(
         v[-1] = params.boundary_v
 
     gu, gv, gn = grad_and_norm(u, v)
-    iu_map, iv_map = _free_index_maps(n)
-    mass_free = np.empty(2 * n - 1)
-    mass_free[iu_map[1:n]] = mu_free
-    mass_free[iv_map[0:n]] = mv_free
+    mass_free = _free_rhs(masses, masses, n)
     lam = 0.0
     newton_iters = 0
     converged = gn <= tol
     while not converged and newton_iters < max_newton_iter:
-        ab = _assemble_hessian_banded(u, v, grid, params)
+        ab = _assemble_hessian_banded(q, u, v, params)
         lam_unit = float(np.max(np.abs(ab[3]))) / float(np.max(mass_free))
         rhs = _free_rhs(-gu, -gv, n)
         accepted = False
@@ -633,7 +650,7 @@ def minimize(
             break
 
     profile = Profile(grid, u, v)
-    energy = reduced_energy(profile, params)
+    energy = _energy(q, u, v, params)
     res = ode_residual(profile, params)
     checks = _structure_checks(u, v, params, res.neumann_defect)
     report = SolveReport(
@@ -654,6 +671,33 @@ def minimize(
     return profile, report
 
 
+def _warm_started(
+    base: ModelParams, grid: RadialGrid, name: str, values, init="explicit", **solve_kw
+):
+    """Solve at each value of parameter ``name``, warm-starting each step.
+
+    The first step starts from ``init``, each later one from the last
+    converged profile rescaled to the new ``s_plus``.  Yields ``(params,
+    profile, report, error)``; ``error`` is the step's NonConvergence (the
+    profile and report are then its best iterate) or None.
+    """
+    last = None  # (params, profile) of the last converged step
+    for value in values:
+        p_step = base.with_updates(**{name: value})
+        start = init
+        if last is not None:
+            prev_params, prev = last
+            scale = p_step.s_plus / prev_params.s_plus
+            start = apply_boundary(Profile(grid, prev.u * scale, prev.v * scale), p_step)
+        try:
+            profile, report = minimize(p_step, grid, init=start, **solve_kw)
+        except NonConvergence as exc:
+            yield p_step, exc.profile, exc.report, exc
+            continue
+        yield p_step, profile, report, None
+        last = (p_step, profile)
+
+
 def continuation_in_b2(params: ModelParams, b2_targets, grid: RadialGrid, tol: float = 1e-9):
     """Solve along an ascending b2 branch, warm-starting each step.
 
@@ -672,24 +716,10 @@ def continuation_in_b2(params: ModelParams, b2_targets, grid: RadialGrid, tol: f
         raise InvalidParams("b2_targets must be strictly ascending")
 
     branch = []
-    prev_profile = None
-    prev_s = None
-    for b2 in targets:
-        p_b = params.with_updates(b2=b2)
-        if prev_profile is None:
-            init = "explicit"
-        else:
-            scale = p_b.s_plus / prev_s
-            init = apply_boundary(
-                Profile(grid, prev_profile.u * scale, prev_profile.v * scale), p_b
-            )
-        try:
-            profile, report = minimize(p_b, grid, init=init, tol=tol)
-        except NonConvergence as exc:
-            exc.failing_b2 = b2
-            exc.branch_so_far = branch
-            raise
-        branch.append((b2, profile, report))
-        prev_profile = profile
-        prev_s = p_b.s_plus
+    for p_b, profile, report, error in _warm_started(params, grid, "b2", targets, tol=tol):
+        if error is not None:
+            error.failing_b2 = p_b.b2
+            error.branch_so_far = branch
+            raise error
+        branch.append((p_b.b2, profile, report))
     return branch

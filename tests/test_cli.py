@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdefect
-from qdefect import read_profile_csv
+from qdefect import NonConvergence, Profile, read_profile_csv
 from qdefect.cli import _json_text, main
 
 
@@ -74,14 +75,21 @@ def test_solve_rejects_unknown_config_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+README_SWEEPS = (
+    ("sweep", "--L-list", "0.1,0.03,0.01,0.003", "--k", "1", "--n", "1024", "-o", "sweepL"),
+    ("sweep", "--b2-list", "0,0.05,0.1", "--L", "0.1", "--k", "1", "-o", "sweepB"),
+)
+
+
 def test_solve_deterministic_outputs(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     a.mkdir()
     b.mkdir()
-    assert run(a, *SOLVE_ARGS, "-o", "run") == 0
-    assert run(b, *SOLVE_ARGS, "-o", "run") == 0
-    for name in ("run_profile.csv", "run_report.json"):
+    for argv in ((*SOLVE_ARGS, "-o", "run"), *README_SWEEPS):
+        assert run(a, *argv) == 0
+        assert run(b, *argv) == 0
+    for name in ("run_profile.csv", "run_report.json", "sweepL_sweep.json", "sweepB_sweep.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -227,6 +235,76 @@ def test_sweep_b2_tracks_s_plus(tmp_path):
         assert rec["s_plus"] == pytest.approx(s, rel=1e-14)
         assert rec["u_R"] == pytest.approx(s / math.sqrt(2.0), rel=1e-14)
         assert rec["norm_bound_margin"] > -1e-8
+
+
+def _spy_on_solves(monkeypatch, fail_at=None):
+    """Record every solve of a sweep; the step at ``b2 == fail_at`` fails."""
+    import qdefect.reduced as reduced
+
+    real = reduced.minimize
+    calls = []
+
+    def spy(params, grid, init="explicit", **kw):
+        profile, report = real(params, grid, init=init, **kw)
+        calls.append({"params": params, "init": init, "kw": kw, "profile": profile})
+        if params.b2 == fail_at:
+            report.converged = False
+            raise NonConvergence("injected failure", profile=profile, report=report)
+        return profile, report
+
+    monkeypatch.setattr(reduced, "minimize", spy)
+    return calls
+
+
+def test_sweep_failed_step_is_recorded_and_skipped(tmp_path, monkeypatch, capsys):
+    calls = _spy_on_solves(monkeypatch, fail_at=0.05)
+    code = run(
+        tmp_path, "sweep", "--b2-list", "0,0.05,0.1", "--L", "0.1", "--k", "1",
+        "--n", "128", "-o", "sw",
+    )
+    assert code == 1
+    assert "with failures" in capsys.readouterr().out
+    records = json.loads((tmp_path / "sw_sweep.json").read_text())["records"]
+    assert [r["b2"] for r in records] == [0.0, 0.05, 0.1]
+    assert [r["converged"] for r in records] == [True, False, True]
+    assert records[1]["error"] == "injected failure"
+    assert "error" not in records[0] and "error" not in records[2]
+    # the step after the failure warm-starts from the last converged (b2 = 0) step
+    first, _, last = calls
+    scale = last["params"].s_plus / first["params"].s_plus
+    start = last["init"]
+    assert isinstance(start, Profile)
+    assert np.array_equal(start.u[1:-1], first["profile"].u[1:-1] * scale)
+    assert np.array_equal(start.v[:-1], first["profile"].v[:-1] * scale)
+    assert start.u[0] == 0.0
+    assert start.u[-1] == last["params"].boundary_u
+    assert start.v[-1] == last["params"].boundary_v
+
+
+def test_sweep_honours_init_and_iteration_flags(tmp_path, monkeypatch, capsys):
+    calls = _spy_on_solves(monkeypatch)
+    sweep = ("sweep", "--b2-list", "0,0.05", "--L", "0.1", "--k", "1", "--n", "128")
+    assert run(
+        tmp_path, *sweep, "--init", "ramp", "--max-iter", "5000", "--tol", "1e-8", "-o", "sw"
+    ) == 0
+    assert calls[0]["init"] == "ramp"
+    assert isinstance(calls[1]["init"], Profile)
+    assert [c["kw"] for c in calls] == [{"tol": 1e-8, "max_flow_iter": 5000}] * 2
+
+    # --init file starts the first step from the file's profile
+    assert run(tmp_path, *SOLVE_ARGS, "-o", "seed") == 0
+    seed = read_profile_csv(tmp_path / "seed_profile.csv")
+    calls.clear()
+    assert run(tmp_path, *sweep, "--init", "file", "--init-file", "seed_profile.csv") == 0
+    assert np.array_equal(calls[0]["init"].u, seed.u)
+    assert np.array_equal(calls[0]["init"].v, seed.v)
+
+    capsys.readouterr()
+    assert run(tmp_path, *sweep, "--init", "file") == 2
+    assert "--init file requires --init-file" in capsys.readouterr().err
+    assert run(
+        tmp_path, *sweep[:-1], "64", "--init", "file", "--init-file", "seed_profile.csv"
+    ) == 2
 
 
 def test_sweep_empty_and_double_lists(tmp_path):

@@ -185,6 +185,62 @@ def test_gradient_zero_perturbation_is_identity():
 
 
 # ---------------------------------------------------------------------------
+# Hessian
+# ---------------------------------------------------------------------------
+
+def _dense_from_banded(ab):
+    """Dense matrix of ``solve_banded`` storage with l = u = 3."""
+    nf = ab.shape[1]
+    dense = np.zeros((nf, nf))
+    for d in range(-3, 4):
+        j = np.arange(max(0, -d), min(nf, nf - d))
+        dense[j + d, j] = ab[3 + d, j]
+    return dense
+
+
+@pytest.mark.parametrize("k", [1, -2, 3])
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+def test_hessian_matches_central_differences_of_gradient(k, b2):
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _free_rhs, _raw_gradient
+
+    p = params(L=0.05, b2=b2, k=k)
+    grid = RadialGrid.for_defect(1.0, 24, k)
+    assert grid.spacing == ("uniform" if abs(k) == 1 else "graded")
+    x = grid.nodes / grid.radius
+    prof = apply_boundary(
+        Profile(
+            grid,
+            p.boundary_u * x ** abs(k) * (1.0 + 0.3 * np.sin(3.0 * np.pi * x)),
+            p.boundary_v * (0.5 + 0.5 * x) + 0.1 * np.cos(2.0 * np.pi * x),
+        ),
+        p,
+    )
+    q = _P1Gauss(grid)
+    n = grid.n_segments
+
+    def free_grad(u, v):
+        return _free_rhs(*_raw_gradient(q, u, v, p), n)
+
+    assert np.max(np.abs(free_grad(prof.u, prof.v))) > 1e-2  # not a critical point
+    hess = _dense_from_banded(_assemble_hessian_banded(q, prof.u, prof.v, p))
+    fd = np.empty_like(hess)
+    eps = 1e-6
+    # free DOFs in Hessian order: v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}
+    free = [("v", 0)] + [(f, i) for i in range(1, n) for f in ("u", "v")]
+    for col, (f, i) in enumerate(free):
+        step = np.zeros(n + 1)
+        step[i] = eps
+        if f == "u":
+            plus, minus = free_grad(prof.u + step, prof.v), free_grad(prof.u - step, prof.v)
+        else:
+            plus, minus = free_grad(prof.u, prof.v + step), free_grad(prof.u, prof.v - step)
+        fd[:, col] = (plus - minus) / (2.0 * eps)
+    scale = np.sqrt(np.outer(np.abs(np.diag(hess)), np.abs(np.diag(hess))))
+    assert np.max(np.abs(hess - fd) / scale) <= 1e-6
+    assert np.array_equal(hess, hess.T)
+
+
+# ---------------------------------------------------------------------------
 # strong-form residual
 # ---------------------------------------------------------------------------
 
@@ -292,8 +348,8 @@ def test_newton_damping_is_bounded_when_the_hessian_is_nan(monkeypatch):
     # count can end the damping loop
     import qdefect.reduced as reduced
 
-    def nan_hessian(u, v, grid, prm):
-        return np.full((7, 2 * grid.n_segments - 1), np.nan)
+    def nan_hessian(q, u, v, prm):
+        return np.full((7, 2 * q.grid.n_segments - 1), np.nan)
 
     monkeypatch.setattr(reduced, "_assemble_hessian_banded", nan_hessian)
     p = params(L=0.05)
