@@ -93,7 +93,7 @@ _PARAM_DEFAULTS = {
     "n": 512,
     "m": 128,
     "tol": 1e-9,
-    "max_iter": 100_000,
+    "max_iter": 100,
     "init": "explicit",
     "init_file": None,
     "out": "qdefect",
@@ -120,7 +120,7 @@ def _add_param_flags(sub):
     sub.add_argument("--n", type=int, help="radial segments (>= 16)")
     sub.add_argument("--m", type=int, help="angular samples (even, >= 64)")
     sub.add_argument("--tol", type=float, help="projected-gradient tolerance")
-    sub.add_argument("--max-iter", dest="max_iter", type=int, help="flow iteration cap")
+    sub.add_argument("--max-iter", dest="max_iter", type=int, help="Newton iteration cap")
     sub.add_argument("--init", choices=("explicit", "ramp", "file"), help="initial guess")
     sub.add_argument("--init-file", dest="init_file", help="profile CSV for --init file")
     sub.add_argument("--out", "-o", help="output path prefix")
@@ -193,8 +193,7 @@ def cmd_solve(args) -> int:
     out = eff["out"]
     try:
         profile, report = minimize(
-            params, grid, init=init, tol=float(eff["tol"]),
-            max_flow_iter=int(eff["max_iter"]),
+            params, grid, init=init, tol=float(eff["tol"]), max_iter=int(eff["max_iter"]),
         )
         status = 0
     except NonConvergence as exc:
@@ -340,7 +339,7 @@ def cmd_sweep(args) -> int:
     sweep_name, values = ("b2", b2_list) if b2_list is not None else ("L", l_list)
     steps = _warm_started(
         base, grid, sweep_name, values, init=_init(eff, base),
-        tol=float(eff["tol"]), max_flow_iter=int(eff["max_iter"]),
+        tol=float(eff["tol"]), max_iter=int(eff["max_iter"]),
     )
     for p_step, profile, report, error in steps:
         record = {sweep_name: getattr(p_step, sweep_name), "s_plus": p_step.s_plus}

@@ -15,9 +15,9 @@ Discretisation: piecewise-linear profiles with per-segment Gauss-Legendre
 quadrature (exact for the quartic potential of interpolated data, and for
 the measure ``r dr``) in one kernel, :class:`_P1Gauss`, which evaluates
 every term.  The discrete energy is smooth in the node values, so the
-stationarity system solved by the Newton phase is exactly the weak form of
-the Euler-Lagrange ODEs; the strong-form finite-difference residual is
-reported separately by :func:`ode_residual`.
+stationarity system solved by the damped-Newton minimiser is exactly the
+weak form of the Euler-Lagrange ODEs; the strong-form finite-difference
+residual is reported separately by :func:`ode_residual`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence
 from .grid import GAUSS_XI, RadialGrid
@@ -333,44 +333,6 @@ def _unpack_free(x, n):
     return du, dv
 
 
-def _quadratic_stiffness(q: _P1Gauss, params: ModelParams):
-    """Tridiagonal stiffness of the L-independent quadratic energy part.
-
-    Returns per-field ``(diag, off)`` over the free DOFs: u on nodes
-    ``1..N-1`` (Dirichlet both ends, includes the k^2/r^2 term), v on
-    ``0..N-1`` (natural at the origin).
-    """
-    n = q.grid.n_segments
-    stiff = q.seg_r / (q.h * q.h)
-    k2 = float(params.k * params.k)
-    sing = q.wg * (k2 / q.rg2)
-    s_ll = sing @ (1.0 - GAUSS_XI) ** 2
-    s_rr = sing @ GAUSS_XI**2
-    s_lr = sing @ (GAUSS_XI * (1.0 - GAUSS_XI))
-
-    diag_full = np.zeros(n + 1)
-    diag_full[:-1] += stiff + s_ll
-    diag_full[1:] += stiff + s_rr
-    off_full = -stiff + s_lr  # coupling between nodes i and i+1
-
-    du_diag = diag_full[1:n]
-    du_off = off_full[1 : n - 1]
-
-    diag_v = np.zeros(n + 1)
-    diag_v[:-1] += stiff
-    diag_v[1:] += stiff
-    dv_diag = diag_v[0:n]
-    dv_off = -stiff[0 : n - 1]
-    return (du_diag, du_off), (dv_diag, dv_off)
-
-
-def _chol_upper(diag, off):
-    ab = np.zeros((2, diag.size))
-    ab[1] = diag
-    ab[0, 1:] = off
-    return cholesky_banded(ab, check_finite=False)
-
-
 # ---------------------------------------------------------------------------
 # strong-form finite-difference residual
 # ---------------------------------------------------------------------------
@@ -511,30 +473,36 @@ def minimize(
     grid: RadialGrid,
     init="explicit",
     tol: float = 1e-9,
-    max_flow_iter: int = 100_000,
-    max_newton_iter: int = 100,
-    newton_switch: float = 1e-3,
+    max_iter: int = 100,
     on_step=None,
 ):
     """Find the reduced-energy minimiser on the grid.
 
-    Strategy: semi-implicit gradient flow (radial Laplacian and the
-    k^2/r^2 term treated implicitly, the bulk nonlinearity explicitly,
-    adaptive step with energy-descent acceptance) down to
-    ``newton_switch``, then damped Newton on the discrete stationarity
-    system with an Armijo test on the projected-gradient norm.  For
-    ``b2 = 0`` the iterate is reflected into the signed class
-    ``u >= 0, v <= 0`` before the Newton phase (the energy is invariant
-    under those sign flips there).
+    Damped Newton on the discrete stationarity system.  Each step solves
+    with the banded Cholesky factor of ``H + lam M`` (``M`` the lumped
+    node masses); where the factorisation fails (negative curvature) the
+    Levenberg shift ``lam`` is raised.  A step is accepted by an Armijo
+    test on the energy, or, when the energy change is below round-off
+    (``|dE| <= 1e-12 |E|``), by an Armijo test on the projected-gradient
+    norm.  For ``b2 = 0`` the start is reflected into the signed class
+    ``u >= 0, v <= 0`` (the energy is invariant under those sign flips
+    there).  ``on_step("newton", energy, grad_norm)`` is called after
+    every Newton iteration.
 
     Returns ``(profile, report)``; raises :class:`NonConvergence` with the
-    best iterate attached if the iteration caps are exhausted.
+    best iterate attached if ``max_iter`` Newton iterations do not reach
+    ``tol``, no step is accepted, or the gradient norm is not finite.
     """
-    if tol <= 0.0:
-        raise InvalidParams("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParams("tol must be finite and positive")
+    if max_iter < 1:
+        raise InvalidParams("max_iter must be at least 1")
     if params.L <= 0.0:
         raise InvalidParams("minimize requires L > 0; L = 0 is the limit problem")
     u, v = _initial_arrays(params, grid, init)
+    if params.b2 == 0.0:
+        u = np.abs(u)
+        v = -np.abs(v)
     u[0] = 0.0
     u[-1] = params.boundary_u
     v[-1] = params.boundary_v
@@ -543,94 +511,54 @@ def minimize(
 
     n = grid.n_segments
     masses = grid.node_masses
-    mu_free = masses[1:n]
-    mv_free = masses[0:n]
+    mass_free = _free_rhs(masses, masses, n)
     q = _P1Gauss(grid)
-    (ku_d, ku_o), (kv_d, kv_o) = _quadratic_stiffness(q, params)
-
-    tau = 0.5 * params.L / params.a2
-    tau_floor = 1e-12 * tau
-    chol_u = chol_v = None
-
-    def refactor(t):
-        nonlocal chol_u, chol_v
-        chol_u = _chol_upper(mu_free + t * ku_d, t * ku_o)
-        chol_v = _chol_upper(mv_free + t * kv_d, t * kv_o)
 
     def grad_and_norm(uu, vv):
         gu, gv = _raw_gradient(q, uu, vv, params)
         _project(gu, gv)
         return gu, gv, _mass_norm(gu, gv, masses)
 
-    refactor(tau)
     energy = _energy(q, u, v, params)
-    flow_iters = 0
     gu, gv, gn = grad_and_norm(u, v)
-    while gn > newton_switch and flow_iters < max_flow_iter:
-        du = np.zeros_like(u)
-        dv = np.zeros_like(v)
-        du[1:n] = cho_solve_banded((chol_u, False), -tau * gu[1:n], check_finite=False)
-        dv[0:n] = cho_solve_banded((chol_v, False), -tau * gv[0:n], check_finite=False)
-        e_new = _energy(q, u + du, v + dv, params)
-        flow_iters += 1
-        if e_new <= energy:
-            u = u + du
-            v = v + dv
-            energy = e_new
-            gu, gv, gn = grad_and_norm(u, v)
-            if on_step is not None:
-                on_step("flow", energy, gn)
-            new_tau = min(tau * 1.25, 1e6)
-            if new_tau != tau:
-                tau = new_tau
-                refactor(tau)
-        else:
-            tau *= 0.25
-            if tau < tau_floor:
-                break
-            refactor(tau)
-
-    if params.b2 == 0.0:
-        u = np.abs(u)
-        v = -np.abs(v)
-        u[0] = 0.0
-        u[-1] = params.boundary_u
-        v[-1] = params.boundary_v
-
-    gu, gv, gn = grad_and_norm(u, v)
-    mass_free = _free_rhs(masses, masses, n)
     lam = 0.0
-    newton_iters = 0
+    iters = 0
     converged = gn <= tol
-    while not converged and newton_iters < max_newton_iter:
-        ab = _assemble_hessian_banded(q, u, v, params)
-        lam_unit = float(np.max(np.abs(ab[3]))) / float(np.max(mass_free))
+    while not converged and iters < max_iter and math.isfinite(gn):
+        upper = _assemble_hessian_banded(q, u, v, params)[:4]
+        lam_unit = float(np.max(np.abs(upper[3]))) / float(np.max(mass_free))
         rhs = _free_rhs(-gu, -gv, n)
         accepted = False
         # Each rejection multiplies lam by 30 from at least 1e-8 lam_unit, so
         # finite data passes 1e12 lam_unit within 15 rejections; the count
         # bounds the loop where lam_unit is 0 or NaN and the test never fires.
         for _ in range(_MAX_DAMPING_REJECTS):
-            ab_try = ab
-            if lam > 0.0:
-                ab_try = ab.copy()
-                ab_try[3] += lam * mass_free
+            shifted = upper.copy()
+            shifted[3] += lam * mass_free
             try:
-                x = solve_banded((3, 3), ab_try, rhs, check_finite=False)
+                chol = cholesky_banded(shifted, check_finite=False)
+                x = cho_solve_banded((chol, False), rhs, check_finite=False)
                 if not np.all(np.isfinite(x)):
                     raise np.linalg.LinAlgError("non-finite Newton step")
             except (np.linalg.LinAlgError, ValueError):
                 x = None
             if x is not None:
                 du, dv = _unpack_free(x, n)
+                slope = -float(rhs @ x)  # directional derivative, < 0
                 beta = 1.0
                 while beta > 1e-7:
-                    gu2, gv2, gn2 = grad_and_norm(u + beta * du, v + beta * dv)
-                    if gn2 <= (1.0 - 1e-4 * beta) * gn:
-                        u = u + beta * du
-                        v = v + beta * dv
-                        gu, gv, gn = gu2, gv2, gn2
+                    u2 = u + beta * du
+                    v2 = v + beta * dv
+                    e2 = _energy(q, u2, v2, params)
+                    if abs(e2 - energy) <= 1e-12 * abs(energy):
+                        gu2, gv2, gn2 = grad_and_norm(u2, v2)
+                        accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
+                    elif e2 <= energy + 1e-4 * beta * slope:
+                        gu2, gv2, gn2 = grad_and_norm(u2, v2)
                         accepted = True
+                    if accepted:
+                        u, v, energy = u2, v2, e2
+                        gu, gv, gn = gu2, gv2, gn2
                         lam *= 0.3
                         if lam < 1e-14 * lam_unit:
                             lam = 0.0
@@ -641,30 +569,28 @@ def minimize(
             lam = max(lam * 30.0, 1e-8 * lam_unit)
             if lam > 1e12 * lam_unit:
                 break
-        newton_iters += 1
+        iters += 1
         if on_step is not None:
-            on_step("newton", None, gn)
-        if gn <= tol:
-            converged = True
-        if not accepted and not converged:
+            on_step("newton", energy, gn)
+        converged = gn <= tol
+        if not accepted:
             break
 
     profile = Profile(grid, u, v)
-    energy = _energy(q, u, v, params)
     res = ode_residual(profile, params)
     checks = _structure_checks(u, v, params, res.neumann_defect)
     report = SolveReport(
         energy=energy,
         grad_norm=gn,
         residual_norm=res.max_interior(),
-        iterations=flow_iters + newton_iters,
+        iterations=iters,
         converged=bool(converged),
         checks=checks,
     )
     if not converged:
         raise NonConvergence(
-            f"no convergence after {flow_iters} flow / {newton_iters} Newton "
-            f"iterations (grad_norm {gn:.3e} > tol {tol:.1e})",
+            f"no convergence after {iters} Newton iterations "
+            f"(grad_norm {gn:.3e} > tol {tol:.1e})",
             profile=profile,
             report=report,
         )

@@ -59,6 +59,18 @@ def test_solve_rejects_zero_l(tmp_path, capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+     ("--max-iter", "-5"), ("--max-iter", "0")],
+    ids=["tol-nan", "tol-inf", "tol-0", "max-iter--5", "max-iter-0"],
+)
+def test_solve_rejects_bad_tol_and_max_iter(tmp_path, capsys, flag):
+    assert run(tmp_path, *SOLVE_ARGS, *flag, "-o", "bad") == 2
+    assert "[E_CONFIG]" in capsys.readouterr().err
+    assert not (tmp_path / "bad_report.json").exists()
+
+
 def test_solve_config_file_and_flag_override(tmp_path):
     cfg = {"a2": 1.0, "c2": 1.0, "L": 0.05, "k": 1, "n": 128, "out": "fromcfg"}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -289,7 +301,7 @@ def test_sweep_honours_init_and_iteration_flags(tmp_path, monkeypatch, capsys):
     ) == 0
     assert calls[0]["init"] == "ramp"
     assert isinstance(calls[1]["init"], Profile)
-    assert [c["kw"] for c in calls] == [{"tol": 1e-8, "max_flow_iter": 5000}] * 2
+    assert [c["kw"] for c in calls] == [{"tol": 1e-8, "max_iter": 5000}] * 2
 
     # --init file starts the first step from the file's profile
     assert run(tmp_path, *SOLVE_ARGS, "-o", "seed") == 0
@@ -396,3 +408,20 @@ def test_json_output_is_strict_with_non_finite_as_null():
     text = _json_text(payload)
     assert text == '{"energy": null, "records": [{"g": null, "ok": 1.5}], "tag": "x"}'
     json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token}"))
+
+
+def test_overflowing_solve_exits_1_promptly(tmp_path):
+    # L = 1e-300 overflows the gradient norm at the start: the solver must
+    # stop there instead of iterating on inf
+    code = "import sys; from qdefect.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "solve", "--L", "1e-300", "--n", "256", "-o", "tiny"],
+        capture_output=True, text=True, timeout=2.0, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "[E_NUMERIC]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "tiny_report.json").read_text())
+    assert report["converged"] is False and report["grad_norm"] is None
+    assert report["iterations"] == 0

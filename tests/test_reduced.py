@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdefect import (
     Branch,
@@ -23,6 +25,7 @@ from qdefect import (
     reduced_gradient,
     write_profile_csv,
 )
+from qdefect.harmonic import explicit_arrays
 from qdefect.reduced import _fhat
 
 SQRT6 = math.sqrt(6.0)
@@ -298,18 +301,22 @@ def test_minimize_sign_structure_and_norm_bound(solve_cache):
     assert rep.checks["v_nondecreasing"] and rep.checks["norm_bound_ok"]
 
 
-def test_minimize_flow_descends_monotonically():
-    p = params(L=0.05)
-    grid = RadialGrid.uniform(1.0, 128)
-    energies = []
+def test_minimize_energy_descends_monotonically():
+    # at b2 = 1, L = 1e-3 full Newton steps from the ramp raise the energy,
+    # so only the line search keeps the descent
+    for p in (params(L=0.05), params(L=1e-3, b2=1.0)):
+        grid = RadialGrid.uniform(1.0, 128)
+        energies = [reduced_energy(ramp_profile(p, grid), p)]
 
-    def watch(phase, energy, gn):
-        if phase == "flow":
+        def watch(phase, energy, gn):
+            assert phase == "newton"
             energies.append(energy)
 
-    minimize(p, grid, init="ramp", on_step=watch)
-    assert len(energies) >= 2
-    assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:]))
+        minimize(p, grid, init="ramp", on_step=watch)
+        assert len(energies) >= 3
+        # steps inside the round-off band (|dE| <= 1e-12 |E|) may not lower E
+        assert all(b <= a + 1e-12 * abs(a) for a, b in zip(energies, energies[1:]))
+        assert energies[-1] < energies[0]
 
 
 def test_minimize_init_presets_agree():
@@ -325,8 +332,12 @@ def test_minimize_rejects_bad_inputs():
     grid = RadialGrid.uniform(1.0, 64)
     with pytest.raises(InvalidParams):
         minimize(p.with_updates(L=0.0), grid)
-    with pytest.raises(InvalidParams):
-        minimize(p, grid, tol=-1.0)
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            minimize(p, grid, tol=tol)
+    for max_iter in (0, -5):
+        with pytest.raises(InvalidParams):
+            minimize(p, grid, max_iter=max_iter)
     with pytest.raises(InvalidParams):
         minimize(p, grid, init="nonsense")
 
@@ -355,7 +366,7 @@ def test_newton_damping_is_bounded_when_the_hessian_is_nan(monkeypatch):
     p = params(L=0.05)
     grid = RadialGrid.uniform(1.0, 64)
     with pytest.raises(NonConvergence) as info:
-        minimize(p, grid, init="ramp", newton_switch=1e9)
+        minimize(p, grid, init="ramp")
     assert info.value.report.iterations == 1
 
 
@@ -372,10 +383,53 @@ def test_minimize_nonconvergence_reports_best_iterate():
     p = params(L=0.01)
     grid = RadialGrid.uniform(1.0, 128)
     with pytest.raises(NonConvergence) as info:
-        minimize(p, grid, init="ramp", max_flow_iter=3, max_newton_iter=1)
+        minimize(p, grid, init="ramp", max_iter=1)
+    assert info.value.report.iterations == 1
     assert info.value.profile is not None
     assert info.value.report is not None
     assert not info.value.report.converged
+
+
+@settings(max_examples=60, deadline=2000, database=None)
+@given(
+    k=st.integers(-6, 6).filter(lambda k: k != 0),
+    b2=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    log_l=st.floats(-4.0, 1.0),
+    init=st.sampled_from(("explicit", "ramp")),
+    n=st.integers(16, 256),
+)
+def test_minimize_property_over_the_cli_parameter_space(k, b2, log_l, init, n):
+    p = params(k=k, b2=b2, L=10.0**log_l)
+    grid = RadialGrid.for_defect(1.0, n, k)
+    if init == "ramp":
+        start = ramp_profile(p, grid)
+    else:
+        start = Profile(grid, *explicit_arrays("minus", k, p.s_plus, grid.nodes))
+    guess = reduced_energy(apply_boundary(start, p), p)
+    max_iter = 100
+    try:
+        prof, rep = minimize(p, grid, init=init, max_iter=max_iter)
+        assert rep.converged and rep.grad_norm <= 1e-9
+    except NonConvergence as exc:
+        prof, rep = exc.profile, exc.report
+        assert not rep.converged
+    assert rep.iterations <= max_iter
+    assert prof.u[0] == 0.0
+    assert prof.u[-1] == p.boundary_u and prof.v[-1] == p.boundary_v
+    assert rep.energy == reduced_energy(prof, p)
+    assert rep.energy <= guess + 1e-12 * abs(guess)
+    # every check, recomputed from the returned u and v
+    norm_max = float(np.max(prof.u * prof.u + prof.v * prof.v))
+    expected = {
+        "norm_bound_ok": norm_max <= p.limit_norm_sq + 1e-8,
+        "norm_bound_margin": p.limit_norm_sq - norm_max,
+        "neumann_defect": ode_residual(prof, p).neumann_defect,
+    }
+    if b2 == 0.0:
+        expected["u_positive"] = bool(np.all(prof.u[1:] > 0.0))
+        expected["v_negative"] = bool(np.all(prof.v < 0.0))
+        expected["v_nondecreasing"] = bool(np.all(np.diff(prof.v) >= -1e-10))
+    assert rep.checks == expected
 
 
 def test_gamma_limit_distance_shrinks(solve_cache):
