@@ -109,6 +109,28 @@ _RENDER_DEFAULTS = {
 }
 
 
+# Types of the numeric flags; every other key takes a string.  A config-file
+# value is converted as its flag's value would be.
+_NUMERIC_FLAGS = {
+    "a2": float, "b2": float, "c2": float, "L": float, "R": float, "tol": float,
+    "shift": float, "k": int, "n": int, "m": int, "max_iter": int, "density": int, "size": int,
+}
+
+
+def _config_value(key: str, value, default):
+    """Check and convert one config-file value with its flag's type."""
+    kind = _NUMERIC_FLAGS.get(key, str)
+    if (value is None and default is None) or (kind is str and isinstance(value, str)):
+        return value
+    if kind is not str and isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:  # a non-integral number for an integer key is rejected, not truncated
+            if kind is float or not isinstance(value, float) or value.is_integer():
+                return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    raise InvalidParams(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+
+
 def _add_param_flags(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--a2", type=float, help="bulk coefficient a2 (> 0)")
@@ -133,7 +155,7 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise InvalidParams(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(cfg, dict):
             raise InvalidParams("config file must hold a JSON object")
@@ -143,7 +165,9 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
     eff = {}
     for key, fallback in defaults.items():
         flag = getattr(args, key, None)
-        eff[key] = flag if flag is not None else cfg.get(key, fallback)
+        if flag is None:
+            flag = _config_value(key, cfg[key], fallback) if key in cfg else fallback
+        eff[key] = flag
     return eff
 
 
@@ -154,22 +178,11 @@ def _model_params(eff: dict, allow_zero_l=False) -> ModelParams:
         raise InvalidParams(
             "L = 0 is the harmonic-map limit; use the `limit` command instead"
         )
-    return ModelParams(
-        a2=float(eff["a2"]),
-        b2=float(eff["b2"]),
-        c2=float(eff["c2"]),
-        L=float(eff["L"]),
-        R=float(eff["R"]),
-        k=int(eff["k"]),
-    )
+    return ModelParams(**{key: eff[key] for key in ("a2", "b2", "c2", "L", "R", "k")})
 
 
 def _grid(eff: dict, params: ModelParams) -> RadialGrid:
-    return RadialGrid.for_defect(params.R, int(eff["n"]), params.k)
-
-
-def _float_or_none(x):
-    return None if x is None else float(x)
+    return RadialGrid.for_defect(params.R, eff["n"], params.k)
 
 
 def _init(eff: dict, params: ModelParams):
@@ -189,11 +202,10 @@ def cmd_solve(args) -> int:
     eff = _effective(args, _PARAM_DEFAULTS)
     params = _model_params(eff)
     grid = _grid(eff, params)
-    init = _init(eff, params)
     out = eff["out"]
     try:
         profile, report = minimize(
-            params, grid, init=init, tol=float(eff["tol"]), max_iter=int(eff["max_iter"]),
+            params, grid, init=_init(eff, params), tol=eff["tol"], max_iter=eff["max_iter"]
         )
         status = 0
     except NonConvergence as exc:
@@ -211,10 +223,10 @@ def cmd_solve(args) -> int:
 
 def cmd_limit(args) -> int:
     eff = _effective(args, _PARAM_DEFAULTS)
-    if float(eff["b2"]) != 0.0:
+    if eff["b2"] != 0.0:
         raise InvalidParams("the limit command requires b2 = 0")
     params = _model_params(eff, allow_zero_l=True).with_updates(L=0.0)
-    grid = RadialGrid.uniform(params.R, int(eff["n"]))
+    grid = RadialGrid.uniform(params.R, eff["n"])
     out = eff["out"]
 
     table = {}
@@ -226,11 +238,11 @@ def cmd_limit(args) -> int:
         for r, row in zip(grid.nodes, lam):
             lines.append(f"{float(r)!r},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}")
         _write_text_atomic(f"{out}_eigenvalues_{branch.value}.csv", "\n".join(lines) + "\n")
-        en = harmonic.dirichlet_energy_2d(branch, params, n_r=int(eff["n"]), m_phi=int(eff["m"]))
+        en = harmonic.dirichlet_energy_2d(branch, params, n_r=eff["n"], m_phi=eff["m"])
         table[tag] = {"closed_form": en.closed_form, "quadrature": en.quadrature}
     if params.k % 2 == 0:
         en = harmonic.dirichlet_energy_2d(
-            harmonic.Branch.UNIAXIAL_ESCAPE, params, n_r=int(eff["n"]), m_phi=int(eff["m"])
+            harmonic.Branch.UNIAXIAL_ESCAPE, params, n_r=eff["n"], m_phi=eff["m"]
         )
         table["U"] = {"closed_form": en.closed_form, "quadrature": en.quadrature}
     else:
@@ -255,7 +267,7 @@ def cmd_residual(args) -> int:
         lines.append(f"{float(r)!r},{float(ru)!r},{float(rv)!r}")
     _write_text_atomic(f"{out}_residual.csv", "\n".join(lines) + "\n")
 
-    pg = PolarGrid(profile.grid, int(eff["m"]))
+    pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
     el = field2d.el_residual_2d(lifted, params)
     norms = el.norms()
@@ -279,15 +291,15 @@ def cmd_render(args) -> int:
         raise InvalidParams("render needs exactly one of --branch or --input")
     spec = render.RenderSpec(
         style=eff["style"],
-        density=int(eff["density"]),
-        size=int(eff["size"]),
-        shift=_float_or_none(eff["shift"]),
+        density=eff["density"],
+        size=eff["size"],
+        shift=eff["shift"],
     )
     if eff["branch"]:
-        if float(eff["b2"]) != 0.0:
+        if eff["b2"] != 0.0:
             raise InvalidParams("explicit branches require b2 = 0")
         params = _model_params(eff, allow_zero_l=True)
-        grid = RadialGrid.uniform(params.R, int(eff["n"]))
+        grid = RadialGrid.uniform(params.R, eff["n"])
         profile = harmonic.explicit_profile(harmonic.Branch(eff["branch"]), params, grid)
         title = f"branch {eff['branch']}, k={params.k}"
     else:
@@ -298,7 +310,7 @@ def cmd_render(args) -> int:
     _write_text_atomic(f"{out}_glyphs.svg", render.glyph_svg(profile, params, spec))
     _write_text_atomic(
         f"{out}_eigenvalues.svg",
-        render.eigenvalue_chart_svg(profile, params, size=int(eff["size"]), title=title),
+        render.eigenvalue_chart_svg(profile, params, size=eff["size"], title=title),
     )
     print(f"render: wrote {out}_glyphs.svg and {out}_eigenvalues.svg")
     return 0
@@ -339,7 +351,7 @@ def cmd_sweep(args) -> int:
     sweep_name, values = ("b2", b2_list) if b2_list is not None else ("L", l_list)
     steps = _warm_started(
         base, grid, sweep_name, values, init=_init(eff, base),
-        tol=float(eff["tol"]), max_iter=int(eff["max_iter"]),
+        tol=eff["tol"], max_iter=eff["max_iter"],
     )
     for p_step, profile, report, error in steps:
         record = {sweep_name: getattr(p_step, sweep_name), "s_plus": p_step.s_plus}
@@ -369,7 +381,7 @@ def cmd_energy(args) -> int:
         raise InvalidParams("energy requires --input profile.csv")
     params = _model_params(eff)
     profile = read_profile_csv(eff["input"])
-    pg = PolarGrid(profile.grid, int(eff["m"]))
+    pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
     e0 = harmonic.e0_energy(profile, params)
     payload = {

@@ -9,10 +9,15 @@ Two discretisations coexist deliberately:
   reduced 1D functional;
 * a consistent scheme (Fourier differentiation in the angle, the same
   per-segment Gauss rule in radius as the reduced energy) behind
-  :func:`second_variation` and :func:`energy_gap`.  Sharing quadrature
-  points with the 1D solver makes lifted minimisers exactly stationary
-  for the discrete 2D functional, so the quadratic-form expansion of the
-  energy difference holds to round-off instead of to scheme mismatch.
+  :func:`ldg_energy_spectral`, :func:`second_variation` and
+  :func:`energy_gap`.  Sharing quadrature points with the 1D solver makes
+  lifted minimisers exactly stationary for the discrete 2D functional, so
+  the quadratic-form expansion of the energy difference holds to
+  round-off instead of to scheme mismatch.
+
+One kernel, :class:`_GaussRings`, evaluates the consistent scheme from
+node products and Parseval ring sums; nothing is interpolated to the
+Gauss radii except ``tr Q^3``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionInvalid, GridError, InvalidParams
-from .grid import GAUSS_W, GAUSS_XI, PolarGrid
+from .grid import GAUSS_XI, PolarGrid
 from .params import ModelParams
 from .reduced import Profile
 from . import tensor
@@ -205,37 +210,76 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
 # consistent spectral/Gauss scheme
 # ---------------------------------------------------------------------------
 
-def _phi_derivative(values: np.ndarray, m: int) -> np.ndarray:
-    """Fourier differentiation along the angle (Nyquist mode dropped)."""
-    hat = np.fft.rfft(values, axis=1)
-    freqs = np.arange(hat.shape[1])
-    mult = 1j * freqs
-    if m % 2 == 0:
-        mult[-1] = 0.0
-    hat *= mult[None, :, None]
-    return np.fft.irfft(hat, n=m, axis=1)
+def _orthonormal(values: np.ndarray) -> np.ndarray:
+    """Samples ``(N+1, M, 5)`` as ``(5, N+1, M)`` coordinates in which the
+    Frobenius product is Euclidean (an orthonormal basis of the tensors)."""
+    q11, q12, q13, q22, q23 = np.moveaxis(values, -1, 0)
+    r2 = math.sqrt(2.0)
+    return np.stack([math.sqrt(1.5) * (q11 + q22), (q11 - q22) / r2, r2 * q12, r2 * q13, r2 * q23])
 
 
-def _spectral_quadrature(field_terms, grid: PolarGrid):
-    """Sum per-Gauss-point contributions over segments and angles.
+class _GaussRings:
+    """The spectral/Gauss kernel of one polar grid, built per public call.
 
-    ``field_terms(rg, g)`` must return the integrand density sampled at
-    the per-segment Gauss radius ``rg`` (shape ``(N,)``) for Gauss index
-    ``g``, as an array ``(N, M)``.
+    At ``xi`` on segment ``i`` a product of two piecewise-linear fields is
+    ``(1-xi)^2 a_i:b_i + 2 xi (1-xi) a_i:b_{i+1} + xi^2 a_{i+1}:b_{i+1}``,
+    so Gauss sums are weighted sums of node products (fields given by
+    :func:`_orthonormal`).  ``wg``: Gauss weights of ``int f r dr dphi``;
+    ``inv_rg2``: inverse squared Gauss radii; ``coef``: the node weights.
     """
-    radial = grid.radial
-    h = radial.h
-    total = 0.0
-    for g in range(GAUSS_XI.size):
-        rg = radial.nodes[:-1] + h * GAUSS_XI[g]
-        wg = h * GAUSS_W[g] * rg * grid.dphi
-        total += float(np.sum(wg[:, None] * field_terms(rg, g)))
-    return total
 
+    def __init__(self, grid: PolarGrid):
+        self.m = grid.m
+        self.h = grid.radial.h
+        rg, wg = grid.radial.gauss_points()
+        self.wg = wg * grid.dphi
+        self.inv_rg2 = 1.0 / (rg * rg)
+        lo = 1.0 - GAUSS_XI
+        self.coef = np.stack([lo * lo, 2.0 * lo * GAUSS_XI, GAUSS_XI * GAUSS_XI])
 
-def _interp_ring(values: np.ndarray, g: int) -> np.ndarray:
-    xi = GAUSS_XI[g]
-    return (1.0 - xi) * values[:-1] + xi * values[1:]
+    @staticmethod
+    def products(a: np.ndarray, b: np.ndarray | None = None):
+        """Node products ``a_i:b_i`` and ``(a_i:b_{i+1} + a_{i+1}:b_i) / 2`` per point."""
+        b = a if b is None else b
+        cross = np.einsum("cij,cij->ij", a[:, :-1], b[:, 1:])
+        if b is not a:
+            cross = 0.5 * (cross + np.einsum("cij,cij->ij", a[:, 1:], b[:, :-1]))
+        return np.einsum("cij,cij->ij", a, b), cross
+
+    def integrate(self, prods, weight=1.0) -> float:
+        """``int w a:b`` from node products (per point or ring sums), ``w`` at the Gauss radii."""
+        nodes, cross = (p.sum(axis=1) if p.ndim == 2 else p for p in prods)
+        c = (self.wg * weight) @ self.coef.T
+        return float(np.sum(c[:, 0] * nodes[:-1] + c[:, 1] * cross + c[:, 2] * nodes[1:]))
+
+    def integrate_pair(self, a, b) -> float:
+        """``int (a:a')(b:b')`` from per-point node products: nine ring sums."""
+        sa = np.stack([a[0][:-1], a[1], a[0][1:]])
+        sb = np.stack([b[0][:-1], b[1], b[0][1:]])
+        k = np.einsum("ig,ag,bg->abi", self.wg, self.coef, self.coef)
+        return float(np.sum(k * np.einsum("aij,bij->abi", sa, sb)))
+
+    def radial_sq(self, a: np.ndarray) -> np.ndarray:
+        """Ring sums of ``|d_r a|^2`` per segment, from the slopes themselves."""
+        d = a[:, 1:] - a[:, :-1]
+        return np.einsum("cij,cij->i", d, d) / (self.h * self.h)
+
+    def phi_products(self, a: np.ndarray):
+        """Ring sums of ``d_phi a_i : d_phi a_i`` and ``d_phi a_i : d_phi a_{i+1}``
+        by Parseval: mode ``k`` weighs ``2 k^2 / M``, the Nyquist mode 0, as in
+        Fourier differentiation; real and imaginary parts sum in one pass."""
+        hat = np.fft.rfft(a)
+        hat *= np.arange(self.m // 2 + 1)
+        hat[..., -1] = 0.0
+        parts = hat.view(float)
+        scale = 2.0 / self.m
+        cross = np.einsum("cik,cik->i", parts[:, :-1], parts[:, 1:])
+        return np.einsum("cik,cik->i", parts, parts) * scale, cross * scale
+
+    def dirichlet(self, rad: np.ndarray, phi, weight=1.0) -> float:
+        """``0.5 int w |grad a|^2`` from :meth:`radial_sq` and :meth:`phi_products`."""
+        radial = float(np.sum((self.wg * weight).sum(axis=1) * rad))
+        return 0.5 * (radial + self.integrate(phi, weight * self.inv_rg2))
 
 
 def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
@@ -247,33 +291,22 @@ def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
     """
     if params.L <= 0.0:
         raise InvalidParams("ldg_energy_spectral requires L > 0")
-    radial = field.grid.radial
-    dr = (field.values[1:] - field.values[:-1]) / radial.h[:, None, None]
-    dr_sq = tensor.frob_sq(dr)
-    dphi_vals = _phi_derivative(field.values, field.grid.m)
-
-    def dens(rg, g):
-        qg = _interp_ring(field.values, g)
-        dpg = _interp_ring(dphi_vals, g)
-        return (
-            0.5 * (dr_sq + tensor.frob_sq(dpg) / (rg**2)[:, None])
-            + tensor.bulk_density(qg, params) / params.L
-        )
-
-    return _spectral_quadrature(dens, field.grid)
+    kern = _GaussRings(field.grid)
+    q = _orthonormal(field.values)
+    t = kern.products(q)
+    bulk = 0.25 * params.c2 * kern.integrate_pair(t, t) - 0.5 * params.a2 * kern.integrate(t)
+    if params.b2 != 0.0:
+        v = field.values
+        cubic = [tensor.trace_cubed((1 - xi) * v[:-1] + xi * v[1:]).sum(axis=1) for xi in GAUSS_XI]
+        bulk -= (params.b2 / 3.0) * float(np.sum(kern.wg * np.stack(cubic, axis=1)))
+    return kern.dirichlet(kern.radial_sq(q), kern.phi_products(q)) + bulk / params.L
 
 
-def _dirichlet_spectral(values: np.ndarray, grid: PolarGrid) -> float:
-    radial = grid.radial
-    dr = (values[1:] - values[:-1]) / radial.h[:, None, None]
-    dr_sq = tensor.frob_sq(dr)
-    dphi_vals = _phi_derivative(values, grid.m)
-
-    def dens(rg, g):
-        dpg = _interp_ring(dphi_vals, g)
-        return 0.5 * (dr_sq + tensor.frob_sq(dpg) / (rg**2)[:, None])
-
-    return _spectral_quadrature(dens, grid)
+def _quadratic_form(kern: _GaussRings, y: np.ndarray, p: np.ndarray, phi, params: ModelParams):
+    """``0.5 int |grad P|^2 + (1/2L) int |P|^2 (-a2 + c2 |Y|^2)``, node products of ``P``."""
+    pp = kern.products(p)
+    pot = params.c2 * kern.integrate_pair(pp, kern.products(y)) - params.a2 * kern.integrate(pp)
+    return kern.dirichlet(kern.radial_sq(p), phi) + pot / (2.0 * params.L), pp
 
 
 def _require_boundary_vanishing(values: np.ndarray, scale: float):
@@ -309,6 +342,10 @@ def second_variation(
     perturbation vanishing on the boundary ring.  The weighted (Hardy)
     form needs ``v < 0`` strictly; otherwise
     :class:`~qdefect.errors.DecompositionInvalid` is raised.
+
+    Both forms come from node products of ``P`` and ``Y`` (which need not be
+    lifted) and from one transform of ``P``, whose Parseval ring sums the
+    Hardy form reuses divided by ``v_i v_{i'}``.
     """
     if params.b2 != 0.0:
         raise InvalidParams("second_variation is defined for b2 = 0 only")
@@ -320,43 +357,22 @@ def second_variation(
     yv = field_y.values
     _require_boundary_vanishing(pv, float(np.max(np.abs(pv))))
 
-    grid = field_y.grid
-    v_profile = tensor.frob_dot(yv[:, 0, :], F3_COMPONENTS)
-    if np.any(v_profile >= -1e-10):
+    v = tensor.frob_dot(yv[:, 0, :], F3_COMPONENTS)
+    if np.any(v >= -1e-10):
         raise DecompositionInvalid(
             "profile component v must be <= -1e-10 at every node for P = v U"
         )
 
-    direct_dir = _dirichlet_spectral(pv, grid)
-
-    def pot_dens(rg, g):
-        qg = _interp_ring(yv, g)
-        pg = _interp_ring(pv, g)
-        return tensor.frob_sq(pg) * (-params.a2 + params.c2 * tensor.frob_sq(qg))
-
-    direct = direct_dir + _spectral_quadrature(pot_dens, grid) / (2.0 * params.L)
-
-    uvals = pv / v_profile[:, None, None]
-    radial = grid.radial
-    dru = (uvals[1:] - uvals[:-1]) / radial.h[:, None, None]
-    dru_sq = tensor.frob_sq(dru)
-    dphi_u = _phi_derivative(uvals, grid.m)
-    v_nodes = v_profile
-
-    def hardy_dens(rg, g):
-        xi = GAUSS_XI[g]
-        vg = (1.0 - xi) * v_nodes[:-1] + xi * v_nodes[1:]
-        dpg = _interp_ring(dphi_u, g)
-        return (vg**2)[:, None] * 0.5 * (dru_sq + tensor.frob_sq(dpg) / (rg**2)[:, None])
-
-    hardy = _spectral_quadrature(hardy_dens, grid)
-
-    def norm_dens(rg, g):
-        pg = _interp_ring(pv, g)
-        return tensor.frob_sq(pg)
-
-    p_norm_sq = _spectral_quadrature(norm_dens, grid)
-    return SecondVariationResult(direct=direct, hardy=hardy, perturbation_norm_sq=p_norm_sq)
+    kern = _GaussRings(field_y.grid)
+    p = _orthonormal(pv)
+    nodes, cross = kern.phi_products(p)
+    direct, pp = _quadratic_form(kern, _orthonormal(yv), p, (nodes, cross), params)
+    hardy = kern.dirichlet(
+        kern.radial_sq(p / v[:, None]),
+        (nodes / (v * v), cross / (v[:-1] * v[1:])),
+        ((1.0 - GAUSS_XI) * v[:-1, None] + GAUSS_XI * v[1:, None]) ** 2,
+    )
+    return SecondVariationResult(direct, hardy, perturbation_norm_sq=kern.integrate(pp))
 
 
 @dataclass
@@ -377,7 +393,11 @@ class EnergyGapResult:
 
 
 def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> EnergyGapResult:
-    """Two-route evaluation of the energy excess of ``Y + P`` over ``Y``."""
+    """Two-route evaluation of the energy excess of ``Y + P`` over ``Y``.
+
+    The quartic remainder squares ``s = |P|^2 + 2 tr(Y P)``, which is linear
+    in node products, so its Gauss sum is one :meth:`_GaussRings.integrate_pair`.
+    """
     if params.b2 != 0.0:
         raise InvalidParams("energy_gap is defined for b2 = 0 only")
     if not field_y.same_grid(field_yp):
@@ -386,31 +406,14 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
     pv = field_yp.values - yv
     _require_boundary_vanishing(pv, float(np.max(np.abs(pv))) or 1.0)
 
-    grid = field_y.grid
     direct = ldg_energy_spectral(field_yp, params) - ldg_energy_spectral(field_y, params)
-
-    dir_p = _dirichlet_spectral(pv, grid)
-
-    def pot_dens(rg, g):
-        qg = _interp_ring(yv, g)
-        pg = _interp_ring(pv, g)
-        return tensor.frob_sq(pg) * (-params.a2 + params.c2 * tensor.frob_sq(qg))
-
-    quad_form = dir_p + _spectral_quadrature(pot_dens, grid) / (2.0 * params.L)
-
-    def quart_dens(rg, g):
-        qg = _interp_ring(yv, g)
-        pg = _interp_ring(pv, g)
-        s = tensor.frob_sq(pg) + 2.0 * tensor.frob_dot(qg, pg)
-        return s * s
-
-    quart = _spectral_quadrature(quart_dens, grid) * params.c2 / (4.0 * params.L)
-    return EnergyGapResult(
-        direct=direct,
-        decomposition=quad_form + quart,
-        quadratic_form=quad_form,
-        quartic_term=quart,
-    )
+    kern = _GaussRings(field_y.grid)
+    y, p = _orthonormal(yv), _orthonormal(pv)
+    quad_form, pp = _quadratic_form(kern, y, p, kern.phi_products(p), params)
+    yp = kern.products(y, p)
+    s = (pp[0] + 2.0 * yp[0], pp[1] + 2.0 * yp[1])
+    quart = kern.integrate_pair(s, s) * params.c2 / (4.0 * params.L)
+    return EnergyGapResult(direct, quad_form + quart, quadratic_form=quad_form, quartic_term=quart)
 
 
 # ---------------------------------------------------------------------------
@@ -444,27 +447,25 @@ def random_perturbation(
     else:
         envelope = np.sin(np.pi * rho)
 
-    basis = np.eye(5)
-    vals = np.zeros((r.size, grid.m, 5))
-    for b in range(5):
+    comps = np.zeros((5, r.size, grid.m))  # components first: each is one outer-product sum
+    term = np.empty((r.size, grid.m))
+    for comp in comps:
         for m in range(max_freq + 1):
             amp = 1.0 / (1.0 + m * m)
             ca = rng.standard_normal() * amp
             sa = rng.standard_normal() * amp if m > 0 else 0.0
-            radial_shape = envelope * rho ** min(m, 2)
             # an extra random smooth radial wiggle keeps samples diverse
             wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
-            shape = radial_shape * wig
+            shape = envelope * rho ** min(m, 2) * wig
             ang = ca * np.cos(m * phis) + sa * np.sin(m * phis)
-            vals += shape[:, None, None] * ang[None, :, None] * basis[b][None, None, :]
-    vals[-1] = 0.0
-    vals[0] = vals[0, 0][None, :]  # single-valued at the origin
-    field = Field2D(grid, vals)
+            comp += np.multiply.outer(shape, ang, out=term)
+    comps[:, -1] = 0.0
+    comps[:, 0] = comps[:, 0, :1]  # single-valued at the origin
     w = grid.radial.weights
-    nsq = float(np.sum(w * np.sum(tensor.frob_sq(vals), axis=1)) * grid.dphi)
+    nsq = float(np.sum(w * np.sum(tensor.frob_sq(np.moveaxis(comps, 0, -1)), axis=1)) * grid.dphi)
     if nsq > 0.0:
-        field.values *= norm / math.sqrt(nsq)
-    return field
+        comps *= norm / math.sqrt(nsq)
+    return Field2D(grid, np.ascontiguousarray(np.moveaxis(comps, 0, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,11 @@ def write_profile_csv(path, profile: Profile):
 
 def read_profile_csv(path) -> Profile:
     """Parse a ``r,u,v`` CSV into a profile (bit-exact for our own output)."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"non-ASCII byte {exc.object[exc.start:exc.start + 1]!r}") from None
     lines = [ln for ln in raw.split("\n") if ln.strip() != ""]
     if not lines:
         raise CsvFormatError("empty profile file", line=0)

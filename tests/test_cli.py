@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdefect
-from qdefect import NonConvergence, Profile, read_profile_csv
+from qdefect import CsvFormatError, NonConvergence, Profile, RadialGrid, read_profile_csv
 from qdefect.cli import _json_text, main
 
 
@@ -85,6 +90,31 @@ def test_solve_rejects_unknown_config_keys(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(json.dumps({"n": 128, "bogus": 1}))
     assert run(tmp_path, "solve", "--config", "cfg.json") == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"tol": "abc"}, "tol"),
+        ({"n": "abc"}, "n"),
+        ({"k": 1.5, "n": 64}, "k"),
+        ({"n": True}, "n"),
+    ],
+    ids=["tol-string", "n-string", "k-non-integral", "n-bool"],
+)
+def test_solve_rejects_mistyped_config_values(tmp_path, capsys, cfg, key):
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(tmp_path, "solve", "--config", "cfg.json", "-o", "typed") == 2
+    err = capsys.readouterr().err
+    assert "[E_CONFIG]" in err and repr(key) in err and "Traceback" not in err
+    assert not (tmp_path / "typed_report.json").exists()
+
+
+def test_config_values_convert_like_their_flags(tmp_path):
+    cfg = {"n": 64.0, "L": "0.05", "k": 1, "out": "conv"}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(tmp_path, "solve", "--config", "cfg.json") == 0
+    assert read_profile_csv(tmp_path / "conv_profile.csv").grid.nodes.size == 65
 
 
 README_SWEEPS = (
@@ -401,6 +431,72 @@ def test_non_finite_csv_exits_2_promptly(nan_csv, argv):
     assert proc.returncode == 2
     assert "[E_IO]" in proc.stderr and "line 21" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_non_ascii_csv_exits_2(tmp_path, capsys):
+    (tmp_path / "accent.csv").write_bytes("r,u,vé\n0.0,0.0,-0.4\n".encode("utf-8"))
+    with pytest.raises(CsvFormatError):
+        read_profile_csv(tmp_path / "accent.csv")
+    assert run(tmp_path, "energy", "--input", "accent.csv", "--L", "0.01", "--k", "1") == 2
+    assert "[E_IO]" in capsys.readouterr().err
+
+
+def _valid_profile_lines():
+    grid = RadialGrid.uniform(1.0, 16)
+    prof = Profile(grid, 0.7 * grid.nodes, np.full(17, -0.4))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "p.csv"
+        qdefect.write_profile_csv(path, prof)
+        read_profile_csv(path)  # the uncorrupted file is valid
+        return path.read_text().splitlines()
+
+
+_VALID_LINES = _valid_profile_lines()
+
+
+@st.composite
+def _corrupted_csv(draw):
+    """Bytes of the valid profile CSV with one corruption applied."""
+    lines = list(_VALID_LINES)
+    kind = draw(st.sampled_from(["non_finite", "non_ascii", "extra", "missing", "non_monotone", "empty"]))
+    row = draw(st.integers(1, len(lines) - 1))
+    if kind == "empty":
+        return draw(st.sampled_from([b"", b"\n", b"  \n\n"]))
+    if kind == "non_finite":
+        cols = lines[row].split(",")
+        cols[draw(st.integers(0, 2))] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"]))
+        lines[row] = ",".join(cols)
+    elif kind == "extra":
+        row = draw(st.integers(0, len(lines) - 1))
+        lines[row] += ",0.5"
+    elif kind == "missing":
+        row = draw(st.integers(0, len(lines) - 1))
+        lines[row] = lines[row].rsplit(",", 1)[0]
+    elif kind == "non_monotone":  # swap the radii of two neighbouring data rows
+        row = max(row, 2)
+        a, b = lines[row].split(",", 1)[0], lines[row - 1].split(",", 1)[0]
+        lines[row] = b + "," + lines[row].split(",", 1)[1]
+        lines[row - 1] = a + "," + lines[row - 1].split(",", 1)[1]
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    if kind == "non_ascii":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    return data
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=_corrupted_csv())
+def test_corrupted_csv_is_rejected_with_exit_2(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(CsvFormatError):
+            read_profile_csv(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["energy", "--input", str(path), "--L", "0.01", "--k", "1"])
+        assert code == 2
+        assert "[E_IO]" in err.getvalue()
 
 
 def test_json_output_is_strict_with_non_finite_as_null():

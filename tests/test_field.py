@@ -25,6 +25,7 @@ from qdefect import (
     write_field_csv,
 )
 from qdefect.field import boundary_field_components
+from qdefect.grid import GAUSS_W, GAUSS_XI
 from qdefect.tensor import (
     F3_COMPONENTS,
     bulk_density,
@@ -291,6 +292,152 @@ def test_random_perturbation_structure():
     # determinism
     again = random_perturbation(pg, seed=5, norm=2.0)
     assert np.array_equal(pert.values, again.values)
+
+
+def _old_random_perturbation(grid, seed, max_freq=6, concentrate=None, norm=1.0):
+    """The sampler as one full-field accumulation per (component, mode)."""
+    rng = np.random.default_rng(seed)
+    rho = grid.radial.nodes / grid.radial.radius
+    phis = grid.phis
+    if concentrate == "core":
+        envelope = (1.0 - rho) * np.exp(-((4.0 * rho) ** 2))
+    elif concentrate == "boundary":
+        envelope = rho * (1.0 - rho) * np.exp(-((4.0 * (1.0 - rho)) ** 2))
+    else:
+        envelope = np.sin(np.pi * rho)
+    basis = np.eye(5)
+    vals = np.zeros((rho.size, grid.m, 5))
+    for b in range(5):
+        for m in range(max_freq + 1):
+            amp = 1.0 / (1.0 + m * m)
+            ca = rng.standard_normal() * amp
+            sa = rng.standard_normal() * amp if m > 0 else 0.0
+            radial_shape = envelope * rho ** min(m, 2)
+            wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
+            shape = radial_shape * wig
+            ang = ca * np.cos(m * phis) + sa * np.sin(m * phis)
+            vals += shape[:, None, None] * ang[None, :, None] * basis[b][None, None, :]
+    vals[-1] = 0.0
+    vals[0] = vals[0, 0][None, :]
+    w = grid.radial.weights
+    nsq = float(np.sum(w * np.sum(frob_sq(vals), axis=1)) * grid.dphi)
+    if nsq > 0.0:
+        vals *= norm / math.sqrt(nsq)
+    return vals
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [PolarGrid(RadialGrid.uniform(1.0, 64), 64), PolarGrid(RadialGrid.for_defect(1.0, 128, 2), 128)],
+    ids=["uniform64", "graded128"],
+)
+def test_random_perturbation_is_bit_identical_to_accumulation_oracle(grid):
+    for kind in (None, "core", "boundary"):
+        for max_freq in (0, 1, 6):
+            seed = 11 * max_freq + 3
+            pert = random_perturbation(grid, seed=seed, max_freq=max_freq, concentrate=kind, norm=1.7)
+            ref = _old_random_perturbation(grid, seed, max_freq, kind, 1.7)
+            assert np.array_equal(pert.values, ref)
+
+
+# ---------------------------------------------------------------------------
+# spectral/Gauss scheme against a Gauss-point-by-Gauss-point reference
+# ---------------------------------------------------------------------------
+
+def _ref_gauss_sum(grid, dens):
+    """``sum_g sum_seg w_g r_g h dphi sum_j dens(at, r_g)``; ``at`` interpolates
+    node data to the current Gauss ring."""
+    h = grid.radial.h
+    total = 0.0
+    for xi, w in zip(GAUSS_XI, GAUSS_W):
+        rg = grid.radial.nodes[:-1] + h * xi
+
+        def at(a, xi=xi):
+            return (1.0 - xi) * a[:-1] + xi * a[1:]
+
+        total += float(np.sum((h * w * rg * grid.dphi)[:, None] * dens(at, rg)))
+    return total
+
+
+def _ref_phi_derivative(values):
+    hat = np.fft.rfft(values, axis=1)
+    mult = 1j * np.arange(hat.shape[1])
+    mult[-1] = 0.0  # M is even: drop the Nyquist mode
+    return np.fft.irfft(hat * mult[None, :, None], n=values.shape[1], axis=1)
+
+
+def _ref_dirichlet(grid, values, weight=lambda at: 1.0):
+    dr_sq = frob_sq(np.diff(values, axis=0) / grid.radial.h[:, None, None])
+    dphi = _ref_phi_derivative(values)
+    return _ref_gauss_sum(
+        grid,
+        lambda at, rg: weight(at) * 0.5 * (dr_sq + frob_sq(at(dphi)) / (rg**2)[:, None]),
+    )
+
+
+def _ref_ldg_energy(grid, q, p):
+    return _ref_dirichlet(grid, q) + _ref_gauss_sum(grid, lambda at, rg: bulk_density(at(q), p)) / p.L
+
+
+def _ref_quadratic_form(grid, y, pv, p):
+    pot = _ref_gauss_sum(grid, lambda at, rg: frob_sq(at(pv)) * (-p.a2 + p.c2 * frob_sq(at(y))))
+    return _ref_dirichlet(grid, pv) + pot / (2.0 * p.L)
+
+
+def _rough_perturbation(pg, seed):
+    """White noise vanishing on the rim: every angular mode, Nyquist included."""
+    vals = 0.01 * np.random.default_rng(seed).standard_normal((pg.radial.nodes.size, pg.m, 5))
+    vals[-1] = 0.0
+    return vals
+
+
+@pytest.fixture(scope="module")
+def oracle_fields(stability_setup):
+    """A lifted ``Y`` and a non-lifted one whose ``|Y|^2`` depends on the angle."""
+    p, field, pg = stability_setup
+    bumped = field.values + 0.05 * random_perturbation(pg, seed=41).values
+    assert np.ptp(frob_sq(bumped), axis=1).max() > 1e-3
+    assert np.all(frob_dot(bumped[:, 0, :], F3_COMPONENTS) < -1e-3)
+    return p, pg, (field, Field2D(pg, bumped))
+
+
+def test_second_variation_matches_gauss_point_reference(oracle_fields):
+    p, pg, fields = oracle_fields
+    for y in fields:
+        yv = y.values
+        v = frob_dot(yv[:, 0, :], F3_COMPONENTS)
+        perts = [random_perturbation(pg, seed=s, concentrate=kind).values
+                 for s, kind in ((0, None), (1, "core"), (2, "boundary"))]
+        for pv in perts + [_rough_perturbation(pg, 3)]:
+            sv = second_variation(y, p, Field2D(pg, pv))
+            u = pv / v[:, None, None]
+            hardy = _ref_dirichlet(pg, u, weight=lambda at: (at(v) ** 2)[:, None])
+            norm = _ref_gauss_sum(pg, lambda at, rg: frob_sq(at(pv)))
+            assert sv.direct == pytest.approx(_ref_quadratic_form(pg, yv, pv, p), rel=1e-12)
+            assert sv.hardy == pytest.approx(hardy, rel=1e-12)
+            assert sv.perturbation_norm_sq == pytest.approx(norm, rel=1e-12)
+
+
+def test_energy_gap_and_spectral_energy_match_gauss_point_reference(oracle_fields):
+    p, pg, fields = oracle_fields
+    for y in fields:
+        yv = y.values
+        for pv in (random_perturbation(pg, seed=5, norm=0.6).values, _rough_perturbation(pg, 6)):
+            shifted = Field2D(pg, yv + pv)
+            gap = energy_gap(y, shifted, p)
+            quad = _ref_quadratic_form(pg, yv, pv, p)
+            quart = _ref_gauss_sum(
+                pg, lambda at, rg: (frob_sq(at(pv)) + 2.0 * frob_dot(at(yv), at(pv))) ** 2
+            ) * p.c2 / (4.0 * p.L)
+            direct = _ref_ldg_energy(pg, shifted.values, p) - _ref_ldg_energy(pg, yv, p)
+            assert gap.direct == pytest.approx(direct, rel=1e-12)
+            assert gap.quadratic_form == pytest.approx(quad, rel=1e-12)
+            assert gap.quartic_term == pytest.approx(quart, rel=1e-12)
+            assert gap.decomposition == pytest.approx(quad + quart, rel=1e-12)
+            for b2 in (0.0, 0.7):
+                pb = p.with_updates(b2=b2)
+                ref = _ref_ldg_energy(pg, shifted.values, pb)
+                assert ldg_energy_spectral(shifted, pb) == pytest.approx(ref, rel=1e-12)
 
 
 def test_field_csv_schema(tmp_path, solve_cache):

@@ -30,7 +30,8 @@ from qdefect import (
     uniaxial_escape_components,
     uniaxial_escape_field,
 )
-from qdefect.field import random_perturbation, _dirichlet_spectral, _spectral_quadrature, _interp_ring
+from qdefect.field import random_perturbation, _GaussRings, _orthonormal
+from qdefect.grid import GAUSS_XI
 from qdefect.tensor import eigenvalues_components, frob_sq
 
 SQ2 = math.sqrt(2.0)
@@ -389,16 +390,12 @@ def test_minus_branch_minimality_surrogate(rng):
     pg = PolarGrid(grid, 128)
     psi = psi_of_branch(Branch.MINUS, p, grid).psi
     kk = float(p.k * p.k)
+    kern = _GaussRings(pg)
+    psi_g = (1.0 - GAUSS_XI) * psi[:-1, None] + GAUSS_XI * psi[1:, None]
+    weight = -2.0 * kk * np.sin(psi_g) ** 2 * kern.inv_rg2
 
     for seed in range(20):
-        pert = random_perturbation(pg, seed=seed, norm=1.0)
-        dir_term = _dirichlet_spectral(pert.values, pg)
-
-        def weight_dens(rg, g, _pv=pert.values):
-            psig = _interp_ring(psi, g)
-            pg_vals = _interp_ring(_pv, g)
-            w = -2.0 * kk * np.sin(psig) ** 2 / rg**2
-            return w[:, None] * frob_sq(pg_vals)
-
-        total = dir_term + _spectral_quadrature(weight_dens, pg)
+        pert = _orthonormal(random_perturbation(pg, seed=seed, norm=1.0).values)
+        dir_term = kern.dirichlet(kern.radial_sq(pert), kern.phi_products(pert))
+        total = dir_term + kern.integrate(kern.products(pert), weight)
         assert total >= -1e-10
