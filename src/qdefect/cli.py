@@ -276,8 +276,8 @@ def cmd_residual(args) -> int:
     summary = {
         "ode_max_interior": res.max_interior(),
         "neumann_defect": res.neumann_defect,
-        "el2d_max": el.max_norm(),
-        "el2d_max_bulk": el.max_norm(r_min=0.05 * params.R),
+        "el2d_max": float(np.max(norms)),
+        "el2d_max_bulk": float(np.max(norms[el.rings >= 0.05 * params.R])),
         "el2d_l2": l2,
     }
     _write_json(f"{out}_summary.json", summary)
@@ -384,10 +384,11 @@ def cmd_energy(args) -> int:
     pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
     e0 = harmonic.e0_energy(profile, params)
+    dirichlet, pot = field2d.fd_energy_terms(lifted, params)
     payload = {
         "reduced": reduced_energy(profile, params),
-        "ldg_2d": field2d.ldg_energy_2d(lifted, params),
-        "dirichlet_2d": field2d.dirichlet_quadrature(lifted),
+        "ldg_2d": dirichlet + pot / params.L,  # as ldg_energy_2d forms it
+        "dirichlet_2d": dirichlet,
         "e0": e0.value if e0.finite else "infinite",
         "e0_constraint_deviation": e0.max_deviation,
     }

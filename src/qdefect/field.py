@@ -6,7 +6,8 @@ Two discretisations coexist deliberately:
   angle, trapezoidal node quadrature in radius) behind
   :func:`ldg_energy_2d`, :func:`el_residual_2d` and the Dirichlet
   quadrature helpers -- an independent route used to cross-check the
-  reduced 1D functional;
+  reduced 1D functional, streamed over blocks of rings so that its
+  working memory is O(block x M);
 * a consistent scheme (Fourier differentiation in the angle, the same
   per-segment Gauss rule in radius as the reduced energy) behind
   :func:`ldg_energy_spectral`, :func:`second_variation` and
@@ -59,16 +60,18 @@ class Field2D:
         )
 
 
+def _lift_rows(u: np.ndarray, v: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    """``u F_n + v F_3`` on the rings sampled by ``u, v``; ``fn`` is ``F_n(phi)``, ``(M, 5)``."""
+    vals = u[:, None, None] * fn
+    vals += v[:, None, None] * F3_COMPONENTS
+    return vals
+
+
 def lift(profile: Profile, k: int, grid: PolarGrid) -> Field2D:
     """Lift radial samples to the disk: ``Y(r, phi) = u F_n(phi) + v F_3``."""
     if not profile.grid.same_nodes(grid.radial):
         raise GridError("profile radial nodes do not match the polar grid")
-    fn = frame_fn_components(grid.phis, k)  # (M, 5)
-    vals = (
-        profile.u[:, None, None] * fn[None, :, :]
-        + profile.v[:, None, None] * F3_COMPONENTS[None, None, :]
-    )
-    return Field2D(grid, vals)
+    return Field2D(grid, _lift_rows(profile.u, profile.v, frame_fn_components(grid.phis, k)))
 
 
 def boundary_field_components(grid: PolarGrid, params: ModelParams) -> np.ndarray:
@@ -80,29 +83,72 @@ def boundary_field_components(grid: PolarGrid, params: ModelParams) -> np.ndarra
 # classic finite-difference scheme
 # ---------------------------------------------------------------------------
 
-def _fd_dirichlet(values: np.ndarray, grid: PolarGrid) -> float:
-    """0.5 * int |grad Q|^2 via radial slopes and centred angular stencils."""
+# Bytes of one ``(rings, M, 5)`` block array, measured on the CLI commands:
+# 80 KB blocks pay per-block overhead (2 rings at M = 1024), and blocks of
+# 1 MB or more made the M = 256 passes slower again; 320-640 KB were level.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _ring_blocks(m: int, start: int, stop: int):
+    """Ranges ``[lo, hi)`` of at most ``_BLOCK_BYTES / (40 m)`` rings covering ``start..stop-1``."""
+    step = max(1, _BLOCK_BYTES // (40 * m))
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
+
+
+def _fd_terms(rows, grid: PolarGrid, params: ModelParams | None = None):
+    """``0.5 int |grad Q|^2`` via radial slopes and centred angular stencils,
+    and with ``params`` the bulk integral ``int f(Q)``, else ``None``.
+
+    ``rows(lo, hi)`` returns the samples of rings ``lo..hi-1``.  The loop
+    streams ring blocks (each reads one ring past its end for the slopes)
+    and keeps per-ring sums, so no full-size array is live and the final
+    sums run over the same per-ring values in the same order as a
+    full-array pass.
+    """
     radial = grid.radial
     r = radial.nodes
     h = radial.h
     dphi = grid.dphi
-    slopes = (values[1:] - values[:-1]) / h[:, None, None]
-    seg_w = 0.5 * h * (r[:-1] + r[1:])  # exact int_seg r dr
-    rad_part = float(np.sum(seg_w * np.sum(tensor.frob_sq(slopes), axis=1)) * dphi)
+    n = r.size
+    slope_sq = np.empty(n - 1)
+    edge_sq = np.empty(n)
+    dens = None if params is None else np.empty(n)
+    for lo, hi in _ring_blocks(grid.m, 0, n):
+        top = min(hi + 1, n)
+        vals = rows(lo, top)
+        slopes = (vals[1:] - vals[:-1]) / h[lo:top - 1, None, None]
+        slope_sq[lo:top - 1] = np.sum(tensor.frob_sq(slopes), axis=1)
+        # angular edges: piecewise-linear in phi on each ring
+        own = vals[: hi - lo]
+        edges = (np.roll(own, -1, axis=1) - own) / dphi
+        edge_sq[lo:hi] = np.sum(tensor.frob_sq(edges), axis=1)
+        if dens is not None:
+            dens[lo:hi] = np.sum(tensor.bulk_density(own, params), axis=1)
 
-    # angular edges: piecewise-linear in phi on each ring
-    edges = (np.roll(values, -1, axis=1) - values) / dphi
+    seg_w = 0.5 * h * (r[:-1] + r[1:])  # exact int_seg r dr
+    rad_part = float(np.sum(seg_w * slope_sq) * dphi)
     wtrap = radial.weights  # zero at the origin node, so no 1/r^2 blow-up
-    ang = tensor.frob_sq(edges[1:])
-    ang_part = float(
-        np.sum(wtrap[1:] / (r[1:] ** 2) * np.sum(ang, axis=1)) * dphi
-    )
-    return 0.5 * (rad_part + ang_part)
+    ang_part = float(np.sum(wtrap[1:] / (r[1:] ** 2) * edge_sq[1:]) * dphi)
+    pot = None if dens is None else float(np.sum(wtrap * dens) * dphi)
+    return 0.5 * (rad_part + ang_part), pot
+
+
+def _field_rows(field: Field2D):
+    return lambda lo, hi: field.values[lo:hi]
 
 
 def dirichlet_quadrature(field: Field2D) -> float:
     """Numerical Dirichlet energy ``0.5 int |grad Q|^2`` of a sampled field."""
-    return _fd_dirichlet(field.values, field.grid)
+    return _fd_terms(_field_rows(field), field.grid)[0]
+
+
+def fd_energy_terms(field: Field2D, params: ModelParams):
+    """``(dirichlet_quadrature(field), int f(Q))`` from one streamed pass.
+
+    :func:`ldg_energy_2d` is ``dirichlet + potential / L`` of these.
+    """
+    return _fd_terms(_field_rows(field), field.grid, params)
 
 
 def ldg_energy_2d(field: Field2D, params: ModelParams) -> float:
@@ -114,18 +160,12 @@ def ldg_energy_2d(field: Field2D, params: ModelParams) -> float:
     """
     if params.L <= 0.0:
         raise InvalidParams("ldg_energy_2d requires L > 0")
-    dens = tensor.bulk_density(field.values, params)
-    pot = float(np.sum(field.grid.radial.weights * np.sum(dens, axis=1)) * field.grid.dphi)
-    return _fd_dirichlet(field.values, field.grid) + pot / params.L
+    dirichlet, pot = fd_energy_terms(field, params)
+    return dirichlet + pot / params.L
 
 
-def polar_laplacian(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Five-point polar Laplacian on interior rings ``1..N-1``.
-
-    The origin ring is excluded: the stencil is singular there and every
-    field of interest is smooth across it.
-    """
-    r = grid.radial.nodes
+def _laplacian(values: np.ndarray, r: np.ndarray, dphi: float) -> np.ndarray:
+    """Five-point polar Laplacian at the rings ``1..len-2`` of ``values`` (radii ``r``)."""
     hm = (r[1:-1] - r[:-2])[:, None, None]
     hp = (r[2:] - r[1:-1])[:, None, None]
     denom = hm * hp * (hm + hp)
@@ -134,10 +174,18 @@ def polar_laplacian(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
     vp = values[2:]
     d1 = (hm * hm * vp - hp * hp * vm + (hp * hp - hm * hm) * vc) / denom
     d2 = 2.0 * (hm * vp + hp * vm - (hm + hp) * vc) / denom
-    dphi = grid.dphi
     ddphi = (np.roll(vc, -1, axis=1) - 2.0 * vc + np.roll(vc, 1, axis=1)) / dphi**2
     ri = r[1:-1][:, None, None]
     return d2 + d1 / ri + ddphi / ri**2
+
+
+def polar_laplacian(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
+    """Five-point polar Laplacian on interior rings ``1..N-1``.
+
+    The origin ring is excluded: the stencil is singular there and every
+    field of interest is smooth across it.
+    """
+    return _laplacian(values, grid.radial.nodes, grid.dphi)
 
 
 def polar_gradient_sq(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
@@ -194,16 +242,20 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
     """
     if params.L <= 0.0:
         raise InvalidParams("el_residual_2d requires L > 0")
-    lap = polar_laplacian(field.values, field.grid)
-    vc = field.values[1:-1]
-    nsq = tensor.frob_sq(vc)[..., None]
-    res = (
-        params.L * lap
-        + params.a2 * vc
-        + params.b2 * tensor.deviatoric_square(vc)
-        - params.c2 * nsq * vc
-    )
-    return ResidualField(rings=field.grid.radial.nodes[1:-1].copy(), values=res)
+    r = field.grid.radial.nodes
+    values = field.values
+    res = np.empty((r.size - 2,) + values.shape[1:])
+    for lo, hi in _ring_blocks(field.grid.m, 1, r.size - 1):
+        lap = _laplacian(values[lo - 1:hi + 1], r[lo - 1:hi + 1], field.grid.dphi)
+        vc = values[lo:hi]
+        nsq = tensor.frob_sq(vc)[..., None]
+        res[lo - 1:hi - 1] = (
+            params.L * lap
+            + params.a2 * vc
+            + params.b2 * tensor.deviatoric_square(vc)
+            - params.c2 * nsq * vc
+        )
+    return ResidualField(rings=r[1:-1].copy(), values=res)
 
 
 # ---------------------------------------------------------------------------

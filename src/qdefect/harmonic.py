@@ -30,16 +30,16 @@ from .errors import (
 )
 from .field import (
     Field2D,
-    dirichlet_quadrature,
-    lift,
+    ResidualField,
+    _fd_terms,
+    _lift_rows,
     polar_gradient_sq,
     polar_laplacian,
-    ResidualField,
 )
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
 from .reduced import Profile, _P1Gauss
-from .tensor import QTensor, frob_sq
+from .tensor import QTensor, frame_fn_components, frob_sq
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -262,8 +262,9 @@ def dirichlet_energy_2d(
     """Closed-form 2D Dirichlet energy with an independent quadrature check.
 
     The quadrature samples the explicit field on an ``n_r x m_phi`` polar
-    grid and integrates with the classic finite-difference scheme; it
-    approaches the closed form at second order.
+    grid, one block of rings at a time, and integrates with the classic
+    finite-difference scheme; it approaches the closed form at second
+    order.
     """
     if params.b2 != 0.0:
         raise InvalidParams("explicit limit fields require b2 = 0")
@@ -273,11 +274,18 @@ def dirichlet_energy_2d(
     if branch is Branch.UNIAXIAL_ESCAPE:
         rmat = pg.radial.nodes[:, None]
         pmat = pg.phis[None, :]
-        vals = uniaxial_escape_components(rmat, pmat, params)
-        field = Field2D(pg, vals)
+
+        def rows(lo, hi):
+            return uniaxial_escape_components(rmat[lo:hi], pmat, params)
+
     else:
-        field = lift(explicit_profile(branch, params, pg.radial), params.k, pg)
-    return DirichletEnergy(closed_form=closed, quadrature=dirichlet_quadrature(field))
+        prof = explicit_profile(branch, params, pg.radial)
+        fn = frame_fn_components(pg.phis, params.k)
+
+        def rows(lo, hi):
+            return _lift_rows(prof.u[lo:hi], prof.v[lo:hi], fn)
+
+    return DirichletEnergy(closed_form=closed, quadrature=_fd_terms(rows, pg)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence
 from .grid import GAUSS_XI, RadialGrid
@@ -502,6 +501,10 @@ def minimize(
         raise InvalidParams("max_iter must be at least 1")
     if params.L <= 0.0:
         raise InvalidParams("minimize requires L > 0; L = 0 is the limit problem")
+    # imported here: scipy.linalg is most of the package import time, and
+    # only the solver factors a matrix
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     u, v = _initial_arrays(params, grid, init)
     if params.b2 == 0.0:
         u = np.abs(u)

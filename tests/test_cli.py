@@ -178,6 +178,12 @@ def test_residual_of_solution(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "res_summary.json").read_text())
     assert summary["ode_max_interior"] < 5e-3
+    # the norms are computed once; the maxima are those of ResidualField
+    profile = read_profile_csv(tmp_path / "out_profile.csv")
+    p = qdefect.ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.05, R=1.0, k=1)
+    el = qdefect.el_residual_2d(qdefect.lift(profile, 1, qdefect.PolarGrid(profile.grid, 128)), p)
+    assert summary["el2d_max"] == el.max_norm()
+    assert summary["el2d_max_bulk"] == el.max_norm(r_min=0.05)
     lines = (tmp_path / "res_residual.csv").read_text().strip().split("\n")
     assert lines[0] == "r,ru,rv"
     assert len(lines) == 128  # interior nodes of a 128-segment grid
@@ -373,6 +379,12 @@ def test_energy_command(tmp_path, capsys):
     assert payload["reduced"] < 0.0
     assert payload["ldg_2d"] == pytest.approx(2 * math.pi * payload["reduced"], rel=2e-3)
     assert payload["dirichlet_2d"] > 0.0
+    # one FD pass feeds both numbers: each equals its library function exactly
+    profile = read_profile_csv(tmp_path / "out_profile.csv")
+    p = qdefect.ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.05, R=1.0, k=1)
+    lifted = qdefect.lift(profile, 1, qdefect.PolarGrid(profile.grid, 128))
+    assert payload["ldg_2d"] == qdefect.ldg_energy_2d(lifted, p)
+    assert payload["dirichlet_2d"] == qdefect.dirichlet_quadrature(lifted)
     assert payload["e0"] == "infinite"  # finite-L minimiser violates the constraint
 
 
@@ -521,3 +533,15 @@ def test_overflowing_solve_exits_1_promptly(tmp_path):
     report = json.loads((tmp_path / "tiny_report.json").read_text())
     assert report["converged"] is False and report["grad_norm"] is None
     assert report["iterations"] == 0
+
+
+def test_package_import_leaves_scipy_linalg_to_the_solver():
+    # scipy.linalg is most of the import time, and only minimize needs it
+    code = (
+        "import sys, qdefect, qdefect.cli\n"
+        "sys.exit('scipy.linalg' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30.0, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +25,18 @@ from qdefect import (
     second_variation,
     write_field_csv,
 )
-from qdefect.field import boundary_field_components
+from qdefect.field import _ring_blocks, boundary_field_components, fd_energy_terms
+from qdefect.harmonic import (
+    Branch,
+    dirichlet_energy_2d,
+    explicit_profile,
+    uniaxial_escape_components,
+)
 from qdefect.grid import GAUSS_W, GAUSS_XI
 from qdefect.tensor import (
     F3_COMPONENTS,
     bulk_density,
+    deviatoric_square,
     frame_fn_components,
     frob_dot,
     frob_sq,
@@ -458,3 +466,113 @@ def test_dirichlet_quadrature_positive(solve_cache):
     p, prof, _ = solve_cache(L=0.1, n=256)
     field = lift(prof, p.k, PolarGrid(prof.grid, 64))
     assert dirichlet_quadrature(field) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the streamed finite-difference scheme against unblocked references
+# ---------------------------------------------------------------------------
+
+def _ref_fd_dirichlet(values, grid):
+    """The finite-difference Dirichlet sum as one full-array pass."""
+    r = grid.radial.nodes
+    h = grid.radial.h
+    dphi = grid.dphi
+    slopes = (values[1:] - values[:-1]) / h[:, None, None]
+    seg_w = 0.5 * h * (r[:-1] + r[1:])
+    rad_part = float(np.sum(seg_w * np.sum(frob_sq(slopes), axis=1)) * dphi)
+    edges = (np.roll(values, -1, axis=1) - values) / dphi
+    wtrap = grid.radial.weights
+    ang = frob_sq(edges[1:])
+    ang_part = float(np.sum(wtrap[1:] / (r[1:] ** 2) * np.sum(ang, axis=1)) * dphi)
+    return 0.5 * (rad_part + ang_part)
+
+
+def _ref_potential(values, grid, p):
+    dens = bulk_density(values, p)
+    return float(np.sum(grid.radial.weights * np.sum(dens, axis=1)) * grid.dphi)
+
+
+def _ref_el_residual(values, grid, p):
+    """Five-point polar stencil and the bulk terms on all interior rings at once."""
+    r = grid.radial.nodes
+    hm = (r[1:-1] - r[:-2])[:, None, None]
+    hp = (r[2:] - r[1:-1])[:, None, None]
+    denom = hm * hp * (hm + hp)
+    vm, vc, vp = values[:-2], values[1:-1], values[2:]
+    d1 = (hm * hm * vp - hp * hp * vm + (hp * hp - hm * hm) * vc) / denom
+    d2 = 2.0 * (hm * vp + hp * vm - (hm + hp) * vc) / denom
+    ddphi = (np.roll(vc, -1, axis=1) - 2.0 * vc + np.roll(vc, 1, axis=1)) / grid.dphi**2
+    ri = r[1:-1][:, None, None]
+    lap = d2 + d1 / ri + ddphi / ri**2
+    nsq = frob_sq(vc)[..., None]
+    return p.L * lap + p.a2 * vc + p.b2 * deviatoric_square(vc) - p.c2 * nsq * vc
+
+
+def _block_cases():
+    """(m, rings) with ring counts below one block, at k blocks and just past them."""
+    cases = []
+    for m in (64, 256, 1024):
+        lo, hi = next(_ring_blocks(m, 0, 1 << 20))
+        step = hi - lo
+        k = max(2, -(-17 // step))
+        for rings in (step - 1, k * step, k * step + 1, k * step + 2):
+            if rings >= 17:
+                cases.append((m, rings))
+    return cases
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "graded"])
+@pytest.mark.parametrize("m,rings", _block_cases())
+def test_streamed_fd_scheme_matches_full_array_reference(spacing, m, rings):
+    radial = getattr(RadialGrid, spacing)(1.0, rings - 1)
+    pg = PolarGrid(radial, m)
+    rng = np.random.default_rng(rings * m)
+    prof = Profile(radial, rng.standard_normal(rings), rng.standard_normal(rings))
+    k = int(rng.integers(-3, 4)) or 1
+    field = lift(prof, k, pg)
+    fn = frame_fn_components(pg.phis, k)
+    expected_lift = (
+        prof.u[:, None, None] * fn[None, :, :]
+        + prof.v[:, None, None] * F3_COMPONENTS[None, None, :]
+    )
+    assert np.array_equal(field.values, expected_lift)
+
+    rough = Field2D(pg, field.values + 0.1 * rng.standard_normal(field.values.shape))
+    for f in (field, rough):
+        ref = _ref_fd_dirichlet(f.values, pg)
+        assert dirichlet_quadrature(f) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        for b2 in (0.0, 0.7):
+            p = params(b2=b2, k=k)
+            dirichlet, pot = fd_energy_terms(f, p)
+            ref_pot = _ref_potential(f.values, pg, p)
+            assert dirichlet == pytest.approx(ref, rel=1e-14, abs=0.0)
+            assert pot == pytest.approx(ref_pot, rel=1e-14, abs=0.0)
+            assert ldg_energy_2d(f, p) == pytest.approx(ref + ref_pot / p.L, rel=1e-14, abs=0.0)
+            res = el_residual_2d(f, p)
+            assert np.array_equal(res.values, _ref_el_residual(f.values, pg, p))
+            assert np.array_equal(res.rings, radial.nodes[1:-1])
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("k,n_r,m_phi", [(2, 100, 256), (-2, 70, 1024), (4, 16, 64)])
+def test_dirichlet_energy_2d_matches_materialised_field(branch, k, n_r, m_phi):
+    p = params(k=k, L=0.0)
+    pg = PolarGrid(RadialGrid.uniform(p.R, n_r), m_phi)
+    if branch is Branch.UNIAXIAL_ESCAPE:
+        values = uniaxial_escape_components(pg.radial.nodes[:, None], pg.phis[None, :], p)
+    else:
+        values = lift(explicit_profile(branch, p, pg.radial), k, pg).values
+    quad = dirichlet_energy_2d(branch, p, n_r=n_r, m_phi=m_phi).quadrature
+    assert quad == pytest.approx(_ref_fd_dirichlet(values, pg), rel=1e-14, abs=0.0)
+
+
+def test_dirichlet_energy_2d_never_builds_the_full_field():
+    n_r, m_phi = 1024, 512
+    full_field_bytes = (n_r + 1) * m_phi * 5 * 8
+    tracemalloc.start()
+    try:
+        dirichlet_energy_2d(Branch.MINUS, params(k=2, L=0.0), n_r=n_r, m_phi=m_phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_field_bytes / 4
