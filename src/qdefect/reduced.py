@@ -163,9 +163,9 @@ def _fhat_hessian(u, v, p: ModelParams):
 
 class _P1Gauss:
     """The P1/Gauss kernel of one radial grid: Gauss weights ``wg`` of
-    ``int f(r) r dr``, interpolation parameter ``t``, squared Gauss radii
-    ``rg2`` (all ``(N, 5)``).  Built per solve or public call, never cached
-    on the grid (that would keep every held grid's arrays alive); ``rg`` is
+    ``int f(r) r dr``, interpolation parameters ``t`` and ``s = 1 - t``, squared
+    Gauss radii ``rg2`` (all ``(N, 5)``).  Built per solve or public call, never
+    cached on the grid (that would keep every held grid's arrays alive); ``rg`` is
     dropped and ``seg_r`` built on first use to keep a call's peak memory low.
     """
 
@@ -174,6 +174,7 @@ class _P1Gauss:
         self.h = grid.h
         rg, self.wg = grid.gauss_points()
         self.t = (rg - grid.nodes[:-1, None]) / self.h[:, None]
+        self.s = 1.0 - self.t
         self.rg2 = rg * rg
 
     @cached_property
@@ -182,7 +183,7 @@ class _P1Gauss:
 
     def at_gauss(self, values) -> np.ndarray:
         """Piecewise-linear interpolation of node data to the Gauss radii."""
-        return values[:-1][:, None] * (1.0 - self.t) + values[1:][:, None] * self.t
+        return values[:-1][:, None] * self.s + values[1:][:, None] * self.t
 
     def dirichlet_density(self, u, v, ug, k2: float) -> np.ndarray:
         """``(u'^2 + v'^2 + k^2 u^2 / r^2) / 2`` at the Gauss radii."""
@@ -198,11 +199,11 @@ def _check_operands(profile: Profile, params: ModelParams):
         raise InvalidParams("the reduced functional requires L > 0")
 
 
-def _energy(q: _P1Gauss, u, v, params: ModelParams) -> float:
-    ug = q.at_gauss(u)
-    # the bulk term first: its temporaries are freed before the Dirichlet
-    # term's, so a one-shot call peaks one (N, 5) array lower
-    bulk = _fhat(ug, q.at_gauss(v), params) / params.L
+# The kernels take a point's node values ``u, v`` with its Gauss values ``ug, vg``
+# (``q.at_gauss``), so a solve interpolates each trial point once for all three.
+
+def _energy(q: _P1Gauss, u, v, ug, vg, params: ModelParams) -> float:
+    bulk = _fhat(ug, vg, params) / params.L
     dens = q.dirichlet_density(u, v, ug, float(params.k * params.k)) + bulk
     return float(np.sum(q.wg * dens))
 
@@ -214,16 +215,15 @@ def reduced_energy(profile: Profile, params: ModelParams) -> float:
     radii only, which is finite for admissible data (``u(0) = 0``).
     """
     _check_operands(profile, params)
-    return _energy(_P1Gauss(profile.grid), profile.u, profile.v, params)
+    q = _P1Gauss(profile.grid)
+    return _energy(q, profile.u, profile.v, q.at_gauss(profile.u), q.at_gauss(profile.v), params)
 
 
-def _raw_gradient(q: _P1Gauss, u, v, params: ModelParams):
+def _raw_gradient(q: _P1Gauss, u, v, ug, vg, params: ModelParams):
     """Partial derivatives of the discrete energy wrt every node value."""
     h = q.h
     du = np.diff(u) / h
     dv = np.diff(v) / h
-    ug = q.at_gauss(u)
-    vg = q.at_gauss(v)
     k2 = float(params.k * params.k)
 
     gu = np.zeros_like(u)
@@ -264,74 +264,71 @@ def reduced_gradient(profile: Profile, params: ModelParams):
     Entries at fixed degrees of freedom are zero.
     """
     _check_operands(profile, params)
-    gu, gv = _raw_gradient(_P1Gauss(profile.grid), profile.u, profile.v, params)
+    q = _P1Gauss(profile.grid)
+    u, v = profile.u, profile.v
+    gu, gv = _raw_gradient(q, u, v, q.at_gauss(u), q.at_gauss(v), params)
     _project(gu, gv)
     m = profile.grid.node_masses
     return gu / m, gv / m
 
 
-def _free_index_maps(n):
-    iu = np.full(n + 1, -1, dtype=int)
-    iv = np.full(n + 1, -1, dtype=int)
-    iu[1:n] = 2 * np.arange(1, n) - 1
-    iv[0:n] = 2 * np.arange(0, n)
-    return iu, iv
+# hat-function products (1 - xi)^2, (1 - xi) xi, xi^2: the aa, ab, bb weights of a segment block
+_HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
 
-def _assemble_hessian_banded(q: _P1Gauss, u, v, params: ModelParams):
-    """Banded (l=u=3) Hessian of the discrete energy over free DOFs.
+def _assemble_hessian_banded(q: _P1Gauss, ug, vg, params: ModelParams):
+    """Banded Hessian of the discrete energy over the free DOFs at the point
+    with Gauss values ``ug, vg``, in ``solve_banded`` layout (l = u = 3).
 
-    Free DOFs are interleaved ``[v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}]``.
+    The free DOFs form the chain ``[v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}]``:
+    ``u_i`` at index ``2i - 1``, ``v_i`` at ``2i``, so segment ``i`` owns
+    the contiguous indices ``2i - 1 .. 2i + 2``.  Each entry of a segment's
+    4x4 block is one length-N vector (stiffness first, then Gauss points
+    0..4), written into the upper rows 0-3 (row 3 the diagonal) with step-2
+    slices; a node shared by two segments sums their two entries.  The
+    couplings of the fixed ``u_0``, ``u_N``, ``v_N`` are left out, and rows
+    4-6 mirror rows 2-0.
     """
     n = q.grid.n_segments
     k2 = float(params.k * params.k)
-    fuu, fuv, fvv = _fhat_hessian(q.at_gauss(u), q.at_gauss(v), params)
-
-    hloc = np.zeros((n, 4, 4))
+    fuu, fuv, fvv = _fhat_hessian(ug, vg, params)
+    coef = np.stack([q.wg * (k2 / q.rg2 + fuu / params.L), q.wg * fuv / params.L,
+                     q.wg * fvv / params.L]).transpose(0, 2, 1)  # (uu/uv/vv, 5, N)
     stiff = q.seg_r / (q.h * q.h)
-    for a, b in ((0, 2), (1, 3)):
-        hloc[:, a, a] += stiff
-        hloc[:, b, b] += stiff
-        hloc[:, a, b] -= stiff
-        hloc[:, b, a] -= stiff
-
+    loc = np.zeros((3, 3, n))  # (uu/uv/vv, aa/ab/bb, N)
+    loc[0::2] = np.array([[1.0], [-1.0], [1.0]]) * stiff  # uu, vv: +, -, + stiffness
     for g in range(GAUSS_XI.size):
-        xi = GAUSS_XI[g]
-        bu = np.array([1.0 - xi, 0.0, xi, 0.0])
-        bv = np.array([0.0, 1.0 - xi, 0.0, xi])
-        cuu = q.wg[:, g] * (k2 / q.rg2[:, g] + fuu[:, g] / params.L)
-        cuv = q.wg[:, g] * fuv[:, g] / params.L
-        cvv = q.wg[:, g] * fvv[:, g] / params.L
-        hloc += cuu[:, None, None] * np.outer(bu, bu)
-        hloc += cuv[:, None, None] * (np.outer(bu, bv) + np.outer(bv, bu))
-        hloc += cvv[:, None, None] * np.outer(bv, bv)
+        loc += coef[:, g, None, :] * _HAT_PAIRS[g, :, None]
+    # u_a v_b and v_a u_b share the weight (1 - xi) xi, so uv_ab serves both
+    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc
 
-    iu, iv = _free_index_maps(n)
-    seg = np.arange(n)
-    loc = np.stack([iu[seg], iv[seg], iu[seg + 1], iv[seg + 1]], axis=1)  # (n, 4)
-    gi = np.broadcast_to(loc[:, :, None], (n, 4, 4))
-    gj = np.broadcast_to(loc[:, None, :], (n, 4, 4))
-    valid = (gi >= 0) & (gj >= 0)
-    nf = 2 * n - 1
-    ab = np.zeros((7, nf))
-    np.add.at(ab, (3 + gi[valid] - gj[valid], gj[valid]), hloc[valid])
+    ab = np.zeros((7, 2 * n - 1))
+    ab[3, 0::2] = vv_aa  # v_i v_i
+    ab[3, 2::2] += vv_bb[:-1]
+    ab[3, 1::2] = uu_bb[:-1] + uu_aa[1:]  # u_i u_i
+    ab[2, 2::2] = uv_bb[:-1] + uv_aa[1:]  # u_i v_i
+    ab[2, 1::2] = uv_ab[:-1]  # v_i u_{i+1}
+    ab[1, 2::2] = vv_ab[:-1]  # v_i v_{i+1}
+    ab[1, 3::2] = uu_ab[1:-1]  # u_i u_{i+1}
+    ab[0, 4::2] = uv_ab[1:-1]  # u_i v_{i+1}
+    for d in (1, 2, 3):
+        ab[3 + d, :-d] = ab[3 - d, d:]
     return ab
 
 
 def _free_rhs(gu, gv, n):
-    iu, iv = _free_index_maps(n)
+    """Node data ``(gu, gv)`` in the free-DOF chain order."""
     rhs = np.empty(2 * n - 1)
-    rhs[iu[1:n]] = gu[1:n]
-    rhs[iv[0:n]] = gv[0:n]
+    rhs[0::2] = gv[:n]
+    rhs[1::2] = gu[1:n]
     return rhs
 
 
 def _unpack_free(x, n):
-    iu, iv = _free_index_maps(n)
     du = np.zeros(n + 1)
     dv = np.zeros(n + 1)
-    du[1:n] = x[iu[1:n]]
-    dv[0:n] = x[iv[0:n]]
+    du[1:n] = x[1::2]
+    dv[:n] = x[0::2]
     return du, dv
 
 
@@ -520,18 +517,19 @@ def minimize(
     mass_free = _free_rhs(masses, masses, n)
     q = _P1Gauss(grid)
 
-    def grad_and_norm(uu, vv):
-        gu, gv = _raw_gradient(q, uu, vv, params)
+    def grad_and_norm(uu, vv, ug, vg):
+        gu, gv = _raw_gradient(q, uu, vv, ug, vg, params)
         _project(gu, gv)
         return gu, gv, _mass_norm(gu, gv, masses)
 
-    energy = _energy(q, u, v, params)
-    gu, gv, gn = grad_and_norm(u, v)
+    ug, vg = q.at_gauss(u), q.at_gauss(v)
+    energy = _energy(q, u, v, ug, vg, params)
+    gu, gv, gn = grad_and_norm(u, v, ug, vg)
     lam = 0.0
     iters = 0
     converged = gn <= tol
     while not converged and iters < max_iter and math.isfinite(gn):
-        upper = _assemble_hessian_banded(q, u, v, params)[:4]
+        upper = _assemble_hessian_banded(q, ug, vg, params)[:4]
         lam_unit = float(np.max(np.abs(upper[3]))) / float(np.max(mass_free))
         rhs = _free_rhs(-gu, -gv, n)
         accepted = False
@@ -555,15 +553,16 @@ def minimize(
                 while beta > 1e-7:
                     u2 = u + beta * du
                     v2 = v + beta * dv
-                    e2 = _energy(q, u2, v2, params)
+                    ug2, vg2 = q.at_gauss(u2), q.at_gauss(v2)
+                    e2 = _energy(q, u2, v2, ug2, vg2, params)
                     if abs(e2 - energy) <= 1e-12 * abs(energy):
-                        gu2, gv2, gn2 = grad_and_norm(u2, v2)
+                        gu2, gv2, gn2 = grad_and_norm(u2, v2, ug2, vg2)
                         accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
                     elif e2 <= energy + 1e-4 * beta * slope:
-                        gu2, gv2, gn2 = grad_and_norm(u2, v2)
+                        gu2, gv2, gn2 = grad_and_norm(u2, v2, ug2, vg2)
                         accepted = True
                     if accepted:
-                        u, v, energy = u2, v2, e2
+                        u, v, ug, vg, energy = u2, v2, ug2, vg2, e2
                         gu, gv, gn = gu2, gv2, gn2
                         lam *= 0.3
                         if lam < 1e-14 * lam_unit:

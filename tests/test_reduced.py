@@ -222,10 +222,12 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
     n = grid.n_segments
 
     def free_grad(u, v):
-        return _free_rhs(*_raw_gradient(q, u, v, p), n)
+        return _free_rhs(*_raw_gradient(q, u, v, q.at_gauss(u), q.at_gauss(v), p), n)
 
     assert np.max(np.abs(free_grad(prof.u, prof.v))) > 1e-2  # not a critical point
-    hess = _dense_from_banded(_assemble_hessian_banded(q, prof.u, prof.v, p))
+    hess = _dense_from_banded(
+        _assemble_hessian_banded(q, q.at_gauss(prof.u), q.at_gauss(prof.v), p)
+    )
     fd = np.empty_like(hess)
     eps = 1e-6
     # free DOFs in Hessian order: v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}
@@ -241,6 +243,100 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
     scale = np.sqrt(np.outer(np.abs(np.diag(hess)), np.abs(np.diag(hess))))
     assert np.max(np.abs(hess - fd) / scale) <= 1e-6
     assert np.array_equal(hess, hess.T)
+
+
+def _banded_matvec(ab, x):
+    """``A x`` for ``solve_banded`` storage with l = u = 3."""
+    y = ab[3] * x
+    for d in (1, 2, 3):
+        y[:-d] += ab[3 - d, d:] * x[d:]
+        y[d:] += ab[3 + d, :-d] * x[:-d]
+    return y
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "graded"])
+@pytest.mark.parametrize("k", [1, -2, 3])
+@pytest.mark.parametrize("b2", [0.0, 1.0])
+def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
+    from qdefect.reduced import (
+        _P1Gauss,
+        _assemble_hessian_banded,
+        _free_rhs,
+        _raw_gradient,
+        _unpack_free,
+    )
+
+    p = params(L=0.01, b2=b2, k=k)
+    grid = getattr(RadialGrid, spacing)(1.0, 2048)
+    n = grid.n_segments
+    x = grid.nodes
+    prof = apply_boundary(
+        Profile(
+            grid,
+            p.boundary_u * x ** abs(k) * (1.0 + 0.3 * np.sin(3.0 * np.pi * x)),
+            p.boundary_v * (0.5 + 0.5 * x) + 0.1 * np.cos(2.0 * np.pi * x),
+        ),
+        p,
+    )
+    q = _P1Gauss(grid)
+
+    def free_grad(u, v):
+        return _free_rhs(*_raw_gradient(q, u, v, q.at_gauss(u), q.at_gauss(v), p), n)
+
+    ab = _assemble_hessian_banded(q, q.at_gauss(prof.u), q.at_gauss(prof.v), p)
+    nf = 2 * n - 1
+    assert ab.shape == (7, nf)
+    for d in (1, 2, 3):
+        # the lower rows mirror the upper rows exactly
+        assert np.array_equal(ab[3 + d, :-d], ab[3 - d, d:])
+        # band corners outside the matrix, where a coupling of the fixed
+        # u_0 (before v_0) or u_N, v_N (after v_{N-1}) would land, stay zero
+        assert not np.any(ab[3 - d, :d]) and not np.any(ab[3 + d, nf - d:])
+    assert not np.any(ab[0, 1::2])  # v_{i-1} and u_{i+1} share no segment
+
+    def product_error(w, eps=1e-4):
+        wu, wv = _unpack_free(w, n)
+        assert wu[0] == wu[-1] == wv[-1] == 0.0
+        fd = (free_grad(prof.u + eps * wu, prof.v + eps * wv)
+              - free_grad(prof.u - eps * wu, prof.v - eps * wv)) / (2.0 * eps)
+        return _banded_matvec(ab, w) - fd
+
+    # a random w reaches every band entry; scaled per row by |H| |w|
+    w = rng.standard_normal(nf)
+    err = product_error(w)
+    assert np.max(np.abs(err) / _banded_matvec(np.abs(ab), np.abs(w))) <= 1e-8
+    # in a smooth w the stiffness cancels and the potential terms lead H w
+    a = rng.standard_normal((2, 4))
+    m = np.arange(1, 5)[:, None]
+    w = _free_rhs(a[0] @ np.sin(m * np.pi * x), a[1] @ np.cos((m - 0.5) * np.pi * x), n)
+    err = product_error(w)
+    assert np.max(np.abs(err)) <= 1e-6 * np.max(np.abs(_banded_matvec(ab, w)))
+
+
+# (k, b2, init, iterations, energy) of minimize at L = 0.01, n = 256: a kernel
+# change that bends the Newton path changes a count or moves an energy
+_NEWTON_PATH = [
+    (1, 0.0, "explicit", 3, -12.004697397886112),
+    (1, 0.0, "ramp", 10, -12.004697397886112),
+    (1, 1.0, "explicit", 6, -20.34596807934757),
+    (1, 1.0, "ramp", 9, -20.34596807934757),
+    (-2, 0.0, "explicit", 3, -11.518110786620518),
+    (-2, 0.0, "ramp", 10, -11.518110786620518),
+    (-2, 1.0, "explicit", 6, -17.869355229428116),
+    (-2, 1.0, "ramp", 6, -17.869355229428116),
+    (3, 0.0, "explicit", 4, -11.044121629269632),
+    (3, 0.0, "ramp", 9, -11.044121629269632),
+    (3, 1.0, "explicit", 6, -15.176803641600454),
+    (3, 1.0, "ramp", 5, -15.176803641600454),
+]
+
+
+@pytest.mark.parametrize("k,b2,init,iterations,energy", _NEWTON_PATH)
+def test_newton_path_is_pinned(k, b2, init, iterations, energy):
+    p = params(L=0.01, b2=b2, k=k)
+    _, rep = minimize(p, RadialGrid.for_defect(1.0, 256, k), init=init)
+    assert rep.iterations == iterations
+    assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
