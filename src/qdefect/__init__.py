@@ -5,6 +5,10 @@ disk: exact Q-tensor algebra, minimisation of the reduced radial energy of
 the two-mode ansatz, the closed-form harmonic-map limit solutions, full 2D
 energy/residual/stability checks, and an SVG renderer behind the
 ``qdefect`` command-line tool.
+
+Every layer handles a tensor, or a whole field of them, as an array of its
+five independent components ``(..., 5)`` (see :mod:`qdefect.tensor`); that
+is the package's one tensor representation.
 """
 
 from .errors import (
@@ -30,7 +34,6 @@ from .field import (
     lift,
     random_perturbation,
     second_variation,
-    write_field_csv,
 )
 from .grid import PolarGrid, RadialGrid
 from .harmonic import (
@@ -44,12 +47,8 @@ from .harmonic import (
     explicit_profile,
     first_integral_defect,
     hm_residual,
-    meromorphic_harmonic_map,
-    profile_from_psi,
     psi_of_branch,
-    sphere_map_tension_residual,
     uniaxial_escape_components,
-    uniaxial_escape_field,
 )
 from .params import ModelParams, equilibrium_order_parameter
 from .reduced import (
@@ -66,17 +65,6 @@ from .reduced import (
     write_profile_csv,
 )
 from .render import RenderSpec, eigenvalue_chart_svg, glyph_svg
-from .tensor import (
-    FrameCoeffs,
-    QTensor,
-    ansatz_components,
-    ansatz_eigenvalues,
-    biaxiality,
-    boundary_tensor,
-    bulk_energy,
-    eigen3,
-    frame_f3,
-    frame_fn,
-)
+from .tensor import ansatz_components, ansatz_eigenvalues, eigen3
 
 __version__ = "0.1.0"

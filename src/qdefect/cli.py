@@ -376,7 +376,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    eff = _effective(args, {**_PARAM_DEFAULTS, "input": None})
+    # without an output prefix the energies are only printed
+    eff = _effective(args, {**_PARAM_DEFAULTS, "input": None, "out": None})
     if not eff["input"]:
         raise InvalidParams("energy requires --input profile.csv")
     params = _model_params(eff)
@@ -394,7 +395,7 @@ def cmd_energy(args) -> int:
     }
     text = _json_text(payload, indent=2)
     print(text)
-    if eff["out"] != _PARAM_DEFAULTS["out"]:
+    if eff["out"] is not None:
         _write_json(f"{eff['out']}_energy.json", payload)
     return 0
 

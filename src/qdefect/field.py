@@ -74,11 +74,6 @@ def lift(profile: Profile, k: int, grid: PolarGrid) -> Field2D:
     return Field2D(grid, _lift_rows(profile.u, profile.v, frame_fn_components(grid.phis, k)))
 
 
-def boundary_field_components(grid: PolarGrid, params: ModelParams) -> np.ndarray:
-    """Dirichlet ring values ``s_plus Q_k(phi)``, shape ``(M, 5)``."""
-    return tensor.boundary_tensor_components(grid.phis, params)
-
-
 # ---------------------------------------------------------------------------
 # classic finite-difference scheme
 # ---------------------------------------------------------------------------
@@ -519,20 +514,3 @@ def random_perturbation(
         comps *= norm / math.sqrt(nsq)
     return Field2D(grid, np.ascontiguousarray(np.moveaxis(comps, 0, -1)))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def write_field_csv(path, field: Field2D):
-    """Write ``r,phi,q11,q12,q13,q22,q23`` rows (q33 implied)."""
-    lines = ["r,phi,q11,q12,q13,q22,q23"]
-    r = field.grid.radial.nodes
-    phis = field.grid.phis
-    for i in range(r.size):
-        for j in range(phis.size):
-            c = field.values[i, j]
-            row = [float(r[i]), float(phis[j])] + [float(x) for x in c]
-            lines.append(",".join(repr(x) for x in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -23,6 +23,9 @@ GAUSS_XI = 0.5 * (_x + 1.0)
 GAUSS_W = 0.5 * _w
 del _x, _w
 
+# First interior node of a graded grid, as a fraction of the radius.
+_FIRST_NODE = 1e-3
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -51,19 +54,17 @@ class RadialGrid:
         return cls(np.linspace(0.0, radius, n + 1), spacing="uniform")
 
     @classmethod
-    def graded(cls, radius: float, n: int, first_node: float = 1e-3) -> "RadialGrid":
+    def graded(cls, radius: float, n: int) -> "RadialGrid":
         """Power-law grading toward the origin, ``r_i = R (i/n)^gamma``.
 
         The exponent is chosen so the first interior node lands at
-        ``first_node * radius`` (never coarser than uniform).  The spacing
+        ``1e-3 * radius`` (never coarser than uniform).  The spacing
         varies smoothly, which keeps centred stencils second order and
         avoids the stiffness spikes of abrupt mesh-size jumps.
         """
         if radius <= 0.0:
             raise GridError(f"radius must be positive, got {radius}")
-        if not 0.0 < first_node < 1.0:
-            raise GridError("first_node must lie in (0, 1)")
-        gamma = max(1.0, math.log(1.0 / first_node) / math.log(n))
+        gamma = max(1.0, math.log(1.0 / _FIRST_NODE) / math.log(n))
         nodes = radius * (np.arange(n + 1) / n) ** gamma
         nodes[-1] = radius
         return cls(nodes, spacing="graded")

@@ -9,8 +9,7 @@ ansatz the constraint is absorbed by the angle substitution
 whose stationary profiles obey a pendulum-type first integral and are
 known in closed form.  Two biaxial branches exist for every index, with
 ``tan(psi/2) = (r/R)^{+-|k|} / sqrt(3)``; for even index there is a third,
-uniaxial solution whose director escapes out of plane at the core, and a
-general meromorphic-function generator of unit-norm harmonic maps.
+uniaxial solution whose director escapes out of plane at the core.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .field import (
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
 from .reduced import Profile, _P1Gauss
-from .tensor import QTensor, frame_fn_components, frob_sq
+from .tensor import frame_fn_components, frob_sq
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -90,7 +89,7 @@ def explicit_profile(branch, params: ModelParams, grid: RadialGrid) -> Profile:
     if branch is Branch.UNIAXIAL_ESCAPE:
         raise InvalidBranch(
             "the uniaxial escape solution leaves the two-mode ansatz; "
-            "use uniaxial_escape_field"
+            "use uniaxial_escape_components"
         )
     u, v = explicit_arrays(branch, params.k, params.s_plus, grid.nodes)
     return Profile(grid, u, v)
@@ -135,16 +134,6 @@ def psi_of_branch(branch, params: ModelParams, grid: RadialGrid) -> PsiProfile:
         raise InvalidBranch("no angle parametrisation for the uniaxial branch")
     psi[-1] = math.pi / 3.0
     return PsiProfile(grid, psi)
-
-
-def profile_from_psi(psi_profile: PsiProfile, params: ModelParams) -> Profile:
-    """Map an angle profile back to ``(u, v)`` samples."""
-    amp = _SQRT23 * params.s_plus
-    return Profile(
-        psi_profile.grid,
-        amp * np.sin(psi_profile.psi),
-        -amp * np.cos(psi_profile.psi),
-    )
 
 
 def _first_derivative_o4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,14 +190,13 @@ class E0Result:
     max_deviation: float
 
 
-def e0_energy(p, params: ModelParams, strict: bool = False) -> E0Result:
+def e0_energy(p, params: ModelParams) -> E0Result:
     """Constrained Dirichlet energy (per unit angle) of a limit profile.
 
     Accepts a :class:`~qdefect.reduced.Profile` (checked against the
     constraint ``u^2 + v^2 = (2/3) s_plus^2`` to 1e-8 relative) or a
     :class:`PsiProfile` (constraint built in).  Constraint violations
-    yield the infinite sentinel, or :class:`ConstraintViolated` when
-    ``strict``.
+    yield the infinite sentinel.
     """
     k2 = float(params.k * params.k)
     if isinstance(p, PsiProfile):
@@ -224,8 +212,6 @@ def e0_energy(p, params: ModelParams, strict: bool = False) -> E0Result:
     target = params.limit_norm_sq
     dev = float(np.max(np.abs(p.norm_sq_samples() - target))) / target
     if dev > 1e-8:
-        if strict:
-            raise ConstraintViolated("limit energy needs |Q|^2 = (2/3) s_plus^2", dev)
         return E0Result(finite=False, value=None, max_deviation=dev)
     q = _P1Gauss(p.grid)
     dens = q.dirichlet_density(p.u, p.v, q.at_gauss(p.u), k2)
@@ -289,7 +275,7 @@ def dirichlet_energy_2d(
 
 
 # ---------------------------------------------------------------------------
-# uniaxial escape and the meromorphic generator
+# uniaxial escape solution
 # ---------------------------------------------------------------------------
 
 def uniaxial_escape_components(r, phi, params: ModelParams) -> np.ndarray:
@@ -323,74 +309,6 @@ def uniaxial_escape_components(r, phi, params: ModelParams) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def uniaxial_escape_field(r: float, phi: float, params: ModelParams) -> QTensor:
-    """Pointwise evaluation of the escape solution."""
-    return QTensor(uniaxial_escape_components(float(r), float(phi), params))
-
-
-def meromorphic_harmonic_map(numer, denom, x, y):
-    """Unit-sphere harmonic map from a rational function of ``x + i y``.
-
-    ``numer`` and ``denom`` are complex polynomial coefficient sequences
-    (highest degree first, as for ``numpy.polyval``).  Writing the value
-    projectively avoids dividing at poles: with ``w = numer(z)`` and
-    ``d = denom(z)``,
-
-        m = (2 Re(w conj(d)), 2 Im(w conj(d)), |d|^2 - |w|^2) / (|w|^2 + |d|^2),
-
-    so poles land on ``m = (0, 0, -1)`` by continuity.  Returns
-    ``(m, U)`` where ``U = sqrt(3/2)(m x m - I/3)`` has unit norm;
-    components broadcast over array-valued coordinates.  A common root of
-    both polynomials (a genuinely undefined 0/0 point) maps to
-    ``(0, 0, 1)`` by the ``f = 0`` convention.
-    """
-    z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-    w = np.polyval(np.asarray(numer, dtype=complex), z)
-    d = np.polyval(np.asarray(denom, dtype=complex), z)
-    wd = w * np.conj(d)
-    total = (w * np.conj(w)).real + (d * np.conj(d)).real
-    safe = np.where(total > 0.0, total, 1.0)
-    m1 = np.where(total > 0.0, 2.0 * wd.real / safe, 0.0)
-    m2 = np.where(total > 0.0, 2.0 * wd.imag / safe, 0.0)
-    m3 = np.where(total > 0.0, ((d * np.conj(d)).real - (w * np.conj(w)).real) / safe, 1.0)
-    m = np.stack([m1, m2, m3], axis=-1)
-    amp = math.sqrt(1.5)
-    u = np.stack(
-        [
-            amp * (m1 * m1 - 1.0 / 3.0),
-            amp * m1 * m2,
-            amp * m1 * m3,
-            amp * (m2 * m2 - 1.0 / 3.0),
-            amp * m2 * m3,
-        ],
-        axis=-1,
-    )
-    return m, u
-
-
-def sphere_map_tension_residual(numer, denom, x, y, step: float):
-    """Discrete tension field ``lap(m) + |grad m|^2 m`` of the rational map.
-
-    Five-point Cartesian stencil with spacing ``step``; harmonic maps give
-    residuals decaying at second order away from poles.
-    """
-    def mvec(xx, yy):
-        return meromorphic_harmonic_map(numer, denom, xx, yy)[0]
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mc = mvec(x, y)
-    mxp = mvec(x + step, y)
-    mxm = mvec(x - step, y)
-    myp = mvec(x, y + step)
-    mym = mvec(x, y - step)
-    lap = (mxp + mxm + myp + mym - 4.0 * mc) / step**2
-    gx = (mxp - mxm) / (2.0 * step)
-    gy = (myp - mym) / (2.0 * step)
-    grad_sq = np.sum(gx * gx + gy * gy, axis=-1, keepdims=True)
-    return lap + grad_sq * mc
 
 
 # ---------------------------------------------------------------------------

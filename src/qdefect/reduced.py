@@ -35,6 +35,7 @@ from .params import ModelParams
 _SQRT6 = math.sqrt(6.0)
 _SQRT23 = math.sqrt(2.0 / 3.0)
 _MAX_DAMPING_REJECTS = 32  # Newton steps rejected in a row before giving up
+_SKIP_ORIGIN_NODES = 2  # interior nodes next to the origin left out of max_interior
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +342,9 @@ class OdeResidual:
     """Second-order FD residual of the coupled radial ODE system.
 
     ``r`` holds the interior nodes; ``neumann_defect`` is ``|v'(0)|`` from
-    a one-sided second-order stencil.  The first one or two interior nodes
-    sit inside the origin-adjacent region where the polar stencil loses an
-    order; use ``max_interior`` with its default skip for quality metrics.
+    a one-sided second-order stencil.  The first two interior nodes sit
+    inside the origin-adjacent region where the polar stencil loses an
+    order, so ``max_interior`` skips them.
     """
 
     r: np.ndarray
@@ -351,8 +352,8 @@ class OdeResidual:
     rv: np.ndarray
     neumann_defect: float
 
-    def max_interior(self, skip_origin_nodes: int = 2) -> float:
-        s = skip_origin_nodes
+    def max_interior(self) -> float:
+        s = _SKIP_ORIGIN_NODES
         return float(max(np.max(np.abs(self.ru[s:])), np.max(np.abs(self.rv[s:]))))
 
 
@@ -629,7 +630,7 @@ def _warm_started(
         last = (p_step, profile)
 
 
-def continuation_in_b2(params: ModelParams, b2_targets, grid: RadialGrid, tol: float = 1e-9):
+def continuation_in_b2(params: ModelParams, b2_targets, grid: RadialGrid):
     """Solve along an ascending b2 branch, warm-starting each step.
 
     The first target must be 0; each later solve starts from the previous
@@ -647,7 +648,7 @@ def continuation_in_b2(params: ModelParams, b2_targets, grid: RadialGrid, tol: f
         raise InvalidParams("b2_targets must be strictly ascending")
 
     branch = []
-    for p_b, profile, report, error in _warm_started(params, grid, "b2", targets, tol=tol):
+    for p_b, profile, report, error in _warm_started(params, grid, "b2", targets):
         if error is not None:
             error.failing_b2 = p_b.b2
             error.branch_so_far = branch

@@ -1,10 +1,12 @@
 """Algebra of the Q-tensor state space (3x3 real symmetric traceless).
 
-A tensor is stored through its five independent components in the fixed
-order ``(q11, q12, q13, q22, q23)``; the remaining entry is implied by
+Component arrays are the package's one tensor representation: a tensor
+is its five independent components in the fixed order
+``(q11, q12, q13, q22, q23)``, and the remaining entry is implied by
 ``q33 = -q11 - q22``, so symmetry and tracelessness hold by construction.
-Module-level helpers operate on arrays of shape ``(..., 5)`` so whole
-fields can be processed without materialising 3x3 matrices.
+Every helper works on arrays of shape ``(..., 5)``, a single tensor and a
+whole field alike, without materialising 3x3 matrices;
+:func:`components_to_matrix` builds them where a matrix is wanted.
 
 The two-mode orthonormal frame used throughout the package is
 
@@ -23,8 +25,6 @@ import numpy as np
 
 from .errors import InvalidParams
 from .params import ModelParams
-
-COMPONENT_NAMES = ("q11", "q12", "q13", "q22", "q23")
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT6 = math.sqrt(6.0)
@@ -114,82 +114,6 @@ def components_to_matrix(c):
     return rows
 
 
-def matrix_to_components(m, check=True, tol=4.0):
-    """Extract components from a symmetric traceless 3x3 matrix.
-
-    With ``check`` enabled the matrix must be symmetric and traceless to
-    within ``tol`` ulps of its largest entry.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (3, 3):
-        raise InvalidParams(f"expected (..., 3, 3) matrix, got shape {m.shape}")
-    if check:
-        scale = np.max(np.abs(m), axis=(-2, -1))
-        bound = tol * np.spacing(np.maximum(scale, 1e-300))
-        if np.any(np.abs(m - np.swapaxes(m, -2, -1)) > 2 * bound[..., None, None]):
-            raise InvalidParams("matrix is not symmetric")
-        if np.any(np.abs(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]) > bound):
-            raise InvalidParams("matrix is not traceless")
-    return np.stack(
-        [m[..., 0, 0], m[..., 0, 1], m[..., 0, 2], m[..., 1, 1], m[..., 1, 2]],
-        axis=-1,
-    )
-
-
-# ---------------------------------------------------------------------------
-# QTensor value type
-# ---------------------------------------------------------------------------
-
-class QTensor:
-    """A single point value in the state space, wrapping five components."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        c = np.asarray(components, dtype=float)
-        if c.shape != (5,):
-            raise InvalidParams(f"QTensor needs 5 components, got shape {c.shape}")
-        self.components = c
-
-    @classmethod
-    def from_matrix(cls, m, check=True):
-        return cls(matrix_to_components(m, check=check))
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(5))
-
-    def matrix(self):
-        return components_to_matrix(self.components)
-
-    def norm_sq(self):
-        return float(frob_sq(self.components))
-
-    def norm(self):
-        return math.sqrt(self.norm_sq())
-
-    def dot(self, other: "QTensor") -> float:
-        return float(frob_dot(self.components, other.components))
-
-    def __add__(self, other):
-        return QTensor(self.components + other.components)
-
-    def __sub__(self, other):
-        return QTensor(self.components - other.components)
-
-    def __mul__(self, scalar):
-        return QTensor(self.components * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QTensor(-self.components)
-
-    def __repr__(self):
-        vals = ", ".join(f"{n}={v:.6g}" for n, v in zip(COMPONENT_NAMES, self.components))
-        return f"QTensor({vals})"
-
-
 # ---------------------------------------------------------------------------
 # frames and boundary data
 # ---------------------------------------------------------------------------
@@ -203,18 +127,12 @@ def frame_fn_components(phi, k: int):
     return np.stack([ck, sk, z, -ck, z], axis=-1)
 
 
-def frame_fn(phi: float, k: int) -> QTensor:
-    """Planar frame tensor ``F_n(phi) = sqrt(2)(n x n - I2/2)``, unit norm."""
-    return QTensor(frame_fn_components(float(phi), k))
-
-
-def frame_f3() -> QTensor:
-    """Constant out-of-plane frame tensor ``F_3``, unit norm."""
-    return QTensor(F3_COMPONENTS.copy())
-
-
 def boundary_tensor_components(phi, params: ModelParams):
-    """Components of the boundary data ``s_plus (n x n - I/3)``."""
+    """Components of the boundary data ``s_plus (n x n - I/3)``.
+
+    The half-angle director winds with the frame, so the value decomposes
+    as ``s_plus (F_n/sqrt(2) - F_3/sqrt(6))``.
+    """
     phi = np.asarray(phi, dtype=float)
     half = 0.5 * params.k * phi
     cn = np.cos(half)
@@ -230,21 +148,6 @@ def boundary_tensor_components(phi, params: ModelParams):
         ],
         axis=-1,
     )
-
-
-def boundary_tensor(phi: float, params: ModelParams) -> QTensor:
-    """Dirichlet boundary value at angle ``phi`` on the disk rim.
-
-    Equals ``s_plus (n x n - I/3)`` with the half-angle director, and
-    decomposes as ``s_plus (F_n/sqrt(2) - F_3/sqrt(6))`` in the two-mode
-    frame.
-    """
-    return QTensor(boundary_tensor_components(float(phi), params))
-
-
-def bulk_energy(q: QTensor, params: ModelParams) -> float:
-    """Bulk potential ``f(Q) = -a2/2 |Q|^2 - b2/3 tr(Q^3) + c2/4 |Q|^4``."""
-    return float(bulk_density(q.components, params))
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +205,26 @@ def _isolated_eigenvector(a, lam):
     return cands[best] / norms[best]
 
 
-def eigen3(q: QTensor):
+def eigen3(c):
     """Eigenvalues (ascending) and an orthonormal eigenvector triple.
 
-    Returns ``(lam, vecs)`` with ``vecs[:, i]`` the unit eigenvector for
+    ``c`` holds the components of one tensor, a finite array of shape
+    ``(5,)``; anything else is :class:`InvalidParams`.  Returns
+    ``(lam, vecs)`` with ``vecs[:, i]`` the unit eigenvector for
     ``lam[i]``.  Degenerate spectra yield a deterministic orthonormal basis
     of the eigenspace (coordinate-axis seeded), so repeated calls agree.
     """
-    c = q.components
+    try:
+        c = np.asarray(c, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParams("eigen3 needs a numeric (5,) component array") from None
+    if c.shape != (5,) or not np.all(np.isfinite(c)):
+        raise InvalidParams(f"eigen3 needs 5 finite components, got shape {c.shape}")
     lam = eigenvalues_components(c)
     nrm = math.sqrt(float(frob_sq(c)))
     if nrm < 1e-14:
         return np.zeros(3), np.eye(3)
-    a = q.matrix()
+    a = components_to_matrix(c)
     gap01 = lam[1] - lam[0]
     gap12 = lam[2] - lam[1]
     # anchor on the best-separated eigenvalue, then diagonalise the 2x2
@@ -360,10 +270,6 @@ def biaxiality_components(c):
     return np.clip(beta, 0.0, 1.0)
 
 
-def biaxiality(q: QTensor) -> float:
-    return float(biaxiality_components(q.components))
-
-
 def ansatz_components(u, v, phi, k: int):
     """Components of the two-mode field ``Y = u F_n(phi) + v F_3``.
 
@@ -373,38 +279,6 @@ def ansatz_components(u, v, phi, k: int):
     v = np.asarray(v, dtype=float)
     fn = frame_fn_components(phi, k)
     return u[..., None] * fn + v[..., None] * F3_COMPONENTS
-
-
-class FrameCoeffs:
-    """Point value in frame coordinates: ``(u, v)`` at azimuth ``phi``.
-
-    The reconstructed tensor ``u F_n(phi) + v F_3`` has squared norm
-    ``u^2 + v^2`` because the frame is orthonormal; ``phi`` is stored
-    reduced to ``[0, 2 pi)``.
-    """
-
-    __slots__ = ("u", "v", "phi")
-
-    def __init__(self, u: float, v: float, phi: float):
-        self.u = float(u)
-        self.v = float(v)
-        self.phi = float(phi) % (2.0 * math.pi)
-
-    def tensor(self, k: int) -> QTensor:
-        return QTensor(ansatz_components(self.u, self.v, self.phi, k))
-
-    def norm_sq(self) -> float:
-        return self.u * self.u + self.v * self.v
-
-    @classmethod
-    def from_tensor(cls, q: QTensor, phi: float, k: int) -> "FrameCoeffs":
-        """Project a tensor onto the frame at the given azimuth."""
-        u = float(frob_dot(q.components, frame_fn_components(phi, k)))
-        v = float(frob_dot(q.components, F3_COMPONENTS))
-        return cls(u, v, phi)
-
-    def __repr__(self):
-        return f"FrameCoeffs(u={self.u:.6g}, v={self.v:.6g}, phi={self.phi:.6g})"
 
 
 def ansatz_eigenvalues(u, v):

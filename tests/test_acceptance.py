@@ -37,8 +37,7 @@ from qdefect import (
 )
 from qdefect.tensor import (
     F3_COMPONENTS,
-    frame_f3,
-    frame_fn,
+    components_to_matrix,
     frame_fn_components,
     frob_dot,
 )
@@ -246,12 +245,12 @@ def test_criterion_07_energy_gap_identity():
 def test_criterion_08_algebraic_identity_suite():
     rng = np.random.default_rng(11)
     worst = 0.0
-    f3m = frame_f3().matrix()
+    f3m = components_to_matrix(F3_COMPONENTS)
     for _ in range(1000):
         u, v = rng.standard_normal(2) * rng.uniform(0.2, 2.0)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         k = int(rng.integers(1, 5)) * int(rng.choice([-1, 1]))
-        fnm = frame_fn(phi, k).matrix()
+        fnm = components_to_matrix(frame_fn_components(phi, k))
         ym = u * fnm + v * f3m
         # cubic trace identity
         worst = max(

@@ -399,6 +399,24 @@ def test_energy_on_limit_profile_is_finite_e0(tmp_path, capsys):
     assert payload["e0"] == pytest.approx(0.5, rel=1e-4)
 
 
+def test_energy_writes_json_for_every_given_prefix(tmp_path, capsys):
+    # "qdefect" is also the prefix the other commands fall back to
+    assert run(tmp_path, *SOLVE_ARGS, "-o", "out") == 0
+    energy = ("energy", "--input", "out_profile.csv", "--L", "0.05", "--k", "1", "--m", "64")
+    capsys.readouterr()
+    assert run(tmp_path, *energy) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert not list(tmp_path.glob("*_energy.json"))  # no prefix: print only
+
+    assert run(tmp_path, *energy, "-o", "qdefect") == 0
+    assert json.loads((tmp_path / "qdefect_energy.json").read_text()) == printed
+    (tmp_path / "qdefect_energy.json").unlink()
+
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "qdefect"}))
+    assert run(tmp_path, *energy, "--config", "cfg.json") == 0
+    assert json.loads((tmp_path / "qdefect_energy.json").read_text()) == printed
+
+
 # ---------------------------------------------------------------------------
 # non-finite input and strict JSON
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ from qdefect import (
     random_perturbation,
     reduced_energy,
     second_variation,
-    write_field_csv,
 )
-from qdefect.field import _ring_blocks, boundary_field_components, fd_energy_terms
+from qdefect.field import _ring_blocks, fd_energy_terms
 from qdefect.harmonic import (
     Branch,
     dirichlet_energy_2d,
@@ -35,6 +34,7 @@ from qdefect.harmonic import (
 from qdefect.grid import GAUSS_W, GAUSS_XI
 from qdefect.tensor import (
     F3_COMPONENTS,
+    boundary_tensor_components,
     bulk_density,
     deviatoric_square,
     frame_fn_components,
@@ -57,7 +57,7 @@ def test_lift_boundary_ring_matches_boundary_tensor(solve_cache):
     p, prof, _ = solve_cache(L=0.1, n=256)
     pg = PolarGrid(prof.grid, 64)
     field = lift(prof, p.k, pg)
-    ring = boundary_field_components(pg, p)
+    ring = boundary_tensor_components(pg.phis, p)
     assert np.max(np.abs(field.values[-1] - ring)) < 1e-13
 
 
@@ -446,20 +446,6 @@ def test_energy_gap_and_spectral_energy_match_gauss_point_reference(oracle_field
                 pb = p.with_updates(b2=b2)
                 ref = _ref_ldg_energy(pg, shifted.values, pb)
                 assert ldg_energy_spectral(shifted, pb) == pytest.approx(ref, rel=1e-12)
-
-
-def test_field_csv_schema(tmp_path, solve_cache):
-    p, prof, _ = solve_cache(L=0.1, n=256)
-    pg = PolarGrid(prof.grid, 64)
-    field = lift(prof, p.k, pg)
-    path = tmp_path / "field.csv"
-    write_field_csv(path, field)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "r,phi,q11,q12,q13,q22,q23"
-    assert len(lines) == 1 + prof.grid.nodes.size * pg.m
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == 0.0 and first[1] == 0.0
-    assert np.allclose(first[2:], field.values[0, 0], atol=0.0)
 
 
 def test_dirichlet_quadrature_positive(solve_cache):

@@ -23,16 +23,18 @@ from qdefect import (
     first_integral_defect,
     hm_residual,
     lift,
-    meromorphic_harmonic_map,
-    profile_from_psi,
     psi_of_branch,
-    sphere_map_tension_residual,
     uniaxial_escape_components,
-    uniaxial_escape_field,
 )
 from qdefect.field import random_perturbation, _GaussRings, _orthonormal
 from qdefect.grid import GAUSS_XI
-from qdefect.tensor import eigenvalues_components, frob_sq
+from qdefect.tensor import (
+    biaxiality_components,
+    boundary_tensor_components,
+    components_to_matrix,
+    eigenvalues_components,
+    frob_sq,
+)
 
 SQ2 = math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -103,10 +105,11 @@ def test_psi_boundary_exact(branch):
 def test_psi_roundtrip_matches_explicit(k, branch):
     p = limit_params(k=k)
     grid = RadialGrid.uniform(p.R, 256)
-    via_psi = profile_from_psi(psi_of_branch(branch, p, grid), p)
+    psi = psi_of_branch(branch, p, grid).psi
+    amp = SQ23 * p.s_plus  # u = amp sin(psi), v = -amp cos(psi)
     direct = explicit_profile(branch, p, grid)
-    assert np.max(np.abs(via_psi.u - direct.u)) < 1e-13
-    assert np.max(np.abs(via_psi.v - direct.v)) < 1e-13
+    assert np.max(np.abs(amp * np.sin(psi) - direct.u)) < 1e-13
+    assert np.max(np.abs(-amp * np.cos(psi) - direct.v)) < 1e-13
 
 
 def test_first_integral_vanishes_for_exact_branches():
@@ -203,8 +206,6 @@ def test_e0_infinite_sentinel_and_strict_error():
     bad = Profile(grid, prof.u * 1.01, prof.v)
     res = e0_energy(bad, p)
     assert not res.finite and res.value is None and res.max_deviation > 1e-8
-    with pytest.raises(ConstraintViolated):
-        e0_energy(bad, p, strict=True)
     good = e0_energy(prof, p)
     assert good.finite and good.value > 0.0
 
@@ -259,13 +260,11 @@ def test_dirichlet_energy_2d_requires_b2_zero():
 
 def test_uniaxial_boundary_and_core():
     p = limit_params(k=2)
-    from qdefect.tensor import boundary_tensor_components
-
     for phi in np.linspace(0.0, 2.0 * math.pi, 7):
         at_rim = uniaxial_escape_components(p.R, phi, p)
         assert np.max(np.abs(at_rim - boundary_tensor_components(phi, p))) < 1e-14
-    at_core = uniaxial_escape_field(0.0, 1.3, p)
-    lam, vecs = np.linalg.eigh(at_core.matrix())
+    at_core = uniaxial_escape_components(0.0, 1.3, p)
+    lam, vecs = np.linalg.eigh(components_to_matrix(at_core))
     # m = e3: leading eigenvector along the axis, doubly degenerate planar pair
     assert np.allclose(np.abs(vecs[:, 2]), [0.0, 0.0, 1.0], atol=1e-12)
     assert lam[2] == pytest.approx(2.0 / 3.0 * p.s_plus, rel=1e-12)
@@ -279,8 +278,6 @@ def test_uniaxial_unit_director_and_norm(rng):
     assert np.max(np.abs(frob_sq(comps) - p.limit_norm_sq)) < 1e-12
     # uniaxiality: invariant-based measure vanishes; the closed-form
     # eigenvalue split of an exactly degenerate pair is O(sqrt(eps))
-    from qdefect.tensor import biaxiality_components
-
     assert np.max(biaxiality_components(comps)) < 1e-12
     lam = eigenvalues_components(comps)
     assert np.max(np.abs(lam[:, 0] - lam[:, 1])) < 1e-7
@@ -288,42 +285,23 @@ def test_uniaxial_unit_director_and_norm(rng):
 
 def test_uniaxial_rejects_odd_k():
     with pytest.raises(OddKForUniaxial):
-        uniaxial_escape_field(0.5, 0.0, limit_params(k=1))
+        uniaxial_escape_components(0.5, 0.0, limit_params(k=1))
 
-
-# ---------------------------------------------------------------------------
-# meromorphic generator
-# ---------------------------------------------------------------------------
 
 def test_meromorphic_reproduces_escape_director(rng):
+    # the k = 2 escape director is the inverse stereographic image of the
+    # meromorphic map w = z / R
     p = limit_params(k=2)
     r = rng.uniform(0.01, 1.0, 32)
     phi = rng.uniform(0.0, 2.0 * math.pi, 32)
-    x, y = r * np.cos(phi), r * np.sin(phi)
-    m, u5 = meromorphic_harmonic_map([1.0 / p.R, 0.0], [1.0], x, y)
+    w = r * np.exp(1j * phi) / p.R
+    m = np.stack([2.0 * w.real, 2.0 * w.imag, 1.0 - np.abs(w) ** 2], axis=-1)
+    m /= (1.0 + np.abs(w) ** 2)[:, None]
+    mm = p.s_plus * (m[:, :, None] * m[:, None, :] - np.eye(3) / 3.0)
     ref = uniaxial_escape_components(r, phi, p)
-    scaled = u5 * p.s_plus / math.sqrt(1.5)
-    assert np.max(np.abs(scaled - ref)) < 1e-13
+    assert np.max(np.abs(components_to_matrix(ref) - mm)) < 1e-13
     assert np.max(np.abs(np.sum(m * m, axis=-1) - 1.0)) < 1e-13
-    assert np.max(np.abs(frob_sq(u5) - 1.0)) < 1e-13
-
-
-def test_meromorphic_constant_and_pole():
-    m, _ = meromorphic_harmonic_map([0.0], [1.0], 0.3, -0.2)
-    assert np.allclose(m, [0.0, 0.0, 1.0])
-    # pole of 1/zeta at the origin
-    m, _ = meromorphic_harmonic_map([1.0], [1.0, 0.0], 0.0, 0.0)
-    assert np.allclose(m, [0.0, 0.0, -1.0])
-
-
-def test_meromorphic_tension_residual_second_order(rng):
-    pts = rng.uniform(-0.8, 0.8, (16, 2))
-    worst = []
-    for h in (2e-2, 1e-2, 5e-3):
-        res = sphere_map_tension_residual([1.0, 0.0], [1.0], pts[:, 0], pts[:, 1], h)
-        worst.append(np.max(np.abs(res)))
-    assert worst[0] / worst[1] == pytest.approx(4.0, rel=0.25)
-    assert worst[1] / worst[2] == pytest.approx(4.0, rel=0.25)
+    assert np.max(np.abs(frob_sq(ref) - p.limit_norm_sq)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

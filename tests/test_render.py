@@ -8,11 +8,9 @@ from qdefect import (
     Branch,
     InvalidParams,
     ModelParams,
-    QTensor,
     RadialGrid,
     RenderSpec,
     ansatz_components,
-    biaxiality,
     eigen3,
     eigenvalue_chart_svg,
     explicit_profile,
@@ -20,6 +18,7 @@ from qdefect import (
     minimize,
 )
 from qdefect.render import biaxiality_color
+from qdefect.tensor import biaxiality_components
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -181,10 +180,10 @@ def eigen3_lattice(profile, params, density, size=640):
     for r, phi in lattice:
         u = float(np.interp(r, profile.grid.nodes, profile.u))
         v = float(np.interp(r, profile.grid.nodes, profile.v))
-        q = QTensor(ansatz_components(u, v, phi, params.k))
+        q = ansatz_components(u, v, phi, params.k)
         lam, vecs = eigen3(q)
         xy = (cx + r * math.cos(phi) * px_scale, cy - r * math.sin(phi) * px_scale)
-        points.append((xy, lam, vecs, biaxiality_color(biaxiality(q))))
+        points.append((xy, lam, vecs, biaxiality_color(float(biaxiality_components(q)))))
     return points
 
 

@@ -3,19 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qdefect import (
-    ModelParams,
-    QTensor,
-    biaxiality,
-    boundary_tensor,
-    bulk_energy,
-    eigen3,
-    frame_f3,
-    frame_fn,
-)
+from qdefect import InvalidParams, ModelParams, eigen3
 from qdefect.tensor import (
     ansatz_components,
     ansatz_eigenvalues,
+    biaxiality_components,
+    boundary_tensor_components,
+    bulk_density,
+    components_to_matrix,
     deviatoric_square,
     frame_fn_components,
     frob_dot,
@@ -48,8 +43,18 @@ def jacobi_eigenvalues(a, sweeps=30):
     return np.sort(np.diag(a))
 
 
-def random_qtensor(rng, scale=1.0):
-    return QTensor(rng.standard_normal(5) * scale)
+def random_components(rng, scale=1.0):
+    return rng.standard_normal(5) * scale
+
+
+def components(m):
+    """The five stored components ``(q11, q12, q13, q22, q23)`` of a 3x3 matrix."""
+    m = np.asarray(m, dtype=float)
+    return np.array([m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2]])
+
+
+def norm(c):
+    return math.sqrt(float(frob_sq(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +62,29 @@ def random_qtensor(rng, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def test_frame_fn_axis_aligned():
-    q = frame_fn(0.0, 2)
-    assert np.allclose(q.matrix(), SQ2 * np.diag([0.5, -0.5, 0.0]), atol=1e-15)
-    q = frame_fn(math.pi, 2)  # k/2 * phi = pi, so n = (-1, 0, 0)
-    assert np.allclose(q.matrix(), SQ2 * np.diag([0.5, -0.5, 0.0]), atol=1e-14)
+    q = components_to_matrix(frame_fn_components(0.0, 2))
+    assert np.allclose(q, SQ2 * np.diag([0.5, -0.5, 0.0]), atol=1e-15)
+    q = components_to_matrix(frame_fn_components(math.pi, 2))  # k/2 * phi = pi, so n = (-1, 0, 0)
+    assert np.allclose(q, SQ2 * np.diag([0.5, -0.5, 0.0]), atol=1e-14)
 
 
 def test_frame_fn_half_angle():
     # k=2, phi=pi/2 -> n = (0, 1, 0)
-    q = frame_fn(math.pi / 2.0, 2)
-    assert np.allclose(q.matrix(), SQ2 * np.diag([-0.5, 0.5, 0.0]), atol=1e-15)
+    q = components_to_matrix(frame_fn_components(math.pi / 2.0, 2))
+    assert np.allclose(q, SQ2 * np.diag([-0.5, 0.5, 0.0]), atol=1e-15)
 
 
 def test_frame_orthonormality_everywhere():
-    f3 = frame_f3()
+    f3 = F3_COMPONENTS
     for k in (-4, -3, -2, -1, 1, 2, 3, 4):
         for phi in np.linspace(0.0, 2.0 * math.pi, 17):
-            fn = frame_fn(phi, k)
-            assert fn.norm_sq() == pytest.approx(1.0, abs=1e-14)
-            assert fn.dot(f3) == pytest.approx(0.0, abs=1e-14)
-    assert f3.norm_sq() == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(f3.matrix(), np.diag([-1.0, -1.0, 2.0]) / SQ6, atol=1e-15)
-    assert abs(np.trace(f3.matrix())) < 1e-15
+            fn = frame_fn_components(phi, k)
+            assert float(frob_sq(fn)) == pytest.approx(1.0, abs=1e-14)
+            assert float(frob_dot(fn, f3)) == pytest.approx(0.0, abs=1e-14)
+    assert float(frob_sq(f3)) == pytest.approx(1.0, abs=1e-14)
+    f3m = components_to_matrix(f3)
+    assert np.allclose(f3m, np.diag([-1.0, -1.0, 2.0]) / SQ6, atol=1e-15)
+    assert abs(np.trace(f3m)) < 1e-15
 
 
 def test_frame_tensor_periodicity():
@@ -96,18 +102,17 @@ def test_frame_tensor_periodicity():
 
 def test_boundary_tensor_value_and_decomposition():
     p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=2)
-    q = boundary_tensor(0.0, p)
+    q = boundary_tensor_components(0.0, p)
     expected = (SQ6 / 2.0) * np.diag([2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])
-    assert np.allclose(q.matrix(), expected, atol=1e-15)
+    assert np.allclose(components_to_matrix(q), expected, atol=1e-15)
     # decomposition route s+ (F_n/sqrt(2) - F_3/sqrt(6))
     for phi in np.linspace(0.0, 2 * math.pi, 9):
-        direct = boundary_tensor(phi, p)
+        direct = boundary_tensor_components(phi, p)
         frames = p.s_plus * (
-            (1.0 / SQ2) * frame_fn(phi, p.k).components
-            - (1.0 / SQ6) * frame_f3().components
+            (1.0 / SQ2) * frame_fn_components(phi, p.k) - (1.0 / SQ6) * F3_COMPONENTS
         )
-        assert np.max(np.abs(direct.components - frames)) < 1e-14
-        assert direct.norm_sq() == pytest.approx(2.0 / 3.0 * p.s_plus**2, rel=1e-14)
+        assert np.max(np.abs(direct - frames)) < 1e-14
+        assert float(frob_sq(direct)) == pytest.approx(2.0 / 3.0 * p.s_plus**2, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +121,17 @@ def test_boundary_tensor_value_and_decomposition():
 
 def test_bulk_energy_zero():
     p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=1)
-    assert bulk_energy(QTensor.zero(), p) == 0.0
+    assert float(bulk_density(np.zeros(5), p)) == 0.0
 
 
 def test_bulk_energy_at_boundary_tensor():
     p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=2)
-    q = boundary_tensor(1.2, p)
-    assert bulk_energy(q, p) == pytest.approx(-0.25, rel=1e-14)
+    q = boundary_tensor_components(1.2, p)
+    assert float(bulk_density(q, p)) == pytest.approx(-0.25, rel=1e-14)
     # direct matrix oracle
-    m = q.matrix()
+    m = components_to_matrix(q)
     f = -0.5 * np.trace(m @ m) + 0.25 * np.trace(m @ m) ** 2
-    assert bulk_energy(q, p) == pytest.approx(float(f), rel=1e-13)
+    assert float(bulk_density(q, p)) == pytest.approx(float(f), rel=1e-13)
 
 
 def test_s_plus_minimizes_uniaxial_bulk():
@@ -134,10 +139,10 @@ def test_s_plus_minimizes_uniaxial_bulk():
     n = np.array([1.0, 0.0, 0.0])
     uni = np.outer(n, n) - np.eye(3) / 3.0
     svals = np.linspace(0.1, 3.0, 581)
-    fvals = [bulk_energy(QTensor.from_matrix(s * uni), p) for s in svals]
+    fvals = [float(bulk_density(components(s * uni), p)) for s in svals]
     s_best = svals[int(np.argmin(fvals))]
     assert s_best == pytest.approx(1.5, abs=svals[1] - svals[0])
-    f_at_splus = bulk_energy(QTensor.from_matrix(p.s_plus * uni), p)
+    f_at_splus = float(bulk_density(components(p.s_plus * uni), p))
     assert f_at_splus <= min(fvals) + 1e-12
 
 
@@ -146,14 +151,13 @@ def test_s_plus_minimizes_uniaxial_bulk():
 # ---------------------------------------------------------------------------
 
 def test_eigen3_diagonal():
-    q = QTensor.from_matrix(np.diag([2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0]))
-    lam, vecs = eigen3(q)
+    lam, vecs = eigen3(components(np.diag([2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])))
     assert np.allclose(lam, [-1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0], atol=1e-14)
     assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
 
 
 def test_eigen3_zero():
-    lam, vecs = eigen3(QTensor.zero())
+    lam, vecs = eigen3(np.zeros(5))
     assert np.all(lam == 0.0)
     assert np.allclose(vecs, np.eye(3))
 
@@ -163,24 +167,24 @@ def test_eigen3_ansatz_formula():
     for _ in range(200):
         u, v = rng.standard_normal(2)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        q = QTensor(ansatz_components(u, v, phi, 3))
+        q = ansatz_components(u, v, phi, 3)
         lam, _ = eigen3(q)
         expected = np.sort(ansatz_eigenvalues(u, v))
-        assert np.max(np.abs(lam - expected)) < 1e-12 * max(1.0, q.norm())
+        assert np.max(np.abs(lam - expected)) < 1e-12 * max(1.0, norm(q))
 
 
 def test_eigen3_against_jacobi_oracle(rng):
     for _ in range(1000):
-        q = random_qtensor(rng, scale=rng.uniform(0.1, 3.0))
+        q = random_components(rng, scale=rng.uniform(0.1, 3.0))
         lam, vecs = eigen3(q)
-        ref = jacobi_eigenvalues(q.matrix())
-        scale = max(1.0, q.norm())
+        a = components_to_matrix(q)
+        ref = jacobi_eigenvalues(a)
+        scale = max(1.0, norm(q))
         assert np.max(np.abs(lam - ref)) < 1e-10 * scale
         # eigen-residual and orthonormality
-        a = q.matrix()
         for i in range(3):
             res = a @ vecs[:, i] - lam[i] * vecs[:, i]
-            assert np.linalg.norm(res) < 1e-12 * max(q.norm(), 1e-30)
+            assert np.linalg.norm(res) < 1e-12 * max(norm(q), 1e-30)
         assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
         assert abs(lam.sum()) < 1e-12 * scale
 
@@ -194,17 +198,17 @@ def test_eigen3_near_degenerate_residual(rng):
         pert = rng.standard_normal((3, 3)) * 1e-9
         pert = 0.5 * (pert + pert.T)
         pert -= np.trace(pert) / 3.0 * np.eye(3)
-        q = QTensor.from_matrix(base + pert, check=False)
+        q = components(base + pert)
         lam, vecs = eigen3(q)
-        a = q.matrix()
+        a = components_to_matrix(q)
         for i in range(3):
             res = a @ vecs[:, i] - lam[i] * vecs[:, i]
-            assert np.linalg.norm(res) < 1e-8 * q.norm()
+            assert np.linalg.norm(res) < 1e-8 * norm(q)
         assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-10)
 
 
 def test_eigen3_deterministic_on_degenerate():
-    q = QTensor.from_matrix(np.diag([1.0, 1.0, -2.0]) / 3.0)
+    q = components(np.diag([1.0, 1.0, -2.0]) / 3.0)
     lam1, v1 = eigen3(q)
     lam2, v2 = eigen3(q)
     assert np.array_equal(lam1, lam2)
@@ -217,18 +221,18 @@ def test_eigen3_deterministic_on_degenerate():
 
 def test_biaxiality_uniaxial_is_zero():
     n = np.array([0.6, 0.8, 0.0])
-    q = QTensor.from_matrix(np.outer(n, n) - np.eye(3) / 3.0)
-    assert biaxiality(q) == pytest.approx(0.0, abs=1e-12)
+    q = components(np.outer(n, n) - np.eye(3) / 3.0)
+    assert float(biaxiality_components(q)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_biaxiality_maximal():
-    q = QTensor(np.array([0.7, 0.0, 0.0, -0.7, 0.0]))  # eigenvalues (t, -t, 0)
-    assert biaxiality(q) == pytest.approx(1.0, abs=1e-13)
+    q = np.array([0.7, 0.0, 0.0, -0.7, 0.0])  # eigenvalues (t, -t, 0)
+    assert float(biaxiality_components(q)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_biaxiality_zero_convention():
-    assert biaxiality(QTensor.zero()) == 0.0
-    assert biaxiality(QTensor(np.full(5, 1e-16))) == 0.0
+    assert float(biaxiality_components(np.zeros(5))) == 0.0
+    assert float(biaxiality_components(np.full(5, 1e-16))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +241,12 @@ def test_biaxiality_zero_convention():
 
 def test_reconstruction_symmetric_traceless_norm(rng):
     for _ in range(500):
-        q = random_qtensor(rng)
-        m = q.matrix()
+        q = random_components(rng)
+        m = components_to_matrix(q)
         assert np.array_equal(m, m.T)
         assert abs(np.trace(m)) <= 4.0 * np.spacing(np.max(np.abs(m)))
         lam, _ = eigen3(q)
-        assert q.norm_sq() == pytest.approx(float(np.sum(lam**2)), rel=1e-12)
+        assert float(frob_sq(q)) == pytest.approx(float(np.sum(lam**2)), rel=1e-12)
 
 
 def test_cubic_trace_identity(rng):
@@ -251,7 +255,7 @@ def test_cubic_trace_identity(rng):
         u, v = rng.standard_normal(2)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         k = int(rng.integers(1, 5))
-        m = QTensor(ansatz_components(u, v, phi, k)).matrix()
+        m = components_to_matrix(ansatz_components(u, v, phi, k))
         direct = float(np.trace(m @ m @ m))
         assert direct == pytest.approx(v * (v * v - 3.0 * u * u) / SQ6, abs=1e-12)
 
@@ -263,9 +267,9 @@ def test_square_identity(rng):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         k = int(rng.integers(1, 5))
         fn = frame_fn_components(phi, k)
-        y = QTensor(ansatz_components(u, v, phi, k)).matrix()
-        fn_m = QTensor(fn).matrix()
-        f3_m = QTensor(F3_COMPONENTS).matrix()
+        y = components_to_matrix(ansatz_components(u, v, phi, k))
+        fn_m = components_to_matrix(fn)
+        f3_m = components_to_matrix(F3_COMPONENTS)
         rhs = (
             -math.sqrt(2.0 / 3.0) * u * v * fn_m
             + (v * v - u * u) / SQ6 * f3_m
@@ -284,30 +288,49 @@ def test_ansatz_norm_identity(rng):
 
 def test_deviatoric_square_matches_matrix_route(rng):
     for _ in range(200):
-        q = random_qtensor(rng)
-        m = q.matrix()
+        q = random_components(rng)
+        m = components_to_matrix(q)
         ref = m @ m - np.trace(m @ m) / 3.0 * np.eye(3)
-        got = QTensor(deviatoric_square(q.components)).matrix()
+        got = components_to_matrix(deviatoric_square(q))
         assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_frob_dot_matches_trace(rng):
     for _ in range(100):
-        a, b = random_qtensor(rng), random_qtensor(rng)
-        ref = float(np.trace(a.matrix() @ b.matrix()))
-        assert float(frob_dot(a.components, b.components)) == pytest.approx(ref, rel=1e-13)
+        a, b = random_components(rng), random_components(rng)
+        ref = float(np.trace(components_to_matrix(a) @ components_to_matrix(b)))
+        assert float(frob_dot(a, b)) == pytest.approx(ref, rel=1e-13)
 
 
 def test_frame_coeffs_roundtrip(rng):
-    from qdefect import FrameCoeffs
-
+    # (u, v) -> u F_n + v F_3 -> projections onto the frame give (u, v) back
     for _ in range(100):
         u, v = rng.standard_normal(2)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         k = int(rng.integers(1, 5))
-        fc = FrameCoeffs(u, v, phi)
-        q = fc.tensor(k)
-        assert q.norm_sq() == pytest.approx(fc.norm_sq(), rel=1e-13)
-        back = FrameCoeffs.from_tensor(q, phi, k)
-        assert back.u == pytest.approx(u, abs=1e-13)
-        assert back.v == pytest.approx(v, abs=1e-13)
+        q = ansatz_components(u, v, phi, k)
+        assert float(frob_sq(q)) == pytest.approx(u * u + v * v, rel=1e-13)
+        assert float(frob_dot(q, frame_fn_components(phi, k))) == pytest.approx(u, abs=1e-13)
+        assert float(frob_dot(q, F3_COMPONENTS)) == pytest.approx(v, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # the inputs of the eigen3 tests above, in a shape or with a value
+        # that is not one tensor's five finite components
+        np.diag([2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0]),
+        np.zeros((1, 5)),
+        np.zeros(4),
+        np.zeros(6),
+        np.array(0.0),
+        np.array([0.7, 0.0, 0.0, -0.7, np.nan]),
+        np.array([0.7, np.inf, 0.0, -0.7, 0.0]),
+        ["q11", "q12", "q13", "q22", "q23"],
+        None,
+    ],
+    ids=["matrix", "batched", "short", "long", "scalar", "nan", "inf", "strings", "none"],
+)
+def test_eigen3_rejects_anything_but_finite_five_components(bad):
+    with pytest.raises(InvalidParams):
+        eigen3(bad)
