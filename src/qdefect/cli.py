@@ -3,8 +3,9 @@
 Commands: ``solve``, ``limit``, ``residual``, ``render``, ``sweep``,
 ``energy``.  Exit codes: 0 success, 1 numerical failure, 2 usage or
 configuration error.  Options come from flat flags, optionally seeded
-from a JSON config file (flags override the file; unknown file keys are
-rejected).  No environment variables are consulted, and outputs are
+from a JSON config file (flags override the file).  Each command accepts
+only the flags it reads, and the same keys in the file; any other flag or
+key is rejected.  No environment variables are consulted, and outputs are
 written atomically (temp file + rename) for reproducible pipelines.
 """
 
@@ -83,20 +84,24 @@ def _write_profile(path: str, profile: Profile) -> None:
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-_PARAM_DEFAULTS = {
-    "a2": 1.0,
-    "b2": 0.0,
-    "c2": 1.0,
-    "L": 0.1,
-    "R": 1.0,
-    "k": 1,
-    "n": 512,
-    "m": 128,
-    "tol": 1e-9,
-    "max_iter": 100,
-    "init": "explicit",
-    "init_file": None,
-    "out": "qdefect",
+_MODEL_DEFAULTS = {"a2": 1.0, "b2": 0.0, "c2": 1.0, "L": 0.1, "R": 1.0, "k": 1}
+
+# Flag groups beyond the model coefficients, with their defaults.
+_GROUP_DEFAULTS = {
+    "n": {"n": 512},
+    "m": {"m": 128},
+    "solver": {"tol": 1e-9, "max_iter": 100, "init": "explicit", "init_file": None},
+}
+
+# The groups each command reads: it accepts exactly these flags, and the
+# same keys in a config file.
+_COMMAND_GROUPS = {
+    "solve": ("n", "solver"),
+    "sweep": ("n", "solver"),
+    "limit": ("n", "m"),
+    "render": ("n",),
+    "residual": ("m",),
+    "energy": ("m",),
 }
 
 _RENDER_DEFAULTS = {
@@ -131,7 +136,8 @@ def _config_value(key: str, value, default):
     raise InvalidParams(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _add_param_flags(sub):
+def _add_param_flags(sub, command: str):
+    groups = _COMMAND_GROUPS[command]
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--a2", type=float, help="bulk coefficient a2 (> 0)")
     sub.add_argument("--b2", type=float, help="bulk coefficient b2 (>= 0)")
@@ -139,17 +145,26 @@ def _add_param_flags(sub):
     sub.add_argument("--L", type=float, help="elastic constant (> 0)")
     sub.add_argument("--R", type=float, help="disk radius")
     sub.add_argument("--k", type=int, help="defect index numerator, nonzero integer")
-    sub.add_argument("--n", type=int, help="radial segments (>= 16)")
-    sub.add_argument("--m", type=int, help="angular samples (even, >= 64)")
-    sub.add_argument("--tol", type=float, help="projected-gradient tolerance")
-    sub.add_argument("--max-iter", dest="max_iter", type=int, help="Newton iteration cap")
-    sub.add_argument("--init", choices=("explicit", "ramp", "file"), help="initial guess")
-    sub.add_argument("--init-file", dest="init_file", help="profile CSV for --init file")
+    if "n" in groups:
+        sub.add_argument("--n", type=int, help="radial segments (>= 16)")
+    if "m" in groups:
+        sub.add_argument("--m", type=int, help="angular samples (even, >= 64)")
+    if "solver" in groups:
+        sub.add_argument("--tol", type=float, help="projected-gradient tolerance")
+        sub.add_argument("--max-iter", dest="max_iter", type=int, help="Newton iteration cap")
+        sub.add_argument("--init", choices=("explicit", "ramp", "file"), help="initial guess")
+        sub.add_argument("--init-file", dest="init_file", help="profile CSV for --init file")
     sub.add_argument("--out", "-o", help="output path prefix")
 
 
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flag values over config-file values over defaults."""
+def _effective(args: argparse.Namespace, extra: dict | None = None) -> dict:
+    """Merge flag values over config-file values over defaults: the keys of
+    the command's flag groups, ``out`` and the command's own ``extra`` keys."""
+    defaults = dict(_MODEL_DEFAULTS)
+    for group in _COMMAND_GROUPS[args.command]:
+        defaults.update(_GROUP_DEFAULTS[group])
+    defaults["out"] = "qdefect"
+    defaults.update(extra or {})
     cfg = {}
     if getattr(args, "config", None):
         try:
@@ -199,7 +214,7 @@ def _init(eff: dict, params: ModelParams):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    eff = _effective(args, _PARAM_DEFAULTS)
+    eff = _effective(args)
     params = _model_params(eff)
     grid = _grid(eff, params)
     out = eff["out"]
@@ -222,7 +237,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    eff = _effective(args, _PARAM_DEFAULTS)
+    eff = _effective(args)
     if eff["b2"] != 0.0:
         raise InvalidParams("the limit command requires b2 = 0")
     params = _model_params(eff, allow_zero_l=True).with_updates(L=0.0)
@@ -254,7 +269,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    eff = _effective(args, {**_PARAM_DEFAULTS, "input": None})
+    eff = _effective(args, {"input": None})
     if not eff["input"]:
         raise InvalidParams("residual requires --input profile.csv")
     params = _model_params(eff)
@@ -286,7 +301,7 @@ def cmd_residual(args) -> int:
 
 
 def cmd_render(args) -> int:
-    eff = _effective(args, {**_PARAM_DEFAULTS, **_RENDER_DEFAULTS})
+    eff = _effective(args, _RENDER_DEFAULTS)
     if bool(eff["branch"]) == bool(eff["input"]):
         raise InvalidParams("render needs exactly one of --branch or --input")
     spec = render.RenderSpec(
@@ -333,7 +348,7 @@ def _sweep_values(raw: str, name: str):
 
 
 def cmd_sweep(args) -> int:
-    eff = _effective(args, {**_PARAM_DEFAULTS, "b2_list": None, "L_list": None})
+    eff = _effective(args, {"b2_list": None, "L_list": None})
     b2_list = _sweep_values(eff["b2_list"], "b2")
     l_list = _sweep_values(eff["L_list"], "L")
     if (b2_list is None) == (l_list is None):
@@ -377,7 +392,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_energy(args) -> int:
     # without an output prefix the energies are only printed
-    eff = _effective(args, {**_PARAM_DEFAULTS, "input": None, "out": None})
+    eff = _effective(args, {"input": None, "out": None})
     if not eff["input"]:
         raise InvalidParams("energy requires --input profile.csv")
     params = _model_params(eff)
@@ -414,39 +429,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="minimise the reduced radial energy")
-    _add_param_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    def command(name, func, help):
+        # no prefix matching: ``solve --m`` must not pass as ``--max-iter``
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        _add_param_flags(p, name)
+        p.set_defaults(func=func)
+        return p
 
-    p_limit = sub.add_parser("limit", help="explicit L -> 0 profiles and energy table")
-    _add_param_flags(p_limit)
-    p_limit.set_defaults(func=cmd_limit)
-
-    p_res = sub.add_parser("residual", help="ODE and 2D PDE residuals of a profile")
-    _add_param_flags(p_res)
+    command("solve", cmd_solve, "minimise the reduced radial energy")
+    command("limit", cmd_limit, "explicit L -> 0 profiles and energy table")
+    p_res = command("residual", cmd_residual, "ODE and 2D PDE residuals of a profile")
     p_res.add_argument("--input", help="profile CSV (r,u,v)")
-    p_res.set_defaults(func=cmd_residual)
 
-    p_render = sub.add_parser("render", help="SVG glyph lattice and eigenvalue chart")
-    _add_param_flags(p_render)
+    p_render = command("render", cmd_render, "SVG glyph lattice and eigenvalue chart")
     p_render.add_argument("--branch", choices=("minus", "plus"), help="explicit branch")
     p_render.add_argument("--input", help="profile CSV (r,u,v)")
     p_render.add_argument("--style", choices=("rod", "box"), help="glyph style")
     p_render.add_argument("--density", type=int, help="glyph rings (>= 4)")
     p_render.add_argument("--size", type=int, help="image size in px")
     p_render.add_argument("--shift", type=float, help="box eigenvalue shift")
-    p_render.set_defaults(func=cmd_render)
 
-    p_sweep = sub.add_parser("sweep", help="parameter continuation sweep")
-    _add_param_flags(p_sweep)
+    p_sweep = command("sweep", cmd_sweep, "parameter continuation sweep")
     p_sweep.add_argument("--b2-list", dest="b2_list", help="comma-separated monotone b2 values")
     p_sweep.add_argument("--L-list", dest="L_list", help="comma-separated monotone L values")
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_energy = sub.add_parser("energy", help="print energies of a profile")
-    _add_param_flags(p_energy)
+    p_energy = command("energy", cmd_energy, "print energies of a profile")
     p_energy.add_argument("--input", help="profile CSV (r,u,v)")
-    p_energy.set_defaults(func=cmd_energy)
     return parser
 
 

@@ -18,7 +18,10 @@ Two discretisations coexist deliberately:
 
 One kernel, :class:`_GaussRings`, evaluates the consistent scheme from
 node products and Parseval ring sums; nothing is interpolated to the
-Gauss radii except ``tr Q^3``.
+Gauss radii except ``tr Q^3``.  It streams the same ring blocks as the
+finite-difference scheme and keeps only per-ring sums, so its working
+memory is O(block x M) too; a non-finite field shows in those sums and
+raises :class:`~qdefect.errors.InvalidParams`.
 """
 
 from __future__ import annotations
@@ -257,12 +260,56 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
 # consistent spectral/Gauss scheme
 # ---------------------------------------------------------------------------
 
-def _orthonormal(values: np.ndarray) -> np.ndarray:
-    """Samples ``(N+1, M, 5)`` as ``(5, N+1, M)`` coordinates in which the
-    Frobenius product is Euclidean (an orthonormal basis of the tensors)."""
-    q11, q12, q13, q22, q23 = np.moveaxis(values, -1, 0)
-    r2 = math.sqrt(2.0)
-    return np.stack([math.sqrt(1.5) * (q11 + q22), (q11 - q22) / r2, r2 * q12, r2 * q13, r2 * q23])
+# Rows map the components ``(q11, q12, q13, q22, q23)`` to coordinates in which
+# the Frobenius product is Euclidean (an orthonormal basis of the tensors).
+_R15 = math.sqrt(1.5)
+_R2 = math.sqrt(2.0)
+_ORTHONORMAL = np.array([
+    [_R15, 0.0, 0.0, _R15, 0.0],
+    [1.0 / _R2, 0.0, 0.0, -1.0 / _R2, 0.0],
+    [0.0, _R2, 0.0, 0.0, 0.0],
+    [0.0, 0.0, _R2, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, _R2],
+])
+
+
+def _coords(values: np.ndarray) -> np.ndarray:
+    """Samples ``(rings, M, 5)`` as ``(5, rings, M)`` orthonormal coordinates."""
+    rings, m, _ = values.shape
+    return (_ORTHONORMAL @ values.reshape(-1, 5).T).reshape(5, rings, m)
+
+
+def _products(a: np.ndarray, b: np.ndarray | None = None):
+    """Per-point node products ``a_i:b_i`` and ``(a_i:b_{i+1} + a_{i+1}:b_i) / 2`` of a block."""
+    b = a if b is None else b
+    cross = np.einsum("cij,cij->ij", a[:, :-1], b[:, 1:])
+    if b is not a:
+        cross = 0.5 * (cross + np.einsum("cij,cij->ij", a[:, 1:], b[:, :-1]))
+    return np.einsum("cij,cij->ij", a, b), cross
+
+
+def _pair(a, b) -> np.ndarray:
+    """Segment sums ``(3, 3, segments)`` of ``(a:a')(b:b')`` terms from per-point node
+    products: the rows pair ``a_i``, the cross term and ``a_{i+1}`` with the same of ``b``."""
+    sa = np.stack([a[0][:-1], a[1], a[0][1:]])
+    sb = np.stack([b[0][:-1], b[1], b[0][1:]])
+    return np.einsum("aij,bij->abi", sa, sb)
+
+
+class _RingSums:
+    """Ring sums of one field ``a``, filled block by block by :meth:`_GaussRings.add`.
+
+    ``nodes``, ``cross``: ``a_i:a_i`` and ``a_i:a_{i+1}``; ``rad``: ``|d_r a|^2``
+    per segment, from the slopes themselves; ``dphi``, ``dphi_cross``: the node
+    products of ``d_phi a`` by Parseval.
+    """
+
+    def __init__(self, n: int):
+        self.nodes, self.dphi = np.empty(n), np.empty(n)
+        self.cross, self.dphi_cross, self.rad = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
+
+    def __iter__(self):
+        return iter((self.nodes, self.cross, self.rad, self.dphi, self.dphi_cross))
 
 
 class _GaussRings:
@@ -270,63 +317,108 @@ class _GaussRings:
 
     At ``xi`` on segment ``i`` a product of two piecewise-linear fields is
     ``(1-xi)^2 a_i:b_i + 2 xi (1-xi) a_i:b_{i+1} + xi^2 a_{i+1}:b_{i+1}``,
-    so Gauss sums are weighted sums of node products (fields given by
-    :func:`_orthonormal`).  ``wg``: Gauss weights of ``int f r dr dphi``;
-    ``inv_rg2``: inverse squared Gauss radii; ``coef``: the node weights.
+    so Gauss sums are weighted sums of node products.  Callers stream the
+    rings with :meth:`stream`, reduce each block to ring sums (:meth:`add`,
+    :func:`_pair`) and weigh those: ``wg``: Gauss weights of
+    ``int f r dr dphi``; ``inv_rg2``: inverse squared Gauss radii; ``coef``:
+    the node weights.
     """
 
     def __init__(self, grid: PolarGrid):
         self.m = grid.m
-        self.h = grid.radial.h
+        self.n = grid.radial.nodes.size
+        self.h_sq = grid.radial.h * grid.radial.h
         rg, wg = grid.radial.gauss_points()
         self.wg = wg * grid.dphi
         self.inv_rg2 = 1.0 / (rg * rg)
         lo = 1.0 - GAUSS_XI
         self.coef = np.stack([lo * lo, 2.0 * lo * GAUSS_XI, GAUSS_XI * GAUSS_XI])
+        # Parseval: mode k weighs 2 k^2 / M, the Nyquist mode 0, as in Fourier
+        # differentiation
+        self.freq = np.arange(self.m // 2 + 1.0)
+        self.freq[-1] = 0.0
 
-    @staticmethod
-    def products(a: np.ndarray, b: np.ndarray | None = None):
-        """Node products ``a_i:b_i`` and ``(a_i:b_{i+1} + a_{i+1}:b_i) / 2`` per point."""
-        b = a if b is None else b
-        cross = np.einsum("cij,cij->ij", a[:, :-1], b[:, 1:])
-        if b is not a:
-            cross = 0.5 * (cross + np.einsum("cij,cij->ij", a[:, 1:], b[:, :-1]))
-        return np.einsum("cij,cij->ij", a, b), cross
+    def stream(self, block) -> None:
+        """Call ``block(lo, hi, top)`` per ring block, with non-finite
+        arithmetic quiet: it shows in the ring sums, which callers check
+        with :func:`_require_finite`.
 
-    def integrate(self, prods, weight=1.0) -> float:
-        """``int w a:b`` from node products (per point or ring sums), ``w`` at the Gauss radii."""
-        nodes, cross = (p.sum(axis=1) if p.ndim == 2 else p for p in prods)
+        A block owns rings ``lo..hi-1`` and reads ``lo..top-1``, one ring
+        past its end for the slopes and the ``i, i+1`` node products, so it
+        holds segments ``lo..top-2``.  Its temporaries die when ``block``
+        returns, so at most one block's arrays are live.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in _ring_blocks(self.m, 0, self.n):
+                block(lo, hi, min(hi + 1, self.n))
+
+    def add(self, sums: _RingSums, lo: int, hi: int, a: np.ndarray):
+        """Fill ``sums`` from the block ``a`` (coordinates of rings ``lo..``);
+        returns its per-point :func:`_products` for the :func:`_pair` sums."""
+        prods = _products(a)
+        top = lo + a.shape[1]
+        own = hi - lo
+        sums.nodes[lo:hi] = prods[0][:own].sum(axis=1)
+        sums.cross[lo:top - 1] = prods[1].sum(axis=1)
+        d = a[:, 1:] - a[:, :-1]
+        sums.rad[lo:top - 1] = np.einsum("cij,cij->i", d, d) / self.h_sq[lo:top - 1]
+        hat = np.fft.rfft(a)
+        hat *= self.freq
+        parts = hat.view(float)  # real and imaginary parts sum in one pass
+        scale = 2.0 / self.m
+        sums.dphi[lo:hi] = np.einsum("cik,cik->i", parts[:, :own], parts[:, :own]) * scale
+        sums.dphi_cross[lo:top - 1] = np.einsum("cik,cik->i", parts[:, :-1], parts[:, 1:]) * scale
+        return prods
+
+    def integrate(self, nodes, cross, weight=1.0) -> float:
+        """``int w a:b`` from ring sums of node products, ``w`` at the Gauss radii."""
         c = (self.wg * weight) @ self.coef.T
         return float(np.sum(c[:, 0] * nodes[:-1] + c[:, 1] * cross + c[:, 2] * nodes[1:]))
 
-    def integrate_pair(self, a, b) -> float:
-        """``int (a:a')(b:b')`` from per-point node products: nine ring sums."""
-        sa = np.stack([a[0][:-1], a[1], a[0][1:]])
-        sb = np.stack([b[0][:-1], b[1], b[0][1:]])
+    def integrate_pair(self, pair: np.ndarray) -> float:
+        """``int (a:a')(b:b')`` from the :func:`_pair` segment sums."""
         k = np.einsum("ig,ag,bg->abi", self.wg, self.coef, self.coef)
-        return float(np.sum(k * np.einsum("aij,bij->abi", sa, sb)))
+        return float(np.sum(k * pair))
 
-    def radial_sq(self, a: np.ndarray) -> np.ndarray:
-        """Ring sums of ``|d_r a|^2`` per segment, from the slopes themselves."""
-        d = a[:, 1:] - a[:, :-1]
-        return np.einsum("cij,cij->i", d, d) / (self.h * self.h)
-
-    def phi_products(self, a: np.ndarray):
-        """Ring sums of ``d_phi a_i : d_phi a_i`` and ``d_phi a_i : d_phi a_{i+1}``
-        by Parseval: mode ``k`` weighs ``2 k^2 / M``, the Nyquist mode 0, as in
-        Fourier differentiation; real and imaginary parts sum in one pass."""
-        hat = np.fft.rfft(a)
-        hat *= np.arange(self.m // 2 + 1)
-        hat[..., -1] = 0.0
-        parts = hat.view(float)
-        scale = 2.0 / self.m
-        cross = np.einsum("cik,cik->i", parts[:, :-1], parts[:, 1:])
-        return np.einsum("cik,cik->i", parts, parts) * scale, cross * scale
-
-    def dirichlet(self, rad: np.ndarray, phi, weight=1.0) -> float:
-        """``0.5 int w |grad a|^2`` from :meth:`radial_sq` and :meth:`phi_products`."""
+    def dirichlet(self, rad, dphi, dphi_cross, weight=1.0) -> float:
+        """``0.5 int w |grad a|^2`` from the radial and Parseval ring sums."""
         radial = float(np.sum((self.wg * weight).sum(axis=1) * rad))
-        return 0.5 * (radial + self.integrate(phi, weight * self.inv_rg2))
+        return 0.5 * (radial + self.integrate(dphi, dphi_cross, weight * self.inv_rg2))
+
+    def energy(self, s: _RingSums, pair: np.ndarray, params: ModelParams, cubic=0.0) -> float:
+        """Landau-de Gennes energy from a field's ring sums, its ``_pair`` sums
+        with itself and the Gauss sum ``cubic`` of ``tr Q^3`` (read for ``b2 != 0``)."""
+        bulk = 0.25 * params.c2 * self.integrate_pair(pair)
+        bulk -= 0.5 * params.a2 * self.integrate(s.nodes, s.cross)
+        bulk -= (params.b2 / 3.0) * cubic
+        return self.dirichlet(s.rad, s.dphi, s.dphi_cross) + bulk / params.L
+
+    def quadratic_form(self, p: _RingSums, pair: np.ndarray, params: ModelParams) -> float:
+        """``0.5 int |grad P|^2 + (1/2L) int |P|^2 (-a2 + c2 |Y|^2)`` from the ring
+        sums of ``P`` and the ``_pair`` sums of ``P`` with ``Y``."""
+        pot = params.c2 * self.integrate_pair(pair) - params.a2 * self.integrate(p.nodes, p.cross)
+        return self.dirichlet(p.rad, p.dphi, p.dphi_cross) + pot / (2.0 * params.L)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """Max-abs of an array without a temporary; NaN propagates."""
+    return float(np.maximum(a.max(), -a.min()))
+
+
+def _require_perturbation(rim: np.ndarray, block_peaks) -> None:
+    """``InvalidParams`` unless the perturbation is finite (its max-abs over
+    blocks, ``block_peaks``, is) and vanishes on the boundary ring ``rim``."""
+    scale = float(np.max(block_peaks))
+    if not math.isfinite(scale):
+        raise InvalidParams("fields must be finite")
+    if _max_abs(rim) > 1e-10 * scale:
+        raise InvalidParams("perturbation must vanish on the boundary ring")
+
+
+def _require_finite(*sums: np.ndarray) -> None:
+    """``InvalidParams`` unless every ring sum is finite, as it is for a finite field."""
+    if not all(np.isfinite(s).all() for s in sums):
+        raise InvalidParams("fields must be finite (their ring sums are not)")
 
 
 def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
@@ -334,31 +426,28 @@ def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
 
     For lifted ansatz fields this equals ``2 pi`` times the reduced 1D
     energy to round-off by construction (same radial quadrature, exact
-    angular differentiation of band-limited data).
+    angular differentiation of band-limited data).  A non-finite field
+    raises :class:`~qdefect.errors.InvalidParams`.
     """
     if params.L <= 0.0:
         raise InvalidParams("ldg_energy_spectral requires L > 0")
     kern = _GaussRings(field.grid)
-    q = _orthonormal(field.values)
-    t = kern.products(q)
-    bulk = 0.25 * params.c2 * kern.integrate_pair(t, t) - 0.5 * params.a2 * kern.integrate(t)
-    if params.b2 != 0.0:
-        v = field.values
-        cubic = [tensor.trace_cubed((1 - xi) * v[:-1] + xi * v[1:]).sum(axis=1) for xi in GAUSS_XI]
-        bulk -= (params.b2 / 3.0) * float(np.sum(kern.wg * np.stack(cubic, axis=1)))
-    return kern.dirichlet(kern.radial_sq(q), kern.phi_products(q)) + bulk / params.L
+    s = _RingSums(kern.n)
+    pair = np.empty((3, 3, kern.n - 1))
+    cubic = np.zeros((kern.n - 1, GAUSS_XI.size))  # tr Q^3 at the Gauss rings, b2 != 0 only
 
+    def block(lo, hi, top):
+        vals = field.values[lo:top]
+        t = kern.add(s, lo, hi, _coords(vals))
+        pair[:, :, lo:top - 1] = _pair(t, t)
+        if params.b2 != 0.0:
+            for g, xi in enumerate(GAUSS_XI):
+                at_xi = (1 - xi) * vals[:-1] + xi * vals[1:]
+                cubic[lo:top - 1, g] = tensor.trace_cubed(at_xi).sum(axis=1)
 
-def _quadratic_form(kern: _GaussRings, y: np.ndarray, p: np.ndarray, phi, params: ModelParams):
-    """``0.5 int |grad P|^2 + (1/2L) int |P|^2 (-a2 + c2 |Y|^2)``, node products of ``P``."""
-    pp = kern.products(p)
-    pot = params.c2 * kern.integrate_pair(pp, kern.products(y)) - params.a2 * kern.integrate(pp)
-    return kern.dirichlet(kern.radial_sq(p), phi) + pot / (2.0 * params.L), pp
-
-
-def _require_boundary_vanishing(values: np.ndarray, scale: float):
-    if float(np.max(np.abs(values[-1]))) > 1e-10 * max(scale, 1e-300):
-        raise InvalidParams("perturbation must vanish on the boundary ring")
+    kern.stream(block)
+    _require_finite(pair, cubic, *s)
+    return kern.energy(s, pair, params, float(np.sum(kern.wg * cubic)))
 
 
 @dataclass
@@ -377,6 +466,8 @@ class SecondVariationResult:
 
     @property
     def rayleigh(self) -> float:
+        if self.perturbation_norm_sq == 0.0:
+            raise InvalidParams("the Rayleigh quotient of a zero perturbation is undefined")
         return self.direct / self.perturbation_norm_sq
 
 
@@ -385,14 +476,15 @@ def second_variation(
 ) -> SecondVariationResult:
     """Second variation of the energy at the two-mode solution ``Y``.
 
-    Requires ``b2 = 0`` (the cubic term would contribute otherwise) and a
-    perturbation vanishing on the boundary ring.  The weighted (Hardy)
-    form needs ``v < 0`` strictly; otherwise
+    Requires ``b2 = 0`` (the cubic term would contribute otherwise), finite
+    fields and a perturbation vanishing on the boundary ring.  The weighted
+    (Hardy) form needs ``v < 0`` strictly; otherwise
     :class:`~qdefect.errors.DecompositionInvalid` is raised.
 
     Both forms come from node products of ``P`` and ``Y`` (which need not be
     lifted) and from one transform of ``P``, whose Parseval ring sums the
-    Hardy form reuses divided by ``v_i v_{i'}``.
+    Hardy form reuses divided by ``v_i v_{i'}``; one streamed pass over ring
+    blocks forms them.
     """
     if params.b2 != 0.0:
         raise InvalidParams("second_variation is defined for b2 = 0 only")
@@ -402,24 +494,42 @@ def second_variation(
         raise GridError("solution and perturbation live on different grids")
     pv = perturbation.values
     yv = field_y.values
-    _require_boundary_vanishing(pv, float(np.max(np.abs(pv))))
 
     v = tensor.frob_dot(yv[:, 0, :], F3_COMPONENTS)
+    if not np.all(np.isfinite(v)):
+        raise InvalidParams("fields must be finite")
     if np.any(v >= -1e-10):
         raise DecompositionInvalid(
             "profile component v must be <= -1e-10 at every node for P = v U"
         )
 
     kern = _GaussRings(field_y.grid)
-    p = _orthonormal(pv)
-    nodes, cross = kern.phi_products(p)
-    direct, pp = _quadratic_form(kern, _orthonormal(yv), p, (nodes, cross), params)
+    p = _RingSums(kern.n)
+    pair = np.empty((3, 3, kern.n - 1))
+    hardy_rad = np.empty(kern.n - 1)
+    inv_v = 1.0 / v
+    peaks = []
+
+    def block(lo, hi, top):
+        peaks.append(_max_abs(pv[lo:top]))
+        q = _coords(pv[lo:top])
+        pp = kern.add(p, lo, hi, q)
+        pair[:, :, lo:top - 1] = _pair(pp, _products(_coords(yv[lo:top])))
+        u = q * inv_v[lo:top, None]
+        d = u[:, 1:] - u[:, :-1]
+        hardy_rad[lo:top - 1] = np.einsum("cij,cij->i", d, d) / kern.h_sq[lo:top - 1]
+
+    kern.stream(block)
+    _require_perturbation(pv[-1], peaks)
+    _require_finite(pair, hardy_rad, *p)
     hardy = kern.dirichlet(
-        kern.radial_sq(p / v[:, None]),
-        (nodes / (v * v), cross / (v[:-1] * v[1:])),
+        hardy_rad,
+        p.dphi / (v * v),
+        p.dphi_cross / (v[:-1] * v[1:]),
         ((1.0 - GAUSS_XI) * v[:-1, None] + GAUSS_XI * v[1:, None]) ** 2,
     )
-    return SecondVariationResult(direct, hardy, perturbation_norm_sq=kern.integrate(pp))
+    direct = kern.quadratic_form(p, pair, params)
+    return SecondVariationResult(direct, hardy, perturbation_norm_sq=kern.integrate(p.nodes, p.cross))
 
 
 @dataclass
@@ -442,24 +552,50 @@ class EnergyGapResult:
 def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> EnergyGapResult:
     """Two-route evaluation of the energy excess of ``Y + P`` over ``Y``.
 
-    The quartic remainder squares ``s = |P|^2 + 2 tr(Y P)``, which is linear
-    in node products, so its Gauss sum is one :meth:`_GaussRings.integrate_pair`.
+    One streamed pass forms ``P`` block by block and the ring sums of ``Y``,
+    ``Y + P`` and ``P``; each energy of the direct route comes from its own
+    field's sums.  The quartic remainder squares ``s = |P|^2 + 2 tr(Y P)``,
+    which is linear in node products, so its Gauss sum is one more set of
+    :func:`_pair` sums.
     """
     if params.b2 != 0.0:
         raise InvalidParams("energy_gap is defined for b2 = 0 only")
+    if params.L <= 0.0:
+        raise InvalidParams("energy_gap requires L > 0")
     if not field_y.same_grid(field_yp):
         raise GridError("fields live on different grids")
     yv = field_y.values
-    pv = field_yp.values - yv
-    _require_boundary_vanishing(pv, float(np.max(np.abs(pv))) or 1.0)
+    ypv = field_yp.values
 
-    direct = ldg_energy_spectral(field_yp, params) - ldg_energy_spectral(field_y, params)
     kern = _GaussRings(field_y.grid)
-    y, p = _orthonormal(yv), _orthonormal(pv)
-    quad_form, pp = _quadratic_form(kern, y, p, kern.phi_products(p), params)
-    yp = kern.products(y, p)
-    s = (pp[0] + 2.0 * yp[0], pp[1] + 2.0 * yp[1])
-    quart = kern.integrate_pair(s, s) * params.c2 / (4.0 * params.L)
+    n = kern.n
+    y, yp, p = _RingSums(n), _RingSums(n), _RingSums(n)
+    pair_y, pair_yp, pair_py, pair_s = (np.empty((3, 3, n - 1)) for _ in range(4))
+    peaks = []
+
+    def block(lo, hi, top):
+        pv = ypv[lo:top] - yv[lo:top]
+        peaks.append(_max_abs(pv))
+        qp = _coords(pv)
+        del pv  # keeps one block's peak of arrays below a field's size
+        qy = _coords(yv[lo:top])
+        pp, yy = kern.add(p, lo, hi, qp), kern.add(y, lo, hi, qy)
+        seg = slice(lo, top - 1)
+        pair_y[:, :, seg] = _pair(yy, yy)
+        pair_py[:, :, seg] = _pair(pp, yy)
+        cross = _products(qy, qp)
+        s = (pp[0] + 2.0 * cross[0], pp[1] + 2.0 * cross[1])
+        pair_s[:, :, seg] = _pair(s, s)
+        ypyp = kern.add(yp, lo, hi, _coords(ypv[lo:top]))
+        pair_yp[:, :, seg] = _pair(ypyp, ypyp)
+
+    kern.stream(block)
+    with np.errstate(invalid="ignore"):  # inf - inf in the rim shows as NaN
+        _require_perturbation(ypv[-1] - yv[-1], peaks)
+    _require_finite(pair_y, pair_yp, pair_py, pair_s, *y, *yp, *p)
+    direct = kern.energy(yp, pair_yp, params) - kern.energy(y, pair_y, params)
+    quad_form = kern.quadratic_form(p, pair_py, params)
+    quart = kern.integrate_pair(pair_s) * params.c2 / (4.0 * params.L)
     return EnergyGapResult(direct, quad_form + quart, quadratic_form=quad_form, quartic_term=quart)
 
 
@@ -480,8 +616,15 @@ def random_perturbation(
     angular mode ``m`` carries an ``(r/R)^min(m,2)`` factor so the field is
     single-valued at the origin.  ``concentrate`` selects an envelope
     biased toward the core (``"core"``), the rim (``"boundary"``) or
-    neither.  The result is scaled to the requested L2 norm.
+    neither.  The result is scaled to the requested L2 norm, which must be
+    finite and nonnegative; ``max_freq`` must be nonnegative.
     """
+    if concentrate not in (None, "core", "boundary"):
+        raise InvalidParams(f"concentrate must be None, 'core' or 'boundary', got {concentrate!r}")
+    if not max_freq >= 0:
+        raise InvalidParams(f"max_freq must be >= 0, got {max_freq!r}")
+    if not (math.isfinite(norm) and norm >= 0.0):
+        raise InvalidParams(f"norm must be finite and >= 0, got {norm!r}")
     rng = np.random.default_rng(seed)
     r = grid.radial.nodes
     radius = grid.radial.radius
@@ -513,4 +656,3 @@ def random_perturbation(
     if nsq > 0.0:
         comps *= norm / math.sqrt(nsq)
     return Field2D(grid, np.ascontiguousarray(np.moveaxis(comps, 0, -1)))
-

@@ -117,6 +117,34 @@ def test_config_values_convert_like_their_flags(tmp_path):
     assert read_profile_csv(tmp_path / "conv_profile.csv").grid.nodes.size == 65
 
 
+# flags each command does not read: argparse rejects them, and _effective
+# rejects the same keys in a config file
+_SOLVER_FLAGS = (("--tol", "1e-8", 1e-8), ("--max-iter", "5", 5), ("--init", "ramp", "ramp"),
+                 ("--init-file", "x.csv", "x.csv"))
+_DROPPED_FLAGS = [
+    *[(cmd, flag) for cmd in ("energy", "residual") for flag in (("--n", "64", 64), *_SOLVER_FLAGS)],
+    *[(cmd, flag) for cmd in ("limit", "render") for flag in _SOLVER_FLAGS],
+    *[(cmd, ("--m", "128", 128)) for cmd in ("solve", "sweep", "render")],
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _DROPPED_FLAGS, ids=[f"{cmd}{flag[0]}" for cmd, flag in _DROPPED_FLAGS]
+)
+def test_commands_accept_only_the_flags_they_read(tmp_path, capsys, command, flag):
+    name, text, value = flag
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, name, text)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {name}" in capsys.readouterr().err
+    key = name[2:].replace("-", "_")
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert run(tmp_path, command, "--config", "cfg.json", "-o", "cfgrun") == 2
+    err = capsys.readouterr().err
+    assert "[E_CONFIG]" in err and f"unknown config keys: [{key!r}]" in err
+    assert not list(tmp_path.glob("cfgrun*"))
+
+
 README_SWEEPS = (
     ("sweep", "--L-list", "0.1,0.03,0.01,0.003", "--k", "1", "--n", "1024", "-o", "sweepL"),
     ("sweep", "--b2-list", "0,0.05,0.1", "--L", "0.1", "--k", "1", "-o", "sweepB"),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,8 @@ def test_second_variation_zero_perturbation(stability_setup):
     zero = Field2D(pg, np.zeros_like(field.values))
     sv = second_variation(field, p, zero)
     assert sv.direct == 0.0 and sv.hardy == 0.0
+    with pytest.raises(InvalidParams, match="zero perturbation"):
+        sv.rayleigh
 
 
 def test_second_variation_positive_and_forms_agree(stability_setup):
@@ -288,6 +291,17 @@ def test_energy_gap_grid_mismatch(stability_setup):
 # ---------------------------------------------------------------------------
 # perturbation sampler and serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"norm": math.nan}, {"norm": math.inf}, {"norm": -1.0}, {"concentrate": "rim"}, {"max_freq": -1}],
+    ids=["norm-nan", "norm-inf", "norm-negative", "concentrate-unknown", "max-freq-negative"],
+)
+def test_random_perturbation_rejects_bad_arguments(kw):
+    pg = PolarGrid(RadialGrid.uniform(1.0, 64), 64)
+    with pytest.raises(InvalidParams):
+        random_perturbation(pg, seed=0, **kw)
+
 
 def test_random_perturbation_structure():
     pg = PolarGrid(RadialGrid.uniform(1.0, 64), 64)
@@ -399,18 +413,31 @@ def _rough_perturbation(pg, seed):
     return vals
 
 
-@pytest.fixture(scope="module")
-def oracle_fields(stability_setup):
+def _with_bumped(p, field, pg):
     """A lifted ``Y`` and a non-lifted one whose ``|Y|^2`` depends on the angle."""
-    p, field, pg = stability_setup
     bumped = field.values + 0.05 * random_perturbation(pg, seed=41).values
     assert np.ptp(frob_sq(bumped), axis=1).max() > 1e-3
     assert np.all(frob_dot(bumped[:, 0, :], F3_COMPONENTS) < -1e-3)
     return p, pg, (field, Field2D(pg, bumped))
 
 
-def test_second_variation_matches_gauss_point_reference(oracle_fields):
-    p, pg, fields = oracle_fields
+@pytest.fixture(scope="module")
+def oracle_fields(stability_setup):
+    return _with_bumped(*stability_setup)
+
+
+@pytest.fixture(scope="module")
+def graded_oracle_fields(solve_cache):
+    """A graded grid whose 257 rings stream as three ring blocks at M = 128,
+    the last one partial."""
+    p, prof, _ = solve_cache(L=0.01, n=256, k=2)
+    assert not np.allclose(prof.grid.h, prof.grid.h[0])
+    pg = PolarGrid(prof.grid, 128)
+    assert [hi - lo for lo, hi in _ring_blocks(pg.m, 0, pg.radial.nodes.size)] == [102, 102, 53]
+    return _with_bumped(p, lift(prof, p.k, pg), pg)
+
+
+def _check_second_variation_oracle(p, pg, fields):
     for y in fields:
         yv = y.values
         v = frob_dot(yv[:, 0, :], F3_COMPONENTS)
@@ -426,8 +453,15 @@ def test_second_variation_matches_gauss_point_reference(oracle_fields):
             assert sv.perturbation_norm_sq == pytest.approx(norm, rel=1e-12)
 
 
-def test_energy_gap_and_spectral_energy_match_gauss_point_reference(oracle_fields):
-    p, pg, fields = oracle_fields
+def test_second_variation_matches_gauss_point_reference(oracle_fields):
+    _check_second_variation_oracle(*oracle_fields)
+
+
+def test_second_variation_matches_gauss_point_reference_on_graded_blocks(graded_oracle_fields):
+    _check_second_variation_oracle(*graded_oracle_fields)
+
+
+def _check_energy_gap_oracle(p, pg, fields):
     for y in fields:
         yv = y.values
         for pv in (random_perturbation(pg, seed=5, norm=0.6).values, _rough_perturbation(pg, 6)):
@@ -446,6 +480,68 @@ def test_energy_gap_and_spectral_energy_match_gauss_point_reference(oracle_field
                 pb = p.with_updates(b2=b2)
                 ref = _ref_ldg_energy(pg, shifted.values, pb)
                 assert ldg_energy_spectral(shifted, pb) == pytest.approx(ref, rel=1e-12)
+
+
+def test_energy_gap_and_spectral_energy_match_gauss_point_reference(oracle_fields):
+    _check_energy_gap_oracle(*oracle_fields)
+
+
+def test_energy_gap_and_spectral_energy_match_gauss_point_reference_on_graded_blocks(
+    graded_oracle_fields,
+):
+    _check_energy_gap_oracle(*graded_oracle_fields)
+
+
+# ---------------------------------------------------------------------------
+# the streamed spectral/Gauss scheme: input checks and working memory
+# ---------------------------------------------------------------------------
+
+def _spectral_calls(p, field, pert):
+    """Each field argument of the spectral entry points, as a call that passes
+    it through ``bad``."""
+    shifted = Field2D(field.grid, field.values + pert.values)
+    return {
+        "second_variation.Y": lambda bad: second_variation(bad(field), p, pert),
+        "second_variation.P": lambda bad: second_variation(field, p, bad(pert)),
+        "energy_gap.Y": lambda bad: energy_gap(bad(field), shifted, p),
+        "energy_gap.YP": lambda bad: energy_gap(field, bad(shifted), p),
+        "ldg_energy_spectral": lambda bad: ldg_energy_spectral(bad(field), p),
+        "ldg_energy_spectral.b2": lambda bad: ldg_energy_spectral(bad(field), p.with_updates(b2=0.7)),
+    }
+
+
+@pytest.mark.parametrize("ring", [40, 230], ids=["first-block", "last-block"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_spectral_scheme_rejects_non_finite_fields(stability_setup, value, ring):
+    p, field, pg = stability_setup
+    pert = random_perturbation(pg, seed=7)
+
+    def bad(f):
+        vals = f.values.copy()
+        vals[ring, 7, 2] = value
+        return Field2D(pg, vals)
+
+    for name, call in _spectral_calls(p, field, pert).items():  # name shows in a failure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(InvalidParams, match="finite"):
+                call(bad)
+
+
+def test_spectral_scheme_working_memory_stays_below_one_field(solve_cache):
+    p, prof, _ = solve_cache(L=0.01, n=512)
+    pg = PolarGrid(prof.grid, 256)
+    field = lift(prof, p.k, pg)
+    pert = random_perturbation(pg, seed=3)
+    shifted = Field2D(pg, field.values + pert.values)
+    for call in (lambda: second_variation(field, p, pert), lambda: energy_gap(field, shifted, p)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < field.values.nbytes
 
 
 def test_dirichlet_quadrature_positive(solve_cache):

@@ -26,7 +26,7 @@ from qdefect import (
     psi_of_branch,
     uniaxial_escape_components,
 )
-from qdefect.field import random_perturbation, _GaussRings, _orthonormal
+from qdefect.field import random_perturbation, _coords, _GaussRings, _RingSums
 from qdefect.grid import GAUSS_XI
 from qdefect.tensor import (
     biaxiality_components,
@@ -373,7 +373,9 @@ def test_minus_branch_minimality_surrogate(rng):
     weight = -2.0 * kk * np.sin(psi_g) ** 2 * kern.inv_rg2
 
     for seed in range(20):
-        pert = _orthonormal(random_perturbation(pg, seed=seed, norm=1.0).values)
-        dir_term = kern.dirichlet(kern.radial_sq(pert), kern.phi_products(pert))
-        total = dir_term + kern.integrate(kern.products(pert), weight)
+        pert = random_perturbation(pg, seed=seed, norm=1.0).values
+        sums = _RingSums(kern.n)
+        kern.stream(lambda lo, hi, top: kern.add(sums, lo, hi, _coords(pert[lo:top])))
+        dir_term = kern.dirichlet(sums.rad, sums.dphi, sums.dphi_cross)
+        total = dir_term + kern.integrate(sums.nodes, sums.cross, weight)
         assert total >= -1e-10
