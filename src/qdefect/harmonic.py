@@ -198,12 +198,11 @@ def e0_energy(p, params: ModelParams) -> E0Result:
     :class:`PsiProfile` (constraint built in).  Constraint violations
     yield the infinite sentinel.
     """
-    k2 = float(params.k * params.k)
     if isinstance(p, PsiProfile):
-        q = _P1Gauss(p.grid)
+        q = _P1Gauss(p.grid, params.k)
         dpsi = np.diff(p.psi) / q.h
         sg = np.sin(q.at_gauss(p.psi))
-        dens = 0.5 * (dpsi * dpsi)[:, None] + 0.5 * k2 * sg * sg / q.rg2
+        dens = 0.5 * (dpsi * dpsi)[:, None] + 0.5 * q.k2 * sg * sg / q.rg2
         value = params.limit_norm_sq * float(np.sum(q.wg * dens))
         return E0Result(finite=True, value=value, max_deviation=0.0)
 
@@ -213,8 +212,8 @@ def e0_energy(p, params: ModelParams) -> E0Result:
     dev = float(np.max(np.abs(p.norm_sq_samples() - target))) / target
     if dev > 1e-8:
         return E0Result(finite=False, value=None, max_deviation=dev)
-    q = _P1Gauss(p.grid)
-    dens = q.dirichlet_density(p.u, p.v, q.at_gauss(p.u), k2)
+    q = _P1Gauss(p.grid, params.k)
+    dens = q.dirichlet_density(q.point(p.u, p.v))
     return E0Result(finite=True, value=float(np.sum(q.wg * dens)), max_deviation=dev)
 
 

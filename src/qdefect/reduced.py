@@ -136,25 +136,28 @@ def read_profile_csv(path) -> Profile:
 # bulk potential along the two-mode frame
 # ---------------------------------------------------------------------------
 
-def _fhat(u, v, p: ModelParams):
-    t = u * u + v * v
-    return -0.5 * p.a2 * t - (p.b2 / (3.0 * _SQRT6)) * v * (v * v - 3.0 * u * u) \
-        + 0.25 * p.c2 * t * t
+# The potential terms read an evaluated point (:meth:`_P1Gauss.point`).  Reusing
+# its squares must not change a rounding: ``2.0 * uu`` equals ``(2u) u`` exactly,
+# but ``3.0 * ug * ug`` stays, since ``(3u) u`` and ``3 (u u)`` can round apart.
+
+def _fhat(pt: _Point, p: ModelParams):
+    return -0.5 * p.a2 * pt.t \
+        - (p.b2 / (3.0 * _SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.ug * pt.ug) \
+        + 0.25 * p.c2 * pt.t * pt.t
 
 
-def _fhat_u(u, v, p: ModelParams):
-    return u * (-p.a2 + _SQRT23 * p.b2 * v + p.c2 * (u * u + v * v))
+def _fhat_u(pt: _Point, p: ModelParams):
+    return pt.ug * (-p.a2 + _SQRT23 * p.b2 * pt.vg + p.c2 * pt.t)
 
 
-def _fhat_v(u, v, p: ModelParams):
-    return v * (-p.a2 + p.c2 * (u * u + v * v)) - (p.b2 / _SQRT6) * (v * v - u * u)
+def _fhat_v(pt: _Point, p: ModelParams):
+    return pt.vg * (-p.a2 + p.c2 * pt.t) - (p.b2 / _SQRT6) * (pt.vv - pt.uu)
 
 
-def _fhat_hessian(u, v, p: ModelParams):
-    t = u * u + v * v
-    fuu = -p.a2 + _SQRT23 * p.b2 * v + p.c2 * (t + 2.0 * u * u)
-    fuv = _SQRT23 * p.b2 * u + 2.0 * p.c2 * u * v
-    fvv = -p.a2 - _SQRT23 * p.b2 * v + p.c2 * (t + 2.0 * v * v)
+def _fhat_hessian(pt: _Point, p: ModelParams):
+    fuu = -p.a2 + _SQRT23 * p.b2 * pt.vg + p.c2 * (pt.t + 2.0 * pt.uu)
+    fuv = _SQRT23 * p.b2 * pt.ug + 2.0 * p.c2 * pt.ug * pt.vg
+    fvv = -p.a2 - _SQRT23 * p.b2 * pt.vg + p.c2 * (pt.t + 2.0 * pt.vv)
     return fuu, fuv, fvv
 
 
@@ -162,17 +165,38 @@ def _fhat_hessian(u, v, p: ModelParams):
 # the P1/Gauss kernel: energy, gradient, Hessian
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Point:
+    """One evaluated point of the kernel: node values ``u, v``, their Gauss
+    values ``ug, vg`` with ``uu = ug*ug``, ``vv = vg*vg`` and ``t = uu + vv``,
+    and the per-segment node slopes ``du, dv``."""
+
+    u: np.ndarray
+    v: np.ndarray
+    ug: np.ndarray
+    vg: np.ndarray
+    uu: np.ndarray
+    vv: np.ndarray
+    t: np.ndarray
+    du: np.ndarray
+    dv: np.ndarray
+
+
 class _P1Gauss:
-    """The P1/Gauss kernel of one radial grid: Gauss weights ``wg`` of
-    ``int f(r) r dr``, interpolation parameters ``t`` and ``s = 1 - t``, squared
-    Gauss radii ``rg2`` (all ``(N, 5)``).  Built per solve or public call, never
-    cached on the grid (that would keep every held grid's arrays alive); ``rg`` is
-    dropped and ``seg_r`` built on first use to keep a call's peak memory low.
+    """The P1/Gauss kernel of one radial grid and index ``k``: Gauss weights
+    ``wg`` of ``int f(r) r dr``, interpolation parameters ``t`` and
+    ``s = 1 - t``, squared Gauss radii ``rg2`` (all ``(N, 5)``).  Built per
+    solve or public call, never cached on the grid (that would keep every held
+    grid's arrays alive); ``rg`` is dropped, and ``seg_r`` and the Hessian's
+    ``k2_rg2 = k^2 / r^2`` are built on first use, to keep a call's peak memory
+    low.  :meth:`point` evaluates a point once for its energy, gradient and
+    Hessian.
     """
 
-    def __init__(self, grid: RadialGrid):
+    def __init__(self, grid: RadialGrid, k: int):
         self.grid = grid
         self.h = grid.h
+        self.k2 = float(k * k)
         rg, self.wg = grid.gauss_points()
         self.t = (rg - grid.nodes[:-1, None]) / self.h[:, None]
         self.s = 1.0 - self.t
@@ -182,15 +206,23 @@ class _P1Gauss:
     def seg_r(self) -> np.ndarray:
         return self.wg.sum(axis=1)  # exact per-segment integral of r dr
 
+    @cached_property
+    def k2_rg2(self) -> np.ndarray:
+        return self.k2 / self.rg2
+
     def at_gauss(self, values) -> np.ndarray:
         """Piecewise-linear interpolation of node data to the Gauss radii."""
         return values[:-1][:, None] * self.s + values[1:][:, None] * self.t
 
-    def dirichlet_density(self, u, v, ug, k2: float) -> np.ndarray:
+    def point(self, u, v) -> _Point:
+        ug, vg = self.at_gauss(u), self.at_gauss(v)
+        uu, vv = ug * ug, vg * vg
+        return _Point(u, v, ug, vg, uu, vv, uu + vv, np.diff(u) / self.h, np.diff(v) / self.h)
+
+    def dirichlet_density(self, pt: _Point) -> np.ndarray:
         """``(u'^2 + v'^2 + k^2 u^2 / r^2) / 2`` at the Gauss radii."""
-        du = np.diff(u) / self.h
-        dv = np.diff(v) / self.h
-        return 0.5 * (du * du + dv * dv)[:, None] + 0.5 * k2 * ug * ug / self.rg2
+        return 0.5 * (pt.du * pt.du + pt.dv * pt.dv)[:, None] \
+            + 0.5 * self.k2 * pt.ug * pt.ug / self.rg2
 
 
 def _check_operands(profile: Profile, params: ModelParams):
@@ -200,12 +232,8 @@ def _check_operands(profile: Profile, params: ModelParams):
         raise InvalidParams("the reduced functional requires L > 0")
 
 
-# The kernels take a point's node values ``u, v`` with its Gauss values ``ug, vg``
-# (``q.at_gauss``), so a solve interpolates each trial point once for all three.
-
-def _energy(q: _P1Gauss, u, v, ug, vg, params: ModelParams) -> float:
-    bulk = _fhat(ug, vg, params) / params.L
-    dens = q.dirichlet_density(u, v, ug, float(params.k * params.k)) + bulk
+def _energy(q: _P1Gauss, pt: _Point, params: ModelParams) -> float:
+    dens = q.dirichlet_density(pt) + _fhat(pt, params) / params.L
     return float(np.sum(q.wg * dens))
 
 
@@ -216,28 +244,24 @@ def reduced_energy(profile: Profile, params: ModelParams) -> float:
     radii only, which is finite for admissible data (``u(0) = 0``).
     """
     _check_operands(profile, params)
-    q = _P1Gauss(profile.grid)
-    return _energy(q, profile.u, profile.v, q.at_gauss(profile.u), q.at_gauss(profile.v), params)
+    q = _P1Gauss(profile.grid, params.k)
+    return _energy(q, q.point(profile.u, profile.v), params)
 
 
-def _raw_gradient(q: _P1Gauss, u, v, ug, vg, params: ModelParams):
+def _raw_gradient(q: _P1Gauss, pt: _Point, params: ModelParams):
     """Partial derivatives of the discrete energy wrt every node value."""
     h = q.h
-    du = np.diff(u) / h
-    dv = np.diff(v) / h
-    k2 = float(params.k * params.k)
-
-    gu = np.zeros_like(u)
-    gv = np.zeros_like(v)
-    au = q.seg_r * du / h
-    av = q.seg_r * dv / h
+    gu = np.zeros_like(pt.u)
+    gv = np.zeros_like(pt.v)
+    au = q.seg_r * pt.du / h
+    av = q.seg_r * pt.dv / h
     gu[:-1] -= au
     gu[1:] += au
     gv[:-1] -= av
     gv[1:] += av
 
-    wfu = q.wg * (k2 * ug / q.rg2 + _fhat_u(ug, vg, params) / params.L)
-    wfv = q.wg * (_fhat_v(ug, vg, params) / params.L)
+    wfu = q.wg * (q.k2 * pt.ug / q.rg2 + _fhat_u(pt, params) / params.L)
+    wfv = q.wg * (_fhat_v(pt, params) / params.L)
     gu[:-1] += wfu @ (1.0 - GAUSS_XI)
     gu[1:] += wfu @ GAUSS_XI
     gv[:-1] += wfv @ (1.0 - GAUSS_XI)
@@ -265,9 +289,8 @@ def reduced_gradient(profile: Profile, params: ModelParams):
     Entries at fixed degrees of freedom are zero.
     """
     _check_operands(profile, params)
-    q = _P1Gauss(profile.grid)
-    u, v = profile.u, profile.v
-    gu, gv = _raw_gradient(q, u, v, q.at_gauss(u), q.at_gauss(v), params)
+    q = _P1Gauss(profile.grid, params.k)
+    gu, gv = _raw_gradient(q, q.point(profile.u, profile.v), params)
     _project(gu, gv)
     m = profile.grid.node_masses
     return gu / m, gv / m
@@ -277,9 +300,9 @@ def reduced_gradient(profile: Profile, params: ModelParams):
 _HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
 
-def _assemble_hessian_banded(q: _P1Gauss, ug, vg, params: ModelParams):
-    """Banded Hessian of the discrete energy over the free DOFs at the point
-    with Gauss values ``ug, vg``, in ``solve_banded`` layout (l = u = 3).
+def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, params: ModelParams):
+    """Banded Hessian of the discrete energy over the free DOFs at the
+    evaluated point ``pt``, in ``solve_banded`` layout (l = u = 3).
 
     The free DOFs form the chain ``[v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}]``:
     ``u_i`` at index ``2i - 1``, ``v_i`` at ``2i``, so segment ``i`` owns
@@ -288,12 +311,11 @@ def _assemble_hessian_banded(q: _P1Gauss, ug, vg, params: ModelParams):
     0..4), written into the upper rows 0-3 (row 3 the diagonal) with step-2
     slices; a node shared by two segments sums their two entries.  The
     couplings of the fixed ``u_0``, ``u_N``, ``v_N`` are left out, and rows
-    4-6 mirror rows 2-0.
+    4-6 mirror rows 2-0, so rows 3-6 are LAPACK's lower band storage.
     """
     n = q.grid.n_segments
-    k2 = float(params.k * params.k)
-    fuu, fuv, fvv = _fhat_hessian(ug, vg, params)
-    coef = np.stack([q.wg * (k2 / q.rg2 + fuu / params.L), q.wg * fuv / params.L,
+    fuu, fuv, fvv = _fhat_hessian(pt, params)
+    coef = np.stack([q.wg * (q.k2_rg2 + fuu / params.L), q.wg * fuv / params.L,
                      q.wg * fvv / params.L]).transpose(0, 2, 1)  # (uu/uv/vv, 5, N)
     stiff = q.seg_r / (q.h * q.h)
     loc = np.zeros((3, 3, n))  # (uu/uv/vv, aa/ab/bb, N)
@@ -315,6 +337,35 @@ def _assemble_hessian_banded(q: _P1Gauss, ug, vg, params: ModelParams):
     for d in (1, 2, 3):
         ab[3 + d, :-d] = ab[3 - d, d:]
     return ab
+
+
+def _newton_step(lower, shift, rhs, chol):
+    """Solve ``(H + diag(shift)) x = rhs``, ``H`` in LAPACK's lower band
+    storage (rows 3-6 of :func:`_assemble_hessian_banded`); None where the
+    factorisation fails (``H + diag(shift)`` not positive definite) or ``x``
+    is not finite.
+
+    ``dpbtrf`` factors one Fortran-order copy of the band in place; the
+    factor is copied into ``chol``, a ``(4, nf)`` Fortran-order array whose
+    corners outside the matrix are 0, and ``dpbtrs`` solves in upper storage,
+    which keeps the steps of an upper-storage factorisation bit for bit.
+    """
+    # imported here: scipy.linalg is most of the package import time, and
+    # only the solver factors a matrix
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    shifted = lower.copy(order="F")
+    shifted[0] += shift
+    factor, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
+    if info != 0:
+        return None
+    nf = factor.shape[1]
+    for d in range(4):
+        chol[3 - d, d:] = factor[d, :nf - d]
+    x, info = dpbtrs(chol, rhs)
+    if info != 0 or not np.all(np.isfinite(x)):
+        return None
+    return x
 
 
 def _free_rhs(gu, gv, n):
@@ -478,16 +529,20 @@ def minimize(
 ):
     """Find the reduced-energy minimiser on the grid.
 
-    Damped Newton on the discrete stationarity system.  Each step solves
-    with the banded Cholesky factor of ``H + lam M`` (``M`` the lumped
-    node masses); where the factorisation fails (negative curvature) the
-    Levenberg shift ``lam`` is raised.  A step is accepted by an Armijo
-    test on the energy, or, when the energy change is below round-off
+    Damped Newton on the discrete stationarity system.  Each step factors
+    ``H + lam M`` (``M`` the lumped node masses) in LAPACK's lower band
+    storage (``dpbtrf``, rows 3-6 of the assembled band), copies the factor
+    to upper storage and solves there (``dpbtrs``); where the factorisation
+    fails (negative curvature) or the step is not finite, the Levenberg
+    shift ``lam`` is raised.  A step is accepted by an Armijo test on the
+    energy, or, when the energy change is below round-off
     (``|dE| <= 1e-12 |E|``), by an Armijo test on the projected-gradient
-    norm.  For ``b2 = 0`` the start is reflected into the signed class
-    ``u >= 0, v <= 0`` (the energy is invariant under those sign flips
-    there).  ``on_step("newton", energy, grad_norm)`` is called after
-    every Newton iteration.
+    norm.  Each trial point is evaluated once (:meth:`_P1Gauss.point`) for
+    its energy and, once accepted, its gradient and Hessian.  For
+    ``b2 = 0`` the start is reflected into the signed class ``u >= 0,
+    v <= 0`` (the energy is invariant under those sign flips there).
+    ``on_step("newton", energy, grad_norm)`` is called after every Newton
+    iteration.
 
     Returns ``(profile, report)``; raises :class:`NonConvergence` with the
     best iterate attached if ``max_iter`` Newton iterations do not reach
@@ -499,10 +554,6 @@ def minimize(
         raise InvalidParams("max_iter must be at least 1")
     if params.L <= 0.0:
         raise InvalidParams("minimize requires L > 0; L = 0 is the limit problem")
-    # imported here: scipy.linalg is most of the package import time, and
-    # only the solver factors a matrix
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
     u, v = _initial_arrays(params, grid, init)
     if params.b2 == 0.0:
         u = np.abs(u)
@@ -516,54 +567,45 @@ def minimize(
     n = grid.n_segments
     masses = grid.node_masses
     mass_free = _free_rhs(masses, masses, n)
-    q = _P1Gauss(grid)
+    q = _P1Gauss(grid, params.k)
+    chol = np.zeros((4, 2 * n - 1), order="F")  # _newton_step's upper factor
 
-    def grad_and_norm(uu, vv, ug, vg):
-        gu, gv = _raw_gradient(q, uu, vv, ug, vg, params)
+    def grad_and_norm(at):
+        gu, gv = _raw_gradient(q, at, params)
         _project(gu, gv)
         return gu, gv, _mass_norm(gu, gv, masses)
 
-    ug, vg = q.at_gauss(u), q.at_gauss(v)
-    energy = _energy(q, u, v, ug, vg, params)
-    gu, gv, gn = grad_and_norm(u, v, ug, vg)
+    pt = q.point(u, v)
+    energy = _energy(q, pt, params)
+    gu, gv, gn = grad_and_norm(pt)
     lam = 0.0
     iters = 0
     converged = gn <= tol
     while not converged and iters < max_iter and math.isfinite(gn):
-        upper = _assemble_hessian_banded(q, ug, vg, params)[:4]
-        lam_unit = float(np.max(np.abs(upper[3]))) / float(np.max(mass_free))
+        lower = _assemble_hessian_banded(q, pt, params)[3:]
+        lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
         rhs = _free_rhs(-gu, -gv, n)
         accepted = False
         # Each rejection multiplies lam by 30 from at least 1e-8 lam_unit, so
         # finite data passes 1e12 lam_unit within 15 rejections; the count
         # bounds the loop where lam_unit is 0 or NaN and the test never fires.
         for _ in range(_MAX_DAMPING_REJECTS):
-            shifted = upper.copy()
-            shifted[3] += lam * mass_free
-            try:
-                chol = cholesky_banded(shifted, check_finite=False)
-                x = cho_solve_banded((chol, False), rhs, check_finite=False)
-                if not np.all(np.isfinite(x)):
-                    raise np.linalg.LinAlgError("non-finite Newton step")
-            except (np.linalg.LinAlgError, ValueError):
-                x = None
+            x = _newton_step(lower, lam * mass_free, rhs, chol)
             if x is not None:
                 du, dv = _unpack_free(x, n)
                 slope = -float(rhs @ x)  # directional derivative, < 0
                 beta = 1.0
                 while beta > 1e-7:
-                    u2 = u + beta * du
-                    v2 = v + beta * dv
-                    ug2, vg2 = q.at_gauss(u2), q.at_gauss(v2)
-                    e2 = _energy(q, u2, v2, ug2, vg2, params)
+                    pt2 = q.point(pt.u + beta * du, pt.v + beta * dv)
+                    e2 = _energy(q, pt2, params)
                     if abs(e2 - energy) <= 1e-12 * abs(energy):
-                        gu2, gv2, gn2 = grad_and_norm(u2, v2, ug2, vg2)
+                        gu2, gv2, gn2 = grad_and_norm(pt2)
                         accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
                     elif e2 <= energy + 1e-4 * beta * slope:
-                        gu2, gv2, gn2 = grad_and_norm(u2, v2, ug2, vg2)
+                        gu2, gv2, gn2 = grad_and_norm(pt2)
                         accepted = True
                     if accepted:
-                        u, v, ug, vg, energy = u2, v2, ug2, vg2, e2
+                        pt, energy = pt2, e2
                         gu, gv, gn = gu2, gv2, gn2
                         lam *= 0.3
                         if lam < 1e-14 * lam_unit:
@@ -582,6 +624,7 @@ def minimize(
         if not accepted:
             break
 
+    u, v = pt.u, pt.v
     profile = Profile(grid, u, v)
     res = ode_residual(profile, params)
     checks = _structure_checks(u, v, params, res.neumann_defect)

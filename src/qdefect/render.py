@@ -33,14 +33,25 @@ _COLOR_STOPS = [
 ]
 
 
-def biaxiality_color(beta: float) -> str:
-    beta = min(max(beta, 0.0), 1.0)
-    for (x0, c0), (x1, c1) in zip(_COLOR_STOPS, _COLOR_STOPS[1:]):
-        if beta <= x1:
-            t = (beta - x0) / (x1 - x0)
-            rgb = tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
-            return "#%02x%02x%02x" % rgb
-    return "#%02x%02x%02x" % _COLOR_STOPS[-1][1]
+_STOP_X = np.array([x for x, _ in _COLOR_STOPS])
+_STOP_RGB = np.array([c for _, c in _COLOR_STOPS], dtype=float)
+
+
+def biaxiality_colors(beta: np.ndarray) -> list[str]:
+    """``#rrggbb`` ramp colours of biaxiality values, in one array pass.
+
+    Each value is clipped to [0, 1] and interpolated on the segment
+    ``(x0, x1]`` that holds it, rounded half to even; NaN gets the last
+    stop's colour.
+    """
+    b = np.nan_to_num(np.clip(beta, 0.0, 1.0), nan=1.0)
+    seg = np.searchsorted(_STOP_X[1:-1], b)
+    x0 = _STOP_X[seg]
+    t = (b - x0) / (_STOP_X[seg + 1] - x0)
+    c0 = _STOP_RGB[seg]
+    rgb = np.rint(c0 + t[:, None] * (_STOP_RGB[seg + 1] - c0)).astype(np.int64)
+    code = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    return ["#%06x" % c for c in code.tolist()]
 
 
 @dataclass
@@ -87,7 +98,7 @@ def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
     shift = spec.shift if spec.shift is not None else 1.1 * abs(float(np.min(lam[:, 0])))
     lam_span = float(np.max(lam[:, 2])) + shift or 1.0
     cell = 0.9 * size / (2.0 * spec.density + 1)
-    colors = [biaxiality_color(b) for b in biaxiality_components(comps).tolist()]
+    colors = biaxiality_colors(biaxiality_components(comps))
     x = (cx + r * np.cos(phi) * px_scale).tolist()
     y = (cy - r * np.sin(phi) * px_scale).tolist()
 

@@ -62,7 +62,7 @@ def test_interpolation_is_linear():
     g = RadialGrid.uniform(1.0, 32)
     rg, _ = g.gauss_points()
     vals = 3.0 * g.nodes + 1.0
-    interp = _P1Gauss(g).at_gauss(vals)
+    interp = _P1Gauss(g, 1).at_gauss(vals)
     assert np.max(np.abs(interp - (3.0 * rg + 1.0))) < 1e-14
 
 

@@ -26,7 +26,6 @@ from qdefect import (
     write_profile_csv,
 )
 from qdefect.harmonic import explicit_arrays
-from qdefect.reduced import _fhat
 
 SQRT6 = math.sqrt(6.0)
 
@@ -41,6 +40,13 @@ def ramp_profile(p, grid):
     u = p.boundary_u * grid.nodes / grid.radius
     v = np.full_like(grid.nodes, p.boundary_v)
     return Profile(grid, u, v)
+
+
+def bulk_density(u, v, p):
+    """``-a2/2 |Y|^2 - b2/3 tr(Y^3) + c2/4 |Y|^4`` along the two-mode frame."""
+    t = u * u + v * v
+    tr3 = v * (v * v - 3.0 * u * u) / SQRT6
+    return -0.5 * p.a2 * t - p.b2 / 3.0 * tr3 + 0.25 * p.c2 * t * t
 
 
 def oracle_energy(profile, p, refine=10):
@@ -62,7 +68,7 @@ def oracle_energy(profile, p, refine=10):
             vv = profile.v[i] * (1.0 - t) + profile.v[i + 1] * t
             du = (profile.u[i + 1] - profile.u[i]) / h
             dv = (profile.v[i + 1] - profile.v[i]) / h
-            dens = 0.5 * (du * du + dv * dv) * rr + _fhat(uu, vv, p) / p.L * rr
+            dens = 0.5 * (du * du + dv * dv) * rr + bulk_density(uu, vv, p) / p.L * rr
             sing = np.empty_like(rr)
             pos = rr > 0.0
             sing[pos] = 0.5 * k2 * uu[pos] ** 2 / rr[pos]
@@ -218,16 +224,14 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
         ),
         p,
     )
-    q = _P1Gauss(grid)
+    q = _P1Gauss(grid, k)
     n = grid.n_segments
 
     def free_grad(u, v):
-        return _free_rhs(*_raw_gradient(q, u, v, q.at_gauss(u), q.at_gauss(v), p), n)
+        return _free_rhs(*_raw_gradient(q, q.point(u, v), p), n)
 
     assert np.max(np.abs(free_grad(prof.u, prof.v))) > 1e-2  # not a critical point
-    hess = _dense_from_banded(
-        _assemble_hessian_banded(q, q.at_gauss(prof.u), q.at_gauss(prof.v), p)
-    )
+    hess = _dense_from_banded(_assemble_hessian_banded(q, q.point(prof.u, prof.v), p))
     fd = np.empty_like(hess)
     eps = 1e-6
     # free DOFs in Hessian order: v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}
@@ -278,12 +282,12 @@ def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
         ),
         p,
     )
-    q = _P1Gauss(grid)
+    q = _P1Gauss(grid, k)
 
     def free_grad(u, v):
-        return _free_rhs(*_raw_gradient(q, u, v, q.at_gauss(u), q.at_gauss(v), p), n)
+        return _free_rhs(*_raw_gradient(q, q.point(u, v), p), n)
 
-    ab = _assemble_hessian_banded(q, q.at_gauss(prof.u), q.at_gauss(prof.v), p)
+    ab = _assemble_hessian_banded(q, q.point(prof.u, prof.v), p)
     nf = 2 * n - 1
     assert ab.shape == (7, nf)
     for d in (1, 2, 3):
@@ -313,6 +317,55 @@ def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
     assert np.max(np.abs(err)) <= 1e-6 * np.max(np.abs(_banded_matvec(ab, w)))
 
 
+@pytest.mark.parametrize("k", [1, -2, 3])
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+@pytest.mark.parametrize("n", [64, 2048])
+def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    from qdefect.reduced import (
+        _P1Gauss,
+        _assemble_hessian_banded,
+        _free_rhs,
+        _newton_step,
+        _project,
+        _raw_gradient,
+    )
+
+    p = params(L=0.01, b2=b2, k=k)
+    grid = RadialGrid.for_defect(1.0, n, k)
+    x = grid.nodes / grid.radius
+    start = apply_boundary(  # a perturbed ramp: mostly indefinite without a shift
+        Profile(
+            grid,
+            p.boundary_u * x * (1.0 + 0.2 * np.sin(5.0 * np.pi * x)),
+            p.boundary_v + 0.1 * np.sin(3.0 * np.pi * x),
+        ),
+        p,
+    )
+    q = _P1Gauss(grid, k)
+    pt = q.point(start.u, start.v)
+    ab = _assemble_hessian_banded(q, pt, p)
+    gu, gv = _project(*_raw_gradient(q, pt, p))
+    rhs = _free_rhs(-gu, -gv, n)
+    mass_free = _free_rhs(grid.node_masses, grid.node_masses, n)
+    lam_unit = float(np.max(np.abs(ab[3]))) / float(np.max(mass_free))
+    chol = np.zeros((4, 2 * n - 1), order="F")
+    for lam in (0.0, 1e-8 * lam_unit, 1e-4 * lam_unit, 1e-1 * lam_unit):
+        step = _newton_step(ab[3:], lam * mass_free, rhs, chol)
+        upper = ab[:4].copy()
+        upper[3] += lam * mass_free
+        try:
+            ref = cho_solve_banded((cholesky_banded(upper), False), rhs)
+        except np.linalg.LinAlgError:
+            ref = None
+        assert (step is None) == (ref is None)
+        if ref is not None:
+            # bit-equality depends on the BLAS build, so only closeness is asserted
+            assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert step is not None  # the largest shift makes H + lam M definite
+
+
 # (k, b2, init, iterations, energy) of minimize at L = 0.01, n = 256: a kernel
 # change that bends the Newton path changes a count or moves an energy
 _NEWTON_PATH = [
@@ -337,6 +390,34 @@ def test_newton_path_is_pinned(k, b2, init, iterations, energy):
     _, rep = minimize(p, RadialGrid.for_defect(1.0, 256, k), init=init)
     assert rep.iterations == iterations
     assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+# (k, b2, init, iterations, energy) of minimize at L = 1e-3, n = 2048: paths that
+# are damped, each through 4 rejected Levenberg shifts (failed factorisations)
+_DAMPED_NEWTON_PATH = [
+    (1, 0.0, "ramp", 11, -124.50050081455416),
+    (3, 1.0, "explicit", 9, -206.33784777198468),
+    (-2, 0.5, "ramp", 8, -159.86010581073782),
+]
+
+
+@pytest.mark.parametrize("k,b2,init,iterations,energy", _DAMPED_NEWTON_PATH)
+def test_damped_newton_path_is_pinned(k, b2, init, iterations, energy, monkeypatch):
+    import qdefect.reduced as reduced
+
+    newton_step = reduced._newton_step
+    steps = []
+
+    def counted_step(*args):
+        steps.append(newton_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(reduced, "_newton_step", counted_step)
+    p = params(L=1e-3, b2=b2, k=k)
+    _, rep = minimize(p, RadialGrid.for_defect(1.0, 2048, k), init=init)
+    assert rep.iterations == iterations
+    assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+    assert sum(step is None for step in steps) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +536,7 @@ def test_newton_damping_is_bounded_when_the_hessian_is_nan(monkeypatch):
     # count can end the damping loop
     import qdefect.reduced as reduced
 
-    def nan_hessian(q, u, v, prm):
+    def nan_hessian(q, pt, prm):
         return np.full((7, 2 * q.grid.n_segments - 1), np.nan)
 
     monkeypatch.setattr(reduced, "_assemble_hessian_banded", nan_hessian)

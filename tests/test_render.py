@@ -1,4 +1,5 @@
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -17,7 +18,7 @@ from qdefect import (
     glyph_svg,
     minimize,
 )
-from qdefect.render import biaxiality_color
+from qdefect.render import _COLOR_STOPS, biaxiality_colors
 from qdefect.tensor import biaxiality_components
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -161,6 +162,32 @@ def test_minus_branch_chart_has_no_interior_crossing():
             pts[el.get("id")] = coords
     diff = pts["lambda1"][1:-1, 1] - pts["lambda3"][1:-1, 1]
     assert np.all(diff > 0.0) or np.all(diff < 0.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the array colour ramp against a per-value loop
+# ---------------------------------------------------------------------------
+
+def biaxiality_color(beta: float) -> str:
+    """One ramp colour per call: clip, find the segment, round each channel."""
+    beta = min(max(beta, 0.0), 1.0)
+    for (x0, c0), (x1, c1) in zip(_COLOR_STOPS, _COLOR_STOPS[1:]):
+        if beta <= x1:
+            t = (beta - x0) / (x1 - x0)
+            rgb = tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
+            return "#%02x%02x%02x" % rgb
+    return "#%02x%02x%02x" % _COLOR_STOPS[-1][1]
+
+
+def test_biaxiality_colors_match_the_scalar_ramp(rng):
+    edges = [-0.1, 0.0, 0.25, 0.5, 0.75, 1.0, 1.1, math.nan]
+    edges += [math.nextafter(0.5, -1.0), math.nextafter(0.5, 2.0)]
+    values = np.concatenate([edges, rng.uniform(-0.2, 1.2, 10_000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        colors = biaxiality_colors(values)
+    assert colors == [biaxiality_color(b) for b in values.tolist()]
+    assert colors[7] == colors[5] == "#b2182b"  # NaN keeps the last stop's colour
 
 
 # ---------------------------------------------------------------------------
