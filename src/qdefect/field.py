@@ -7,7 +7,9 @@ Two discretisations coexist deliberately:
   :func:`ldg_energy_2d`, :func:`el_residual_2d` and the Dirichlet
   quadrature helpers -- an independent route used to cross-check the
   reduced 1D functional, streamed over blocks of rings so that its
-  working memory is O(block x M);
+  working memory is O(block x M); for a separable field
+  ``sum_a f_a(r) G_a(phi)``, :func:`separable_dirichlet_quadrature`
+  forms the same Dirichlet sum from per-ring Gram sums in O(N + M);
 * a consistent scheme (Fourier differentiation in the angle, the same
   per-segment Gauss rule in radius as the reduced energy) behind
   :func:`ldg_energy_spectral`, :func:`second_variation` and
@@ -63,18 +65,13 @@ class Field2D:
         )
 
 
-def _lift_rows(u: np.ndarray, v: np.ndarray, fn: np.ndarray) -> np.ndarray:
-    """``u F_n + v F_3`` on the rings sampled by ``u, v``; ``fn`` is ``F_n(phi)``, ``(M, 5)``."""
-    vals = u[:, None, None] * fn
-    vals += v[:, None, None] * F3_COMPONENTS
-    return vals
-
-
 def lift(profile: Profile, k: int, grid: PolarGrid) -> Field2D:
     """Lift radial samples to the disk: ``Y(r, phi) = u F_n(phi) + v F_3``."""
     if not profile.grid.same_nodes(grid.radial):
         raise GridError("profile radial nodes do not match the polar grid")
-    return Field2D(grid, _lift_rows(profile.u, profile.v, frame_fn_components(grid.phis, k)))
+    vals = profile.u[:, None, None] * frame_fn_components(grid.phis, k)
+    vals += profile.v[:, None, None] * F3_COMPONENTS
+    return Field2D(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -94,51 +91,76 @@ def _ring_blocks(m: int, start: int, stop: int):
         yield lo, min(lo + step, stop)
 
 
-def _fd_terms(rows, grid: PolarGrid, params: ModelParams | None = None):
-    """``0.5 int |grad Q|^2`` via radial slopes and centred angular stencils,
-    and with ``params`` the bulk integral ``int f(Q)``, else ``None``.
-
-    ``rows(lo, hi)`` returns the samples of rings ``lo..hi-1``.  The loop
-    streams ring blocks (each reads one ring past its end for the slopes)
-    and keeps per-ring sums, so no full-size array is live and the final
-    sums run over the same per-ring values in the same order as a
-    full-array pass.
-    """
+def _fd_dirichlet_sum(grid: PolarGrid, slope_sq: np.ndarray, edge_sq: np.ndarray) -> float:
+    """``0.5 int |grad Q|^2`` from the per-segment sums ``slope_sq`` of
+    ``|d_r Q|^2`` and the per-ring sums ``edge_sq`` of ``|d_phi Q|^2`` over
+    the angles: radial slopes weigh ``int_seg r dr``, angular edges the
+    trapezoidal ``int r dr`` over ``r^2``."""
     radial = grid.radial
     r = radial.nodes
     h = radial.h
     dphi = grid.dphi
-    n = r.size
+    seg_w = 0.5 * h * (r[:-1] + r[1:])  # exact int_seg r dr
+    rad_part = float(np.sum(seg_w * slope_sq) * dphi)
+    wtrap = radial.weights  # zero at the origin node, so no 1/r^2 blow-up
+    ang_part = float(np.sum(wtrap[1:] / (r[1:] ** 2) * edge_sq[1:]) * dphi)
+    return 0.5 * (rad_part + ang_part)
+
+
+def _fd_terms(values: np.ndarray, grid: PolarGrid, params: ModelParams | None = None):
+    """``0.5 int |grad Q|^2`` via radial slopes and centred angular stencils,
+    and with ``params`` the bulk integral ``int f(Q)``, else ``None``.
+
+    The loop streams ring blocks of ``values`` (each reads one ring past
+    its end for the slopes) and keeps per-ring sums, so no full-size
+    temporary is live and the final sums run over the same per-ring values
+    in the same order as a full-array pass.
+    """
+    h = grid.radial.h
+    n = grid.radial.nodes.size
     slope_sq = np.empty(n - 1)
     edge_sq = np.empty(n)
     dens = None if params is None else np.empty(n)
     for lo, hi in _ring_blocks(grid.m, 0, n):
         top = min(hi + 1, n)
-        vals = rows(lo, top)
+        vals = values[lo:top]
         slopes = (vals[1:] - vals[:-1]) / h[lo:top - 1, None, None]
         slope_sq[lo:top - 1] = np.sum(tensor.frob_sq(slopes), axis=1)
         # angular edges: piecewise-linear in phi on each ring
         own = vals[: hi - lo]
-        edges = (np.roll(own, -1, axis=1) - own) / dphi
+        edges = (np.roll(own, -1, axis=1) - own) / grid.dphi
         edge_sq[lo:hi] = np.sum(tensor.frob_sq(edges), axis=1)
         if dens is not None:
             dens[lo:hi] = np.sum(tensor.bulk_density(own, params), axis=1)
 
-    seg_w = 0.5 * h * (r[:-1] + r[1:])  # exact int_seg r dr
-    rad_part = float(np.sum(seg_w * slope_sq) * dphi)
-    wtrap = radial.weights  # zero at the origin node, so no 1/r^2 blow-up
-    ang_part = float(np.sum(wtrap[1:] / (r[1:] ** 2) * edge_sq[1:]) * dphi)
-    pot = None if dens is None else float(np.sum(wtrap * dens) * dphi)
-    return 0.5 * (rad_part + ang_part), pot
+    pot = None if dens is None else float(np.sum(grid.radial.weights * dens) * grid.dphi)
+    return _fd_dirichlet_sum(grid, slope_sq, edge_sq), pot
 
 
-def _field_rows(field: Field2D):
-    return lambda lo, hi: field.values[lo:hi]
+def separable_dirichlet_quadrature(f: np.ndarray, g: np.ndarray, grid: PolarGrid) -> float:
+    """:func:`dirichlet_quadrature` of the separable field
+    ``Q(r_i, phi_j) = sum_a f[i, a] g[a, j]`` without sampling it.
+
+    ``f`` holds the radial factors ``(N+1, A)``, ``g`` the angular ones
+    ``(A, M, 5)``.  The finite-difference sums over the angles are
+    quadratic forms in the radial factors, so two ``A x A`` Gram matrices
+    of ``g`` (its Frobenius products and those of its angular edges) reduce
+    each ring to ``O(A^2)`` work: ``O(A^2 (N + M))`` in all, with
+    ``O(A (N + M))`` memory.  Package-internal: the limit quadrature of
+    :func:`qdefect.harmonic.dirichlet_energy_2d` is its caller.
+    """
+    dg = (np.roll(g, -1, axis=1) - g) / grid.dphi
+    gram = tensor.frob_dot(g[:, None], g[None, :]).sum(axis=-1)
+    edge_gram = tensor.frob_dot(dg[:, None], dg[None, :]).sum(axis=-1)
+    slopes = (f[1:] - f[:-1]) / grid.radial.h[:, None]
+    slope_sq = np.einsum("ia,ab,ib->i", slopes, gram, slopes)
+    edge_sq = np.einsum("ia,ab,ib->i", f, edge_gram, f)
+    return _fd_dirichlet_sum(grid, slope_sq, edge_sq)
 
 
 def dirichlet_quadrature(field: Field2D) -> float:
     """Numerical Dirichlet energy ``0.5 int |grad Q|^2`` of a sampled field."""
-    return _fd_terms(_field_rows(field), field.grid)[0]
+    return _fd_terms(field.values, field.grid)[0]
 
 
 def fd_energy_terms(field: Field2D, params: ModelParams):
@@ -146,7 +168,7 @@ def fd_energy_terms(field: Field2D, params: ModelParams):
 
     :func:`ldg_energy_2d` is ``dirichlet + potential / L`` of these.
     """
-    return _fd_terms(_field_rows(field), field.grid, params)
+    return _fd_terms(field.values, field.grid, params)
 
 
 def ldg_energy_2d(field: Field2D, params: ModelParams) -> float:

@@ -30,15 +30,14 @@ from .errors import (
 from .field import (
     Field2D,
     ResidualField,
-    _fd_terms,
-    _lift_rows,
     polar_gradient_sq,
     polar_laplacian,
+    separable_dirichlet_quadrature,
 )
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
 from .reduced import Profile, _P1Gauss
-from .tensor import frame_fn_components, frob_sq
+from .tensor import F3_COMPONENTS, frame_fn_components, frob_sq
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -246,36 +245,52 @@ def dirichlet_energy_2d(
 ) -> DirichletEnergy:
     """Closed-form 2D Dirichlet energy with an independent quadrature check.
 
-    The quadrature samples the explicit field on an ``n_r x m_phi`` polar
-    grid, one block of rings at a time, and integrates with the classic
-    finite-difference scheme; it approaches the closed form at second
-    order.
+    The quadrature is the classic finite-difference sum on an
+    ``n_r x m_phi`` polar grid; it approaches the closed form at second
+    order.  Every explicit field is separable, ``sum_a f_a(r) G_a(phi)``
+    (``u F_n + v F_3`` for the biaxial branches, three terms for the
+    escape), so the sum comes from per-ring Gram sums in ``O(n_r + m_phi)``
+    without sampling the field.  The sum is invariant under scaling ``r``,
+    so it is evaluated on ``rho = r / R``, which keeps it finite for any
+    accepted ``R``.
     """
     if params.b2 != 0.0:
         raise InvalidParams("explicit limit fields require b2 = 0")
     branch = Branch(branch)
     closed = closed_form_dirichlet(branch, params)
-    pg = PolarGrid(RadialGrid.uniform(params.R, n_r), m_phi)
+    pg = PolarGrid(RadialGrid.uniform(1.0, n_r), m_phi)
+    rho = pg.radial.nodes
     if branch is Branch.UNIAXIAL_ESCAPE:
-        rmat = pg.radial.nodes[:, None]
-        pmat = pg.phis[None, :]
-
-        def rows(lo, hi):
-            return uniaxial_escape_components(rmat[lo:hi], pmat, params)
-
+        # s (m x m - I/3) with m = (planar n(phi), m3): the n x n, n-e3 and -I/3 parts
+        planar, m3 = _escape_director(rho, params.k)
+        s = params.s_plus
+        f = np.stack([s * (planar * planar), s * (planar * m3), np.full_like(rho, s)], axis=1)
+        half = 0.5 * params.k * pg.phis
+        c, sn = np.cos(half), np.sin(half)
+        z = np.zeros_like(c)
+        g = np.stack([
+            np.stack([c * c, c * sn, z, sn * sn, z], axis=-1),
+            np.stack([z, z, c, z, sn], axis=-1),
+            np.broadcast_to([-1.0 / 3.0, 0.0, 0.0, -1.0 / 3.0, 0.0], c.shape + (5,)),
+        ])
     else:
-        prof = explicit_profile(branch, params, pg.radial)
+        f = np.stack(explicit_arrays(branch, params.k, params.s_plus, rho), axis=1)
         fn = frame_fn_components(pg.phis, params.k)
-
-        def rows(lo, hi):
-            return _lift_rows(prof.u[lo:hi], prof.v[lo:hi], fn)
-
-    return DirichletEnergy(closed_form=closed, quadrature=_fd_terms(rows, pg)[0])
+        g = np.stack([fn, np.broadcast_to(F3_COMPONENTS, fn.shape)])
+    return DirichletEnergy(closed_form=closed, quadrature=separable_dirichlet_quadrature(f, g, pg))
 
 
 # ---------------------------------------------------------------------------
 # uniaxial escape solution
 # ---------------------------------------------------------------------------
+
+def _escape_director(rho, k: int):
+    """In-plane length and ``e3`` component of the escape director at ``rho = r / R``."""
+    rho_half = rho ** (abs(k) // 2)
+    rho_k = rho_half * rho_half
+    den = 1.0 + rho_k
+    return 2.0 * rho_half / den, (1.0 - rho_k) / den
+
 
 def uniaxial_escape_components(r, phi, params: ModelParams) -> np.ndarray:
     """Components of the out-of-plane escape solution (even k only).
@@ -285,17 +300,12 @@ def uniaxial_escape_components(r, phi, params: ModelParams) -> np.ndarray:
     """
     if params.k % 2 != 0:
         raise OddKForUniaxial("the uniaxial escape solution needs even k")
-    kk = abs(params.k)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    rho_half = (r / params.R) ** (kk // 2)
-    rho_k = rho_half * rho_half
-    den = 1.0 + rho_k
-    planar = 2.0 * rho_half / den
+    planar, m3 = _escape_director(r / params.R, params.k)
     half = 0.5 * params.k * phi
     m1 = planar * np.cos(half)
     m2 = planar * np.sin(half)
-    m3 = (1.0 - rho_k) / den
     s = params.s_plus
     m1, m2, m3 = np.broadcast_arrays(m1, m2, m3)
     return np.stack(

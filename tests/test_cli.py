@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,20 @@ def test_limit_energy_table_k2_includes_escape(tmp_path):
     assert table["Y_plus"]["closed_form"] == pytest.approx(6 * math.pi, rel=1e-12)
     assert table["U"]["closed_form"] == pytest.approx(6 * math.pi, rel=1e-12)
     assert "note" not in table
+
+
+@pytest.mark.parametrize("radius", ["1e-160", "1e200"])
+def test_limit_quadrature_is_scale_free_at_extreme_radii(tmp_path, radius):
+    argv = ("limit", "--k", "2", "--n", "64", "--m", "64")
+    assert run(tmp_path, *argv, "-o", "one") == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, *argv, "--R", radius, "-o", "far") == 0
+    one = json.loads((tmp_path / "one_energies.json").read_text())
+    far = json.loads((tmp_path / "far_energies.json").read_text())
+    for tag in ("Y_minus", "Y_plus", "U"):
+        assert math.isfinite(far[tag]["quadrature"])
+        assert far[tag]["quadrature"] == pytest.approx(one[tag]["quadrature"], rel=1e-14, abs=0.0)
 
 
 def test_limit_rejects_nonzero_b2(tmp_path):

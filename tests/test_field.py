@@ -25,7 +25,7 @@ from qdefect import (
     reduced_energy,
     second_variation,
 )
-from qdefect.field import _ring_blocks, fd_energy_terms
+from qdefect.field import _ring_blocks, fd_energy_terms, separable_dirichlet_quadrature
 from qdefect.harmonic import (
     Branch,
     dirichlet_energy_2d,
@@ -635,16 +635,46 @@ def test_streamed_fd_scheme_matches_full_array_reference(spacing, m, rings):
             assert np.array_equal(res.rings, radial.nodes[1:-1])
 
 
-@pytest.mark.parametrize("branch", list(Branch))
-@pytest.mark.parametrize("k,n_r,m_phi", [(2, 100, 256), (-2, 70, 1024), (4, 16, 64)])
-def test_dirichlet_energy_2d_matches_materialised_field(branch, k, n_r, m_phi):
-    p = params(k=k, L=0.0)
+def _materialised_cases():
+    """(branch, k, n_r, m_phi, R): even k on every branch, odd k on the
+    biaxial ones, a radius other than 1 and an angular count not a power of 2."""
+    cases = [
+        (branch, k, n_r, m_phi, 1.0)
+        for k, n_r, m_phi in [(2, 100, 256), (-2, 70, 1024), (4, 16, 64)]
+        for branch in Branch
+    ]
+    cases += [
+        (branch, k, n_r, m_phi, radius)
+        for k, n_r, m_phi, radius in [(1, 64, 128, 1.0), (-1, 33, 96, 1.0), (3, 80, 256, 2.5)]
+        for branch in (Branch.MINUS, Branch.PLUS)
+    ]
+    cases += [(branch, k, 50, 96, 2.5) for k in (2, -4) for branch in Branch]
+    return [
+        pytest.param(*c, id=f"{c[1]}-{c[2]}-{c[3]}-{c[0]}" + ("" if c[4] == 1.0 else f"-R{c[4]}"))
+        for c in cases
+    ]
+
+
+@pytest.mark.parametrize("branch,k,n_r,m_phi,radius", _materialised_cases())
+def test_dirichlet_energy_2d_matches_materialised_field(branch, k, n_r, m_phi, radius):
+    p = params(k=k, L=0.0, R=radius)
     pg = PolarGrid(RadialGrid.uniform(p.R, n_r), m_phi)
     if branch is Branch.UNIAXIAL_ESCAPE:
         values = uniaxial_escape_components(pg.radial.nodes[:, None], pg.phis[None, :], p)
     else:
         values = lift(explicit_profile(branch, p, pg.radial), k, pg).values
     quad = dirichlet_energy_2d(branch, p, n_r=n_r, m_phi=m_phi).quadrature
+    assert quad == pytest.approx(_ref_fd_dirichlet(values, pg), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "graded"])
+def test_separable_dirichlet_quadrature_matches_full_field(spacing):
+    rng = np.random.default_rng(11)
+    pg = PolarGrid(getattr(RadialGrid, spacing)(1.7, 40), 96)
+    f = rng.standard_normal((pg.radial.nodes.size, 3))
+    g = rng.standard_normal((3, pg.m, 5))
+    values = np.einsum("ia,ajc->ijc", f, g)
+    quad = separable_dirichlet_quadrature(f, g, pg)
     assert quad == pytest.approx(_ref_fd_dirichlet(values, pg), rel=1e-14, abs=0.0)
 
 
@@ -657,4 +687,4 @@ def test_dirichlet_energy_2d_never_builds_the_full_field():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < full_field_bytes / 4
+    assert peak < full_field_bytes / 32
