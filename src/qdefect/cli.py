@@ -34,11 +34,11 @@ from .reduced import (
     Profile,
     _warm_started,
     apply_boundary,
+    csv_text,
     minimize,
     ode_residual,
     read_profile_csv,
     reduced_energy,
-    write_profile_csv,
 )
 from .tensor import ansatz_eigenvalues
 
@@ -75,57 +75,56 @@ def _write_json(path: str, obj) -> None:
 
 
 def _write_profile(path: str, profile: Profile) -> None:
-    tmp = f"{path}.tmp"
-    write_profile_csv(tmp, profile)
-    os.replace(tmp, path)
+    _write_text_atomic(path, csv_text("r,u,v", (profile.grid.nodes, profile.u, profile.v)))
 
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-_MODEL_DEFAULTS = {"a2": 1.0, "b2": 0.0, "c2": 1.0, "L": 0.1, "R": 1.0, "k": 1}
+_ALL = ("solve", "sweep", "limit", "render", "residual", "energy")
+_SOLVERS = ("solve", "sweep")
 
-# Flag groups beyond the model coefficients, with their defaults.
-_GROUP_DEFAULTS = {
-    "n": {"n": 512},
-    "m": {"m": 128},
-    "solver": {"tol": 1e-9, "max_iter": 100, "init": "explicit", "init_file": None},
-}
-
-# The groups each command reads: it accepts exactly these flags, and the
-# same keys in a config file.
-_COMMAND_GROUPS = {
-    "solve": ("n", "solver"),
-    "sweep": ("n", "solver"),
-    "limit": ("n", "m"),
-    "render": ("n",),
-    "residual": ("m",),
-    "energy": ("m",),
-}
-
-_RENDER_DEFAULTS = {
-    "style": "rod",
-    "density": 16,
-    "size": 640,
-    "shift": None,
-    "branch": None,
-    "input": None,
-}
-
-
-# Types of the numeric flags; every other key takes a string.  A config-file
-# value is converted as its flag's value would be.
-_NUMERIC_FLAGS = {
-    "a2": float, "b2": float, "c2": float, "L": float, "R": float, "tol": float,
-    "shift": float, "k": int, "n": int, "m": int, "max_iter": int, "density": int, "size": int,
-}
+# Every option of every command: (key, type or tuple of choices, default, the
+# commands that read it, help).  A command accepts exactly its keys, as
+# ``--key`` flags (``_`` written ``-``) and as config-file keys, and checks
+# both alike.  ``out`` has one row per default.
+_OPTIONS = (
+    ("a2", float, 1.0, _ALL, "bulk coefficient a2 (> 0)"),
+    ("b2", float, 0.0, _ALL, "bulk coefficient b2 (>= 0)"),
+    ("c2", float, 1.0, _ALL, "bulk coefficient c2 (> 0)"),
+    ("L", float, 0.1, _ALL, "elastic constant (> 0)"),
+    ("R", float, 1.0, _ALL, "disk radius"),
+    ("k", int, 1, _ALL, "defect index numerator, nonzero integer"),
+    ("n", int, 512, ("solve", "sweep", "limit", "render"), "radial segments (>= 16)"),
+    ("m", int, 128, ("limit", "residual", "energy"), "angular samples (even, >= 64)"),
+    ("tol", float, 1e-9, _SOLVERS, "projected-gradient tolerance"),
+    ("max_iter", int, 100, _SOLVERS, "Newton iteration cap"),
+    ("init", ("explicit", "ramp", "file"), "explicit", _SOLVERS, "initial guess"),
+    ("init_file", str, None, _SOLVERS, "profile CSV for --init file"),
+    ("out", str, "qdefect", ("solve", "sweep", "limit", "render", "residual"),
+     "output path prefix"),
+    ("out", str, None, ("energy",), "output path prefix"),  # energy only prints by default
+    ("branch", ("minus", "plus"), None, ("render",), "explicit branch"),
+    ("input", str, None, ("residual", "render", "energy"), "profile CSV (r,u,v)"),
+    ("style", ("rod", "box"), "rod", ("render",), "glyph style"),
+    ("density", int, 16, ("render",), "glyph rings (>= 4)"),
+    ("size", int, 640, ("render",), "image size in px"),
+    ("shift", float, None, ("render",), "box eigenvalue shift"),
+    ("b2_list", str, None, ("sweep",), "comma-separated monotone b2 values"),
+    ("L_list", str, None, ("sweep",), "comma-separated monotone L values"),
+)
 
 
-def _config_value(key: str, value, default):
-    """Check and convert one config-file value with its flag's type."""
-    kind = _NUMERIC_FLAGS.get(key, str)
-    if (value is None and default is None) or (kind is str and isinstance(value, str)):
+def _config_value(key: str, kind, value, default):
+    """Check and convert one config-file value as its flag's value would be."""
+    if value is None and default is None:
+        return value
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise InvalidParams(f"config key {key!r} must be one of {kind}, got {value!r}")
+    if kind is str and isinstance(value, str):
         return value
     if kind is not str and isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:  # a non-integral number for an integer key is rejected, not truncated
@@ -136,37 +135,12 @@ def _config_value(key: str, value, default):
     raise InvalidParams(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _add_param_flags(sub, command: str):
-    groups = _COMMAND_GROUPS[command]
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--a2", type=float, help="bulk coefficient a2 (> 0)")
-    sub.add_argument("--b2", type=float, help="bulk coefficient b2 (>= 0)")
-    sub.add_argument("--c2", type=float, help="bulk coefficient c2 (> 0)")
-    sub.add_argument("--L", type=float, help="elastic constant (> 0)")
-    sub.add_argument("--R", type=float, help="disk radius")
-    sub.add_argument("--k", type=int, help="defect index numerator, nonzero integer")
-    if "n" in groups:
-        sub.add_argument("--n", type=int, help="radial segments (>= 16)")
-    if "m" in groups:
-        sub.add_argument("--m", type=int, help="angular samples (even, >= 64)")
-    if "solver" in groups:
-        sub.add_argument("--tol", type=float, help="projected-gradient tolerance")
-        sub.add_argument("--max-iter", dest="max_iter", type=int, help="Newton iteration cap")
-        sub.add_argument("--init", choices=("explicit", "ramp", "file"), help="initial guess")
-        sub.add_argument("--init-file", dest="init_file", help="profile CSV for --init file")
-    sub.add_argument("--out", "-o", help="output path prefix")
-
-
-def _effective(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    """Merge flag values over config-file values over defaults: the keys of
-    the command's flag groups, ``out`` and the command's own ``extra`` keys."""
-    defaults = dict(_MODEL_DEFAULTS)
-    for group in _COMMAND_GROUPS[args.command]:
-        defaults.update(_GROUP_DEFAULTS[group])
-    defaults["out"] = "qdefect"
-    defaults.update(extra or {})
+def _effective(args: argparse.Namespace) -> dict:
+    """Merge flag values over config-file values over the defaults of the
+    command's options."""
+    options = [row for row in _OPTIONS if args.command in row[3]]
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -174,15 +148,15 @@ def _effective(args: argparse.Namespace, extra: dict | None = None) -> dict:
             raise InvalidParams(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(cfg, dict):
             raise InvalidParams("config file must hold a JSON object")
-        unknown = set(cfg) - set(defaults)
+        unknown = set(cfg).difference(row[0] for row in options)
         if unknown:
             raise InvalidParams(f"unknown config keys: {sorted(unknown)}")
     eff = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is None:
-            flag = _config_value(key, cfg[key], fallback) if key in cfg else fallback
-        eff[key] = flag
+    for key, kind, default, _, _ in options:
+        value = getattr(args, key)
+        if value is None:
+            value = _config_value(key, kind, cfg[key], default) if key in cfg else default
+        eff[key] = value
     return eff
 
 
@@ -249,10 +223,8 @@ def cmd_limit(args) -> int:
         profile = harmonic.explicit_profile(branch, params, grid)
         _write_profile(f"{out}_{branch.value}.csv", profile)
         lam = ansatz_eigenvalues(profile.u, profile.v)
-        lines = ["r,lam1,lam2,lam3"]
-        for r, row in zip(grid.nodes, lam):
-            lines.append(f"{float(r)!r},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}")
-        _write_text_atomic(f"{out}_eigenvalues_{branch.value}.csv", "\n".join(lines) + "\n")
+        text = csv_text("r,lam1,lam2,lam3", (grid.nodes, *lam.T))
+        _write_text_atomic(f"{out}_eigenvalues_{branch.value}.csv", text)
         en = harmonic.dirichlet_energy_2d(branch, params, n_r=eff["n"], m_phi=eff["m"])
         table[tag] = {"closed_form": en.closed_form, "quadrature": en.quadrature}
     if params.k % 2 == 0:
@@ -269,7 +241,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    eff = _effective(args, {"input": None})
+    eff = _effective(args)
     if not eff["input"]:
         raise InvalidParams("residual requires --input profile.csv")
     params = _model_params(eff)
@@ -277,10 +249,7 @@ def cmd_residual(args) -> int:
     out = eff["out"]
 
     res = ode_residual(profile, params)
-    lines = ["r,ru,rv"]
-    for r, ru, rv in zip(res.r, res.ru, res.rv):
-        lines.append(f"{float(r)!r},{float(ru)!r},{float(rv)!r}")
-    _write_text_atomic(f"{out}_residual.csv", "\n".join(lines) + "\n")
+    _write_text_atomic(f"{out}_residual.csv", csv_text("r,ru,rv", (res.r, res.ru, res.rv)))
 
     pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
@@ -301,7 +270,7 @@ def cmd_residual(args) -> int:
 
 
 def cmd_render(args) -> int:
-    eff = _effective(args, _RENDER_DEFAULTS)
+    eff = _effective(args)
     if bool(eff["branch"]) == bool(eff["input"]):
         raise InvalidParams("render needs exactly one of --branch or --input")
     spec = render.RenderSpec(
@@ -348,12 +317,15 @@ def _sweep_values(raw: str, name: str):
 
 
 def cmd_sweep(args) -> int:
-    eff = _effective(args, {"b2_list": None, "L_list": None})
+    eff = _effective(args)
     b2_list = _sweep_values(eff["b2_list"], "b2")
     l_list = _sweep_values(eff["L_list"], "L")
     if (b2_list is None) == (l_list is None):
         raise InvalidParams("sweep needs exactly one of --b2-list or --L-list")
+    sweep_name, values = ("b2", b2_list) if b2_list is not None else ("L", l_list)
     base = _model_params(eff)
+    # every step is checked before the first solve
+    steps = [_model_params({**eff, sweep_name: value}) for value in values]
     grid = _grid(eff, base)
     out = eff["out"]
 
@@ -363,12 +335,10 @@ def cmd_sweep(args) -> int:
 
     records = []
     failed = False
-    sweep_name, values = ("b2", b2_list) if b2_list is not None else ("L", l_list)
-    steps = _warm_started(
-        base, grid, sweep_name, values, init=_init(eff, base),
-        tol=eff["tol"], max_iter=eff["max_iter"],
+    solved = _warm_started(
+        steps, grid, init=_init(eff, base), tol=eff["tol"], max_iter=eff["max_iter"]
     )
-    for p_step, profile, report, error in steps:
+    for p_step, profile, report, error in solved:
         record = {sweep_name: getattr(p_step, sweep_name), "s_plus": p_step.s_plus}
         if error is not None:
             failed = True
@@ -391,8 +361,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    # without an output prefix the energies are only printed
-    eff = _effective(args, {"input": None, "out": None})
+    eff = _effective(args)
     if not eff["input"]:
         raise InvalidParams("energy requires --input profile.csv")
     params = _model_params(eff)
@@ -432,29 +401,22 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help):
         # no prefix matching: ``solve --m`` must not pass as ``--max-iter``
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        _add_param_flags(p, name)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key, kind, _, commands, text in _OPTIONS:
+            if name in commands:
+                flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "out" else [])
+                if isinstance(kind, tuple):
+                    p.add_argument(*flags, choices=kind, help=text)
+                else:
+                    p.add_argument(*flags, type=kind, help=text)
         p.set_defaults(func=func)
-        return p
 
     command("solve", cmd_solve, "minimise the reduced radial energy")
     command("limit", cmd_limit, "explicit L -> 0 profiles and energy table")
-    p_res = command("residual", cmd_residual, "ODE and 2D PDE residuals of a profile")
-    p_res.add_argument("--input", help="profile CSV (r,u,v)")
-
-    p_render = command("render", cmd_render, "SVG glyph lattice and eigenvalue chart")
-    p_render.add_argument("--branch", choices=("minus", "plus"), help="explicit branch")
-    p_render.add_argument("--input", help="profile CSV (r,u,v)")
-    p_render.add_argument("--style", choices=("rod", "box"), help="glyph style")
-    p_render.add_argument("--density", type=int, help="glyph rings (>= 4)")
-    p_render.add_argument("--size", type=int, help="image size in px")
-    p_render.add_argument("--shift", type=float, help="box eigenvalue shift")
-
-    p_sweep = command("sweep", cmd_sweep, "parameter continuation sweep")
-    p_sweep.add_argument("--b2-list", dest="b2_list", help="comma-separated monotone b2 values")
-    p_sweep.add_argument("--L-list", dest="L_list", help="comma-separated monotone L values")
-
-    p_energy = command("energy", cmd_energy, "print energies of a profile")
-    p_energy.add_argument("--input", help="profile CSV (r,u,v)")
+    command("residual", cmd_residual, "ODE and 2D PDE residuals of a profile")
+    command("render", cmd_render, "SVG glyph lattice and eigenvalue chart")
+    command("sweep", cmd_sweep, "parameter continuation sweep")
+    command("energy", cmd_energy, "print energies of a profile")
     return parser
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionInvalid, GridError, InvalidParams
-from .grid import GAUSS_XI, PolarGrid
+from .grid import GAUSS_XI, PolarGrid, three_point_derivatives
 from .params import ModelParams
 from .reduced import Profile
 from . import tensor
@@ -186,14 +186,8 @@ def ldg_energy_2d(field: Field2D, params: ModelParams) -> float:
 
 def _laplacian(values: np.ndarray, r: np.ndarray, dphi: float) -> np.ndarray:
     """Five-point polar Laplacian at the rings ``1..len-2`` of ``values`` (radii ``r``)."""
-    hm = (r[1:-1] - r[:-2])[:, None, None]
-    hp = (r[2:] - r[1:-1])[:, None, None]
-    denom = hm * hp * (hm + hp)
-    vm = values[:-2]
+    d1, d2 = three_point_derivatives(values, r)
     vc = values[1:-1]
-    vp = values[2:]
-    d1 = (hm * hm * vp - hp * hp * vm + (hp * hp - hm * hm) * vc) / denom
-    d2 = 2.0 * (hm * vp + hp * vm - (hm + hp) * vc) / denom
     ddphi = (np.roll(vc, -1, axis=1) - 2.0 * vc + np.roll(vc, 1, axis=1)) / dphi**2
     ri = r[1:-1][:, None, None]
     return d2 + d1 / ri + ddphi / ri**2

@@ -145,3 +145,22 @@ class PolarGrid:
     @property
     def dphi(self) -> float:
         return 2.0 * np.pi / self.m
+
+
+def three_point_derivatives(y: np.ndarray, r: np.ndarray):
+    """First and second derivatives at the nodes ``1..len-2`` of the radii ``r``.
+
+    Three-point stencils on the non-uniform spacing, second order on a
+    smoothly graded grid; ``y`` is sampled at ``r`` along its first axis and
+    any trailing axes broadcast.
+    """
+    shape = (-1,) + (1,) * (y.ndim - 1)
+    hm = (r[1:-1] - r[:-2]).reshape(shape)
+    hp = (r[2:] - r[1:-1]).reshape(shape)
+    denom = hm * hp * (hm + hp)
+    ym = y[:-2]
+    yc = y[1:-1]
+    yp = y[2:]
+    d1 = (hm * hm * yp - hp * hp * ym + (hp * hp - hm * hm) * yc) / denom
+    d2 = 2.0 * (hm * yp + hp * ym - (hm + hp) * yc) / denom
+    return d1, d2

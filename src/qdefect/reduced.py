@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence
-from .grid import GAUSS_XI, RadialGrid
+from .grid import GAUSS_XI, RadialGrid, three_point_derivatives
 from .params import ModelParams
 
 _SQRT6 = math.sqrt(6.0)
@@ -75,13 +75,6 @@ class Profile:
         dv = self.v - other.v
         return math.sqrt(float(np.sum(w * (du * du + dv * dv))))
 
-    def boundary_mismatch(self, params: ModelParams) -> float:
-        return max(
-            abs(self.u[0]),
-            abs(self.u[-1] - params.boundary_u),
-            abs(self.v[-1] - params.boundary_v),
-        )
-
 
 def apply_boundary(profile: Profile, params: ModelParams) -> Profile:
     """Overwrite the fixed degrees of freedom with the exact boundary data."""
@@ -91,13 +84,16 @@ def apply_boundary(profile: Profile, params: ModelParams) -> Profile:
     return profile
 
 
+def csv_text(header: str, columns) -> str:
+    """CSV text of float columns under ``header``, shortest round-trip decimals."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def write_profile_csv(path, profile: Profile):
     """Write ``r,u,v`` rows with shortest round-trip decimal formatting."""
-    lines = ["r,u,v"]
-    for r, u, v in zip(profile.grid.nodes, profile.u, profile.v):
-        lines.append(f"{float(r)!r},{float(u)!r},{float(v)!r}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text("r,u,v", (profile.grid.nodes, profile.u, profile.v)))
 
 
 def read_profile_csv(path) -> Profile:
@@ -421,27 +417,19 @@ def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
     r = profile.grid.nodes
     u = profile.u
     v = profile.v
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    denom = hm * hp * (hm + hp)
-
-    def d1(y):
-        return (hm * hm * y[2:] - hp * hp * y[:-2] + (hp * hp - hm * hm) * y[1:-1]) / denom
-
-    def d2(y):
-        return 2.0 * (hm * y[2:] + hp * y[:-2] - (hm + hp) * y[1:-1]) / denom
-
+    du1, du2 = three_point_derivatives(u, r)
+    dv1, dv2 = three_point_derivatives(v, r)
     ri = r[1:-1]
     ui = u[1:-1]
     vi = v[1:-1]
     t = ui * ui + vi * vi
     k2 = float(params.k * params.k)
     ru = (
-        d2(u) + d1(u) / ri - k2 * ui / (ri * ri)
+        du2 + du1 / ri - k2 * ui / (ri * ri)
         - (ui / params.L) * (-params.a2 + _SQRT23 * params.b2 * vi + params.c2 * t)
     )
     rv = (
-        d2(v) + d1(v) / ri
+        dv2 + dv1 / ri
         - (vi / params.L) * (-params.a2 - params.b2 * vi / _SQRT6 + params.c2 * t)
         - params.b2 * ui * ui / (_SQRT6 * params.L)
     )
@@ -646,10 +634,8 @@ def minimize(
     return profile, report
 
 
-def _warm_started(
-    base: ModelParams, grid: RadialGrid, name: str, values, init="explicit", **solve_kw
-):
-    """Solve at each value of parameter ``name``, warm-starting each step.
+def _warm_started(steps, grid: RadialGrid, init="explicit", **solve_kw):
+    """Solve at each of the parameter sets ``steps``, warm-starting each step.
 
     The first step starts from ``init``, each later one from the last
     converged profile rescaled to the new ``s_plus``.  Yields ``(params,
@@ -657,8 +643,7 @@ def _warm_started(
     profile and report are then its best iterate) or None.
     """
     last = None  # (params, profile) of the last converged step
-    for value in values:
-        p_step = base.with_updates(**{name: value})
+    for p_step in steps:
         start = init
         if last is not None:
             prev_params, prev = last
@@ -690,8 +675,9 @@ def continuation_in_b2(params: ModelParams, b2_targets, grid: RadialGrid):
     if any(b1 >= b2 for b1, b2 in zip(targets, targets[1:])):
         raise InvalidParams("b2_targets must be strictly ascending")
 
+    steps = [params.with_updates(b2=b2) for b2 in targets]
     branch = []
-    for p_b, profile, report, error in _warm_started(params, grid, "b2", targets):
+    for p_b, profile, report, error in _warm_started(steps, grid):
         if error is not None:
             error.failing_b2 = p_b.b2
             error.branch_so_far = branch

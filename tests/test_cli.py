@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qdefect
 from qdefect import CsvFormatError, NonConvergence, Profile, RadialGrid, read_profile_csv
-from qdefect.cli import _json_text, main
+from qdefect.cli import _OPTIONS, _json_text, main
 
 
 def run(tmp_path, *argv):
@@ -93,22 +93,45 @@ def test_solve_rejects_unknown_config_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def _bad_values(kind, default):
+    """``(case, flag text or None, config value)`` that an option of ``kind`` rejects."""
+    if isinstance(kind, tuple):
+        cases = [("choice", "bogus", "bogus"), ("type", None, 1)]
+    elif kind is str:
+        cases = [("type", None, 5)]
+    else:
+        cases = [("type", "abc", "abc"), ("bool", "true", True)]
+        if kind is int:
+            cases.append(("integral", "1.5", 1.5))
+    if default is not None:  # null stands for "unset" only where that is the default
+        cases.append(("null", None, None))
+    return cases
+
+
+_BAD_OPTIONS = [
+    (command, key, *bad)
+    for key, kind, default, commands, _ in _OPTIONS
+    for command in commands
+    for bad in _bad_values(kind, default)
+]
+
+
 @pytest.mark.parametrize(
-    "cfg, key",
-    [
-        ({"tol": "abc"}, "tol"),
-        ({"n": "abc"}, "n"),
-        ({"k": 1.5, "n": 64}, "k"),
-        ({"n": True}, "n"),
-    ],
-    ids=["tol-string", "n-string", "k-non-integral", "n-bool"],
+    "command, key, case, text, value", _BAD_OPTIONS,
+    ids=[f"{command}-{key}-{case}" for command, key, case, _, _ in _BAD_OPTIONS],
 )
-def test_solve_rejects_mistyped_config_values(tmp_path, capsys, cfg, key):
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    assert run(tmp_path, "solve", "--config", "cfg.json", "-o", "typed") == 2
+def test_flags_and_config_values_are_checked_alike(tmp_path, capsys, command, key, case, text, value):
+    flag = "--" + key.replace("_", "-")
+    if text is not None:  # a flag's text can only be of the wrong type or choice
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, flag, text)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert run(tmp_path, command, "--config", "cfg.json") == 2
     err = capsys.readouterr().err
-    assert "[E_CONFIG]" in err and repr(key) in err and "Traceback" not in err
-    assert not (tmp_path / "typed_report.json").exists()
+    assert "[E_CONFIG]" in err and f"config key {key!r}" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_config_values_convert_like_their_flags(tmp_path):
@@ -396,6 +419,18 @@ def test_sweep_honours_init_and_iteration_flags(tmp_path, monkeypatch, capsys):
     assert run(
         tmp_path, *sweep[:-1], "64", "--init", "file", "--init-file", "seed_profile.csv"
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [("--L-list", "0.1,0.01,0"), ("--L-list", "0.1,0.01,-0.01"), ("--b2-list", "0,1,inf")],
+    ids=["L-zero", "L-negative", "b2-inf"],
+)
+def test_sweep_checks_every_step_before_the_first_solve(tmp_path, monkeypatch, capsys, flag, values):
+    calls = _spy_on_solves(monkeypatch)
+    assert run(tmp_path, "sweep", flag, values, "--k", "1", "--n", "64", "-o", "sw") == 2
+    assert "[E_CONFIG]" in capsys.readouterr().err
+    assert calls == [] and not list(tmp_path.iterdir())
 
 
 def test_sweep_empty_and_double_lists(tmp_path):

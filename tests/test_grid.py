@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdefect import GridError, PolarGrid, RadialGrid
+from qdefect.grid import three_point_derivatives
 from qdefect.reduced import _P1Gauss
 
 
@@ -75,3 +76,16 @@ def test_polar_grid_validation():
         PolarGrid(g, 63)
     with pytest.raises(GridError):
         PolarGrid(g, 62)  # even but below the floor
+
+
+def test_three_point_derivatives_exact_on_quadratics_and_columnwise():
+    r = RadialGrid.graded(1.0, 40).nodes
+    y = np.stack([3.0 - 2.0 * r + 0.5 * r**2, r**2], axis=1)[:, None, :]  # (N+1, 1, 2)
+    d1, d2 = three_point_derivatives(y, r)
+    ri = r[1:-1]
+    assert np.allclose(d1[:, 0], np.stack([-2.0 + ri, 2.0 * ri], axis=1), rtol=0, atol=1e-9)
+    assert np.allclose(d2[:, 0], [[1.0, 2.0]], rtol=0, atol=1e-6)
+    # trailing axes only broadcast: each column equals its own 1D call bit for bit
+    for j in range(2):
+        c1, c2 = three_point_derivatives(y[:, 0, j], r)
+        assert np.array_equal(d1[:, 0, j], c1) and np.array_equal(d2[:, 0, j], c2)
