@@ -23,13 +23,12 @@ residual is reported separately by :func:`ode_residual`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence
-from .grid import GAUSS_XI, RadialGrid, three_point_derivatives
+from .grid import GAUSS_W, GAUSS_XI, RadialGrid, three_point_derivatives
 from .params import ModelParams
 
 _SQRT6 = math.sqrt(6.0)
@@ -129,35 +128,6 @@ def read_profile_csv(path) -> Profile:
 
 
 # ---------------------------------------------------------------------------
-# bulk potential along the two-mode frame
-# ---------------------------------------------------------------------------
-
-# The potential terms read an evaluated point (:meth:`_P1Gauss.point`).  Reusing
-# its squares must not change a rounding: ``2.0 * uu`` equals ``(2u) u`` exactly,
-# but ``3.0 * ug * ug`` stays, since ``(3u) u`` and ``3 (u u)`` can round apart.
-
-def _fhat(pt: _Point, p: ModelParams):
-    return -0.5 * p.a2 * pt.t \
-        - (p.b2 / (3.0 * _SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.ug * pt.ug) \
-        + 0.25 * p.c2 * pt.t * pt.t
-
-
-def _fhat_u(pt: _Point, p: ModelParams):
-    return pt.ug * (-p.a2 + _SQRT23 * p.b2 * pt.vg + p.c2 * pt.t)
-
-
-def _fhat_v(pt: _Point, p: ModelParams):
-    return pt.vg * (-p.a2 + p.c2 * pt.t) - (p.b2 / _SQRT6) * (pt.vv - pt.uu)
-
-
-def _fhat_hessian(pt: _Point, p: ModelParams):
-    fuu = -p.a2 + _SQRT23 * p.b2 * pt.vg + p.c2 * (pt.t + 2.0 * pt.uu)
-    fuv = _SQRT23 * p.b2 * pt.ug + 2.0 * p.c2 * pt.ug * pt.vg
-    fvv = -p.a2 - _SQRT23 * p.b2 * pt.vg + p.c2 * (pt.t + 2.0 * pt.vv)
-    return fuu, fuv, fvv
-
-
-# ---------------------------------------------------------------------------
 # the P1/Gauss kernel: energy, gradient, Hessian
 # ---------------------------------------------------------------------------
 
@@ -183,10 +153,12 @@ class _P1Gauss:
     ``wg`` of ``int f(r) r dr``, interpolation parameters ``t`` and
     ``s = 1 - t``, squared Gauss radii ``rg2`` (all ``(N, 5)``).  Built per
     solve or public call, never cached on the grid (that would keep every held
-    grid's arrays alive); ``rg`` is dropped, and ``seg_r`` and the Hessian's
-    ``k2_rg2 = k^2 / r^2`` are built on first use, to keep a call's peak memory
-    low.  :meth:`point` evaluates a point once for its energy, gradient and
-    Hessian.
+    grid's arrays alive); ``rg`` is dropped.  :meth:`point` evaluates a point
+    once for its energy, gradient and Hessian.  The terms' constants serve
+    every point of a solve: ``seg_r / 2``, ``seg_r / h``, ``seg_r / h^2``
+    (``seg_r`` the exact per-segment ``int r dr``), ``wk = wg k^2 / r^2``,
+    ``wg / L`` and the Gauss coefficient buffers of the gradient and the
+    Hessian, whose pages only their first use touches.
     """
 
     def __init__(self, grid: RadialGrid, k: int):
@@ -197,14 +169,20 @@ class _P1Gauss:
         self.t = (rg - grid.nodes[:-1, None]) / self.h[:, None]
         self.s = 1.0 - self.t
         self.rg2 = rg * rg
+        seg_r = self.h * (rg @ GAUSS_W)  # the sum of wg over each segment
+        self.half_seg_r, self.seg_r_h = 0.5 * seg_r, seg_r / self.h
+        # seg_r / h^2 times the aa, ab, bb signs of the hat-slope products
+        self.stiff_pairs = np.multiply.outer(self.seg_r_h / self.h, [1.0, -1.0, 1.0])
+        self.wk = self.wg * (self.k2 / self.rg2)
+        self.grad_coef = np.empty((2,) + self.wg.shape)
+        self.hess_coef = np.empty((3,) + self.wg.shape)
+        self._wg_L = (None, None)
 
-    @cached_property
-    def seg_r(self) -> np.ndarray:
-        return self.wg.sum(axis=1)  # exact per-segment integral of r dr
-
-    @cached_property
-    def k2_rg2(self) -> np.ndarray:
-        return self.k2 / self.rg2
+    def wg_L(self, L: float) -> np.ndarray:
+        """``wg / L``, kept for the last ``L`` asked for."""
+        if self._wg_L[0] != L:
+            self._wg_L = (L, self.wg / L)
+        return self._wg_L[1]
 
     def at_gauss(self, values) -> np.ndarray:
         """Piecewise-linear interpolation of node data to the Gauss radii."""
@@ -228,9 +206,17 @@ def _check_operands(profile: Profile, params: ModelParams):
         raise InvalidParams("the reduced functional requires L > 0")
 
 
-def _energy(q: _P1Gauss, pt: _Point, params: ModelParams) -> float:
-    dens = q.dirichlet_density(pt) + _fhat(pt, params) / params.L
-    return float(np.sum(q.wg * dens))
+# The bulk potential along the two-mode frame (|Y|^2 = t, m = c2 t - a2):
+#   f   = -a2 t / 2 + c2 t^2 / 4 - b2 vg (vg^2 - 3 ug^2) / (3 sqrt 6)
+#   f_u = ug (m + sqrt(2/3) b2 vg),  f_v = vg m - b2 (vg^2 - ug^2) / sqrt 6
+#   f_uu = m + sqrt(2/3) b2 vg + 2 c2 ug^2,  f_uv = ug (sqrt(2/3) b2 + 2 c2 vg)
+#   f_vv = m - sqrt(2/3) b2 vg + 2 c2 vg^2
+
+def _energy(q: _P1Gauss, pt: _Point, p: ModelParams) -> float:
+    f = pt.t * (0.25 * p.c2 * pt.t - 0.5 * p.a2) \
+        - (p.b2 / (3.0 * _SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.uu)
+    return float(q.half_seg_r @ (pt.du * pt.du + pt.dv * pt.dv)
+                 + 0.5 * np.vdot(q.wk, pt.uu) + np.vdot(q.wg_L(p.L), f))
 
 
 def reduced_energy(profile: Profile, params: ModelParams) -> float:
@@ -244,25 +230,26 @@ def reduced_energy(profile: Profile, params: ModelParams) -> float:
     return _energy(q, q.point(profile.u, profile.v), params)
 
 
-def _raw_gradient(q: _P1Gauss, pt: _Point, params: ModelParams):
-    """Partial derivatives of the discrete energy wrt every node value."""
-    h = q.h
-    gu = np.zeros_like(pt.u)
-    gv = np.zeros_like(pt.v)
-    au = q.seg_r * pt.du / h
-    av = q.seg_r * pt.dv / h
-    gu[:-1] -= au
-    gu[1:] += au
-    gv[:-1] -= av
-    gv[1:] += av
+# hat values 1 - xi, xi at the Gauss points (a segment's end nodes a, b) and
+# their products (1 - xi)^2, (1 - xi) xi, xi^2 (its node pairs aa, ab, bb)
+_HAT_ENDS = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=1)
+_HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
-    wfu = q.wg * (q.k2 * pt.ug / q.rg2 + _fhat_u(pt, params) / params.L)
-    wfv = q.wg * (_fhat_v(pt, params) / params.L)
-    gu[:-1] += wfu @ (1.0 - GAUSS_XI)
-    gu[1:] += wfu @ GAUSS_XI
-    gv[:-1] += wfv @ (1.0 - GAUSS_XI)
-    gv[1:] += wfv @ GAUSS_XI
-    return gu, gv
+
+def _raw_gradient(q: _P1Gauss, pt: _Point, p: ModelParams):
+    """Partial derivatives of the discrete energy wrt every node value."""
+    wl = q.wg_L(p.L)
+    m = p.c2 * pt.t - p.a2
+    cu, cv = q.grad_coef  # wg (k^2 u / r^2 + f_u / L), wg f_v / L
+    np.multiply(wl * (m + _SQRT23 * p.b2 * pt.vg) + q.wk, pt.ug, out=cu)
+    np.multiply(wl, pt.vg * m - (p.b2 / _SQRT6) * (pt.vv - pt.uu), out=cv)
+    ends = (q.grad_coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
+    stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
+    g = np.empty((2, pt.u.size))
+    g[:, :-1] = ends[:, :, 0] - stiff
+    g[:, -1] = 0.0
+    g[:, 1:] += ends[:, :, 1] + stiff
+    return g[0], g[1]
 
 
 def _project(gu, gv):
@@ -270,10 +257,6 @@ def _project(gu, gv):
     gu[-1] = 0.0
     gv[-1] = 0.0
     return gu, gv
-
-
-def _mass_norm(gu, gv, masses):
-    return math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
 
 
 def reduced_gradient(profile: Profile, params: ModelParams):
@@ -286,40 +269,37 @@ def reduced_gradient(profile: Profile, params: ModelParams):
     """
     _check_operands(profile, params)
     q = _P1Gauss(profile.grid, params.k)
-    gu, gv = _raw_gradient(q, q.point(profile.u, profile.v), params)
-    _project(gu, gv)
+    gu, gv = _project(*_raw_gradient(q, q.point(profile.u, profile.v), params))
     m = profile.grid.node_masses
     return gu / m, gv / m
 
 
-# hat-function products (1 - xi)^2, (1 - xi) xi, xi^2: the aa, ab, bb weights of a segment block
-_HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
-
-
-def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, params: ModelParams):
+def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, p: ModelParams):
     """Banded Hessian of the discrete energy over the free DOFs at the
     evaluated point ``pt``, in ``solve_banded`` layout (l = u = 3).
 
     The free DOFs form the chain ``[v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}]``:
     ``u_i`` at index ``2i - 1``, ``v_i`` at ``2i``, so segment ``i`` owns
-    the contiguous indices ``2i - 1 .. 2i + 2``.  Each entry of a segment's
-    4x4 block is one length-N vector (stiffness first, then Gauss points
-    0..4), written into the upper rows 0-3 (row 3 the diagonal) with step-2
-    slices; a node shared by two segments sums their two entries.  The
-    couplings of the fixed ``u_0``, ``u_N``, ``v_N`` are left out, and rows
-    4-6 mirror rows 2-0, so rows 3-6 are LAPACK's lower band storage.
+    the contiguous indices ``2i - 1 .. 2i + 2``.  One product of the
+    ``(3N, 5)`` Gauss coefficients with the hat pairs gives each segment's
+    uu, uv, vv entries of its node pairs aa, ab, bb as length-N vectors,
+    written into the upper rows 0-3 (row 3 the diagonal) with step-2 slices;
+    a node shared by two segments sums their two entries.  The couplings of
+    the fixed ``u_0``, ``u_N``, ``v_N`` are left out, and rows 4-6 mirror
+    rows 2-0, so rows 3-6 are LAPACK's lower band storage.
     """
     n = q.grid.n_segments
-    fuu, fuv, fvv = _fhat_hessian(pt, params)
-    coef = np.stack([q.wg * (q.k2_rg2 + fuu / params.L), q.wg * fuv / params.L,
-                     q.wg * fvv / params.L]).transpose(0, 2, 1)  # (uu/uv/vv, 5, N)
-    stiff = q.seg_r / (q.h * q.h)
-    loc = np.zeros((3, 3, n))  # (uu/uv/vv, aa/ab/bb, N)
-    loc[0::2] = np.array([[1.0], [-1.0], [1.0]]) * stiff  # uu, vv: +, -, + stiffness
-    for g in range(GAUSS_XI.size):
-        loc += coef[:, g, None, :] * _HAT_PAIRS[g, :, None]
+    wl = q.wg_L(p.L)
+    m = p.c2 * pt.t - p.a2
+    bv = _SQRT23 * p.b2 * pt.vg
+    cuu, cuv, cvv = q.hess_coef  # wg (k^2 / r^2 + f_uu / L), wg f_uv / L, wg f_vv / L
+    np.add(wl * (m + bv + 2.0 * p.c2 * pt.uu), q.wk, out=cuu)
+    np.multiply(wl, pt.ug * (_SQRT23 * p.b2 + 2.0 * p.c2 * pt.vg), out=cuv)
+    np.multiply(wl, m - bv + 2.0 * p.c2 * pt.vv, out=cvv)
+    loc = (q.hess_coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
+    loc[0::2] += q.stiff_pairs
     # u_a v_b and v_a u_b share the weight (1 - xi) xi, so uv_ab serves both
-    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc
+    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
 
     ab = np.zeros((7, 2 * n - 1))
     ab[3, 0::2] = vv_aa  # v_i v_i
@@ -335,33 +315,38 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, params: ModelParams):
     return ab
 
 
-def _newton_step(lower, shift, rhs, chol):
+def _newton_step(lower, shift, rhs, work):
     """Solve ``(H + diag(shift)) x = rhs``, ``H`` in LAPACK's lower band
     storage (rows 3-6 of :func:`_assemble_hessian_banded`); None where the
     factorisation fails (``H + diag(shift)`` not positive definite) or ``x``
     is not finite.
 
-    ``dpbtrf`` factors one Fortran-order copy of the band in place; the
-    factor is copied into ``chol``, a ``(4, nf)`` Fortran-order array whose
-    corners outside the matrix are 0, and ``dpbtrs`` solves in upper storage,
-    which keeps the steps of an upper-storage factorisation bit for bit.
+    One ``dpbsv`` call factors and solves in lower storage, in place in
+    ``work``, a ``(4, nf)`` Fortran-order array that a solve reuses.
     """
     # imported here: scipy.linalg is most of the package import time, and
     # only the solver factors a matrix
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.linalg.lapack import dpbsv
 
-    shifted = lower.copy(order="F")
-    shifted[0] += shift
-    factor, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
-    if info != 0:
-        return None
-    nf = factor.shape[1]
-    for d in range(4):
-        chol[3 - d, d:] = factor[d, :nf - d]
-    x, info = dpbtrs(chol, rhs)
+    work[...] = lower
+    work[0] += shift
+    _, x, info = dpbsv(work, rhs, lower=1, overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(x)):
         return None
     return x
+
+
+def _roundoff_floor(lower, x, mass_free) -> float:
+    """``eps || |H| |x| ||_M``: the mass-weighted size of the round-off in a
+    gradient whose terms are as large as those of ``H x``, ``H`` in lower
+    band storage and ``x`` the free DOFs."""
+    a = np.abs(lower)
+    ax = np.abs(x)
+    y = a[0] * ax
+    for d in (1, 2, 3):
+        y[d:] += a[d, :-d] * ax[:-d]
+        y[:-d] += a[d, :-d] * ax[d:]
+    return np.finfo(float).eps * math.sqrt(float(np.sum(y * y / mass_free)))
 
 
 def _free_rhs(gu, gv, n):
@@ -454,7 +439,10 @@ class SolveReport:
     ``residual_norm`` is the strong-form FD residual maximum over interior
     nodes away from the two origin-adjacent ones.  ``checks`` records the
     qualitative-structure verdicts (sign structure for b2 = 0, norm bound,
-    Neumann defect).
+    Neumann defect).  ``stop`` is ``"tol"`` or ``"roundoff_floor"`` (see
+    :func:`minimize`), None if the run did not converge.
+    ``factorizations_failed`` counts Newton systems whose factorisation
+    failed or whose step was not finite, ``backtracks`` rejected trial points.
     """
 
     energy: float
@@ -462,17 +450,13 @@ class SolveReport:
     residual_norm: float
     iterations: int
     converged: bool
+    stop: str | None = None
+    factorizations_failed: int = 0
+    backtracks: int = 0
     checks: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "grad_norm": self.grad_norm,
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "checks": self.checks,
-        }
+        return asdict(self)
 
 
 def _initial_arrays(params: ModelParams, grid: RadialGrid, init):
@@ -518,23 +502,28 @@ def minimize(
     """Find the reduced-energy minimiser on the grid.
 
     Damped Newton on the discrete stationarity system.  Each step factors
-    ``H + lam M`` (``M`` the lumped node masses) in LAPACK's lower band
-    storage (``dpbtrf``, rows 3-6 of the assembled band), copies the factor
-    to upper storage and solves there (``dpbtrs``); where the factorisation
+    and solves ``H + lam M`` (``M`` the lumped node masses) with one
+    ``dpbsv`` call in LAPACK's lower band storage; where the factorisation
     fails (negative curvature) or the step is not finite, the Levenberg
     shift ``lam`` is raised.  A step is accepted by an Armijo test on the
     energy, or, when the energy change is below round-off
     (``|dE| <= 1e-12 |E|``), by an Armijo test on the projected-gradient
     norm.  Each trial point is evaluated once (:meth:`_P1Gauss.point`) for
-    its energy and, once accepted, its gradient and Hessian.  For
-    ``b2 = 0`` the start is reflected into the signed class ``u >= 0,
-    v <= 0`` (the energy is invariant under those sign flips there).
+    its energy and, once accepted, its gradient and Hessian.  For ``b2 = 0``
+    the start is reflected into the signed class ``u >= 0, v <= 0`` (the
+    energy is invariant under those sign flips there).
     ``on_step("newton", energy, grad_norm)`` is called after every Newton
     iteration.
 
+    The run stops (``report.stop``) at ``"tol"`` once the gradient norm is
+    at most ``tol``, or at ``"roundoff_floor"`` where round-off holds it
+    above ``tol``: a full step changes the energy only by round-off and the
+    gradient norm by less than half, and that norm is within its floor
+    ``eps || |H| |x| ||_M`` (:func:`_roundoff_floor`).
+
     Returns ``(profile, report)``; raises :class:`NonConvergence` with the
-    best iterate attached if ``max_iter`` Newton iterations do not reach
-    ``tol``, no step is accepted, or the gradient norm is not finite.
+    best iterate attached if ``max_iter`` Newton iterations do not stop the
+    run, no step is accepted, or the gradient norm is not finite.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParams("tol must be finite and positive")
@@ -544,8 +533,7 @@ def minimize(
         raise InvalidParams("minimize requires L > 0; L = 0 is the limit problem")
     u, v = _initial_arrays(params, grid, init)
     if params.b2 == 0.0:
-        u = np.abs(u)
-        v = -np.abs(v)
+        u, v = np.abs(u), -np.abs(v)
     u[0] = 0.0
     u[-1] = params.boundary_u
     v[-1] = params.boundary_v
@@ -556,30 +544,32 @@ def minimize(
     masses = grid.node_masses
     mass_free = _free_rhs(masses, masses, n)
     q = _P1Gauss(grid, params.k)
-    chol = np.zeros((4, 2 * n - 1), order="F")  # _newton_step's upper factor
+    work = np.empty((4, 2 * n - 1), order="F")  # _newton_step's band
 
     def grad_and_norm(at):
         gu, gv = _raw_gradient(q, at, params)
         _project(gu, gv)
-        return gu, gv, _mass_norm(gu, gv, masses)
+        return gu, gv, math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
 
     pt = q.point(u, v)
     energy = _energy(q, pt, params)
     gu, gv, gn = grad_and_norm(pt)
     lam = 0.0
-    iters = 0
-    converged = gn <= tol
-    while not converged and iters < max_iter and math.isfinite(gn):
+    iters = failed = backtracks = 0
+    stop = "tol" if gn <= tol else None
+    while stop is None and iters < max_iter and math.isfinite(gn):
         lower = _assemble_hessian_banded(q, pt, params)[3:]
         lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
         rhs = _free_rhs(-gu, -gv, n)
-        accepted = False
+        accepted = stalled = False
         # Each rejection multiplies lam by 30 from at least 1e-8 lam_unit, so
         # finite data passes 1e12 lam_unit within 15 rejections; the count
         # bounds the loop where lam_unit is 0 or NaN and the test never fires.
         for _ in range(_MAX_DAMPING_REJECTS):
-            x = _newton_step(lower, lam * mass_free, rhs, chol)
-            if x is not None:
+            x = _newton_step(lower, lam * mass_free, rhs, work)
+            if x is None:
+                failed += 1
+            else:
                 du, dv = _unpack_free(x, n)
                 slope = -float(rhs @ x)  # directional derivative, < 0
                 beta = 1.0
@@ -589,6 +579,8 @@ def minimize(
                     if abs(e2 - energy) <= 1e-12 * abs(energy):
                         gu2, gv2, gn2 = grad_and_norm(pt2)
                         accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
+                        stalled = beta == 1.0 and gn2 > 0.5 * gn and \
+                            gn <= _roundoff_floor(lower, _free_rhs(pt.u, pt.v, n), mass_free)
                     elif e2 <= energy + 1e-4 * beta * slope:
                         gu2, gv2, gn2 = grad_and_norm(pt2)
                         accepted = True
@@ -598,9 +590,11 @@ def minimize(
                         lam *= 0.3
                         if lam < 1e-14 * lam_unit:
                             lam = 0.0
+                    if accepted or stalled:
                         break
                     beta *= 0.5
-            if accepted:
+                    backtracks += 1
+            if accepted or stalled:
                 break
             lam = max(lam * 30.0, 1e-8 * lam_unit)
             if lam > 1e12 * lam_unit:
@@ -608,8 +602,11 @@ def minimize(
         iters += 1
         if on_step is not None:
             on_step("newton", energy, gn)
-        converged = gn <= tol
-        if not accepted:
+        if gn <= tol:
+            stop = "tol"
+        elif stalled:
+            stop = "roundoff_floor"
+        elif not accepted:
             break
 
     u, v = pt.u, pt.v
@@ -621,10 +618,13 @@ def minimize(
         grad_norm=gn,
         residual_norm=res.max_interior(),
         iterations=iters,
-        converged=bool(converged),
+        converged=stop is not None,
         checks=checks,
+        stop=stop,
+        factorizations_failed=failed,
+        backtracks=backtracks,
     )
-    if not converged:
+    if stop is None:
         raise NonConvergence(
             f"no convergence after {iters} Newton iterations "
             f"(grad_norm {gn:.3e} > tol {tol:.1e})",

@@ -2,8 +2,9 @@
 
 Q-tensors are drawn as rod glyphs aligned with the leading eigenvector
 (length proportional to the spectral gap, colour by biaxiality) or as
-eigenvalue-shifted boxes; the shift keeps every box edge positive since a
-traceless spectrum always contains a negative eigenvalue.
+eigenvalue-shifted boxes; the automatic shift keeps every box edge positive
+since a traceless spectrum always contains a negative eigenvalue, and a
+given shift that does not is rejected.
 """
 
 from __future__ import annotations
@@ -133,8 +134,14 @@ def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
                     'stroke-linecap="round"/>\n'
                 )
     else:
-        wa = cell * (frame_lam[:, 2] + shift) / lam_span
-        wb = cell * (frame_lam[:, 1] + shift) / lam_span
+        sides = frame_lam[:, 1:] + shift  # (lam_perp, lam_n) + shift
+        if not float(np.min(sides)) > 0.0:
+            raise InvalidParams(
+                f"box shift {shift} leaves a box side non-positive; "
+                f"it must exceed {-float(np.min(frame_lam[:, 1:])):.6g}"
+            )
+        wa = cell * sides[:, 1] / lam_span
+        wb = cell * sides[:, 0] / lam_span
         ang = -np.degrees(np.arctan2(n[:, 1], n[:, 0]))
         rows = zip(x, y, wa.tolist(), wb.tolist(), ang.tolist(), colors)
         for xi, yi, wai, wbi, angi, color in rows:

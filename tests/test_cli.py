@@ -44,8 +44,10 @@ def test_solve_writes_profile_and_report(tmp_path):
     assert prof.grid.nodes.size == 129
     report = json.loads((tmp_path / "out_report.json").read_text())
     assert list(report)[:5] == ["energy", "grad_norm", "residual_norm", "iterations", "converged"]
-    assert report["converged"] is True
+    assert report["converged"] is True and report["stop"] == "tol"
     assert report["grad_norm"] <= 1e-9
+    # from the explicit start every Newton step is a full, undamped one
+    assert report["factorizations_failed"] == 0 and report["backtracks"] == 0
     checks = report["checks"]
     assert checks["u_positive"] and checks["v_negative"]
     assert checks["v_nondecreasing"] and checks["norm_bound_ok"]
@@ -316,6 +318,16 @@ def test_render_rejects_bad_density(tmp_path):
         tmp_path, "render", "--branch", "minus", "--k", "1", "--style", "box",
         "--shift", "nan",
     ) == 2
+
+
+def test_render_rejects_a_shift_that_leaves_a_box_side_non_positive(tmp_path, capsys):
+    argv = ("render", "--branch", "minus", "--k", "1", "--n", "64", "--density", "4",
+            "--style", "box")
+    for shift in ("-0.1", "-0.40824829046386296"):  # the second: a side of exactly 0
+        assert run(tmp_path, *argv, "--shift", shift, "-o", "neg") == 2
+        assert "[E_CONFIG] box shift" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+    assert run(tmp_path, *argv, "--shift", "0.5", "-o", "pos") == 0
 
 
 # ---------------------------------------------------------------------------

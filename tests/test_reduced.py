@@ -366,6 +366,109 @@ def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
     assert step is not None  # the largest shift makes H + lam M definite
 
 
+# The per-term P1/Gauss kernel that the fused one replaced, kept as the reference:
+# the potential and each of its derivatives in a helper of its own, the gradient
+# as four hat-weighted sums and the Hessian blocks as a loop over Gauss points.
+
+def _old_fhat(pt, p):
+    return -0.5 * p.a2 * pt.t \
+        - (p.b2 / (3.0 * SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.ug * pt.ug) \
+        + 0.25 * p.c2 * pt.t * pt.t
+
+
+def _old_fhat_hessian(pt, p):
+    s23 = math.sqrt(2.0 / 3.0)
+    fuu = -p.a2 + s23 * p.b2 * pt.vg + p.c2 * (pt.t + 2.0 * pt.uu)
+    fuv = s23 * p.b2 * pt.ug + 2.0 * p.c2 * pt.ug * pt.vg
+    fvv = -p.a2 - s23 * p.b2 * pt.vg + p.c2 * (pt.t + 2.0 * pt.vv)
+    return fuu, fuv, fvv
+
+
+def _old_energy(q, pt, p):
+    dens = q.dirichlet_density(pt) + _old_fhat(pt, p) / p.L
+    return float(np.sum(q.wg * dens))
+
+
+def _old_gradient(q, pt, p):
+    from qdefect.grid import GAUSS_XI
+
+    fu = pt.ug * (-p.a2 + math.sqrt(2.0 / 3.0) * p.b2 * pt.vg + p.c2 * pt.t)
+    fv = pt.vg * (-p.a2 + p.c2 * pt.t) - (p.b2 / SQRT6) * (pt.vv - pt.uu)
+    seg_r = q.wg.sum(axis=1)
+    grads = []
+    for slope, wf in ((pt.du, q.wg * (q.k2 * pt.ug / q.rg2 + fu / p.L)), (pt.dv, q.wg * fv / p.L)):
+        g = np.zeros(pt.u.size)
+        a = seg_r * slope / q.h
+        g[:-1] -= a
+        g[1:] += a
+        g[:-1] += wf @ (1.0 - GAUSS_XI)
+        g[1:] += wf @ GAUSS_XI
+        grads.append(g)
+    return grads
+
+
+def _old_hessian(q, pt, p):
+    from qdefect.grid import GAUSS_XI
+
+    n = q.grid.n_segments
+    fuu, fuv, fvv = _old_fhat_hessian(pt, p)
+    coef = np.stack([q.wg * (q.k2 / q.rg2 + fuu / p.L), q.wg * fuv / p.L,
+                     q.wg * fvv / p.L]).transpose(0, 2, 1)  # (uu/uv/vv, 5, N)
+    pairs = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
+    loc = np.zeros((3, 3, n))  # (uu/uv/vv, aa/ab/bb, N)
+    loc[0::2] = np.array([[1.0], [-1.0], [1.0]]) * (q.wg.sum(axis=1) / (q.h * q.h))
+    for g in range(GAUSS_XI.size):
+        loc += coef[:, g, None, :] * pairs[g, :, None]
+    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc
+    ab = np.zeros((7, 2 * n - 1))
+    ab[3, 0::2] = vv_aa
+    ab[3, 2::2] += vv_bb[:-1]
+    ab[3, 1::2] = uu_bb[:-1] + uu_aa[1:]
+    ab[2, 2::2] = uv_bb[:-1] + uv_aa[1:]
+    ab[2, 1::2] = uv_ab[:-1]
+    ab[1, 2::2] = vv_ab[:-1]
+    ab[1, 3::2] = uu_ab[1:-1]
+    ab[0, 4::2] = uv_ab[1:-1]
+    for d in (1, 2, 3):
+        ab[3 + d, :-d] = ab[3 - d, d:]
+    return ab
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "graded"])
+@pytest.mark.parametrize("k", [1, -1, 2, 3, -4])
+@pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
+@pytest.mark.parametrize("n", [64, 2048])
+def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _free_rhs, _raw_gradient
+
+    p = params(L=0.01, b2=b2, k=k)
+    grid = getattr(RadialGrid, spacing)(1.0, n)
+    x = grid.nodes
+    prof = apply_boundary(
+        Profile(
+            grid,
+            p.boundary_u * x ** abs(k) * (1.0 + 0.3 * np.sin(3.0 * np.pi * x)),
+            p.boundary_v * (0.5 + 0.5 * x) + 0.1 * np.cos(2.0 * np.pi * x),
+        ),
+        p,
+    )
+    q = _P1Gauss(grid, k)
+    pt = q.point(prof.u, prof.v)
+    # the energy relative to the size of the terms it sums, which cancel to
+    # 0.19 at k = -4, b2 = 1.5
+    terms = np.sum(q.wg * (q.dirichlet_density(pt) + np.abs(_old_fhat(pt, p)) / p.L))
+    assert abs(_energy(q, pt, p) - _old_energy(q, pt, p)) <= 1e-14 * terms
+
+    ab, ref = _assemble_hessian_banded(q, pt, p), _old_hessian(q, pt, p)
+    # every entry and every gradient component, scaled per row by the size
+    # |H| |x| of the terms that the row sums
+    ax = np.abs(_free_rhs(prof.u, prof.v, n))
+    scale = _banded_matvec(np.abs(ref), ax)
+    assert np.max(_banded_matvec(np.abs(ab - ref), ax) / scale) <= 1e-14
+    grad = _free_rhs(*_raw_gradient(q, pt, p), n)
+    assert np.max(np.abs(grad - _free_rhs(*_old_gradient(q, pt, p), n)) / scale) <= 1e-14
+
+
 # (k, b2, init, iterations, energy) of minimize at L = 0.01, n = 256: a kernel
 # change that bends the Newton path changes a count or moves an energy
 _NEWTON_PATH = [
@@ -418,6 +521,36 @@ def test_damped_newton_path_is_pinned(k, b2, init, iterations, energy, monkeypat
     assert rep.iterations == iterations
     assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
     assert sum(step is None for step in steps) == 4
+    assert rep.factorizations_failed == 4
+
+
+def test_fine_grid_solve_stops_at_its_roundoff_floor_at_second_order():
+    # at n = 4096 round-off holds the gradient norm near 1.3e-9, above tol but
+    # inside its floor estimate (~1.05e-8): the solve stops there after 4
+    # iterations, where it once ran 15 and raised NonConvergence
+    p = params(L=1e-3)
+    reports = [minimize(p, RadialGrid.for_defect(1.0, n, 1))[1] for n in (1024, 2048, 4096)]
+    assert [rep.stop for rep in reports[:2]] == ["tol", "tol"]
+    assert reports[2].stop in ("tol", "roundoff_floor") and reports[2].iterations <= 5
+    e = [rep.energy for rep in reports]
+    assert (e[0] - e[1]) / (e[1] - e[2]) == pytest.approx(4.0, rel=0.01)
+
+
+@pytest.mark.parametrize("k,b2", [(1, 0.0), (-2, 1.0), (3, 0.5)])
+def test_a_tol_below_the_roundoff_floor_stops_at_the_floor(k, b2):
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _free_rhs, _roundoff_floor
+
+    p = params(L=0.01, b2=b2, k=k)
+    grid = RadialGrid.for_defect(1.0, 256, k)
+    _, at_tol = minimize(p, grid)
+    prof, rep = minimize(p, grid, tol=1e-15)
+    assert rep.converged and rep.stop == "roundoff_floor"
+    assert at_tol.iterations < rep.iterations <= at_tol.iterations + 2
+    assert rep.energy == pytest.approx(at_tol.energy, rel=1e-13, abs=0.0)
+    q = _P1Gauss(grid, k)
+    lower = _assemble_hessian_banded(q, q.point(prof.u, prof.v), p)[3:]
+    mass_free = _free_rhs(grid.node_masses, grid.node_masses, 256)
+    assert rep.grad_norm <= _roundoff_floor(lower, _free_rhs(prof.u, prof.v, 256), mass_free)
 
 
 # ---------------------------------------------------------------------------
