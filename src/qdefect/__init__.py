@@ -65,6 +65,6 @@ from .reduced import (
     write_profile_csv,
 )
 from .render import RenderSpec, eigenvalue_chart_svg, glyph_svg
-from .tensor import ansatz_components, ansatz_eigenvalues, eigen3
+from .tensor import ansatz_components, ansatz_eigenvalues
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .errors import (
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
 from .reduced import (
-    Profile,
     _warm_started,
     apply_boundary,
     csv_text,
@@ -39,19 +38,14 @@ from .reduced import (
     ode_residual,
     read_profile_csv,
     reduced_energy,
+    write_profile_csv,
+    write_text_atomic,
 )
 from .tensor import ansatz_eigenvalues
 
 
 def _fail(code: str, message: str) -> None:
     print(f"[{code}] {message}", file=sys.stderr)
-
-
-def _write_text_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _finite_or_null(obj):
@@ -71,11 +65,7 @@ def _json_text(obj, indent=None) -> str:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_text_atomic(path, _json_text(obj, indent=2) + "\n")
-
-
-def _write_profile(path: str, profile: Profile) -> None:
-    _write_text_atomic(path, csv_text("r,u,v", (profile.grid.nodes, profile.u, profile.v)))
+    write_text_atomic(path, _json_text(obj, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +191,7 @@ def cmd_solve(args) -> int:
         profile, report = exc.profile, exc.report
         _fail("E_NUMERIC", str(exc))
         status = 1
-    _write_profile(f"{out}_profile.csv", profile)
+    write_profile_csv(f"{out}_profile.csv", profile)
     _write_json(f"{out}_report.json", report.to_json_dict())
     print(
         f"solve: converged={report.converged} energy={report.energy!r} "
@@ -221,10 +211,10 @@ def cmd_limit(args) -> int:
     table = {}
     for branch, tag in ((harmonic.Branch.MINUS, "Y_minus"), (harmonic.Branch.PLUS, "Y_plus")):
         profile = harmonic.explicit_profile(branch, params, grid)
-        _write_profile(f"{out}_{branch.value}.csv", profile)
+        write_profile_csv(f"{out}_{branch.value}.csv", profile)
         lam = ansatz_eigenvalues(profile.u, profile.v)
         text = csv_text("r,lam1,lam2,lam3", (grid.nodes, *lam.T))
-        _write_text_atomic(f"{out}_eigenvalues_{branch.value}.csv", text)
+        write_text_atomic(f"{out}_eigenvalues_{branch.value}.csv", text)
         en = harmonic.dirichlet_energy_2d(branch, params, n_r=eff["n"], m_phi=eff["m"])
         table[tag] = {"closed_form": en.closed_form, "quadrature": en.quadrature}
     if params.k % 2 == 0:
@@ -249,7 +239,7 @@ def cmd_residual(args) -> int:
     out = eff["out"]
 
     res = ode_residual(profile, params)
-    _write_text_atomic(f"{out}_residual.csv", csv_text("r,ru,rv", (res.r, res.ru, res.rv)))
+    write_text_atomic(f"{out}_residual.csv", csv_text("r,ru,rv", (res.r, res.ru, res.rv)))
 
     pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
@@ -291,8 +281,8 @@ def cmd_render(args) -> int:
         profile = read_profile_csv(eff["input"])
         title = f"profile {os.path.basename(eff['input'])}, k={params.k}"
     out = eff["out"]
-    _write_text_atomic(f"{out}_glyphs.svg", render.glyph_svg(profile, params, spec))
-    _write_text_atomic(
+    write_text_atomic(f"{out}_glyphs.svg", render.glyph_svg(profile, params, spec))
+    write_text_atomic(
         f"{out}_eigenvalues.svg",
         render.eigenvalue_chart_svg(profile, params, size=eff["size"], title=title),
     )

@@ -23,7 +23,9 @@ residual is reported separately by :func:`ode_residual`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,7 @@ _SQRT6 = math.sqrt(6.0)
 _SQRT23 = math.sqrt(2.0 / 3.0)
 _MAX_DAMPING_REJECTS = 32  # Newton steps rejected in a row before giving up
 _SKIP_ORIGIN_NODES = 2  # interior nodes next to the origin left out of max_interior
+_BULK_R_MIN = 0.05  # the bulk of the reported residual starts at this fraction of R
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +92,18 @@ def csv_text(header: str, columns) -> str:
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ASCII ``text`` to ``path`` through a temp file and a rename."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_profile_csv(path, profile: Profile):
-    """Write ``r,u,v`` rows with shortest round-trip decimal formatting."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(csv_text("r,u,v", (profile.grid.nodes, profile.u, profile.v)))
+    """Write ``r,u,v`` rows with shortest round-trip decimal formatting,
+    atomically."""
+    write_text_atomic(path, csv_text("r,u,v", (profile.grid.nodes, profile.u, profile.v)))
 
 
 def read_profile_csv(path) -> Profile:
@@ -158,7 +169,8 @@ class _P1Gauss:
     every point of a solve: ``seg_r / 2``, ``seg_r / h``, ``seg_r / h^2``
     (``seg_r`` the exact per-segment ``int r dr``), ``wk = wg k^2 / r^2``,
     ``wg / L`` and the Gauss coefficient buffers of the gradient and the
-    Hessian, whose pages only their first use touches.
+    Hessian.  The Hessian's stiffness pairs and the two buffers are built on
+    first use, so a lone energy or gradient call does not pay for them.
     """
 
     def __init__(self, grid: RadialGrid, k: int):
@@ -171,12 +183,21 @@ class _P1Gauss:
         self.rg2 = rg * rg
         seg_r = self.h * (rg @ GAUSS_W)  # the sum of wg over each segment
         self.half_seg_r, self.seg_r_h = 0.5 * seg_r, seg_r / self.h
-        # seg_r / h^2 times the aa, ab, bb signs of the hat-slope products
-        self.stiff_pairs = np.multiply.outer(self.seg_r_h / self.h, [1.0, -1.0, 1.0])
         self.wk = self.wg * (self.k2 / self.rg2)
-        self.grad_coef = np.empty((2,) + self.wg.shape)
-        self.hess_coef = np.empty((3,) + self.wg.shape)
         self._wg_L = (None, None)
+
+    @cached_property
+    def stiff_pairs(self) -> np.ndarray:
+        """``seg_r / h^2`` times the aa, ab, bb signs of the hat-slope products."""
+        return np.multiply.outer(self.seg_r_h / self.h, [1.0, -1.0, 1.0])
+
+    @cached_property
+    def grad_coef(self) -> np.ndarray:
+        return np.empty((2,) + self.wg.shape)
+
+    @cached_property
+    def hess_coef(self) -> np.ndarray:
+        return np.empty((3,) + self.wg.shape)
 
     def wg_L(self, L: float) -> np.ndarray:
         """``wg / L``, kept for the last ``L`` asked for."""
@@ -388,6 +409,14 @@ class OdeResidual:
         s = _SKIP_ORIGIN_NODES
         return float(max(np.max(np.abs(self.ru[s:])), np.max(np.abs(self.rv[s:]))))
 
+    def bulk_peak(self, r_min: float) -> tuple[float, float]:
+        """``(value, r)``: the largest residual entry over the nodes with
+        ``r >= r_min`` (at least the last interior node) and its radius."""
+        bulk = self.r >= min(r_min, self.r[-1])
+        size = np.maximum(np.abs(self.ru[bulk]), np.abs(self.rv[bulk]))
+        i = int(np.argmax(size))
+        return float(size[i]), float(self.r[bulk][i])
+
 
 def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
     """Evaluate the strong ODE residual on interior nodes.
@@ -436,10 +465,12 @@ def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
 class SolveReport:
     """Outcome summary of a minimisation run.
 
-    ``residual_norm`` is the strong-form FD residual maximum over interior
-    nodes away from the two origin-adjacent ones.  ``checks`` records the
-    qualitative-structure verdicts (sign structure for b2 = 0, norm bound,
-    Neumann defect).  ``stop`` is ``"tol"`` or ``"roundoff_floor"`` (see
+    ``residual_norm`` is the strong-form FD residual maximum over the bulk,
+    the interior nodes with ``r >= 0.05 R``, and ``residual_peak_r`` the
+    radius where it is reached; ``residual_core`` is the maximum over every
+    interior node but the two origin-adjacent ones, which the core stencil
+    dominates.  ``checks`` records the qualitative-structure verdicts (sign
+    structure for b2 = 0, norm bound, Neumann defect).  ``stop`` is ``"tol"`` or ``"roundoff_floor"`` (see
     :func:`minimize`), None if the run did not converge.
     ``factorizations_failed`` counts Newton systems whose factorisation
     failed or whose step was not finite, ``backtracks`` rejected trial points.
@@ -453,6 +484,8 @@ class SolveReport:
     stop: str | None = None
     factorizations_failed: int = 0
     backtracks: int = 0
+    residual_peak_r: float = math.nan
+    residual_core: float = math.nan
     checks: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -612,17 +645,20 @@ def minimize(
     u, v = pt.u, pt.v
     profile = Profile(grid, u, v)
     res = ode_residual(profile, params)
+    residual, peak_r = res.bulk_peak(_BULK_R_MIN * grid.radius)
     checks = _structure_checks(u, v, params, res.neumann_defect)
     report = SolveReport(
         energy=energy,
         grad_norm=gn,
-        residual_norm=res.max_interior(),
+        residual_norm=residual,
         iterations=iters,
         converged=stop is not None,
         checks=checks,
         stop=stop,
         factorizations_failed=failed,
         backtracks=backtracks,
+        residual_peak_r=peak_r,
+        residual_core=res.max_interior(),
     )
     if stop is None:
         raise NonConvergence(

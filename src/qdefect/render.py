@@ -16,9 +16,7 @@ import numpy as np
 from .errors import InvalidParams
 from .params import ModelParams
 from .reduced import Profile
-from .tensor import (
-    ansatz_components, ansatz_eigenvalues, biaxiality_components, eigenvalues_components,
-)
+from .tensor import ansatz_biaxiality, ansatz_eigenvalues
 
 SVG_HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -79,8 +77,10 @@ def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
     """Glyph-lattice rendering of the lifted two-mode field.
 
     The lattice is polar: ``density`` rings plus the centre point.  Glyph
-    axes come from the closed-form eigen-frame of ``u F_n + v F_3``
-    (``e3``, ``n_perp``, ``n(phi)``), not from a per-glyph eigensolve.
+    axes, spectra and biaxiality come from the closed-form eigen-frame of
+    ``u F_n + v F_3`` (``e3``, ``n_perp``, ``n(phi)``) and its invariants
+    ``|Y|^2 = u^2 + v^2``, ``tr(Y^3) = v (v^2 - 3 u^2) / sqrt(6)``, not from
+    a per-glyph eigensolve.
     """
     size = spec.size
     cx = cy = size / 2.0
@@ -92,23 +92,22 @@ def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
     u = np.interp(r, profile.grid.nodes, profile.u)
     v = np.interp(r, profile.grid.nodes, profile.v)
 
-    comps = ansatz_components(u, v, phi, params.k)
-    lam = eigenvalues_components(comps)  # ascending
+    frame_lam = ansatz_eigenvalues(u, v)  # (lam_z, lam_perp, lam_n)
+    lam = np.sort(frame_lam, axis=-1)  # ascending
     gap = lam[:, 2] - lam[:, 1]
     gap_max = float(np.max(gap)) or 1.0
     shift = spec.shift if spec.shift is not None else 1.1 * abs(float(np.min(lam[:, 0])))
     lam_span = float(np.max(lam[:, 2])) + shift or 1.0
     cell = 0.9 * size / (2.0 * spec.density + 1)
-    colors = biaxiality_colors(biaxiality_components(comps))
+    colors = biaxiality_colors(ansatz_biaxiality(u, v))
     x = (cx + r * np.cos(phi) * px_scale).tolist()
     y = (cy - r * np.sin(phi) * px_scale).tolist()
 
-    # in-plane frame axes n(phi), n_perp with eigen3's sign rule (largest entry > 0)
+    # in-plane frame axes n(phi), n_perp, signed so their largest entry is positive
     n = np.stack([np.cos(0.5 * params.k * phi), np.sin(0.5 * params.k * phi)], axis=-1)
     n_perp = np.stack([-n[:, 1], n[:, 0]], axis=-1)
     for a in (n, n_perp):
         a *= np.sign(np.where(np.abs(a[:, 0]) >= np.abs(a[:, 1]), a[:, 0], a[:, 1]))[:, None]
-    frame_lam = ansatz_eigenvalues(u, v)  # (lam_z, lam_perp, lam_n)
 
     parts = [SVG_HEADER.format(w=size, h=size)]
     parts.append(

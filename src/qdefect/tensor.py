@@ -57,21 +57,15 @@ def frob_dot(a, b):
     )
 
 
-def det3(c):
-    """Determinant of the reconstructed matrix."""
-    c = np.asarray(c)
-    q11, q12, q13, q22, q23 = np.moveaxis(c, -1, 0)
+def trace_cubed(c):
+    """``tr(Q^3)``, as ``3 det(Q)`` (the trace vanishes)."""
+    q11, q12, q13, q22, q23 = np.moveaxis(np.asarray(c), -1, 0)
     q33 = -q11 - q22
-    return (
+    return 3.0 * (
         q11 * (q22 * q33 - q23 * q23)
         - q12 * (q12 * q33 - q23 * q13)
         + q13 * (q12 * q23 - q22 * q13)
     )
-
-
-def trace_cubed(c):
-    """``tr(Q^3)``; equals ``3 det(Q)`` because the trace vanishes."""
-    return 3.0 * det3(c)
 
 
 def deviatoric_square(c):
@@ -154,65 +148,14 @@ def boundary_tensor_components(phi, params: ModelParams):
 # spectral analysis
 # ---------------------------------------------------------------------------
 
-def eigenvalues_components(c):
-    """Closed-form eigenvalues, ascending, for component arrays ``(..., 5)``.
-
-    Uses the trigonometric (Cardano) solution of the characteristic cubic,
-    specialised to zero trace: with ``p = sqrt(|Q|^2/6)`` the eigenvalues
-    are ``2 p cos(theta/3 + 2 pi m / 3)`` where
-    ``cos(theta) = det(Q) / (2 p^3)``.
-    """
-    c = np.asarray(c, dtype=float)
-    nsq = frob_sq(c)
-    p = np.sqrt(np.maximum(nsq, 0.0) / 6.0)
-    safe = np.where(p > 0.0, p, 1.0)
-    arg = np.clip(det3(c) / (2.0 * safe**3), -1.0, 1.0)
-    theta = np.arccos(arg) / 3.0
-    lam_max = 2.0 * p * np.cos(theta)
-    lam_min = 2.0 * p * np.cos(theta + 2.0 * np.pi / 3.0)
-    lam_mid = -lam_max - lam_min
-    return np.stack([lam_min, lam_mid, lam_max], axis=-1)
-
-
-def _orthonormal_complement(v):
-    # deterministic completion: seed with the coordinate axis least aligned to v
-    axis = np.argmin(np.abs(v))
-    e = np.zeros(3)
-    e[axis] = 1.0
-    w1 = e - np.dot(e, v) * v
-    w1 /= np.linalg.norm(w1)
-    w2 = np.cross(v, w1)
-    return w1, w2
-
-
-def _isolated_eigenvector(a, lam):
-    b = a - lam * np.eye(3)
-    c01 = np.cross(b[0], b[1])
-    c02 = np.cross(b[0], b[2])
-    c12 = np.cross(b[1], b[2])
-    cands = np.array([c01, c02, c12])
-    norms = np.linalg.norm(cands, axis=1)
-    best = int(np.argmax(norms))
-    if norms[best] <= 0.0:
-        # (numerically) multiple eigenvalue: any unit vector orthogonal to
-        # the largest row works
-        row = b[int(np.argmax(np.linalg.norm(b, axis=1)))]
-        rn = np.linalg.norm(row)
-        if rn == 0.0:
-            return np.array([0.0, 0.0, 1.0])
-        w1, _ = _orthonormal_complement(row / rn)
-        return w1
-    return cands[best] / norms[best]
-
-
 def eigen3(c):
-    """Eigenvalues (ascending) and an orthonormal eigenvector triple.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of one tensor.
 
     ``c`` holds the components of one tensor, a finite array of shape
     ``(5,)``; anything else is :class:`InvalidParams`.  Returns
-    ``(lam, vecs)`` with ``vecs[:, i]`` the unit eigenvector for
-    ``lam[i]``.  Degenerate spectra yield a deterministic orthonormal basis
-    of the eigenspace (coordinate-axis seeded), so repeated calls agree.
+    ``(lam, vecs)`` from LAPACK's symmetric solver, with ``vecs[:, i]`` the
+    unit eigenvector for ``lam[i]``, signed so its largest-magnitude entry
+    is positive.  No library path calls it; perfbench's tracer resolves it.
     """
     try:
         c = np.asarray(c, dtype=float)
@@ -220,53 +163,22 @@ def eigen3(c):
         raise InvalidParams("eigen3 needs a numeric (5,) component array") from None
     if c.shape != (5,) or not np.all(np.isfinite(c)):
         raise InvalidParams(f"eigen3 needs 5 finite components, got shape {c.shape}")
-    lam = eigenvalues_components(c)
-    nrm = math.sqrt(float(frob_sq(c)))
-    if nrm < 1e-14:
-        return np.zeros(3), np.eye(3)
-    a = components_to_matrix(c)
-    gap01 = lam[1] - lam[0]
-    gap12 = lam[2] - lam[1]
-    # anchor on the best-separated eigenvalue, then diagonalise the 2x2
-    # restriction to its orthogonal complement exactly
-    iso = 0 if gap01 >= gap12 else 2
-    v_iso = _isolated_eigenvector(a, lam[iso])
-    w1, w2 = _orthonormal_complement(v_iso)
-    b11 = w1 @ a @ w1
-    b12 = w1 @ a @ w2
-    b22 = w2 @ a @ w2
-    angle = 0.5 * math.atan2(2.0 * b12, b11 - b22)
-    x1 = math.cos(angle) * w1 + math.sin(angle) * w2
-    x2 = -math.sin(angle) * w1 + math.cos(angle) * w2
-    rest = [i for i in range(3) if i != iso]
-    mu1 = x1 @ a @ x1
-    if abs(mu1 - lam[rest[0]]) <= abs(mu1 - lam[rest[1]]):
-        order = {rest[0]: x1, rest[1]: x2}
-    else:
-        order = {rest[0]: x2, rest[1]: x1}
-    order[iso] = v_iso
-    vecs = np.column_stack([order[i] for i in range(3)])
-    # sign convention: largest-magnitude entry positive
-    for i in range(3):
-        j = int(np.argmax(np.abs(vecs[:, i])))
-        if vecs[j, i] < 0.0:
-            vecs[:, i] = -vecs[:, i]
-    return lam, vecs
+    lam, vecs = np.linalg.eigh(components_to_matrix(c))
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)]
+    return lam, vecs * np.where(lead < 0.0, -1.0, 1.0)
 
 
-def biaxiality_components(c):
-    """Biaxiality measure ``beta = 1 - 6 tr(Q^3)^2 / |Q|^6`` on arrays.
+def biaxiality(nsq, t3):
+    """Biaxiality ``beta = 1 - 6 tr(Q^3)^2 / |Q|^6`` of the invariants
+    ``nsq = |Q|^2`` and ``t3 = tr(Q^3)`` (:func:`frob_sq`, :func:`trace_cubed`).
 
     Zero exactly for uniaxial tensors (two equal eigenvalues), one at
     maximal biaxiality; defined as 0 where ``|Q| < 1e-14`` to avoid 0/0 at
     the defect core.
     """
-    c = np.asarray(c, dtype=float)
-    nsq = frob_sq(c)
-    t3 = trace_cubed(c)
+    nsq = np.asarray(nsq, dtype=float)
     safe = np.where(nsq > 1e-28, nsq, 1.0)
-    beta = 1.0 - 6.0 * t3 * t3 / safe**3
-    beta = np.where(nsq > 1e-28, beta, 0.0)
+    beta = np.where(nsq > 1e-28, 1.0 - 6.0 * np.square(t3) / safe**3, 0.0)
     return np.clip(beta, 0.0, 1.0)
 
 
@@ -294,3 +206,9 @@ def ansatz_eigenvalues(u, v):
     lam_perp = -u / _SQRT2 - v / _SQRT6
     lam_n = u / _SQRT2 - v / _SQRT6
     return np.stack([lam_z, lam_perp, lam_n], axis=-1)
+
+
+def ansatz_biaxiality(u, v):
+    """:func:`biaxiality` of ``u F_n + v F_3`` from its closed-form
+    invariants ``|Y|^2 = u^2 + v^2`` and ``tr(Y^3) = v (v^2 - 3 u^2) / sqrt(6)``."""
+    return biaxiality(u * u + v * v, v * (v * v - 3.0 * u * u) / _SQRT6)

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdefect
-from qdefect import CsvFormatError, NonConvergence, Profile, RadialGrid, read_profile_csv
+from qdefect import (
+    CsvFormatError, NonConvergence, Profile, RadialGrid, read_profile_csv, write_profile_csv,
+)
 from qdefect.cli import _OPTIONS, _json_text, main
 
 
@@ -42,8 +44,14 @@ def test_solve_writes_profile_and_report(tmp_path):
     assert run(tmp_path, *SOLVE_ARGS, "-o", "out") == 0
     prof = read_profile_csv(tmp_path / "out_profile.csv")
     assert prof.grid.nodes.size == 129
+    write_profile_csv(tmp_path / "again.csv", prof)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "out_profile.csv").read_bytes()
     report = json.loads((tmp_path / "out_report.json").read_text())
     assert list(report)[:5] == ["energy", "grad_norm", "residual_norm", "iterations", "converged"]
+    assert list(report)[5:] == [
+        "stop", "factorizations_failed", "backtracks", "residual_peak_r", "residual_core", "checks",
+    ]
+    assert report["residual_norm"] <= report["residual_core"]
     assert report["converged"] is True and report["stop"] == "tol"
     assert report["grad_norm"] <= 1e-9
     # from the explicit start every Newton step is a full, undamped one

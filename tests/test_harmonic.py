@@ -29,11 +29,11 @@ from qdefect import (
 from qdefect.field import random_perturbation, _coords, _GaussRings, _RingSums
 from qdefect.grid import GAUSS_XI
 from qdefect.tensor import (
-    biaxiality_components,
+    biaxiality,
     boundary_tensor_components,
     components_to_matrix,
-    eigenvalues_components,
     frob_sq,
+    trace_cubed,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -276,10 +276,10 @@ def test_uniaxial_unit_director_and_norm(rng):
     phi = rng.uniform(0.0, 2.0 * math.pi, 64)
     comps = uniaxial_escape_components(r, phi, p)
     assert np.max(np.abs(frob_sq(comps) - p.limit_norm_sq)) < 1e-12
-    # uniaxiality: invariant-based measure vanishes; the closed-form
-    # eigenvalue split of an exactly degenerate pair is O(sqrt(eps))
-    assert np.max(biaxiality_components(comps)) < 1e-12
-    lam = eigenvalues_components(comps)
+    # uniaxiality: the invariant-based measure vanishes and the two lower
+    # eigenvalues agree
+    assert np.max(biaxiality(frob_sq(comps), trace_cubed(comps))) < 1e-12
+    lam = np.linalg.eigvalsh(components_to_matrix(comps))
     assert np.max(np.abs(lam[:, 0] - lam[:, 1])) < 1e-7
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from qdefect import (
     InvalidParams,
     ModelParams,
     NonConvergence,
+    OdeResidual,
     Profile,
     RadialGrid,
     apply_boundary,
@@ -575,8 +577,33 @@ def test_ode_residual_of_minimizer_small(solve_cache):
     p, prof, rep = solve_cache(L=0.1, n=512)
     res = ode_residual(prof, p)
     assert res.max_interior() <= 1e-3
-    assert res.max_interior() == rep.residual_norm
+    assert res.max_interior() == rep.residual_core
+    # the reported residual is the bulk maximum over r >= 0.05 R
+    bulk = res.r >= 0.05 * p.R
+    assert rep.residual_norm == max(np.max(np.abs(res.ru[bulk])), np.max(np.abs(res.rv[bulk])))
+    assert rep.residual_norm <= rep.residual_core
     assert res.neumann_defect < 5e-3
+
+
+def test_bulk_peak_keeps_the_last_node_when_every_node_is_in_the_core():
+    res = OdeResidual(
+        r=np.array([0.01, 0.02, 0.03]), ru=np.array([5.0, -1.0, 0.5]),
+        rv=np.array([0.0, 2.0, -0.75]), neumann_defect=0.0,
+    )
+    assert res.bulk_peak(0.02) == (2.0, 0.02)
+    assert res.bulk_peak(0.05) == (0.75, 0.03)
+
+
+def test_report_separates_the_bulk_residual_from_the_core(solve_cache):
+    # on the graded k = 2 grid the core stencil dominates the interior maximum
+    p, prof, rep = solve_cache(L=0.01, k=2, n=2048)
+    assert rep.residual_norm < 1e-3
+    assert rep.residual_core > 10.0 * rep.residual_norm
+    assert rep.residual_peak_r >= 0.05 * p.R
+    res = ode_residual(prof, p)
+    at = np.flatnonzero(res.r == rep.residual_peak_r)
+    assert at.size == 1
+    assert max(abs(res.ru[at[0]]), abs(res.rv[at[0]])) == rep.residual_norm
 
 
 def test_ode_residual_second_order(solve_cache):
@@ -807,3 +834,20 @@ def test_profile_csv_roundtrip(tmp_path, solve_cache):
     path2 = tmp_path / "profile2.csv"
     write_profile_csv(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+    # written through a temp file that the rename leaves no trace of
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["profile.csv", "profile2.csv"]
+
+
+def test_profile_csv_write_is_atomic(tmp_path, monkeypatch, solve_cache):
+    # a write that fails before its rename leaves the previous file whole
+    _, prof, _ = solve_cache(L=0.1, n=256)
+    path = tmp_path / "profile.csv"
+    path.write_text("r,u,v\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        write_profile_csv(path, prof)
+    assert path.read_text() == "r,u,v\n"

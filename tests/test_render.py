@@ -12,14 +12,13 @@ from qdefect import (
     RadialGrid,
     RenderSpec,
     ansatz_components,
-    eigen3,
     eigenvalue_chart_svg,
     explicit_profile,
     glyph_svg,
     minimize,
 )
 from qdefect.render import _COLOR_STOPS, biaxiality_colors
-from qdefect.tensor import biaxiality_components
+from qdefect.tensor import biaxiality, eigen3, frob_sq, trace_cubed
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -210,7 +209,8 @@ def eigen3_lattice(profile, params, density, size=640):
         q = ansatz_components(u, v, phi, params.k)
         lam, vecs = eigen3(q)
         xy = (cx + r * math.cos(phi) * px_scale, cy - r * math.sin(phi) * px_scale)
-        points.append((xy, lam, vecs, biaxiality_color(float(biaxiality_components(q)))))
+        beta = float(biaxiality(frob_sq(q), trace_cubed(q)))
+        points.append((xy, lam, vecs, biaxiality_color(beta)))
     return points
 
 

@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from qdefect import InvalidParams, ModelParams, eigen3
+from qdefect import InvalidParams, ModelParams
 from qdefect.tensor import (
+    ansatz_biaxiality,
     ansatz_components,
     ansatz_eigenvalues,
-    biaxiality_components,
+    biaxiality,
     boundary_tensor_components,
     bulk_density,
     components_to_matrix,
     deviatoric_square,
+    eigen3,
     frame_fn_components,
     frob_dot,
     frob_sq,
+    trace_cubed,
     F3_COMPONENTS,
 )
 
@@ -55,6 +58,11 @@ def components(m):
 
 def norm(c):
     return math.sqrt(float(frob_sq(c)))
+
+
+def beta(q):
+    """Biaxiality of one tensor's components, from its invariants."""
+    return float(biaxiality(frob_sq(q), trace_cubed(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +230,42 @@ def test_eigen3_deterministic_on_degenerate():
 def test_biaxiality_uniaxial_is_zero():
     n = np.array([0.6, 0.8, 0.0])
     q = components(np.outer(n, n) - np.eye(3) / 3.0)
-    assert float(biaxiality_components(q)) == pytest.approx(0.0, abs=1e-12)
+    assert beta(q) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_biaxiality_maximal():
     q = np.array([0.7, 0.0, 0.0, -0.7, 0.0])  # eigenvalues (t, -t, 0)
-    assert float(biaxiality_components(q)) == pytest.approx(1.0, abs=1e-13)
+    assert beta(q) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_biaxiality_zero_convention():
-    assert float(biaxiality_components(np.zeros(5))) == 0.0
-    assert float(biaxiality_components(np.full(5, 1e-16))) == 0.0
+    assert beta(np.zeros(5)) == 0.0
+    assert beta(np.full(5, 1e-16)) == 0.0
+
+
+def test_ansatz_biaxiality_matches_the_component_invariants():
+    # the closed-form invariants of u F_n + v F_3 against frob_sq/trace_cubed
+    # of its components, on the core (u = 0), at the origin and on both
+    # sides of the |Q|^2 <= 1e-28 guard (both routes give exactly 0 below it)
+    rng = np.random.default_rng(14)
+    n = 1200
+    u, v = rng.standard_normal((2, n)) * rng.uniform(0.05, 3.0, n)
+    u[:100] = 0.0
+    u[100] = v[100] = 0.0
+    angle = rng.uniform(0.0, 2.0 * math.pi, 300)
+    nsq = 1e-28 * np.repeat([0.25, 0.5, 0.99, 1.01, 2.0, 4.0], 50)
+    u[200:500] = np.sqrt(nsq) * np.cos(angle)
+    v[200:500] = np.sqrt(nsq) * np.sin(angle)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    k = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], n)
+    c = ansatz_components(u, v, phi, k)
+    closed = ansatz_biaxiality(u, v)
+    reference = biaxiality(frob_sq(c), trace_cubed(c))
+    assert np.max(np.abs(closed - reference)) < 1e-12
+    below = nsq < 1e-28
+    assert np.all(closed[200:500][below] == 0.0) and np.all(reference[200:500][below] == 0.0)
+    assert np.all(closed[200:500][~below] > 0.0)
+    assert np.all(closed[:101] < 1e-12)  # the core tensor v F_3 is uniaxial
 
 
 # ---------------------------------------------------------------------------
