@@ -31,6 +31,7 @@ from .errors import (
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
 from .reduced import (
+    _BULK_R_MIN,
     _warm_started,
     apply_boundary,
     csv_text,
@@ -84,7 +85,7 @@ _OPTIONS = (
     ("b2", float, 0.0, _ALL, "bulk coefficient b2 (>= 0)"),
     ("c2", float, 1.0, _ALL, "bulk coefficient c2 (> 0)"),
     ("L", float, 0.1, _ALL, "elastic constant (> 0)"),
-    ("R", float, 1.0, _ALL, "disk radius"),
+    ("R", float, 1.0, ("solve", "sweep", "limit", "render"), "disk radius"),
     ("k", int, 1, _ALL, "defect index numerator, nonzero integer"),
     ("n", int, 512, ("solve", "sweep", "limit", "render"), "radial segments (>= 16)"),
     ("m", int, 128, ("limit", "residual", "energy"), "angular samples (even, >= 64)"),
@@ -234,8 +235,9 @@ def cmd_residual(args) -> int:
     eff = _effective(args)
     if not eff["input"]:
         raise InvalidParams("residual requires --input profile.csv")
-    params = _model_params(eff)
     profile = read_profile_csv(eff["input"])
+    radius = profile.grid.radius
+    params = _model_params({**eff, "R": radius})
     out = eff["out"]
 
     res = ode_residual(profile, params)
@@ -251,7 +253,7 @@ def cmd_residual(args) -> int:
         "ode_max_interior": res.max_interior(),
         "neumann_defect": res.neumann_defect,
         "el2d_max": float(np.max(norms)),
-        "el2d_max_bulk": float(np.max(norms[el.rings >= 0.05 * params.R])),
+        "el2d_max_bulk": float(np.max(norms[el.rings >= _BULK_R_MIN * radius])),
         "el2d_l2": l2,
     }
     _write_json(f"{out}_summary.json", summary)
@@ -269,22 +271,21 @@ def cmd_render(args) -> int:
         size=eff["size"],
         shift=eff["shift"],
     )
-    if eff["branch"]:
-        if eff["b2"] != 0.0:
-            raise InvalidParams("explicit branches require b2 = 0")
-        params = _model_params(eff, allow_zero_l=True)
+    if eff["branch"] and eff["b2"] != 0.0:
+        raise InvalidParams("explicit branches require b2 = 0")
+    params = _model_params(eff, allow_zero_l=True)
+    if eff["branch"]:  # --R and --n size the branch; a profile brings its own disk
         grid = RadialGrid.uniform(params.R, eff["n"])
         profile = harmonic.explicit_profile(harmonic.Branch(eff["branch"]), params, grid)
         title = f"branch {eff['branch']}, k={params.k}"
     else:
-        params = _model_params(eff, allow_zero_l=True)
         profile = read_profile_csv(eff["input"])
         title = f"profile {os.path.basename(eff['input'])}, k={params.k}"
     out = eff["out"]
-    write_text_atomic(f"{out}_glyphs.svg", render.glyph_svg(profile, params, spec))
+    write_text_atomic(f"{out}_glyphs.svg", render.glyph_svg(profile, params.k, spec))
     write_text_atomic(
         f"{out}_eigenvalues.svg",
-        render.eigenvalue_chart_svg(profile, params, size=eff["size"], title=title),
+        render.eigenvalue_chart_svg(profile, size=eff["size"], title=title),
     )
     print(f"render: wrote {out}_glyphs.svg and {out}_eigenvalues.svg")
     return 0
@@ -354,8 +355,8 @@ def cmd_energy(args) -> int:
     eff = _effective(args)
     if not eff["input"]:
         raise InvalidParams("energy requires --input profile.csv")
-    params = _model_params(eff)
     profile = read_profile_csv(eff["input"])
+    params = _model_params({**eff, "R": profile.grid.radius})
     pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
     e0 = harmonic.e0_energy(profile, params)

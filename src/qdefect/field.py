@@ -38,7 +38,7 @@ from .grid import GAUSS_XI, PolarGrid, three_point_derivatives
 from .params import ModelParams
 from .reduced import Profile
 from . import tensor
-from .tensor import F3_COMPONENTS, frame_fn_components
+from .tensor import F3_COMPONENTS
 
 
 @dataclass
@@ -69,9 +69,8 @@ def lift(profile: Profile, k: int, grid: PolarGrid) -> Field2D:
     """Lift radial samples to the disk: ``Y(r, phi) = u F_n(phi) + v F_3``."""
     if not profile.grid.same_nodes(grid.radial):
         raise GridError("profile radial nodes do not match the polar grid")
-    vals = profile.u[:, None, None] * frame_fn_components(grid.phis, k)
-    vals += profile.v[:, None, None] * F3_COMPONENTS
-    return Field2D(grid, vals)
+    u, v = profile.u[:, None], profile.v[:, None]
+    return Field2D(grid, tensor.ansatz_components(u, v, grid.phis, k))
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,13 @@ _FIRST_NODE = 1e-3
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing sample radii ``0 = r_0 < ... < r_N = R``."""
+    """Strictly increasing sample radii ``0 = r_0 < ... < r_N = R``.
+
+    The nodes are the whole grid; :meth:`uniform` and :meth:`graded` build
+    the two standard spacings.
+    """
 
     nodes: np.ndarray
-    spacing: str = "custom"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -51,7 +54,7 @@ class RadialGrid:
         """Uniform grid with ``n`` segments on ``[0, radius]``."""
         if radius <= 0.0:
             raise GridError(f"radius must be positive, got {radius}")
-        return cls(np.linspace(0.0, radius, n + 1), spacing="uniform")
+        return cls(np.linspace(0.0, radius, n + 1))
 
     @classmethod
     def graded(cls, radius: float, n: int) -> "RadialGrid":
@@ -67,7 +70,7 @@ class RadialGrid:
         gamma = max(1.0, math.log(1.0 / _FIRST_NODE) / math.log(n))
         nodes = radius * (np.arange(n + 1) / n) ** gamma
         nodes[-1] = radius
-        return cls(nodes, spacing="graded")
+        return cls(nodes)
 
     @classmethod
     def for_defect(cls, radius: float, n: int, k: int) -> "RadialGrid":

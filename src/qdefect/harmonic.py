@@ -324,32 +324,18 @@ def uniaxial_escape_components(r, phi, params: ModelParams) -> np.ndarray:
 # harmonic-map residual on the disk
 # ---------------------------------------------------------------------------
 
-def hm_residual(
-    source, params: ModelParams, grid: PolarGrid, constraint_tol: float = 1e-8
-) -> ResidualField:
+def hm_residual(field: Field2D, params: ModelParams) -> ResidualField:
     """Residual ``lap Q + (3/(2 s+^2)) |grad Q|^2 Q`` of the limit problem.
 
-    ``source`` is a :class:`~qdefect.field.Field2D` on ``grid`` or a
-    vectorised sampler ``f(r, phi) -> (..., 5)``.  The field must satisfy
-    the norm constraint to ``constraint_tol`` relative, else
-    :class:`ConstraintViolated`.  Five-point polar stencil on interior
-    rings; boundary data mismatches are not this function's concern.
+    ``field`` is evaluated on its own polar grid.  It must satisfy the norm
+    constraint to 1e-8 relative, else :class:`ConstraintViolated`.
+    Five-point polar stencil on interior rings; boundary data mismatches
+    are not this function's concern.
     """
-    if isinstance(source, Field2D):
-        if not source.grid.radial.same_nodes(grid.radial) or source.grid.m != grid.m:
-            raise GridError("field grid does not match the requested grid")
-        values = source.values
-    else:
-        rmat = grid.radial.nodes[:, None]
-        pmat = grid.phis[None, :]
-        values = np.asarray(source(rmat, pmat), dtype=float)
-        expected = (grid.radial.nodes.size, grid.m, 5)
-        if values.shape != expected:
-            raise GridError(f"sampler returned {values.shape}, expected {expected}")
-
+    values, grid = field.values, field.grid
     target = params.limit_norm_sq
     dev = float(np.max(np.abs(frob_sq(values) - target))) / target
-    if dev > constraint_tol:
+    if dev > 1e-8:
         raise ConstraintViolated("harmonic-map residual needs |Q|^2 = (2/3) s+^2", dev)
 
     lap = polar_laplacian(values, grid)

@@ -9,7 +9,7 @@ boundary data on the disk of radius ``R``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InvalidParams
 
@@ -22,6 +22,9 @@ def equilibrium_order_parameter(a2: float, b2: float, c2: float) -> float:
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and geometric parameters plus the derived ``s_plus``.
+
+    ``s_plus`` is not an argument: it is always the equilibrium order
+    parameter of ``a2``, ``b2`` and ``c2``.
 
     Parameters
     ----------
@@ -36,10 +39,6 @@ class ModelParams:
     k : int
         Defect index numerator (the director winds by ``k/2`` turns);
         any nonzero integer.
-    s_plus : float, optional
-        Stored equilibrium order parameter.  Recomputed from the
-        coefficients when omitted; when given it must agree with the
-        recomputed value to 1e-14 relative.
     """
 
     a2: float
@@ -48,7 +47,7 @@ class ModelParams:
     L: float
     R: float
     k: int
-    s_plus: float = field(default=math.nan)
+    s_plus: float = field(init=False)
 
     def __post_init__(self):
         if not (self.a2 > 0.0 and math.isfinite(self.a2)):
@@ -66,12 +65,7 @@ class ModelParams:
                 f"k must be a nonzero integer (k in Z \\ {{0}}), got {self.k!r}"
             )
         s = equilibrium_order_parameter(self.a2, self.b2, self.c2)
-        if math.isnan(self.s_plus):
-            object.__setattr__(self, "s_plus", s)
-        elif abs(self.s_plus - s) > 1e-14 * abs(s):
-            raise InvalidParams(
-                f"stored s_plus={self.s_plus!r} disagrees with recomputed {s!r}"
-            )
+        object.__setattr__(self, "s_plus", s)
 
     @property
     def boundary_u(self) -> float:
@@ -89,10 +83,5 @@ class ModelParams:
         return (2.0 / 3.0) * self.s_plus * self.s_plus
 
     def with_updates(self, **kwargs) -> "ModelParams":
-        """Copy with replaced fields; ``s_plus`` is recomputed unless given."""
-        data = {
-            "a2": self.a2, "b2": self.b2, "c2": self.c2,
-            "L": self.L, "R": self.R, "k": self.k,
-        }
-        data.update(kwargs)
-        return ModelParams(**data)
+        """Copy with replaced fields and ``s_plus`` recomputed."""
+        return replace(self, **kwargs)

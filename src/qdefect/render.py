@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .params import ModelParams
 from .reduced import Profile
 from .tensor import ansatz_biaxiality, ansatz_eigenvalues
 
@@ -73,10 +72,11 @@ class RenderSpec:
             raise InvalidParams("image size must be at least 64 px")
 
 
-def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
-    """Glyph-lattice rendering of the lifted two-mode field.
+def glyph_svg(profile: Profile, k: int, spec: RenderSpec) -> str:
+    """Glyph-lattice rendering of the lifted two-mode field of index ``k/2``.
 
-    The lattice is polar: ``density`` rings plus the centre point.  Glyph
+    The lattice is polar: ``density`` rings plus the centre point, out to
+    the profile's last radius, which is drawn as the disk boundary.  Glyph
     axes, spectra and biaxiality come from the closed-form eigen-frame of
     ``u F_n + v F_3`` (``e3``, ``n_perp``, ``n(phi)``) and its invariants
     ``|Y|^2 = u^2 + v^2``, ``tr(Y^3) = v (v^2 - 3 u^2) / sqrt(6)``, not from
@@ -84,10 +84,11 @@ def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
     """
     size = spec.size
     cx = cy = size / 2.0
-    px_scale = 0.45 * size / params.R
+    radius = profile.grid.radius
+    px_scale = 0.45 * size / radius
     m = 4 * spec.density
     # the centre point, then 4 * density points on each ring
-    r = np.repeat(params.R * np.arange(spec.density + 1) / spec.density, m)[m - 1:]
+    r = np.repeat(radius * np.arange(spec.density + 1) / spec.density, m)[m - 1:]
     phi = np.concatenate([[0.0], np.tile(2.0 * np.pi * np.arange(m) / m, spec.density)])
     u = np.interp(r, profile.grid.nodes, profile.u)
     v = np.interp(r, profile.grid.nodes, profile.v)
@@ -104,14 +105,14 @@ def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
     y = (cy - r * np.sin(phi) * px_scale).tolist()
 
     # in-plane frame axes n(phi), n_perp, signed so their largest entry is positive
-    n = np.stack([np.cos(0.5 * params.k * phi), np.sin(0.5 * params.k * phi)], axis=-1)
+    n = np.stack([np.cos(0.5 * k * phi), np.sin(0.5 * k * phi)], axis=-1)
     n_perp = np.stack([-n[:, 1], n[:, 0]], axis=-1)
     for a in (n, n_perp):
         a *= np.sign(np.where(np.abs(a[:, 0]) >= np.abs(a[:, 1]), a[:, 0], a[:, 1]))[:, None]
 
     parts = [SVG_HEADER.format(w=size, h=size)]
     parts.append(
-        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{params.R * px_scale:.2f}" '
+        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius * px_scale:.2f}" '
         'fill="none" stroke="#888888" stroke-width="1"/>\n'
     )
     if spec.style == "rod":
@@ -154,10 +155,9 @@ def glyph_svg(profile: Profile, params: ModelParams, spec: RenderSpec) -> str:
     return "".join(parts)
 
 
-def eigenvalue_chart_svg(
-    profile: Profile, params: ModelParams, size: int = 640, title: str = ""
-) -> str:
-    """Line chart of the three frame eigenvalues against the radius.
+def eigenvalue_chart_svg(profile: Profile, size: int = 640, title: str = "") -> str:
+    """Line chart of the three frame eigenvalues against the radius, out to
+    the profile's last radius.
 
     The curves follow the smooth frame axes (out-of-plane, planar
     perpendicular, planar parallel), so genuine eigenvalue crossings show

@@ -185,12 +185,15 @@ def biaxiality(nsq, t3):
 def ansatz_components(u, v, phi, k: int):
     """Components of the two-mode field ``Y = u F_n(phi) + v F_3``.
 
-    ``u``, ``v`` and ``phi`` broadcast against each other.
+    ``u``, ``v`` and ``phi`` broadcast against each other.  The result is
+    filled in place, so it is the only array of the broadcast size made.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u = np.asarray(u, dtype=float)[..., None]
+    v = np.asarray(v, dtype=float)[..., None]
     fn = frame_fn_components(phi, k)
-    return u[..., None] * fn + v[..., None] * F3_COMPONENTS
+    out = np.multiply(u, fn, out=np.empty(np.broadcast_shapes(u.shape, v.shape, fn.shape)))
+    out += v * F3_COMPONENTS
+    return out
 
 
 def ansatz_eigenvalues(u, v):

@@ -134,7 +134,7 @@ def test_criterion_03_harmonic_map_criticality():
                 grid = RadialGrid.uniform(p.R, res)
                 pg = PolarGrid(grid, res)
                 field = lift(explicit_profile(branch, p, grid), p.k, pg)
-                vals.append(hm_residual(field, p, pg).max_norm(r_min=BULK_R_MIN))
+                vals.append(hm_residual(field, p).max_norm(r_min=BULK_R_MIN))
             worst_final = max(worst_final, vals[-1])
             for a, b in zip(vals, vals[1:]):
                 if abs(a / b - 4.0) > abs(worst_ratio - 4.0):

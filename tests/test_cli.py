@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ from qdefect import (
     CsvFormatError, NonConvergence, Profile, RadialGrid, read_profile_csv, write_profile_csv,
 )
 from qdefect.cli import _OPTIONS, _json_text, main
+
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def run(tmp_path, *argv):
@@ -156,7 +160,8 @@ def test_config_values_convert_like_their_flags(tmp_path):
 _SOLVER_FLAGS = (("--tol", "1e-8", 1e-8), ("--max-iter", "5", 5), ("--init", "ramp", "ramp"),
                  ("--init-file", "x.csv", "x.csv"))
 _DROPPED_FLAGS = [
-    *[(cmd, flag) for cmd in ("energy", "residual") for flag in (("--n", "64", 64), *_SOLVER_FLAGS)],
+    *[(cmd, flag) for cmd in ("energy", "residual")
+      for flag in (("--n", "64", 64), ("--R", "2", 2.0), *_SOLVER_FLAGS)],
     *[(cmd, flag) for cmd in ("limit", "render") for flag in _SOLVER_FLAGS],
     *[(cmd, ("--m", "128", 128)) for cmd in ("solve", "sweep", "render")],
 ]
@@ -278,6 +283,26 @@ def test_residual_on_limit_profile_reports_large_potential_term(tmp_path):
     assert summary["ode_max_interior"] > 1.0
 
 
+@pytest.fixture(scope="module")
+def wide_profile(tmp_path_factory):
+    """Directory holding ``runR_profile.csv``, solved on a disk of radius 2.5."""
+    d = tmp_path_factory.mktemp("wide")
+    assert run(d, "solve", "--k", "1", "--L", "0.01", "--R", "2.5", "--n", "256", "-o", "runR") == 0
+    return d
+
+
+def test_residual_bulk_cutoff_scales_with_the_profile_radius(wide_profile):
+    d = wide_profile
+    assert run(d, "residual", "--input", "runR_profile.csv", "--L", "0.01", "--k", "1",
+               "-o", "resR") == 0
+    summary = json.loads((d / "resR_summary.json").read_text())
+    profile = read_profile_csv(d / "runR_profile.csv")
+    p = qdefect.ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.01, R=2.5, k=1)
+    el = qdefect.el_residual_2d(qdefect.lift(profile, 1, qdefect.PolarGrid(profile.grid, 128)), p)
+    bulk = el.norms()[el.rings >= 0.125]  # r >= 0.05 R
+    assert summary["el2d_max_bulk"] == float(np.max(bulk))
+
+
 def test_residual_missing_and_malformed_inputs(tmp_path, capsys):
     assert run(tmp_path, "residual", "--input", "nope.csv") == 2
     (tmp_path / "empty.csv").write_text("")
@@ -306,6 +331,22 @@ def test_render_branch_and_profile(tmp_path):
         "--L", "0.05", "--style", "box", "--density", "5", "-o", "img2",
     ) == 0
     assert "glyph-box" in (tmp_path / "img2_glyphs.svg").read_text()
+
+
+def test_render_input_draws_the_profile_disk(wide_profile):
+    d = wide_profile
+    assert run(d, "render", "--input", "runR_profile.csv", "--k", "1", "-o", "imgR") == 0
+    root = ET.fromstring((d / "imgR_glyphs.svg").read_text())
+    circles = list(root.iter(f"{SVG_NS}circle"))
+    assert circles[0].get("class") is None  # the boundary circle comes first
+    assert float(circles[0].get("r")) == pytest.approx(0.45 * 640, abs=0.005)
+    rods = [el for el in root if el.get("class") == "glyph"]
+    last_ring = rods[-4 * 16:]  # default density 16, 4 * density glyphs per ring
+    centres = np.array([[float(el.get(a)) for a in ("x1", "y1", "x2", "y2")] for el in last_ring])
+    centres = 0.5 * (centres[:, :2] + centres[:, 2:])
+    assert np.allclose(np.hypot(*(centres - 320.0).T), 0.45 * 640, atol=2e-3)
+    # the ring shows the uniaxial boundary data: zero biaxiality, the ramp's first colour
+    assert {el.get("stroke") for el in last_ring} == {"#2654a6"}
 
 
 def test_render_requires_exactly_one_source(tmp_path):

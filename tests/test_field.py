@@ -70,6 +70,16 @@ def test_lift_norm_identity(solve_cache):
     assert np.max(np.abs(frob_sq(field.values) - t[:, None])) < 1e-14
 
 
+def test_lift_is_the_two_mode_formula_bit_for_bit(rng):
+    grid = RadialGrid.graded(1.0, 32)
+    prof = Profile(grid, rng.uniform(0.0, 1.0, 33), rng.uniform(-1.0, 0.0, 33))
+    pg = PolarGrid(grid, 64)
+    for k in (-3, 1, 2):
+        fn = frame_fn_components(pg.phis, k)
+        ref = prof.u[:, None, None] * fn + prof.v[:, None, None] * F3_COMPONENTS
+        assert np.array_equal(lift(prof, k, pg).values, ref)
+
+
 def test_lift_u_zero_gives_angle_independent_field():
     p = params()
     grid = RadialGrid.uniform(1.0, 64)

@@ -44,10 +44,11 @@ def test_graded_first_node_and_smoothness():
 
 
 def test_for_defect_selects_grading():
-    assert RadialGrid.for_defect(1.0, 256, 1).spacing == "uniform"
-    assert RadialGrid.for_defect(1.0, 256, -1).spacing == "uniform"
-    assert RadialGrid.for_defect(1.0, 256, 2).spacing == "graded"
-    assert RadialGrid.for_defect(1.0, 256, -3).spacing == "graded"
+    uniform = RadialGrid.uniform(1.0, 256)
+    graded = RadialGrid.graded(1.0, 256)
+    assert not uniform.same_nodes(graded)
+    for k, expected in ((1, uniform), (-1, uniform), (2, graded), (-3, graded)):
+        assert np.array_equal(RadialGrid.for_defect(1.0, 256, k).nodes, expected.nodes)
 
 
 def test_gauss_points_integrate_r():

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from qdefect import (
     Branch,
     ConstraintViolated,
-    GridError,
+    Field2D,
     InvalidBranch,
     InvalidParams,
     ModelParams,
@@ -317,7 +317,7 @@ def test_hm_residual_second_order(k, branch):
         grid = RadialGrid.uniform(p.R, n)
         pg = PolarGrid(grid, n)
         field = lift(explicit_profile(branch, p, grid), p.k, pg)
-        vals.append(hm_residual(field, p, pg).max_norm(r_min=0.1))
+        vals.append(hm_residual(field, p).max_norm(r_min=0.1))
     assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.3)
 
 
@@ -330,7 +330,7 @@ def test_hm_residual_constant_field_is_zero():
     const[..., 0] = t
     const[..., 3] = -t
     assert abs(float(frob_sq(const[0, 0])) - p.limit_norm_sq) < 1e-12
-    res = hm_residual(lambda r, phi: np.broadcast_to(const, (65, 64, 5)), p, pg)
+    res = hm_residual(Field2D(pg, const), p)
     assert res.max_norm() == 0.0
 
 
@@ -342,21 +342,17 @@ def test_hm_residual_constraint_enforced():
     bad = field.copy()
     bad.values *= 1.001
     with pytest.raises(ConstraintViolated):
-        hm_residual(bad, p, pg)
+        hm_residual(bad, p)
 
 
 def test_hm_residual_from_sampler_matches_field():
     p = limit_params(k=2)
     grid = RadialGrid.uniform(p.R, 64)
     pg = PolarGrid(grid, 64)
-
-    def sampler(r, phi):
-        return uniaxial_escape_components(r, phi, p)
-
-    res = hm_residual(sampler, p, pg)
+    # the escape solution sampled on the grid is a harmonic map up to truncation
+    sampled = uniaxial_escape_components(grid.nodes[:, None], pg.phis[None, :], p)
+    res = hm_residual(Field2D(pg, sampled), p)
     assert res.max_norm(r_min=0.1) < 5e-2
-    with pytest.raises(GridError):
-        hm_residual(lambda r, phi: np.zeros((3, 3, 5)), p, pg)
 
 
 def test_minus_branch_minimality_surrogate(rng):

@@ -17,13 +17,6 @@ def test_s_plus_b2_one():
     assert equilibrium_order_parameter(1.0, 1.0, 1.0) == pytest.approx(1.5, rel=1e-15)
 
 
-def test_stored_s_plus_must_match():
-    s = equilibrium_order_parameter(1.0, 0.0, 1.0)
-    ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=1, s_plus=s)
-    with pytest.raises(InvalidParams):
-        ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=1, s_plus=s * (1 + 1e-10))
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -216,7 +216,8 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
 
     p = params(L=0.05, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, 24, k)
-    assert grid.spacing == ("uniform" if abs(k) == 1 else "graded")
+    expected = RadialGrid.uniform(1.0, 24) if abs(k) == 1 else RadialGrid.graded(1.0, 24)
+    assert np.array_equal(grid.nodes, expected.nodes)
     x = grid.nodes / grid.radius
     prof = apply_boundary(
         Profile(

@@ -52,7 +52,7 @@ def test_render_spec_validation():
 
 def test_glyph_svg_is_valid_svg11(minus_profile):
     p, prof = minus_profile
-    text = glyph_svg(prof, p, RenderSpec(density=8))
+    text = glyph_svg(prof, p.k, RenderSpec(density=8))
     assert text.startswith('<?xml version="1.0"')
     assert 'version="1.1"' in text
     root = ET.fromstring(text)
@@ -64,7 +64,7 @@ def test_boundary_glyphs_align_with_director(minus_profile):
     p, prof = minus_profile
     size = 640
     spec = RenderSpec(density=8, size=size)
-    root = ET.fromstring(glyph_svg(prof, p, spec))
+    root = ET.fromstring(glyph_svg(prof, p.k, spec))
     cx = cy = size / 2.0
     px_scale = 0.45 * size / p.R
     checked = 0
@@ -91,7 +91,7 @@ def test_core_glyph_is_isotropic_dot(minus_profile):
     # u(0) = 0 leaves the in-plane spectrum degenerate at the core
     p, prof = minus_profile
     size = 640
-    root = ET.fromstring(glyph_svg(prof, p, RenderSpec(density=8, size=size)))
+    root = ET.fromstring(glyph_svg(prof, p.k, RenderSpec(density=8, size=size)))
     dots = [
         el
         for el in root.iter(f"{SVG_NS}circle")
@@ -104,7 +104,7 @@ def test_core_glyph_is_isotropic_dot(minus_profile):
 
 def test_box_style_edges_positive(minus_profile):
     p, prof = minus_profile
-    root = ET.fromstring(glyph_svg(prof, p, RenderSpec(style="box", density=6)))
+    root = ET.fromstring(glyph_svg(prof, p.k, RenderSpec(style="box", density=6)))
     boxes = [el for el in root.iter(f"{SVG_NS}rect") if el.get("class") == "glyph-box"]
     assert len(boxes) > 20
     for box in boxes:
@@ -113,8 +113,8 @@ def test_box_style_edges_positive(minus_profile):
 
 
 def test_eigenvalue_chart_has_three_curves(minus_profile):
-    p, prof = minus_profile
-    root = ET.fromstring(eigenvalue_chart_svg(prof, p))
+    _, prof = minus_profile
+    root = ET.fromstring(eigenvalue_chart_svg(prof))
     curves = [el for el in root.iter(f"{SVG_NS}polyline") if el.get("class") == "eigencurve"]
     assert len(curves) == 3
 
@@ -125,7 +125,7 @@ def test_plus_branch_chart_shows_interior_crossing():
     p = limit_params(k=1)
     grid = RadialGrid.uniform(p.R, 256)
     prof = explicit_profile(Branch.PLUS, p, grid)
-    root = ET.fromstring(eigenvalue_chart_svg(prof, p, size=640))
+    root = ET.fromstring(eigenvalue_chart_svg(prof, size=640))
     pts = {}
     for el in root.iter(f"{SVG_NS}polyline"):
         if el.get("class") == "eigencurve":
@@ -151,7 +151,7 @@ def test_minus_branch_chart_has_no_interior_crossing():
     p = limit_params(k=1)
     grid = RadialGrid.uniform(p.R, 256)
     prof = explicit_profile(Branch.MINUS, p, grid)
-    root = ET.fromstring(eigenvalue_chart_svg(prof, p))
+    root = ET.fromstring(eigenvalue_chart_svg(prof))
     pts = {}
     for el in root.iter(f"{SVG_NS}polyline"):
         if el.get("class") == "eigencurve":
@@ -304,7 +304,7 @@ def test_glyphs_match_eigen3_reference():
     for name, p, prof in _oracle_cases():
         points = eigen3_lattice(prof, p, density)
         for style in ("rod", "box"):
-            got = parsed_glyphs(glyph_svg(prof, p, RenderSpec(style=style, density=density)))
+            got = parsed_glyphs(glyph_svg(prof, p.k, RenderSpec(style=style, density=density)))
             want = reference_glyphs(points, density, style)
             assert len(got) == len(want) == 1 + 4 * density * density, (name, style)
             for g, w in zip(got, want):

@@ -170,6 +170,15 @@ def test_eigen3_zero():
     assert np.allclose(vecs, np.eye(3))
 
 
+def test_ansatz_components_broadcasts_every_argument():
+    # v alone carries the leading axis: the result takes the full broadcast shape
+    v = np.linspace(-1.0, 0.0, 7)[:, None]
+    phi = np.linspace(0.0, 6.0, 5)
+    got = ansatz_components(0.4, v, phi, 3)
+    assert got.shape == (7, 5, 5)
+    assert np.array_equal(got, 0.4 * frame_fn_components(phi, 3) + v[..., None] * F3_COMPONENTS)
+
+
 def test_eigen3_ansatz_formula():
     rng = np.random.default_rng(3)
     for _ in range(200):
