@@ -4,9 +4,12 @@ Commands: ``solve``, ``limit``, ``residual``, ``render``, ``sweep``,
 ``energy``.  Exit codes: 0 success, 1 numerical failure, 2 usage or
 configuration error.  Options come from flat flags, optionally seeded
 from a JSON config file (flags override the file).  Each command accepts
-only the flags it reads, and the same keys in the file; any other flag or
-key is rejected.  No environment variables are consulted, and outputs are
-written atomically (temp file + rename) for reproducible pipelines.
+only its own flags, and the same keys in the file; any other flag or key
+is rejected.  Its own flags are the ones it reads, except that ``limit``
+checks ``--L`` and discards it, ``render`` never reads ``--L``, and
+``render --input`` reads only ``--k`` of the model flags.  No environment
+variables are consulted, and outputs are written atomically (temp file +
+rename) for reproducible pipelines.
 """
 
 from __future__ import annotations
@@ -152,13 +155,21 @@ def _effective(args: argparse.Namespace) -> dict:
 
 
 def _model_params(eff: dict, allow_zero_l=False) -> ModelParams:
-    if eff["k"] == 0:
-        raise InvalidParams("k must be a nonzero integer (k in Z \\ {0})")
     if not allow_zero_l and eff["L"] == 0.0:
         raise InvalidParams(
             "L = 0 is the harmonic-map limit; use the `limit` command instead"
         )
     return ModelParams(**{key: eff[key] for key in ("a2", "b2", "c2", "L", "R", "k")})
+
+
+def _input_profile(args):
+    """``(eff, profile, params)`` of a command that reads ``--input``; the
+    profile fixes the disk radius ``R``."""
+    eff = _effective(args)
+    if not eff["input"]:
+        raise InvalidParams(f"{args.command} requires --input profile.csv")
+    profile = read_profile_csv(eff["input"])
+    return eff, profile, _model_params({**eff, "R": profile.grid.radius})
 
 
 def _grid(eff: dict, params: ModelParams) -> RadialGrid:
@@ -232,12 +243,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    eff = _effective(args)
-    if not eff["input"]:
-        raise InvalidParams("residual requires --input profile.csv")
-    profile = read_profile_csv(eff["input"])
-    radius = profile.grid.radius
-    params = _model_params({**eff, "R": radius})
+    eff, profile, params = _input_profile(args)
     out = eff["out"]
 
     res = ode_residual(profile, params)
@@ -253,7 +259,7 @@ def cmd_residual(args) -> int:
         "ode_max_interior": res.max_interior(),
         "neumann_defect": res.neumann_defect,
         "el2d_max": float(np.max(norms)),
-        "el2d_max_bulk": float(np.max(norms[el.rings >= _BULK_R_MIN * radius])),
+        "el2d_max_bulk": float(np.max(norms[el.rings >= _BULK_R_MIN * params.R])),
         "el2d_l2": l2,
     }
     _write_json(f"{out}_summary.json", summary)
@@ -352,11 +358,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    eff = _effective(args)
-    if not eff["input"]:
-        raise InvalidParams("energy requires --input profile.csv")
-    profile = read_profile_csv(eff["input"])
-    params = _model_params({**eff, "R": profile.grid.radius})
+    eff, profile, params = _input_profile(args)
     pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
     e0 = harmonic.e0_energy(profile, params)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DecompositionInvalid, GridError, InvalidParams
 from .grid import GAUSS_XI, PolarGrid, three_point_derivatives
 from .params import ModelParams
-from .reduced import Profile
+from .reduced import _HAT_PAIRS, Profile, _P1Gauss
 from . import tensor
 from .tensor import F3_COMPONENTS
 
@@ -336,18 +336,19 @@ class _GaussRings:
     rings with :meth:`stream`, reduce each block to ring sums (:meth:`add`,
     :func:`_pair`) and weigh those: ``wg``: Gauss weights of
     ``int f r dr dphi``; ``inv_rg2``: inverse squared Gauss radii; ``coef``:
-    the node weights.
+    the node weights.  The radial rule is that of the reduced solver's
+    :class:`~qdefect.reduced._P1Gauss`, taken from it.
     """
 
     def __init__(self, grid: PolarGrid):
         self.m = grid.m
         self.n = grid.radial.nodes.size
-        self.h_sq = grid.radial.h * grid.radial.h
-        rg, wg = grid.radial.gauss_points()
-        self.wg = wg * grid.dphi
-        self.inv_rg2 = 1.0 / (rg * rg)
-        lo = 1.0 - GAUSS_XI
-        self.coef = np.stack([lo * lo, 2.0 * lo * GAUSS_XI, GAUSS_XI * GAUSS_XI])
+        rule = _P1Gauss(grid.radial, 0)  # k enters only its wk, not read here
+        self.h_sq = rule.h * rule.h
+        self.wg = rule.wg * grid.dphi
+        self.inv_rg2 = 1.0 / rule.rg2
+        self.coef = _HAT_PAIRS.T.copy()  # doubling the cross row is exact
+        self.coef[1] *= 2.0
         # Parseval: mode k weighs 2 k^2 / M, the Nyquist mode 0, as in Fourier
         # differentiation
         self.freq = np.arange(self.m // 2 + 1.0)

@@ -113,17 +113,6 @@ class RadialGrid:
         m[1:] += h * (r[:-1] + 2.0 * r[1:]) / 6.0
         return m
 
-    def gauss_points(self):
-        """Per-segment Gauss radii and weights for ``int f(r) r dr``.
-
-        Returns ``(rg, wg)`` of shape ``(N, 5)``; ``wg`` already contains
-        the segment length and the measure factor ``r``.
-        """
-        h = self.h
-        rg = self.nodes[:-1, None] + h[:, None] * GAUSS_XI[None, :]
-        wg = h[:, None] * GAUSS_W[None, :] * rg
-        return rg, wg
-
     def same_nodes(self, other: "RadialGrid") -> bool:
         return self.nodes.shape == other.nodes.shape and bool(
             np.array_equal(self.nodes, other.nodes)

@@ -36,7 +36,7 @@ from .field import (
 )
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
-from .reduced import Profile, _P1Gauss
+from .reduced import Profile, _dirichlet, _P1Gauss
 from .tensor import F3_COMPONENTS, frame_fn_components, frob_sq
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
@@ -197,12 +197,11 @@ def e0_energy(p, params: ModelParams) -> E0Result:
     :class:`PsiProfile` (constraint built in).  Constraint violations
     yield the infinite sentinel.
     """
-    if isinstance(p, PsiProfile):
+    if isinstance(p, PsiProfile):  # the Dirichlet sum of (psi, 0) with u = sin(psi)
         q = _P1Gauss(p.grid, params.k)
         dpsi = np.diff(p.psi) / q.h
         sg = np.sin(q.at_gauss(p.psi))
-        dens = 0.5 * (dpsi * dpsi)[:, None] + 0.5 * q.k2 * sg * sg / q.rg2
-        value = params.limit_norm_sq * float(np.sum(q.wg * dens))
+        value = params.limit_norm_sq * float(_dirichlet(q, dpsi * dpsi, sg * sg))
         return E0Result(finite=True, value=value, max_deviation=0.0)
 
     if not isinstance(p, Profile):
@@ -212,8 +211,9 @@ def e0_energy(p, params: ModelParams) -> E0Result:
     if dev > 1e-8:
         return E0Result(finite=False, value=None, max_deviation=dev)
     q = _P1Gauss(p.grid, params.k)
-    dens = q.dirichlet_density(q.point(p.u, p.v))
-    return E0Result(finite=True, value=float(np.sum(q.wg * dens)), max_deviation=dev)
+    pt = q.point(p.u, p.v)
+    value = float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu))
+    return E0Result(finite=True, value=value, max_deviation=dev)
 
 
 @dataclass
@@ -261,18 +261,7 @@ def dirichlet_energy_2d(
     pg = PolarGrid(RadialGrid.uniform(1.0, n_r), m_phi)
     rho = pg.radial.nodes
     if branch is Branch.UNIAXIAL_ESCAPE:
-        # s (m x m - I/3) with m = (planar n(phi), m3): the n x n, n-e3 and -I/3 parts
-        planar, m3 = _escape_director(rho, params.k)
-        s = params.s_plus
-        f = np.stack([s * (planar * planar), s * (planar * m3), np.full_like(rho, s)], axis=1)
-        half = 0.5 * params.k * pg.phis
-        c, sn = np.cos(half), np.sin(half)
-        z = np.zeros_like(c)
-        g = np.stack([
-            np.stack([c * c, c * sn, z, sn * sn, z], axis=-1),
-            np.stack([z, z, c, z, sn], axis=-1),
-            np.broadcast_to([-1.0 / 3.0, 0.0, 0.0, -1.0 / 3.0, 0.0], c.shape + (5,)),
-        ])
+        f, g = _escape_factors(rho, pg.phis, params.k, params.s_plus)
     else:
         f = np.stack(explicit_arrays(branch, params.k, params.s_plus, rho), axis=1)
         fn = frame_fn_components(pg.phis, params.k)
@@ -284,40 +273,38 @@ def dirichlet_energy_2d(
 # uniaxial escape solution
 # ---------------------------------------------------------------------------
 
-def _escape_director(rho, k: int):
-    """In-plane length and ``e3`` component of the escape director at ``rho = r / R``."""
+def _escape_factors(rho, phi, k: int, s: float):
+    """Factors of the escape field ``s (m x m - I/3) = sum_a f_a(rho) G_a(phi)``,
+    ``m = (planar n(phi), m3)``, ``rho = r / R``: its ``n x n``, ``n-e3`` and
+    ``-I/3`` parts.  ``f`` is ``rho.shape + (3,)``, ``G`` ``(3,) + phi.shape + (5,)``."""
     rho_half = rho ** (abs(k) // 2)
     rho_k = rho_half * rho_half
     den = 1.0 + rho_k
-    return 2.0 * rho_half / den, (1.0 - rho_k) / den
+    planar, m3 = 2.0 * rho_half / den, (1.0 - rho_k) / den
+    f = np.stack([s * (planar * planar), s * (planar * m3), np.full_like(rho, s)], axis=-1)
+    half = 0.5 * k * phi
+    c, sn = np.cos(half), np.sin(half)
+    z = np.zeros_like(c)
+    g = np.stack([
+        np.stack([c * c, c * sn, z, sn * sn, z], axis=-1),
+        np.stack([z, z, c, z, sn], axis=-1),
+        np.broadcast_to([-1.0 / 3.0, 0.0, 0.0, -1.0 / 3.0, 0.0], c.shape + (5,)),
+    ])
+    return f, g
 
 
 def uniaxial_escape_components(r, phi, params: ModelParams) -> np.ndarray:
     """Components of the out-of-plane escape solution (even k only).
 
     ``U = s_plus (m x m - I/3)`` where the unit director ``m`` tilts from
-    the planar boundary winding to ``e3`` at the core.
+    the planar boundary winding to ``e3`` at the core; ``r`` and ``phi``
+    broadcast against each other.
     """
     if params.k % 2 != 0:
         raise OddKForUniaxial("the uniaxial escape solution needs even k")
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    planar, m3 = _escape_director(r / params.R, params.k)
-    half = 0.5 * params.k * phi
-    m1 = planar * np.cos(half)
-    m2 = planar * np.sin(half)
-    s = params.s_plus
-    m1, m2, m3 = np.broadcast_arrays(m1, m2, m3)
-    return np.stack(
-        [
-            s * (m1 * m1 - 1.0 / 3.0),
-            s * m1 * m2,
-            s * m1 * m3,
-            s * (m2 * m2 - 1.0 / 3.0),
-            s * m2 * m3,
-        ],
-        axis=-1,
-    )
+    rho = np.asarray(r, dtype=float) / params.R
+    f, g = _escape_factors(rho, np.asarray(phi, dtype=float), params.k, params.s_plus)
+    return sum(f[..., a, None] * g[a] for a in range(3))
 
 
 # ---------------------------------------------------------------------------

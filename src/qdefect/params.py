@@ -35,7 +35,10 @@ class ModelParams:
         symbolic harmonic-map limit; operations that need ``L > 0``
         reject it explicitly.
     R : float
-        Disk radius, ``0 < R < inf``.
+        Disk radius, ``0 < R < inf``.  No library solver reads it: the grid
+        carries the disk.  The CLI sizes its grids with it, and
+        :func:`~qdefect.harmonic.uniaxial_escape_components` scales ``r``
+        by it.
     k : int
         Defect index numerator (the director winds by ``k/2`` turns);
         any nonzero integer.

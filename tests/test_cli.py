@@ -702,3 +702,47 @@ def test_package_import_leaves_scipy_linalg_to_the_solver():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=30.0, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+_CLI_ARGUMENT_CHECKS = {
+    # a config null means "not given" for an option with no default
+    "config-null-input": (("residual",), {"input": None}, "residual requires --input"),
+    # a valid choice from a config passes, and --init file then needs its file
+    "config-valid-choice": (("solve",), {"init": "file"}, "--init file requires --init-file"),
+    "config-unreadable": (("solve", "--config", "missing.json"), None, "cannot read config file"),
+    "config-not-object": (("solve",), [1, 2], "must hold a JSON object"),
+    "residual-without-input": (("residual",), None, "residual requires --input"),
+    "energy-without-input": (("energy",), None, "energy requires --input"),
+    "render-branch-b2": (
+        ("render", "--branch", "minus", "--b2", "0.3"), None, "explicit branches require b2 = 0"),
+    "sweep-bad-b2-list": (("sweep", "--b2-list", "0,x"), None, "bad b2 list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_ARGUMENT_CHECKS))
+def test_cli_argument_checks(tmp_path, capsys, case):
+    argv, cfg, text = _CLI_ARGUMENT_CHECKS[case]
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = (*argv, "--config", "cfg.json")
+    assert run(tmp_path, *argv, "-o", "bad") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[E_CONFIG]") and text in err
+    assert not list(tmp_path.glob("bad*"))
+
+
+def test_python_m_qdefect_matches_the_in_process_cli(tmp_path, capsys):
+    argv = ("limit", "--k", "2", "--n", "512", "--m", "256", "-o", "lim")
+    (tmp_path / "module").mkdir()
+    (tmp_path / "inproc").mkdir()
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    proc = subprocess.run([sys.executable, "-m", "qdefect", *argv], capture_output=True,
+                          timeout=60.0, env=env, cwd=tmp_path / "module")
+    assert proc.returncode == 0, proc.stderr
+    assert run(tmp_path / "inproc", *argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    written = sorted(path.name for path in (tmp_path / "module").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "inproc").iterdir())
+    assert len(written) == 5
+    for name in written:
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "inproc" / name).read_bytes()

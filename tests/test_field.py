@@ -698,3 +698,40 @@ def test_dirichlet_energy_2d_never_builds_the_full_field():
     finally:
         tracemalloc.stop()
     assert peak < full_field_bytes / 32
+
+
+def _small_field(n=32, m=64):
+    grid = RadialGrid.uniform(1.0, n)
+    p = params(L=0.0)
+    return lift(explicit_profile(Branch.MINUS, p, grid), 1, PolarGrid(grid, m))
+
+
+def _nan_v_field():
+    field = _small_field()
+    field.values[3, 0] = np.nan  # v = Y:F3 on the first angle
+    return field
+
+
+_FIELD_ARGUMENT_CHECKS = {
+    "ldg_energy_2d-L0": (InvalidParams, lambda: ldg_energy_2d(_small_field(), params(L=0.0))),
+    "el_residual_2d-L0": (InvalidParams, lambda: el_residual_2d(_small_field(), params(L=0.0))),
+    "ldg_energy_spectral-L0": (
+        InvalidParams, lambda: ldg_energy_spectral(_small_field(), params(L=0.0))),
+    "second_variation-L0": (
+        InvalidParams, lambda: second_variation(_small_field(), params(L=0.0), _small_field())),
+    "second_variation-grid-mismatch": (
+        GridError, lambda: second_variation(_small_field(), params(), _small_field(n=64))),
+    "second_variation-non-finite-v": (
+        InvalidParams, lambda: second_variation(_nan_v_field(), params(), _small_field())),
+    "energy_gap-b2": (
+        InvalidParams, lambda: energy_gap(_small_field(), _small_field(), params(b2=0.5))),
+    "energy_gap-L0": (
+        InvalidParams, lambda: energy_gap(_small_field(), _small_field(), params(L=0.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIELD_ARGUMENT_CHECKS))
+def test_field_argument_checks(case):
+    exc, call = _FIELD_ARGUMENT_CHECKS[case]
+    with pytest.raises(exc):
+        call()

@@ -53,7 +53,7 @@ def test_for_defect_selects_grading():
 
 def test_gauss_points_integrate_r():
     g = RadialGrid.graded(1.0, 64)
-    rg, wg = g.gauss_points()
+    wg = _P1Gauss(g, 1).wg
     assert np.sum(wg) == pytest.approx(0.5, rel=1e-14)
     # per-segment sums reproduce the exact segment integral of r dr
     seg = 0.5 * (g.nodes[1:] ** 2 - g.nodes[:-1] ** 2)
@@ -62,9 +62,10 @@ def test_gauss_points_integrate_r():
 
 def test_interpolation_is_linear():
     g = RadialGrid.uniform(1.0, 32)
-    rg, _ = g.gauss_points()
+    q = _P1Gauss(g, 1)
+    rg = np.sqrt(q.rg2)
     vals = 3.0 * g.nodes + 1.0
-    interp = _P1Gauss(g, 1).at_gauss(vals)
+    interp = q.at_gauss(vals)
     assert np.max(np.abs(interp - (3.0 * rg + 1.0))) < 1e-14
 
 
@@ -90,3 +91,17 @@ def test_three_point_derivatives_exact_on_quadratics_and_columnwise():
     for j in range(2):
         c1, c2 = three_point_derivatives(y[:, 0, j], r)
         assert np.array_equal(d1[:, 0, j], c1) and np.array_equal(d2[:, 0, j], c2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RadialGrid(np.append(np.linspace(0.0, 1.0, 17), np.inf)),
+        lambda: RadialGrid.uniform(0.0, 32),
+        lambda: RadialGrid.graded(-1.0, 32),
+    ],
+    ids=["infinite-radius", "uniform-radius-0", "graded-radius-negative"],
+)
+def test_grid_argument_checks(make):
+    with pytest.raises(GridError):
+        make()

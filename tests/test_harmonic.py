@@ -8,6 +8,7 @@ from qdefect import (
     Branch,
     ConstraintViolated,
     Field2D,
+    GridError,
     InvalidBranch,
     InvalidParams,
     ModelParams,
@@ -26,6 +27,7 @@ from qdefect import (
     psi_of_branch,
     uniaxial_escape_components,
 )
+from qdefect.harmonic import explicit_arrays
 from qdefect.field import random_perturbation, _coords, _GaussRings, _RingSums
 from qdefect.grid import GAUSS_XI
 from qdefect.tensor import (
@@ -375,3 +377,23 @@ def test_minus_branch_minimality_surrogate(rng):
         dir_term = kern.dirichlet(sums.rad, sums.dphi, sums.dphi_cross)
         total = dir_term + kern.integrate(sums.nodes, sums.cross, weight)
         assert total >= -1e-10
+
+
+_GRID64 = RadialGrid.uniform(1.0, 64)
+_HARMONIC_ARGUMENT_CHECKS = {
+    "explicit-arrays-uniaxial": (
+        InvalidBranch, lambda: explicit_arrays("uniaxial", 2, 1.0, _GRID64.nodes)),
+    "psi-grid-mismatch": (GridError, lambda: PsiProfile(_GRID64, np.zeros(10))),
+    "psi-b2-nonzero": (
+        InvalidParams, lambda: psi_of_branch(Branch.MINUS, limit_params(b2=0.3), _GRID64)),
+    "psi-uniaxial": (
+        InvalidBranch, lambda: psi_of_branch(Branch.UNIAXIAL_ESCAPE, limit_params(k=2), _GRID64)),
+    "e0-wrong-type": (InvalidParams, lambda: e0_energy(np.zeros(65), limit_params())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HARMONIC_ARGUMENT_CHECKS))
+def test_harmonic_argument_checks(case):
+    exc, call = _HARMONIC_ARGUMENT_CHECKS[case]
+    with pytest.raises(exc):
+        call()

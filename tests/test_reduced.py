@@ -387,8 +387,13 @@ def _old_fhat_hessian(pt, p):
     return fuu, fuv, fvv
 
 
+def _dirichlet_density(q, pt):
+    """``(u'^2 + v'^2 + k^2 u^2 / r^2) / 2`` at the Gauss radii."""
+    return 0.5 * (pt.du * pt.du + pt.dv * pt.dv)[:, None] + 0.5 * q.k2 * pt.ug * pt.ug / q.rg2
+
+
 def _old_energy(q, pt, p):
-    dens = q.dirichlet_density(pt) + _old_fhat(pt, p) / p.L
+    dens = _dirichlet_density(q, pt) + _old_fhat(pt, p) / p.L
     return float(np.sum(q.wg * dens))
 
 
@@ -459,7 +464,7 @@ def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
     pt = q.point(prof.u, prof.v)
     # the energy relative to the size of the terms it sums, which cancel to
     # 0.19 at k = -4, b2 = 1.5
-    terms = np.sum(q.wg * (q.dirichlet_density(pt) + np.abs(_old_fhat(pt, p)) / p.L))
+    terms = np.sum(q.wg * (_dirichlet_density(q, pt) + np.abs(_old_fhat(pt, p)) / p.L))
     assert abs(_energy(q, pt, p) - _old_energy(q, pt, p)) <= 1e-14 * terms
 
     ab, ref = _assemble_hessian_banded(q, pt, p), _old_hessian(q, pt, p)
@@ -708,6 +713,32 @@ def test_newton_damping_is_bounded_when_the_hessian_is_nan(monkeypatch):
     assert info.value.report.iterations == 1
 
 
+@pytest.mark.parametrize("init, failed", [("explicit", 0), ("ramp", 4)])
+def test_newton_damping_ends_after_15_rejections_on_finite_data(monkeypatch, init, failed):
+    # Every trial energy exceeds the start, so no step is accepted and lam
+    # climbs from 1e-8 lam_unit by x30 per rejected round: it passes
+    # 1e12 lam_unit after 15 rounds (30^14 > 1e20), well before the count
+    # of _MAX_DAMPING_REJECTS ends the loop.  A round whose factorisation
+    # succeeds halves beta from 1 to 2^-23, 24 backtracks.
+    import qdefect.reduced as reduced
+
+    real = reduced._energy
+    start = []
+
+    def worse(q, pt, prm):
+        start.append(real(q, pt, prm))
+        return start[0] if len(start) == 1 else start[0] + 1.0
+
+    monkeypatch.setattr(reduced, "_energy", worse)
+    with pytest.raises(NonConvergence) as info:
+        minimize(params(L=0.05), RadialGrid.uniform(1.0, 64), init=init)
+    rep = info.value.report
+    assert rep.iterations == 1 and rep.stop is None
+    assert rep.factorizations_failed == failed
+    assert rep.backtracks == 24 * (15 - failed)
+    assert rep.energy == start[0]
+
+
 def test_read_profile_csv_rejects_non_finite(tmp_path):
     for bad in ("nan", "inf", "-inf", "NaN"):
         path = tmp_path / "p.csv"
@@ -808,6 +839,37 @@ def test_continuation_start_matches_direct_solve():
     assert np.array_equal(branch[0][1].v, direct.v)
 
 
+def test_continuation_failure_carries_the_branch_so_far(monkeypatch):
+    import qdefect.reduced as reduced
+
+    real = reduced.minimize
+    raised = []
+
+    def spy(p_step, grid, init="explicit", **kw):
+        profile, report = real(p_step, grid, init=init, **kw)
+        if p_step.b2 == 0.05:
+            report.converged = False
+            raised.append((profile, report))
+            raise NonConvergence("injected failure", profile=profile, report=report)
+        return profile, report
+
+    monkeypatch.setattr(reduced, "minimize", spy)
+    p = params(L=0.1)
+    grid = RadialGrid.uniform(1.0, 64)
+    with pytest.raises(NonConvergence) as info:
+        continuation_in_b2(p, [0.0, 0.05, 0.1], grid)
+    err = info.value
+    assert err.failing_b2 == 0.05
+    # the converged prefix: the b2 = 0 step, as a direct solve gives it
+    direct, _ = real(p, grid)
+    assert [b2 for b2, _, _ in err.branch_so_far] == [0.0]
+    (_, prof0, rep0), = err.branch_so_far
+    assert rep0.converged and np.array_equal(prof0.u, direct.u)
+    # the failing step's best iterate, and no later step was tried
+    assert len(raised) == 1
+    assert err.profile is raised[0][0] and err.report is raised[0][1]
+
+
 def test_continuation_validates_targets():
     p = params()
     grid = RadialGrid.uniform(1.0, 64)
@@ -852,3 +914,29 @@ def test_profile_csv_write_is_atomic(tmp_path, monkeypatch, solve_cache):
     with pytest.raises(OSError):
         write_profile_csv(path, prof)
     assert path.read_text() == "r,u,v\n"
+
+
+def _write_csv(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    return path
+
+
+_REDUCED_ARGUMENT_CHECKS = {
+    "distance_to-grid-mismatch": (
+        GridError,
+        lambda tmp: ramp_profile(params(), RadialGrid.uniform(1.0, 32)).distance_to(
+            ramp_profile(params(), RadialGrid.uniform(1.0, 64))),
+    ),
+    "csv-non-numeric-cell": (
+        CsvFormatError,
+        lambda tmp: read_profile_csv(_write_csv(tmp, "r,u,v\n0.0,0.0,-0.4\n0.5,abc,-0.4\n")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REDUCED_ARGUMENT_CHECKS))
+def test_reduced_argument_checks(tmp_path, case):
+    exc, call = _REDUCED_ARGUMENT_CHECKS[case]
+    with pytest.raises(exc):
+        call(tmp_path)
