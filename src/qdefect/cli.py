@@ -179,6 +179,8 @@ def _grid(eff: dict, params: ModelParams) -> RadialGrid:
 def _init(eff: dict, params: ModelParams):
     """The ``init`` argument of ``minimize``: a preset or the ``--init-file`` profile."""
     if eff["init"] != "file":
+        if eff["init_file"]:
+            raise InvalidParams("--init-file requires --init file")
         return eff["init"]
     if not eff["init_file"]:
         raise InvalidParams("--init file requires --init-file")
@@ -259,7 +261,7 @@ def cmd_residual(args) -> int:
         "ode_max_interior": res.max_interior(),
         "neumann_defect": res.neumann_defect,
         "el2d_max": float(np.max(norms)),
-        "el2d_max_bulk": float(np.max(norms[el.rings >= _BULK_R_MIN * params.R])),
+        "el2d_max_bulk": el.max_norm(_BULK_R_MIN * params.R),
         "el2d_l2": l2,
     }
     _write_json(f"{out}_summary.json", summary)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DecompositionInvalid, GridError, InvalidParams
 from .grid import GAUSS_XI, PolarGrid, three_point_derivatives
 from .params import ModelParams
-from .reduced import _HAT_PAIRS, Profile, _P1Gauss
+from .reduced import _HAT_PAIRS, Profile, _P1Gauss, _bulk_mask
 from . import tensor
 from .tensor import F3_COMPONENTS
 
@@ -236,14 +236,15 @@ class ResidualField:
         return np.sqrt(tensor.frob_sq(self.values))
 
     def max_norm(self, r_min: float = 0.0) -> float:
-        """Max Frobenius norm over rings with ``r >= r_min``.
+        """Max Frobenius norm over rings with ``r >= r_min``, the cutoff
+        clipped to the last ring (the bulk rule of
+        :meth:`~qdefect.reduced.OdeResidual.bulk_peak`).
 
         Near the origin the angular stencil error scales like
         ``dphi^2 / r``, so quality metrics should pass a bulk cutoff
         (0.05 R is used by the verification suite).
         """
-        mask = self.rings >= r_min
-        return float(np.max(self.norms()[mask]))
+        return float(np.max(self.norms()[_bulk_mask(self.rings, r_min)]))
 
 
 def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:

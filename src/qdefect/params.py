@@ -29,7 +29,8 @@ class ModelParams:
     Parameters
     ----------
     a2, b2, c2 : float
-        Bulk potential coefficients; ``a2, c2 > 0`` and ``b2 >= 0``.
+        Bulk potential coefficients; ``a2, c2 > 0`` and ``b2 >= 0``, with
+        ``s_plus^2`` finite.
     L : float
         Elastic constant, ``> 0``.  The value ``0`` is accepted as the
         symbolic harmonic-map limit; operations that need ``L > 0``
@@ -69,6 +70,11 @@ class ModelParams:
             )
         s = equilibrium_order_parameter(self.a2, self.b2, self.c2)
         object.__setattr__(self, "s_plus", s)
+        if not math.isfinite(self.limit_norm_sq):
+            raise InvalidParams(
+                f"a2 = {self.a2}, b2 = {self.b2}, c2 = {self.c2} give s_plus = {s}, "
+                "whose square overflows"
+            )
 
     @property
     def boundary_u(self) -> float:

@@ -38,6 +38,11 @@ _SQRT23 = math.sqrt(2.0 / 3.0)
 _MAX_DAMPING_REJECTS = 32  # Newton steps rejected in a row before giving up
 _SKIP_ORIGIN_NODES = 2  # interior nodes next to the origin left out of max_interior
 _BULK_R_MIN = 0.05  # the bulk of the reported residual starts at this fraction of R
+# The solver holds the node values as rows (u_i, v_i), i = 0..N.  Flattened,
+# [u_0, v_0, u_1, v_1, ..., u_N, v_N], its free degrees of freedom
+# [v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}] are this slice: the boundary
+# conditions fix u_0, u_N and v_N.
+_FREE = slice(1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +266,9 @@ _HAT_ENDS = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=1)
 _HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
 
-def _raw_gradient(q: _P1Gauss, pt: _Point, p: ModelParams):
-    """Partial derivatives of the discrete energy wrt every node value."""
+def _raw_gradient(q: _P1Gauss, pt: _Point, p: ModelParams) -> np.ndarray:
+    """Partial derivatives of the discrete energy wrt every node value, as
+    ``(N+1, 2)`` rows ``(d/du_i, d/dv_i)``."""
     wl = q.wg_L(p.L)
     m = p.c2 * pt.t - p.a2
     cu, cv = q.grad_coef  # wg (k^2 u / r^2 + f_u / L), wg f_v / L
@@ -270,18 +276,19 @@ def _raw_gradient(q: _P1Gauss, pt: _Point, p: ModelParams):
     np.multiply(wl, pt.vg * m - (p.b2 / _SQRT6) * (pt.vv - pt.uu), out=cv)
     ends = (q.grad_coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
     stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
-    g = np.empty((2, pt.u.size))
+    g = np.empty((2, pt.u.size))  # u and v columns, contiguous for the norm's sums
     g[:, :-1] = ends[:, :, 0] - stiff
     g[:, -1] = 0.0
     g[:, 1:] += ends[:, :, 1] + stiff
-    return g[0], g[1]
+    return g.T
 
 
-def _project(gu, gv):
-    gu[0] = 0.0
-    gu[-1] = 0.0
-    gv[-1] = 0.0
-    return gu, gv
+def _free_gradient(q: _P1Gauss, pt: _Point, p: ModelParams) -> np.ndarray:
+    """:func:`_raw_gradient` with the entries outside ``_FREE``, those of the
+    fixed DOFs, set to 0."""
+    g = _raw_gradient(q, pt, p)
+    g.flat[:_FREE.start] = g.flat[_FREE.stop:] = 0.0
+    return g
 
 
 def reduced_gradient(profile: Profile, params: ModelParams):
@@ -294,24 +301,25 @@ def reduced_gradient(profile: Profile, params: ModelParams):
     """
     _check_operands(profile, params)
     q = _P1Gauss(profile.grid, params.k)
-    gu, gv = _project(*_raw_gradient(q, q.point(profile.u, profile.v), params))
+    gu, gv = _free_gradient(q, q.point(profile.u, profile.v), params).T
     m = profile.grid.node_masses
     return gu / m, gv / m
 
 
 def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, p: ModelParams):
-    """Banded Hessian of the discrete energy over the free DOFs at the
-    evaluated point ``pt``, in ``solve_banded`` layout (l = u = 3).
+    """Hessian of the discrete energy over the free DOFs at the evaluated
+    point ``pt``, in LAPACK's lower band storage: ``(4, 2N - 1)``, row ``d``
+    column ``j`` holding the entry ``(j + d, j)``.
 
-    The free DOFs form the chain ``[v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}]``:
-    ``u_i`` at index ``2i - 1``, ``v_i`` at ``2i``, so segment ``i`` owns
-    the contiguous indices ``2i - 1 .. 2i + 2``.  One product of the
+    In the interleaved node vector ``[u_0, v_0, ..., u_N, v_N]`` segment
+    ``i`` owns the four values ``2i .. 2i + 3``.  One product of the
     ``(3N, 5)`` Gauss coefficients with the hat pairs gives each segment's
-    uu, uv, vv entries of its node pairs aa, ab, bb as length-N vectors,
-    written into the upper rows 0-3 (row 3 the diagonal) with step-2 slices;
-    a node shared by two segments sums their two entries.  The couplings of
-    the fixed ``u_0``, ``u_N``, ``v_N`` are left out, and rows 4-6 mirror
-    rows 2-0, so rows 3-6 are LAPACK's lower band storage.
+    uu, uv, vv entries of its node pairs aa, ab, bb as length-N vectors;
+    each lower-triangle entry of the segments' 4x4 blocks is added into a
+    band over all ``2N + 2`` values with one step-2 slice, so a node shared
+    by two segments sums their two entries.  The free columns, ``_FREE``,
+    are returned.  The couplings to ``u_N`` and ``v_N`` land below the
+    matrix, where ``dpbsv`` reads nothing.
     """
     n = q.grid.n_segments
     wl = q.wg_L(p.L)
@@ -323,26 +331,21 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, p: ModelParams):
     np.multiply(wl, m - bv + 2.0 * p.c2 * pt.vv, out=cvv)
     loc = (q.hess_coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
     loc[0::2] += q.stiff_pairs
-    # u_a v_b and v_a u_b share the weight (1 - xi) xi, so uv_ab serves both
     (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
-
-    ab = np.zeros((7, 2 * n - 1))
-    ab[3, 0::2] = vv_aa  # v_i v_i
-    ab[3, 2::2] += vv_bb[:-1]
-    ab[3, 1::2] = uu_bb[:-1] + uu_aa[1:]  # u_i u_i
-    ab[2, 2::2] = uv_bb[:-1] + uv_aa[1:]  # u_i v_i
-    ab[2, 1::2] = uv_ab[:-1]  # v_i u_{i+1}
-    ab[1, 2::2] = vv_ab[:-1]  # v_i v_{i+1}
-    ab[1, 3::2] = uu_ab[1:-1]  # u_i u_{i+1}
-    ab[0, 4::2] = uv_ab[1:-1]  # u_i v_{i+1}
-    for d in (1, 2, 3):
-        ab[3 + d, :-d] = ab[3 - d, d:]
-    return ab
+    # the lower triangle of the block over (u_a, v_a, u_b, v_b), by column;
+    # u_a v_b and v_a u_b share the weight (1 - xi) xi, so uv_ab serves both
+    columns = ((uu_aa, uv_aa, uu_ab, uv_ab), (vv_aa, uv_ab, vv_ab), (uu_bb, uv_bb), (vv_bb,))
+    band = np.zeros((4, 2 * n + 2))
+    for c, column in enumerate(columns):
+        for d, entry in enumerate(column):
+            slots = band[d, c:c + 2 * n:2]
+            slots += entry  # in place: no write-back copy of the slice
+    return band[:, _FREE]
 
 
 def _newton_step(lower, shift, rhs, work):
     """Solve ``(H + diag(shift)) x = rhs``, ``H`` in LAPACK's lower band
-    storage (rows 3-6 of :func:`_assemble_hessian_banded`); None where the
+    storage (:func:`_assemble_hessian_banded`); None where the
     factorisation fails (``H + diag(shift)`` not positive definite) or ``x``
     is not finite.
 
@@ -374,25 +377,15 @@ def _roundoff_floor(lower, x, mass_free) -> float:
     return np.finfo(float).eps * math.sqrt(float(np.sum(y * y / mass_free)))
 
 
-def _free_rhs(gu, gv, n):
-    """Node data ``(gu, gv)`` in the free-DOF chain order."""
-    rhs = np.empty(2 * n - 1)
-    rhs[0::2] = gv[:n]
-    rhs[1::2] = gu[1:n]
-    return rhs
-
-
-def _unpack_free(x, n):
-    du = np.zeros(n + 1)
-    dv = np.zeros(n + 1)
-    du[1:n] = x[1::2]
-    dv[:n] = x[0::2]
-    return du, dv
-
-
 # ---------------------------------------------------------------------------
 # strong-form finite-difference residual
 # ---------------------------------------------------------------------------
+
+def _bulk_mask(r: np.ndarray, r_min: float) -> np.ndarray:
+    """Mask of the bulk of the ascending radii ``r``: ``r >= r_min``, the
+    cutoff clipped to the last radius so that the bulk is never empty."""
+    return r >= min(r_min, r[-1])
+
 
 @dataclass
 class OdeResidual:
@@ -414,9 +407,9 @@ class OdeResidual:
         return float(max(np.max(np.abs(self.ru[s:])), np.max(np.abs(self.rv[s:]))))
 
     def bulk_peak(self, r_min: float) -> tuple[float, float]:
-        """``(value, r)``: the largest residual entry over the nodes with
-        ``r >= r_min`` (at least the last interior node) and its radius."""
-        bulk = self.r >= min(r_min, self.r[-1])
+        """``(value, r)``: the largest residual entry over the bulk nodes
+        (:func:`_bulk_mask`) and its radius."""
+        bulk = _bulk_mask(self.r, r_min)
         size = np.maximum(np.abs(self.ru[bulk]), np.abs(self.rv[bulk]))
         i = int(np.argmax(size))
         return float(size[i]), float(self.r[bulk][i])
@@ -500,7 +493,7 @@ def _initial_arrays(params: ModelParams, grid: RadialGrid, init):
     if isinstance(init, Profile):
         if not grid.same_nodes(init.grid):
             raise GridError("initial profile grid does not match the solve grid")
-        return init.u.copy(), init.v.copy()
+        return init.u, init.v
     if init == "explicit":
         from .harmonic import explicit_arrays  # deferred: harmonic imports Profile
 
@@ -538,9 +531,13 @@ def minimize(
 ):
     """Find the reduced-energy minimiser on the grid.
 
-    Damped Newton on the discrete stationarity system.  Each step factors
+    Damped Newton on the discrete stationarity system.  The iterate is one
+    ``(N+1, 2)`` array of rows ``(u_i, v_i)``; flattened, its free DOFs are
+    the slice ``_FREE``, from which the right-hand side, the step, the
+    masses and the round-off floor are taken.  Each step factors
     and solves ``H + lam M`` (``M`` the lumped node masses) with one
-    ``dpbsv`` call in LAPACK's lower band storage; where the factorisation
+    ``dpbsv`` call in LAPACK's lower band storage
+    (:func:`_assemble_hessian_banded`); where the factorisation
     fails (negative curvature) or the step is not finite, the Levenberg
     shift ``lam`` is raised.  A step is accepted by an Armijo test on the
     energy, or, when the energy change is below round-off
@@ -568,36 +565,35 @@ def minimize(
         raise InvalidParams("max_iter must be at least 1")
     if params.L <= 0.0:
         raise InvalidParams("minimize requires L > 0; L = 0 is the limit problem")
-    u, v = _initial_arrays(params, grid, init)
+    y = np.stack(_initial_arrays(params, grid, init), axis=1)  # rows (u_i, v_i)
     if params.b2 == 0.0:
-        u, v = np.abs(u), -np.abs(v)
-    u[0] = 0.0
-    u[-1] = params.boundary_u
-    v[-1] = params.boundary_v
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        y = np.abs(y) * (1.0, -1.0)
+    y[0, 0] = 0.0
+    y[-1] = params.boundary_u, params.boundary_v
+    if not np.all(np.isfinite(y)):
         raise InvalidParams("initial profile has non-finite values")
 
     n = grid.n_segments
     masses = grid.node_masses
-    mass_free = _free_rhs(masses, masses, n)
+    mass_free = np.repeat(masses, 2)[_FREE]
     q = _P1Gauss(grid, params.k)
     work = np.empty((4, 2 * n - 1), order="F")  # _newton_step's band
 
     def grad_and_norm(at):
-        gu, gv = _raw_gradient(q, at, params)
-        _project(gu, gv)
-        return gu, gv, math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
+        g = _free_gradient(q, at, params)
+        gu, gv = g[:, 0], g[:, 1]
+        return g, math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
 
-    pt = q.point(u, v)
+    pt = q.point(y[:, 0], y[:, 1])
     energy = _energy(q, pt, params)
-    gu, gv, gn = grad_and_norm(pt)
+    g, gn = grad_and_norm(pt)
     lam = 0.0
     iters = failed = backtracks = 0
     stop = "tol" if gn <= tol else None
     while stop is None and iters < max_iter and math.isfinite(gn):
-        lower = _assemble_hessian_banded(q, pt, params)[3:]
+        lower = _assemble_hessian_banded(q, pt, params)
         lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
-        rhs = _free_rhs(-gu, -gv, n)
+        rhs = -g.reshape(-1)[_FREE]
         accepted = stalled = False
         # Each rejection multiplies lam by 30 from at least 1e-8 lam_unit, so
         # finite data passes 1e12 lam_unit within 15 rejections; the count
@@ -607,23 +603,25 @@ def minimize(
             if x is None:
                 failed += 1
             else:
-                du, dv = _unpack_free(x, n)
+                step = np.zeros_like(y)
+                step.reshape(-1)[_FREE] = x
                 slope = -float(rhs @ x)  # directional derivative, < 0
                 beta = 1.0
                 while beta > 1e-7:
-                    pt2 = q.point(pt.u + beta * du, pt.v + beta * dv)
+                    y2 = y + beta * step
+                    pt2 = q.point(y2[:, 0], y2[:, 1])
                     e2 = _energy(q, pt2, params)
                     if abs(e2 - energy) <= 1e-12 * abs(energy):
-                        gu2, gv2, gn2 = grad_and_norm(pt2)
+                        g2, gn2 = grad_and_norm(pt2)
                         accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
                         stalled = beta == 1.0 and gn2 > 0.5 * gn and \
-                            gn <= _roundoff_floor(lower, _free_rhs(pt.u, pt.v, n), mass_free)
+                            gn <= _roundoff_floor(lower, y.reshape(-1)[_FREE], mass_free)
                     elif e2 <= energy + 1e-4 * beta * slope:
-                        gu2, gv2, gn2 = grad_and_norm(pt2)
+                        g2, gn2 = grad_and_norm(pt2)
                         accepted = True
                     if accepted:
-                        pt, energy = pt2, e2
-                        gu, gv, gn = gu2, gv2, gn2
+                        y, pt, energy = y2, pt2, e2
+                        g, gn = g2, gn2
                         lam *= 0.3
                         if lam < 1e-14 * lam_unit:
                             lam = 0.0
@@ -646,7 +644,7 @@ def minimize(
         elif not accepted:
             break
 
-    u, v = pt.u, pt.v
+    u, v = y.T.copy()
     profile = Profile(grid, u, v)
     res = ode_residual(profile, params)
     residual, peak_r = res.bulk_peak(_BULK_R_MIN * grid.radius)

@@ -270,6 +270,18 @@ def test_residual_of_solution(tmp_path):
     assert len(lines) == 128  # interior nodes of a 128-segment grid
 
 
+def test_residual_bulk_keeps_the_last_ring_when_every_ring_is_in_the_core(tmp_path):
+    # every interior node of this profile lies below 0.05 R
+    r = np.append(np.linspace(0.0, 0.016, 16), 1.0)
+    write_profile_csv(tmp_path / "core.csv", Profile(RadialGrid(r), 0.86 * r, np.full_like(r, -0.5)))
+    assert run(tmp_path, "residual", "--input", "core.csv", "--L", "0.01", "--k", "1", "-o", "res") == 0
+    summary = json.loads((tmp_path / "res_summary.json").read_text())
+    profile = read_profile_csv(tmp_path / "core.csv")
+    p = qdefect.ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.01, R=1.0, k=1)
+    el = qdefect.el_residual_2d(qdefect.lift(profile, 1, qdefect.PolarGrid(profile.grid, 128)), p)
+    assert summary["el2d_max_bulk"] == float(np.max(el.norms()[-1]))
+
+
 def test_residual_on_limit_profile_reports_large_potential_term(tmp_path):
     # the explicit limit profile solves the constrained problem, not the
     # finite-L one: the ODE residual must be visibly nonzero
@@ -477,6 +489,8 @@ def test_sweep_honours_init_and_iteration_flags(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run(tmp_path, *sweep, "--init", "file") == 2
     assert "--init file requires --init-file" in capsys.readouterr().err
+    assert run(tmp_path, *sweep, "--init-file", "seed_profile.csv") == 2
+    assert "--init-file requires --init file" in capsys.readouterr().err
     assert run(
         tmp_path, *sweep[:-1], "64", "--init", "file", "--init-file", "seed_profile.csv"
     ) == 2
@@ -709,6 +723,18 @@ _CLI_ARGUMENT_CHECKS = {
     "config-null-input": (("residual",), {"input": None}, "residual requires --input"),
     # a valid choice from a config passes, and --init file then needs its file
     "config-valid-choice": (("solve",), {"init": "file"}, "--init file requires --init-file"),
+    # an --init-file that --init file does not ask for is rejected, not ignored
+    "init-file-without-init-file": (
+        ("solve", "--init-file", "missing.csv"), None, "--init-file requires --init file"),
+    "config-init-file-without-init-file": (
+        ("sweep", "--L-list", "0.1,0.05"), {"init_file": "missing.csv"},
+        "--init-file requires --init file"),
+    # bulk coefficients whose s_plus^2 overflows
+    **{f"{cmd}-overflowing-s-plus": (
+        (cmd, *flags, "--a2", "1e300", "--c2", "1e-300"), None, "whose square overflows")
+       for cmd, flags in (("limit", ("--k", "2", "--n", "16", "--m", "64")),
+                          ("solve", ("--n", "16")),
+                          ("render", ("--branch", "minus")))},
     "config-unreadable": (("solve", "--config", "missing.json"), None, "cannot read config file"),
     "config-not-object": (("solve",), [1, 2], "must hold a JSON object"),
     "residual-without-input": (("residual",), None, "residual requires --input"),

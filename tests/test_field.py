@@ -170,6 +170,16 @@ def test_el_residual_small_for_minimizer(solve_cache):
     assert res.max_norm(r_min=0.05) <= 1e-2 * scale / p.R**2
 
 
+def test_el_residual_bulk_cutoff_past_the_last_ring_keeps_the_last_ring(solve_cache):
+    # the bulk rule of OdeResidual.bulk_peak: the cutoff is clipped to the last ring
+    p, prof, _ = solve_cache(L=0.1, n=256)
+    res = el_residual_2d(lift(prof, p.k, PolarGrid(prof.grid, 64)), p)
+    last = float(np.max(res.norms()[-1]))
+    assert res.max_norm(r_min=2.0 * p.R) == last
+    assert res.max_norm(r_min=res.rings[-1]) == last
+    assert res.max_norm() == float(np.max(res.norms()))
+
+
 def test_el_residual_values_stay_traceless(solve_cache):
     p, prof, _ = solve_cache(L=0.1, n=256)
     field = lift(prof, p.k, PolarGrid(prof.grid, 64))

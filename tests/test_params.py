@@ -28,6 +28,7 @@ def test_s_plus_b2_one():
         {"R": math.inf},
         {"L": -0.1},
         {"k": 0},
+        {"a2": 1e300, "c2": 1e-300},  # s_plus^2 overflows
     ],
 )
 def test_invalid_parameters_rejected(kwargs):

@@ -28,6 +28,7 @@ from qdefect import (
     write_profile_csv,
 )
 from qdefect.harmonic import explicit_arrays
+from qdefect.reduced import _FREE
 
 SQRT6 = math.sqrt(6.0)
 
@@ -199,20 +200,33 @@ def test_gradient_zero_perturbation_is_identity():
 # Hessian
 # ---------------------------------------------------------------------------
 
-def _dense_from_banded(ab):
-    """Dense matrix of ``solve_banded`` storage with l = u = 3."""
-    nf = ab.shape[1]
+def _free(u, v):
+    """Node data ``(u, v)`` at the free DOFs ``[v_0, u_1, v_1, ..., v_{N-1}]``."""
+    return np.stack([u, v], axis=1).reshape(-1)[_FREE]
+
+
+def _rows(w):
+    """``(N+1, 2)`` node rows of the free DOFs ``w``, 0 at the fixed ones."""
+    rows = np.zeros(((w.size + 3) // 2, 2))
+    rows.reshape(-1)[_FREE] = w
+    return rows
+
+
+def _dense_from_banded(lower):
+    """Dense symmetric matrix of LAPACK lower band storage with 3 subdiagonals
+    (entries below the matrix are not read)."""
+    nf = lower.shape[1]
     dense = np.zeros((nf, nf))
-    for d in range(-3, 4):
-        j = np.arange(max(0, -d), min(nf, nf - d))
-        dense[j + d, j] = ab[3 + d, j]
+    for d in range(4):
+        j = np.arange(nf - d)
+        dense[j + d, j] = dense[j, j + d] = lower[d, j]
     return dense
 
 
 @pytest.mark.parametrize("k", [1, -2, 3])
 @pytest.mark.parametrize("b2", [0.0, 0.7])
 def test_hessian_matches_central_differences_of_gradient(k, b2):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _free_rhs, _raw_gradient
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _raw_gradient
 
     p = params(L=0.05, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, 24, k)
@@ -231,7 +245,7 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
     n = grid.n_segments
 
     def free_grad(u, v):
-        return _free_rhs(*_raw_gradient(q, q.point(u, v), p), n)
+        return _raw_gradient(q, q.point(u, v), p).reshape(-1)[_FREE]
 
     assert np.max(np.abs(free_grad(prof.u, prof.v))) > 1e-2  # not a critical point
     hess = _dense_from_banded(_assemble_hessian_banded(q, q.point(prof.u, prof.v), p))
@@ -252,12 +266,13 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
     assert np.array_equal(hess, hess.T)
 
 
-def _banded_matvec(ab, x):
-    """``A x`` for ``solve_banded`` storage with l = u = 3."""
-    y = ab[3] * x
+def _banded_matvec(lower, x):
+    """``A x`` for symmetric ``A`` in LAPACK lower band storage with 3
+    subdiagonals (entries below the matrix are not read)."""
+    y = lower[0] * x
     for d in (1, 2, 3):
-        y[:-d] += ab[3 - d, d:] * x[d:]
-        y[d:] += ab[3 + d, :-d] * x[:-d]
+        y[d:] += lower[d, :-d] * x[:-d]
+        y[:-d] += lower[d, :-d] * x[d:]
     return y
 
 
@@ -265,13 +280,7 @@ def _banded_matvec(ab, x):
 @pytest.mark.parametrize("k", [1, -2, 3])
 @pytest.mark.parametrize("b2", [0.0, 1.0])
 def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
-    from qdefect.reduced import (
-        _P1Gauss,
-        _assemble_hessian_banded,
-        _free_rhs,
-        _raw_gradient,
-        _unpack_free,
-    )
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _raw_gradient
 
     p = params(L=0.01, b2=b2, k=k)
     grid = getattr(RadialGrid, spacing)(1.0, 2048)
@@ -288,21 +297,15 @@ def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
     q = _P1Gauss(grid, k)
 
     def free_grad(u, v):
-        return _free_rhs(*_raw_gradient(q, q.point(u, v), p), n)
+        return _raw_gradient(q, q.point(u, v), p).reshape(-1)[_FREE]
 
     ab = _assemble_hessian_banded(q, q.point(prof.u, prof.v), p)
     nf = 2 * n - 1
-    assert ab.shape == (7, nf)
-    for d in (1, 2, 3):
-        # the lower rows mirror the upper rows exactly
-        assert np.array_equal(ab[3 + d, :-d], ab[3 - d, d:])
-        # band corners outside the matrix, where a coupling of the fixed
-        # u_0 (before v_0) or u_N, v_N (after v_{N-1}) would land, stay zero
-        assert not np.any(ab[3 - d, :d]) and not np.any(ab[3 + d, nf - d:])
-    assert not np.any(ab[0, 1::2])  # v_{i-1} and u_{i+1} share no segment
+    assert ab.shape == (4, nf)
+    assert not np.any(ab[3, 0::2])  # v_i and u_{i+2} share no segment
 
     def product_error(w, eps=1e-4):
-        wu, wv = _unpack_free(w, n)
+        wu, wv = _rows(w).T
         assert wu[0] == wu[-1] == wv[-1] == 0.0
         fd = (free_grad(prof.u + eps * wu, prof.v + eps * wv)
               - free_grad(prof.u - eps * wu, prof.v - eps * wv)) / (2.0 * eps)
@@ -315,7 +318,7 @@ def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
     # in a smooth w the stiffness cancels and the potential terms lead H w
     a = rng.standard_normal((2, 4))
     m = np.arange(1, 5)[:, None]
-    w = _free_rhs(a[0] @ np.sin(m * np.pi * x), a[1] @ np.cos((m - 0.5) * np.pi * x), n)
+    w = _free(a[0] @ np.sin(m * np.pi * x), a[1] @ np.cos((m - 0.5) * np.pi * x))
     err = product_error(w)
     assert np.max(np.abs(err)) <= 1e-6 * np.max(np.abs(_banded_matvec(ab, w)))
 
@@ -326,14 +329,7 @@ def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
 def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
-    from qdefect.reduced import (
-        _P1Gauss,
-        _assemble_hessian_banded,
-        _free_rhs,
-        _newton_step,
-        _project,
-        _raw_gradient,
-    )
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _newton_step, _raw_gradient
 
     p = params(L=0.01, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, n, k)
@@ -348,16 +344,17 @@ def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
     )
     q = _P1Gauss(grid, k)
     pt = q.point(start.u, start.v)
-    ab = _assemble_hessian_banded(q, pt, p)
-    gu, gv = _project(*_raw_gradient(q, pt, p))
-    rhs = _free_rhs(-gu, -gv, n)
-    mass_free = _free_rhs(grid.node_masses, grid.node_masses, n)
-    lam_unit = float(np.max(np.abs(ab[3]))) / float(np.max(mass_free))
+    lower = _assemble_hessian_banded(q, pt, p)
+    rhs = -_raw_gradient(q, pt, p).reshape(-1)[_FREE]
+    mass_free = _free(grid.node_masses, grid.node_masses)
+    lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
     chol = np.zeros((4, 2 * n - 1), order="F")
     for lam in (0.0, 1e-8 * lam_unit, 1e-4 * lam_unit, 1e-1 * lam_unit):
-        step = _newton_step(ab[3:], lam * mass_free, rhs, chol)
-        upper = ab[:4].copy()
-        upper[3] += lam * mass_free
+        step = _newton_step(lower, lam * mass_free, rhs, chol)
+        upper = np.zeros_like(lower)  # the same matrix in upper band storage
+        for d in (1, 2, 3):
+            upper[3 - d, d:] = lower[d, :-d]
+        upper[3] = lower[0] + lam * mass_free
         try:
             ref = cho_solve_banded((cholesky_banded(upper), False), rhs)
         except np.linalg.LinAlgError:
@@ -367,6 +364,35 @@ def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
             # bit-equality depends on the BLAS build, so only closeness is asserted
             assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert step is not None  # the largest shift makes H + lam M definite
+
+
+@pytest.mark.parametrize("k", [1, -2, 3])
+@pytest.mark.parametrize("n", [64, 2048])
+def test_newton_step_reads_no_band_slot_below_the_matrix(k, n):
+    # the couplings of v_{N-2}, u_{N-1}, v_{N-1} to the fixed u_N, v_N land in
+    # the lower band below the matrix; dpbsv must not read them
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _newton_step, _raw_gradient
+
+    p = params(L=0.01, b2=0.7, k=k)
+    grid = RadialGrid.for_defect(1.0, n, k)
+    start = ramp_profile(p, grid)
+    q = _P1Gauss(grid, k)
+    pt = q.point(start.u, start.v)
+    lower = _assemble_hessian_banded(q, pt, p)
+    nf = lower.shape[1]
+    below = [(d, slice(nf - d, None)) for d in (1, 2, 3)]
+    assert sum(np.count_nonzero(lower[d, cols]) for d, cols in below) == 4
+    rhs = -_raw_gradient(q, pt, p).reshape(-1)[_FREE]
+    mass_free = _free(grid.node_masses, grid.node_masses)
+    shift = 0.1 * float(np.max(np.abs(lower[0]))) / float(np.max(mass_free)) * mass_free
+    work = np.empty((4, nf), order="F")
+    ref = _newton_step(lower, shift, rhs, work)
+    assert ref is not None
+    poisoned = lower.copy()
+    for d, cols in below:
+        poisoned[d, cols] = np.nan
+    step = _newton_step(poisoned, shift, rhs, work)
+    assert step is not None and step.tobytes() == ref.tobytes()
 
 
 # The per-term P1/Gauss kernel that the fused one replaced, kept as the reference:
@@ -447,7 +473,7 @@ def _old_hessian(q, pt, p):
 @pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
 @pytest.mark.parametrize("n", [64, 2048])
 def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _free_rhs, _raw_gradient
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _raw_gradient
 
     p = params(L=0.01, b2=b2, k=k)
     grid = getattr(RadialGrid, spacing)(1.0, n)
@@ -467,14 +493,15 @@ def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
     terms = np.sum(q.wg * (_dirichlet_density(q, pt) + np.abs(_old_fhat(pt, p)) / p.L))
     assert abs(_energy(q, pt, p) - _old_energy(q, pt, p)) <= 1e-14 * terms
 
-    ab, ref = _assemble_hessian_banded(q, pt, p), _old_hessian(q, pt, p)
+    # the reference's rows 3-6 are its lower band storage
+    ab, ref = _assemble_hessian_banded(q, pt, p), _old_hessian(q, pt, p)[3:]
     # every entry and every gradient component, scaled per row by the size
     # |H| |x| of the terms that the row sums
-    ax = np.abs(_free_rhs(prof.u, prof.v, n))
+    ax = np.abs(_free(prof.u, prof.v))
     scale = _banded_matvec(np.abs(ref), ax)
     assert np.max(_banded_matvec(np.abs(ab - ref), ax) / scale) <= 1e-14
-    grad = _free_rhs(*_raw_gradient(q, pt, p), n)
-    assert np.max(np.abs(grad - _free_rhs(*_old_gradient(q, pt, p), n)) / scale) <= 1e-14
+    grad = _raw_gradient(q, pt, p).reshape(-1)[_FREE]
+    assert np.max(np.abs(grad - _free(*_old_gradient(q, pt, p))) / scale) <= 1e-14
 
 
 # (k, b2, init, iterations, energy) of minimize at L = 0.01, n = 256: a kernel
@@ -546,7 +573,7 @@ def test_fine_grid_solve_stops_at_its_roundoff_floor_at_second_order():
 
 @pytest.mark.parametrize("k,b2", [(1, 0.0), (-2, 1.0), (3, 0.5)])
 def test_a_tol_below_the_roundoff_floor_stops_at_the_floor(k, b2):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _free_rhs, _roundoff_floor
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _roundoff_floor
 
     p = params(L=0.01, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, 256, k)
@@ -556,9 +583,9 @@ def test_a_tol_below_the_roundoff_floor_stops_at_the_floor(k, b2):
     assert at_tol.iterations < rep.iterations <= at_tol.iterations + 2
     assert rep.energy == pytest.approx(at_tol.energy, rel=1e-13, abs=0.0)
     q = _P1Gauss(grid, k)
-    lower = _assemble_hessian_banded(q, q.point(prof.u, prof.v), p)[3:]
-    mass_free = _free_rhs(grid.node_masses, grid.node_masses, 256)
-    assert rep.grad_norm <= _roundoff_floor(lower, _free_rhs(prof.u, prof.v, 256), mass_free)
+    lower = _assemble_hessian_banded(q, q.point(prof.u, prof.v), p)
+    mass_free = _free(grid.node_masses, grid.node_masses)
+    assert rep.grad_norm <= _roundoff_floor(lower, _free(prof.u, prof.v), mass_free)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +730,7 @@ def test_newton_damping_is_bounded_when_the_hessian_is_nan(monkeypatch):
     import qdefect.reduced as reduced
 
     def nan_hessian(q, pt, prm):
-        return np.full((7, 2 * q.grid.n_segments - 1), np.nan)
+        return np.full((4, 2 * q.grid.n_segments - 1), np.nan)
 
     monkeypatch.setattr(reduced, "_assemble_hessian_banded", nan_hessian)
     p = params(L=0.05)
