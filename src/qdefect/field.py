@@ -29,6 +29,7 @@ raises :class:`~qdefect.errors.InvalidParams`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -620,6 +621,11 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
 # perturbation sampling
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """A Python or NumPy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def random_perturbation(
     grid: PolarGrid,
     seed: int,
@@ -634,12 +640,22 @@ def random_perturbation(
     single-valued at the origin.  ``concentrate`` selects an envelope
     biased toward the core (``"core"``), the rim (``"boundary"``) or
     neither.  The result is scaled to the requested L2 norm, which must be
-    finite and nonnegative; ``max_freq`` must be nonnegative.
+    finite and nonnegative.  ``seed`` must be a nonnegative integer and
+    ``max_freq`` an integer in ``[0, grid.m // 2]``: a higher mode aliases
+    on ``grid.m`` samples.
+
+    Each component is one exact contraction ``sum_m shape_m(r) ang_m(phi)``
+    of per-mode radial and angular factors, summed in mode order with a
+    separate multiply and add (``einsum`` without ``optimize``), so the
+    values are bit for bit those of accumulating one outer product per
+    mode.
     """
     if concentrate not in (None, "core", "boundary"):
         raise InvalidParams(f"concentrate must be None, 'core' or 'boundary', got {concentrate!r}")
-    if not max_freq >= 0:
-        raise InvalidParams(f"max_freq must be >= 0, got {max_freq!r}")
+    if not (_is_int(max_freq) and 0 <= max_freq <= grid.m // 2):
+        raise InvalidParams(f"max_freq must be an integer in [0, {grid.m // 2}], got {max_freq!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidParams(f"seed must be an integer >= 0, got {seed!r}")
     if not (math.isfinite(norm) and norm >= 0.0):
         raise InvalidParams(f"norm must be finite and >= 0, got {norm!r}")
     rng = np.random.default_rng(seed)
@@ -654,8 +670,9 @@ def random_perturbation(
     else:
         envelope = np.sin(np.pi * rho)
 
-    comps = np.zeros((5, r.size, grid.m))  # components first: each is one outer-product sum
-    term = np.empty((r.size, grid.m))
+    shape = np.empty((max_freq + 1, r.size))  # per-mode radial factors
+    ang = np.empty((max_freq + 1, grid.m))  # per-mode angular factors
+    comps = np.empty((5, r.size, grid.m))  # components first: each is one contraction
     for comp in comps:
         for m in range(max_freq + 1):
             amp = 1.0 / (1.0 + m * m)
@@ -663,9 +680,9 @@ def random_perturbation(
             sa = rng.standard_normal() * amp if m > 0 else 0.0
             # an extra random smooth radial wiggle keeps samples diverse
             wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
-            shape = envelope * rho ** min(m, 2) * wig
-            ang = ca * np.cos(m * phis) + sa * np.sin(m * phis)
-            comp += np.multiply.outer(shape, ang, out=term)
+            shape[m] = envelope * rho ** min(m, 2) * wig
+            ang[m] = ca * np.cos(m * phis) + sa * np.sin(m * phis)
+        np.einsum("mi,mj->ij", shape, ang, out=comp)
     comps[:, -1] = 0.0
     comps[:, 0] = comps[:, 0, :1]  # single-valued at the origin
     w = grid.radial.weights

@@ -212,6 +212,19 @@ def ansatz_eigenvalues(u, v):
 
 
 def ansatz_biaxiality(u, v):
-    """:func:`biaxiality` of ``u F_n + v F_3`` from its closed-form
-    invariants ``|Y|^2 = u^2 + v^2`` and ``tr(Y^3) = v (v^2 - 3 u^2) / sqrt(6)``."""
-    return biaxiality(u * u + v * v, v * (v * v - 3.0 * u * u) / _SQRT6)
+    """:func:`biaxiality` of ``u F_n + v F_3`` from its closed-form invariants
+    ``|Y|^2 = u^2 + v^2`` and ``tr(Y^3) = v (v^2 - 3 u^2) / sqrt(6)``.
+
+    ``beta`` is scale-free, so both invariants are formed from ``(u, v)``
+    divided by the power of two at ``max(|u|, |v|)``: the division is exact,
+    so no power of a large ``|Y|`` overflows and ``beta`` keeps the unscaled
+    formula's rounding up to that of ``pow``.  ``|Y| <= 1e-14`` is the core,
+    where ``beta`` is 0 as in :func:`biaxiality`.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    _, e = np.frexp(np.maximum(np.abs(u), np.abs(v)))
+    uh = np.ldexp(u, -e)
+    vh = np.ldexp(v, -e)
+    beta = biaxiality(uh * uh + vh * vh, vh * (vh * vh - 3.0 * uh * uh) / _SQRT6)
+    return np.where(np.hypot(u, v) > 1e-14, beta, 0.0)

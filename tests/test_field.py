@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdefect import (
     DecompositionInvalid,
@@ -314,13 +316,46 @@ def test_energy_gap_grid_mismatch(stability_setup):
 
 @pytest.mark.parametrize(
     "kw",
-    [{"norm": math.nan}, {"norm": math.inf}, {"norm": -1.0}, {"concentrate": "rim"}, {"max_freq": -1}],
-    ids=["norm-nan", "norm-inf", "norm-negative", "concentrate-unknown", "max-freq-negative"],
+    [
+        {"norm": math.nan},
+        {"norm": math.inf},
+        {"norm": -1.0},
+        {"concentrate": "rim"},
+        {"max_freq": -1},
+        {"max_freq": 2.5},
+        {"max_freq": True},
+        {"max_freq": 33},  # above M/2 = 32: aliases on 64 samples
+        {"max_freq": 10**18},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+    ],
+    ids=[
+        "norm-nan",
+        "norm-inf",
+        "norm-negative",
+        "concentrate-unknown",
+        "max-freq-negative",
+        "max-freq-float",
+        "max-freq-bool",
+        "max-freq-above-half-m",
+        "max-freq-huge",
+        "seed-negative",
+        "seed-float",
+        "seed-bool",
+    ],
 )
 def test_random_perturbation_rejects_bad_arguments(kw):
     pg = PolarGrid(RadialGrid.uniform(1.0, 64), 64)
     with pytest.raises(InvalidParams):
-        random_perturbation(pg, seed=0, **kw)
+        random_perturbation(pg, **{"seed": 0, **kw})
+
+
+def test_random_perturbation_accepts_numpy_integers():
+    pg = PolarGrid(RadialGrid.uniform(1.0, 16), 64)
+    a = random_perturbation(pg, seed=np.int64(3), max_freq=np.int32(32))
+    b = random_perturbation(pg, seed=3, max_freq=32)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_random_perturbation_structure():
@@ -369,17 +404,38 @@ def _old_random_perturbation(grid, seed, max_freq=6, concentrate=None, norm=1.0)
 
 
 @pytest.mark.parametrize(
-    "grid",
-    [PolarGrid(RadialGrid.uniform(1.0, 64), 64), PolarGrid(RadialGrid.for_defect(1.0, 128, 2), 128)],
-    ids=["uniform64", "graded128"],
+    "grid, max_freqs",
+    [
+        (PolarGrid(RadialGrid.uniform(1.0, 64), 64), (0, 1, 6, 32)),
+        (PolarGrid(RadialGrid.for_defect(1.0, 128, 2), 128), (0, 1, 6)),
+        # the grids of criteria 06 and 07 and of the stability benchmark
+        (PolarGrid(RadialGrid.uniform(1.0, 512), 256), (6,)),
+        (PolarGrid(RadialGrid.uniform(1.0, 256), 128), (6,)),
+    ],
+    ids=["uniform64", "graded128", "uniform512x256", "uniform256x128"],
 )
-def test_random_perturbation_is_bit_identical_to_accumulation_oracle(grid):
+def test_random_perturbation_is_bit_identical_to_accumulation_oracle(grid, max_freqs):
     for kind in (None, "core", "boundary"):
-        for max_freq in (0, 1, 6):
+        for max_freq in max_freqs:
             seed = 11 * max_freq + 3
             pert = random_perturbation(grid, seed=seed, max_freq=max_freq, concentrate=kind, norm=1.7)
             ref = _old_random_perturbation(grid, seed, max_freq, kind, 1.7)
             assert np.array_equal(pert.values, ref)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    n=st.integers(16, 48),  # RadialGrid needs N >= 16
+    half_m=st.integers(32, 48),  # PolarGrid needs an even M >= 64
+    kind=st.sampled_from([None, "core", "boundary"]),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_random_perturbation_matches_oracle_on_any_grid(n, half_m, kind, seed, data):
+    grid = PolarGrid(RadialGrid.uniform(1.0, n), 2 * half_m)
+    max_freq = data.draw(st.integers(0, half_m), label="max_freq")
+    pert = random_perturbation(grid, seed=seed, max_freq=max_freq, concentrate=kind, norm=0.9)
+    assert pert.values.tobytes() == _old_random_perturbation(grid, seed, max_freq, kind, 0.9).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,21 @@ def test_ansatz_biaxiality_matches_the_component_invariants():
     assert np.all(closed[:101] < 1e-12)  # the core tensor v F_3 is uniaxial
 
 
+def test_ansatz_biaxiality_is_scale_free_without_overflow():
+    # beta is homogeneous of degree 0 in (u, v): a power-of-two scale gives
+    # the same bits, a decimal one moves only the rounding of s u and s v,
+    # and |Y| ~ 1e300 overflows nowhere (tr Y^3 ~ 1e900 is not a float)
+    rng = np.random.default_rng(18)
+    u, v = rng.standard_normal((2, 400))
+    u[:20] = 0.0
+    beta = ansatz_biaxiality(u, v)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for e in (-40, 1, 500, 996):
+            assert np.array_equal(ansatz_biaxiality(2.0**e * u, 2.0**e * v), beta)
+        for s in (1e-10, 3.0, 1e10, 1e100, 1e150, 1e300 / 8.0):
+            assert np.max(np.abs(ansatz_biaxiality(s * u, s * v) - beta)) <= 16 * np.finfo(float).eps
+
+
 # ---------------------------------------------------------------------------
 # structural invariants on random tensors
 # ---------------------------------------------------------------------------
