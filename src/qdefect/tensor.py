@@ -174,11 +174,12 @@ def biaxiality(nsq, t3):
 
     Zero exactly for uniaxial tensors (two equal eigenvalues), one at
     maximal biaxiality; defined as 0 where ``|Q| < 1e-14`` to avoid 0/0 at
-    the defect core.
+    the defect core.  ``tr(Q^3) / |Q|^3`` is formed as ``t3 / s / s / s``
+    with ``s = |Q|``, so no power of a large ``|Q|`` overflows.
     """
     nsq = np.asarray(nsq, dtype=float)
-    safe = np.where(nsq > 1e-28, nsq, 1.0)
-    beta = np.where(nsq > 1e-28, 1.0 - 6.0 * np.square(t3) / safe**3, 0.0)
+    s = np.sqrt(np.where(nsq > 1e-28, nsq, 1.0))
+    beta = np.where(nsq > 1e-28, 1.0 - 6.0 * np.square(t3 / s / s / s), 0.0)
     return np.clip(beta, 0.0, 1.0)
 
 
@@ -218,7 +219,7 @@ def ansatz_biaxiality(u, v):
     ``beta`` is scale-free, so both invariants are formed from ``(u, v)``
     divided by the power of two at ``max(|u|, |v|)``: the division is exact,
     so no power of a large ``|Y|`` overflows and ``beta`` keeps the unscaled
-    formula's rounding up to that of ``pow``.  ``|Y| <= 1e-14`` is the core,
+    formula's rounding.  ``|Y| <= 1e-14`` is the core,
     where ``beta`` is 0 as in :func:`biaxiality`.
     """
     u = np.asarray(u, dtype=float)

@@ -53,7 +53,8 @@ def test_solve_writes_profile_and_report(tmp_path):
     report = json.loads((tmp_path / "out_report.json").read_text())
     assert list(report)[:5] == ["energy", "grad_norm", "residual_norm", "iterations", "converged"]
     assert list(report)[5:] == [
-        "stop", "factorizations_failed", "backtracks", "residual_peak_r", "residual_core", "checks",
+        "stop", "factorizations_failed", "backtracks", "coarse_iterations",
+        "residual_peak_r", "residual_core", "checks",
     ]
     assert report["residual_norm"] <= report["residual_core"]
     assert report["converged"] is True and report["stop"] == "tol"
@@ -735,6 +736,12 @@ _CLI_ARGUMENT_CHECKS = {
        for cmd, flags in (("limit", ("--k", "2", "--n", "16", "--m", "64")),
                           ("solve", ("--n", "16")),
                           ("render", ("--branch", "minus")))},
+    # a finite s_plus^2 whose quartic term c2 |Y|^4 overflows: the solvers
+    # reject it (render draws it), a sweep before its first solve
+    "solve-overflowing-bulk": (
+        ("solve", "--k", "2", "--n", "16", "--a2", "1e300"), None, "c2 |Y|^4 overflows"),
+    "sweep-overflowing-bulk": (
+        ("sweep", "--b2-list", "0,1e150", "--n", "16"), None, "c2 |Y|^4 overflows"),
     "config-unreadable": (("solve", "--config", "missing.json"), None, "cannot read config file"),
     "config-not-object": (("solve",), [1, 2], "must hold a JSON object"),
     "residual-without-input": (("residual",), None, "residual requires --input"),

@@ -45,6 +45,14 @@ def ramp_profile(p, grid):
     return Profile(grid, u, v)
 
 
+def preset_profile(p, grid, init):
+    """The preset ``init`` as a :class:`Profile`: the same start, which
+    ``minimize`` uses as given, without a nested coarse solve."""
+    if init == "ramp":
+        return ramp_profile(p, grid)
+    return Profile(grid, *explicit_arrays("minus", p.k, p.s_plus, grid.nodes))
+
+
 def bulk_density(u, v, p):
     """``-a2/2 |Y|^2 - b2/3 tr(Y^3) + c2/4 |Y|^4`` along the two-mode frame."""
     t = u * u + v * v
@@ -530,8 +538,9 @@ def test_newton_path_is_pinned(k, b2, init, iterations, energy):
     assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
 
 
-# (k, b2, init, iterations, energy) of minimize at L = 1e-3, n = 2048: paths that
-# are damped, each through 4 rejected Levenberg shifts (failed factorisations)
+# (k, b2, init, iterations, energy) of minimize at L = 1e-3, n = 2048 from the
+# preset passed as a Profile (a cold start): paths that are damped, each
+# through 4 rejected Levenberg shifts (failed factorisations)
 _DAMPED_NEWTON_PATH = [
     (1, 0.0, "ramp", 11, -124.50050081455416),
     (3, 1.0, "explicit", 9, -206.33784777198468),
@@ -552,17 +561,68 @@ def test_damped_newton_path_is_pinned(k, b2, init, iterations, energy, monkeypat
 
     monkeypatch.setattr(reduced, "_newton_step", counted_step)
     p = params(L=1e-3, b2=b2, k=k)
-    _, rep = minimize(p, RadialGrid.for_defect(1.0, 2048, k), init=init)
-    assert rep.iterations == iterations
+    grid = RadialGrid.for_defect(1.0, 2048, k)
+    _, rep = minimize(p, grid, init=preset_profile(p, grid, init))
+    assert rep.iterations == iterations and rep.coarse_iterations == 0
     assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
     assert sum(step is None for step in steps) == 4
     assert rep.factorizations_failed == 4
 
 
+@pytest.mark.parametrize("k,b2,init,iterations,energy", _DAMPED_NEWTON_PATH)
+def test_nested_start_path_is_pinned(k, b2, init, iterations, energy):
+    # the preset itself starts on every 8th node; the grid's own Newton
+    # iterations then only polish the interpolated coarse minimiser
+    p = params(L=1e-3, b2=b2, k=k)
+    events = []
+    _, rep = minimize(p, RadialGrid.for_defect(1.0, 2048, k), init=init,
+                      on_step=lambda kind, e, gn: events.append(kind))
+    assert rep.iterations <= 3 < iterations
+    assert rep.coarse_iterations >= 1
+    assert events == ["coarse"] * rep.coarse_iterations + ["newton"] * rep.iterations
+    assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+def test_grids_below_1024_segments_start_cold():
+    p = params(L=1e-3, b2=0.5, k=-2)
+    grid = RadialGrid.for_defect(1.0, 1023, -2)
+    prof, rep = minimize(p, grid, init="ramp")
+    cold, cold_rep = minimize(p, grid, init=ramp_profile(p, grid))
+    assert rep.coarse_iterations == 0
+    assert np.array_equal(prof.u, cold.u) and np.array_equal(prof.v, cold.v)
+    assert rep == cold_rep
+
+
+@pytest.mark.parametrize("init", ["explicit", "ramp"])
+@pytest.mark.parametrize("n", [1024, 1030, 2048, 4096])
+@pytest.mark.parametrize("L", [1e-4, 1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
+@pytest.mark.parametrize("k", [1, -1, 2, -2, 3, 4])
+def test_nested_start_reaches_the_cold_minimiser(k, b2, L, n, init):
+    # n = 1030 is no multiple of 8: its coarse grid ends in a short segment
+    p = params(k=k, b2=b2, L=L)
+    grid = RadialGrid.for_defect(1.0, n, k)
+    cold, cold_rep = minimize(p, grid, init=preset_profile(p, grid, init))
+    nested, rep = minimize(p, grid, init=init)
+    assert cold_rep.converged and rep.converged
+    assert cold_rep.coarse_iterations == 0 < rep.coarse_iterations
+    assert rep.energy == pytest.approx(cold_rep.energy, rel=1e-11, abs=0.0)
+    assert nested.distance_to(cold) < 1e-8
+    # the verdicts are equal; the values (a norm margin, a one-sided slope at
+    # the origin) are those of two profiles that agree only to about tol
+    assert rep.checks.keys() == cold_rep.checks.keys()
+    for key, value in cold_rep.checks.items():
+        if isinstance(value, bool):
+            assert rep.checks[key] is value
+        else:
+            assert rep.checks[key] == pytest.approx(value, rel=0.0, abs=1e-10)
+
+
 def test_fine_grid_solve_stops_at_its_roundoff_floor_at_second_order():
     # at n = 4096 round-off holds the gradient norm near 1.3e-9, above tol but
-    # inside its floor estimate (~1.05e-8): the solve stops there after 4
-    # iterations, where it once ran 15 and raised NonConvergence
+    # inside its floor estimate (~1.05e-8): from its nested coarse start the
+    # solve stops there after 2 iterations (4 from a cold start), where a
+    # cold start once ran 15 and raised NonConvergence
     p = params(L=1e-3)
     reports = [minimize(p, RadialGrid.for_defect(1.0, n, 1))[1] for n in (1024, 2048, 4096)]
     assert [rep.stop for rep in reports[:2]] == ["tol", "tol"]
@@ -710,6 +770,11 @@ def test_minimize_rejects_bad_inputs():
             minimize(p, grid, max_iter=max_iter)
     with pytest.raises(InvalidParams):
         minimize(p, grid, init="nonsense")
+    with pytest.raises(InvalidParams):
+        minimize(p, RadialGrid.uniform(1.0, 1024), init="nonsense")
+    # s_plus^2 is finite, c2 |Y|^4 is not
+    with pytest.raises(InvalidParams, match="overflows"):
+        minimize(p.with_updates(a2=1e300), grid)
 
 
 def test_minimize_rejects_non_finite_init():
@@ -797,11 +862,7 @@ def test_minimize_nonconvergence_reports_best_iterate():
 def test_minimize_property_over_the_cli_parameter_space(k, b2, log_l, init, n):
     p = params(k=k, b2=b2, L=10.0**log_l)
     grid = RadialGrid.for_defect(1.0, n, k)
-    if init == "ramp":
-        start = ramp_profile(p, grid)
-    else:
-        start = Profile(grid, *explicit_arrays("minus", k, p.s_plus, grid.nodes))
-    guess = reduced_energy(apply_boundary(start, p), p)
+    guess = reduced_energy(apply_boundary(preset_profile(p, grid, init), p), p)
     max_iter = 100
     try:
         prof, rep = minimize(p, grid, init=init, max_iter=max_iter)
@@ -897,7 +958,9 @@ def test_continuation_failure_carries_the_branch_so_far(monkeypatch):
     assert err.profile is raised[0][0] and err.report is raised[0][1]
 
 
-def test_continuation_validates_targets():
+def test_continuation_validates_targets(monkeypatch):
+    import qdefect.reduced as reduced
+
     p = params()
     grid = RadialGrid.uniform(1.0, 64)
     with pytest.raises(InvalidParams):
@@ -906,6 +969,10 @@ def test_continuation_validates_targets():
         continuation_in_b2(p, [0.1, 0.2], grid)
     with pytest.raises(InvalidParams):
         continuation_in_b2(p, [0.0, 0.2, 0.1], grid)
+    # c2 |Y|^4 overflows at b2 = 1e150, and no step is solved before that is seen
+    monkeypatch.setattr(reduced, "_newton", None)
+    with pytest.raises(InvalidParams, match="overflows"):
+        continuation_in_b2(p, [0.0, 1e150], grid)
 
 
 # ---------------------------------------------------------------------------

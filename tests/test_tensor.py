@@ -292,6 +292,22 @@ def test_ansatz_biaxiality_is_scale_free_without_overflow():
             assert np.max(np.abs(ansatz_biaxiality(s * u, s * v) - beta)) <= 16 * np.finfo(float).eps
 
 
+def test_biaxiality_of_raw_invariants_is_scale_free_without_overflow():
+    # beta(c^2 nsq, c^3 t3) = beta(nsq, t3) for |Q| = c from 1e-10 to 1e150;
+    # tr(Q^3) of a unit traceless tensor lies in [-1/sqrt 6, 1/sqrt 6], and
+    # c^3 t3 is a float only while it stays below ~1e308, so large c keep the
+    # strongly biaxial (small t3) cases only
+    t3 = np.concatenate([np.linspace(-1.0, 1.0, 201), 10.0 ** -np.arange(1.0, 160.0)]) / SQ6
+    beta = biaxiality(np.ones_like(t3), t3)
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        for e in range(-10, 151, 5):
+            c = 10.0**e
+            keep = np.abs(t3) <= 1e300 / c / c / c
+            scaled = biaxiality(np.full(int(keep.sum()), c * c), t3[keep] * c * c * c)
+            assert np.max(np.abs(scaled - beta[keep])) <= 1e-12
+    assert biaxiality(1e110, 1e160) == pytest.approx(1.0 - 6.0 * (1e160 / 1e165) ** 2, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants on random tensors
 # ---------------------------------------------------------------------------
