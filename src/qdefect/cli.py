@@ -36,7 +36,6 @@ from .params import ModelParams
 from .reduced import (
     _BULK_R_MIN,
     _warm_started,
-    apply_boundary,
     csv_text,
     minimize,
     ode_residual,
@@ -176,7 +175,7 @@ def _grid(eff: dict, params: ModelParams) -> RadialGrid:
     return RadialGrid.for_defect(params.R, eff["n"], params.k)
 
 
-def _init(eff: dict, params: ModelParams):
+def _init(eff: dict):
     """The ``init`` argument of ``minimize``: a preset or the ``--init-file`` profile."""
     if eff["init"] != "file":
         if eff["init_file"]:
@@ -184,7 +183,7 @@ def _init(eff: dict, params: ModelParams):
         return eff["init"]
     if not eff["init_file"]:
         raise InvalidParams("--init file requires --init-file")
-    return apply_boundary(read_profile_csv(eff["init_file"]), params)
+    return read_profile_csv(eff["init_file"])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def cmd_solve(args) -> int:
     out = eff["out"]
     try:
         profile, report = minimize(
-            params, grid, init=_init(eff, params), tol=eff["tol"], max_iter=eff["max_iter"]
+            params, grid, init=_init(eff), tol=eff["tol"], max_iter=eff["max_iter"]
         )
         status = 0
     except NonConvergence as exc:
@@ -335,7 +334,7 @@ def cmd_sweep(args) -> int:
     records = []
     failed = False
     solved = _warm_started(
-        steps, grid, init=_init(eff, base), tol=eff["tol"], max_iter=eff["max_iter"]
+        steps, grid, init=_init(eff), tol=eff["tol"], max_iter=eff["max_iter"]
     )
     for p_step, profile, report, error in solved:
         record = {sweep_name: getattr(p_step, sweep_name), "s_plus": p_step.s_plus}

@@ -60,10 +60,12 @@ class RadialGrid:
     def graded(cls, radius: float, n: int) -> "RadialGrid":
         """Power-law grading toward the origin, ``r_i = R (i/n)^gamma``.
 
-        The exponent is chosen so the first interior node lands at
-        ``1e-3 * radius`` (never coarser than uniform).  The spacing
-        varies smoothly, which keeps centred stencils second order and
-        avoids the stiffness spikes of abrupt mesh-size jumps.
+        ``gamma = max(1, ln 1000 / ln n)`` puts the first interior node at
+        ``1e-3 * radius`` for ``n < 1000``; from ``n = 1000`` on ``gamma``
+        is 1 and the grid is uniform (bit for bit :meth:`uniform` where
+        ``n`` is a power of two).  The spacing varies smoothly, which
+        keeps centred stencils second order and avoids the stiffness
+        spikes of abrupt mesh-size jumps.
         """
         if radius <= 0.0:
             raise GridError(f"radius must be positive, got {radius}")
@@ -74,7 +76,8 @@ class RadialGrid:
 
     @classmethod
     def for_defect(cls, radius: float, n: int, k: int) -> "RadialGrid":
-        """Default grading: uniform for |k| = 1, geometric for steeper cores."""
+        """The CLI's grid: :meth:`uniform` for |k| = 1, :meth:`graded` (a
+        power law, uniform for ``n >= 1000``) for steeper cores."""
         if abs(k) <= 1:
             return cls.uniform(radius, n)
         return cls.graded(radius, n)

@@ -35,7 +35,7 @@ from .params import ModelParams
 
 _SQRT6 = math.sqrt(6.0)
 _SQRT23 = math.sqrt(2.0 / 3.0)
-_MAX_DAMPING_REJECTS = 32  # Newton steps rejected in a row before giving up
+_MAX_DAMPING_REJECTS = 32  # failed factorisations in a row before giving up
 _SKIP_ORIGIN_NODES = 2  # interior nodes next to the origin left out of max_interior
 _BULK_R_MIN = 0.05  # the bulk of the reported residual starts at this fraction of R
 # The solver holds the node values as rows (u_i, v_i), i = 0..N.  Flattened,
@@ -509,27 +509,24 @@ _NESTED_MIN_SEGMENTS = 1024
 _NESTED_STRIDE = 8
 
 
-def _initial_arrays(params: ModelParams, grid: RadialGrid, init):
+def _start_rows(params: ModelParams, grid: RadialGrid, init) -> np.ndarray:
+    """``init`` (a :class:`Profile` on ``grid`` or a preset) as ``(N+1, 2)``
+    rows ``(u_i, v_i)``, reflected into ``u >= 0, v <= 0`` for ``b2 = 0`` and
+    with the boundary values set: the only place that builds a start."""
     if isinstance(init, Profile):
         if not grid.same_nodes(init.grid):
             raise GridError("initial profile grid does not match the solve grid")
-        return init.u, init.v
-    if init == "explicit":
+        y = np.stack([init.u, init.v], axis=1)
+    elif init == "explicit":
         from .harmonic import explicit_arrays  # deferred: harmonic imports Profile
 
-        return explicit_arrays("minus", params.k, params.s_plus, grid.nodes)
-    if init == "ramp":
-        r = grid.nodes
-        u = params.boundary_u * r / grid.radius
-        v = np.full_like(r, params.boundary_v)
-        return u, v
-    raise InvalidParams(f"unknown init preset {init!r}")
-
-
-def _start_rows(params: ModelParams, grid: RadialGrid, init) -> np.ndarray:
-    """``init`` on ``grid`` as ``(N+1, 2)`` rows ``(u_i, v_i)``, reflected
-    into ``u >= 0, v <= 0`` for ``b2 = 0`` and with the boundary values set."""
-    y = np.stack(_initial_arrays(params, grid, init), axis=1)
+        y = np.stack(explicit_arrays("minus", params.k, params.s_plus, grid.nodes), axis=1)
+    elif init == "ramp":
+        y = np.empty((grid.nodes.size, 2))
+        y[:, 0] = params.boundary_u * grid.nodes / grid.radius
+        y[:, 1] = params.boundary_v
+    else:
+        raise InvalidParams(f"unknown init preset {init!r}")
     if params.b2 == 0.0:
         y = np.abs(y) * (1.0, -1.0)
     y[0, 0] = 0.0
@@ -605,46 +602,45 @@ def _newton(q: _P1Gauss, y, params: ModelParams, tol, max_iter, on_step, kind) -
         lower = _assemble_hessian_banded(q, pt, params)
         lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
         rhs = -g.reshape(-1)[_FREE]
-        accepted = stalled = False
-        # Each rejection multiplies lam by 30 from at least 1e-8 lam_unit, so
-        # finite data passes 1e12 lam_unit within 15 rejections; the count
-        # bounds the loop where lam_unit is 0 or NaN and the test never fires.
+        # Each failed factorisation multiplies lam by 30 from at least 1e-8
+        # lam_unit, so finite data passes 1e12 lam_unit within 15 failures;
+        # the count bounds the loop where lam_unit is 0 or NaN and the test
+        # never fires.
         for _ in range(_MAX_DAMPING_REJECTS):
             x = _newton_step(lower, lam * mass_free, rhs, work)
-            if x is None:
-                failed += 1
-            else:
-                step = np.zeros_like(y)
-                step.reshape(-1)[_FREE] = x
-                slope = -float(rhs @ x)  # directional derivative, < 0
-                beta = 1.0
-                while beta > 1e-7:
-                    y2 = y + beta * step
-                    pt2 = q.point(y2[:, 0], y2[:, 1])
-                    e2 = _energy(q, pt2, params)
-                    if abs(e2 - energy) <= 1e-12 * abs(energy):
-                        g2, gn2 = grad_and_norm(pt2)
-                        accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
-                        stalled = beta == 1.0 and gn2 > 0.5 * gn and \
-                            gn <= _roundoff_floor(lower, y.reshape(-1)[_FREE], mass_free)
-                    elif e2 <= energy + 1e-4 * beta * slope:
-                        g2, gn2 = grad_and_norm(pt2)
-                        accepted = True
-                    if accepted:
-                        y, pt, energy = y2, pt2, e2
-                        g, gn = g2, gn2
-                        lam *= 0.3
-                        if lam < 1e-14 * lam_unit:
-                            lam = 0.0
-                    if accepted or stalled:
-                        break
-                    beta *= 0.5
-                    backtracks += 1
-            if accepted or stalled:
+            if x is not None:
                 break
+            failed += 1
             lam = max(lam * 30.0, 1e-8 * lam_unit)
             if lam > 1e12 * lam_unit:
                 break
+        accepted = stalled = False
+        if x is not None:
+            step = np.zeros_like(y)
+            step.reshape(-1)[_FREE] = x
+            slope = -float(rhs @ x)  # directional derivative, < 0
+            beta = 1.0
+            while beta > 1e-7:
+                y2 = y + beta * step
+                pt2 = q.point(y2[:, 0], y2[:, 1])
+                e2 = _energy(q, pt2, params)
+                if abs(e2 - energy) <= 1e-12 * abs(energy):
+                    g2, gn2 = grad_and_norm(pt2)
+                    accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
+                    stalled = beta == 1.0 and gn2 > 0.5 * gn and \
+                        gn <= _roundoff_floor(lower, y.reshape(-1)[_FREE], mass_free)
+                elif e2 <= energy + 1e-4 * beta * slope:
+                    g2, gn2 = grad_and_norm(pt2)
+                    accepted = True
+                if accepted or stalled:
+                    break
+                beta *= 0.5
+                backtracks += 1
+        if accepted:
+            y, pt, energy, g, gn = y2, pt2, e2, g2, gn2
+            lam *= 0.3
+            if lam < 1e-14 * lam_unit:
+                lam = 0.0
         iters += 1
         if on_step is not None:
             on_step(kind, energy, gn)
@@ -673,12 +669,14 @@ def minimize(
     masses and the round-off floor are taken.  Each step factors
     and solves ``H + lam M`` (``M`` the lumped node masses) with one
     ``dpbsv`` call in LAPACK's lower band storage
-    (:func:`_assemble_hessian_banded`); where the factorisation
-    fails (negative curvature) or the step is not finite, the Levenberg
-    shift ``lam`` is raised.  A step is accepted by an Armijo test on the
-    energy, or, when the energy change is below round-off
-    (``|dE| <= 1e-12 |E|``), by an Armijo test on the projected-gradient
-    norm.  Each trial point is evaluated once (:meth:`_P1Gauss.point`) for
+    (:func:`_assemble_hessian_banded`).  The Levenberg shift ``lam``
+    rises (x30) only where the factorisation fails (negative curvature)
+    or the step is not finite, and falls (x0.3) after an accepted step.
+    One backtracking line search per iteration then accepts a step by an
+    Armijo test on the energy, or, when the energy change is below
+    round-off (``|dE| <= 1e-12 |E|``), by an Armijo test on the
+    projected-gradient norm; a search that accepts no step ends the
+    run.  Each trial point is evaluated once (:meth:`_P1Gauss.point`) for
     its energy and, once accepted, its gradient and Hessian.  For ``b2 = 0``
     the start is reflected into the signed class ``u >= 0, v <= 0`` (the
     energy is invariant under those sign flips there).
@@ -770,7 +768,7 @@ def _warm_started(steps, grid: RadialGrid, init="explicit", **solve_kw):
         if last is not None:
             prev_params, prev = last
             scale = p_step.s_plus / prev_params.s_plus
-            start = apply_boundary(Profile(grid, prev.u * scale, prev.v * scale), p_step)
+            start = Profile(grid, prev.u * scale, prev.v * scale)
         try:
             profile, report = minimize(p_step, grid, init=start, **solve_kw)
         except NonConvergence as exc:

@@ -793,6 +793,8 @@ _FIELD_ARGUMENT_CHECKS = {
         InvalidParams, lambda: energy_gap(_small_field(), _small_field(), params(b2=0.5))),
     "energy_gap-L0": (
         InvalidParams, lambda: energy_gap(_small_field(), _small_field(), params(L=0.0))),
+    "Field2D-values-shape": (
+        GridError, lambda: Field2D(_small_field().grid, np.zeros((33, 64, 3)))),
 }
 
 

@@ -51,6 +51,17 @@ def test_for_defect_selects_grading():
         assert np.array_equal(RadialGrid.for_defect(1.0, 256, k).nodes, expected.nodes)
 
 
+@pytest.mark.parametrize("k", [2, -3])
+def test_for_defect_grading_ends_at_n_1000(k):
+    # the power law puts the first node at 1e-3 R below n = 1000 and is
+    # the uniform grid from there on
+    for n in (16, 100, 256, 999):
+        assert RadialGrid.for_defect(2.0, n, k).nodes[1] == pytest.approx(2.0e-3, rel=1e-12)
+    for n in (1024, 2048, 4096):
+        assert np.array_equal(RadialGrid.for_defect(1.0, n, k).nodes,
+                              RadialGrid.uniform(1.0, n).nodes)
+
+
 def test_gauss_points_integrate_r():
     g = RadialGrid.graded(1.0, 64)
     wg = _P1Gauss(g, 1).wg

@@ -806,12 +806,11 @@ def test_newton_damping_is_bounded_when_the_hessian_is_nan(monkeypatch):
 
 
 @pytest.mark.parametrize("init, failed", [("explicit", 0), ("ramp", 4)])
-def test_newton_damping_ends_after_15_rejections_on_finite_data(monkeypatch, init, failed):
-    # Every trial energy exceeds the start, so no step is accepted and lam
-    # climbs from 1e-8 lam_unit by x30 per rejected round: it passes
-    # 1e12 lam_unit after 15 rounds (30^14 > 1e20), well before the count
-    # of _MAX_DAMPING_REJECTS ends the loop.  A round whose factorisation
-    # succeeds halves beta from 1 to 2^-23, 24 backtracks.
+def test_newton_line_search_that_accepts_nothing_ends_the_run(monkeypatch, init, failed):
+    # Every trial energy exceeds the start, so the one line search of the
+    # first iteration halves beta from 1 to 2^-23 (24 backtracks) and
+    # accepts nothing, which ends the run; the shift rose only for the
+    # factorisations that failed before it.
     import qdefect.reduced as reduced
 
     real = reduced._energy
@@ -827,8 +826,39 @@ def test_newton_damping_ends_after_15_rejections_on_finite_data(monkeypatch, ini
     rep = info.value.report
     assert rep.iterations == 1 and rep.stop is None
     assert rep.factorizations_failed == failed
-    assert rep.backtracks == 24 * (15 - failed)
+    assert rep.backtracks == 24
     assert rep.energy == start[0]
+
+
+def test_newton_shift_ends_after_15_failed_factorisations_on_finite_data(monkeypatch):
+    # Each failed factorisation multiplies lam by 30 from 1e-8 lam_unit, so
+    # lam passes 1e12 lam_unit after 15 failures (30^14 > 1e20), well
+    # before the count of _MAX_DAMPING_REJECTS ends the shift search.
+    import qdefect.reduced as reduced
+
+    monkeypatch.setattr(reduced, "_newton_step", lambda lower, shift, rhs, work: None)
+    with pytest.raises(NonConvergence) as info:
+        minimize(params(L=0.05), RadialGrid.uniform(1.0, 64), init="ramp")
+    rep = info.value.report
+    assert rep.iterations == 1 and rep.stop is None
+    assert rep.factorizations_failed == 15
+    assert rep.backtracks == 0
+
+
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+def test_profile_start_rim_values_are_set_by_the_solver(b2):
+    # a start with wrong u(0), u(R) and v(R) solves exactly as the same
+    # start with the boundary data applied; at b2 = 0 it is also reflected
+    p = params(L=0.01, b2=b2)
+    grid = RadialGrid.uniform(1.0, 128)
+    wrong = preset_profile(p, grid, "explicit")
+    wrong.u[0], wrong.u[-1], wrong.v[-1] = 0.3, -0.2, 0.5
+    fixed = apply_boundary(wrong.copy(), p)
+    prof_w, rep_w = minimize(p, grid, init=wrong)
+    prof_f, rep_f = minimize(p, grid, init=fixed)
+    assert prof_w.u.tobytes() == prof_f.u.tobytes()
+    assert prof_w.v.tobytes() == prof_f.v.tobytes()
+    assert repr(rep_w) == repr(rep_f)
 
 
 def test_read_profile_csv_rejects_non_finite(tmp_path):
@@ -1016,6 +1046,13 @@ def _write_csv(tmp_path, text):
     return path
 
 
+def _short_u():
+    """A profile whose ``u`` was reassigned to one node fewer than its grid."""
+    prof = ramp_profile(params(), RadialGrid.uniform(1.0, 32))
+    prof.u = prof.u[:-1]
+    return prof
+
+
 _REDUCED_ARGUMENT_CHECKS = {
     "distance_to-grid-mismatch": (
         GridError,
@@ -1026,6 +1063,10 @@ _REDUCED_ARGUMENT_CHECKS = {
         CsvFormatError,
         lambda tmp: read_profile_csv(_write_csv(tmp, "r,u,v\n0.0,0.0,-0.4\n0.5,abc,-0.4\n")),
     ),
+    "reduced_energy-u-reassigned": (GridError, lambda tmp: reduced_energy(_short_u(), params())),
+    "reduced_gradient-u-reassigned": (
+        GridError, lambda tmp: reduced_gradient(_short_u(), params())),
+    "ode_residual-u-reassigned": (GridError, lambda tmp: ode_residual(_short_u(), params())),
 }
 
 
