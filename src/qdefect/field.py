@@ -253,7 +253,8 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
 
     Evaluated with the five-point polar stencil on interior rings; each
     sample stays symmetric traceless by construction of the component
-    representation.
+    representation.  The ``b2`` term is formed only for ``b2 != 0``: at
+    ``b2 = 0`` adding it would add zeros, so the values are the same.
     """
     if params.L <= 0.0:
         raise InvalidParams("el_residual_2d requires L > 0")
@@ -264,12 +265,12 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
         lap = _laplacian(values[lo - 1:hi + 1], r[lo - 1:hi + 1], field.grid.dphi)
         vc = values[lo:hi]
         nsq = tensor.frob_sq(vc)[..., None]
-        res[lo - 1:hi - 1] = (
-            params.L * lap
-            + params.a2 * vc
-            + params.b2 * tensor.deviatoric_square(vc)
-            - params.c2 * nsq * vc
-        )
+        out = res[lo - 1:hi - 1]  # the terms are summed in place, in formula order
+        np.multiply(params.L, lap, out=out)
+        out += params.a2 * vc
+        if params.b2 != 0.0:
+            out += params.b2 * tensor.deviatoric_square(vc)
+        out -= params.c2 * nsq * vc
     return ResidualField(rings=r[1:-1].copy(), values=res)
 
 
@@ -307,10 +308,19 @@ def _products(a: np.ndarray, b: np.ndarray | None = None):
 
 def _pair(a, b) -> np.ndarray:
     """Segment sums ``(3, 3, segments)`` of ``(a:a')(b:b')`` terms from per-point node
-    products: the rows pair ``a_i``, the cross term and ``a_{i+1}`` with the same of ``b``."""
-    sa = np.stack([a[0][:-1], a[1], a[0][1:]])
-    sb = np.stack([b[0][:-1], b[1], b[0][1:]])
-    return np.einsum("aij,bij->abi", sa, sb)
+    products: the rows pair ``a_i``, the cross term and ``a_{i+1}`` with the same of ``b``.
+
+    Each entry is one row dot product over the angles; the node sums
+    ``a_i b_i`` serve both the aa and the bb entries."""
+    (a_node, a_cross), (b_node, b_cross) = a, b
+    rows_a = (a_node[:-1], a_cross, a_node[1:])
+    rows_b = (b_node[:-1], b_cross, b_node[1:])
+    out = np.empty((3, 3, a_cross.shape[0]))
+    nodes = np.einsum("ij,ij->i", a_node, b_node)
+    out[0, 0], out[2, 2] = nodes[:-1], nodes[1:]
+    for i, j in ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)):
+        np.einsum("ij,ij->i", rows_a[i], rows_b[j], out=out[i, j])
+    return out
 
 
 class _RingSums:
@@ -648,7 +658,12 @@ def random_perturbation(
     of per-mode radial and angular factors, summed in mode order with a
     separate multiply and add (``einsum`` without ``optimize``), so the
     values are bit for bit those of accumulating one outer product per
-    mode.
+    mode.  The radial bases ``envelope rho^min(m,2)`` and the ``cos``/``sin``
+    tables are built once per call and shared by the five components.  The
+    norm's ring sums of ``|Q|^2`` are formed one ring block at a time, and
+    its scaling is folded into the one copy to the ``(N+1, M, 5)`` layout;
+    each step rounds as the full-array passes did, so the field keeps its
+    bits.
     """
     if concentrate not in (None, "core", "boundary"):
         raise InvalidParams(f"concentrate must be None, 'core' or 'boundary', got {concentrate!r}")
@@ -670,23 +685,29 @@ def random_perturbation(
     else:
         envelope = np.sin(np.pi * rho)
 
+    modes = range(max_freq + 1)
+    bases = [envelope * rho ** p for p in range(min(max_freq, 2) + 1)]
+    cos_m = [np.cos(m * phis) for m in modes]
+    sin_m = [np.sin(m * phis) for m in modes]
     shape = np.empty((max_freq + 1, r.size))  # per-mode radial factors
     ang = np.empty((max_freq + 1, grid.m))  # per-mode angular factors
     comps = np.empty((5, r.size, grid.m))  # components first: each is one contraction
     for comp in comps:
-        for m in range(max_freq + 1):
+        for m in modes:
             amp = 1.0 / (1.0 + m * m)
             ca = rng.standard_normal() * amp
             sa = rng.standard_normal() * amp if m > 0 else 0.0
             # an extra random smooth radial wiggle keeps samples diverse
             wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
-            shape[m] = envelope * rho ** min(m, 2) * wig
-            ang[m] = ca * np.cos(m * phis) + sa * np.sin(m * phis)
+            shape[m] = bases[min(m, 2)] * wig
+            ang[m] = ca * cos_m[m] + sa * sin_m[m]
         np.einsum("mi,mj->ij", shape, ang, out=comp)
     comps[:, -1] = 0.0
     comps[:, 0] = comps[:, 0, :1]  # single-valued at the origin
-    w = grid.radial.weights
-    nsq = float(np.sum(w * np.sum(tensor.frob_sq(np.moveaxis(comps, 0, -1)), axis=1)) * grid.dphi)
-    if nsq > 0.0:
-        comps *= norm / math.sqrt(nsq)
-    return Field2D(grid, np.ascontiguousarray(np.moveaxis(comps, 0, -1)))
+    ring_sq = np.empty(r.size)
+    for lo, hi in _ring_blocks(grid.m, 0, r.size):
+        ring_sq[lo:hi] = np.sum(tensor.frob_sq(np.moveaxis(comps[:, lo:hi], 0, -1)), axis=1)
+    nsq = float(np.sum(grid.radial.weights * ring_sq) * grid.dphi)
+    values = np.empty((r.size, grid.m, 5))
+    np.multiply(np.moveaxis(comps, 0, -1), norm / math.sqrt(nsq) if nsq > 0.0 else 1.0, out=values)
+    return Field2D(grid, values)

@@ -240,12 +240,16 @@ def _dirichlet(q: _P1Gauss, slope_sq: np.ndarray, uu: np.ndarray):
 #   f_u = ug (m + sqrt(2/3) b2 vg),  f_v = vg m - b2 (vg^2 - ug^2) / sqrt 6
 #   f_uu = m + sqrt(2/3) b2 vg + 2 c2 ug^2,  f_uv = ug (sqrt(2/3) b2 + 2 c2 vg)
 #   f_vv = m - sqrt(2/3) b2 vg + 2 c2 vg^2
+# Each kernel adds its b2 terms only for b2 != 0: at b2 = 0 they are zeros,
+# and the terms left are the same operations on the same operands, so the
+# results keep their bits at every b2.
 
 def _energy(q: _P1Gauss, pt: _Point, p: ModelParams) -> float:
     # the bulk term first: fewer (N, 5) arrays are live at once, and at
     # n = 4096 each one costs about 40 page faults per one-shot call
-    f = pt.t * (0.25 * p.c2 * pt.t - 0.5 * p.a2) \
-        - (p.b2 / (3.0 * _SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.uu)
+    f = pt.t * (0.25 * p.c2 * pt.t - 0.5 * p.a2)
+    if p.b2 != 0.0:
+        f -= (p.b2 / (3.0 * _SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.uu)
     return float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu) + np.vdot(q.wg_L(p.L), f))
 
 
@@ -272,8 +276,12 @@ def _raw_gradient(q: _P1Gauss, pt: _Point, p: ModelParams) -> np.ndarray:
     wl = q.wg_L(p.L)
     m = p.c2 * pt.t - p.a2
     cu, cv = q.grad_coef  # wg (k^2 u / r^2 + f_u / L), wg f_v / L
-    np.multiply(wl * (m + _SQRT23 * p.b2 * pt.vg) + q.wk, pt.ug, out=cu)
-    np.multiply(wl, pt.vg * m - (p.b2 / _SQRT6) * (pt.vv - pt.uu), out=cv)
+    mu, fv = m, pt.vg * m
+    if p.b2 != 0.0:
+        mu = m + _SQRT23 * p.b2 * pt.vg
+        fv -= (p.b2 / _SQRT6) * (pt.vv - pt.uu)
+    np.multiply(wl * mu + q.wk, pt.ug, out=cu)
+    np.multiply(wl, fv, out=cv)
     ends = (q.grad_coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
     stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
     g = np.empty((2, pt.u.size))  # u and v columns, contiguous for the norm's sums
@@ -324,11 +332,15 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, p: ModelParams):
     n = q.grid.n_segments
     wl = q.wg_L(p.L)
     m = p.c2 * pt.t - p.a2
-    bv = _SQRT23 * p.b2 * pt.vg
+    muu = mvv = m  # f_uu - 2 c2 ug^2 and f_vv - 2 c2 vg^2
+    fuv = 2.0 * p.c2 * pt.vg  # f_uv / ug
+    if p.b2 != 0.0:
+        bv = _SQRT23 * p.b2 * pt.vg
+        muu, mvv, fuv = m + bv, m - bv, _SQRT23 * p.b2 + fuv
     cuu, cuv, cvv = q.hess_coef  # wg (k^2 / r^2 + f_uu / L), wg f_uv / L, wg f_vv / L
-    np.add(wl * (m + bv + 2.0 * p.c2 * pt.uu), q.wk, out=cuu)
-    np.multiply(wl, pt.ug * (_SQRT23 * p.b2 + 2.0 * p.c2 * pt.vg), out=cuv)
-    np.multiply(wl, m - bv + 2.0 * p.c2 * pt.vv, out=cvv)
+    np.add(wl * (muu + 2.0 * p.c2 * pt.uu), q.wk, out=cuu)
+    np.multiply(wl, pt.ug * fuv, out=cuv)
+    np.multiply(wl, mvv + 2.0 * p.c2 * pt.vv, out=cvv)
     loc = (q.hess_coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
     loc[0::2] += q.stiff_pairs
     (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
@@ -370,11 +382,12 @@ def _roundoff_floor(lower, x, mass_free) -> float:
     band storage and ``x`` the free DOFs."""
     a = np.abs(lower)
     ax = np.abs(x)
-    y = a[0] * ax
-    for d in (1, 2, 3):
-        y[d:] += a[d, :-d] * ax[:-d]
-        y[:-d] += a[d, :-d] * ax[d:]
-    return np.finfo(float).eps * math.sqrt(float(np.sum(y * y / mass_free)))
+    with np.errstate(over="ignore"):  # an overflow shows as inf, as in the norm
+        y = a[0] * ax
+        for d in (1, 2, 3):
+            y[d:] += a[d, :-d] * ax[:-d]
+            y[:-d] += a[d, :-d] * ax[d:]
+        return np.finfo(float).eps * math.sqrt(float(np.sum(y * y / mass_free)))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +603,9 @@ def _newton(q: _P1Gauss, y, params: ModelParams, tol, max_iter, on_step, kind) -
     def grad_and_norm(at):
         g = _free_gradient(q, at, params)
         gu, gv = g[:, 0], g[:, 1]
-        return g, math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
+        # a norm past the float range is inf, which stops the loop below
+        with np.errstate(over="ignore"):
+            return g, math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
 
     pt = q.point(y[:, 0], y[:, 1])
     energy = _energy(q, pt, params)

@@ -83,13 +83,18 @@ def deviatoric_square(c):
 
 
 def bulk_density(c, params: ModelParams):
-    """Bulk energy density ``f(Q)`` evaluated on component arrays."""
+    """Bulk energy density ``f(Q) = -a2 |Q|^2 / 2 - b2 tr(Q^3) / 3 + c2 |Q|^4 / 4``
+    evaluated on component arrays.
+
+    The cubic term is formed only for ``b2 != 0``; at ``b2 = 0`` the value is
+    bit for bit the full formula's wherever that is finite, and a ``tr Q^3``
+    that overflows no longer turns the density into NaN.
+    """
     t = frob_sq(c)
-    return (
-        -0.5 * params.a2 * t
-        - (params.b2 / 3.0) * trace_cubed(c)
-        + 0.25 * params.c2 * t * t
-    )
+    f = -0.5 * params.a2 * t
+    if params.b2 != 0.0:
+        f -= (params.b2 / 3.0) * trace_cubed(c)
+    return f + 0.25 * params.c2 * t * t
 
 
 def components_to_matrix(c):

@@ -691,20 +691,30 @@ def test_json_output_is_strict_with_non_finite_as_null():
 
 
 def test_overflowing_solve_exits_1_promptly(tmp_path):
-    # L = 1e-300 overflows the gradient norm at the start: the solver must
-    # stop there instead of iterating on inf
+    # a tiny L overflows the gradient norm at the start: the solver must stop
+    # there instead of iterating on inf, and without a RuntimeWarning on the way
     code = "import sys; from qdefect.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "solve", "--L", "1e-300", "--n", "256", "-o", "tiny"],
-        capture_output=True, text=True, timeout=2.0, env=env, cwd=tmp_path,
-    )
-    assert proc.returncode == 1
-    assert "[E_NUMERIC]" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    report = json.loads((tmp_path / "tiny_report.json").read_text())
-    assert report["converged"] is False and report["grad_norm"] is None
-    assert report["iterations"] == 0
+    runs = [("solve", "--L", L) for L in ("1e-300", "1e-200", "1e-160")]
+    runs += [("sweep", "--L-list", "1e-300"), ("sweep", "--b2-list", "0,0.5", "--L", "1e-300")]
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *argv,
+             "--n", "256", "-o", "tiny"],
+            capture_output=True, text=True, timeout=2.0, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 1, argv
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr, argv
+        if argv[0] == "solve":
+            assert "[E_NUMERIC]" in proc.stderr
+            report = json.loads((tmp_path / "tiny_report.json").read_text())
+            assert report["iterations"] == 0
+            reports = [report]
+        else:
+            reports = json.loads((tmp_path / "tiny_sweep.json").read_text())["records"]
+            assert all("grad_norm inf" in report["error"] for report in reports)
+        for report in reports:
+            assert report["converged"] is False and report["grad_norm"] is None
 
 
 def test_package_import_leaves_scipy_linalg_to_the_solver():

@@ -43,6 +43,7 @@ from qdefect.tensor import (
     frame_fn_components,
     frob_dot,
     frob_sq,
+    trace_cubed,
 )
 
 
@@ -646,7 +647,9 @@ def _ref_fd_dirichlet(values, grid):
 
 
 def _ref_potential(values, grid, p):
-    dens = bulk_density(values, p)
+    """``int f(Q)`` by trapezoidal nodes, the cubic term evaluated at every ``b2``."""
+    t = frob_sq(values)
+    dens = -0.5 * p.a2 * t - (p.b2 / 3.0) * trace_cubed(values) + 0.25 * p.c2 * t * t
     return float(np.sum(grid.radial.weights * np.sum(dens, axis=1)) * grid.dphi)
 
 

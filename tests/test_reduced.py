@@ -512,6 +512,79 @@ def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
     assert np.max(np.abs(grad - _free(*_old_gradient(q, pt, p))) / scale) <= 1e-14
 
 
+# The fused kernel with its b2 terms always evaluated, as it was before they
+# were skipped at b2 = 0: the same operations on the same operands otherwise,
+# so the kernel must match it bit for bit at every b2.
+
+def _full_energy(q, pt, p):
+    f = pt.t * (0.25 * p.c2 * pt.t - 0.5 * p.a2) \
+        - (p.b2 / (3.0 * SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.uu)
+    dirichlet = q.half_seg_r @ (pt.du * pt.du + pt.dv * pt.dv) + 0.5 * np.vdot(q.wk, pt.uu)
+    return float(dirichlet + np.vdot(q.wg / p.L, f))
+
+
+def _full_gradient(q, pt, p):
+    from qdefect.reduced import _HAT_ENDS
+
+    s23 = math.sqrt(2.0 / 3.0)
+    wl = q.wg / p.L
+    m = p.c2 * pt.t - p.a2
+    cu = (wl * (m + s23 * p.b2 * pt.vg) + q.wk) * pt.ug
+    cv = wl * (pt.vg * m - (p.b2 / SQRT6) * (pt.vv - pt.uu))
+    ends = (np.stack([cu, cv]).reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
+    stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
+    g = np.empty((2, pt.u.size))
+    g[:, :-1] = ends[:, :, 0] - stiff
+    g[:, -1] = 0.0
+    g[:, 1:] += ends[:, :, 1] + stiff
+    return g.T
+
+
+def _full_hessian(q, pt, p):
+    from qdefect.reduced import _HAT_PAIRS
+
+    s23 = math.sqrt(2.0 / 3.0)
+    n = q.grid.n_segments
+    wl = q.wg / p.L
+    m = p.c2 * pt.t - p.a2
+    bv = s23 * p.b2 * pt.vg
+    coef = np.stack([
+        wl * (m + bv + 2.0 * p.c2 * pt.uu) + q.wk,
+        wl * (pt.ug * (s23 * p.b2 + 2.0 * p.c2 * pt.vg)),
+        wl * (m - bv + 2.0 * p.c2 * pt.vv),
+    ])
+    loc = (coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
+    loc[0::2] += q.stiff_pairs
+    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
+    columns = ((uu_aa, uv_aa, uu_ab, uv_ab), (vv_aa, uv_ab, vv_ab), (uu_bb, uv_bb), (vv_bb,))
+    band = np.zeros((4, 2 * n + 2))
+    for c, column in enumerate(columns):
+        for d, entry in enumerate(column):
+            band[d, c:c + 2 * n:2] += entry
+    return band[:, _FREE]
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "graded"])
+@pytest.mark.parametrize("k", [1, -1, 2, 3])
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+def test_kernels_skip_the_b2_terms_bit_for_bit(spacing, k, b2, rng):
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _raw_gradient
+
+    p = params(L=0.01, b2=b2, k=k)
+    # on a few segments the energy sums few terms, so a changed bit in one
+    # of them shows in the sum
+    for n in (16, 300):
+        grid = getattr(RadialGrid, spacing)(1.0, n)
+        q = _P1Gauss(grid, k)
+        start = preset_profile(p, grid, "explicit")
+        points = [(rng.standard_normal(n + 1), rng.standard_normal(n + 1)) for _ in range(4)]
+        for u, v in points + [(start.u, start.v)]:
+            pt = q.point(u, v)
+            assert _energy(q, pt, p) == _full_energy(q, pt, p)
+            assert np.array_equal(_raw_gradient(q, pt, p), _full_gradient(q, pt, p))
+            assert np.array_equal(_assemble_hessian_banded(q, pt, p), _full_hessian(q, pt, p))
+
+
 # (k, b2, init, iterations, energy) of minimize at L = 0.01, n = 256: a kernel
 # change that bends the Newton path changes a count or moves an energy
 _NEWTON_PATH = [

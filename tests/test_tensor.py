@@ -142,6 +142,29 @@ def test_bulk_energy_at_boundary_tensor():
     assert float(bulk_density(q, p)) == pytest.approx(float(f), rel=1e-13)
 
 
+def _full_bulk_density(c, p):
+    """``f(Q)`` with its cubic term always evaluated, ``b2 = 0`` included."""
+    t = frob_sq(c)
+    return -0.5 * p.a2 * t - (p.b2 / 3.0) * trace_cubed(c) + 0.25 * p.c2 * t * t
+
+
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+def test_bulk_density_skips_the_cubic_term_bit_for_bit(b2):
+    p = ModelParams(a2=1.3, b2=b2, c2=0.8, L=0.1, R=1.0, k=1)
+    rng = np.random.default_rng(5)
+    cases = [np.zeros((3, 5)), rng.standard_normal((50, 7, 5))]
+    cases += [s * rng.standard_normal((40, 5)) for s in (1e-150, 1e76, 1e100, 1e150)]
+    for c in cases:
+        with np.errstate(over="ignore", invalid="ignore"):  # |Q|^4 overflows from |Q| ~ 1e77
+            f, full = bulk_density(c, p), _full_bulk_density(c, p)
+        if b2 == 0.0 and np.max(np.abs(c)) > 1e120:
+            # tr(Q^3) overflows too: 0 * inf makes the full formula NaN, where
+            # the skip keeps the quartic's +inf
+            assert np.all(np.isnan(full)) and np.all(np.isposinf(f))
+        else:
+            assert np.array_equal(f, full, equal_nan=True)
+
+
 def test_s_plus_minimizes_uniaxial_bulk():
     p = ModelParams(a2=1.0, b2=1.0, c2=1.0, L=0.1, R=1.0, k=1)
     n = np.array([1.0, 0.0, 0.0])
