@@ -26,7 +26,6 @@ from .field import (
     Field2D,
     EnergyGapResult,
     SecondVariationResult,
-    dirichlet_quadrature,
     el_residual_2d,
     energy_gap,
     ldg_energy_2d,

@@ -4,12 +4,12 @@ Two discretisations coexist deliberately:
 
 * a classic finite-difference scheme (compact/centred stencils in the
   angle, trapezoidal node quadrature in radius) behind
-  :func:`ldg_energy_2d`, :func:`el_residual_2d` and the Dirichlet
-  quadrature helpers -- an independent route used to cross-check the
-  reduced 1D functional, streamed over blocks of rings so that its
-  working memory is O(block x M); for a separable field
-  ``sum_a f_a(r) G_a(phi)``, :func:`separable_dirichlet_quadrature`
-  forms the same Dirichlet sum from per-ring Gram sums in O(N + M);
+  :func:`fd_energy_terms`, :func:`ldg_energy_2d`, :func:`el_residual_2d`
+  and the harmonic-map residual :func:`qdefect.harmonic.hm_residual` --
+  an independent route used to cross-check the reduced 1D functional;
+  for a separable field ``sum_a f_a(r) G_a(phi)``,
+  :func:`separable_dirichlet_quadrature` forms the same Dirichlet sum
+  from per-ring Gram sums in O(N + M);
 * a consistent scheme (Fourier differentiation in the angle, the same
   per-segment Gauss rule in radius as the reduced energy) behind
   :func:`ldg_energy_spectral`, :func:`second_variation` and
@@ -18,11 +18,15 @@ Two discretisations coexist deliberately:
   the quadratic-form expansion of the energy difference holds to
   round-off instead of to scheme mismatch.
 
+Every 2D pass walks the disk one way: a plain loop over
+:func:`_ring_blocks`, each block read with the halo its stencil needs, so
+working memory is O(block x M) beside the result.  The energies keep
+per-ring sums; the two residuals share one loop, :func:`_residual`, and
+differ only in the pointwise term added to the block's Laplacian.
+
 One kernel, :class:`_GaussRings`, evaluates the consistent scheme from
 node products and Parseval ring sums; nothing is interpolated to the
-Gauss radii except ``tr Q^3``.  It streams the same ring blocks as the
-finite-difference scheme and keeps only per-ring sums, so its working
-memory is O(block x M) too; a non-finite field shows in those sums and
+Gauss radii except ``tr Q^3``.  A non-finite field shows in those sums and
 raises :class:`~qdefect.errors.InvalidParams`.
 """
 
@@ -107,39 +111,9 @@ def _fd_dirichlet_sum(grid: PolarGrid, slope_sq: np.ndarray, edge_sq: np.ndarray
     return 0.5 * (rad_part + ang_part)
 
 
-def _fd_terms(values: np.ndarray, grid: PolarGrid, params: ModelParams | None = None):
-    """``0.5 int |grad Q|^2`` via radial slopes and centred angular stencils,
-    and with ``params`` the bulk integral ``int f(Q)``, else ``None``.
-
-    The loop streams ring blocks of ``values`` (each reads one ring past
-    its end for the slopes) and keeps per-ring sums, so no full-size
-    temporary is live and the final sums run over the same per-ring values
-    in the same order as a full-array pass.
-    """
-    h = grid.radial.h
-    n = grid.radial.nodes.size
-    slope_sq = np.empty(n - 1)
-    edge_sq = np.empty(n)
-    dens = None if params is None else np.empty(n)
-    for lo, hi in _ring_blocks(grid.m, 0, n):
-        top = min(hi + 1, n)
-        vals = values[lo:top]
-        slopes = (vals[1:] - vals[:-1]) / h[lo:top - 1, None, None]
-        slope_sq[lo:top - 1] = np.sum(tensor.frob_sq(slopes), axis=1)
-        # angular edges: piecewise-linear in phi on each ring
-        own = vals[: hi - lo]
-        edges = (np.roll(own, -1, axis=1) - own) / grid.dphi
-        edge_sq[lo:hi] = np.sum(tensor.frob_sq(edges), axis=1)
-        if dens is not None:
-            dens[lo:hi] = np.sum(tensor.bulk_density(own, params), axis=1)
-
-    pot = None if dens is None else float(np.sum(grid.radial.weights * dens) * grid.dphi)
-    return _fd_dirichlet_sum(grid, slope_sq, edge_sq), pot
-
-
 def separable_dirichlet_quadrature(f: np.ndarray, g: np.ndarray, grid: PolarGrid) -> float:
-    """:func:`dirichlet_quadrature` of the separable field
-    ``Q(r_i, phi_j) = sum_a f[i, a] g[a, j]`` without sampling it.
+    """The Dirichlet sum of :func:`fd_energy_terms` for the separable field
+    ``Q(r_i, phi_j) = sum_a f[i, a] g[a, j]``, without sampling it.
 
     ``f`` holds the radial factors ``(N+1, A)``, ``g`` the angular ones
     ``(A, M, 5)``.  The finite-difference sums over the angles are
@@ -158,17 +132,33 @@ def separable_dirichlet_quadrature(f: np.ndarray, g: np.ndarray, grid: PolarGrid
     return _fd_dirichlet_sum(grid, slope_sq, edge_sq)
 
 
-def dirichlet_quadrature(field: Field2D) -> float:
-    """Numerical Dirichlet energy ``0.5 int |grad Q|^2`` of a sampled field."""
-    return _fd_terms(field.values, field.grid)[0]
-
-
 def fd_energy_terms(field: Field2D, params: ModelParams):
-    """``(dirichlet_quadrature(field), int f(Q))`` from one streamed pass.
+    """``(0.5 int |grad Q|^2, int f(Q))`` from radial slopes, centred
+    angular edges and trapezoidal nodes in radius, in one pass over ring
+    blocks (each reads one ring past its end for the slopes).
 
-    :func:`ldg_energy_2d` is ``dirichlet + potential / L`` of these.
+    :func:`ldg_energy_2d` is ``dirichlet + potential / L`` of these.  The
+    per-ring sums are the values, in the order, of a full-array pass.
     """
-    return _fd_terms(field.values, field.grid, params)
+    grid, values = field.grid, field.values
+    h = grid.radial.h
+    n = grid.radial.nodes.size
+    slope_sq = np.empty(n - 1)
+    edge_sq = np.empty(n)
+    dens = np.empty(n)
+    for lo, hi in _ring_blocks(grid.m, 0, n):
+        top = min(hi + 1, n)
+        vals = values[lo:top]
+        slopes = (vals[1:] - vals[:-1]) / h[lo:top - 1, None, None]
+        slope_sq[lo:top - 1] = np.sum(tensor.frob_sq(slopes), axis=1)
+        # angular edges: piecewise-linear in phi on each ring
+        own = vals[: hi - lo]
+        edges = (np.roll(own, -1, axis=1) - own) / grid.dphi
+        edge_sq[lo:hi] = np.sum(tensor.frob_sq(edges), axis=1)
+        dens[lo:hi] = np.sum(tensor.bulk_density(own, params), axis=1)
+
+    pot = float(np.sum(grid.radial.weights * dens) * grid.dphi)
+    return _fd_dirichlet_sum(grid, slope_sq, edge_sq), pot
 
 
 def ldg_energy_2d(field: Field2D, params: ModelParams) -> float:
@@ -193,34 +183,22 @@ def _laplacian(values: np.ndarray, r: np.ndarray, dphi: float) -> np.ndarray:
     return d2 + d1 / ri + ddphi / ri**2
 
 
-def polar_laplacian(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Five-point polar Laplacian on interior rings ``1..N-1``.
-
-    The origin ring is excluded: the stencil is singular there and every
-    field of interest is smooth across it.
-    """
-    return _laplacian(values, grid.radial.nodes, grid.dphi)
-
-
-def polar_gradient_sq(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """``|grad Q|^2`` (Frobenius) on interior rings via compact stencils.
+def _gradient_sq(values: np.ndarray, r: np.ndarray, dphi: float) -> np.ndarray:
+    """``|grad Q|^2`` (Frobenius) at the rings ``1..len-2`` of ``values`` (radii ``r``).
 
     Squared one-sided differences are averaged onto the nodes (the
     consistent partner of the three-point second difference), which
     carries a four-fold smaller angular truncation constant than centred
     first differences.
     """
-    r = grid.radial.nodes
-    h = grid.radial.h
-    fwd = (values[1:] - values[:-1]) / h[:, None, None]
-    fsq = tensor.frob_sq(fwd)  # (N, M) at segment midpoints
+    h = np.diff(r)
+    fsq = tensor.frob_sq((values[1:] - values[:-1]) / h[:, None, None])  # segment midpoints
     hm = h[:-1][:, None]
     hp = h[1:][:, None]
     rad = (hm * fsq[:-1] + hp * fsq[1:]) / (hm + hp)
 
     vc = values[1:-1]
-    edge = (np.roll(vc, -1, axis=1) - vc) / grid.dphi
-    esq = tensor.frob_sq(edge)
+    esq = tensor.frob_sq((np.roll(vc, -1, axis=1) - vc) / dphi)
     ang = 0.5 * (esq + np.roll(esq, 1, axis=1))
     ri = r[1:-1][:, None]
     return rad + ang / ri**2
@@ -248,30 +226,47 @@ class ResidualField:
         return float(np.max(self.norms()[_bulk_mask(self.rings, r_min)]))
 
 
+def _residual(field: Field2D, lap_scale: float, add_terms) -> ResidualField:
+    """``lap_scale * lap Q`` plus pointwise terms on the interior rings ``1..N-1``.
+
+    The origin ring is excluded: the stencil is singular there and every
+    field of interest is smooth across it.  One pass streams ring blocks,
+    each read with the one-ring halo of the five-point stencil;
+    ``add_terms(out, block, r)`` adds the terms in place to ``out``, which
+    holds the scaled Laplacian at the rings ``1..len-2`` of ``block``
+    (radii ``r``).  Working memory is O(block x M) beside the result.
+    """
+    r = field.grid.radial.nodes
+    values = field.values
+    res = np.empty((r.size - 2,) + values.shape[1:])
+    for lo, hi in _ring_blocks(field.grid.m, 1, r.size - 1):
+        block, rb = values[lo - 1:hi + 1], r[lo - 1:hi + 1]
+        out = res[lo - 1:hi - 1]
+        np.multiply(lap_scale, _laplacian(block, rb, field.grid.dphi), out=out)
+        add_terms(out, block, rb)
+    return ResidualField(rings=r[1:-1].copy(), values=res)
+
+
 def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
     """Euler-Lagrange residual ``L lap Q + a2 Q + b2 (Q^2 - |Q|^2 I/3) - c2 |Q|^2 Q``.
 
     Evaluated with the five-point polar stencil on interior rings; each
     sample stays symmetric traceless by construction of the component
-    representation.  The ``b2`` term is formed only for ``b2 != 0``: at
-    ``b2 = 0`` adding it would add zeros, so the values are the same.
+    representation.  The terms are summed in place, in formula order.  The
+    ``b2`` term is formed only for ``b2 != 0``: at ``b2 = 0`` adding it
+    would add zeros, so the values are the same.
     """
     if params.L <= 0.0:
         raise InvalidParams("el_residual_2d requires L > 0")
-    r = field.grid.radial.nodes
-    values = field.values
-    res = np.empty((r.size - 2,) + values.shape[1:])
-    for lo, hi in _ring_blocks(field.grid.m, 1, r.size - 1):
-        lap = _laplacian(values[lo - 1:hi + 1], r[lo - 1:hi + 1], field.grid.dphi)
-        vc = values[lo:hi]
-        nsq = tensor.frob_sq(vc)[..., None]
-        out = res[lo - 1:hi - 1]  # the terms are summed in place, in formula order
-        np.multiply(params.L, lap, out=out)
+
+    def bulk(out, block, r):
+        vc = block[1:-1]
         out += params.a2 * vc
         if params.b2 != 0.0:
             out += params.b2 * tensor.deviatoric_square(vc)
-        out -= params.c2 * nsq * vc
-    return ResidualField(rings=r[1:-1].copy(), values=res)
+        out -= params.c2 * tensor.frob_sq(vc)[..., None] * vc
+
+    return _residual(field, params.L, bulk)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +339,17 @@ class _GaussRings:
 
     At ``xi`` on segment ``i`` a product of two piecewise-linear fields is
     ``(1-xi)^2 a_i:b_i + 2 xi (1-xi) a_i:b_{i+1} + xi^2 a_{i+1}:b_{i+1}``,
-    so Gauss sums are weighted sums of node products.  Callers stream the
-    rings with :meth:`stream`, reduce each block to ring sums (:meth:`add`,
-    :func:`_pair`) and weigh those: ``wg``: Gauss weights of
-    ``int f r dr dphi``; ``inv_rg2``: inverse squared Gauss radii; ``coef``:
-    the node weights.  The radial rule is that of the reduced solver's
-    :class:`~qdefect.reduced._P1Gauss`, taken from it.
+    so Gauss sums are weighted sums of node products.  Callers loop over
+    :func:`_ring_blocks`; a block owns rings ``lo..hi-1`` and reads
+    ``lo..top-1``, ``top = min(hi + 1, n)``, one ring past its end for the
+    slopes and the ``i, i+1`` node products, so it holds segments
+    ``lo..top-2``.  Each block is reduced to ring sums (:meth:`add`,
+    :func:`_pair`), which are weighed by ``wg``: Gauss weights of
+    ``int f r dr dphi``; ``inv_rg2``: inverse squared Gauss radii;
+    ``coef``: the node weights.  The loops run with non-finite arithmetic
+    quiet: it shows in the ring sums, which callers check with
+    :func:`_require_finite`.  The radial rule is that of the reduced
+    solver's :class:`~qdefect.reduced._P1Gauss`, taken from it.
     """
 
     def __init__(self, grid: PolarGrid):
@@ -365,20 +365,6 @@ class _GaussRings:
         # differentiation
         self.freq = np.arange(self.m // 2 + 1.0)
         self.freq[-1] = 0.0
-
-    def stream(self, block) -> None:
-        """Call ``block(lo, hi, top)`` per ring block, with non-finite
-        arithmetic quiet: it shows in the ring sums, which callers check
-        with :func:`_require_finite`.
-
-        A block owns rings ``lo..hi-1`` and reads ``lo..top-1``, one ring
-        past its end for the slopes and the ``i, i+1`` node products, so it
-        holds segments ``lo..top-2``.  Its temporaries die when ``block``
-        returns, so at most one block's arrays are live.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi in _ring_blocks(self.m, 0, self.n):
-                block(lo, hi, min(hi + 1, self.n))
 
     def add(self, sums: _RingSums, lo: int, hi: int, a: np.ndarray):
         """Fill ``sums`` from the block ``a`` (coordinates of rings ``lo..``);
@@ -463,17 +449,16 @@ def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
     s = _RingSums(kern.n)
     pair = np.empty((3, 3, kern.n - 1))
     cubic = np.zeros((kern.n - 1, GAUSS_XI.size))  # tr Q^3 at the Gauss rings, b2 != 0 only
-
-    def block(lo, hi, top):
-        vals = field.values[lo:top]
-        t = kern.add(s, lo, hi, _coords(vals))
-        pair[:, :, lo:top - 1] = _pair(t, t)
-        if params.b2 != 0.0:
-            for g, xi in enumerate(GAUSS_XI):
-                at_xi = (1 - xi) * vals[:-1] + xi * vals[1:]
-                cubic[lo:top - 1, g] = tensor.trace_cubed(at_xi).sum(axis=1)
-
-    kern.stream(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _ring_blocks(kern.m, 0, kern.n):
+            top = min(hi + 1, kern.n)
+            vals = field.values[lo:top]
+            t = kern.add(s, lo, hi, _coords(vals))
+            pair[:, :, lo:top - 1] = _pair(t, t)
+            if params.b2 != 0.0:
+                for g, xi in enumerate(GAUSS_XI):
+                    at_xi = (1 - xi) * vals[:-1] + xi * vals[1:]
+                    cubic[lo:top - 1, g] = tensor.trace_cubed(at_xi).sum(axis=1)
     _require_finite(pair, cubic, *s)
     return kern.energy(s, pair, params, float(np.sum(kern.wg * cubic)))
 
@@ -537,17 +522,16 @@ def second_variation(
     hardy_rad = np.empty(kern.n - 1)
     inv_v = 1.0 / v
     peaks = []
-
-    def block(lo, hi, top):
-        peaks.append(_max_abs(pv[lo:top]))
-        q = _coords(pv[lo:top])
-        pp = kern.add(p, lo, hi, q)
-        pair[:, :, lo:top - 1] = _pair(pp, _products(_coords(yv[lo:top])))
-        u = q * inv_v[lo:top, None]
-        d = u[:, 1:] - u[:, :-1]
-        hardy_rad[lo:top - 1] = np.einsum("cij,cij->i", d, d) / kern.h_sq[lo:top - 1]
-
-    kern.stream(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _ring_blocks(kern.m, 0, kern.n):
+            top = min(hi + 1, kern.n)
+            peaks.append(_max_abs(pv[lo:top]))
+            q = _coords(pv[lo:top])
+            pp = kern.add(p, lo, hi, q)
+            pair[:, :, lo:top - 1] = _pair(pp, _products(_coords(yv[lo:top])))
+            u = q * inv_v[lo:top, None]
+            d = u[:, 1:] - u[:, :-1]
+            hardy_rad[lo:top - 1] = np.einsum("cij,cij->i", d, d) / kern.h_sq[lo:top - 1]
     _require_perturbation(pv[-1], peaks)
     _require_finite(pair, hardy_rad, *p)
     hardy = kern.dirichlet(
@@ -600,24 +584,23 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
     y, yp, p = _RingSums(n), _RingSums(n), _RingSums(n)
     pair_y, pair_yp, pair_py, pair_s = (np.empty((3, 3, n - 1)) for _ in range(4))
     peaks = []
-
-    def block(lo, hi, top):
-        pv = ypv[lo:top] - yv[lo:top]
-        peaks.append(_max_abs(pv))
-        qp = _coords(pv)
-        del pv  # keeps one block's peak of arrays below a field's size
-        qy = _coords(yv[lo:top])
-        pp, yy = kern.add(p, lo, hi, qp), kern.add(y, lo, hi, qy)
-        seg = slice(lo, top - 1)
-        pair_y[:, :, seg] = _pair(yy, yy)
-        pair_py[:, :, seg] = _pair(pp, yy)
-        cross = _products(qy, qp)
-        s = (pp[0] + 2.0 * cross[0], pp[1] + 2.0 * cross[1])
-        pair_s[:, :, seg] = _pair(s, s)
-        ypyp = kern.add(yp, lo, hi, _coords(ypv[lo:top]))
-        pair_yp[:, :, seg] = _pair(ypyp, ypyp)
-
-    kern.stream(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _ring_blocks(kern.m, 0, n):
+            top = min(hi + 1, n)
+            pv = ypv[lo:top] - yv[lo:top]
+            peaks.append(_max_abs(pv))
+            qp = _coords(pv)
+            del pv  # keeps one block's peak of arrays below a field's size
+            qy = _coords(yv[lo:top])
+            pp, yy = kern.add(p, lo, hi, qp), kern.add(y, lo, hi, qy)
+            seg = slice(lo, top - 1)
+            pair_y[:, :, seg] = _pair(yy, yy)
+            pair_py[:, :, seg] = _pair(pp, yy)
+            cross = _products(qy, qp)
+            s = (pp[0] + 2.0 * cross[0], pp[1] + 2.0 * cross[1])
+            pair_s[:, :, seg] = _pair(s, s)
+            ypyp = kern.add(yp, lo, hi, _coords(ypv[lo:top]))
+            pair_yp[:, :, seg] = _pair(ypyp, ypyp)
     with np.errstate(invalid="ignore"):  # inf - inf in the rim shows as NaN
         _require_perturbation(ypv[-1] - yv[-1], peaks)
     _require_finite(pair_y, pair_yp, pair_py, pair_s, *y, *yp, *p)

@@ -30,8 +30,10 @@ from .errors import (
 from .field import (
     Field2D,
     ResidualField,
-    polar_gradient_sq,
-    polar_laplacian,
+    _gradient_sq,
+    _max_abs,
+    _residual,
+    _ring_blocks,
     separable_dirichlet_quadrature,
 )
 from .grid import PolarGrid, RadialGrid
@@ -194,8 +196,8 @@ def e0_energy(p, params: ModelParams) -> E0Result:
 
     Accepts a :class:`~qdefect.reduced.Profile` (checked against the
     constraint ``u^2 + v^2 = (2/3) s_plus^2`` to 1e-8 relative) or a
-    :class:`PsiProfile` (constraint built in).  Constraint violations
-    yield the infinite sentinel.
+    :class:`PsiProfile` (constraint built in).  Constraint violations,
+    non-finite samples among them, yield the infinite sentinel.
     """
     if isinstance(p, PsiProfile):  # the Dirichlet sum of (psi, 0) with u = sin(psi)
         q = _P1Gauss(p.grid, params.k)
@@ -208,7 +210,7 @@ def e0_energy(p, params: ModelParams) -> E0Result:
         raise InvalidParams(f"expected Profile or PsiProfile, got {type(p)!r}")
     target = params.limit_norm_sq
     dev = float(np.max(np.abs(p.norm_sq_samples() - target))) / target
-    if dev > 1e-8:
+    if not dev <= 1e-8:  # a NaN sample violates the constraint too
         return E0Result(finite=False, value=None, max_deviation=dev)
     q = _P1Gauss(p.grid, params.k)
     pt = q.point(p.u, p.v)
@@ -315,17 +317,22 @@ def hm_residual(field: Field2D, params: ModelParams) -> ResidualField:
     """Residual ``lap Q + (3/(2 s+^2)) |grad Q|^2 Q`` of the limit problem.
 
     ``field`` is evaluated on its own polar grid.  It must satisfy the norm
-    constraint to 1e-8 relative, else :class:`ConstraintViolated`.
-    Five-point polar stencil on interior rings; boundary data mismatches
-    are not this function's concern.
+    constraint to 1e-8 relative, else :class:`ConstraintViolated`; a
+    non-finite sample violates it.  Five-point polar stencil and compact
+    ``|grad Q|^2`` on interior rings, streamed over ring blocks (the
+    constraint check too), so working memory is O(block x M) beside the
+    result; boundary data mismatches are not this function's concern.
     """
     values, grid = field.values, field.grid
     target = params.limit_norm_sq
-    dev = float(np.max(np.abs(frob_sq(values) - target))) / target
-    if dev > 1e-8:
+    peaks = [_max_abs(frob_sq(values[lo:hi]) - target)
+             for lo, hi in _ring_blocks(grid.m, 0, values.shape[0])]
+    dev = float(np.max(peaks)) / target
+    if not dev <= 1e-8:  # a NaN sample violates the constraint too
         raise ConstraintViolated("harmonic-map residual needs |Q|^2 = (2/3) s+^2", dev)
+    scale = 1.5 / params.s_plus**2
 
-    lap = polar_laplacian(values, grid)
-    gsq = polar_gradient_sq(values, grid)
-    res = lap + (1.5 / params.s_plus**2) * gsq[..., None] * values[1:-1]
-    return ResidualField(rings=grid.radial.nodes[1:-1].copy(), values=res)
+    def tension(out, block, r):
+        out += scale * _gradient_sq(block, r, grid.dphi)[..., None] * block[1:-1]
+
+    return _residual(field, 1.0, tension)

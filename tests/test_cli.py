@@ -20,6 +20,7 @@ from qdefect import (
     CsvFormatError, NonConvergence, Profile, RadialGrid, read_profile_csv, write_profile_csv,
 )
 from qdefect.cli import _OPTIONS, _json_text, main
+from qdefect.field import fd_energy_terms
 
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -538,7 +539,7 @@ def test_energy_command(tmp_path, capsys):
     p = qdefect.ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.05, R=1.0, k=1)
     lifted = qdefect.lift(profile, 1, qdefect.PolarGrid(profile.grid, 128))
     assert payload["ldg_2d"] == qdefect.ldg_energy_2d(lifted, p)
-    assert payload["dirichlet_2d"] == qdefect.dirichlet_quadrature(lifted)
+    assert payload["dirichlet_2d"] == fd_energy_terms(lifted, p)[0]
     assert payload["e0"] == "infinite"  # finite-L minimiser violates the constraint
 
 

@@ -16,7 +16,6 @@ from qdefect import (
     PolarGrid,
     Profile,
     RadialGrid,
-    dirichlet_quadrature,
     el_residual_2d,
     energy_gap,
     ldg_energy_2d,
@@ -32,6 +31,7 @@ from qdefect.harmonic import (
     Branch,
     dirichlet_energy_2d,
     explicit_profile,
+    hm_residual,
     uniaxial_escape_components,
 )
 from qdefect.grid import GAUSS_W, GAUSS_XI
@@ -624,7 +624,7 @@ def test_spectral_scheme_working_memory_stays_below_one_field(solve_cache):
 def test_dirichlet_quadrature_positive(solve_cache):
     p, prof, _ = solve_cache(L=0.1, n=256)
     field = lift(prof, p.k, PolarGrid(prof.grid, 64))
-    assert dirichlet_quadrature(field) > 0.0
+    assert fd_energy_terms(field, p)[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +653,8 @@ def _ref_potential(values, grid, p):
     return float(np.sum(grid.radial.weights * np.sum(dens, axis=1)) * grid.dphi)
 
 
-def _ref_el_residual(values, grid, p):
-    """Five-point polar stencil and the bulk terms on all interior rings at once."""
+def _ref_laplacian(values, grid):
+    """Five-point polar stencil on all interior rings at once."""
     r = grid.radial.nodes
     hm = (r[1:-1] - r[:-2])[:, None, None]
     hp = (r[2:] - r[1:-1])[:, None, None]
@@ -664,9 +664,31 @@ def _ref_el_residual(values, grid, p):
     d2 = 2.0 * (hm * vp + hp * vm - (hm + hp) * vc) / denom
     ddphi = (np.roll(vc, -1, axis=1) - 2.0 * vc + np.roll(vc, 1, axis=1)) / grid.dphi**2
     ri = r[1:-1][:, None, None]
-    lap = d2 + d1 / ri + ddphi / ri**2
+    return d2 + d1 / ri + ddphi / ri**2
+
+
+def _ref_el_residual(values, grid, p):
+    """The Euler-Lagrange residual's stencil and bulk terms on all interior rings at once."""
+    vc = values[1:-1]
     nsq = frob_sq(vc)[..., None]
+    lap = _ref_laplacian(values, grid)
     return p.L * lap + p.a2 * vc + p.b2 * deviatoric_square(vc) - p.c2 * nsq * vc
+
+
+def _ref_hm_residual(values, grid, p):
+    """The harmonic-map residual on all interior rings at once: the Laplacian
+    plus the compact ``|grad Q|^2`` of averaged one-sided squared differences."""
+    r = grid.radial.nodes
+    h = grid.radial.h
+    fsq = frob_sq((values[1:] - values[:-1]) / h[:, None, None])
+    hm = h[:-1][:, None]
+    hp = h[1:][:, None]
+    rad = (hm * fsq[:-1] + hp * fsq[1:]) / (hm + hp)
+    vc = values[1:-1]
+    esq = frob_sq((np.roll(vc, -1, axis=1) - vc) / grid.dphi)
+    ang = 0.5 * (esq + np.roll(esq, 1, axis=1))
+    gsq = rad + ang / r[1:-1][:, None] ** 2
+    return _ref_laplacian(values, grid) + (1.5 / p.s_plus**2) * gsq[..., None] * vc
 
 
 def _block_cases():
@@ -701,7 +723,6 @@ def test_streamed_fd_scheme_matches_full_array_reference(spacing, m, rings):
     rough = Field2D(pg, field.values + 0.1 * rng.standard_normal(field.values.shape))
     for f in (field, rough):
         ref = _ref_fd_dirichlet(f.values, pg)
-        assert dirichlet_quadrature(f) == pytest.approx(ref, rel=1e-14, abs=0.0)
         for b2 in (0.0, 0.7):
             p = params(b2=b2, k=k)
             dirichlet, pot = fd_energy_terms(f, p)
@@ -712,6 +733,11 @@ def test_streamed_fd_scheme_matches_full_array_reference(spacing, m, rings):
             res = el_residual_2d(f, p)
             assert np.array_equal(res.values, _ref_el_residual(f.values, pg, p))
             assert np.array_equal(res.rings, radial.nodes[1:-1])
+            # the harmonic-map residual, on the field scaled to |Q|^2 = (2/3) s+^2
+            on_sphere = f.values * np.sqrt(p.limit_norm_sq / frob_sq(f.values))[..., None]
+            hm = hm_residual(Field2D(pg, on_sphere), p)
+            assert np.array_equal(hm.values, _ref_hm_residual(on_sphere, pg, p))
+            assert np.array_equal(hm.rings, radial.nodes[1:-1])
 
 
 def _materialised_cases():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from qdefect import (
     uniaxial_escape_components,
 )
 from qdefect.harmonic import explicit_arrays
-from qdefect.field import random_perturbation, _coords, _GaussRings, _RingSums
+from qdefect.field import random_perturbation, _coords, _GaussRings, _RingSums, _ring_blocks
 from qdefect.grid import GAUSS_XI
 from qdefect.tensor import (
     biaxiality,
@@ -212,6 +214,18 @@ def test_e0_infinite_sentinel_and_strict_error():
     assert good.finite and good.value > 0.0
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("component", ["u", "v"])
+def test_e0_non_finite_sample_is_infinite(entry, component):
+    p = limit_params()
+    grid = RadialGrid.uniform(p.R, 64)
+    prof = explicit_profile(Branch.MINUS, p, grid)
+    getattr(prof, component)[17] = entry
+    res = e0_energy(prof, p)
+    assert not res.finite and res.value is None
+    assert not res.max_deviation <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet energies of the explicit solutions
 # ---------------------------------------------------------------------------
@@ -347,6 +361,34 @@ def test_hm_residual_constraint_enforced():
         hm_residual(bad, p)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("ring", [0, 1, 40, 64])
+def test_hm_residual_non_finite_sample_violates_constraint(entry, ring):
+    p = limit_params()
+    grid = RadialGrid.uniform(p.R, 64)
+    pg = PolarGrid(grid, 64)
+    field = lift(explicit_profile(Branch.MINUS, p, grid), p.k, pg)
+    field.values[ring, 5, 2] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any stencil sees the sample
+        with pytest.raises(ConstraintViolated) as info:
+            hm_residual(field, p)
+    assert not info.value.max_deviation <= 1e-8
+
+
+def test_hm_residual_working_memory_stays_below_one_and_a_half_fields():
+    p = limit_params(k=2)
+    grid = RadialGrid.uniform(p.R, 512)
+    field = lift(explicit_profile(Branch.MINUS, p, grid), p.k, PolarGrid(grid, 512))
+    tracemalloc.start()
+    try:
+        hm_residual(field, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * field.values.nbytes
+
+
 def test_hm_residual_from_sampler_matches_field():
     p = limit_params(k=2)
     grid = RadialGrid.uniform(p.R, 64)
@@ -373,7 +415,8 @@ def test_minus_branch_minimality_surrogate(rng):
     for seed in range(20):
         pert = random_perturbation(pg, seed=seed, norm=1.0).values
         sums = _RingSums(kern.n)
-        kern.stream(lambda lo, hi, top: kern.add(sums, lo, hi, _coords(pert[lo:top])))
+        for lo, hi in _ring_blocks(pg.m, 0, kern.n):
+            kern.add(sums, lo, hi, _coords(pert[lo:min(hi + 1, kern.n)]))
         dir_term = kern.dirichlet(sums.rad, sums.dphi, sums.dphi_cross)
         total = dir_term + kern.integrate(sums.nodes, sums.cross, weight)
         assert total >= -1e-10
