@@ -197,9 +197,12 @@ def e0_energy(p, params: ModelParams) -> E0Result:
     Accepts a :class:`~qdefect.reduced.Profile` (checked against the
     constraint ``u^2 + v^2 = (2/3) s_plus^2`` to 1e-8 relative) or a
     :class:`PsiProfile` (constraint built in).  Constraint violations,
-    non-finite samples among them, yield the infinite sentinel.
+    non-finite samples among them, yield the infinite sentinel; a
+    non-finite angle reports a NaN deviation, as its ``sin^2 + cos^2`` is.
     """
     if isinstance(p, PsiProfile):  # the Dirichlet sum of (psi, 0) with u = sin(psi)
+        if not np.all(np.isfinite(p.psi)):
+            return E0Result(finite=False, value=None, max_deviation=math.nan)
         q = _P1Gauss(p.grid, params.k)
         dpsi = np.diff(p.psi) / q.h
         sg = np.sin(q.at_gauss(p.psi))

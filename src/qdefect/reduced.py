@@ -92,9 +92,10 @@ def apply_boundary(profile: Profile, params: ModelParams) -> Profile:
 
 
 def csv_text(header: str, columns) -> str:
-    """CSV text of float columns under ``header``, shortest round-trip decimals."""
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    """CSV text of float columns under ``header``, shortest round-trip
+    decimals; each column is formatted whole, then the columns are zipped."""
+    cells = [list(map(repr, np.asarray(col, dtype=float).tolist())) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -118,13 +119,15 @@ def read_profile_csv(path) -> Profile:
             raw = fh.read()
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"non-ASCII byte {exc.object[exc.start:exc.start + 1]!r}") from None
-    lines = [ln for ln in raw.split("\n") if ln.strip() != ""]
+    # (line number in the file, text) of the non-blank lines
+    lines = [(no, ln) for no, ln in enumerate(raw.split("\n"), start=1) if ln.strip() != ""]
     if not lines:
         raise CsvFormatError("empty profile file", line=0)
-    if [c.strip() for c in lines[0].split(",")] != ["r", "u", "v"]:
-        raise CsvFormatError(f"expected header 'r,u,v', got {lines[0]!r}", line=1)
+    header_no, header = lines[0]
+    if [c.strip() for c in header.split(",")] != ["r", "u", "v"]:
+        raise CsvFormatError(f"expected header 'r,u,v', got {header!r}", line=header_no)
     rows = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise CsvFormatError(f"expected 3 columns, got {len(parts)}", line=ln_no)
@@ -135,11 +138,12 @@ def read_profile_csv(path) -> Profile:
         if not all(math.isfinite(x) for x in row):
             raise CsvFormatError(f"non-finite value in {ln.strip()!r}", line=ln_no)
         rows.append(row)
-    data = np.array(rows, dtype=float)
+    data = np.array(rows, dtype=float).reshape(-1, 3)  # a header alone gives no rows
     try:
         grid = RadialGrid(data[:, 0])
     except GridError as exc:
-        raise CsvFormatError(f"bad radius column: {exc}", line=2) from None
+        first = lines[1][0] if len(lines) > 1 else 0  # the radius column starts there
+        raise CsvFormatError(f"bad radius column: {exc}", line=first) from None
     return Profile(grid, data[:, 1], data[:, 2])
 
 

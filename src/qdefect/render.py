@@ -40,7 +40,7 @@ def biaxiality_colors(beta: np.ndarray) -> list[str]:
 
     Each value is clipped to [0, 1] and interpolated on the segment
     ``(x0, x1]`` that holds it, rounded half to even; NaN gets the last
-    stop's colour.
+    stop's colour.  Each distinct colour is formatted once.
     """
     b = np.nan_to_num(np.clip(beta, 0.0, 1.0), nan=1.0)
     seg = np.searchsorted(_STOP_X[1:-1], b)
@@ -49,7 +49,9 @@ def biaxiality_colors(beta: np.ndarray) -> list[str]:
     c0 = _STOP_RGB[seg]
     rgb = np.rint(c0 + t[:, None] * (_STOP_RGB[seg + 1] - c0)).astype(np.int64)
     code = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
-    return ["#%06x" % c for c in code.tolist()]
+    distinct, index = np.unique(code, return_inverse=True)
+    names = np.array(["#%06x" % c for c in distinct.tolist()], dtype=object)
+    return names[index].tolist()
 
 
 @dataclass
@@ -120,17 +122,18 @@ def glyph_svg(profile: Profile, k: int, spec: RenderSpec) -> str:
         length = cell * gap / gap_max
         d = np.where((leading == 2)[:, None], n, n_perp) * (length / 2.0)[:, None]
         dot = (leading == 0) | (length < 0.05 * cell)
+        dot_r, stroke_w = f"{0.12 * cell:.3f}", f"{0.16 * cell:.3f}"
         for xi, yi, (dxi, dyi), is_dot, color in zip(x, y, d.tolist(), dot.tolist(), colors):
             if is_dot:
                 parts.append(
                     f'<circle class="glyph-dot" cx="{xi:.3f}" cy="{yi:.3f}" '
-                    f'r="{0.12 * cell:.3f}" fill="{color}"/>\n'
+                    f'r="{dot_r}" fill="{color}"/>\n'
                 )
             else:
                 parts.append(
                     f'<line class="glyph" x1="{xi - dxi:.3f}" y1="{yi + dyi:.3f}" '
                     f'x2="{xi + dxi:.3f}" y2="{yi - dyi:.3f}" '
-                    f'stroke="{color}" stroke-width="{0.16 * cell:.3f}" '
+                    f'stroke="{color}" stroke-width="{stroke_w}" '
                     'stroke-linecap="round"/>\n'
                 )
     else:
@@ -211,8 +214,11 @@ def eigenvalue_chart_svg(profile: Profile, size: int = 640, title: str = "") -> 
         f'<text x="{(ml + w - mr) / 2:.0f}" y="{h - 8}" text-anchor="middle" '
         'font-family="sans-serif" font-size="12">r</text>\n'
     )
+    # whole columns: each x once for the three curves, each y once
+    xs = [f"{x:.2f}" for x in sx(r).tolist()]
     for idx in range(3):
-        pts = " ".join(f"{sx(rv):.2f},{sy(val):.2f}" for rv, val in zip(r, lam[:, idx]))
+        ys = [f"{y:.2f}" for y in sy(lam[:, idx]).tolist()]
+        pts = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
         parts.append(
             f'<polyline class="eigencurve" id="{names[idx]}" points="{pts}" '
             f'fill="none" stroke="{colors[idx]}" stroke-width="1.6"/>\n'

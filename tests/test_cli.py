@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -19,7 +21,7 @@ import qdefect
 from qdefect import (
     CsvFormatError, NonConvergence, Profile, RadialGrid, read_profile_csv, write_profile_csv,
 )
-from qdefect.cli import _OPTIONS, _json_text, main
+from qdefect.cli import _COMMANDS, _OPTIONS, _json_text, build_parser, main
 from qdefect.field import fd_energy_terms
 
 
@@ -790,3 +792,91 @@ def test_python_m_qdefect_matches_the_in_process_cli(tmp_path, capsys):
     assert len(written) == 5
     for name in written:
         assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "inproc" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# parser: the invoked command's options only, read as the full parser reads
+# ---------------------------------------------------------------------------
+
+def _readme_argvs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [
+        shlex.split(line)[1:]
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("qdefect ")
+    ]
+
+
+def test_readme_lists_every_command():
+    assert sorted({argv[0] for argv in _readme_argvs()}) == sorted(name for name, _, _ in _COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_argvs(), ids=lambda argv: " ".join(argv))
+def test_readme_argv_parses_alike_under_the_per_command_parser(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_per_command_parser_adds_only_the_invoked_commands_options():
+    def option_dests(parser):
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return {name: {a.dest for a in p._actions} - {"help"} for name, p in subs.choices.items()}
+
+    full = option_dests(build_parser())
+    for name, _, _ in _COMMANDS:
+        own = option_dests(build_parser(name))
+        assert own[name] == full[name] == {"config", *(row[0] for row in _OPTIONS if name in row[3])}
+        assert all(not dests for other, dests in own.items() if other != name)
+    assert option_dests(build_parser("bogus")) == full
+
+
+def _parse_outcome(parse, argv):
+    """``(exit code, stdout, stderr)`` of a parse that ends in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+_EXITING_ARGVS = [
+    ([], 2),
+    (["--help"], 0),
+    (["bogus"], 2),
+    (["bogus", "--k", "1"], 2),
+    (["--k", "1"], 2),
+    *[([name, "--help"], 0) for name, _, _ in _COMMANDS],
+    *[([name, "--bogus", "1"], 2) for name, _, _ in _COMMANDS],
+    *[([name, "--k"], 2) for name, _, _ in _COMMANDS],
+    (["solve", "--m", "64"], 2),
+    (["render", "--style", "blob"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", _EXITING_ARGVS, ids=[" ".join(argv) or "no-args" for argv, _ in _EXITING_ARGVS]
+)
+def test_help_and_usage_errors_match_the_full_parser(argv, code):
+    got = _parse_outcome(main, argv)
+    assert got == _parse_outcome(lambda a: build_parser().parse_args(a), argv)
+    assert got[0] == code
+    assert (got[1] if code == 0 else got[2]).startswith("usage: qdefect")
+
+
+def test_main_builds_the_parser_of_the_command_it_runs(monkeypatch):
+    import qdefect.cli as cli
+
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    for argv in (["energy", "--help"], ["--help"], []):
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    monkeypatch.setattr(sys, "argv", ["qdefect", "limit", "--help"])
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()):
+        main()
+    assert built == ["energy", "--help", None, "limit"]

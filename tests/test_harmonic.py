@@ -226,6 +226,19 @@ def test_e0_non_finite_sample_is_infinite(entry, component):
     assert not res.max_deviation <= 1e-8
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("node", [0, 17, 64])
+def test_e0_non_finite_angle_is_infinite(entry, node):
+    p = limit_params()
+    psi = psi_of_branch(Branch.MINUS, p, RadialGrid.uniform(p.R, 64))
+    psi.psi[node] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        res = e0_energy(psi, p)
+    assert not res.finite and res.value is None
+    assert math.isnan(res.max_deviation)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet energies of the explicit solutions
 # ---------------------------------------------------------------------------

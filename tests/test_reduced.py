@@ -28,7 +28,7 @@ from qdefect import (
     write_profile_csv,
 )
 from qdefect.harmonic import explicit_arrays
-from qdefect.reduced import _FREE
+from qdefect.reduced import _FREE, csv_text
 
 SQRT6 = math.sqrt(6.0)
 
@@ -941,6 +941,54 @@ def test_read_profile_csv_rejects_non_finite(tmp_path):
         with pytest.raises(CsvFormatError) as info:
             read_profile_csv(path)
         assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # blank lines 2 and 4, a bad cell on line 5
+        ("r,u,v\n\n0.0,0.0,-0.4\n\n0.5,x,-0.4\n", 5),
+        # blank lines before the header count too
+        ("\n\nr,u,v\n0.0,0.0,-0.4\n0.5,nan,-0.4\n", 5),
+        ("\n \nr,u,w\n0.0,0.0,-0.4\n", 3),
+        ("\t\nr,u,v\n0.0,0.0\n\n0.5,x,-0.4\n", 3),  # the first failing line wins
+        ("r,u,v\n\n\n0.5,0.1,-0.4\n0.0,0.0,-0.4\n", 4),  # the radius column starts on 4
+        ("r,u,v\n\n", 0),  # a header alone has no radius column
+    ],
+    ids=["blank-2-4", "blank-before-header", "bad-header", "first-wins", "bad-radius", "no-rows"],
+)
+def test_read_profile_csv_numbers_the_files_own_lines(tmp_path, text, line):
+    with pytest.raises(CsvFormatError) as info:
+        read_profile_csv(_write_csv(tmp_path, text))
+    assert info.value.line == line
+
+
+def _per_row_csv_text(header, columns):
+    """``csv_text`` as it was: each row joined through a generator."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1e-300]),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n_cols=st.integers(1, 4),
+    n_rows=st.integers(0, 40),
+    data=st.data(),
+)
+def test_csv_text_is_byte_identical_to_per_row_formatting(n_cols, n_rows, data):
+    columns = [
+        data.draw(st.lists(_CSV_FLOATS, min_size=n_rows, max_size=n_rows), label=f"col{j}")
+        for j in range(n_cols)
+    ]
+    header = ",".join(f"c{j}" for j in range(n_cols))
+    assert csv_text(header, columns) == _per_row_csv_text(header, columns)
+    assert csv_text(header, [np.array(c) for c in columns]) == _per_row_csv_text(header, columns)
 
 
 def test_minimize_nonconvergence_reports_best_iterate():

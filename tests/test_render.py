@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -17,8 +18,10 @@ from qdefect import (
     glyph_svg,
     minimize,
 )
-from qdefect.render import _COLOR_STOPS, biaxiality_colors
-from qdefect.tensor import biaxiality, eigen3, frob_sq, trace_cubed
+from qdefect.render import _COLOR_STOPS, SVG_HEADER, biaxiality_colors
+from qdefect.tensor import (
+    ansatz_biaxiality, ansatz_eigenvalues, biaxiality, eigen3, frob_sq, trace_cubed,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -187,6 +190,7 @@ def test_biaxiality_colors_match_the_scalar_ramp(rng):
         colors = biaxiality_colors(values)
     assert colors == [biaxiality_color(b) for b in values.tolist()]
     assert colors[7] == colors[5] == "#b2182b"  # NaN keeps the last stop's colour
+    assert biaxiality_colors(np.array([])) == []
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +319,143 @@ def test_glyphs_match_eigen3_reference():
                 )
                 assert np.all(dist.min(axis=0) < tol), (name, style)
                 assert np.all(dist.min(axis=1) < tol), (name, style)
+
+
+# ---------------------------------------------------------------------------
+# byte identity: the glyph lattice and the chart against per-glyph and
+# per-point formatting
+# ---------------------------------------------------------------------------
+
+def _per_glyph_colors(beta):
+    """``biaxiality_colors`` as it was: one ``#rrggbb`` format per glyph."""
+    stop_x = np.array([x for x, _ in _COLOR_STOPS])
+    stop_rgb = np.array([c for _, c in _COLOR_STOPS], dtype=float)
+    b = np.nan_to_num(np.clip(beta, 0.0, 1.0), nan=1.0)
+    seg = np.searchsorted(stop_x[1:-1], b)
+    x0 = stop_x[seg]
+    t = (b - x0) / (stop_x[seg + 1] - x0)
+    c0 = stop_rgb[seg]
+    rgb = np.rint(c0 + t[:, None] * (stop_rgb[seg + 1] - c0)).astype(np.int64)
+    code = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    return ["#%06x" % c for c in code.tolist()]
+
+
+def _per_glyph_svg(profile, k, spec):
+    """``glyph_svg`` as it was: colour, rod width and dot radius formatted
+    per glyph."""
+    size = spec.size
+    cx = cy = size / 2.0
+    radius = profile.grid.radius
+    px_scale = 0.45 * size / radius
+    m = 4 * spec.density
+    r = np.repeat(radius * np.arange(spec.density + 1) / spec.density, m)[m - 1:]
+    phi = np.concatenate([[0.0], np.tile(2.0 * np.pi * np.arange(m) / m, spec.density)])
+    u = np.interp(r, profile.grid.nodes, profile.u)
+    v = np.interp(r, profile.grid.nodes, profile.v)
+    frame_lam = ansatz_eigenvalues(u, v)
+    lam = np.sort(frame_lam, axis=-1)
+    gap = lam[:, 2] - lam[:, 1]
+    gap_max = float(np.max(gap)) or 1.0
+    shift = spec.shift if spec.shift is not None else 1.1 * abs(float(np.min(lam[:, 0])))
+    lam_span = float(np.max(lam[:, 2])) + shift or 1.0
+    cell = 0.9 * size / (2.0 * spec.density + 1)
+    colors = _per_glyph_colors(ansatz_biaxiality(u, v))
+    x = (cx + r * np.cos(phi) * px_scale).tolist()
+    y = (cy - r * np.sin(phi) * px_scale).tolist()
+    n = np.stack([np.cos(0.5 * k * phi), np.sin(0.5 * k * phi)], axis=-1)
+    n_perp = np.stack([-n[:, 1], n[:, 0]], axis=-1)
+    for a in (n, n_perp):
+        a *= np.sign(np.where(np.abs(a[:, 0]) >= np.abs(a[:, 1]), a[:, 0], a[:, 1]))[:, None]
+    parts = [SVG_HEADER.format(w=size, h=size)]
+    parts.append(
+        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius * px_scale:.2f}" '
+        'fill="none" stroke="#888888" stroke-width="1"/>\n'
+    )
+    if spec.style == "rod":
+        leading = np.argmax(frame_lam, axis=-1)
+        length = cell * gap / gap_max
+        d = np.where((leading == 2)[:, None], n, n_perp) * (length / 2.0)[:, None]
+        dot = (leading == 0) | (length < 0.05 * cell)
+        for xi, yi, (dxi, dyi), is_dot, color in zip(x, y, d.tolist(), dot.tolist(), colors):
+            if is_dot:
+                parts.append(
+                    f'<circle class="glyph-dot" cx="{xi:.3f}" cy="{yi:.3f}" '
+                    f'r="{0.12 * cell:.3f}" fill="{color}"/>\n'
+                )
+            else:
+                parts.append(
+                    f'<line class="glyph" x1="{xi - dxi:.3f}" y1="{yi + dyi:.3f}" '
+                    f'x2="{xi + dxi:.3f}" y2="{yi - dyi:.3f}" '
+                    f'stroke="{color}" stroke-width="{0.16 * cell:.3f}" '
+                    'stroke-linecap="round"/>\n'
+                )
+    else:
+        sides = frame_lam[:, 1:] + shift
+        wa = cell * sides[:, 1] / lam_span
+        wb = cell * sides[:, 0] / lam_span
+        ang = -np.degrees(np.arctan2(n[:, 1], n[:, 0]))
+        for xi, yi, wai, wbi, angi, color in zip(
+            x, y, wa.tolist(), wb.tolist(), ang.tolist(), colors
+        ):
+            parts.append(
+                f'<rect class="glyph-box" x="{-wai / 2:.3f}" y="{-wbi / 2:.3f}" '
+                f'width="{wai:.3f}" height="{wbi:.3f}" fill="{color}" '
+                f'fill-opacity="0.85" stroke="#333333" stroke-width="0.5" '
+                f'transform="translate({xi:.3f} {yi:.3f}) rotate({angi:.3f})"/>\n'
+            )
+    parts.append("</svg>\n")
+    return "".join(parts)
+
+
+def _per_point_polylines(profile, size):
+    """The chart's three ``points`` attributes as they were: ``sx``/``sy``
+    on one numpy scalar per point."""
+    r = profile.grid.nodes
+    lam = ansatz_eigenvalues(profile.u, profile.v)
+    w, h = size, int(size * 0.75)
+    ml, mr, mt, mb = 60, 20, 30, 45
+    lam_min = float(np.min(lam))
+    lam_max = float(np.max(lam))
+    pad = 0.08 * (lam_max - lam_min or 1.0)
+    lo, hi = lam_min - pad, lam_max + pad
+
+    def sx(rv):
+        return ml + (rv / r[-1]) * (w - ml - mr)
+
+    def sy(val):
+        return mt + (hi - val) / (hi - lo) * (h - mt - mb)
+
+    return [
+        " ".join(f"{sx(rv):.2f},{sy(val):.2f}" for rv, val in zip(r, lam[:, idx]))
+        for idx in range(3)
+    ]
+
+
+def _assert_same_text(got, want, name):
+    """``got == want``, reporting the first differing line instead of a
+    diff of two whole SVGs."""
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        line, a, b = next(((i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b), (0, "", ""))
+        pytest.fail(f"{name}: line {line} differs:\n  got  {a}\n  want {b}")
+
+
+@pytest.fixture(scope="module")
+def oracle_profiles():
+    return list(_oracle_cases())
+
+
+@pytest.mark.parametrize("density", [4, 16, 64])
+@pytest.mark.parametrize("style", ["rod", "box"])
+def test_glyph_svg_is_byte_identical_to_per_glyph_formatting(oracle_profiles, density, style):
+    spec = RenderSpec(style=style, density=density)
+    for name, p, prof in oracle_profiles:
+        _assert_same_text(glyph_svg(prof, p.k, spec), _per_glyph_svg(prof, p.k, spec), name)
+
+
+@pytest.mark.parametrize("size", [64, 640, 1000])
+def test_eigenvalue_chart_is_byte_identical_to_per_point_formatting(oracle_profiles, size):
+    for name, p, prof in oracle_profiles:
+        got = re.findall(r'points="([^"]*)"', eigenvalue_chart_svg(prof, size=size, title=name))
+        want = _per_point_polylines(prof, size)
+        _assert_same_text("\n".join(got), "\n".join(want), name)
