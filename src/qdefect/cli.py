@@ -11,9 +11,9 @@ checks ``--L`` and discards it, ``render`` never reads ``--L``, and
 variables are consulted, and outputs are written atomically (temp file +
 rename) for reproducible pipelines.
 
-:func:`main` builds a parser per call that registers every command but
-adds options to the invoked one only, so a call pays for its own
-command's options; help and usage errors read as with every option built.
+:func:`main` builds one parser per call, the named command's own or, for
+any other ``argv``, the top-level one of the command names, and hands the
+command one options dict: flags over config-file values over defaults.
 """
 
 from __future__ import annotations
@@ -80,20 +80,24 @@ def _write_json(path: str, obj) -> None:
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-_ALL = ("solve", "sweep", "limit", "render", "residual", "energy")
 _SOLVERS = ("solve", "sweep")
+# Size bounds, set so that the largest accepted run of each command peaks
+# under 1 GiB and ends within 30 s: --n and --m, and the (N + 1) x M samples
+# of the field that residual and energy lift from their input profile.
+_MAX_GRID = 65536
+_MAX_SAMPLES = 2**22
 
 # Every option of every command: (key, type or tuple of choices, default, the
-# commands that read it, help).  A command accepts exactly its keys, as
-# ``--key`` flags (``_`` written ``-``) and as config-file keys, and checks
-# both alike.  ``out`` has one row per default.
+# commands that read it or None for all, help).  A command accepts exactly its
+# keys, as ``--key`` flags (``_`` written ``-``) and as config-file keys, and
+# checks both alike.  ``out`` has one row per default.
 _OPTIONS = (
-    ("a2", float, 1.0, _ALL, "bulk coefficient a2 (> 0)"),
-    ("b2", float, 0.0, _ALL, "bulk coefficient b2 (>= 0)"),
-    ("c2", float, 1.0, _ALL, "bulk coefficient c2 (> 0)"),
-    ("L", float, 0.1, _ALL, "elastic constant (> 0)"),
+    ("a2", float, 1.0, None, "bulk coefficient a2 (> 0)"),
+    ("b2", float, 0.0, None, "bulk coefficient b2 (>= 0)"),
+    ("c2", float, 1.0, None, "bulk coefficient c2 (> 0)"),
+    ("L", float, 0.1, None, "elastic constant (> 0)"),
     ("R", float, 1.0, ("solve", "sweep", "limit", "render"), "disk radius"),
-    ("k", int, 1, _ALL, "defect index numerator, nonzero integer"),
+    ("k", int, 1, None, "defect index numerator, nonzero integer"),
     ("n", int, 512, ("solve", "sweep", "limit", "render"), "radial segments (>= 16)"),
     ("m", int, 128, ("limit", "residual", "energy"), "angular samples (even, >= 64)"),
     ("tol", float, 1e-9, _SOLVERS, "projected-gradient tolerance"),
@@ -112,6 +116,11 @@ _OPTIONS = (
     ("b2_list", str, None, ("sweep",), "comma-separated monotone b2 values"),
     ("L_list", str, None, ("sweep",), "comma-separated monotone L values"),
 )
+
+
+def _options(command: str):
+    """The ``_OPTIONS`` rows of ``command``."""
+    return [row for row in _OPTIONS if row[3] is None or command in row[3]]
 
 
 def _config_value(key: str, kind, value, default):
@@ -133,10 +142,10 @@ def _config_value(key: str, kind, value, default):
     raise InvalidParams(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _effective(args: argparse.Namespace) -> dict:
-    """Merge flag values over config-file values over the defaults of the
-    command's options."""
-    options = [row for row in _OPTIONS if args.command in row[3]]
+def _effective(command: str, args: argparse.Namespace) -> dict:
+    """The options dict of ``command``: flag values over config-file values
+    over the defaults, with ``n`` and ``m`` bounded."""
+    options = _options(command)
     cfg = {}
     if args.config:
         try:
@@ -155,6 +164,9 @@ def _effective(args: argparse.Namespace) -> dict:
         if value is None:
             value = _config_value(key, kind, cfg[key], default) if key in cfg else default
         eff[key] = value
+    for key in ("n", "m"):
+        if eff.get(key, 0) > _MAX_GRID:
+            raise InvalidParams(f"{key} = {eff[key]} exceeds the bound {_MAX_GRID}")
     return eff
 
 
@@ -166,14 +178,18 @@ def _model_params(eff: dict, allow_zero_l=False) -> ModelParams:
     return ModelParams(**{key: eff[key] for key in ("a2", "b2", "c2", "L", "R", "k")})
 
 
-def _input_profile(args):
-    """``(eff, profile, params)`` of a command that reads ``--input``; the
+def _input_profile(command: str, eff: dict):
+    """``(profile, params)`` of a command that reads ``--input``; the
     profile fixes the disk radius ``R``."""
-    eff = _effective(args)
     if not eff["input"]:
-        raise InvalidParams(f"{args.command} requires --input profile.csv")
+        raise InvalidParams(f"{command} requires --input profile.csv")
     profile = read_profile_csv(eff["input"])
-    return eff, profile, _model_params({**eff, "R": profile.grid.radius})
+    rings = profile.grid.nodes.size
+    if rings * eff["m"] > _MAX_SAMPLES:
+        raise InvalidParams(
+            f"{rings} rings x m = {eff['m']} exceed the bound of {_MAX_SAMPLES} lifted samples"
+        )
+    return profile, _model_params({**eff, "R": profile.grid.radius})
 
 
 def _grid(eff: dict, params: ModelParams) -> RadialGrid:
@@ -195,8 +211,7 @@ def _init(eff: dict):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args) -> int:
-    eff = _effective(args)
+def cmd_solve(eff: dict) -> int:
     params = _model_params(eff)
     grid = _grid(eff, params)
     out = eff["out"]
@@ -218,8 +233,7 @@ def cmd_solve(args) -> int:
     return status
 
 
-def cmd_limit(args) -> int:
-    eff = _effective(args)
+def cmd_limit(eff: dict) -> int:
     if eff["b2"] != 0.0:
         raise InvalidParams("the limit command requires b2 = 0")
     params = _model_params(eff, allow_zero_l=True).with_updates(L=0.0)
@@ -248,19 +262,25 @@ def cmd_limit(args) -> int:
     return 0
 
 
-def cmd_residual(args) -> int:
-    eff, profile, params = _input_profile(args)
+def cmd_residual(eff: dict) -> int:
+    profile, params = _input_profile("residual", eff)
     out = eff["out"]
 
     res = ode_residual(profile, params)
-    write_text_atomic(f"{out}_residual.csv", csv_text("r,ru,rv", (res.r, res.ru, res.rv)))
-
     pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
     el = field2d.el_residual_2d(lifted, params)
-    norms = el.norms()  # one pass serves the max, the bulk max and the L2 norm
+    if not all(np.isfinite(x).all() for x in (res.ru, res.rv, el.values)):
+        _fail("E_NUMERIC", "the residual overflows the float range")
+        return 1
+    write_text_atomic(f"{out}_residual.csv", csv_text("r,ru,rv", (res.r, res.ru, res.rv)))
+
+    # one pass serves the max, the bulk max and the L2 norm, whose sum of
+    # squares is formed from the scaled norms so that it cannot overflow
+    scaled, e = el.scaled_norms()
+    norms = np.ldexp(scaled, e)
     w = profile.grid.weights[1:-1]
-    l2 = math.sqrt(float(np.sum(w[:, None] * norms**2) * pg.dphi))
+    l2 = math.ldexp(math.sqrt(float(np.sum(w[:, None] * scaled**2) * pg.dphi)), e)
     summary = {
         "ode_max_interior": res.max_interior(),
         "neumann_defect": res.neumann_defect,
@@ -274,8 +294,7 @@ def cmd_residual(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    eff = _effective(args)
+def cmd_render(eff: dict) -> int:
     if bool(eff["branch"]) == bool(eff["input"]):
         raise InvalidParams("render needs exactly one of --branch or --input")
     spec = render.RenderSpec(
@@ -320,8 +339,7 @@ def _sweep_values(raw: str, name: str):
     return vals
 
 
-def cmd_sweep(args) -> int:
-    eff = _effective(args)
+def cmd_sweep(eff: dict) -> int:
     b2_list = _sweep_values(eff["b2_list"], "b2")
     l_list = _sweep_values(eff["L_list"], "L")
     if (b2_list is None) == (l_list is None):
@@ -347,6 +365,7 @@ def cmd_sweep(args) -> int:
         if error is not None:
             failed = True
             record["error"] = str(error)
+            _fail("E_NUMERIC", f"sweep step {sweep_name}={record[sweep_name]!r}: {error}")
         record.update(
             {
                 "converged": error is None,
@@ -364,8 +383,8 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_energy(args) -> int:
-    eff, profile, params = _input_profile(args)
+def cmd_energy(eff: dict) -> int:
+    profile, params = _input_profile("energy", eff)
     pg = PolarGrid(profile.grid, eff["m"])
     lifted = field2d.lift(profile, params.k, pg)
     e0 = harmonic.e0_energy(profile, params)
@@ -388,24 +407,31 @@ def cmd_energy(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = (
-    ("solve", cmd_solve, "minimise the reduced radial energy"),
-    ("limit", cmd_limit, "explicit L -> 0 profiles and energy table"),
-    ("residual", cmd_residual, "ODE and 2D PDE residuals of a profile"),
-    ("render", cmd_render, "SVG glyph lattice and eigenvalue chart"),
-    ("sweep", cmd_sweep, "parameter continuation sweep"),
-    ("energy", cmd_energy, "print energies of a profile"),
-)
+_COMMANDS = {
+    "solve": (cmd_solve, "minimise the reduced radial energy"),
+    "limit": (cmd_limit, "explicit L -> 0 profiles and energy table"),
+    "residual": (cmd_residual, "ODE and 2D PDE residuals of a profile"),
+    "render": (cmd_render, "SVG glyph lattice and eigenvalue chart"),
+    "sweep": (cmd_sweep, "parameter continuation sweep"),
+    "energy": (cmd_energy, "print energies of a profile"),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qdefect`` argument parser.
-
-    Every subcommand is registered, so the top-level help, the usage line
-    and the invalid-choice error never depend on ``command``.  Options are
-    added to the subcommand named ``command`` only; any other value, and
-    ``None``, adds every subcommand's options.
-    """
+    """The one parser of a call: for a command name, that command's own
+    (``--config`` and its options, full names only, so ``solve --m`` is not
+    ``--max-iter``); otherwise the top-level one, the command names with
+    their help texts and no options."""
+    if command in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"qdefect {command}", allow_abbrev=False)
+        parser.add_argument("--config", help="JSON config file; flags override its values")
+        for key, kind, _, _, help_text in _options(command):
+            flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "out" else [])
+            if isinstance(kind, tuple):
+                parser.add_argument(*flags, choices=kind, help=help_text)
+            else:
+                parser.add_argument(*flags, type=kind, help=help_text)
+        return parser
     parser = argparse.ArgumentParser(
         prog="qdefect",
         description=(
@@ -413,34 +439,26 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "Landau-de Gennes Q-tensor model"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    build_all = command not in _ALL
-    for name, func, text in _COMMANDS:
-        # no prefix matching: ``solve --m`` must not pass as ``--max-iter``
-        p = sub.add_parser(name, help=text, allow_abbrev=False)
-        p.set_defaults(func=func)
-        if not (build_all or name == command):
-            continue
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        for key, kind, _, commands, help_text in _OPTIONS:
-            if name in commands:
-                flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "out" else [])
-                if isinstance(kind, tuple):
-                    p.add_argument(*flags, choices=kind, help=help_text)
-                else:
-                    p.add_argument(*flags, type=kind, help=help_text)
+    names = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text) in _COMMANDS.items():
+        names.add_parser(name, help=text)  # for the help listing: no options
     return parser
 
 
 def main(argv=None) -> int:
-    """Run the command named by ``argv[0]`` (default ``sys.argv[1:]``) and
-    return its exit code.  The parser holds only that command's options;
-    it is built per call, as a shell invocation builds it once."""
+    """Run the command named by ``argv[0]`` (default ``sys.argv[1:]``) with
+    the options dict of ``argv[1:]`` and return its exit code; any other
+    ``argv`` gets the top-level help or a usage error."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        parser = build_parser()
+        parser.parse_args(argv)  # prints the help or a usage error and exits,
+        parser.error("the command must come first")  # or passes `-- solve` on newer Pythons
+    args = build_parser(command).parse_args(argv[1:])
     try:
-        return args.func(args)
+        return _COMMANDS[command][0](_effective(command, args))
     except CsvFormatError as exc:
         _fail("E_IO", f"bad input CSV: {exc}")
         return 2

@@ -211,8 +211,24 @@ class ResidualField:
     rings: np.ndarray
     values: np.ndarray
 
+    def scaled_norms(self) -> tuple[np.ndarray, int]:
+        """``(nh, e)``: the Frobenius norms are ``nh * 2**e``.
+
+        ``nh`` is formed ring block by ring block from the values divided by
+        the power of two ``2**e`` at their largest magnitude, as
+        :func:`~qdefect.tensor.ansatz_biaxiality` scales: the division is
+        exact, so no square of a large finite residual overflows and
+        ``nh * 2**e`` keeps the rounding of the unscaled formula.
+        """
+        values = self.values
+        _, e = math.frexp(max(float(np.max(values)), -float(np.min(values))))
+        nh = np.empty(values.shape[:-1])
+        for lo, hi in _ring_blocks(values.shape[1], 0, len(values)):
+            nh[lo:hi] = np.sqrt(tensor.frob_sq(np.ldexp(values[lo:hi], -e)))
+        return nh, e
+
     def norms(self) -> np.ndarray:
-        return np.sqrt(tensor.frob_sq(self.values))
+        return np.ldexp(*self.scaled_norms())
 
     def max_norm(self, r_min: float = 0.0) -> float:
         """Max Frobenius norm over rings with ``r >= r_min``, the cutoff
@@ -234,16 +250,18 @@ def _residual(field: Field2D, lap_scale: float, add_terms) -> ResidualField:
     each read with the one-ring halo of the five-point stencil;
     ``add_terms(out, block, r)`` adds the terms in place to ``out``, which
     holds the scaled Laplacian at the rings ``1..len-2`` of ``block``
-    (radii ``r``).  Working memory is O(block x M) beside the result.
+    (radii ``r``).  Working memory is O(block x M) beside the result.  A
+    sample past the float range is inf, or NaN where two inf terms cancel.
     """
     r = field.grid.radial.nodes
     values = field.values
     res = np.empty((r.size - 2,) + values.shape[1:])
-    for lo, hi in _ring_blocks(field.grid.m, 1, r.size - 1):
-        block, rb = values[lo - 1:hi + 1], r[lo - 1:hi + 1]
-        out = res[lo - 1:hi - 1]
-        np.multiply(lap_scale, _laplacian(block, rb, field.grid.dphi), out=out)
-        add_terms(out, block, rb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _ring_blocks(field.grid.m, 1, r.size - 1):
+            block, rb = values[lo - 1:hi + 1], r[lo - 1:hi + 1]
+            out = res[lo - 1:hi - 1]
+            np.multiply(lap_scale, _laplacian(block, rb, field.grid.dphi), out=out)
+            add_terms(out, block, rb)
     return ResidualField(rings=r[1:-1].copy(), values=res)
 
 

@@ -32,9 +32,10 @@ class ModelParams:
         Bulk potential coefficients; ``a2, c2 > 0`` and ``b2 >= 0``, with
         ``s_plus^2`` finite.
     L : float
-        Elastic constant, ``> 0``.  The value ``0`` is accepted as the
-        symbolic harmonic-map limit; operations that need ``L > 0``
-        reject it explicitly.
+        Elastic constant, ``> 0`` with ``1/L`` finite (``L`` at least
+        about ``5.6e-309``).  The value ``0`` is accepted as the symbolic
+        harmonic-map limit; operations that need ``L > 0`` reject it
+        explicitly.
     R : float
         Disk radius, ``0 < R < inf``.  No library solver reads it: the grid
         carries the disk.  The CLI sizes its grids with it, and
@@ -62,6 +63,8 @@ class ModelParams:
             raise InvalidParams(f"b2 must be nonnegative, got {self.b2}")
         if not (self.L >= 0.0 and math.isfinite(self.L)):
             raise InvalidParams(f"L must be >= 0 and finite, got {self.L}")
+        if self.L != 0.0 and 1.0 / float(self.L) == math.inf:
+            raise InvalidParams(f"L = {self.L} is too small: 1/L overflows")
         if not (0.0 < self.R < math.inf):
             raise InvalidParams(f"R must satisfy 0 < R < inf, got {self.R}")
         if not isinstance(self.k, int) or self.k == 0:

@@ -254,7 +254,11 @@ def _energy(q: _P1Gauss, pt: _Point, p: ModelParams) -> float:
     f = pt.t * (0.25 * p.c2 * pt.t - 0.5 * p.a2)
     if p.b2 != 0.0:
         f -= (p.b2 / (3.0 * _SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.uu)
-    return float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu) + np.vdot(q.wg_L(p.L), f))
+    # summed as Python floats: an inf Dirichlet part and a -inf bulk part
+    # give NaN without a RuntimeWarning, as their BLAS sums overflow without one
+    return float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu)) + float(
+        np.vdot(q.wg_L(p.L), f)
+    )
 
 
 def reduced_energy(profile: Profile, params: ModelParams) -> float:
@@ -439,36 +443,38 @@ def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
     ``rv = v'' + v'/r - (v/L)[-a2 - b2 v/sqrt(6) + c2 (u^2+v^2)] - b2 u^2/(sqrt(6) L)``
 
     Boundary consistency of the input is not checked; plugging arbitrary
-    profiles in is allowed (and used for manufactured-solution tests).
+    profiles in is allowed (and used for manufactured-solution tests).  A
+    residual past the float range is inf, or NaN where two inf terms cancel.
     """
     _check_operands(profile, params)
-    r = profile.grid.nodes
-    u = profile.u
-    v = profile.v
-    du1, du2 = three_point_derivatives(u, r)
-    dv1, dv2 = three_point_derivatives(v, r)
-    ri = r[1:-1]
-    ui = u[1:-1]
-    vi = v[1:-1]
-    t = ui * ui + vi * vi
-    k2 = float(params.k * params.k)
-    ru = (
-        du2 + du1 / ri - k2 * ui / (ri * ri)
-        - (ui / params.L) * (-params.a2 + _SQRT23 * params.b2 * vi + params.c2 * t)
-    )
-    rv = (
-        dv2 + dv1 / ri
-        - (vi / params.L) * (-params.a2 - params.b2 * vi / _SQRT6 + params.c2 * t)
-        - params.b2 * ui * ui / (_SQRT6 * params.L)
-    )
-    h0 = r[1] - r[0]
-    h1 = r[2] - r[1]
-    vp0 = (
-        -(2.0 * h0 + h1) / (h0 * (h0 + h1)) * v[0]
-        + (h0 + h1) / (h0 * h1) * v[1]
-        - h0 / (h1 * (h0 + h1)) * v[2]
-    )
-    return OdeResidual(r=ri.copy(), ru=ru, rv=rv, neumann_defect=abs(float(vp0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = profile.grid.nodes
+        u = profile.u
+        v = profile.v
+        du1, du2 = three_point_derivatives(u, r)
+        dv1, dv2 = three_point_derivatives(v, r)
+        ri = r[1:-1]
+        ui = u[1:-1]
+        vi = v[1:-1]
+        t = ui * ui + vi * vi
+        k2 = float(params.k * params.k)
+        ru = (
+            du2 + du1 / ri - k2 * ui / (ri * ri)
+            - (ui / params.L) * (-params.a2 + _SQRT23 * params.b2 * vi + params.c2 * t)
+        )
+        rv = (
+            dv2 + dv1 / ri
+            - (vi / params.L) * (-params.a2 - params.b2 * vi / _SQRT6 + params.c2 * t)
+            - params.b2 * ui * ui / (_SQRT6 * params.L)
+        )
+        h0 = r[1] - r[0]
+        h1 = r[2] - r[1]
+        vp0 = (
+            -(2.0 * h0 + h1) / (h0 * (h0 + h1)) * v[0]
+            + (h0 + h1) / (h0 * h1) * v[1]
+            - h0 / (h1 * (h0 + h1)) * v[2]
+        )
+        return OdeResidual(r=ri.copy(), ru=ru, rv=rv, neumann_defect=abs(float(vp0)))
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +611,11 @@ def _newton(q: _P1Gauss, y, params: ModelParams, tol, max_iter, on_step, kind) -
     work = np.empty((4, 2 * grid.n_segments - 1), order="F")  # _newton_step's band
 
     def grad_and_norm(at):
-        g = _free_gradient(q, at, params)
-        gu, gv = g[:, 0], g[:, 1]
-        # a norm past the float range is inf, which stops the loop below
-        with np.errstate(over="ignore"):
+        # a gradient or norm past the float range is inf (NaN where two inf
+        # terms cancel), which stops the loop below
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _free_gradient(q, at, params)
+            gu, gv = g[:, 0], g[:, 1]
             return g, math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
 
     pt = q.point(y[:, 0], y[:, 1])

@@ -4,11 +4,12 @@ Q-tensors are drawn as rod glyphs aligned with the leading eigenvector
 (length proportional to the spectral gap, colour by biaxiality) or as
 eigenvalue-shifted boxes; the automatic shift keeps every box edge positive
 since a traceless spectrum always contains a negative eigenvalue, and a
-given shift that does not is rejected.
+given shift that does not, or whose box sides overflow, is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,8 @@ def glyph_svg(profile: Profile, k: int, spec: RenderSpec) -> str:
                     'stroke-linecap="round"/>\n'
                 )
     else:
+        if not math.isfinite(cell * float(lam_span)):  # the largest box side would overflow
+            raise InvalidParams(f"box shift {shift} overflows the box sides")
         sides = frame_lam[:, 1:] + shift  # (lam_perp, lam_n) + shift
         if not float(np.min(sides)) > 0.0:
             raise InvalidParams(

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -129,7 +130,7 @@ def _bad_values(kind, default):
 _BAD_OPTIONS = [
     (command, key, *bad)
     for key, kind, default, commands, _ in _OPTIONS
-    for command in commands
+    for command in commands or _COMMANDS
     for bad in _bad_values(kind, default)
 ]
 
@@ -272,6 +273,18 @@ def test_residual_of_solution(tmp_path):
     lines = (tmp_path / "res_residual.csv").read_text().strip().split("\n")
     assert lines[0] == "r,ru,rv"
     assert len(lines) == 128  # interior nodes of a 128-segment grid
+
+
+def test_residual_of_a_huge_residual_has_finite_norms(tmp_path, capsys):
+    # |residual| ~ 1e161: its squares overflow, so the norms and the L2 sum
+    # are formed from values divided by a power of two
+    assert run(tmp_path, "solve", "--k", "1", "--b2", "1e6", "--n", "16", "-o", "b") == 0
+    argv = ("residual", "--input", "b_profile.csv", "--k", "1", "--b2", "1e150", "--L", "0.1")
+    assert run(tmp_path, *argv, "-o", "huge") == 0
+    summary = json.loads((tmp_path / "huge_summary.json").read_text())
+    assert all(isinstance(value, float) and math.isfinite(value) for value in summary.values())
+    assert 1e160 < summary["el2d_max_bulk"] <= summary["el2d_max"] < 1e162
+    assert 1e160 < summary["el2d_l2"] < 1e162
 
 
 def test_residual_bulk_keeps_the_last_ring_when_every_ring_is_in_the_core(tmp_path):
@@ -454,7 +467,9 @@ def test_sweep_failed_step_is_recorded_and_skipped(tmp_path, monkeypatch, capsys
         "--n", "128", "-o", "sw",
     )
     assert code == 1
-    assert "with failures" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "with failures" in out
+    assert err == "[E_NUMERIC] sweep step b2=0.05: injected failure\n"
     records = json.loads((tmp_path / "sw_sweep.json").read_text())["records"]
     assert [r["b2"] for r in records] == [0.0, 0.05, 0.1]
     assert [r["converged"] for r in records] == [True, False, True]
@@ -720,6 +735,137 @@ def test_overflowing_solve_exits_1_promptly(tmp_path):
             assert report["converged"] is False and report["grad_norm"] is None
 
 
+def test_l_with_an_overflowing_inverse_exits_2_before_any_work(tmp_path, capsys):
+    # 1/L = inf: ModelParams rejects such an L, so no solve or lift overflows
+    assert run(tmp_path, "solve", "--k", "1", "--n", "16", "-o", "p") == 0
+    runs = [
+        ("solve", "--k", "2", "--n", "16", "--L", "5e-324"),
+        ("solve", "--k", "2", "--n", "16", "--L", "3e-309"),
+        ("sweep", "--L-list", "1e-320,5e-324", "--k", "1", "--n", "16"),
+        *[(cmd, "--input", "p_profile.csv", "--k", "1", "--L", "5e-324")
+          for cmd in ("residual", "energy")],
+    ]
+    capsys.readouterr()
+    for argv in runs:
+        assert run(tmp_path, *argv, "-o", "tiny") == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("[E_CONFIG]") and "1/L overflows" in err, argv
+    assert not list(tmp_path.glob("tiny*"))
+
+
+def test_lifted_field_past_its_bound_exits_2(tmp_path, capsys):
+    # residual and energy lift the profile's N + 1 rings x m samples
+    grid = RadialGrid.uniform(1.0, 64)
+    write_profile_csv(tmp_path / "p.csv", Profile(grid, 0.5 * grid.nodes, np.full(65, -0.4)))
+    for cmd in ("residual", "energy"):
+        assert run(tmp_path, cmd, "--input", "p.csv", "--m", "64528", "-o", "big") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[E_CONFIG]")
+        assert "65 rings x m = 64528 exceed the bound of 4194304 lifted samples" in err
+    assert not list(tmp_path.glob("big*"))
+
+
+def _all_pairs(factors):
+    """Rows of one value per factor that hold every pair of values of two
+    factors at least once: each row starts from an uncovered pair and takes,
+    factor by factor, the value that covers the most uncovered pairs."""
+    names = list(factors)
+
+    def pair(a, i, b, j):  # ((factor, value index), ...) in factor order
+        return ((a, i), (b, j)) if names.index(a) < names.index(b) else ((b, j), (a, i))
+
+    uncovered = {
+        pair(a, i, b, j)
+        for x, a in enumerate(names) for b in names[x + 1:]
+        for i in range(len(factors[a])) for j in range(len(factors[b]))
+    }
+    rows = []
+    while uncovered:
+        (a, i), (b, j) = min(uncovered)
+        row = {a: i, b: j}
+        for name in names:
+            if name not in row:
+                row[name] = max(range(len(factors[name])), key=lambda v: sum(
+                    pair(name, v, other, w) in uncovered for other, w in row.items()))
+        uncovered -= {pair(a, row[a], b, row[b]) for x, a in enumerate(names) for b in names[x + 1:]}
+        rows.append({name: factors[name][v] for name, v in row.items()})
+    return rows
+
+
+_SPACE = {
+    "command": ("solve", "sweep", "residual", "energy", "limit", "render"),
+    "k": (1, -1, 2, -2, 3, 4, 7, 1000, -1000, 2**62),
+    "b2": (0.0, 0.5, 3.0, 1e6, 1e150),
+    "L": (5e-324, 1e-308, 1e-12, 1e-4, 1e-2, 1.0, 1e300),
+    "a2_c2": ((1e-300, 1.0), (1.0, 1e-300), (1e150, 1e150), (1e-150, 1e150)),
+}
+_SHIFTS = (None, 0.5, 1e308)  # box shifts: auto, small, overflowing
+_SPACE_RUNS = _all_pairs(_SPACE) + [
+    # from a run of the full product: an inf Dirichlet part meets a -inf
+    # bulk part, and L lap Q overflows
+    {"command": "solve", "k": 2**62, "b2": 0.0, "L": 1e-12, "a2_c2": (1.0, 1e-300)},
+    {"command": "residual", "k": 2**62, "b2": 0.0, "L": 1e300, "a2_c2": (1e150, 1e150)},
+]
+
+
+def _space_argv(i, run_):
+    """The argv of one run of the parameter-space test; residual, energy and
+    render with b2 != 0 read the profile of a b2 = 1e6 solve."""
+    cmd, b2 = run_["command"], run_["b2"]
+    a2, c2 = run_["a2_c2"]
+    model = ["--k", str(run_["k"]), "--b2", repr(b2), "--a2", repr(a2), "--c2", repr(c2)]
+    if cmd == "sweep":
+        argv = [cmd, "--L-list", repr(run_["L"]), "--n", "16"]
+    else:
+        argv = [cmd, "--L", repr(run_["L"])]
+    if cmd in ("solve", "limit"):
+        argv += ["--n", "16"]
+    if cmd in ("residual", "energy", "limit"):
+        argv += ["--m", "64"]
+    if cmd in ("residual", "energy"):
+        argv += ["--input", "huge_profile.csv"]
+    if cmd == "render":
+        argv += ["--branch", "minus", "--n", "16"] if b2 == 0.0 else ["--input", "huge_profile.csv"]
+        shift = _SHIFTS[i % len(_SHIFTS)]
+        argv += ["--style", "box"] + ([] if shift is None else ["--shift", repr(shift)])
+    return argv + model + ["-o", f"case{i}"]
+
+
+@pytest.fixture(scope="module")
+def space_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("space")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(d, "solve", "--k", "1", "--b2", "1e6", "--n", "16", "-o", "huge") == 0
+    return d
+
+
+def test_parameter_space_covers_every_value_pairwise():
+    for a, b in ((a, b) for x, a in enumerate(_SPACE) for b in list(_SPACE)[x + 1:]):
+        seen = {(run_[a], run_[b]) for run_ in _SPACE_RUNS}
+        assert len(seen) == len(_SPACE[a]) * len(_SPACE[b]), (a, b)
+    shifts = {_SHIFTS[i % 3] for i, run_ in enumerate(_SPACE_RUNS) if run_["command"] == "render"}
+    assert shifts == set(_SHIFTS)
+
+
+@pytest.mark.parametrize("i", range(len(_SPACE_RUNS)))
+def test_cli_parameter_space_ends_cleanly(space_dir, i):
+    # every accepted flag value ends promptly in success or a tagged error,
+    # with no traceback, no RuntimeWarning and strict JSON only
+    argv = _space_argv(i, _SPACE_RUNS[i])
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(space_dir, *argv)
+    assert time.perf_counter() - start < 2.0, argv
+    assert code == 0 or (code in (1, 2) and "[E_" in err.getvalue()), (argv, code, err.getvalue())
+    texts = [out.getvalue()] if argv[0] in ("residual", "energy") and code == 0 else []
+    texts += [path.read_text() for path in space_dir.glob(f"case{i}_*.json")]
+    for text in texts:
+        json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token} in {argv}"))
+
+
 def test_package_import_leaves_scipy_linalg_to_the_solver():
     # scipy.linalg is most of the import time, and only minimize needs it
     code = (
@@ -762,6 +908,15 @@ _CLI_ARGUMENT_CHECKS = {
     "render-branch-b2": (
         ("render", "--branch", "minus", "--b2", "0.3"), None, "explicit branches require b2 = 0"),
     "sweep-bad-b2-list": (("sweep", "--b2-list", "0,x"), None, "bad b2 list"),
+    # cell * (lam + shift) overflows
+    "render-overflowing-shift": (
+        ("render", "--branch", "minus", "--k", "1", "--n", "16", "--style", "box",
+         "--shift", "1e308"), None, "box shift 1e+308 overflows the box sides"),
+    # just past the size bounds, as a flag and as a config key
+    "solve-n-past-bound": (("solve", "--n", "65537"), None, "n = 65537 exceeds the bound 65536"),
+    "config-n-past-bound": (("render", "--branch", "minus"), {"n": 65537}, "n = 65537 exceeds"),
+    "limit-m-past-bound": (("limit", "--m", "65538"), None, "m = 65538 exceeds the bound 65536"),
+    "config-m-past-bound": (("energy",), {"m": 65538}, "m = 65538 exceeds"),
 }
 
 
@@ -795,8 +950,35 @@ def test_python_m_qdefect_matches_the_in_process_cli(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# parser: the invoked command's options only, read as the full parser reads
+# parser: one per call, read as the every-option parser reads
 # ---------------------------------------------------------------------------
+
+def _every_option_parser():
+    """Reference: one parser with every command as a sub-parser holding its
+    options, as the CLI once built it for every call."""
+    parser = argparse.ArgumentParser(prog="qdefect", description=build_parser().description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key, kind, _, commands, help_text in _OPTIONS:
+            if commands is None or name in commands:
+                flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "out" else [])
+                if isinstance(kind, tuple):
+                    p.add_argument(*flags, choices=kind, help=help_text)
+                else:
+                    p.add_argument(*flags, type=kind, help=help_text)
+    return parser
+
+
+def _sub_parsers(parser):
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _dests(parser):
+    return {a.dest for a in parser._actions} - {"help"}
+
 
 def _readme_argvs():
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -808,25 +990,28 @@ def _readme_argvs():
 
 
 def test_readme_lists_every_command():
-    assert sorted({argv[0] for argv in _readme_argvs()}) == sorted(name for name, _, _ in _COMMANDS)
+    assert sorted({argv[0] for argv in _readme_argvs()}) == sorted(_COMMANDS)
 
 
 @pytest.mark.parametrize("argv", _readme_argvs(), ids=lambda argv: " ".join(argv))
 def test_readme_argv_parses_alike_under_the_per_command_parser(argv):
-    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+    reference = vars(_every_option_parser().parse_args(argv))
+    assert reference.pop("command") == argv[0]
+    assert vars(build_parser(argv[0]).parse_args(argv[1:])) == reference
 
 
 def test_per_command_parser_adds_only_the_invoked_commands_options():
-    def option_dests(parser):
-        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return {name: {a.dest for a in p._actions} - {"help"} for name, p in subs.choices.items()}
-
-    full = option_dests(build_parser())
-    for name, _, _ in _COMMANDS:
-        own = option_dests(build_parser(name))
-        assert own[name] == full[name] == {"config", *(row[0] for row in _OPTIONS if name in row[3])}
-        assert all(not dests for other, dests in own.items() if other != name)
-    assert option_dests(build_parser("bogus")) == full
+    reference = _sub_parsers(_every_option_parser())
+    for name in _COMMANDS:
+        own = build_parser(name)
+        assert own.prog == f"qdefect {name}" and not own.allow_abbrev
+        options = {row[0] for row in _OPTIONS if row[3] is None or name in row[3]}
+        assert _dests(own) == _dests(reference[name]) == {"config", *options}
+    for top in (build_parser(), build_parser("bogus")):  # the names alone, no options
+        assert _dests(top) == {"command"}
+        assert {name: _dests(p) for name, p in _sub_parsers(top).items()} == {
+            name: set() for name in _COMMANDS
+        }
 
 
 def _parse_outcome(parse, argv):
@@ -844,9 +1029,9 @@ _EXITING_ARGVS = [
     (["bogus"], 2),
     (["bogus", "--k", "1"], 2),
     (["--k", "1"], 2),
-    *[([name, "--help"], 0) for name, _, _ in _COMMANDS],
-    *[([name, "--bogus", "1"], 2) for name, _, _ in _COMMANDS],
-    *[([name, "--k"], 2) for name, _, _ in _COMMANDS],
+    *[([name, "--help"], 0) for name in _COMMANDS],
+    *[([name, "--bogus", "1"], 2) for name in _COMMANDS],
+    *[([name, "--k"], 2) for name in _COMMANDS],
     (["solve", "--m", "64"], 2),
     (["render", "--style", "blob"], 2),
 ]
@@ -856,8 +1041,15 @@ _EXITING_ARGVS = [
     "argv, code", _EXITING_ARGVS, ids=[" ".join(argv) or "no-args" for argv, _ in _EXITING_ARGVS]
 )
 def test_help_and_usage_errors_match_the_full_parser(argv, code):
+    reference = _every_option_parser()
+    want = _parse_outcome(reference.parse_args, argv)
+    if argv[:1] and argv[0] in _COMMANDS and "unrecognized arguments" in want[2]:
+        # a flag the command does not know is reported by the command's own parser
+        want = _parse_outcome(_sub_parsers(reference)[argv[0]].parse_args, argv[1:])
+        assert want[2].startswith(f"usage: qdefect {argv[0]} [-h] [--config CONFIG]")
+        assert f"\nqdefect {argv[0]}: error: unrecognized arguments: {argv[1]}" in want[2]
     got = _parse_outcome(main, argv)
-    assert got == _parse_outcome(lambda a: build_parser().parse_args(a), argv)
+    assert got == want
     assert got[0] == code
     assert (got[1] if code == 0 else got[2]).startswith("usage: qdefect")
 
@@ -872,11 +1064,11 @@ def test_main_builds_the_parser_of_the_command_it_runs(monkeypatch):
         return build_parser(command)
 
     monkeypatch.setattr(cli, "build_parser", recording)
-    for argv in (["energy", "--help"], ["--help"], []):
+    for argv in (["energy", "--help"], ["--help"], [], ["bogus", "--k", "1"]):
         with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             main(argv)
     monkeypatch.setattr(sys, "argv", ["qdefect", "limit", "--help"])
     with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()):
         main()
-    assert built == ["energy", "--help", None, "limit"]
+    assert built == ["energy", None, None, None, "limit"]

@@ -26,7 +26,9 @@ from qdefect import (
     reduced_energy,
     second_variation,
 )
-from qdefect.field import _ring_blocks, fd_energy_terms, separable_dirichlet_quadrature
+from qdefect.field import (
+    ResidualField, _ring_blocks, fd_energy_terms, separable_dirichlet_quadrature,
+)
 from qdefect.harmonic import (
     Branch,
     dirichlet_energy_2d,
@@ -181,6 +183,20 @@ def test_el_residual_bulk_cutoff_past_the_last_ring_keeps_the_last_ring(solve_ca
     assert res.max_norm(r_min=2.0 * p.R) == last
     assert res.max_norm(r_min=res.rings[-1]) == last
     assert res.max_norm() == float(np.max(res.norms()))
+
+
+def test_residual_norms_scale_exactly_with_the_values():
+    # the norms come from values divided by a power of two: the unscaled
+    # formula's bits where its squares are finite, and finite norms where
+    # they overflow (2^600) or underflow (2^-600)
+    values = np.random.default_rng(5).standard_normal((7, 64, 5))
+    rings = np.linspace(0.1, 0.9, 7)
+    base = ResidualField(rings, values).norms()
+    assert np.array_equal(base, np.sqrt(frob_sq(values)))
+    for power in (-600, 600, 1000):
+        nh, e = ResidualField(rings, np.ldexp(values, power)).scaled_norms()
+        assert np.array_equal(np.ldexp(nh, e - power), base), power
+    assert ResidualField(rings, np.zeros_like(values)).scaled_norms()[1] == 0
 
 
 def test_el_residual_values_stay_traceless(solve_cache):

@@ -29,6 +29,8 @@ def test_s_plus_b2_one():
         {"L": -0.1},
         {"k": 0},
         {"a2": 1e300, "c2": 1e-300},  # s_plus^2 overflows
+        {"L": 5e-324},  # 1/L overflows
+        {"L": 3e-309},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
@@ -51,3 +53,8 @@ def test_boundary_values_and_updates():
 def test_zero_l_is_symbolic_limit():
     p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.0, R=1.0, k=1)
     assert p.L == 0.0
+
+
+def test_smallest_l_has_a_finite_inverse():
+    p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=1e-308, R=1.0, k=1)
+    assert math.isfinite(1.0 / p.L)
