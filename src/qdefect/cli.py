@@ -396,6 +396,9 @@ def cmd_energy(eff: dict) -> int:
         "e0": e0.value if e0.finite else "infinite",
         "e0_constraint_deviation": e0.max_deviation,
     }
+    if not all(math.isfinite(x) for x in payload.values() if isinstance(x, float)):
+        _fail("E_NUMERIC", "the energy overflows the float range")
+        return 1
     text = _json_text(payload, indent=2)
     print(text)
     if eff["out"] is not None:

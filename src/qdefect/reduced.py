@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -363,6 +364,47 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, p: ModelParams):
     return band[:, _FREE]
 
 
+_FLAPACK = "scipy.linalg._flapack"  # scipy's compiled LAPACK wrappers
+
+
+@cache
+def _lapack_dpbsv():
+    """LAPACK's ``dpbsv`` from scipy's compiled wrappers, resolved once
+    per process.
+
+    The wrappers are one extension module, but ``import scipy.linalg``
+    runs the whole package (some 300 modules, ~25 MB and ~0.2 s) to reach
+    it, and a solve needs nothing else from it.  So, unless some import
+    has loaded it already, the extension file is loaded directly, after
+    the top-level ``scipy`` package (whose ``__init__`` does any platform
+    set-up), and registered under its own name, where a later ``import
+    scipy.linalg`` finds and reuses it.  Where no such file exists, or
+    loading it raises ImportError, ``scipy.linalg.lapack`` supplies the
+    routine.  Either way it is the same compiled routine.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+        from importlib.util import module_from_spec, spec_from_file_location
+
+        stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+        path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
+        if path is not None:
+            loader = ExtensionFileLoader(_FLAPACK, path)
+            try:
+                module = module_from_spec(spec_from_file_location(_FLAPACK, path, loader=loader))
+                loader.exec_module(module)
+            except ImportError:
+                module = None
+            else:
+                sys.modules[_FLAPACK] = module
+    if module is None:
+        from scipy.linalg.lapack import dpbsv
+        return dpbsv
+    return module.dpbsv
+
+
 def _newton_step(lower, shift, rhs, work):
     """Solve ``(H + diag(shift)) x = rhs``, ``H`` in LAPACK's lower band
     storage (:func:`_assemble_hessian_banded`); None where the
@@ -370,15 +412,16 @@ def _newton_step(lower, shift, rhs, work):
     is not finite.
 
     One ``dpbsv`` call factors and solves in lower storage, in place in
-    ``work``, a ``(4, nf)`` Fortran-order array that a solve reuses.
+    ``work``, a ``(4, nf)`` Fortran-order array that a solve reuses.  The
+    routine comes from :func:`_lapack_dpbsv`, which loads scipy's LAPACK
+    extension without the rest of ``scipy.linalg``, and falls back to
+    ``scipy.linalg.lapack`` where the extension file cannot be loaded.
     """
-    # imported here: scipy.linalg is most of the package import time, and
-    # only the solver factors a matrix
-    from scipy.linalg.lapack import dpbsv
-
     work[...] = lower
     work[0] += shift
-    _, x, info = dpbsv(work, rhs, lower=1, overwrite_ab=1)
+    # scipy.linalg.lapack's routine, without the ~0.2 s and ~25 MB import of
+    # scipy.linalg in every process that solves
+    _, x, info = _lapack_dpbsv()(work, rhs, lower=1, overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(x)):
         return None
     return x

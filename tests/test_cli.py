@@ -287,6 +287,21 @@ def test_residual_of_a_huge_residual_has_finite_norms(tmp_path, capsys):
     assert 1e160 < summary["el2d_l2"] < 1e162
 
 
+def test_overflowing_energy_exits_1_as_residual_does(tmp_path, capsys):
+    # the bulk sum / L of a b2 = 1e6 profile overflows at L = 1e-308: no
+    # energy is printed as null, and no file is written
+    assert run(tmp_path, "solve", "--k", "1", "--b2", "1e6", "--n", "16", "-o", "huge") == 0
+    capsys.readouterr()
+    given = ("--input", "huge_profile.csv", "--L", "1e-308", "--k", "1")
+    for cmd, message in (("residual", "the residual overflows"), ("energy", "the energy overflows")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path, cmd, *given, "-o", "out") == 1, cmd
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"[E_NUMERIC] {message} the float range\n", cmd
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["huge_profile.csv", "huge_report.json"]
+
+
 def test_residual_bulk_keeps_the_last_ring_when_every_ring_is_in_the_core(tmp_path):
     # every interior node of this profile lies below 0.05 R
     r = np.append(np.linspace(0.0, 0.016, 16), 1.0)
@@ -866,15 +881,25 @@ def test_cli_parameter_space_ends_cleanly(space_dir, i):
         json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token} in {argv}"))
 
 
-def test_package_import_leaves_scipy_linalg_to_the_solver():
-    # scipy.linalg is most of the import time, and only minimize needs it
+def test_solving_leaves_scipy_linalg_unimported(tmp_path):
+    # scipy.linalg is ~300 modules and ~25 MB; a solve loads only its
+    # LAPACK extension, and importing the package loads none of scipy
     code = (
         "import sys, qdefect, qdefect.cli\n"
+        "assert not any(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
+        "from qdefect import ModelParams, RadialGrid, continuation_in_b2, minimize\n"
+        "p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.05, R=1.0, k=1)\n"
+        "grid = RadialGrid.uniform(1.0, 64)\n"
+        "minimize(p, grid)\n"
+        "continuation_in_b2(p, [0.0, 0.5], grid)\n"
+        "assert qdefect.cli.main(['solve', '--k', '1', '--n', '64', '-o', 'run']) == 0\n"
+        "assert qdefect.cli.main(['sweep', '--L-list', '0.1,0.05', '--n', '64', '-o', 'sw']) == 0\n"
+        "assert 'scipy.linalg._flapack' in sys.modules\n"
         "sys.exit('scipy.linalg' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=30.0, env=env)
+                          timeout=60.0, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

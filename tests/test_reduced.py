@@ -1,6 +1,9 @@
 import math
 import os
+import subprocess
+import sys
 import time
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -331,13 +334,11 @@ def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
     assert np.max(np.abs(err)) <= 1e-6 * np.max(np.abs(_banded_matvec(ab, w)))
 
 
-@pytest.mark.parametrize("k", [1, -2, 3])
-@pytest.mark.parametrize("b2", [0.0, 0.7])
-@pytest.mark.parametrize("n", [64, 2048])
-def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _newton_step, _raw_gradient
+def _newton_case(k, b2, n):
+    """``(lower, rhs, mass_free, lam_unit)`` of a first Newton step from a
+    perturbed ramp: the band of ``H``, the right-hand side, the free node
+    masses and the scale of a shift ``lam``."""
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _raw_gradient
 
     p = params(L=0.01, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, n, k)
@@ -356,9 +357,30 @@ def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
     rhs = -_raw_gradient(q, pt, p).reshape(-1)[_FREE]
     mass_free = _free(grid.node_masses, grid.node_masses)
     lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
+    return lower, rhs, mass_free, lam_unit
+
+
+@pytest.mark.parametrize("k", [1, -2, 3])
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+@pytest.mark.parametrize("n", [64, 2048])
+def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
+    from scipy.linalg import cho_solve_banded, cholesky_banded, lapack
+
+    from qdefect.reduced import _newton_step
+
+    lower, rhs, mass_free, lam_unit = _newton_case(k, b2, n)
     chol = np.zeros((4, 2 * n - 1), order="F")
     for lam in (0.0, 1e-8 * lam_unit, 1e-4 * lam_unit, 1e-1 * lam_unit):
         step = _newton_step(lower, lam * mass_free, rhs, chol)
+        # the same bytes as scipy.linalg.lapack's dpbsv, whichever way the
+        # solver resolved the routine
+        band = lower.copy()
+        band[0] += lam * mass_free
+        _, x, info = lapack.dpbsv(band, rhs, lower=1)
+        if info == 0 and np.all(np.isfinite(x)):
+            assert step.tobytes() == x.tobytes()
+        else:
+            assert step is None
         upper = np.zeros_like(lower)  # the same matrix in upper band storage
         for d in (1, 2, 3):
             upper[3 - d, d:] = lower[d, :-d]
@@ -372,6 +394,92 @@ def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
             # bit-equality depends on the BLAS build, so only closeness is asserted
             assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert step is not None  # the largest shift makes H + lam M definite
+
+
+_NEWTON_CASES = [(k, b2, n) for k in (1, -2, 3) for b2 in (0.0, 0.7) for n in (64, 2048)]
+
+
+def _newton_steps():
+    """``_newton_step``'s solutions as bytes (None where it fails) on every
+    case of :func:`test_newton_step_matches_scipy_banded_cholesky`."""
+    from qdefect.reduced import _newton_step
+
+    steps = []
+    for k, b2, n in _NEWTON_CASES:
+        lower, rhs, mass_free, lam_unit = _newton_case(k, b2, n)
+        work = np.zeros((4, 2 * n - 1), order="F")
+        for lam in (0.0, 1e-8 * lam_unit, 1e-4 * lam_unit, 1e-1 * lam_unit):
+            x = _newton_step(lower, lam * mass_free, rhs, work)
+            steps.append(None if x is None else x.tobytes())
+    return steps
+
+
+def test_lapack_resolver_loads_the_extension_or_falls_back(monkeypatch, tmp_path):
+    import scipy
+    from scipy.linalg import lapack
+
+    import qdefect.reduced as reduced
+
+    resolve = reduced._lapack_dpbsv.__wrapped__  # uncached
+    assert resolve() is lapack.dpbsv  # already loaded: the routine scipy.linalg uses
+    expected = _newton_steps()
+
+    def steps_with(dpbsv):
+        with monkeypatch.context() as m:
+            m.setattr(reduced, "_lapack_dpbsv", lambda: dpbsv)
+            return _newton_steps()
+
+    monkeypatch.delitem(sys.modules, reduced._FLAPACK)
+    loaded = resolve()  # the extension file, loaded directly and registered
+    assert sys.modules[reduced._FLAPACK].dpbsv is loaded
+    assert steps_with(loaded) == expected
+    # no extension file where scipy's path points, then a file that is no
+    # extension module: both fall back to scipy.linalg.lapack
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    for bad_file in (False, True):
+        if bad_file:
+            (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+            (tmp_path / "scipy" / "linalg" / ("_flapack" + EXTENSION_SUFFIXES[0])).write_bytes(b"x")
+        monkeypatch.delitem(sys.modules, reduced._FLAPACK, raising=False)
+        assert resolve() is lapack.dpbsv
+        assert reduced._FLAPACK not in sys.modules
+        assert steps_with(lapack.dpbsv) == expected
+
+
+_IMPORT_ORDER_SCRIPT = """
+import sys
+import numpy as np
+{first}
+from qdefect import ModelParams, RadialGrid, minimize
+p = ModelParams(a2=1.0, b2=0.7, c2=1.0, L=0.01, R=1.0, k=-2)
+profile, report = minimize(p, RadialGrid.for_defect(1.0, 256, -2))
+assert ("scipy.linalg" in sys.modules) == {linalg_first}
+import scipy.linalg
+assert scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"]
+# scipy.linalg's own use of the extension: the banded Cholesky factor of
+# tridiag(-1, 4, -1) in upper storage, against numpy's dense one
+band = np.array([[0.0, -1.0, -1.0, -1.0], [4.0, 4.0, 4.0, 4.0]])
+dense = np.diag([4.0] * 4) - np.diag([1.0] * 3, 1) - np.diag([1.0] * 3, -1)
+chol = scipy.linalg.cholesky_banded(band)
+assert np.allclose(chol[1], np.diag(np.linalg.cholesky(dense)), rtol=1e-14, atol=0)
+print(profile.u.tobytes().hex(), profile.v.tobytes().hex(), report.energy.hex())
+"""
+
+
+def test_solver_and_scipy_linalg_agree_in_either_import_order():
+    # solver first: it loads the LAPACK extension that scipy.linalg then
+    # reuses; scipy.linalg first: the solver takes the loaded extension
+    import qdefect.reduced as reduced
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(reduced.__file__))}
+    outputs = []
+    for first, linalg_first in (("", False), ("import scipy.linalg", True)):
+        code = _IMPORT_ORDER_SCRIPT.format(first=first, linalg_first=linalg_first)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60.0, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("k", [1, -2, 3])
