@@ -7,8 +7,8 @@ energy/residual/stability checks, and an SVG renderer behind the
 ``qdefect`` command-line tool.
 
 Every layer handles a tensor, or a whole field of them, as an array of its
-five independent components ``(..., 5)`` (see :mod:`qdefect.tensor`); that
-is the package's one tensor representation.
+five coordinates ``(..., 5)`` in one orthonormal basis (see
+:mod:`qdefect.tensor`); that is the package's one tensor representation.
 """
 
 from .errors import (

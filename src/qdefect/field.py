@@ -43,12 +43,12 @@ from .grid import GAUSS_XI, PolarGrid, three_point_derivatives
 from .params import ModelParams
 from .reduced import _HAT_PAIRS, Profile, _P1Gauss, _bulk_mask
 from . import tensor
-from .tensor import F3_COMPONENTS
 
 
 @dataclass
 class Field2D:
-    """Q-tensor samples on a polar grid, components ``(N+1, M, 5)``."""
+    """Q-tensor samples on a polar grid, ``(N+1, M, 5)`` coordinates
+    (:mod:`qdefect.tensor`)."""
 
     grid: PolarGrid
     values: np.ndarray
@@ -291,23 +291,10 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
 # consistent spectral/Gauss scheme
 # ---------------------------------------------------------------------------
 
-# Rows map the components ``(q11, q12, q13, q22, q23)`` to coordinates in which
-# the Frobenius product is Euclidean (an orthonormal basis of the tensors).
-_R15 = math.sqrt(1.5)
-_R2 = math.sqrt(2.0)
-_ORTHONORMAL = np.array([
-    [_R15, 0.0, 0.0, _R15, 0.0],
-    [1.0 / _R2, 0.0, 0.0, -1.0 / _R2, 0.0],
-    [0.0, _R2, 0.0, 0.0, 0.0],
-    [0.0, 0.0, _R2, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0, _R2],
-])
-
-
-def _coords(values: np.ndarray) -> np.ndarray:
-    """Samples ``(rings, M, 5)`` as ``(5, rings, M)`` orthonormal coordinates."""
-    rings, m, _ = values.shape
-    return (_ORTHONORMAL @ values.reshape(-1, 5).T).reshape(5, rings, m)
+def _by_component(values: np.ndarray) -> np.ndarray:
+    """Samples ``(rings, M, 5)`` as a contiguous ``(5, rings, M)`` copy, one
+    coordinate per row block, whose dot products are Frobenius products."""
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
 
 
 def _products(a: np.ndarray, b: np.ndarray | None = None):
@@ -471,7 +458,7 @@ def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
         for lo, hi in _ring_blocks(kern.m, 0, kern.n):
             top = min(hi + 1, kern.n)
             vals = field.values[lo:top]
-            t = kern.add(s, lo, hi, _coords(vals))
+            t = kern.add(s, lo, hi, _by_component(vals))
             pair[:, :, lo:top - 1] = _pair(t, t)
             if params.b2 != 0.0:
                 for g, xi in enumerate(GAUSS_XI):
@@ -526,7 +513,7 @@ def second_variation(
     pv = perturbation.values
     yv = field_y.values
 
-    v = tensor.frob_dot(yv[:, 0, :], F3_COMPONENTS)
+    v = yv[:, 0, 0]  # the F_3 coordinate on the ray phi = 0
     if not np.all(np.isfinite(v)):
         raise InvalidParams("fields must be finite")
     if np.any(v >= -1e-10):
@@ -544,9 +531,9 @@ def second_variation(
         for lo, hi in _ring_blocks(kern.m, 0, kern.n):
             top = min(hi + 1, kern.n)
             peaks.append(_max_abs(pv[lo:top]))
-            q = _coords(pv[lo:top])
+            q = _by_component(pv[lo:top])
             pp = kern.add(p, lo, hi, q)
-            pair[:, :, lo:top - 1] = _pair(pp, _products(_coords(yv[lo:top])))
+            pair[:, :, lo:top - 1] = _pair(pp, _products(_by_component(yv[lo:top])))
             u = q * inv_v[lo:top, None]
             d = u[:, 1:] - u[:, :-1]
             hardy_rad[lo:top - 1] = np.einsum("cij,cij->i", d, d) / kern.h_sq[lo:top - 1]
@@ -607,9 +594,9 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
             top = min(hi + 1, n)
             pv = ypv[lo:top] - yv[lo:top]
             peaks.append(_max_abs(pv))
-            qp = _coords(pv)
+            qp = _by_component(pv)
             del pv  # keeps one block's peak of arrays below a field's size
-            qy = _coords(yv[lo:top])
+            qy = _by_component(yv[lo:top])
             pp, yy = kern.add(p, lo, hi, qp), kern.add(y, lo, hi, qy)
             seg = slice(lo, top - 1)
             pair_y[:, :, seg] = _pair(yy, yy)
@@ -617,7 +604,7 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
             cross = _products(qy, qp)
             s = (pp[0] + 2.0 * cross[0], pp[1] + 2.0 * cross[1])
             pair_s[:, :, seg] = _pair(s, s)
-            ypyp = kern.add(yp, lo, hi, _coords(ypv[lo:top]))
+            ypyp = kern.add(yp, lo, hi, _by_component(ypv[lo:top]))
             pair_yp[:, :, seg] = _pair(ypyp, ypyp)
     with np.errstate(invalid="ignore"):  # inf - inf in the rim shows as NaN
         _require_perturbation(ypv[-1] - yv[-1], peaks)
@@ -637,10 +624,14 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+# Highest angular mode of a perturbation; every PolarGrid has M >= 64, so no
+# mode aliases.
+_MAX_FREQ = 6
+
+
 def random_perturbation(
     grid: PolarGrid,
     seed: int,
-    max_freq: int = 6,
     concentrate: str | None = None,
     norm: float = 1.0,
 ) -> Field2D:
@@ -651,16 +642,17 @@ def random_perturbation(
     single-valued at the origin.  ``concentrate`` selects an envelope
     biased toward the core (``"core"``), the rim (``"boundary"``) or
     neither.  The result is scaled to the requested L2 norm, which must be
-    finite and nonnegative.  ``seed`` must be a nonnegative integer and
-    ``max_freq`` an integer in ``[0, grid.m // 2]``: a higher mode aliases
-    on ``grid.m`` samples.
+    finite and nonnegative, and ``seed`` must be a nonnegative integer.
+    Angular modes run from 0 to 6 (``_MAX_FREQ``), and each of the five
+    orthonormal coordinates is drawn independently, so no direction in the
+    tensor space is preferred.
 
-    Each component is one exact contraction ``sum_m shape_m(r) ang_m(phi)``
+    Each coordinate is one exact contraction ``sum_m shape_m(r) ang_m(phi)``
     of per-mode radial and angular factors, summed in mode order with a
     separate multiply and add (``einsum`` without ``optimize``), so the
     values are bit for bit those of accumulating one outer product per
     mode.  The radial bases ``envelope rho^min(m,2)`` and the ``cos``/``sin``
-    tables are built once per call and shared by the five components.  The
+    tables are built once per call and shared by the five coordinates.  The
     norm's ring sums of ``|Q|^2`` are formed one ring block at a time, and
     its scaling is folded into the one copy to the ``(N+1, M, 5)`` layout;
     each step rounds as the full-array passes did, so the field keeps its
@@ -668,8 +660,6 @@ def random_perturbation(
     """
     if concentrate not in (None, "core", "boundary"):
         raise InvalidParams(f"concentrate must be None, 'core' or 'boundary', got {concentrate!r}")
-    if not (_is_int(max_freq) and 0 <= max_freq <= grid.m // 2):
-        raise InvalidParams(f"max_freq must be an integer in [0, {grid.m // 2}], got {max_freq!r}")
     if not (_is_int(seed) and seed >= 0):
         raise InvalidParams(f"seed must be an integer >= 0, got {seed!r}")
     if not (math.isfinite(norm) and norm >= 0.0):
@@ -686,13 +676,13 @@ def random_perturbation(
     else:
         envelope = np.sin(np.pi * rho)
 
-    modes = range(max_freq + 1)
-    bases = [envelope * rho ** p for p in range(min(max_freq, 2) + 1)]
+    modes = range(_MAX_FREQ + 1)
+    bases = [envelope * rho ** p for p in range(3)]
     cos_m = [np.cos(m * phis) for m in modes]
     sin_m = [np.sin(m * phis) for m in modes]
-    shape = np.empty((max_freq + 1, r.size))  # per-mode radial factors
-    ang = np.empty((max_freq + 1, grid.m))  # per-mode angular factors
-    comps = np.empty((5, r.size, grid.m))  # components first: each is one contraction
+    shape = np.empty((_MAX_FREQ + 1, r.size))  # per-mode radial factors
+    ang = np.empty((_MAX_FREQ + 1, grid.m))  # per-mode angular factors
+    comps = np.empty((5, r.size, grid.m))  # coordinates first: each is one contraction
     for comp in comps:
         for m in modes:
             amp = 1.0 / (1.0 + m * m)

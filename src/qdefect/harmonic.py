@@ -39,10 +39,11 @@ from .field import (
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
 from .reduced import Profile, _dirichlet, _P1Gauss
-from .tensor import F3_COMPONENTS, frame_fn_components, frob_sq
+from .tensor import F3_COMPONENTS, frame_escape_components, frame_fn_components, frob_sq
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
 _SQRT2 = math.sqrt(2.0)
+_SQRT6 = math.sqrt(6.0)
 
 
 class Branch(enum.Enum):
@@ -280,21 +281,19 @@ def dirichlet_energy_2d(
 
 def _escape_factors(rho, phi, k: int, s: float):
     """Factors of the escape field ``s (m x m - I/3) = sum_a f_a(rho) G_a(phi)``,
-    ``m = (planar n(phi), m3)``, ``rho = r / R``: its ``n x n``, ``n-e3`` and
-    ``-I/3`` parts.  ``f`` is ``rho.shape + (3,)``, ``G`` ``(3,) + phi.shape + (5,)``."""
+    ``m = (planar n(phi), m3)``, ``rho = r / R``, on the orthonormal frame
+    ``G = (F_n, escape mode, F_3)``.  With ``m3^2 = 1 - planar^2`` the field is
+    ``s planar^2 (n n - e3 e3) + s planar m3 (n e3 + e3 n) + s (e3 e3 - I/3)``,
+    whose frame coordinates are ``s planar^2 / sqrt(2)``, ``sqrt(2) s planar m3``
+    and ``s (2 - 3 planar^2) / sqrt(6)``.  ``f`` is ``rho.shape + (3,)``, ``G`` ``(3,) + phi.shape + (5,)``."""
     rho_half = rho ** (abs(k) // 2)
     rho_k = rho_half * rho_half
     den = 1.0 + rho_k
     planar, m3 = 2.0 * rho_half / den, (1.0 - rho_k) / den
-    f = np.stack([s * (planar * planar), s * (planar * m3), np.full_like(rho, s)], axis=-1)
-    half = 0.5 * k * phi
-    c, sn = np.cos(half), np.sin(half)
-    z = np.zeros_like(c)
-    g = np.stack([
-        np.stack([c * c, c * sn, z, sn * sn, z], axis=-1),
-        np.stack([z, z, c, z, sn], axis=-1),
-        np.broadcast_to([-1.0 / 3.0, 0.0, 0.0, -1.0 / 3.0, 0.0], c.shape + (5,)),
-    ])
+    p2 = planar * planar
+    f = np.stack([s * p2 / _SQRT2, _SQRT2 * s * planar * m3, s * (2.0 - 3.0 * p2) / _SQRT6], axis=-1)
+    fn = frame_fn_components(phi, k)
+    g = np.stack([fn, frame_escape_components(phi, k), np.broadcast_to(F3_COMPONENTS, fn.shape)])
     return f, g
 
 

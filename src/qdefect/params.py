@@ -43,7 +43,8 @@ class ModelParams:
         by it.
     k : int
         Defect index numerator (the director winds by ``k/2`` turns);
-        any nonzero integer.
+        any nonzero integer with ``|k| <= 2**62``, beyond which ``k^2``
+        leaves the float range or ``k^2 / r^2`` overflows.
     """
 
     a2: float
@@ -67,9 +68,9 @@ class ModelParams:
             raise InvalidParams(f"L = {self.L} is too small: 1/L overflows")
         if not (0.0 < self.R < math.inf):
             raise InvalidParams(f"R must satisfy 0 < R < inf, got {self.R}")
-        if not isinstance(self.k, int) or self.k == 0:
+        if not isinstance(self.k, int) or not 0 < abs(self.k) <= 2**62:
             raise InvalidParams(
-                f"k must be a nonzero integer (k in Z \\ {{0}}), got {self.k!r}"
+                f"k must be a nonzero integer (k in Z \\ {{0}}) with |k| <= 2**62, got {self.k!r}"
             )
         s = equilibrium_order_parameter(self.a2, self.b2, self.c2)
         object.__setattr__(self, "s_plus", s)

@@ -71,8 +71,8 @@ class RenderSpec:
             raise InvalidParams("glyph density must be in [4, 256]")
         if self.shift is not None and not np.isfinite(self.shift):
             raise InvalidParams(f"box shift must be finite, got {self.shift}")
-        if self.size < 64:
-            raise InvalidParams("image size must be at least 64 px")
+        if not 64 <= self.size <= 65536:
+            raise InvalidParams("image size must be in [64, 65536] px")
 
 
 def glyph_svg(profile: Profile, k: int, spec: RenderSpec) -> str:

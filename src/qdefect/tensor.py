@@ -1,20 +1,25 @@
 """Algebra of the Q-tensor state space (3x3 real symmetric traceless).
 
 Component arrays are the package's one tensor representation: a tensor
-is its five independent components in the fixed order
-``(q11, q12, q13, q22, q23)``, and the remaining entry is implied by
-``q33 = -q11 - q22``, so symmetry and tracelessness hold by construction.
-Every helper works on arrays of shape ``(..., 5)``, a single tensor and a
-whole field alike, without materialising 3x3 matrices;
+is its five coordinates in the orthonormal basis
+
+* ``F_3 = sqrt(3/2) (e3 e3 - I/3)``,
+* ``E1 = (e1 e1 - e2 e2) / sqrt(2)``, ``E2 = (e1 e2 + e2 e1) / sqrt(2)``,
+* ``E3 = (e1 e3 + e3 e1) / sqrt(2)``, ``E4 = (e2 e3 + e3 e2) / sqrt(2)``,
+
+in that order, so symmetry and tracelessness hold by construction and the
+Frobenius product ``tr(A B)`` is the dot product of coordinates.  Every
+helper works on arrays of shape ``(..., 5)``, a single tensor and a whole
+field alike, without materialising 3x3 matrices;
 :func:`components_to_matrix` builds them where a matrix is wanted.
 
-The two-mode orthonormal frame used throughout the package is
+The two-mode orthonormal frame used throughout the package is ``F_3`` and
 
-* ``F_n(phi) = sqrt(2) (n x n - I2/2)`` with the planar director
-  ``n = (cos(k phi / 2), sin(k phi / 2), 0)``,
-* ``F_3 = sqrt(3/2) (e3 x e3 - I/3)``,
+* ``F_n(phi) = sqrt(2) (n n - I2/2) = cos(k phi) E1 + sin(k phi) E2`` with
+  the planar director ``n = (cos(k phi / 2), sin(k phi / 2), 0)``;
 
-both unit-norm and mutually orthogonal under the Frobenius product.
+the escape mode ``(n e3 + e3 n) / sqrt(2) = cos(k phi / 2) E3 + sin(k phi / 2) E4``
+completes it on the tensors that tilt ``n`` out of plane.
 """
 
 from __future__ import annotations
@@ -29,38 +34,36 @@ from .params import ModelParams
 _SQRT2 = math.sqrt(2.0)
 _SQRT6 = math.sqrt(6.0)
 
-# F_3 = sqrt(3/2) diag(-1/3, -1/3, 2/3) = diag(-1, -1, 2)/sqrt(6)
-F3_COMPONENTS = np.array([-1.0 / _SQRT6, 0.0, 0.0, -1.0 / _SQRT6, 0.0])
+F3_COMPONENTS = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
 # vectorized component helpers
 # ---------------------------------------------------------------------------
 
+def frob_dot(a, b):
+    """Frobenius inner product ``tr(A B)``: the dot product of the coordinates."""
+    a0, a1, a2, a3, a4 = np.moveaxis(np.asarray(a), -1, 0)
+    b0, b1, b2, b3, b4 = np.moveaxis(np.asarray(b), -1, 0)
+    return a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
+
+
 def frob_sq(c):
     """Squared Frobenius norm ``|Q|^2 = tr(Q^2)`` for components ``(..., 5)``."""
-    c = np.asarray(c)
-    q11, q12, q13, q22, q23 = np.moveaxis(c, -1, 0)
-    q33 = -q11 - q22
-    return q11 * q11 + q22 * q22 + q33 * q33 + 2.0 * (q12 * q12 + q13 * q13 + q23 * q23)
+    return frob_dot(c, c)
 
 
-def frob_dot(a, b):
-    """Frobenius inner product ``tr(A B)`` for component arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    a11, a12, a13, a22, a23 = np.moveaxis(a, -1, 0)
-    b11, b12, b13, b22, b23 = np.moveaxis(b, -1, 0)
-    return (
-        a11 * b11 + a22 * b22 + (a11 + a22) * (b11 + b22)
-        + 2.0 * (a12 * b12 + a13 * b13 + a23 * b23)
-    )
+def _entries(c):
+    """Matrix entries ``(q11, q12, q13, q22, q23, q33)`` of components ``(..., 5)``."""
+    v, x1, x2, x3, x4 = np.moveaxis(np.asarray(c), -1, 0)
+    d = v / _SQRT6
+    p = x1 / _SQRT2
+    return p - d, x2 / _SQRT2, x3 / _SQRT2, -p - d, x4 / _SQRT2, 2.0 * d
 
 
 def trace_cubed(c):
     """``tr(Q^3)``, as ``3 det(Q)`` (the trace vanishes)."""
-    q11, q12, q13, q22, q23 = np.moveaxis(np.asarray(c), -1, 0)
-    q33 = -q11 - q22
+    q11, q12, q13, q22, q23, q33 = _entries(c)
     return 3.0 * (
         q11 * (q22 * q33 - q23 * q23)
         - q12 * (q12 * q33 - q23 * q13)
@@ -69,17 +72,20 @@ def trace_cubed(c):
 
 
 def deviatoric_square(c):
-    """Components of ``Q^2 - |Q|^2/3 I`` (the traceless part of ``Q^2``)."""
-    c = np.asarray(c)
-    q11, q12, q13, q22, q23 = np.moveaxis(c, -1, 0)
-    q33 = -q11 - q22
+    """Components of ``Q^2 - |Q|^2/3 I`` (the traceless part of ``Q^2``).
+
+    The basis is traceless, so the coordinates of ``Q^2`` are those of its
+    traceless part: ``tr(Q^2 E)`` for each basis tensor ``E``.
+    """
+    q11, q12, q13, q22, q23, q33 = _entries(c)
     s11 = q11 * q11 + q12 * q12 + q13 * q13
+    s22 = q12 * q12 + q22 * q22 + q23 * q23
+    s33 = q13 * q13 + q23 * q23 + q33 * q33
     s12 = q11 * q12 + q12 * q22 + q13 * q23
     s13 = q11 * q13 + q12 * q23 + q13 * q33
-    s22 = q12 * q12 + q22 * q22 + q23 * q23
     s23 = q12 * q13 + q22 * q23 + q23 * q33
-    third = (frob_sq(c)) / 3.0
-    return np.stack([s11 - third, s12, s13, s22 - third, s23], axis=-1)
+    diag = [(2.0 * s33 - s11 - s22) / _SQRT6, (s11 - s22) / _SQRT2]
+    return np.stack(diag + [_SQRT2 * s12, _SQRT2 * s13, _SQRT2 * s23], axis=-1)
 
 
 def bulk_density(c, params: ModelParams):
@@ -99,10 +105,8 @@ def bulk_density(c, params: ModelParams):
 
 def components_to_matrix(c):
     """Reconstruct 3x3 matrices from components ``(..., 5) -> (..., 3, 3)``."""
-    c = np.asarray(c)
-    q11, q12, q13, q22, q23 = np.moveaxis(c, -1, 0)
-    q33 = -q11 - q22
-    rows = np.stack(
+    q11, q12, q13, q22, q23, q33 = _entries(c)
+    return np.stack(
         [
             np.stack([q11, q12, q13], axis=-1),
             np.stack([q12, q22, q23], axis=-1),
@@ -110,43 +114,36 @@ def components_to_matrix(c):
         ],
         axis=-2,
     )
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # frames and boundary data
 # ---------------------------------------------------------------------------
 
+def _planar_pair(angle, first: int):
+    """``cos(angle) E_first + sin(angle) E_(first+1)`` for scalar or array ``angle``."""
+    angle = np.asarray(angle, dtype=float)
+    out = np.zeros(angle.shape + (5,))
+    out[..., first] = np.cos(angle)
+    out[..., first + 1] = np.sin(angle)
+    return out
+
+
 def frame_fn_components(phi, k: int):
-    """Components of ``F_n(phi)`` for scalar or array ``phi``."""
-    phi = np.asarray(phi, dtype=float)
-    ck = np.cos(k * phi) / _SQRT2
-    sk = np.sin(k * phi) / _SQRT2
-    z = np.zeros_like(ck)
-    return np.stack([ck, sk, z, -ck, z], axis=-1)
+    """Components of ``F_n(phi) = cos(k phi) E1 + sin(k phi) E2`` for scalar or array ``phi``."""
+    return _planar_pair(k * np.asarray(phi, dtype=float), 1)
+
+
+def frame_escape_components(phi, k: int):
+    """Components of the escape mode ``(n e3 + e3 n) / sqrt(2) = cos(k phi / 2) E3
+    + sin(k phi / 2) E4`` of the planar director ``n(phi)``."""
+    return _planar_pair(0.5 * k * np.asarray(phi, dtype=float), 3)
 
 
 def boundary_tensor_components(phi, params: ModelParams):
-    """Components of the boundary data ``s_plus (n x n - I/3)``.
-
-    The half-angle director winds with the frame, so the value decomposes
-    as ``s_plus (F_n/sqrt(2) - F_3/sqrt(6))``.
-    """
-    phi = np.asarray(phi, dtype=float)
-    half = 0.5 * params.k * phi
-    cn = np.cos(half)
-    sn = np.sin(half)
-    s = params.s_plus
-    return np.stack(
-        [
-            s * (cn * cn - 1.0 / 3.0),
-            s * cn * sn,
-            np.zeros_like(cn),
-            s * (sn * sn - 1.0 / 3.0),
-            np.zeros_like(cn),
-        ],
-        axis=-1,
-    )
+    """Components of the boundary data ``s_plus (n x n - I/3)``, which is
+    ``s_plus (F_n/sqrt(2) - F_3/sqrt(6))`` in the frame."""
+    return ansatz_components(params.boundary_u, params.boundary_v, phi, params.k)
 
 
 # ---------------------------------------------------------------------------

@@ -809,7 +809,7 @@ def _all_pairs(factors):
 
 _SPACE = {
     "command": ("solve", "sweep", "residual", "energy", "limit", "render"),
-    "k": (1, -1, 2, -2, 3, 4, 7, 1000, -1000, 2**62),
+    "k": (1, -1, 2, -2, 3, 4, 7, 1000, -1000, 2**62, 10**150, 10**200),
     "b2": (0.0, 0.5, 3.0, 1e6, 1e150),
     "L": (5e-324, 1e-308, 1e-12, 1e-4, 1e-2, 1.0, 1e300),
     "a2_c2": ((1e-300, 1.0), (1.0, 1e-300), (1e150, 1e150), (1e-150, 1e150)),
@@ -942,6 +942,10 @@ _CLI_ARGUMENT_CHECKS = {
     "config-n-past-bound": (("render", "--branch", "minus"), {"n": 65537}, "n = 65537 exceeds"),
     "limit-m-past-bound": (("limit", "--m", "65538"), None, "m = 65538 exceeds the bound 65536"),
     "config-m-past-bound": (("energy",), {"m": 65538}, "m = 65538 exceeds"),
+    "render-size-past-bound": (
+        ("render", "--branch", "minus", "--k", "1", "--n", "16", "--size", str(10**400)), None,
+        "image size must be in [64, 65536] px"),
+    "config-size-past-bound": (("render", "--branch", "minus"), {"size": 65537}, "image size"),
 }
 
 

@@ -30,7 +30,7 @@ from qdefect import (
     uniaxial_escape_components,
 )
 from qdefect.harmonic import explicit_arrays
-from qdefect.field import random_perturbation, _coords, _GaussRings, _RingSums, _ring_blocks
+from qdefect.field import random_perturbation, _by_component, _GaussRings, _RingSums, _ring_blocks
 from qdefect.grid import GAUSS_XI
 from qdefect.tensor import (
     biaxiality,
@@ -310,6 +310,12 @@ def test_uniaxial_unit_director_and_norm(rng):
     assert np.max(biaxiality(frob_sq(comps), trace_cubed(comps))) < 1e-12
     lam = np.linalg.eigvalsh(components_to_matrix(comps))
     assert np.max(np.abs(lam[:, 0] - lam[:, 1])) < 1e-7
+    # the matrix definition s+ (m m - I/3), m = (planar n(phi), m3), rho^k = (r/R)^4
+    rho_k = (r / p.R) ** 4
+    planar, m3 = 2.0 * (r / p.R) ** 2 / (1.0 + rho_k), (1.0 - rho_k) / (1.0 + rho_k)
+    m = np.stack([planar * np.cos(2.0 * phi), planar * np.sin(2.0 * phi), m3], axis=-1)
+    mm = p.s_plus * (m[:, :, None] * m[:, None, :] - np.eye(3) / 3.0)
+    assert np.max(np.abs(components_to_matrix(comps) - mm)) < 1e-13
 
 
 def test_uniaxial_rejects_odd_k():
@@ -355,9 +361,8 @@ def test_hm_residual_constant_field_is_zero():
     grid = RadialGrid.uniform(p.R, 64)
     pg = PolarGrid(grid, 64)
     const = np.zeros((65, 64, 5))
-    t = p.s_plus / math.sqrt(3.0)  # eigenvalues (t, -t, 0): |Q|^2 = 2 t^2
-    const[..., 0] = t
-    const[..., 3] = -t
+    t = p.s_plus / math.sqrt(3.0)  # diag(t, -t, 0) = sqrt(2) t E1: |Q|^2 = 2 t^2
+    const[..., 1] = math.sqrt(2.0) * t
     assert abs(float(frob_sq(const[0, 0])) - p.limit_norm_sq) < 1e-12
     res = hm_residual(Field2D(pg, const), p)
     assert res.max_norm() == 0.0
@@ -429,7 +434,7 @@ def test_minus_branch_minimality_surrogate(rng):
         pert = random_perturbation(pg, seed=seed, norm=1.0).values
         sums = _RingSums(kern.n)
         for lo, hi in _ring_blocks(pg.m, 0, kern.n):
-            kern.add(sums, lo, hi, _coords(pert[lo:min(hi + 1, kern.n)]))
+            kern.add(sums, lo, hi, _by_component(pert[lo:min(hi + 1, kern.n)]))
         dir_term = kern.dirichlet(sums.rad, sums.dphi, sums.dphi_cross)
         total = dir_term + kern.integrate(sums.nodes, sums.cross, weight)
         assert total >= -1e-10

@@ -45,6 +45,10 @@ def test_render_spec_validation():
         RenderSpec(density=3)
     with pytest.raises(InvalidParams):
         RenderSpec(size=10)
+    RenderSpec(size=65536)
+    for bad in (65537, 10**400):  # size / 2.0 of a 401-digit size overflows
+        with pytest.raises(InvalidParams):
+            RenderSpec(size=bad)
     RenderSpec(density=256, shift=0.5)
     with pytest.raises(InvalidParams):
         RenderSpec(density=257)

@@ -14,6 +14,7 @@ from qdefect.tensor import (
     components_to_matrix,
     deviatoric_square,
     eigen3,
+    frame_escape_components,
     frame_fn_components,
     frob_dot,
     frob_sq,
@@ -50,10 +51,26 @@ def random_components(rng, scale=1.0):
     return rng.standard_normal(5) * scale
 
 
+def _sym(a, b):
+    """``(a b + b a) / sqrt(2)`` of two unit vectors."""
+    return (np.outer(a, b) + np.outer(b, a)) / SQ2
+
+
+_E = np.eye(3)
+# the coordinate basis, the one place the tests write it as matrices:
+# F_3 = sqrt(3/2) (e3 e3 - I/3), E1 = (e1 e1 - e2 e2)/sqrt 2, E2..E4 = sym(ei, ej)
+BASIS = np.array([
+    math.sqrt(1.5) * (np.outer(_E[2], _E[2]) - _E / 3.0),
+    (np.outer(_E[0], _E[0]) - np.outer(_E[1], _E[1])) / SQ2,
+    _sym(_E[0], _E[1]),
+    _sym(_E[0], _E[2]),
+    _sym(_E[1], _E[2]),
+])
+
+
 def components(m):
-    """The five stored components ``(q11, q12, q13, q22, q23)`` of a 3x3 matrix."""
-    m = np.asarray(m, dtype=float)
-    return np.array([m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2]])
+    """The coordinates ``tr(m B)`` of symmetric traceless matrices ``(..., 3, 3)`` on the basis."""
+    return np.einsum("...ij,bji->...b", np.asarray(m, dtype=float), BASIS)
 
 
 def norm(c):
@@ -83,12 +100,25 @@ def test_frame_fn_half_angle():
 
 
 def test_frame_orthonormality_everywhere():
+    # the coordinate basis is the matrices of BASIS, orthonormal under tr(AB)
+    mats = components_to_matrix(np.eye(5))
+    assert np.allclose(mats, BASIS, atol=1e-15)
+    assert np.allclose(np.einsum("aij,bji->ab", mats, mats), np.eye(5), atol=1e-15)
+    assert np.allclose(components(BASIS), np.eye(5), atol=1e-15)
     f3 = F3_COMPONENTS
     for k in (-4, -3, -2, -1, 1, 2, 3, 4):
         for phi in np.linspace(0.0, 2.0 * math.pi, 17):
             fn = frame_fn_components(phi, k)
+            esc = frame_escape_components(phi, k)
             assert float(frob_sq(fn)) == pytest.approx(1.0, abs=1e-14)
             assert float(frob_dot(fn, f3)) == pytest.approx(0.0, abs=1e-14)
+            assert float(frob_sq(esc)) == pytest.approx(1.0, abs=1e-14)
+            assert abs(float(frob_dot(esc, fn))) + abs(float(frob_dot(esc, f3))) < 1e-14
+            # matrix definitions: F_n = sqrt(2) (n n - I2/2), escape mode sym(n, e3)
+            n = np.array([math.cos(0.5 * k * phi), math.sin(0.5 * k * phi), 0.0])
+            fn_m = SQ2 * (np.outer(n, n) - np.diag([0.5, 0.5, 0.0]))
+            assert np.allclose(components_to_matrix(fn), fn_m, atol=1e-15)
+            assert np.allclose(components_to_matrix(esc), _sym(n, _E[2]), atol=1e-15)
     assert float(frob_sq(f3)) == pytest.approx(1.0, abs=1e-14)
     f3m = components_to_matrix(f3)
     assert np.allclose(f3m, np.diag([-1.0, -1.0, 2.0]) / SQ6, atol=1e-15)
@@ -120,6 +150,10 @@ def test_boundary_tensor_value_and_decomposition():
             (1.0 / SQ2) * frame_fn_components(phi, p.k) - (1.0 / SQ6) * F3_COMPONENTS
         )
         assert np.max(np.abs(direct - frames)) < 1e-14
+        # the matrix definition s+ (n n - I/3)
+        n = np.array([math.cos(0.5 * p.k * phi), math.sin(0.5 * p.k * phi), 0.0])
+        mat = p.s_plus * (np.outer(n, n) - np.eye(3) / 3.0)
+        assert np.allclose(components_to_matrix(direct), mat, atol=1e-15)
         assert float(frob_sq(direct)) == pytest.approx(2.0 / 3.0 * p.s_plus**2, rel=1e-14)
 
 
@@ -266,7 +300,7 @@ def test_biaxiality_uniaxial_is_zero():
 
 
 def test_biaxiality_maximal():
-    q = np.array([0.7, 0.0, 0.0, -0.7, 0.0])  # eigenvalues (t, -t, 0)
+    q = components(np.diag([0.7, -0.7, 0.0]))  # eigenvalues (t, -t, 0)
     assert beta(q) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -383,12 +417,15 @@ def test_ansatz_norm_identity(rng):
 
 
 def test_deviatoric_square_matches_matrix_route(rng):
+    # numpy matrix algebra on random tensors: the traceless part of Q^2 and tr(Q^3)
     for _ in range(200):
         q = random_components(rng)
         m = components_to_matrix(q)
         ref = m @ m - np.trace(m @ m) / 3.0 * np.eye(3)
         got = components_to_matrix(deviatoric_square(q))
         assert np.max(np.abs(got - ref)) < 1e-13
+        assert np.max(np.abs(deviatoric_square(q) - components(ref))) < 1e-13
+        assert float(trace_cubed(q)) == pytest.approx(float(np.trace(m @ m @ m)), abs=1e-13)
 
 
 def test_frob_dot_matches_trace(rng):
