@@ -6,9 +6,9 @@ the two-mode ansatz, the closed-form harmonic-map limit solutions, full 2D
 energy/residual/stability checks, and an SVG renderer behind the
 ``qdefect`` command-line tool.
 
-Every layer handles a tensor, or a whole field of them, as an array of its
-five coordinates ``(..., 5)`` in one orthonormal basis (see
-:mod:`qdefect.tensor`); that is the package's one tensor representation.
+Every layer handles a tensor as its five coordinates in one orthonormal
+basis, coordinates first: ``(5,)`` for one tensor, ``(5, N+1, M)`` for a
+field (see :mod:`qdefect.tensor`), the package's one representation.
 """
 
 from .errors import (

@@ -18,6 +18,8 @@ Two discretisations coexist deliberately:
   the quadratic-form expansion of the energy difference holds to
   round-off instead of to scheme mismatch.
 
+Fields are coordinates first, ``(5, N+1, M)``, so a ring block
+``values[:, lo:hi]`` feeds the tensor helpers and the Gauss kernel as it is.
 Every 2D pass walks the disk one way: a plain loop over
 :func:`_ring_blocks`, each block read with the halo its stencil needs, so
 working memory is O(block x M) beside the result.  The energies keep
@@ -47,15 +49,15 @@ from . import tensor
 
 @dataclass
 class Field2D:
-    """Q-tensor samples on a polar grid, ``(N+1, M, 5)`` coordinates
-    (:mod:`qdefect.tensor`)."""
+    """Q-tensor samples on a polar grid: ``(5, N+1, M)``, one coordinate
+    (:mod:`qdefect.tensor`) per row."""
 
     grid: PolarGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.radial.nodes.size, self.grid.m, 5)
+        expected = (5, self.grid.radial.nodes.size, self.grid.m)
         if self.values.shape != expected:
             raise GridError(
                 f"field values {self.values.shape} do not match grid {expected}"
@@ -82,7 +84,7 @@ def lift(profile: Profile, k: int, grid: PolarGrid) -> Field2D:
 # classic finite-difference scheme
 # ---------------------------------------------------------------------------
 
-# Bytes of one ``(rings, M, 5)`` block array, measured on the CLI commands:
+# Bytes of one ``(5, rings, M)`` block array, measured on the CLI commands:
 # 80 KB blocks pay per-block overhead (2 rings at M = 1024), and blocks of
 # 1 MB or more made the M = 256 passes slower again; 320-640 KB were level.
 _BLOCK_BYTES = 512 * 1024
@@ -116,16 +118,16 @@ def separable_dirichlet_quadrature(f: np.ndarray, g: np.ndarray, grid: PolarGrid
     ``Q(r_i, phi_j) = sum_a f[i, a] g[a, j]``, without sampling it.
 
     ``f`` holds the radial factors ``(N+1, A)``, ``g`` the angular ones
-    ``(A, M, 5)``.  The finite-difference sums over the angles are
+    ``(5, A, M)``.  The finite-difference sums over the angles are
     quadratic forms in the radial factors, so two ``A x A`` Gram matrices
     of ``g`` (its Frobenius products and those of its angular edges) reduce
     each ring to ``O(A^2)`` work: ``O(A^2 (N + M))`` in all, with
     ``O(A (N + M))`` memory.  Package-internal: the limit quadrature of
     :func:`qdefect.harmonic.dirichlet_energy_2d` is its caller.
     """
-    dg = (np.roll(g, -1, axis=1) - g) / grid.dphi
-    gram = tensor.frob_dot(g[:, None], g[None, :]).sum(axis=-1)
-    edge_gram = tensor.frob_dot(dg[:, None], dg[None, :]).sum(axis=-1)
+    dg = (np.roll(g, -1, axis=2) - g) / grid.dphi
+    gram = tensor.frob_dot(g[:, :, None], g[:, None]).sum(axis=-1)
+    edge_gram = tensor.frob_dot(dg[:, :, None], dg[:, None]).sum(axis=-1)
     slopes = (f[1:] - f[:-1]) / grid.radial.h[:, None]
     slope_sq = np.einsum("ia,ab,ib->i", slopes, gram, slopes)
     edge_sq = np.einsum("ia,ab,ib->i", f, edge_gram, f)
@@ -148,12 +150,12 @@ def fd_energy_terms(field: Field2D, params: ModelParams):
     dens = np.empty(n)
     for lo, hi in _ring_blocks(grid.m, 0, n):
         top = min(hi + 1, n)
-        vals = values[lo:top]
-        slopes = (vals[1:] - vals[:-1]) / h[lo:top - 1, None, None]
+        vals = values[:, lo:top]
+        slopes = (vals[:, 1:] - vals[:, :-1]) / h[lo:top - 1, None]
         slope_sq[lo:top - 1] = np.sum(tensor.frob_sq(slopes), axis=1)
         # angular edges: piecewise-linear in phi on each ring
-        own = vals[: hi - lo]
-        edges = (np.roll(own, -1, axis=1) - own) / grid.dphi
+        own = vals[:, : hi - lo]
+        edges = (np.roll(own, -1, axis=2) - own) / grid.dphi
         edge_sq[lo:hi] = np.sum(tensor.frob_sq(edges), axis=1)
         dens[lo:hi] = np.sum(tensor.bulk_density(own, params), axis=1)
 
@@ -176,10 +178,10 @@ def ldg_energy_2d(field: Field2D, params: ModelParams) -> float:
 
 def _laplacian(values: np.ndarray, r: np.ndarray, dphi: float) -> np.ndarray:
     """Five-point polar Laplacian at the rings ``1..len-2`` of ``values`` (radii ``r``)."""
-    d1, d2 = three_point_derivatives(values, r)
-    vc = values[1:-1]
-    ddphi = (np.roll(vc, -1, axis=1) - 2.0 * vc + np.roll(vc, 1, axis=1)) / dphi**2
-    ri = r[1:-1][:, None, None]
+    d1, d2 = three_point_derivatives(values, r, 1)
+    vc = values[:, 1:-1]
+    ddphi = (np.roll(vc, -1, axis=2) - 2.0 * vc + np.roll(vc, 1, axis=2)) / dphi**2
+    ri = r[1:-1][:, None]
     return d2 + d1 / ri + ddphi / ri**2
 
 
@@ -192,13 +194,13 @@ def _gradient_sq(values: np.ndarray, r: np.ndarray, dphi: float) -> np.ndarray:
     first differences.
     """
     h = np.diff(r)
-    fsq = tensor.frob_sq((values[1:] - values[:-1]) / h[:, None, None])  # segment midpoints
+    fsq = tensor.frob_sq((values[:, 1:] - values[:, :-1]) / h[:, None])  # segment midpoints
     hm = h[:-1][:, None]
     hp = h[1:][:, None]
     rad = (hm * fsq[:-1] + hp * fsq[1:]) / (hm + hp)
 
-    vc = values[1:-1]
-    esq = tensor.frob_sq((np.roll(vc, -1, axis=1) - vc) / dphi)
+    vc = values[:, 1:-1]
+    esq = tensor.frob_sq((np.roll(vc, -1, axis=2) - vc) / dphi)
     ang = 0.5 * (esq + np.roll(esq, 1, axis=1))
     ri = r[1:-1][:, None]
     return rad + ang / ri**2
@@ -206,7 +208,7 @@ def _gradient_sq(values: np.ndarray, r: np.ndarray, dphi: float) -> np.ndarray:
 
 @dataclass
 class ResidualField:
-    """Tensor-valued residual samples on the interior rings."""
+    """Tensor-valued residual samples on the interior rings, ``(5, N-1, M)``."""
 
     rings: np.ndarray
     values: np.ndarray
@@ -222,9 +224,9 @@ class ResidualField:
         """
         values = self.values
         _, e = math.frexp(max(float(np.max(values)), -float(np.min(values))))
-        nh = np.empty(values.shape[:-1])
-        for lo, hi in _ring_blocks(values.shape[1], 0, len(values)):
-            nh[lo:hi] = np.sqrt(tensor.frob_sq(np.ldexp(values[lo:hi], -e)))
+        nh = np.empty(values.shape[1:])
+        for lo, hi in _ring_blocks(values.shape[2], 0, values.shape[1]):
+            nh[lo:hi] = np.sqrt(tensor.frob_sq(np.ldexp(values[:, lo:hi], -e)))
         return nh, e
 
     def norms(self) -> np.ndarray:
@@ -255,11 +257,11 @@ def _residual(field: Field2D, lap_scale: float, add_terms) -> ResidualField:
     """
     r = field.grid.radial.nodes
     values = field.values
-    res = np.empty((r.size - 2,) + values.shape[1:])
+    res = np.empty((5, r.size - 2, field.grid.m))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _ring_blocks(field.grid.m, 1, r.size - 1):
-            block, rb = values[lo - 1:hi + 1], r[lo - 1:hi + 1]
-            out = res[lo - 1:hi - 1]
+            block, rb = values[:, lo - 1:hi + 1], r[lo - 1:hi + 1]
+            out = res[:, lo - 1:hi - 1]
             np.multiply(lap_scale, _laplacian(block, rb, field.grid.dphi), out=out)
             add_terms(out, block, rb)
     return ResidualField(rings=r[1:-1].copy(), values=res)
@@ -278,11 +280,11 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
         raise InvalidParams("el_residual_2d requires L > 0")
 
     def bulk(out, block, r):
-        vc = block[1:-1]
+        vc = block[:, 1:-1]
         out += params.a2 * vc
         if params.b2 != 0.0:
             out += params.b2 * tensor.deviatoric_square(vc)
-        out -= params.c2 * tensor.frob_sq(vc)[..., None] * vc
+        out -= params.c2 * tensor.frob_sq(vc) * vc
 
     return _residual(field, params.L, bulk)
 
@@ -290,12 +292,6 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
 # ---------------------------------------------------------------------------
 # consistent spectral/Gauss scheme
 # ---------------------------------------------------------------------------
-
-def _by_component(values: np.ndarray) -> np.ndarray:
-    """Samples ``(rings, M, 5)`` as a contiguous ``(5, rings, M)`` copy, one
-    coordinate per row block, whose dot products are Frobenius products."""
-    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
-
 
 def _products(a: np.ndarray, b: np.ndarray | None = None):
     """Per-point node products ``a_i:b_i`` and ``(a_i:b_{i+1} + a_{i+1}:b_i) / 2`` of a block."""
@@ -457,12 +453,12 @@ def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _ring_blocks(kern.m, 0, kern.n):
             top = min(hi + 1, kern.n)
-            vals = field.values[lo:top]
-            t = kern.add(s, lo, hi, _by_component(vals))
+            vals = field.values[:, lo:top]
+            t = kern.add(s, lo, hi, vals)
             pair[:, :, lo:top - 1] = _pair(t, t)
             if params.b2 != 0.0:
                 for g, xi in enumerate(GAUSS_XI):
-                    at_xi = (1 - xi) * vals[:-1] + xi * vals[1:]
+                    at_xi = (1 - xi) * vals[:, :-1] + xi * vals[:, 1:]
                     cubic[lo:top - 1, g] = tensor.trace_cubed(at_xi).sum(axis=1)
     _require_finite(pair, cubic, *s)
     return kern.energy(s, pair, params, float(np.sum(kern.wg * cubic)))
@@ -513,7 +509,7 @@ def second_variation(
     pv = perturbation.values
     yv = field_y.values
 
-    v = yv[:, 0, 0]  # the F_3 coordinate on the ray phi = 0
+    v = yv[0, :, 0]  # the F_3 coordinate on the ray phi = 0
     if not np.all(np.isfinite(v)):
         raise InvalidParams("fields must be finite")
     if np.any(v >= -1e-10):
@@ -530,14 +526,14 @@ def second_variation(
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _ring_blocks(kern.m, 0, kern.n):
             top = min(hi + 1, kern.n)
-            peaks.append(_max_abs(pv[lo:top]))
-            q = _by_component(pv[lo:top])
+            q = pv[:, lo:top]
+            peaks.append(_max_abs(q))
             pp = kern.add(p, lo, hi, q)
-            pair[:, :, lo:top - 1] = _pair(pp, _products(_by_component(yv[lo:top])))
+            pair[:, :, lo:top - 1] = _pair(pp, _products(yv[:, lo:top]))
             u = q * inv_v[lo:top, None]
             d = u[:, 1:] - u[:, :-1]
             hardy_rad[lo:top - 1] = np.einsum("cij,cij->i", d, d) / kern.h_sq[lo:top - 1]
-    _require_perturbation(pv[-1], peaks)
+    _require_perturbation(pv[:, -1], peaks)
     _require_finite(pair, hardy_rad, *p)
     hardy = kern.dirichlet(
         hardy_rad,
@@ -592,11 +588,9 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _ring_blocks(kern.m, 0, n):
             top = min(hi + 1, n)
-            pv = ypv[lo:top] - yv[lo:top]
-            peaks.append(_max_abs(pv))
-            qp = _by_component(pv)
-            del pv  # keeps one block's peak of arrays below a field's size
-            qy = _by_component(yv[lo:top])
+            qp = ypv[:, lo:top] - yv[:, lo:top]
+            peaks.append(_max_abs(qp))
+            qy = yv[:, lo:top]
             pp, yy = kern.add(p, lo, hi, qp), kern.add(y, lo, hi, qy)
             seg = slice(lo, top - 1)
             pair_y[:, :, seg] = _pair(yy, yy)
@@ -604,10 +598,10 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
             cross = _products(qy, qp)
             s = (pp[0] + 2.0 * cross[0], pp[1] + 2.0 * cross[1])
             pair_s[:, :, seg] = _pair(s, s)
-            ypyp = kern.add(yp, lo, hi, _by_component(ypv[lo:top]))
+            ypyp = kern.add(yp, lo, hi, ypv[:, lo:top])
             pair_yp[:, :, seg] = _pair(ypyp, ypyp)
     with np.errstate(invalid="ignore"):  # inf - inf in the rim shows as NaN
-        _require_perturbation(ypv[-1] - yv[-1], peaks)
+        _require_perturbation(ypv[:, -1] - yv[:, -1], peaks)
     _require_finite(pair_y, pair_yp, pair_py, pair_s, *y, *yp, *p)
     direct = kern.energy(yp, pair_yp, params) - kern.energy(y, pair_y, params)
     quad_form = kern.quadratic_form(p, pair_py, params)
@@ -654,9 +648,8 @@ def random_perturbation(
     mode.  The radial bases ``envelope rho^min(m,2)`` and the ``cos``/``sin``
     tables are built once per call and shared by the five coordinates.  The
     norm's ring sums of ``|Q|^2`` are formed one ring block at a time, and
-    its scaling is folded into the one copy to the ``(N+1, M, 5)`` layout;
-    each step rounds as the full-array passes did, so the field keeps its
-    bits.
+    the field is scaled to the norm in place; each step rounds as the
+    full-array passes did, so the field keeps its bits.
     """
     if concentrate not in (None, "core", "boundary"):
         raise InvalidParams(f"concentrate must be None, 'core' or 'boundary', got {concentrate!r}")
@@ -682,7 +675,7 @@ def random_perturbation(
     sin_m = [np.sin(m * phis) for m in modes]
     shape = np.empty((_MAX_FREQ + 1, r.size))  # per-mode radial factors
     ang = np.empty((_MAX_FREQ + 1, grid.m))  # per-mode angular factors
-    comps = np.empty((5, r.size, grid.m))  # coordinates first: each is one contraction
+    comps = np.empty((5, r.size, grid.m))  # each coordinate is one contraction
     for comp in comps:
         for m in modes:
             amp = 1.0 / (1.0 + m * m)
@@ -697,8 +690,8 @@ def random_perturbation(
     comps[:, 0] = comps[:, 0, :1]  # single-valued at the origin
     ring_sq = np.empty(r.size)
     for lo, hi in _ring_blocks(grid.m, 0, r.size):
-        ring_sq[lo:hi] = np.sum(tensor.frob_sq(np.moveaxis(comps[:, lo:hi], 0, -1)), axis=1)
+        ring_sq[lo:hi] = np.sum(tensor.frob_sq(comps[:, lo:hi]), axis=1)
     nsq = float(np.sum(grid.radial.weights * ring_sq) * grid.dphi)
-    values = np.empty((r.size, grid.m, 5))
-    np.multiply(np.moveaxis(comps, 0, -1), norm / math.sqrt(nsq) if nsq > 0.0 else 1.0, out=values)
-    return Field2D(grid, values)
+    if nsq > 0.0:
+        comps *= norm / math.sqrt(nsq)
+    return Field2D(grid, comps)

@@ -142,20 +142,20 @@ class PolarGrid:
         return 2.0 * np.pi / self.m
 
 
-def three_point_derivatives(y: np.ndarray, r: np.ndarray):
+def three_point_derivatives(y: np.ndarray, r: np.ndarray, axis: int):
     """First and second derivatives at the nodes ``1..len-2`` of the radii ``r``.
 
     Three-point stencils on the non-uniform spacing, second order on a
-    smoothly graded grid; ``y`` is sampled at ``r`` along its first axis and
-    any trailing axes broadcast.
+    smoothly graded grid; ``y`` is sampled at ``r`` along ``axis`` (0 for
+    radial profiles, 1 for ``(5, rings, M)`` field blocks) and the other
+    axes broadcast.
     """
-    shape = (-1,) + (1,) * (y.ndim - 1)
+    shape = (-1,) + (1,) * (y.ndim - 1 - axis)
     hm = (r[1:-1] - r[:-2]).reshape(shape)
     hp = (r[2:] - r[1:-1]).reshape(shape)
     denom = hm * hp * (hm + hp)
-    ym = y[:-2]
-    yc = y[1:-1]
-    yp = y[2:]
+    lead = (slice(None),) * axis
+    ym, yc, yp = (y[lead + (s,)] for s in (slice(None, -2), slice(1, -1), slice(2, None)))
     d1 = (hm * hm * yp - hp * hp * ym + (hp * hp - hm * hm) * yc) / denom
     d2 = 2.0 * (hm * yp + hp * ym - (hm + hp) * yc) / denom
     return d1, d2

@@ -10,6 +10,9 @@ whose stationary profiles obey a pendulum-type first integral and are
 known in closed form.  Two biaxial branches exist for every index, with
 ``tan(psi/2) = (r/R)^{+-|k|} / sqrt(3)``; for even index there is a third,
 uniaxial solution whose director escapes out of plane at the core.
+
+Tensors are coordinates first: the escape solution samples to
+``(5,) + shape``, and separable angular factors are ``(5, A, M)``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .field import (
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams
 from .reduced import Profile, _dirichlet, _P1Gauss
-from .tensor import F3_COMPONENTS, frame_escape_components, frame_fn_components, frob_sq
+from .tensor import frame_escape_components, frame_fn_components, frob_sq
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -270,8 +273,9 @@ def dirichlet_energy_2d(
         f, g = _escape_factors(rho, pg.phis, params.k, params.s_plus)
     else:
         f = np.stack(explicit_arrays(branch, params.k, params.s_plus, rho), axis=1)
-        fn = frame_fn_components(pg.phis, params.k)
-        g = np.stack([fn, np.broadcast_to(F3_COMPONENTS, fn.shape)])
+        g = np.zeros((5, 2, m_phi))  # (F_n, F_3)
+        g[:, 0] = frame_fn_components(pg.phis, params.k)
+        g[0, 1] = 1.0
     return DirichletEnergy(closed_form=closed, quadrature=separable_dirichlet_quadrature(f, g, pg))
 
 
@@ -285,15 +289,17 @@ def _escape_factors(rho, phi, k: int, s: float):
     ``G = (F_n, escape mode, F_3)``.  With ``m3^2 = 1 - planar^2`` the field is
     ``s planar^2 (n n - e3 e3) + s planar m3 (n e3 + e3 n) + s (e3 e3 - I/3)``,
     whose frame coordinates are ``s planar^2 / sqrt(2)``, ``sqrt(2) s planar m3``
-    and ``s (2 - 3 planar^2) / sqrt(6)``.  ``f`` is ``rho.shape + (3,)``, ``G`` ``(3,) + phi.shape + (5,)``."""
+    and ``s (2 - 3 planar^2) / sqrt(6)``.  ``f`` is ``rho.shape + (3,)``, ``G`` ``(5, 3) + phi.shape``."""
     rho_half = rho ** (abs(k) // 2)
     rho_k = rho_half * rho_half
     den = 1.0 + rho_k
     planar, m3 = 2.0 * rho_half / den, (1.0 - rho_k) / den
     p2 = planar * planar
     f = np.stack([s * p2 / _SQRT2, _SQRT2 * s * planar * m3, s * (2.0 - 3.0 * p2) / _SQRT6], axis=-1)
-    fn = frame_fn_components(phi, k)
-    g = np.stack([fn, frame_escape_components(phi, k), np.broadcast_to(F3_COMPONENTS, fn.shape)])
+    g = np.zeros((5, 3) + phi.shape)
+    g[:, 0] = frame_fn_components(phi, k)
+    g[:, 1] = frame_escape_components(phi, k)
+    g[0, 2] = 1.0
     return f, g
 
 
@@ -308,7 +314,7 @@ def uniaxial_escape_components(r, phi, params: ModelParams) -> np.ndarray:
         raise OddKForUniaxial("the uniaxial escape solution needs even k")
     rho = np.asarray(r, dtype=float) / params.R
     f, g = _escape_factors(rho, np.asarray(phi, dtype=float), params.k, params.s_plus)
-    return sum(f[..., a, None] * g[a] for a in range(3))
+    return np.stack([sum(f[..., a] * g[c, a] for a in range(3)) for c in range(5)])
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +333,14 @@ def hm_residual(field: Field2D, params: ModelParams) -> ResidualField:
     """
     values, grid = field.values, field.grid
     target = params.limit_norm_sq
-    peaks = [_max_abs(frob_sq(values[lo:hi]) - target)
-             for lo, hi in _ring_blocks(grid.m, 0, values.shape[0])]
+    peaks = [_max_abs(frob_sq(values[:, lo:hi]) - target)
+             for lo, hi in _ring_blocks(grid.m, 0, values.shape[1])]
     dev = float(np.max(peaks)) / target
     if not dev <= 1e-8:  # a NaN sample violates the constraint too
         raise ConstraintViolated("harmonic-map residual needs |Q|^2 = (2/3) s+^2", dev)
     scale = 1.5 / params.s_plus**2
 
     def tension(out, block, r):
-        out += scale * _gradient_sq(block, r, grid.dphi)[..., None] * block[1:-1]
+        out += scale * _gradient_sq(block, r, grid.dphi) * block[:, 1:-1]
 
     return _residual(field, 1.0, tension)

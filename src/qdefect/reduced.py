@@ -22,6 +22,7 @@ residual is reported separately by :func:`ode_residual`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -100,11 +101,16 @@ def csv_text(header: str, columns) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write ASCII ``text`` to ``path`` through a temp file and a rename."""
+    """Write ASCII ``text`` to ``path`` via a temp file, removed if the write raises."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_profile_csv(path, profile: Profile):
@@ -494,8 +500,8 @@ def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
         r = profile.grid.nodes
         u = profile.u
         v = profile.v
-        du1, du2 = three_point_derivatives(u, r)
-        dv1, dv2 = three_point_derivatives(v, r)
+        du1, du2 = three_point_derivatives(u, r, 0)
+        dv1, dv2 = three_point_derivatives(v, r, 0)
         ri = r[1:-1]
         ui = u[1:-1]
         vi = v[1:-1]

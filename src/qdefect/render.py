@@ -163,7 +163,7 @@ def glyph_svg(profile: Profile, k: int, spec: RenderSpec) -> str:
 
 def eigenvalue_chart_svg(profile: Profile, size: int = 640, title: str = "") -> str:
     """Line chart of the three frame eigenvalues against the radius, out to
-    the profile's last radius.
+    the profile's last radius; ``title`` is plain text.
 
     The curves follow the smooth frame axes (out-of-plane, planar
     perpendicular, planar parallel), so genuine eigenvalue crossings show
@@ -187,7 +187,9 @@ def eigenvalue_chart_svg(profile: Profile, size: int = 640, title: str = "") -> 
     colors = ("#2654a6", "#b2182b", "#1a7a3c")
     names = ("lambda1", "lambda2", "lambda3")
     parts = [SVG_HEADER.format(w=w, h=h)]
-    if title:
+    if title:  # plain text: markup escaped, non-ASCII as character references
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        title = title.encode("ascii", "xmlcharrefreplace").decode("ascii")
         parts.append(
             f'<text x="{w / 2:.0f}" y="18" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{title}</text>\n'

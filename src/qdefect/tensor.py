@@ -9,9 +9,9 @@ is its five coordinates in the orthonormal basis
 
 in that order, so symmetry and tracelessness hold by construction and the
 Frobenius product ``tr(A B)`` is the dot product of coordinates.  Every
-helper works on arrays of shape ``(..., 5)``, a single tensor and a whole
-field alike, without materialising 3x3 matrices;
-:func:`components_to_matrix` builds them where a matrix is wanted.
+helper takes and returns arrays coordinates first, ``(5, ...)``, a single
+tensor ``(5,)`` and a field alike, and none transposes or materialises 3x3
+matrices; :func:`components_to_matrix` builds them where a matrix is wanted.
 
 The two-mode orthonormal frame used throughout the package is ``F_3`` and
 
@@ -43,49 +43,38 @@ F3_COMPONENTS = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
 
 def frob_dot(a, b):
     """Frobenius inner product ``tr(A B)``: the dot product of the coordinates."""
-    a0, a1, a2, a3, a4 = np.moveaxis(np.asarray(a), -1, 0)
-    b0, b1, b2, b3, b4 = np.moveaxis(np.asarray(b), -1, 0)
+    a0, a1, a2, a3, a4 = np.asarray(a)
+    b0, b1, b2, b3, b4 = np.asarray(b)
     return a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
 
 
 def frob_sq(c):
-    """Squared Frobenius norm ``|Q|^2 = tr(Q^2)`` for components ``(..., 5)``."""
+    """Squared Frobenius norm ``|Q|^2 = tr(Q^2)`` for components ``(5, ...)``."""
     return frob_dot(c, c)
 
 
-def _entries(c):
-    """Matrix entries ``(q11, q12, q13, q22, q23, q33)`` of components ``(..., 5)``."""
-    v, x1, x2, x3, x4 = np.moveaxis(np.asarray(c), -1, 0)
-    d = v / _SQRT6
-    p = x1 / _SQRT2
-    return p - d, x2 / _SQRT2, x3 / _SQRT2, -p - d, x4 / _SQRT2, 2.0 * d
-
-
 def trace_cubed(c):
-    """``tr(Q^3)``, as ``3 det(Q)`` (the trace vanishes)."""
-    q11, q12, q13, q22, q23, q33 = _entries(c)
-    return 3.0 * (
-        q11 * (q22 * q33 - q23 * q23)
-        - q12 * (q12 * q33 - q23 * q13)
-        + q13 * (q12 * q23 - q22 * q13)
-    )
+    """``tr(Q^3)`` in closed form in the coordinates ``(v, x1, x2, x3, x4)``:
+    ``v (v^2 - 3 (x1^2 + x2^2) + 3 (x3^2 + x4^2) / 2) / sqrt(6)
+    + 3 (x1 (x3^2 - x4^2) + 2 x2 x3 x4) / (2 sqrt(2))``."""
+    v, x1, x2, x3, x4 = np.asarray(c)
+    planar = x1 * x1 + x2 * x2
+    tilt = x3 * x3 + x4 * x4
+    twist = x1 * (x3 * x3 - x4 * x4) + 2.0 * x2 * x3 * x4
+    return v * (v * v - 3.0 * planar + 1.5 * tilt) / _SQRT6 + (1.5 / _SQRT2) * twist
 
 
 def deviatoric_square(c):
-    """Components of ``Q^2 - |Q|^2/3 I`` (the traceless part of ``Q^2``).
-
-    The basis is traceless, so the coordinates of ``Q^2`` are those of its
-    traceless part: ``tr(Q^2 E)`` for each basis tensor ``E``.
-    """
-    q11, q12, q13, q22, q23, q33 = _entries(c)
-    s11 = q11 * q11 + q12 * q12 + q13 * q13
-    s22 = q12 * q12 + q22 * q22 + q23 * q23
-    s33 = q13 * q13 + q23 * q23 + q33 * q33
-    s12 = q11 * q12 + q12 * q22 + q13 * q23
-    s13 = q11 * q13 + q12 * q23 + q13 * q33
-    s23 = q12 * q13 + q22 * q23 + q23 * q33
-    diag = [(2.0 * s33 - s11 - s22) / _SQRT6, (s11 - s22) / _SQRT2]
-    return np.stack(diag + [_SQRT2 * s12, _SQRT2 * s13, _SQRT2 * s23], axis=-1)
+    """Components ``tr(Q^2 E)`` of ``Q^2 - |Q|^2/3 I`` (the traceless part of
+    ``Q^2``), in closed form in the coordinates ``(v, x1, x2, x3, x4)``."""
+    v, x1, x2, x3, x4 = np.asarray(c)
+    out = np.empty((5,) + v.shape)
+    out[0] = (v * v - x1 * x1 - x2 * x2 + 0.5 * (x3 * x3 + x4 * x4)) / _SQRT6
+    out[1] = -2.0 * v * x1 / _SQRT6 + (x3 * x3 - x4 * x4) / (2.0 * _SQRT2)
+    out[2] = -2.0 * v * x2 / _SQRT6 + x3 * x4 / _SQRT2
+    out[3] = (x1 * x3 + x2 * x4) / _SQRT2 + v * x3 / _SQRT6
+    out[4] = (x2 * x3 - x1 * x4) / _SQRT2 + v * x4 / _SQRT6
+    return out
 
 
 def bulk_density(c, params: ModelParams):
@@ -104,8 +93,12 @@ def bulk_density(c, params: ModelParams):
 
 
 def components_to_matrix(c):
-    """Reconstruct 3x3 matrices from components ``(..., 5) -> (..., 3, 3)``."""
-    q11, q12, q13, q22, q23, q33 = _entries(c)
+    """Reconstruct 3x3 matrices from components ``(5, ...) -> (..., 3, 3)``."""
+    v, x1, x2, x3, x4 = np.asarray(c)
+    d = v / _SQRT6
+    p = x1 / _SQRT2
+    q11, q22, q33 = p - d, -p - d, 2.0 * d
+    q12, q13, q23 = x2 / _SQRT2, x3 / _SQRT2, x4 / _SQRT2
     return np.stack(
         [
             np.stack([q11, q12, q13], axis=-1),
@@ -123,9 +116,9 @@ def components_to_matrix(c):
 def _planar_pair(angle, first: int):
     """``cos(angle) E_first + sin(angle) E_(first+1)`` for scalar or array ``angle``."""
     angle = np.asarray(angle, dtype=float)
-    out = np.zeros(angle.shape + (5,))
-    out[..., first] = np.cos(angle)
-    out[..., first + 1] = np.sin(angle)
+    out = np.zeros((5,) + angle.shape)
+    out[first] = np.cos(angle)
+    out[first + 1] = np.sin(angle)
     return out
 
 
@@ -188,14 +181,12 @@ def biaxiality(nsq, t3):
 def ansatz_components(u, v, phi, k: int):
     """Components of the two-mode field ``Y = u F_n(phi) + v F_3``.
 
-    ``u``, ``v`` and ``phi`` broadcast against each other.  The result is
-    filled in place, so it is the only array of the broadcast size made.
+    ``u``, ``v`` and ``phi`` broadcast against each other; the result is
+    ``(5,)`` followed by their broadcast shape, each row written once.
     """
-    u = np.asarray(u, dtype=float)[..., None]
-    v = np.asarray(v, dtype=float)[..., None]
-    fn = frame_fn_components(phi, k)
-    out = np.multiply(u, fn, out=np.empty(np.broadcast_shapes(u.shape, v.shape, fn.shape)))
-    out += v * F3_COMPONENTS
+    angle = k * np.asarray(phi, dtype=float)
+    out = np.zeros((5,) + np.broadcast_shapes(np.shape(u), np.shape(v), angle.shape))
+    out[0], out[1], out[2] = v, u * np.cos(angle), u * np.sin(angle)
     return out
 
 

@@ -279,8 +279,8 @@ def test_criterion_08_algebraic_identity_suite():
         pgr = PolarGrid(grid, m)
         el = el_residual_2d(lift(prof, p.k, pgr), p)
         ode = ode_residual(prof, p)
-        cu = frob_dot(el.values, frame_fn_components(pgr.phis, p.k)[None, :, :])
-        cv = frob_dot(el.values, F3_COMPONENTS[None, None, :])
+        cu = frob_dot(el.values, frame_fn_components(pgr.phis, p.k)[:, None, :])
+        cv = frob_dot(el.values, F3_COMPONENTS[:, None, None])
         mask = el.rings >= 0.1
         mism.append(
             max(

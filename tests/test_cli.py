@@ -24,6 +24,7 @@ from qdefect import (
 )
 from qdefect.cli import _COMMANDS, _OPTIONS, _json_text, build_parser, main
 from qdefect.field import fd_energy_terms
+from qdefect.reduced import write_text_atomic
 
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -391,6 +392,23 @@ def test_render_input_draws_the_profile_disk(wide_profile):
     assert np.allclose(np.hypot(*(centres - 320.0).T), 0.45 * 640, atol=2e-3)
     # the ring shows the uniaxial boundary data: zero biaxiality, the ramp's first colour
     assert {el.get("stroke") for el in last_ring} == {"#2654a6"}
+
+
+@pytest.mark.parametrize("name", ["a&b<c>.csv", "pr\u00f3file.csv"], ids=["markup", "non-ascii"])
+def test_render_input_with_a_special_file_name_writes_well_formed_svg(tmp_path, name):
+    # the file name reaches the chart title as XML text, non-ASCII as character references
+    grid = RadialGrid.uniform(1.0, 32)
+    write_profile_csv(tmp_path / name, Profile(grid, np.linspace(0.0, 0.8, 33), np.linspace(-1.0, -0.5, 33)))
+    assert run(tmp_path, "render", "--input", name, "--k", "1", "-o", "esc") == 0
+    roots = [ET.parse(tmp_path / f"esc_{kind}.svg").getroot() for kind in ("glyphs", "eigenvalues")]
+    assert roots[1].find(f"{SVG_NS}text").text == f"profile {name}, k=1"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_text_atomic_removes_its_temp_file_when_the_write_raises(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(tmp_path / "out.svg", "pr\u00f3file")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_render_requires_exactly_one_source(tmp_path):

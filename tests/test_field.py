@@ -64,7 +64,7 @@ def test_lift_boundary_ring_matches_boundary_tensor(solve_cache):
     pg = PolarGrid(prof.grid, 64)
     field = lift(prof, p.k, pg)
     ring = boundary_tensor_components(pg.phis, p)
-    assert np.max(np.abs(field.values[-1] - ring)) < 1e-13
+    assert np.max(np.abs(field.values[:, -1] - ring)) < 1e-13
 
 
 def test_lift_norm_identity(solve_cache):
@@ -81,7 +81,7 @@ def test_lift_is_the_two_mode_formula_bit_for_bit(rng):
     pg = PolarGrid(grid, 64)
     for k in (-3, 1, 2):
         fn = frame_fn_components(pg.phis, k)
-        ref = prof.u[:, None, None] * fn + prof.v[:, None, None] * F3_COMPONENTS
+        ref = prof.u[:, None] * fn[:, None, :] + prof.v[:, None] * F3_COMPONENTS[:, None, None]
         assert np.array_equal(lift(prof, k, pg).values, ref)
 
 
@@ -91,7 +91,7 @@ def test_lift_u_zero_gives_angle_independent_field():
     prof = Profile(grid, np.zeros(65), np.linspace(-1.0, -0.4, 65))
     pg = PolarGrid(grid, 64)
     field = lift(prof, p.k, pg)
-    assert np.max(np.abs(field.values - field.values[:, :1, :])) == 0.0
+    assert np.max(np.abs(field.values - field.values[:, :, :1])) == 0.0
 
 
 def test_lift_rotation_periodicity():
@@ -105,7 +105,7 @@ def test_lift_rotation_periodicity():
         pg = PolarGrid(grid, m)
         field = lift(prof, k, pg)
         shift = m // abs(k)
-        rolled = np.roll(field.values, -shift, axis=1)
+        rolled = np.roll(field.values, -shift, axis=2)
         assert np.max(np.abs(field.values - rolled)) < 1e-12
 
 
@@ -139,7 +139,7 @@ def test_ldg_energy_constant_field():
     grid = RadialGrid.uniform(p.R, 64)
     pg = PolarGrid(grid, 64)
     c = np.array([0.3, -0.1, 0.2, 0.1, 0.05])
-    vals = np.broadcast_to(c, (65, 64, 5)).copy()
+    vals = np.broadcast_to(c[:, None, None], (5, 65, 64)).copy()
     field = Field2D(pg, vals)
     f_val = float(bulk_density(c, p))
     expected = math.pi * p.R**2 * f_val / p.L
@@ -151,7 +151,7 @@ def test_ldg_energy_zero_field():
     p = params()
     grid = RadialGrid.uniform(1.0, 64)
     pg = PolarGrid(grid, 64)
-    field = Field2D(pg, np.zeros((65, 64, 5)))
+    field = Field2D(pg, np.zeros((5, 65, 64)))
     assert ldg_energy_2d(field, p) == 0.0
     assert ldg_energy_spectral(field, p) == 0.0
 
@@ -189,7 +189,7 @@ def test_residual_norms_scale_exactly_with_the_values():
     # the norms come from values divided by a power of two: the unscaled
     # formula's bits where its squares are finite, and finite norms where
     # they overflow (2^600) or underflow (2^-600)
-    values = np.random.default_rng(5).standard_normal((7, 64, 5))
+    values = np.random.default_rng(5).standard_normal((5, 7, 64))
     rings = np.linspace(0.1, 0.9, 7)
     base = ResidualField(rings, values).norms()
     assert np.array_equal(base, np.sqrt(frob_sq(values)))
@@ -218,8 +218,8 @@ def test_el_residual_projects_to_ode_residual(solve_cache):
         el = el_residual_2d(field, p)
         ode = ode_residual(prof, p)
         fn = frame_fn_components(PolarGrid(prof.grid, m).phis, p.k)
-        cu = frob_dot(el.values, fn[None, :, :])
-        cv = frob_dot(el.values, F3_COMPONENTS[None, None, :])
+        cu = frob_dot(el.values, fn[:, None, :])
+        cv = frob_dot(el.values, F3_COMPONENTS[:, None, None])
         mask = el.rings >= 0.1
         du = np.max(np.abs(cu[mask] - p.L * ode.ru[mask][:, None]))
         dv = np.max(np.abs(cv[mask] - p.L * ode.rv[mask][:, None]))
@@ -283,7 +283,7 @@ def test_second_variation_rejects_boundary_violation(stability_setup):
     p, field, pg = stability_setup
     pert = random_perturbation(pg, seed=0)
     bad = pert.copy()
-    bad.values[-1, :, 0] = 0.1
+    bad.values[0, -1, :] = 0.1
     with pytest.raises(InvalidParams):
         second_variation(field, p, bad)
 
@@ -322,7 +322,7 @@ def test_energy_gap_two_routes_agree(stability_setup):
 def test_energy_gap_grid_mismatch(stability_setup):
     p, field, pg = stability_setup
     other = PolarGrid(pg.radial, 64)
-    zero = Field2D(other, np.zeros((pg.radial.nodes.size, 64, 5)))
+    zero = Field2D(other, np.zeros((5, pg.radial.nodes.size, 64)))
     with pytest.raises(GridError):
         energy_gap(field, zero, p)
 
@@ -368,8 +368,8 @@ def test_random_perturbation_accepts_numpy_integers():
 def test_random_perturbation_structure():
     pg = PolarGrid(RadialGrid.uniform(1.0, 64), 64)
     pert = random_perturbation(pg, seed=5, norm=2.0)
-    assert np.max(np.abs(pert.values[-1])) == 0.0  # vanishes on the rim
-    assert np.max(np.abs(pert.values[0] - pert.values[0, :1])) == 0.0  # single-valued
+    assert np.max(np.abs(pert.values[:, -1])) == 0.0  # vanishes on the rim
+    assert np.max(np.abs(pert.values[:, 0] - pert.values[:, 0, :1])) == 0.0  # single-valued
     w = pg.radial.weights
     nsq = float(np.sum(w * np.sum(frob_sq(pert.values), axis=1)) * pg.dphi)
     assert math.sqrt(nsq) == pytest.approx(2.0, rel=1e-12)
@@ -390,7 +390,7 @@ def _old_random_perturbation(grid, seed, concentrate=None, norm=1.0):
     else:
         envelope = np.sin(np.pi * rho)
     basis = np.eye(5)
-    vals = np.zeros((rho.size, grid.m, 5))
+    vals = np.zeros((5, rho.size, grid.m))
     for b in range(5):
         for m in range(7):  # angular modes 0..6
             amp = 1.0 / (1.0 + m * m)
@@ -400,9 +400,9 @@ def _old_random_perturbation(grid, seed, concentrate=None, norm=1.0):
             wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
             shape = radial_shape * wig
             ang = ca * np.cos(m * phis) + sa * np.sin(m * phis)
-            vals += shape[:, None, None] * ang[None, :, None] * basis[b][None, None, :]
-    vals[-1] = 0.0
-    vals[0] = vals[0, 0][None, :]
+            vals += shape[None, :, None] * ang[None, None, :] * basis[b][:, None, None]
+    vals[:, -1] = 0.0
+    vals[:, 0] = vals[:, 0, :1]
     w = grid.radial.weights
     nsq = float(np.sum(w * np.sum(frob_sq(vals), axis=1)) * grid.dphi)
     if nsq > 0.0:
@@ -455,21 +455,21 @@ def _ref_gauss_sum(grid, dens):
         rg = grid.radial.nodes[:-1] + h * xi
 
         def at(a, xi=xi):
-            return (1.0 - xi) * a[:-1] + xi * a[1:]
+            return (1.0 - xi) * a[..., :-1, :] + xi * a[..., 1:, :]
 
         total += float(np.sum((h * w * rg * grid.dphi)[:, None] * dens(at, rg)))
     return total
 
 
 def _ref_phi_derivative(values):
-    hat = np.fft.rfft(values, axis=1)
-    mult = 1j * np.arange(hat.shape[1])
+    hat = np.fft.rfft(values, axis=-1)
+    mult = 1j * np.arange(hat.shape[-1])
     mult[-1] = 0.0  # M is even: drop the Nyquist mode
-    return np.fft.irfft(hat * mult[None, :, None], n=values.shape[1], axis=1)
+    return np.fft.irfft(hat * mult, n=values.shape[-1], axis=-1)
 
 
 def _ref_dirichlet(grid, values, weight=lambda at: 1.0):
-    dr_sq = frob_sq(np.diff(values, axis=0) / grid.radial.h[:, None, None])
+    dr_sq = frob_sq(np.diff(values, axis=1) / grid.radial.h[:, None])
     dphi = _ref_phi_derivative(values)
     return _ref_gauss_sum(
         grid,
@@ -488,8 +488,8 @@ def _ref_quadratic_form(grid, y, pv, p):
 
 def _rough_perturbation(pg, seed):
     """White noise vanishing on the rim: every angular mode, Nyquist included."""
-    vals = 0.01 * np.random.default_rng(seed).standard_normal((pg.radial.nodes.size, pg.m, 5))
-    vals[-1] = 0.0
+    vals = 0.01 * np.random.default_rng(seed).standard_normal((5, pg.radial.nodes.size, pg.m))
+    vals[:, -1] = 0.0
     return vals
 
 
@@ -497,7 +497,7 @@ def _with_bumped(p, field, pg):
     """A lifted ``Y`` and a non-lifted one whose ``|Y|^2`` depends on the angle."""
     bumped = field.values + 0.05 * random_perturbation(pg, seed=41).values
     assert np.ptp(frob_sq(bumped), axis=1).max() > 1e-3
-    assert np.all(frob_dot(bumped[:, 0, :], F3_COMPONENTS) < -1e-3)
+    assert np.all(frob_dot(bumped[:, :, 0], F3_COMPONENTS) < -1e-3)
     return p, pg, (field, Field2D(pg, bumped))
 
 
@@ -520,13 +520,13 @@ def graded_oracle_fields(solve_cache):
 def _check_second_variation_oracle(p, pg, fields):
     for y in fields:
         yv = y.values
-        v = frob_dot(yv[:, 0, :], F3_COMPONENTS)
+        v = frob_dot(yv[:, :, 0], F3_COMPONENTS)
         perts = [random_perturbation(pg, seed=s, concentrate=kind).values
                  for s, kind in ((0, None), (1, "core"), (2, "boundary"))]
         for pv in perts + [_rough_perturbation(pg, 3)]:
             sv = second_variation(y, p, Field2D(pg, pv))
-            u = pv / v[:, None, None]
-            hardy = _ref_dirichlet(pg, u, weight=lambda at: (at(v) ** 2)[:, None])
+            u = pv / v[:, None]
+            hardy = _ref_dirichlet(pg, u, weight=lambda at: at(v[:, None]) ** 2)
             norm = _ref_gauss_sum(pg, lambda at, rg: frob_sq(at(pv)))
             assert sv.direct == pytest.approx(_ref_quadratic_form(pg, yv, pv, p), rel=1e-12)
             assert sv.hardy == pytest.approx(hardy, rel=1e-12)
@@ -598,7 +598,7 @@ def test_spectral_scheme_rejects_non_finite_fields(stability_setup, value, ring)
 
     def bad(f):
         vals = f.values.copy()
-        vals[ring, 7, 2] = value
+        vals[2, ring, 7] = value
         return Field2D(pg, vals)
 
     for name, call in _spectral_calls(p, field, pert).items():  # name shows in a failure
@@ -639,12 +639,12 @@ def _ref_fd_dirichlet(values, grid):
     r = grid.radial.nodes
     h = grid.radial.h
     dphi = grid.dphi
-    slopes = (values[1:] - values[:-1]) / h[:, None, None]
+    slopes = (values[:, 1:] - values[:, :-1]) / h[:, None]
     seg_w = 0.5 * h * (r[:-1] + r[1:])
     rad_part = float(np.sum(seg_w * np.sum(frob_sq(slopes), axis=1)) * dphi)
-    edges = (np.roll(values, -1, axis=1) - values) / dphi
+    edges = (np.roll(values, -1, axis=2) - values) / dphi
     wtrap = grid.radial.weights
-    ang = frob_sq(edges[1:])
+    ang = frob_sq(edges[:, 1:])
     ang_part = float(np.sum(wtrap[1:] / (r[1:] ** 2) * np.sum(ang, axis=1)) * dphi)
     return 0.5 * (rad_part + ang_part)
 
@@ -659,21 +659,21 @@ def _ref_potential(values, grid, p):
 def _ref_laplacian(values, grid):
     """Five-point polar stencil on all interior rings at once."""
     r = grid.radial.nodes
-    hm = (r[1:-1] - r[:-2])[:, None, None]
-    hp = (r[2:] - r[1:-1])[:, None, None]
+    hm = (r[1:-1] - r[:-2])[:, None]
+    hp = (r[2:] - r[1:-1])[:, None]
     denom = hm * hp * (hm + hp)
-    vm, vc, vp = values[:-2], values[1:-1], values[2:]
+    vm, vc, vp = values[:, :-2], values[:, 1:-1], values[:, 2:]
     d1 = (hm * hm * vp - hp * hp * vm + (hp * hp - hm * hm) * vc) / denom
     d2 = 2.0 * (hm * vp + hp * vm - (hm + hp) * vc) / denom
-    ddphi = (np.roll(vc, -1, axis=1) - 2.0 * vc + np.roll(vc, 1, axis=1)) / grid.dphi**2
-    ri = r[1:-1][:, None, None]
+    ddphi = (np.roll(vc, -1, axis=2) - 2.0 * vc + np.roll(vc, 1, axis=2)) / grid.dphi**2
+    ri = r[1:-1][:, None]
     return d2 + d1 / ri + ddphi / ri**2
 
 
 def _ref_el_residual(values, grid, p):
     """The Euler-Lagrange residual's stencil and bulk terms on all interior rings at once."""
-    vc = values[1:-1]
-    nsq = frob_sq(vc)[..., None]
+    vc = values[:, 1:-1]
+    nsq = frob_sq(vc)
     lap = _ref_laplacian(values, grid)
     return p.L * lap + p.a2 * vc + p.b2 * deviatoric_square(vc) - p.c2 * nsq * vc
 
@@ -683,15 +683,15 @@ def _ref_hm_residual(values, grid, p):
     plus the compact ``|grad Q|^2`` of averaged one-sided squared differences."""
     r = grid.radial.nodes
     h = grid.radial.h
-    fsq = frob_sq((values[1:] - values[:-1]) / h[:, None, None])
+    fsq = frob_sq((values[:, 1:] - values[:, :-1]) / h[:, None])
     hm = h[:-1][:, None]
     hp = h[1:][:, None]
     rad = (hm * fsq[:-1] + hp * fsq[1:]) / (hm + hp)
-    vc = values[1:-1]
-    esq = frob_sq((np.roll(vc, -1, axis=1) - vc) / grid.dphi)
+    vc = values[:, 1:-1]
+    esq = frob_sq((np.roll(vc, -1, axis=2) - vc) / grid.dphi)
     ang = 0.5 * (esq + np.roll(esq, 1, axis=1))
     gsq = rad + ang / r[1:-1][:, None] ** 2
-    return _ref_laplacian(values, grid) + (1.5 / p.s_plus**2) * gsq[..., None] * vc
+    return _ref_laplacian(values, grid) + (1.5 / p.s_plus**2) * gsq * vc
 
 
 def _block_cases():
@@ -718,8 +718,8 @@ def test_streamed_fd_scheme_matches_full_array_reference(spacing, m, rings):
     field = lift(prof, k, pg)
     fn = frame_fn_components(pg.phis, k)
     expected_lift = (
-        prof.u[:, None, None] * fn[None, :, :]
-        + prof.v[:, None, None] * F3_COMPONENTS[None, None, :]
+        prof.u[:, None] * fn[:, None, :]
+        + prof.v[:, None] * F3_COMPONENTS[:, None, None]
     )
     assert np.array_equal(field.values, expected_lift)
 
@@ -737,7 +737,7 @@ def test_streamed_fd_scheme_matches_full_array_reference(spacing, m, rings):
             assert np.array_equal(res.values, _ref_el_residual(f.values, pg, p))
             assert np.array_equal(res.rings, radial.nodes[1:-1])
             # the harmonic-map residual, on the field scaled to |Q|^2 = (2/3) s+^2
-            on_sphere = f.values * np.sqrt(p.limit_norm_sq / frob_sq(f.values))[..., None]
+            on_sphere = f.values * np.sqrt(p.limit_norm_sq / frob_sq(f.values))
             hm = hm_residual(Field2D(pg, on_sphere), p)
             assert np.array_equal(hm.values, _ref_hm_residual(on_sphere, pg, p))
             assert np.array_equal(hm.rings, radial.nodes[1:-1])
@@ -780,8 +780,8 @@ def test_separable_dirichlet_quadrature_matches_full_field(spacing):
     rng = np.random.default_rng(11)
     pg = PolarGrid(getattr(RadialGrid, spacing)(1.7, 40), 96)
     f = rng.standard_normal((pg.radial.nodes.size, 3))
-    g = rng.standard_normal((3, pg.m, 5))
-    values = np.einsum("ia,ajc->ijc", f, g)
+    g = rng.standard_normal((5, 3, pg.m))
+    values = np.einsum("ia,caj->cij", f, g)
     quad = separable_dirichlet_quadrature(f, g, pg)
     assert quad == pytest.approx(_ref_fd_dirichlet(values, pg), rel=1e-14, abs=0.0)
 
@@ -806,7 +806,7 @@ def _small_field(n=32, m=64):
 
 def _nan_v_field():
     field = _small_field()
-    field.values[3, 0] = np.nan  # v = Y:F3 on the first angle
+    field.values[:, 3, 0] = np.nan  # v = Y:F3 on the first angle
     return field
 
 
@@ -827,11 +827,16 @@ _FIELD_ARGUMENT_CHECKS = {
         InvalidParams, lambda: energy_gap(_small_field(), _small_field(), params(L=0.0))),
     "Field2D-values-shape": (
         GridError, lambda: Field2D(_small_field().grid, np.zeros((33, 64, 3)))),
+    # the (N+1, M, 5) layout that came before coordinates first
+    "Field2D-values-old-layout": (
+        GridError, lambda: Field2D(_small_field().grid, np.zeros((33, 64, 5)))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_FIELD_ARGUMENT_CHECKS))
 def test_field_argument_checks(case):
     exc, call = _FIELD_ARGUMENT_CHECKS[case]
-    with pytest.raises(exc):
+    with pytest.raises(exc) as info:
         call()
+    if case.startswith("Field2D-values"):
+        assert "(5, 33, 64)" in str(info.value)  # the expected shape is named

@@ -93,15 +93,16 @@ def test_polar_grid_validation():
 
 def test_three_point_derivatives_exact_on_quadratics_and_columnwise():
     r = RadialGrid.graded(1.0, 40).nodes
-    y = np.stack([3.0 - 2.0 * r + 0.5 * r**2, r**2], axis=1)[:, None, :]  # (N+1, 1, 2)
-    d1, d2 = three_point_derivatives(y, r)
+    # radius on axis 1, as in a (5, rings, M) field block
+    y = np.stack([3.0 - 2.0 * r + 0.5 * r**2, r**2])[:, :, None]  # (2, N+1, 1)
+    d1, d2 = three_point_derivatives(y, r, 1)
     ri = r[1:-1]
-    assert np.allclose(d1[:, 0], np.stack([-2.0 + ri, 2.0 * ri], axis=1), rtol=0, atol=1e-9)
-    assert np.allclose(d2[:, 0], [[1.0, 2.0]], rtol=0, atol=1e-6)
-    # trailing axes only broadcast: each column equals its own 1D call bit for bit
+    assert np.allclose(d1[:, :, 0], np.stack([-2.0 + ri, 2.0 * ri]), rtol=0, atol=1e-9)
+    assert np.allclose(d2[:, :, 0], [[1.0], [2.0]], rtol=0, atol=1e-6)
+    # the other axes only broadcast: each column equals its own 1D call bit for bit
     for j in range(2):
-        c1, c2 = three_point_derivatives(y[:, 0, j], r)
-        assert np.array_equal(d1[:, 0, j], c1) and np.array_equal(d2[:, 0, j], c2)
+        c1, c2 = three_point_derivatives(y[j, :, 0], r, 0)
+        assert np.array_equal(d1[j, :, 0], c1) and np.array_equal(d2[j, :, 0], c2)
 
 
 @pytest.mark.parametrize(

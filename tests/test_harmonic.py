@@ -30,7 +30,7 @@ from qdefect import (
     uniaxial_escape_components,
 )
 from qdefect.harmonic import explicit_arrays
-from qdefect.field import random_perturbation, _by_component, _GaussRings, _RingSums, _ring_blocks
+from qdefect.field import random_perturbation, _GaussRings, _RingSums, _ring_blocks
 from qdefect.grid import GAUSS_XI
 from qdefect.tensor import (
     biaxiality,
@@ -360,10 +360,10 @@ def test_hm_residual_constant_field_is_zero():
     p = limit_params()
     grid = RadialGrid.uniform(p.R, 64)
     pg = PolarGrid(grid, 64)
-    const = np.zeros((65, 64, 5))
+    const = np.zeros((5, 65, 64))
     t = p.s_plus / math.sqrt(3.0)  # diag(t, -t, 0) = sqrt(2) t E1: |Q|^2 = 2 t^2
-    const[..., 1] = math.sqrt(2.0) * t
-    assert abs(float(frob_sq(const[0, 0])) - p.limit_norm_sq) < 1e-12
+    const[1] = math.sqrt(2.0) * t
+    assert abs(float(frob_sq(const[:, 0, 0])) - p.limit_norm_sq) < 1e-12
     res = hm_residual(Field2D(pg, const), p)
     assert res.max_norm() == 0.0
 
@@ -386,7 +386,7 @@ def test_hm_residual_non_finite_sample_violates_constraint(entry, ring):
     grid = RadialGrid.uniform(p.R, 64)
     pg = PolarGrid(grid, 64)
     field = lift(explicit_profile(Branch.MINUS, p, grid), p.k, pg)
-    field.values[ring, 5, 2] = entry
+    field.values[2, ring, 5] = entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any stencil sees the sample
         with pytest.raises(ConstraintViolated) as info:
@@ -434,7 +434,7 @@ def test_minus_branch_minimality_surrogate(rng):
         pert = random_perturbation(pg, seed=seed, norm=1.0).values
         sums = _RingSums(kern.n)
         for lo, hi in _ring_blocks(pg.m, 0, kern.n):
-            kern.add(sums, lo, hi, _by_component(pert[lo:min(hi + 1, kern.n)]))
+            kern.add(sums, lo, hi, pert[:, lo:min(hi + 1, kern.n)])
         dir_term = kern.dirichlet(sums.rad, sums.dphi, sums.dphi_cross)
         total = dir_term + kern.integrate(sums.nodes, sums.cross, weight)
         assert total >= -1e-10

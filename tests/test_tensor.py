@@ -69,8 +69,25 @@ BASIS = np.array([
 
 
 def components(m):
-    """The coordinates ``tr(m B)`` of symmetric traceless matrices ``(..., 3, 3)`` on the basis."""
-    return np.einsum("...ij,bji->...b", np.asarray(m, dtype=float), BASIS)
+    """The coordinates ``(5, ...)``, ``tr(m B)``, of symmetric traceless matrices ``(..., 3, 3)``."""
+    return np.einsum("...ij,bji->b...", np.asarray(m, dtype=float), BASIS)
+
+
+def ansatz_samples(rng, count, k=None):
+    """``count`` draws of ``(u, v, phi, k)`` for single tensors, then one of
+    ``(6, 7)`` arrays for a ``(5, 6, 7)`` field; ``k`` is drawn per tensor
+    unless given."""
+    for _ in range(count):
+        u, v = rng.standard_normal(2)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        yield u, v, phi, int(rng.integers(1, 5)) if k is None else k
+    u, v = rng.standard_normal((2, 6, 7))
+    yield u, v, rng.uniform(0.0, 2.0 * math.pi, (6, 7)), 3 if k is None else k
+
+
+def as_matrix_scale(x):
+    """A scalar or an array of per-tensor scalars, broadcast against ``(..., 3, 3)``."""
+    return np.asarray(x)[..., None, None]
 
 
 def norm(c):
@@ -186,8 +203,8 @@ def _full_bulk_density(c, p):
 def test_bulk_density_skips_the_cubic_term_bit_for_bit(b2):
     p = ModelParams(a2=1.3, b2=b2, c2=0.8, L=0.1, R=1.0, k=1)
     rng = np.random.default_rng(5)
-    cases = [np.zeros((3, 5)), rng.standard_normal((50, 7, 5))]
-    cases += [s * rng.standard_normal((40, 5)) for s in (1e-150, 1e76, 1e100, 1e150)]
+    cases = [np.zeros((5, 3)), rng.standard_normal((5, 50, 7))]
+    cases += [s * rng.standard_normal((5, 40)) for s in (1e-150, 1e76, 1e100, 1e150)]
     for c in cases:
         with np.errstate(over="ignore", invalid="ignore"):  # |Q|^4 overflows from |Q| ~ 1e77
             f, full = bulk_density(c, p), _full_bulk_density(c, p)
@@ -232,8 +249,9 @@ def test_ansatz_components_broadcasts_every_argument():
     v = np.linspace(-1.0, 0.0, 7)[:, None]
     phi = np.linspace(0.0, 6.0, 5)
     got = ansatz_components(0.4, v, phi, 3)
-    assert got.shape == (7, 5, 5)
-    assert np.array_equal(got, 0.4 * frame_fn_components(phi, 3) + v[..., None] * F3_COMPONENTS)
+    assert got.shape == (5, 7, 5)
+    ref = 0.4 * frame_fn_components(phi, 3)[:, None, :] + v * F3_COMPONENTS[:, None, None]
+    assert np.array_equal(got, ref)
 
 
 def test_eigen3_ansatz_formula():
@@ -379,72 +397,67 @@ def test_reconstruction_symmetric_traceless_norm(rng):
         assert float(frob_sq(q)) == pytest.approx(float(np.sum(lam**2)), rel=1e-12)
 
 
+def _trace(m):
+    """Traces of matrices ``(..., 3, 3)``."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+# each identity below holds on single tensors and on one (5, N, M) field
+
 def test_cubic_trace_identity(rng):
     # tr(Y^3) = v (v^2 - 3 u^2) / sqrt(6) for the two-mode field
-    for _ in range(300):
-        u, v = rng.standard_normal(2)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        k = int(rng.integers(1, 5))
+    for u, v, phi, k in ansatz_samples(rng, 300):
         m = components_to_matrix(ansatz_components(u, v, phi, k))
-        direct = float(np.trace(m @ m @ m))
+        direct = _trace(m @ m @ m)
         assert direct == pytest.approx(v * (v * v - 3.0 * u * u) / SQ6, abs=1e-12)
 
 
 def test_square_identity(rng):
     # Y^2 = -sqrt(2/3) u v F_n + (v^2 - u^2)/sqrt(6) F_3 + |Y|^2 I / 3
-    for _ in range(300):
-        u, v = rng.standard_normal(2)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        k = int(rng.integers(1, 5))
+    for u, v, phi, k in ansatz_samples(rng, 300):
         fn = frame_fn_components(phi, k)
         y = components_to_matrix(ansatz_components(u, v, phi, k))
         fn_m = components_to_matrix(fn)
         f3_m = components_to_matrix(F3_COMPONENTS)
         rhs = (
-            -math.sqrt(2.0 / 3.0) * u * v * fn_m
-            + (v * v - u * u) / SQ6 * f3_m
-            + (u * u + v * v) / 3.0 * np.eye(3)
+            -math.sqrt(2.0 / 3.0) * as_matrix_scale(u * v) * fn_m
+            + as_matrix_scale((v * v - u * u) / SQ6) * f3_m
+            + as_matrix_scale((u * u + v * v) / 3.0) * np.eye(3)
         )
         assert np.max(np.abs(y @ y - rhs)) < 1e-12
 
 
 def test_ansatz_norm_identity(rng):
-    for _ in range(100):
-        u, v = rng.standard_normal(2)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        c = ansatz_components(u, v, phi, 2)
-        assert float(frob_sq(c)) == pytest.approx(u * u + v * v, rel=1e-13)
+    for u, v, phi, k in ansatz_samples(rng, 100, k=2):
+        c = ansatz_components(u, v, phi, k)
+        assert frob_sq(c) == pytest.approx(u * u + v * v, rel=1e-13)
 
 
 def test_deviatoric_square_matches_matrix_route(rng):
     # numpy matrix algebra on random tensors: the traceless part of Q^2 and tr(Q^3)
-    for _ in range(200):
-        q = random_components(rng)
+    for q in [random_components(rng) for _ in range(200)] + [rng.standard_normal((5, 6, 7))]:
         m = components_to_matrix(q)
-        ref = m @ m - np.trace(m @ m) / 3.0 * np.eye(3)
+        ref = m @ m - as_matrix_scale(_trace(m @ m) / 3.0) * np.eye(3)
         got = components_to_matrix(deviatoric_square(q))
         assert np.max(np.abs(got - ref)) < 1e-13
         assert np.max(np.abs(deviatoric_square(q) - components(ref))) < 1e-13
-        assert float(trace_cubed(q)) == pytest.approx(float(np.trace(m @ m @ m)), abs=1e-13)
+        assert trace_cubed(q) == pytest.approx(_trace(m @ m @ m), abs=1e-13)
 
 
 def test_frob_dot_matches_trace(rng):
-    for _ in range(100):
-        a, b = random_components(rng), random_components(rng)
-        ref = float(np.trace(components_to_matrix(a) @ components_to_matrix(b)))
-        assert float(frob_dot(a, b)) == pytest.approx(ref, rel=1e-13)
+    pairs = [(random_components(rng), random_components(rng)) for _ in range(100)]
+    for a, b in pairs + [tuple(rng.standard_normal((2, 5, 6, 7)))]:
+        ref = _trace(components_to_matrix(a) @ components_to_matrix(b))
+        assert frob_dot(a, b) == pytest.approx(ref, rel=1e-13)
 
 
 def test_frame_coeffs_roundtrip(rng):
     # (u, v) -> u F_n + v F_3 -> projections onto the frame give (u, v) back
-    for _ in range(100):
-        u, v = rng.standard_normal(2)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        k = int(rng.integers(1, 5))
+    for u, v, phi, k in ansatz_samples(rng, 100):
         q = ansatz_components(u, v, phi, k)
-        assert float(frob_sq(q)) == pytest.approx(u * u + v * v, rel=1e-13)
-        assert float(frob_dot(q, frame_fn_components(phi, k))) == pytest.approx(u, abs=1e-13)
-        assert float(frob_dot(q, F3_COMPONENTS)) == pytest.approx(v, abs=1e-13)
+        assert frob_sq(q) == pytest.approx(u * u + v * v, rel=1e-13)
+        assert frob_dot(q, frame_fn_components(phi, k)) == pytest.approx(u, abs=1e-13)
+        assert frob_dot(q, F3_COMPONENTS) == pytest.approx(v, abs=1e-13)
 
 
 @pytest.mark.parametrize(
