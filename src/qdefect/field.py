@@ -336,7 +336,7 @@ class _RingSums:
 
 
 class _GaussRings:
-    """The spectral/Gauss kernel of one polar grid, built per public call.
+    """The spectral/Gauss kernel of one polar grid and ``params``, built per public call.
 
     At ``xi`` on segment ``i`` a product of two piecewise-linear fields is
     ``(1-xi)^2 a_i:b_i + 2 xi (1-xi) a_i:b_{i+1} + xi^2 a_{i+1}:b_{i+1}``,
@@ -349,14 +349,16 @@ class _GaussRings:
     ``int f r dr dphi``; ``inv_rg2``: inverse squared Gauss radii;
     ``coef``: the node weights.  The loops run with non-finite arithmetic
     quiet: it shows in the ring sums, which callers check with
-    :func:`_require_finite`.  The radial rule is that of the reduced
-    solver's :class:`~qdefect.reduced._P1Gauss`, taken from it.
+    :func:`_require_finite`.  The radial rule is taken from the reduced
+    solver's :class:`~qdefect.reduced._P1Gauss` of the same radial grid and
+    ``params``, which :meth:`energy` and :meth:`quadratic_form` read.
     """
 
-    def __init__(self, grid: PolarGrid):
+    def __init__(self, grid: PolarGrid, params: ModelParams):
         self.m = grid.m
         self.n = grid.radial.nodes.size
-        rule = _P1Gauss(grid.radial, 0)  # k enters only its wk, not read here
+        self.params = params
+        rule = _P1Gauss(grid.radial, params)
         self.h_sq = rule.h * rule.h
         self.wg = rule.wg * grid.dphi
         self.inv_rg2 = 1.0 / rule.rg2
@@ -400,17 +402,19 @@ class _GaussRings:
         radial = float(np.sum((self.wg * weight).sum(axis=1) * rad))
         return 0.5 * (radial + self.integrate(dphi, dphi_cross, weight * self.inv_rg2))
 
-    def energy(self, s: _RingSums, pair: np.ndarray, params: ModelParams, cubic=0.0) -> float:
+    def energy(self, s: _RingSums, pair: np.ndarray, cubic=0.0) -> float:
         """Landau-de Gennes energy from a field's ring sums, its ``_pair`` sums
         with itself and the Gauss sum ``cubic`` of ``tr Q^3`` (read for ``b2 != 0``)."""
+        params = self.params
         bulk = 0.25 * params.c2 * self.integrate_pair(pair)
         bulk -= 0.5 * params.a2 * self.integrate(s.nodes, s.cross)
         bulk -= (params.b2 / 3.0) * cubic
         return self.dirichlet(s.rad, s.dphi, s.dphi_cross) + bulk / params.L
 
-    def quadratic_form(self, p: _RingSums, pair: np.ndarray, params: ModelParams) -> float:
+    def quadratic_form(self, p: _RingSums, pair: np.ndarray) -> float:
         """``0.5 int |grad P|^2 + (1/2L) int |P|^2 (-a2 + c2 |Y|^2)`` from the ring
         sums of ``P`` and the ``_pair`` sums of ``P`` with ``Y``."""
+        params = self.params
         pot = params.c2 * self.integrate_pair(pair) - params.a2 * self.integrate(p.nodes, p.cross)
         return self.dirichlet(p.rad, p.dphi, p.dphi_cross) + pot / (2.0 * params.L)
 
@@ -446,7 +450,7 @@ def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
     """
     if params.L <= 0.0:
         raise InvalidParams("ldg_energy_spectral requires L > 0")
-    kern = _GaussRings(field.grid)
+    kern = _GaussRings(field.grid, params)
     s = _RingSums(kern.n)
     pair = np.empty((3, 3, kern.n - 1))
     cubic = np.zeros((kern.n - 1, GAUSS_XI.size))  # tr Q^3 at the Gauss rings, b2 != 0 only
@@ -461,7 +465,7 @@ def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
                     at_xi = (1 - xi) * vals[:, :-1] + xi * vals[:, 1:]
                     cubic[lo:top - 1, g] = tensor.trace_cubed(at_xi).sum(axis=1)
     _require_finite(pair, cubic, *s)
-    return kern.energy(s, pair, params, float(np.sum(kern.wg * cubic)))
+    return kern.energy(s, pair, float(np.sum(kern.wg * cubic)))
 
 
 @dataclass
@@ -517,7 +521,7 @@ def second_variation(
             "profile component v must be <= -1e-10 at every node for P = v U"
         )
 
-    kern = _GaussRings(field_y.grid)
+    kern = _GaussRings(field_y.grid, params)
     p = _RingSums(kern.n)
     pair = np.empty((3, 3, kern.n - 1))
     hardy_rad = np.empty(kern.n - 1)
@@ -541,7 +545,7 @@ def second_variation(
         p.dphi_cross / (v[:-1] * v[1:]),
         ((1.0 - GAUSS_XI) * v[:-1, None] + GAUSS_XI * v[1:, None]) ** 2,
     )
-    direct = kern.quadratic_form(p, pair, params)
+    direct = kern.quadratic_form(p, pair)
     return SecondVariationResult(direct, hardy, perturbation_norm_sq=kern.integrate(p.nodes, p.cross))
 
 
@@ -580,7 +584,7 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
     yv = field_y.values
     ypv = field_yp.values
 
-    kern = _GaussRings(field_y.grid)
+    kern = _GaussRings(field_y.grid, params)
     n = kern.n
     y, yp, p = _RingSums(n), _RingSums(n), _RingSums(n)
     pair_y, pair_yp, pair_py, pair_s = (np.empty((3, 3, n - 1)) for _ in range(4))
@@ -603,8 +607,8 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
     with np.errstate(invalid="ignore"):  # inf - inf in the rim shows as NaN
         _require_perturbation(ypv[:, -1] - yv[:, -1], peaks)
     _require_finite(pair_y, pair_yp, pair_py, pair_s, *y, *yp, *p)
-    direct = kern.energy(yp, pair_yp, params) - kern.energy(y, pair_y, params)
-    quad_form = kern.quadratic_form(p, pair_py, params)
+    direct = kern.energy(yp, pair_yp) - kern.energy(y, pair_y)
+    quad_form = kern.quadratic_form(p, pair_py)
     quart = kern.integrate_pair(pair_s) * params.c2 / (4.0 * params.L)
     return EnergyGapResult(direct, quad_form + quart, quadratic_form=quad_form, quartic_term=quart)
 

@@ -44,7 +44,7 @@ class RadialGrid:
             raise GridError("radial grid needs at least N >= 16 segments")
         if nodes[0] != 0.0:
             raise GridError("radial grid must start at r = 0")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not np.all(np.diff(nodes) > 0.0):  # a NaN node fails too
             raise GridError("radial nodes must be strictly increasing")
         if not math.isfinite(nodes[-1]):
             raise GridError("radial grid must end at a finite radius")

@@ -207,7 +207,7 @@ def e0_energy(p, params: ModelParams) -> E0Result:
     if isinstance(p, PsiProfile):  # the Dirichlet sum of (psi, 0) with u = sin(psi)
         if not np.all(np.isfinite(p.psi)):
             return E0Result(finite=False, value=None, max_deviation=math.nan)
-        q = _P1Gauss(p.grid, params.k)
+        q = _P1Gauss(p.grid, params)
         dpsi = np.diff(p.psi) / q.h
         sg = np.sin(q.at_gauss(p.psi))
         value = params.limit_norm_sq * float(_dirichlet(q, dpsi * dpsi, sg * sg))
@@ -219,7 +219,7 @@ def e0_energy(p, params: ModelParams) -> E0Result:
     dev = float(np.max(np.abs(p.norm_sq_samples() - target))) / target
     if not dev <= 1e-8:  # a NaN sample violates the constraint too
         return E0Result(finite=False, value=None, max_deviation=dev)
-    q = _P1Gauss(p.grid, params.k)
+    q = _P1Gauss(p.grid, params)
     pt = q.point(p.u, p.v)
     value = float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu))
     return E0Result(finite=True, value=value, max_deviation=dev)

@@ -160,12 +160,10 @@ def read_profile_csv(path) -> Profile:
 
 @dataclass
 class _Point:
-    """One evaluated point of the kernel: node values ``u, v``, their Gauss
-    values ``ug, vg`` with ``uu = ug*ug``, ``vv = vg*vg`` and ``t = uu + vv``,
-    and the per-segment node slopes ``du, dv``."""
+    """One evaluated point of the kernel: the Gauss values ``ug, vg`` of the
+    node values, with ``uu = ug*ug``, ``vv = vg*vg`` and ``t = uu + vv``, and
+    the per-segment node slopes ``du, dv``."""
 
-    u: np.ndarray
-    v: np.ndarray
     ug: np.ndarray
     vg: np.ndarray
     uu: np.ndarray
@@ -176,24 +174,22 @@ class _Point:
 
 
 class _P1Gauss:
-    """The P1/Gauss kernel of one radial grid and index ``k``, and the only
+    """The P1/Gauss kernel of one radial grid and ``params``, and the only
     place that forms the radial Gauss rule: Gauss weights ``wg`` of
     ``int f(r) r dr``, interpolation parameters ``t`` and ``s = 1 - t``,
-    squared Gauss radii ``rg2`` (all ``(N, 5)``).  Built per solve or public
-    call, never cached on the grid (that would keep every held grid's arrays
-    alive); ``rg`` is dropped.  :meth:`point` evaluates a point once for its
-    energy, gradient and Hessian.  The terms' constants serve every point of
-    a solve: ``seg_r / 2``, ``seg_r / h``, ``seg_r / h^2`` (``seg_r`` the
-    exact per-segment ``int r dr``), ``wk = wg k^2 / r^2``, ``wg / L`` and
-    the Gauss coefficient buffers of the gradient and the Hessian.  The
-    Hessian's stiffness pairs and the two buffers are built on first use, so
-    a lone energy or gradient call does not pay for them.
+    squared Gauss radii ``rg2`` (all ``(N, 5)``).  A plain value, built once
+    per solve level or public call, never cached on the grid (that would
+    keep every held grid's arrays alive).  :meth:`point` evaluates a point
+    once for its energy, gradient and Hessian, whose constants serve every
+    point: ``seg_r / 2``, ``seg_r / h`` (``seg_r`` the exact per-segment
+    ``int r dr``), ``wk = wg k^2 / r^2`` and ``wl = wg / L``, formed on first
+    use: the ``L = 0`` kernels of the limit's Dirichlet sums never divide by 0.
     """
 
-    def __init__(self, grid: RadialGrid, k: int):
+    def __init__(self, grid: RadialGrid, params: ModelParams):
         self.grid = grid
+        self.params = params
         self.h = grid.h
-        self.k2 = float(k * k)
         rg = grid.nodes[:-1, None] + self.h[:, None] * GAUSS_XI
         self.wg = self.h[:, None] * GAUSS_W * rg
         self.t = (rg - grid.nodes[:-1, None]) / self.h[:, None]
@@ -201,27 +197,11 @@ class _P1Gauss:
         self.rg2 = rg * rg
         seg_r = self.h * (rg @ GAUSS_W)  # the sum of wg over each segment
         self.half_seg_r, self.seg_r_h = 0.5 * seg_r, seg_r / self.h
-        self.wk = self.wg * (self.k2 / self.rg2)
-        self._wg_L = (None, None)
+        self.wk = self.wg * (float(params.k * params.k) / self.rg2)
 
     @cached_property
-    def stiff_pairs(self) -> np.ndarray:
-        """``seg_r / h^2`` times the aa, ab, bb signs of the hat-slope products."""
-        return np.multiply.outer(self.seg_r_h / self.h, [1.0, -1.0, 1.0])
-
-    @cached_property
-    def grad_coef(self) -> np.ndarray:
-        return np.empty((2,) + self.wg.shape)
-
-    @cached_property
-    def hess_coef(self) -> np.ndarray:
-        return np.empty((3,) + self.wg.shape)
-
-    def wg_L(self, L: float) -> np.ndarray:
-        """``wg / L``, kept for the last ``L`` asked for."""
-        if self._wg_L[0] != L:
-            self._wg_L = (L, self.wg / L)
-        return self._wg_L[1]
+    def wl(self) -> np.ndarray:
+        return self.wg / self.params.L
 
     def at_gauss(self, values) -> np.ndarray:
         """Piecewise-linear interpolation of node data to the Gauss radii."""
@@ -230,11 +210,11 @@ class _P1Gauss:
     def point(self, u, v) -> _Point:
         ug, vg = self.at_gauss(u), self.at_gauss(v)
         uu, vv = ug * ug, vg * vg
-        return _Point(u, v, ug, vg, uu, vv, uu + vv, np.diff(u) / self.h, np.diff(v) / self.h)
+        return _Point(ug, vg, uu, vv, uu + vv, np.diff(u) / self.h, np.diff(v) / self.h)
 
 
 def _check_operands(profile: Profile, params: ModelParams):
-    if profile.u.shape != profile.grid.nodes.shape:
+    if not profile.u.shape == profile.v.shape == profile.grid.nodes.shape:
         raise GridError("profile does not match its grid")
     if params.L <= 0.0:
         raise InvalidParams("the reduced functional requires L > 0")
@@ -255,7 +235,8 @@ def _dirichlet(q: _P1Gauss, slope_sq: np.ndarray, uu: np.ndarray):
 # and the terms left are the same operations on the same operands, so the
 # results keep their bits at every b2.
 
-def _energy(q: _P1Gauss, pt: _Point, p: ModelParams) -> float:
+def _energy(q: _P1Gauss, pt: _Point) -> float:
+    p = q.params
     # the bulk term first: fewer (N, 5) arrays are live at once, and at
     # n = 4096 each one costs about 40 page faults per one-shot call
     f = pt.t * (0.25 * p.c2 * pt.t - 0.5 * p.a2)
@@ -263,9 +244,7 @@ def _energy(q: _P1Gauss, pt: _Point, p: ModelParams) -> float:
         f -= (p.b2 / (3.0 * _SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.uu)
     # summed as Python floats: an inf Dirichlet part and a -inf bulk part
     # give NaN without a RuntimeWarning, as their BLAS sums overflow without one
-    return float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu)) + float(
-        np.vdot(q.wg_L(p.L), f)
-    )
+    return float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu)) + float(np.vdot(q.wl, f))
 
 
 def reduced_energy(profile: Profile, params: ModelParams) -> float:
@@ -275,8 +254,8 @@ def reduced_energy(profile: Profile, params: ModelParams) -> float:
     radii only, which is finite for admissible data (``u(0) = 0``).
     """
     _check_operands(profile, params)
-    q = _P1Gauss(profile.grid, params.k)
-    return _energy(q, q.point(profile.u, profile.v), params)
+    q = _P1Gauss(profile.grid, params)
+    return _energy(q, q.point(profile.u, profile.v))
 
 
 # hat values 1 - xi, xi at the Gauss points (a segment's end nodes a, b) and
@@ -285,33 +264,25 @@ _HAT_ENDS = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=1)
 _HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
 
-def _raw_gradient(q: _P1Gauss, pt: _Point, p: ModelParams) -> np.ndarray:
-    """Partial derivatives of the discrete energy wrt every node value, as
-    ``(N+1, 2)`` rows ``(d/du_i, d/dv_i)``."""
-    wl = q.wg_L(p.L)
+def _gradient(q: _P1Gauss, pt: _Point) -> np.ndarray:
+    """Partial derivatives of the discrete energy wrt the node values, as
+    ``(N+1, 2)`` rows ``(d/du_i, d/dv_i)``; the entries of the fixed DOFs
+    ``u_0``, ``u_N``, ``v_N`` (those outside ``_FREE``) are 0."""
+    p = q.params
     m = p.c2 * pt.t - p.a2
-    cu, cv = q.grad_coef  # wg (k^2 u / r^2 + f_u / L), wg f_v / L
     mu, fv = m, pt.vg * m
     if p.b2 != 0.0:
         mu = m + _SQRT23 * p.b2 * pt.vg
         fv -= (p.b2 / _SQRT6) * (pt.vv - pt.uu)
-    np.multiply(wl * mu + q.wk, pt.ug, out=cu)
-    np.multiply(wl, fv, out=cv)
-    ends = (q.grad_coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
+    # wg (k^2 u / r^2 + f_u / L), wg f_v / L
+    coef = np.stack([(q.wl * mu + q.wk) * pt.ug, q.wl * fv])
+    ends = (coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
     stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
-    g = np.empty((2, pt.u.size))  # u and v columns, contiguous for the norm's sums
+    g = np.empty((2, pt.du.size + 1))  # u and v columns, contiguous for the norm's sums
     g[:, :-1] = ends[:, :, 0] - stiff
-    g[:, -1] = 0.0
-    g[:, 1:] += ends[:, :, 1] + stiff
+    g[:, 1:-1] += ends[:, :-1, 1] + stiff[:, :-1]
+    g[0, 0] = g[:, -1] = 0.0
     return g.T
-
-
-def _free_gradient(q: _P1Gauss, pt: _Point, p: ModelParams) -> np.ndarray:
-    """:func:`_raw_gradient` with the entries outside ``_FREE``, those of the
-    fixed DOFs, set to 0."""
-    g = _raw_gradient(q, pt, p)
-    g.flat[:_FREE.start] = g.flat[_FREE.stop:] = 0.0
-    return g
 
 
 def reduced_gradient(profile: Profile, params: ModelParams):
@@ -323,13 +294,13 @@ def reduced_gradient(profile: Profile, params: ModelParams):
     Entries at fixed degrees of freedom are zero.
     """
     _check_operands(profile, params)
-    q = _P1Gauss(profile.grid, params.k)
-    gu, gv = _free_gradient(q, q.point(profile.u, profile.v), params).T
+    q = _P1Gauss(profile.grid, params)
+    gu, gv = _gradient(q, q.point(profile.u, profile.v)).T
     m = profile.grid.node_masses
     return gu / m, gv / m
 
 
-def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, p: ModelParams):
+def _assemble_hessian_banded(q: _P1Gauss, pt: _Point):
     """Hessian of the discrete energy over the free DOFs at the evaluated
     point ``pt``, in LAPACK's lower band storage: ``(4, 2N - 1)``, row ``d``
     column ``j`` holding the entry ``(j + d, j)``.
@@ -345,19 +316,19 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point, p: ModelParams):
     matrix, where ``dpbsv`` reads nothing.
     """
     n = q.grid.n_segments
-    wl = q.wg_L(p.L)
+    p = q.params
     m = p.c2 * pt.t - p.a2
     muu = mvv = m  # f_uu - 2 c2 ug^2 and f_vv - 2 c2 vg^2
     fuv = 2.0 * p.c2 * pt.vg  # f_uv / ug
     if p.b2 != 0.0:
         bv = _SQRT23 * p.b2 * pt.vg
         muu, mvv, fuv = m + bv, m - bv, _SQRT23 * p.b2 + fuv
-    cuu, cuv, cvv = q.hess_coef  # wg (k^2 / r^2 + f_uu / L), wg f_uv / L, wg f_vv / L
-    np.add(wl * (muu + 2.0 * p.c2 * pt.uu), q.wk, out=cuu)
-    np.multiply(wl, pt.ug * fuv, out=cuv)
-    np.multiply(wl, mvv + 2.0 * p.c2 * pt.vv, out=cvv)
-    loc = (q.hess_coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
-    loc[0::2] += q.stiff_pairs
+    # wg (k^2 / r^2 + f_uu / L), wg f_uv / L, wg f_vv / L
+    coef = np.stack([q.wl * (muu + 2.0 * p.c2 * pt.uu) + q.wk, q.wl * (pt.ug * fuv),
+                     q.wl * (mvv + 2.0 * p.c2 * pt.vv)])
+    loc = (coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
+    # the stiffness: seg_r / h^2 times the aa, ab, bb signs of the hat-slope products
+    loc[0::2] += np.multiply.outer(q.seg_r_h / q.h, (1.0, -1.0, 1.0))
     (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
     # the lower triangle of the block over (u_a, v_a, u_b, v_b), by column;
     # u_a v_b and v_a u_b share the weight (1 - xi) xi, so uv_ab serves both
@@ -411,23 +382,23 @@ def _lapack_dpbsv():
     return module.dpbsv
 
 
-def _newton_step(lower, shift, rhs, work):
+def _newton_step(lower, shift, rhs):
     """Solve ``(H + diag(shift)) x = rhs``, ``H`` in LAPACK's lower band
     storage (:func:`_assemble_hessian_banded`); None where the
     factorisation fails (``H + diag(shift)`` not positive definite) or ``x``
     is not finite.
 
-    One ``dpbsv`` call factors and solves in lower storage, in place in
-    ``work``, a ``(4, nf)`` Fortran-order array that a solve reuses.  The
+    One ``dpbsv`` call factors and solves in place in a Fortran-order copy
+    of ``lower``, which a failed shift and the round-off floor reuse.  The
     routine comes from :func:`_lapack_dpbsv`, which loads scipy's LAPACK
     extension without the rest of ``scipy.linalg``, and falls back to
     ``scipy.linalg.lapack`` where the extension file cannot be loaded.
     """
-    work[...] = lower
-    work[0] += shift
+    band = np.array(lower, order="F")
+    band[0] += shift
     # scipy.linalg.lapack's routine, without the ~0.2 s and ~25 MB import of
     # scipy.linalg in every process that solves
-    _, x, info = _lapack_dpbsv()(work, rhs, lower=1, overwrite_ab=1)
+    _, x, info = _lapack_dpbsv()(band, rhs, lower=1, overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(x)):
         return None
     return x
@@ -650,31 +621,29 @@ class _NewtonRun:
     backtracks: int
 
 
-def _newton(q: _P1Gauss, y, params: ModelParams, tol, max_iter, on_step, kind) -> _NewtonRun:
+def _newton(q: _P1Gauss, y, tol, max_iter, on_step, kind) -> _NewtonRun:
     """Damped Newton from the rows ``y`` on the grid of ``q``, as described
     in :func:`minimize`; ``on_step(kind, energy, grad_norm)`` after every
     iteration."""
-    grid = q.grid
-    masses = grid.node_masses
+    masses = q.grid.node_masses
     mass_free = np.repeat(masses, 2)[_FREE]
-    work = np.empty((4, 2 * grid.n_segments - 1), order="F")  # _newton_step's band
 
     def grad_and_norm(at):
         # a gradient or norm past the float range is inf (NaN where two inf
         # terms cancel), which stops the loop below
         with np.errstate(over="ignore", invalid="ignore"):
-            g = _free_gradient(q, at, params)
+            g = _gradient(q, at)
             gu, gv = g[:, 0], g[:, 1]
             return g, math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
 
     pt = q.point(y[:, 0], y[:, 1])
-    energy = _energy(q, pt, params)
+    energy = _energy(q, pt)
     g, gn = grad_and_norm(pt)
     lam = 0.0
     iters = failed = backtracks = 0
     stop = "tol" if gn <= tol else None
     while stop is None and iters < max_iter and math.isfinite(gn):
-        lower = _assemble_hessian_banded(q, pt, params)
+        lower = _assemble_hessian_banded(q, pt)
         lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
         rhs = -g.reshape(-1)[_FREE]
         # Each failed factorisation multiplies lam by 30 from at least 1e-8
@@ -682,7 +651,7 @@ def _newton(q: _P1Gauss, y, params: ModelParams, tol, max_iter, on_step, kind) -
         # the count bounds the loop where lam_unit is 0 or NaN and the test
         # never fires.
         for _ in range(_MAX_DAMPING_REJECTS):
-            x = _newton_step(lower, lam * mass_free, rhs, work)
+            x = _newton_step(lower, lam * mass_free, rhs)
             if x is not None:
                 break
             failed += 1
@@ -698,7 +667,7 @@ def _newton(q: _P1Gauss, y, params: ModelParams, tol, max_iter, on_step, kind) -
             while beta > 1e-7:
                 y2 = y + beta * step
                 pt2 = q.point(y2[:, 0], y2[:, 1])
-                e2 = _energy(q, pt2, params)
+                e2 = _energy(q, pt2)
                 if abs(e2 - energy) <= 1e-12 * abs(energy):
                     g2, gn2 = grad_and_norm(pt2)
                     accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
@@ -790,12 +759,10 @@ def minimize(
         y = _start_rows(params, grid, init)
     else:
         coarse_grid = RadialGrid(grid.nodes[np.r_[0:n:_NESTED_STRIDE, n]])
-        coarse = _newton(
-            _P1Gauss(coarse_grid, params.k), _start_rows(params, coarse_grid, init),
-            params, tol, max_iter, on_step, "coarse",
-        )
+        coarse = _newton(_P1Gauss(coarse_grid, params), _start_rows(params, coarse_grid, init),
+                         tol, max_iter, on_step, "coarse")
         y = np.stack([np.interp(grid.nodes, coarse_grid.nodes, c) for c in coarse.y.T], axis=1)
-    run = _newton(_P1Gauss(grid, params.k), y, params, tol, max_iter, on_step, "newton")
+    run = _newton(_P1Gauss(grid, params), y, tol, max_iter, on_step, "newton")
 
     u, v = run.y.T.copy()
     profile = Profile(grid, u, v)

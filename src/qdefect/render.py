@@ -10,6 +10,7 @@ given shift that does not, or whose box sides overflow, is rejected.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ SVG_HEADER = (
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
     'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
 )
+
+# a character outside XML 1.0's Char production (a lone surrogate among them)
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 # blue -> grey -> red ramp for the biaxiality measure in [0, 1]
 _COLOR_STOPS = [
@@ -187,7 +191,8 @@ def eigenvalue_chart_svg(profile: Profile, size: int = 640, title: str = "") -> 
     colors = ("#2654a6", "#b2182b", "#1a7a3c")
     names = ("lambda1", "lambda2", "lambda3")
     parts = [SVG_HEADER.format(w=w, h=h)]
-    if title:  # plain text: markup escaped, non-ASCII as character references
+    if title:  # plain text: non-XML characters as U+FFFD, markup escaped, non-ASCII as refs
+        title = _NON_XML_CHAR.sub("\ufffd", title)
         title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         title = title.encode("ascii", "xmlcharrefreplace").decode("ascii")
         parts.append(

@@ -394,14 +394,24 @@ def test_render_input_draws_the_profile_disk(wide_profile):
     assert {el.get("stroke") for el in last_ring} == {"#2654a6"}
 
 
-@pytest.mark.parametrize("name", ["a&b<c>.csv", "pr\u00f3file.csv"], ids=["markup", "non-ascii"])
-def test_render_input_with_a_special_file_name_writes_well_formed_svg(tmp_path, name):
-    # the file name reaches the chart title as XML text, non-ASCII as character references
+@pytest.mark.parametrize(
+    "name, shown",
+    [
+        ("a&b<c>.csv", "a&b<c>.csv"),
+        ("pr\u00f3file.csv", "pr\u00f3file.csv"),
+        ("a\x01b.csv", "a\ufffdb.csv"),  # a control character XML 1.0 forbids
+        ("x\udcffy.csv", "x\ufffdy.csv"),  # the byte 0xff, surrogate-escaped
+    ],
+    ids=["markup", "non-ascii", "control", "non-utf8"],
+)
+def test_render_input_with_a_special_file_name_writes_well_formed_svg(tmp_path, name, shown):
+    # the file name reaches the chart title as XML text, non-ASCII as character
+    # references and characters outside XML 1.0 as U+FFFD
     grid = RadialGrid.uniform(1.0, 32)
     write_profile_csv(tmp_path / name, Profile(grid, np.linspace(0.0, 0.8, 33), np.linspace(-1.0, -0.5, 33)))
     assert run(tmp_path, "render", "--input", name, "--k", "1", "-o", "esc") == 0
     roots = [ET.parse(tmp_path / f"esc_{kind}.svg").getroot() for kind in ("glyphs", "eigenvalues")]
-    assert roots[1].find(f"{SVG_NS}text").text == f"profile {name}, k=1"
+    assert roots[1].find(f"{SVG_NS}text").text == f"profile {shown}, k=1"
     assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from qdefect import GridError, PolarGrid, RadialGrid
+from qdefect import GridError, ModelParams, PolarGrid, RadialGrid
 from qdefect.grid import three_point_derivatives
-from qdefect.reduced import _P1Gauss
+from qdefect.reduced import _P1Gauss, _dirichlet
+
+# the limit problem's parameters: L = 0, so a kernel must never form wg / L
+LIMIT = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.0, R=1.0, k=1)
 
 
 @pytest.mark.parametrize("ctor", [RadialGrid.uniform, RadialGrid.graded])
@@ -64,7 +67,7 @@ def test_for_defect_grading_ends_at_n_1000(k):
 
 def test_gauss_points_integrate_r():
     g = RadialGrid.graded(1.0, 64)
-    wg = _P1Gauss(g, 1).wg
+    wg = _P1Gauss(g, LIMIT).wg
     assert np.sum(wg) == pytest.approx(0.5, rel=1e-14)
     # per-segment sums reproduce the exact segment integral of r dr
     seg = 0.5 * (g.nodes[1:] ** 2 - g.nodes[:-1] ** 2)
@@ -73,11 +76,18 @@ def test_gauss_points_integrate_r():
 
 def test_interpolation_is_linear():
     g = RadialGrid.uniform(1.0, 32)
-    q = _P1Gauss(g, 1)
+    q = _P1Gauss(g, LIMIT)
     rg = np.sqrt(q.rg2)
     vals = 3.0 * g.nodes + 1.0
     interp = q.at_gauss(vals)
     assert np.max(np.abs(interp - (3.0 * rg + 1.0))) < 1e-14
+    # at L = 0 a point and its Dirichlet sum leave wg / L unformed: the
+    # division would raise the suite's RuntimeWarning as an error
+    pt = q.point(vals, -vals)
+    assert np.array_equal(pt.ug, interp) and np.array_equal(pt.vg, -interp)
+    assert np.all(pt.du == 3.0) and np.all(pt.dv == -3.0)
+    assert np.isfinite(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu))
+    assert "wl" not in q.__dict__
 
 
 def test_polar_grid_validation():
@@ -111,8 +121,9 @@ def test_three_point_derivatives_exact_on_quadratics_and_columnwise():
         lambda: RadialGrid(np.append(np.linspace(0.0, 1.0, 17), np.inf)),
         lambda: RadialGrid.uniform(0.0, 32),
         lambda: RadialGrid.graded(-1.0, 32),
+        lambda: RadialGrid(np.where(np.arange(33) == 5, np.nan, np.linspace(0.0, 1.0, 33))),
     ],
-    ids=["infinite-radius", "uniform-radius-0", "graded-radius-negative"],
+    ids=["infinite-radius", "uniform-radius-0", "graded-radius-negative", "nan-node"],
 )
 def test_grid_argument_checks(make):
     with pytest.raises(GridError):

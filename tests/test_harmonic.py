@@ -165,6 +165,7 @@ def test_branch_selects_unique_first_order_equation():
 def test_e0_energy_analytic_value_both_forms():
     # analytic: E0(Y-) = |k| s+^2 / 3 per unit angle
     p = limit_params()
+    assert p.L == 0.0  # the kernel's wg / L stays unformed for both forms
     exact = p.s_plus**2 / 3.0
     for n in (512, 1024):
         grid = RadialGrid.uniform(p.R, n)
@@ -426,7 +427,7 @@ def test_minus_branch_minimality_surrogate(rng):
     pg = PolarGrid(grid, 128)
     psi = psi_of_branch(Branch.MINUS, p, grid).psi
     kk = float(p.k * p.k)
-    kern = _GaussRings(pg)
+    kern = _GaussRings(pg, p)
     psi_g = (1.0 - GAUSS_XI) * psi[:-1, None] + GAUSS_XI * psi[1:, None]
     weight = -2.0 * kk * np.sin(psi_g) ** 2 * kern.inv_rg2
 

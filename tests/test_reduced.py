@@ -237,7 +237,7 @@ def _dense_from_banded(lower):
 @pytest.mark.parametrize("k", [1, -2, 3])
 @pytest.mark.parametrize("b2", [0.0, 0.7])
 def test_hessian_matches_central_differences_of_gradient(k, b2):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _raw_gradient
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient
 
     p = params(L=0.05, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, 24, k)
@@ -252,14 +252,14 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
         ),
         p,
     )
-    q = _P1Gauss(grid, k)
+    q = _P1Gauss(grid, p)
     n = grid.n_segments
 
     def free_grad(u, v):
-        return _raw_gradient(q, q.point(u, v), p).reshape(-1)[_FREE]
+        return _gradient(q, q.point(u, v)).reshape(-1)[_FREE]
 
     assert np.max(np.abs(free_grad(prof.u, prof.v))) > 1e-2  # not a critical point
-    hess = _dense_from_banded(_assemble_hessian_banded(q, q.point(prof.u, prof.v), p))
+    hess = _dense_from_banded(_assemble_hessian_banded(q, q.point(prof.u, prof.v)))
     fd = np.empty_like(hess)
     eps = 1e-6
     # free DOFs in Hessian order: v_0, u_1, v_1, ..., u_{N-1}, v_{N-1}
@@ -291,7 +291,7 @@ def _banded_matvec(lower, x):
 @pytest.mark.parametrize("k", [1, -2, 3])
 @pytest.mark.parametrize("b2", [0.0, 1.0])
 def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _raw_gradient
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient
 
     p = params(L=0.01, b2=b2, k=k)
     grid = getattr(RadialGrid, spacing)(1.0, 2048)
@@ -305,12 +305,12 @@ def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
         ),
         p,
     )
-    q = _P1Gauss(grid, k)
+    q = _P1Gauss(grid, p)
 
     def free_grad(u, v):
-        return _raw_gradient(q, q.point(u, v), p).reshape(-1)[_FREE]
+        return _gradient(q, q.point(u, v)).reshape(-1)[_FREE]
 
-    ab = _assemble_hessian_banded(q, q.point(prof.u, prof.v), p)
+    ab = _assemble_hessian_banded(q, q.point(prof.u, prof.v))
     nf = 2 * n - 1
     assert ab.shape == (4, nf)
     assert not np.any(ab[3, 0::2])  # v_i and u_{i+2} share no segment
@@ -338,7 +338,7 @@ def _newton_case(k, b2, n):
     """``(lower, rhs, mass_free, lam_unit)`` of a first Newton step from a
     perturbed ramp: the band of ``H``, the right-hand side, the free node
     masses and the scale of a shift ``lam``."""
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _raw_gradient
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient
 
     p = params(L=0.01, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, n, k)
@@ -351,10 +351,10 @@ def _newton_case(k, b2, n):
         ),
         p,
     )
-    q = _P1Gauss(grid, k)
+    q = _P1Gauss(grid, p)
     pt = q.point(start.u, start.v)
-    lower = _assemble_hessian_banded(q, pt, p)
-    rhs = -_raw_gradient(q, pt, p).reshape(-1)[_FREE]
+    lower = _assemble_hessian_banded(q, pt)
+    rhs = -_gradient(q, pt).reshape(-1)[_FREE]
     mass_free = _free(grid.node_masses, grid.node_masses)
     lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
     return lower, rhs, mass_free, lam_unit
@@ -369,9 +369,8 @@ def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
     from qdefect.reduced import _newton_step
 
     lower, rhs, mass_free, lam_unit = _newton_case(k, b2, n)
-    chol = np.zeros((4, 2 * n - 1), order="F")
     for lam in (0.0, 1e-8 * lam_unit, 1e-4 * lam_unit, 1e-1 * lam_unit):
-        step = _newton_step(lower, lam * mass_free, rhs, chol)
+        step = _newton_step(lower, lam * mass_free, rhs)
         # the same bytes as scipy.linalg.lapack's dpbsv, whichever way the
         # solver resolved the routine
         band = lower.copy()
@@ -407,9 +406,8 @@ def _newton_steps():
     steps = []
     for k, b2, n in _NEWTON_CASES:
         lower, rhs, mass_free, lam_unit = _newton_case(k, b2, n)
-        work = np.zeros((4, 2 * n - 1), order="F")
         for lam in (0.0, 1e-8 * lam_unit, 1e-4 * lam_unit, 1e-1 * lam_unit):
-            x = _newton_step(lower, lam * mass_free, rhs, work)
+            x = _newton_step(lower, lam * mass_free, rhs)
             steps.append(None if x is None else x.tobytes())
     return steps
 
@@ -487,27 +485,26 @@ def test_solver_and_scipy_linalg_agree_in_either_import_order():
 def test_newton_step_reads_no_band_slot_below_the_matrix(k, n):
     # the couplings of v_{N-2}, u_{N-1}, v_{N-1} to the fixed u_N, v_N land in
     # the lower band below the matrix; dpbsv must not read them
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _newton_step, _raw_gradient
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient, _newton_step
 
     p = params(L=0.01, b2=0.7, k=k)
     grid = RadialGrid.for_defect(1.0, n, k)
     start = ramp_profile(p, grid)
-    q = _P1Gauss(grid, k)
+    q = _P1Gauss(grid, p)
     pt = q.point(start.u, start.v)
-    lower = _assemble_hessian_banded(q, pt, p)
+    lower = _assemble_hessian_banded(q, pt)
     nf = lower.shape[1]
     below = [(d, slice(nf - d, None)) for d in (1, 2, 3)]
     assert sum(np.count_nonzero(lower[d, cols]) for d, cols in below) == 4
-    rhs = -_raw_gradient(q, pt, p).reshape(-1)[_FREE]
+    rhs = -_gradient(q, pt).reshape(-1)[_FREE]
     mass_free = _free(grid.node_masses, grid.node_masses)
     shift = 0.1 * float(np.max(np.abs(lower[0]))) / float(np.max(mass_free)) * mass_free
-    work = np.empty((4, nf), order="F")
-    ref = _newton_step(lower, shift, rhs, work)
+    ref = _newton_step(lower, shift, rhs)
     assert ref is not None
     poisoned = lower.copy()
     for d, cols in below:
         poisoned[d, cols] = np.nan
-    step = _newton_step(poisoned, shift, rhs, work)
+    step = _newton_step(poisoned, shift, rhs)
     assert step is not None and step.tobytes() == ref.tobytes()
 
 
@@ -529,13 +526,13 @@ def _old_fhat_hessian(pt, p):
     return fuu, fuv, fvv
 
 
-def _dirichlet_density(q, pt):
+def _dirichlet_density(q, pt, p):
     """``(u'^2 + v'^2 + k^2 u^2 / r^2) / 2`` at the Gauss radii."""
-    return 0.5 * (pt.du * pt.du + pt.dv * pt.dv)[:, None] + 0.5 * q.k2 * pt.ug * pt.ug / q.rg2
+    return 0.5 * (pt.du * pt.du + pt.dv * pt.dv)[:, None] + 0.5 * p.k**2 * pt.ug * pt.ug / q.rg2
 
 
 def _old_energy(q, pt, p):
-    dens = _dirichlet_density(q, pt) + _old_fhat(pt, p) / p.L
+    dens = _dirichlet_density(q, pt, p) + _old_fhat(pt, p) / p.L
     return float(np.sum(q.wg * dens))
 
 
@@ -546,8 +543,8 @@ def _old_gradient(q, pt, p):
     fv = pt.vg * (-p.a2 + p.c2 * pt.t) - (p.b2 / SQRT6) * (pt.vv - pt.uu)
     seg_r = q.wg.sum(axis=1)
     grads = []
-    for slope, wf in ((pt.du, q.wg * (q.k2 * pt.ug / q.rg2 + fu / p.L)), (pt.dv, q.wg * fv / p.L)):
-        g = np.zeros(pt.u.size)
+    for slope, wf in ((pt.du, q.wg * (p.k**2 * pt.ug / q.rg2 + fu / p.L)), (pt.dv, q.wg * fv / p.L)):
+        g = np.zeros(pt.du.size + 1)
         a = seg_r * slope / q.h
         g[:-1] -= a
         g[1:] += a
@@ -562,7 +559,7 @@ def _old_hessian(q, pt, p):
 
     n = q.grid.n_segments
     fuu, fuv, fvv = _old_fhat_hessian(pt, p)
-    coef = np.stack([q.wg * (q.k2 / q.rg2 + fuu / p.L), q.wg * fuv / p.L,
+    coef = np.stack([q.wg * (p.k**2 / q.rg2 + fuu / p.L), q.wg * fuv / p.L,
                      q.wg * fvv / p.L]).transpose(0, 2, 1)  # (uu/uv/vv, 5, N)
     pairs = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
     loc = np.zeros((3, 3, n))  # (uu/uv/vv, aa/ab/bb, N)
@@ -589,7 +586,7 @@ def _old_hessian(q, pt, p):
 @pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
 @pytest.mark.parametrize("n", [64, 2048])
 def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _raw_gradient
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
 
     p = params(L=0.01, b2=b2, k=k)
     grid = getattr(RadialGrid, spacing)(1.0, n)
@@ -602,21 +599,21 @@ def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
         ),
         p,
     )
-    q = _P1Gauss(grid, k)
+    q = _P1Gauss(grid, p)
     pt = q.point(prof.u, prof.v)
     # the energy relative to the size of the terms it sums, which cancel to
     # 0.19 at k = -4, b2 = 1.5
-    terms = np.sum(q.wg * (_dirichlet_density(q, pt) + np.abs(_old_fhat(pt, p)) / p.L))
-    assert abs(_energy(q, pt, p) - _old_energy(q, pt, p)) <= 1e-14 * terms
+    terms = np.sum(q.wg * (_dirichlet_density(q, pt, p) + np.abs(_old_fhat(pt, p)) / p.L))
+    assert abs(_energy(q, pt) - _old_energy(q, pt, p)) <= 1e-14 * terms
 
     # the reference's rows 3-6 are its lower band storage
-    ab, ref = _assemble_hessian_banded(q, pt, p), _old_hessian(q, pt, p)[3:]
+    ab, ref = _assemble_hessian_banded(q, pt), _old_hessian(q, pt, p)[3:]
     # every entry and every gradient component, scaled per row by the size
     # |H| |x| of the terms that the row sums
     ax = np.abs(_free(prof.u, prof.v))
     scale = _banded_matvec(np.abs(ref), ax)
     assert np.max(_banded_matvec(np.abs(ab - ref), ax) / scale) <= 1e-14
-    grad = _raw_gradient(q, pt, p).reshape(-1)[_FREE]
+    grad = _gradient(q, pt).reshape(-1)[_FREE]
     assert np.max(np.abs(grad - _free(*_old_gradient(q, pt, p))) / scale) <= 1e-14
 
 
@@ -641,7 +638,7 @@ def _full_gradient(q, pt, p):
     cv = wl * (pt.vg * m - (p.b2 / SQRT6) * (pt.vv - pt.uu))
     ends = (np.stack([cu, cv]).reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
     stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
-    g = np.empty((2, pt.u.size))
+    g = np.empty((2, pt.du.size + 1))
     g[:, :-1] = ends[:, :, 0] - stiff
     g[:, -1] = 0.0
     g[:, 1:] += ends[:, :, 1] + stiff
@@ -662,7 +659,7 @@ def _full_hessian(q, pt, p):
         wl * (m - bv + 2.0 * p.c2 * pt.vv),
     ])
     loc = (coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
-    loc[0::2] += q.stiff_pairs
+    loc[0::2] += np.multiply.outer(q.seg_r_h / q.h, [1.0, -1.0, 1.0])
     (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
     columns = ((uu_aa, uv_aa, uu_ab, uv_ab), (vv_aa, uv_ab, vv_ab), (uu_bb, uv_bb), (vv_bb,))
     band = np.zeros((4, 2 * n + 2))
@@ -676,21 +673,24 @@ def _full_hessian(q, pt, p):
 @pytest.mark.parametrize("k", [1, -1, 2, 3])
 @pytest.mark.parametrize("b2", [0.0, 0.7])
 def test_kernels_skip_the_b2_terms_bit_for_bit(spacing, k, b2, rng):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _raw_gradient
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
 
     p = params(L=0.01, b2=b2, k=k)
     # on a few segments the energy sums few terms, so a changed bit in one
     # of them shows in the sum
     for n in (16, 300):
         grid = getattr(RadialGrid, spacing)(1.0, n)
-        q = _P1Gauss(grid, k)
+        q = _P1Gauss(grid, p)
         start = preset_profile(p, grid, "explicit")
         points = [(rng.standard_normal(n + 1), rng.standard_normal(n + 1)) for _ in range(4)]
         for u, v in points + [(start.u, start.v)]:
             pt = q.point(u, v)
-            assert _energy(q, pt, p) == _full_energy(q, pt, p)
-            assert np.array_equal(_raw_gradient(q, pt, p), _full_gradient(q, pt, p))
-            assert np.array_equal(_assemble_hessian_banded(q, pt, p), _full_hessian(q, pt, p))
+            assert _energy(q, pt) == _full_energy(q, pt, p)
+            # the reference forms every entry; the kernel only the free ones
+            g, ref = _gradient(q, pt).reshape(-1), _full_gradient(q, pt, p).reshape(-1)
+            assert np.array_equal(g[_FREE], ref[_FREE])
+            assert g[0] == g[-2] == g[-1] == 0.0  # u_0, u_N, v_N
+            assert np.array_equal(_assemble_hessian_banded(q, pt), _full_hessian(q, pt, p))
 
 
 # (k, b2, init, iterations, energy) of minimize at L = 0.01, n = 256: a kernel
@@ -823,8 +823,8 @@ def test_a_tol_below_the_roundoff_floor_stops_at_the_floor(k, b2):
     assert rep.converged and rep.stop == "roundoff_floor"
     assert at_tol.iterations < rep.iterations <= at_tol.iterations + 2
     assert rep.energy == pytest.approx(at_tol.energy, rel=1e-13, abs=0.0)
-    q = _P1Gauss(grid, k)
-    lower = _assemble_hessian_banded(q, q.point(prof.u, prof.v), p)
+    q = _P1Gauss(grid, p)
+    lower = _assemble_hessian_banded(q, q.point(prof.u, prof.v))
     mass_free = _free(grid.node_masses, grid.node_masses)
     assert rep.grad_norm <= _roundoff_floor(lower, _free(prof.u, prof.v), mass_free)
 
@@ -975,7 +975,7 @@ def test_newton_damping_is_bounded_when_the_hessian_is_nan(monkeypatch):
     # count can end the damping loop
     import qdefect.reduced as reduced
 
-    def nan_hessian(q, pt, prm):
+    def nan_hessian(q, pt):
         return np.full((4, 2 * q.grid.n_segments - 1), np.nan)
 
     monkeypatch.setattr(reduced, "_assemble_hessian_banded", nan_hessian)
@@ -997,8 +997,8 @@ def test_newton_line_search_that_accepts_nothing_ends_the_run(monkeypatch, init,
     real = reduced._energy
     start = []
 
-    def worse(q, pt, prm):
-        start.append(real(q, pt, prm))
+    def worse(q, pt):
+        start.append(real(q, pt))
         return start[0] if len(start) == 1 else start[0] + 1.0
 
     monkeypatch.setattr(reduced, "_energy", worse)
@@ -1017,7 +1017,7 @@ def test_newton_shift_ends_after_15_failed_factorisations_on_finite_data(monkeyp
     # before the count of _MAX_DAMPING_REJECTS ends the shift search.
     import qdefect.reduced as reduced
 
-    monkeypatch.setattr(reduced, "_newton_step", lambda lower, shift, rhs, work: None)
+    monkeypatch.setattr(reduced, "_newton_step", lambda lower, shift, rhs: None)
     with pytest.raises(NonConvergence) as info:
         minimize(params(L=0.05), RadialGrid.uniform(1.0, 64), init="ramp")
     rep = info.value.report
@@ -1282,6 +1282,13 @@ def _short_u():
     return prof
 
 
+def _short_v():
+    """A profile whose ``v`` was reassigned to 5 entries."""
+    prof = ramp_profile(params(), RadialGrid.uniform(1.0, 32))
+    prof.v = prof.v[:5]
+    return prof
+
+
 _REDUCED_ARGUMENT_CHECKS = {
     "distance_to-grid-mismatch": (
         GridError,
@@ -1296,6 +1303,10 @@ _REDUCED_ARGUMENT_CHECKS = {
     "reduced_gradient-u-reassigned": (
         GridError, lambda tmp: reduced_gradient(_short_u(), params())),
     "ode_residual-u-reassigned": (GridError, lambda tmp: ode_residual(_short_u(), params())),
+    "reduced_energy-v-reassigned": (GridError, lambda tmp: reduced_energy(_short_v(), params())),
+    "reduced_gradient-v-reassigned": (
+        GridError, lambda tmp: reduced_gradient(_short_v(), params())),
+    "ode_residual-v-reassigned": (GridError, lambda tmp: ode_residual(_short_v(), params())),
 }
 
 
