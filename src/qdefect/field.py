@@ -76,6 +76,7 @@ def lift(profile: Profile, k: int, grid: PolarGrid) -> Field2D:
     """Lift radial samples to the disk: ``Y(r, phi) = u F_n(phi) + v F_3``."""
     if not profile.grid.same_nodes(grid.radial):
         raise GridError("profile radial nodes do not match the polar grid")
+    profile.check_shape()
     u, v = profile.u[:, None], profile.v[:, None]
     return Field2D(grid, tensor.ansatz_components(u, v, grid.phis, k))
 
@@ -324,7 +325,8 @@ class _RingSums:
 
     ``nodes``, ``cross``: ``a_i:a_i`` and ``a_i:a_{i+1}``; ``rad``: ``|d_r a|^2``
     per segment, from the slopes themselves; ``dphi``, ``dphi_cross``: the node
-    products of ``d_phi a`` by Parseval.
+    products of ``d_phi a`` by Parseval.  :func:`second_variation` forms the
+    Hardy radial sums of ``a / v`` from ``rad``, ``nodes`` and ``cross``.
     """
 
     def __init__(self, n: int):
@@ -500,9 +502,10 @@ def second_variation(
     :class:`~qdefect.errors.DecompositionInvalid` is raised.
 
     Both forms come from node products of ``P`` and ``Y`` (which need not be
-    lifted) and from one transform of ``P``, whose Parseval ring sums the
-    Hardy form reuses divided by ``v_i v_{i'}``; one streamed pass over ring
-    blocks forms them.
+    lifted) and from one transform of ``P``, in one streamed pass over ring
+    blocks.  The Hardy form reuses ``P``'s Parseval ring sums divided by
+    ``v_i v_{i'}``, and its radial sums come from ``P``'s ``rad``, ``nodes`` and
+    ``cross``, expanded about the slopes: node products alone cancel for smooth ``P``.
     """
     if params.b2 != 0.0:
         raise InvalidParams("second_variation is defined for b2 = 0 only")
@@ -524,8 +527,6 @@ def second_variation(
     kern = _GaussRings(field_y.grid, params)
     p = _RingSums(kern.n)
     pair = np.empty((3, 3, kern.n - 1))
-    hardy_rad = np.empty(kern.n - 1)
-    inv_v = 1.0 / v
     peaks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _ring_blocks(kern.m, 0, kern.n):
@@ -534,9 +535,9 @@ def second_variation(
             peaks.append(_max_abs(q))
             pp = kern.add(p, lo, hi, q)
             pair[:, :, lo:top - 1] = _pair(pp, _products(yv[:, lo:top]))
-            u = q * inv_v[lo:top, None]
-            d = u[:, 1:] - u[:, :-1]
-            hardy_rad[lo:top - 1] = np.einsum("cij,cij->i", d, d) / kern.h_sq[lo:top - 1]
+        s = 1.0 / v  # each segment sums |s_{i+1} (P_{i+1} - P_i) + ds_i P_i|^2
+        s1, ds, nodes = s[1:], np.diff(s), p.nodes[:-1]
+        hardy_rad = s1 * s1 * p.rad + ds * (2.0 * s1 * (p.cross - nodes) + ds * nodes) / kern.h_sq
     _require_perturbation(pv[:, -1], peaks)
     _require_finite(pair, hardy_rad, *p)
     hardy = kern.dirichlet(

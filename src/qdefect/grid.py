@@ -117,9 +117,7 @@ class RadialGrid:
         return m
 
     def same_nodes(self, other: "RadialGrid") -> bool:
-        return self.nodes.shape == other.nodes.shape and bool(
-            np.array_equal(self.nodes, other.nodes)
-        )
+        return bool(np.array_equal(self.nodes, other.nodes))  # False for other shapes
 
 
 @dataclass(frozen=True)

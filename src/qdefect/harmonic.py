@@ -215,6 +215,7 @@ def e0_energy(p, params: ModelParams) -> E0Result:
 
     if not isinstance(p, Profile):
         raise InvalidParams(f"expected Profile or PsiProfile, got {type(p)!r}")
+    p.check_shape()
     target = params.limit_norm_sq
     dev = float(np.max(np.abs(p.norm_sq_samples() - target))) / target
     if not dev <= 1e-8:  # a NaN sample violates the constraint too

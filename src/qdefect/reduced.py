@@ -62,11 +62,13 @@ class Profile:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.grid.nodes.shape or self.v.shape != self.grid.nodes.shape:
-            raise GridError(
-                f"profile arrays {self.u.shape}/{self.v.shape} do not match "
-                f"grid with {self.grid.nodes.size} nodes"
-            )
+        self.check_shape()
+
+    def check_shape(self):
+        """``GridError`` unless ``u`` and ``v``, which callers may reassign, match the grid."""
+        u, v, nodes = self.u.shape, self.v.shape, self.grid.nodes.shape
+        if not u == v == nodes:
+            raise GridError(f"profile arrays {u}/{v} do not match the grid's nodes {nodes}")
 
     def copy(self) -> "Profile":
         return Profile(self.grid, self.u.copy(), self.v.copy())
@@ -115,7 +117,8 @@ def write_text_atomic(path, text: str) -> None:
 
 def write_profile_csv(path, profile: Profile):
     """Write ``r,u,v`` rows with shortest round-trip decimal formatting,
-    atomically."""
+    atomically; a profile that does not match its grid raises before any write."""
+    profile.check_shape()
     write_text_atomic(path, csv_text("r,u,v", (profile.grid.nodes, profile.u, profile.v)))
 
 
@@ -214,8 +217,7 @@ class _P1Gauss:
 
 
 def _check_operands(profile: Profile, params: ModelParams):
-    if not profile.u.shape == profile.v.shape == profile.grid.nodes.shape:
-        raise GridError("profile does not match its grid")
+    profile.check_shape()
     if params.L <= 0.0:
         raise InvalidParams("the reduced functional requires L > 0")
 
@@ -396,8 +398,6 @@ def _newton_step(lower, shift, rhs):
     """
     band = np.array(lower, order="F")
     band[0] += shift
-    # scipy.linalg.lapack's routine, without the ~0.2 s and ~25 MB import of
-    # scipy.linalg in every process that solves
     _, x, info = _lapack_dpbsv()(band, rhs, lower=1, overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(x)):
         return None

@@ -541,6 +541,21 @@ def test_second_variation_matches_gauss_point_reference_on_graded_blocks(graded_
     _check_second_variation_oracle(*graded_oracle_fields)
 
 
+def test_second_variation_hardy_form_is_well_conditioned_for_smooth_perturbations():
+    # P = (1 - r^2) v U(phi): P/v is smooth, so P_i:P_i, P_i:P_{i+1} and
+    # P_{i+1}:P_{i+1} nearly cancel in |d_r(P/v)|^2 on 4096 segments
+    field = _small_field(n=4096, m=64)
+    pg = field.grid
+    r = pg.radial.nodes
+    v = field.values[0, :, 0]
+    # a fixed U(phi): F_3 plus weak angular modes, so the radial sums dominate
+    ang = np.stack([np.ones(pg.m)] + [0.03 * np.cos(c * pg.phis + c) for c in range(1, 5)])
+    pv = ((1.0 - r * r) * v)[:, None] * ang[:, None, :]
+    sv = second_variation(field, params(), Field2D(pg, pv))
+    hardy = _ref_dirichlet(pg, pv / v[:, None], weight=lambda at: at(v[:, None]) ** 2)
+    assert sv.hardy == pytest.approx(hardy, rel=1e-12)
+
+
 def _check_energy_gap_oracle(p, pg, fields):
     for y in fields:
         yv = y.values
@@ -622,6 +637,21 @@ def test_spectral_scheme_working_memory_stays_below_one_field(solve_cache):
         finally:
             tracemalloc.stop()
         assert peak < field.values.nbytes
+
+
+def test_second_variation_working_memory_stays_below_half_a_field(solve_cache):
+    # the Hardy radial sums come from the kernel's ring sums, with no block of P / v
+    p, prof, _ = solve_cache(L=0.01, n=512)
+    pg = PolarGrid(prof.grid, 256)
+    field = lift(prof, p.k, pg)
+    pert = random_perturbation(pg, seed=3)
+    tracemalloc.start()
+    try:
+        second_variation(field, p, pert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.45 * field.values.nbytes
 
 
 def test_dirichlet_quadrature_positive(solve_cache):
@@ -804,6 +834,13 @@ def _small_field(n=32, m=64):
     return lift(explicit_profile(Branch.MINUS, p, grid), 1, PolarGrid(grid, m))
 
 
+def _short_v_profile():
+    """An explicit profile on 33 nodes whose ``v`` was reassigned to 5 entries."""
+    prof = explicit_profile(Branch.MINUS, params(L=0.0), RadialGrid.uniform(1.0, 32))
+    prof.v = prof.v[:5]
+    return prof
+
+
 def _nan_v_field():
     field = _small_field()
     field.values[:, 3, 0] = np.nan  # v = Y:F3 on the first angle
@@ -825,6 +862,8 @@ _FIELD_ARGUMENT_CHECKS = {
         InvalidParams, lambda: energy_gap(_small_field(), _small_field(), params(b2=0.5))),
     "energy_gap-L0": (
         InvalidParams, lambda: energy_gap(_small_field(), _small_field(), params(L=0.0))),
+    "lift-v-reassigned": (
+        GridError, lambda: lift(_short_v_profile(), 1, _small_field().grid)),
     "Field2D-values-shape": (
         GridError, lambda: Field2D(_small_field().grid, np.zeros((33, 64, 3)))),
     # the (N+1, M, 5) layout that came before coordinates first

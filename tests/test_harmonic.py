@@ -442,6 +442,15 @@ def test_minus_branch_minimality_surrogate(rng):
 
 
 _GRID64 = RadialGrid.uniform(1.0, 64)
+
+
+def _short_v_profile():
+    """An explicit profile on 65 nodes whose ``v`` was reassigned to 5 entries."""
+    prof = explicit_profile(Branch.MINUS, limit_params(), _GRID64)
+    prof.v = prof.v[:5]
+    return prof
+
+
 _HARMONIC_ARGUMENT_CHECKS = {
     "explicit-arrays-uniaxial": (
         InvalidBranch, lambda: explicit_arrays("uniaxial", 2, 1.0, _GRID64.nodes)),
@@ -451,6 +460,7 @@ _HARMONIC_ARGUMENT_CHECKS = {
     "psi-uniaxial": (
         InvalidBranch, lambda: psi_of_branch(Branch.UNIAXIAL_ESCAPE, limit_params(k=2), _GRID64)),
     "e0-wrong-type": (InvalidParams, lambda: e0_energy(np.zeros(65), limit_params())),
+    "e0-v-reassigned": (GridError, lambda: e0_energy(_short_v_profile(), limit_params())),
 }
 
 

@@ -1289,6 +1289,14 @@ def _short_v():
     return prof
 
 
+@pytest.mark.parametrize("short", [_short_u, _short_v], ids=["u-reassigned", "v-reassigned"])
+def test_write_profile_csv_rejects_a_profile_that_does_not_match_its_grid(tmp_path, short):
+    # zipped columns would write a truncated file; the check comes before any write
+    with pytest.raises(GridError):
+        write_profile_csv(tmp_path / "p.csv", short())
+    assert list(tmp_path.iterdir()) == []  # no file and no .tmp
+
+
 _REDUCED_ARGUMENT_CHECKS = {
     "distance_to-grid-mismatch": (
         GridError,
