@@ -646,15 +646,15 @@ def random_perturbation(
     orthonormal coordinates is drawn independently, so no direction in the
     tensor space is preferred.
 
-    Each coordinate is one exact contraction ``sum_m shape_m(r) ang_m(phi)``
-    of per-mode radial and angular factors, summed in mode order with a
-    separate multiply and add (``einsum`` without ``optimize``), so the
-    values are bit for bit those of accumulating one outer product per
-    mode.  The radial bases ``envelope rho^min(m,2)`` and the ``cos``/``sin``
-    tables are built once per call and shared by the five coordinates.  The
-    norm's ring sums of ``|Q|^2`` are formed one ring block at a time, and
-    the field is scaled to the norm in place; each step rounds as the
-    full-array passes did, so the field keeps its bits.
+    Each coordinate is ``P_c = sum_m S_cm(r) A_cm(phi)``: the radial
+    factors ``S`` (envelope, ``rho^min(m,2)`` and the wiggle; 0 on the rim,
+    so the field vanishes there) and the angular factors ``A`` are built
+    as whole ``(5, 7, .)`` arrays from the scalar draws.  The norm comes
+    from the factors, not the field: ``sum_j P_c(r_i, phi_j)^2 = S_c^T G_c
+    S_c`` at ring ``i`` with the Gram sums ``G_c = A_c A_c^T``, and the scale
+    is folded into ``S``.  The field is then written once, one ``einsum``
+    per coordinate without ``optimize``: in mode order with a separate
+    multiply and add, bit for bit one ``+=`` outer product per mode.
     """
     if concentrate not in (None, "core", "boundary"):
         raise InvalidParams(f"concentrate must be None, 'core' or 'boundary', got {concentrate!r}")
@@ -663,10 +663,7 @@ def random_perturbation(
     if not (math.isfinite(norm) and norm >= 0.0):
         raise InvalidParams(f"norm must be finite and >= 0, got {norm!r}")
     rng = np.random.default_rng(seed)
-    r = grid.radial.nodes
-    radius = grid.radial.radius
-    rho = r / radius
-    phis = grid.phis
+    rho = grid.radial.nodes / grid.radial.radius
     if concentrate == "core":
         envelope = (1.0 - rho) * np.exp(-((4.0 * rho) ** 2))
     elif concentrate == "boundary":
@@ -675,28 +672,25 @@ def random_perturbation(
         envelope = np.sin(np.pi * rho)
 
     modes = range(_MAX_FREQ + 1)
+    # per (coordinate, mode): cos and sin amplitudes, wiggle frequency and phase
+    draws = np.empty((5, _MAX_FREQ + 1, 4))
+    for c, m in np.ndindex(draws.shape[:2]):
+        amp = 1.0 / (1.0 + m * m)
+        draws[c, m] = (rng.standard_normal() * amp, rng.standard_normal() * amp if m > 0 else 0.0,
+                       (1 + rng.integers(1, 4)) * np.pi, rng.uniform(0, 2 * np.pi))
+    ca, sa, freq, phase = (d[..., None] for d in np.moveaxis(draws, -1, 0))
     bases = [envelope * rho ** p for p in range(3)]
-    cos_m = [np.cos(m * phis) for m in modes]
-    sin_m = [np.sin(m * phis) for m in modes]
-    shape = np.empty((_MAX_FREQ + 1, r.size))  # per-mode radial factors
-    ang = np.empty((_MAX_FREQ + 1, grid.m))  # per-mode angular factors
-    comps = np.empty((5, r.size, grid.m))  # each coordinate is one contraction
-    for comp in comps:
-        for m in modes:
-            amp = 1.0 / (1.0 + m * m)
-            ca = rng.standard_normal() * amp
-            sa = rng.standard_normal() * amp if m > 0 else 0.0
-            # an extra random smooth radial wiggle keeps samples diverse
-            wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
-            shape[m] = bases[min(m, 2)] * wig
-            ang[m] = ca * cos_m[m] + sa * sin_m[m]
-        np.einsum("mi,mj->ij", shape, ang, out=comp)
-    comps[:, -1] = 0.0
-    comps[:, 0] = comps[:, 0, :1]  # single-valued at the origin
-    ring_sq = np.empty(r.size)
-    for lo, hi in _ring_blocks(grid.m, 0, r.size):
-        ring_sq[lo:hi] = np.sum(tensor.frob_sq(comps[:, lo:hi]), axis=1)
+    # an extra random smooth radial wiggle keeps samples diverse
+    shape = np.array([bases[min(m, 2)] for m in modes]) * (1.0 + 0.3 * np.sin(freq * rho + phase))
+    shape[..., -1] = 0.0
+    mphi = np.multiply.outer(modes, grid.phis)
+    ang = ca * np.cos(mphi) + sa * np.sin(mphi)
+    ring_sq = np.sum(shape * (ang @ ang.transpose(0, 2, 1) @ shape), axis=(0, 1))  # S^T G S
     nsq = float(np.sum(grid.radial.weights * ring_sq) * grid.dphi)
     if nsq > 0.0:
-        comps *= norm / math.sqrt(nsq)
+        shape *= norm / math.sqrt(nsq)
+    comps = np.empty((5, rho.size, grid.m))
+    for comp, s, a in zip(comps, shape, ang):
+        np.einsum("mi,mj->ij", s, a, out=comp)
+    comps[:, 0] = comps[:, 0, :1]  # single-valued at the origin
     return Field2D(grid, comps)

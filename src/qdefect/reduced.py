@@ -81,6 +81,8 @@ class Profile:
         """L2(r dr) distance between two profiles on the same grid."""
         if not self.grid.same_nodes(other.grid):
             raise GridError("profiles live on different grids")
+        self.check_shape()
+        other.check_shape()
         w = self.grid.weights
         du = self.u - other.u
         dv = self.v - other.v
@@ -89,6 +91,7 @@ class Profile:
 
 def apply_boundary(profile: Profile, params: ModelParams) -> Profile:
     """Overwrite the fixed degrees of freedom with the exact boundary data."""
+    profile.check_shape()
     profile.u[0] = 0.0
     profile.u[-1] = params.boundary_u
     profile.v[-1] = params.boundary_v
@@ -559,6 +562,7 @@ def _start_rows(params: ModelParams, grid: RadialGrid, init) -> np.ndarray:
     if isinstance(init, Profile):
         if not grid.same_nodes(init.grid):
             raise GridError("initial profile grid does not match the solve grid")
+        init.check_shape()
         y = np.stack([init.u, init.v], axis=1)
     elif init == "explicit":
         from .harmonic import explicit_arrays  # deferred: harmonic imports Profile

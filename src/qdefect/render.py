@@ -89,6 +89,7 @@ def glyph_svg(profile: Profile, k: int, spec: RenderSpec) -> str:
     ``|Y|^2 = u^2 + v^2``, ``tr(Y^3) = v (v^2 - 3 u^2) / sqrt(6)``, not from
     a per-glyph eigensolve.
     """
+    profile.check_shape()
     size = spec.size
     cx = cy = size / 2.0
     radius = profile.grid.radius
@@ -173,6 +174,7 @@ def eigenvalue_chart_svg(profile: Profile, size: int = 640, title: str = "") -> 
     perpendicular, planar parallel), so genuine eigenvalue crossings show
     up as curve intersections instead of sorting kinks.
     """
+    profile.check_shape()
     r = profile.grid.nodes
     lam = ansatz_eigenvalues(profile.u, profile.v)  # (N+1, 3)
     w, h = size, int(size * 0.75)

@@ -365,21 +365,34 @@ def test_random_perturbation_accepts_numpy_integers():
     assert np.array_equal(a.values, b.values)
 
 
-def test_random_perturbation_structure():
-    pg = PolarGrid(RadialGrid.uniform(1.0, 64), 64)
-    pert = random_perturbation(pg, seed=5, norm=2.0)
+@pytest.mark.parametrize("norm", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("kind", [None, "core", "boundary"], ids=["plain", "core", "boundary"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        PolarGrid(RadialGrid.uniform(1.0, 64), 64),
+        PolarGrid(RadialGrid.for_defect(1.0, 128, 2), 128),
+        PolarGrid(RadialGrid.uniform(1.0, 512), 256),
+    ],
+    ids=["uniform64", "graded128", "uniform512x256"],
+)
+def test_random_perturbation_structure(grid, kind, norm):
+    pert = random_perturbation(grid, seed=5, concentrate=kind, norm=norm)
     assert np.max(np.abs(pert.values[:, -1])) == 0.0  # vanishes on the rim
     assert np.max(np.abs(pert.values[:, 0] - pert.values[:, 0, :1])) == 0.0  # single-valued
-    w = pg.radial.weights
-    nsq = float(np.sum(w * np.sum(frob_sq(pert.values), axis=1)) * pg.dphi)
-    assert math.sqrt(nsq) == pytest.approx(2.0, rel=1e-12)
+    w = grid.radial.weights
+    nsq = float(np.sum(w * np.sum(frob_sq(pert.values), axis=1)) * grid.dphi)
+    assert math.sqrt(nsq) == pytest.approx(norm, rel=1e-12)
+    if norm == 0.0:
+        assert not np.any(pert.values)
     # determinism
-    again = random_perturbation(pg, seed=5, norm=2.0)
-    assert np.array_equal(pert.values, again.values)
+    again = random_perturbation(grid, seed=5, concentrate=kind, norm=norm)
+    assert pert.values.tobytes() == again.values.tobytes()
 
 
 def _old_random_perturbation(grid, seed, concentrate=None, norm=1.0):
-    """The sampler as one full-field accumulation per (coordinate, mode)."""
+    """The earlier sampler: one full-field accumulation per (coordinate, mode),
+    then the norm summed over the field and the field scaled to it."""
     rng = np.random.default_rng(seed)
     rho = grid.radial.nodes / grid.radial.radius
     phis = grid.phis
@@ -410,7 +423,46 @@ def _old_random_perturbation(grid, seed, concentrate=None, norm=1.0):
     return vals
 
 
-@pytest.mark.parametrize(
+def _ref_random_perturbation(grid, seed, concentrate=None, norm=1.0):
+    """The sampler's definition: the draws and per-mode factors of
+    :func:`_old_random_perturbation`, each radial factor 0 on the rim, the
+    scale from the factors' Gram sums, and one ``+=`` outer product of the
+    scaled radial factor and the angular factor per (coordinate, mode)."""
+    rng = np.random.default_rng(seed)
+    rho = grid.radial.nodes / grid.radial.radius
+    phis = grid.phis
+    if concentrate == "core":
+        envelope = (1.0 - rho) * np.exp(-((4.0 * rho) ** 2))
+    elif concentrate == "boundary":
+        envelope = rho * (1.0 - rho) * np.exp(-((4.0 * (1.0 - rho)) ** 2))
+    else:
+        envelope = np.sin(np.pi * rho)
+    shapes = np.empty((5, 7, rho.size))
+    angs = np.empty((5, 7, grid.m))
+    for b in range(5):
+        for m in range(7):  # angular modes 0..6
+            amp = 1.0 / (1.0 + m * m)
+            ca = rng.standard_normal() * amp
+            sa = rng.standard_normal() * amp if m > 0 else 0.0
+            radial_shape = envelope * rho ** min(m, 2)
+            wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
+            shapes[b, m] = radial_shape * wig
+            angs[b, m] = ca * np.cos(m * phis) + sa * np.sin(m * phis)
+    shapes[:, :, -1] = 0.0
+    # sum_j P_b(r_i, phi_j)^2 = S_b[:, i]^T (A_b A_b^T) S_b[:, i]
+    gram = angs @ angs.transpose(0, 2, 1)
+    ring_sq = np.sum(shapes * (gram @ shapes), axis=(0, 1))
+    nsq = float(np.sum(grid.radial.weights * ring_sq) * grid.dphi)
+    sigma = norm / math.sqrt(nsq) if nsq > 0.0 else 1.0
+    vals = np.zeros((5, rho.size, grid.m))
+    for b in range(5):
+        for m in range(7):
+            vals[b] += np.multiply.outer(sigma * shapes[b, m], angs[b, m])
+    vals[:, 0] = vals[:, 0, :1]
+    return vals
+
+
+_ORACLE_GRIDS = pytest.mark.parametrize(
     "grid, seeds",
     [
         (PolarGrid(RadialGrid.uniform(1.0, 64), 64), (3, 14, 69, 355)),
@@ -421,12 +473,26 @@ def _old_random_perturbation(grid, seed, concentrate=None, norm=1.0):
     ],
     ids=["uniform64", "graded128", "uniform512x256", "uniform256x128"],
 )
+
+
+@_ORACLE_GRIDS
 def test_random_perturbation_is_bit_identical_to_accumulation_oracle(grid, seeds):
     for kind in (None, "core", "boundary"):
         for seed in seeds:
             pert = random_perturbation(grid, seed=seed, concentrate=kind, norm=1.7)
-            ref = _old_random_perturbation(grid, seed, kind, 1.7)
+            ref = _ref_random_perturbation(grid, seed, kind, 1.7)
             assert np.array_equal(pert.values, ref)
+
+
+@_ORACLE_GRIDS
+def test_random_perturbation_stays_within_round_off_of_the_field_norm_oracle(grid, seeds):
+    # the field-summed norm and the scaling after the contraction move the
+    # samples by a few ulps of their peak, never more
+    for kind in (None, "core", "boundary"):
+        for seed in seeds:
+            pert = random_perturbation(grid, seed=seed, concentrate=kind, norm=1.7)
+            old = _old_random_perturbation(grid, seed, kind, 1.7)
+            assert np.max(np.abs(pert.values - old)) <= 1e-14 * np.max(np.abs(old))
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -439,7 +505,9 @@ def test_random_perturbation_is_bit_identical_to_accumulation_oracle(grid, seeds
 def test_random_perturbation_matches_oracle_on_any_grid(n, half_m, kind, seed):
     grid = PolarGrid(RadialGrid.uniform(1.0, n), 2 * half_m)
     pert = random_perturbation(grid, seed=seed, concentrate=kind, norm=0.9)
-    assert pert.values.tobytes() == _old_random_perturbation(grid, seed, kind, 0.9).tobytes()
+    assert pert.values.tobytes() == _ref_random_perturbation(grid, seed, kind, 0.9).tobytes()
+    old = _old_random_perturbation(grid, seed, kind, 0.9)
+    assert np.max(np.abs(pert.values - old)) <= 1e-14 * np.max(np.abs(old))
 
 
 # ---------------------------------------------------------------------------

@@ -1315,6 +1315,18 @@ _REDUCED_ARGUMENT_CHECKS = {
     "reduced_gradient-v-reassigned": (
         GridError, lambda tmp: reduced_gradient(_short_v(), params())),
     "ode_residual-v-reassigned": (GridError, lambda tmp: ode_residual(_short_v(), params())),
+    "distance_to-self-v-reassigned": (
+        GridError,
+        lambda tmp: _short_v().distance_to(ramp_profile(params(), RadialGrid.uniform(1.0, 32))),
+    ),
+    "distance_to-other-v-reassigned": (
+        GridError,
+        lambda tmp: ramp_profile(params(), RadialGrid.uniform(1.0, 32)).distance_to(_short_v()),
+    ),
+    "minimize-init-v-reassigned": (
+        GridError, lambda tmp: minimize(params(), RadialGrid.uniform(1.0, 32), init=_short_v())),
+    # the fixed-node writes would land in the short array without the check
+    "apply_boundary-v-reassigned": (GridError, lambda tmp: apply_boundary(_short_v(), params())),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from qdefect import (
     Branch,
+    GridError,
     InvalidParams,
     ModelParams,
     RadialGrid,
@@ -55,6 +56,18 @@ def test_render_spec_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParams):
             RenderSpec(style="box", shift=bad)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda prof: glyph_svg(prof, 1, RenderSpec(density=4)), eigenvalue_chart_svg],
+    ids=["glyph_svg", "eigenvalue_chart_svg"],
+)
+def test_render_rejects_a_profile_whose_v_was_reassigned(draw):
+    prof = explicit_profile(Branch.MINUS, limit_params(), RadialGrid.uniform(1.0, 32))
+    prof.v = prof.v[:5]
+    with pytest.raises(GridError):
+        draw(prof)
 
 
 def test_glyph_svg_is_valid_svg11(minus_profile):
