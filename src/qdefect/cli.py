@@ -30,7 +30,6 @@ from . import field as field2d
 from . import harmonic, render
 from .errors import (
     CsvFormatError,
-    GridError,
     InvalidParams,
     NonConvergence,
     QDefectError,
@@ -467,9 +466,6 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         _fail("E_IO", str(exc))
-        return 2
-    except (InvalidParams, GridError) as exc:
-        _fail("E_CONFIG", str(exc))
         return 2
     except NonConvergence as exc:  # pragma: no cover - commands handle their own
         _fail("E_NUMERIC", str(exc))

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of its checks."""
+
+import numbers
+
+
+def _is_int(x) -> bool:
+    """A Python or NumPy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class QDefectError(Exception):

@@ -35,33 +35,30 @@ raises :class:`~qdefect.errors.InvalidParams`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionInvalid, GridError, InvalidParams
+from .errors import DecompositionInvalid, GridError, InvalidParams, _is_int
 from .grid import GAUSS_XI, PolarGrid, three_point_derivatives
-from .params import ModelParams
+from .params import ModelParams, check_k
 from .reduced import _HAT_PAIRS, Profile, _P1Gauss, _bulk_mask
 from . import tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class Field2D:
     """Q-tensor samples on a polar grid: ``(5, N+1, M)``, one coordinate
-    (:mod:`qdefect.tensor`) per row."""
+    (:mod:`qdefect.tensor`) per row; frozen, as :class:`~qdefect.reduced.Profile` is."""
 
     grid: PolarGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         expected = (5, self.grid.radial.nodes.size, self.grid.m)
         if self.values.shape != expected:
-            raise GridError(
-                f"field values {self.values.shape} do not match grid {expected}"
-            )
+            raise GridError(f"field values {self.values.shape} do not match grid {expected}")
 
     def copy(self) -> "Field2D":
         return Field2D(self.grid, self.values.copy())
@@ -74,9 +71,9 @@ class Field2D:
 
 def lift(profile: Profile, k: int, grid: PolarGrid) -> Field2D:
     """Lift radial samples to the disk: ``Y(r, phi) = u F_n(phi) + v F_3``."""
+    k = check_k(k)
     if not profile.grid.same_nodes(grid.radial):
         raise GridError("profile radial nodes do not match the polar grid")
-    profile.check_shape()
     u, v = profile.u[:, None], profile.v[:, None]
     return Field2D(grid, tensor.ansatz_components(u, v, grid.phis, k))
 
@@ -617,11 +614,6 @@ def energy_gap(field_y: Field2D, field_yp: Field2D, params: ModelParams) -> Ener
 # ---------------------------------------------------------------------------
 # perturbation sampling
 # ---------------------------------------------------------------------------
-
-def _is_int(x) -> bool:
-    """A Python or NumPy integer, not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
 
 # Highest angular mode of a perturbation; every PolarGrid has M >= 64, so no
 # mode aliases.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, _is_int
 
 # 5-point Gauss-Legendre rule mapped to [0, 1]; exact through degree 9,
 # enough for the quartic potential of piecewise-linear profile data.
@@ -31,14 +31,14 @@ _FIRST_NODE = 1e-3
 class RadialGrid:
     """Strictly increasing sample radii ``0 = r_0 < ... < r_N = R``.
 
-    The nodes are the whole grid; :meth:`uniform` and :meth:`graded` build
-    the two standard spacings.
+    The nodes are the whole grid, held as the grid's own read-only copy;
+    :meth:`uniform` and :meth:`graded` build the two standard spacings.
     """
 
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 17:
             raise GridError("radial grid needs at least N >= 16 segments")
@@ -48,12 +48,12 @@ class RadialGrid:
             raise GridError("radial nodes must be strictly increasing")
         if not math.isfinite(nodes[-1]):
             raise GridError("radial grid must end at a finite radius")
+        nodes.flags.writeable = False
 
     @classmethod
     def uniform(cls, radius: float, n: int) -> "RadialGrid":
         """Uniform grid with ``n`` segments on ``[0, radius]``."""
-        if radius <= 0.0:
-            raise GridError(f"radius must be positive, got {radius}")
+        _check_spacing(radius, n)
         return cls(np.linspace(0.0, radius, n + 1))
 
     @classmethod
@@ -67,8 +67,7 @@ class RadialGrid:
         keeps centred stencils second order and avoids the stiffness
         spikes of abrupt mesh-size jumps.
         """
-        if radius <= 0.0:
-            raise GridError(f"radius must be positive, got {radius}")
+        _check_spacing(radius, n)
         gamma = max(1.0, math.log(1.0 / _FIRST_NODE) / math.log(n))
         nodes = radius * (np.arange(n + 1) / n) ** gamma
         nodes[-1] = radius
@@ -120,6 +119,14 @@ class RadialGrid:
         return bool(np.array_equal(self.nodes, other.nodes))  # False for other shapes
 
 
+def _check_spacing(radius: float, n: int) -> None:
+    """``GridError`` unless ``radius > 0`` and ``n`` is an integer number of segments >= 16."""
+    if not radius > 0.0:
+        raise GridError(f"radius must be positive, got {radius}")
+    if not (_is_int(n) and n >= 16):
+        raise GridError(f"radial grid needs an integer N >= 16 segments, got {n!r}")
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     """Tensor-product grid: shared radial nodes x uniform angles on [0, 2pi)."""
@@ -128,8 +135,8 @@ class PolarGrid:
     m: int = 256
 
     def __post_init__(self):
-        if self.m < 64 or self.m % 2 != 0:
-            raise GridError(f"angular count must be even and >= 64, got {self.m}")
+        if not (_is_int(self.m) and self.m >= 64 and self.m % 2 == 0):
+            raise GridError(f"angular count must be an even integer >= 64, got {self.m!r}")
 
     @property
     def phis(self) -> np.ndarray:

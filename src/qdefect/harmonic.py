@@ -40,7 +40,7 @@ from .field import (
     separable_dirichlet_quadrature,
 )
 from .grid import PolarGrid, RadialGrid
-from .params import ModelParams
+from .params import ModelParams, check_k
 from .reduced import Profile, _dirichlet, _P1Gauss
 from .tensor import frame_escape_components, frame_fn_components, frob_sq
 
@@ -104,15 +104,15 @@ def explicit_profile(branch, params: ModelParams, grid: RadialGrid) -> Profile:
 # angle parametrisation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PsiProfile:
-    """Samples of the constraint angle ``psi(r)`` on a radial grid."""
+    """Samples of the constraint angle ``psi(r)`` on a radial grid; frozen, as ``Profile`` is."""
 
     grid: RadialGrid
     psi: np.ndarray
 
     def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=float)
+        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
         if self.psi.shape != self.grid.nodes.shape:
             raise GridError("psi samples do not match the grid")
 
@@ -170,6 +170,7 @@ def first_integral_defect(psi_profile: PsiProfile, k: int) -> np.ndarray:
     (``~ h^2 r^2 psi' psi'''``) would swamp the defect of interest on the
     steeper branch at practical resolutions.
     """
+    k = check_k(k)
     r = psi_profile.grid.nodes
     dpsi = _first_derivative_o4(r, psi_profile.psi)
     ri = r[1:-1]
@@ -215,7 +216,6 @@ def e0_energy(p, params: ModelParams) -> E0Result:
 
     if not isinstance(p, Profile):
         raise InvalidParams(f"expected Profile or PsiProfile, got {type(p)!r}")
-    p.check_shape()
     target = params.limit_norm_sq
     dev = float(np.max(np.abs(p.norm_sq_samples() - target))) / target
     if not dev <= 1e-8:  # a NaN sample violates the constraint too

@@ -11,7 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidParams
+from .errors import InvalidParams, _is_int
+
+
+def check_k(k) -> int:
+    """``k`` as a plain ``int`` if it is an integer (not a bool) with ``0 < |k| <= 2**62``,
+    beyond which ``k^2 / r^2`` overflows; else :class:`InvalidParams`."""
+    if _is_int(k) and 0 < abs(int(k)) <= 2**62:
+        return int(k)
+    raise InvalidParams(
+        f"k must be a nonzero integer (k in Z \\ {{0}}) with |k| <= 2**62, got {k!r}")
 
 
 def equilibrium_order_parameter(a2: float, b2: float, c2: float) -> float:
@@ -42,9 +51,8 @@ class ModelParams:
         :func:`~qdefect.harmonic.uniaxial_escape_components` scales ``r``
         by it.
     k : int
-        Defect index numerator (the director winds by ``k/2`` turns);
-        any nonzero integer with ``|k| <= 2**62``, beyond which ``k^2``
-        leaves the float range or ``k^2 / r^2`` overflows.
+        Defect index numerator (the director winds by ``k/2`` turns), as
+        :func:`check_k` accepts it; stored as a plain ``int``.
     """
 
     a2: float
@@ -68,10 +76,7 @@ class ModelParams:
             raise InvalidParams(f"L = {self.L} is too small: 1/L overflows")
         if not (0.0 < self.R < math.inf):
             raise InvalidParams(f"R must satisfy 0 < R < inf, got {self.R}")
-        if not isinstance(self.k, int) or not 0 < abs(self.k) <= 2**62:
-            raise InvalidParams(
-                f"k must be a nonzero integer (k in Z \\ {{0}}) with |k| <= 2**62, got {self.k!r}"
-            )
+        object.__setattr__(self, "k", check_k(self.k))
         s = equilibrium_order_parameter(self.a2, self.b2, self.c2)
         object.__setattr__(self, "s_plus", s)
         if not math.isfinite(self.limit_norm_sq):

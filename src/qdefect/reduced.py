@@ -31,7 +31,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence
+from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence, _is_int
 from .grid import GAUSS_W, GAUSS_XI, RadialGrid, three_point_derivatives
 from .params import ModelParams
 
@@ -51,21 +51,18 @@ _FREE = slice(1, -2)
 # profile container and serialization
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Profile:
-    """Sampled reduced degrees of freedom ``(u, v)`` on a radial grid."""
+    """Sampled reduced degrees of freedom ``(u, v)`` on a radial grid; frozen, so ``u``
+    and ``v`` meet the grid once, here, and stay writable in place (:func:`apply_boundary`)."""
 
     grid: RadialGrid
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.check_shape()
-
-    def check_shape(self):
-        """``GridError`` unless ``u`` and ``v``, which callers may reassign, match the grid."""
+        for name in ("u", "v"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         u, v, nodes = self.u.shape, self.v.shape, self.grid.nodes.shape
         if not u == v == nodes:
             raise GridError(f"profile arrays {u}/{v} do not match the grid's nodes {nodes}")
@@ -81,8 +78,6 @@ class Profile:
         """L2(r dr) distance between two profiles on the same grid."""
         if not self.grid.same_nodes(other.grid):
             raise GridError("profiles live on different grids")
-        self.check_shape()
-        other.check_shape()
         w = self.grid.weights
         du = self.u - other.u
         dv = self.v - other.v
@@ -91,7 +86,6 @@ class Profile:
 
 def apply_boundary(profile: Profile, params: ModelParams) -> Profile:
     """Overwrite the fixed degrees of freedom with the exact boundary data."""
-    profile.check_shape()
     profile.u[0] = 0.0
     profile.u[-1] = params.boundary_u
     profile.v[-1] = params.boundary_v
@@ -119,9 +113,7 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def write_profile_csv(path, profile: Profile):
-    """Write ``r,u,v`` rows with shortest round-trip decimal formatting,
-    atomically; a profile that does not match its grid raises before any write."""
-    profile.check_shape()
+    """Write ``r,u,v`` rows with shortest round-trip decimal formatting, atomically."""
     write_text_atomic(path, csv_text("r,u,v", (profile.grid.nodes, profile.u, profile.v)))
 
 
@@ -219,8 +211,7 @@ class _P1Gauss:
         return _Point(ug, vg, uu, vv, uu + vv, np.diff(u) / self.h, np.diff(v) / self.h)
 
 
-def _check_operands(profile: Profile, params: ModelParams):
-    profile.check_shape()
+def _check_operands(params: ModelParams):
     if params.L <= 0.0:
         raise InvalidParams("the reduced functional requires L > 0")
 
@@ -258,7 +249,7 @@ def reduced_energy(profile: Profile, params: ModelParams) -> float:
     The singular ``k^2 u^2 / r^2`` term is integrated at interior Gauss
     radii only, which is finite for admissible data (``u(0) = 0``).
     """
-    _check_operands(profile, params)
+    _check_operands(params)
     q = _P1Gauss(profile.grid, params)
     return _energy(q, q.point(profile.u, profile.v))
 
@@ -298,7 +289,7 @@ def reduced_gradient(profile: Profile, params: ModelParams):
     ``sum(masses * (du*qu + dv*qv))`` with the grid's lumped node masses.
     Entries at fixed degrees of freedom are zero.
     """
-    _check_operands(profile, params)
+    _check_operands(params)
     q = _P1Gauss(profile.grid, params)
     gu, gv = _gradient(q, q.point(profile.u, profile.v)).T
     m = profile.grid.node_masses
@@ -469,7 +460,7 @@ def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
     profiles in is allowed (and used for manufactured-solution tests).  A
     residual past the float range is inf, or NaN where two inf terms cancel.
     """
-    _check_operands(profile, params)
+    _check_operands(params)
     with np.errstate(over="ignore", invalid="ignore"):
         r = profile.grid.nodes
         u = profile.u
@@ -562,7 +553,6 @@ def _start_rows(params: ModelParams, grid: RadialGrid, init) -> np.ndarray:
     if isinstance(init, Profile):
         if not grid.same_nodes(init.grid):
             raise GridError("initial profile grid does not match the solve grid")
-        init.check_shape()
         y = np.stack([init.u, init.v], axis=1)
     elif init == "explicit":
         from .harmonic import explicit_arrays  # deferred: harmonic imports Profile
@@ -752,8 +742,8 @@ def minimize(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParams("tol must be finite and positive")
-    if max_iter < 1:
-        raise InvalidParams("max_iter must be at least 1")
+    if not (_is_int(max_iter) and max_iter >= 1):
+        raise InvalidParams(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if params.L <= 0.0:
         raise InvalidParams("minimize requires L > 0; L = 0 is the limit problem")
     _check_bulk_scale(params)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, _is_int
+from .params import check_k
 from .reduced import Profile
 from .tensor import ansatz_biaxiality, ansatz_eigenvalues
 
@@ -59,9 +60,9 @@ def biaxiality_colors(beta: np.ndarray) -> list[str]:
     return names[index].tolist()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RenderSpec:
-    """Rendering options for the glyph lattice."""
+    """Rendering options for the glyph lattice; frozen, so they are checked once, here."""
 
     style: str = "rod"
     density: int = 16
@@ -71,12 +72,12 @@ class RenderSpec:
     def __post_init__(self):
         if self.style not in ("rod", "box"):
             raise InvalidParams(f"glyph style must be 'rod' or 'box', got {self.style!r}")
-        if not 4 <= self.density <= 256:  # 256 rings are 262,145 glyphs
-            raise InvalidParams("glyph density must be in [4, 256]")
+        if not (_is_int(self.density) and 4 <= self.density <= 256):  # 262,145 glyphs at 256
+            raise InvalidParams("glyph density must be in [4, 256], an integer")
         if self.shift is not None and not np.isfinite(self.shift):
             raise InvalidParams(f"box shift must be finite, got {self.shift}")
-        if not 64 <= self.size <= 65536:
-            raise InvalidParams("image size must be in [64, 65536] px")
+        if not (_is_int(self.size) and 64 <= self.size <= 65536):
+            raise InvalidParams("image size must be in [64, 65536] px, an integer")
 
 
 def glyph_svg(profile: Profile, k: int, spec: RenderSpec) -> str:
@@ -89,7 +90,7 @@ def glyph_svg(profile: Profile, k: int, spec: RenderSpec) -> str:
     ``|Y|^2 = u^2 + v^2``, ``tr(Y^3) = v (v^2 - 3 u^2) / sqrt(6)``, not from
     a per-glyph eigensolve.
     """
-    profile.check_shape()
+    k = check_k(k)
     size = spec.size
     cx = cy = size / 2.0
     radius = profile.grid.radius
@@ -174,7 +175,8 @@ def eigenvalue_chart_svg(profile: Profile, size: int = 640, title: str = "") -> 
     perpendicular, planar parallel), so genuine eigenvalue crossings show
     up as curve intersections instead of sorting kinks.
     """
-    profile.check_shape()
+    if not (_is_int(size) and 64 <= size <= 65536):  # as RenderSpec checks it
+        raise InvalidParams("image size must be in [64, 65536] px, an integer")
     r = profile.grid.nodes
     lam = ansatz_eigenvalues(profile.u, profile.v)  # (N+1, 3)
     w, h = size, int(size * 0.75)

@@ -1050,6 +1050,18 @@ def test_readme_lists_every_command():
     assert sorted({argv[0] for argv in _readme_argvs()}) == sorted(_COMMANDS)
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library usage\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = section.split("```python\n")[1:]
+    scope = {}
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), scope)
+    assert scope["report"].converged
+    assert scope["field"].values.shape == (5, 1025, 256)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 and 0.0 < float(printed[1]) < 1.0  # the distance to the limit
+
+
 @pytest.mark.parametrize("argv", _readme_argvs(), ids=lambda argv: " ".join(argv))
 def test_readme_argv_parses_alike_under_the_per_command_parser(argv):
     reference = vars(_every_option_parser().parse_args(argv))

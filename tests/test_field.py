@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -896,15 +897,19 @@ def test_dirichlet_energy_2d_never_builds_the_full_field():
     assert peak < full_field_bytes / 32
 
 
+def _small_profile(n=32):
+    return explicit_profile(Branch.MINUS, params(L=0.0), RadialGrid.uniform(1.0, n))
+
+
 def _small_field(n=32, m=64):
-    grid = RadialGrid.uniform(1.0, n)
-    p = params(L=0.0)
-    return lift(explicit_profile(Branch.MINUS, p, grid), 1, PolarGrid(grid, m))
+    prof = _small_profile(n)
+    return lift(prof, 1, PolarGrid(prof.grid, m))
 
 
 def _short_v_profile():
-    """An explicit profile on 33 nodes whose ``v`` was reassigned to 5 entries."""
-    prof = explicit_profile(Branch.MINUS, params(L=0.0), RadialGrid.uniform(1.0, 32))
+    """Rebind the ``v`` of an explicit profile on 33 nodes to 5 entries: a
+    profile is frozen, so this raises ``FrozenInstanceError``."""
+    prof = _small_profile()
     prof.v = prof.v[:5]
     return prof
 
@@ -931,7 +936,11 @@ _FIELD_ARGUMENT_CHECKS = {
     "energy_gap-L0": (
         InvalidParams, lambda: energy_gap(_small_field(), _small_field(), params(L=0.0))),
     "lift-v-reassigned": (
-        GridError, lambda: lift(_short_v_profile(), 1, _small_field().grid)),
+        FrozenInstanceError, lambda: lift(_short_v_profile(), 1, _small_field().grid)),
+    # k as ModelParams checks it
+    "lift-k-0": (InvalidParams, lambda: lift(_small_profile(), 0, _small_field().grid)),
+    "lift-k-half": (InvalidParams, lambda: lift(_small_profile(), 1.5, _small_field().grid)),
+    "lift-k-bool": (InvalidParams, lambda: lift(_small_profile(), True, _small_field().grid)),
     "Field2D-values-shape": (
         GridError, lambda: Field2D(_small_field().grid, np.zeros((33, 64, 3)))),
     # the (N+1, M, 5) layout that came before coordinates first

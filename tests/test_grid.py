@@ -99,6 +99,20 @@ def test_polar_grid_validation():
         PolarGrid(g, 63)
     with pytest.raises(GridError):
         PolarGrid(g, 62)  # even but below the floor
+    # one integer rule: NumPy integers pass; floats and bools do not
+    PolarGrid(g, np.int64(64))
+    for bad in (64.0, True):
+        with pytest.raises(GridError):
+            PolarGrid(g, bad)
+
+
+def test_radial_grid_owns_read_only_nodes():
+    a = np.linspace(0.0, 1.0, 33)
+    g = RadialGrid(a)
+    a[5] = 2.0  # the caller's array is not the grid's
+    assert np.array_equal(g.nodes, np.linspace(0.0, 1.0, 33))
+    with pytest.raises(ValueError):
+        g.nodes[5] = 0.0
 
 
 def test_three_point_derivatives_exact_on_quadratics_and_columnwise():
@@ -122,8 +136,12 @@ def test_three_point_derivatives_exact_on_quadratics_and_columnwise():
         lambda: RadialGrid.uniform(0.0, 32),
         lambda: RadialGrid.graded(-1.0, 32),
         lambda: RadialGrid(np.where(np.arange(33) == 5, np.nan, np.linspace(0.0, 1.0, 33))),
+        lambda: RadialGrid.uniform(1, 64.0),
+        lambda: RadialGrid.graded(1.0, 64.0),
+        lambda: RadialGrid.graded(1.0, 1),  # gamma = ln 1000 / ln n would divide by 0
     ],
-    ids=["infinite-radius", "uniform-radius-0", "graded-radius-negative", "nan-node"],
+    ids=["infinite-radius", "uniform-radius-0", "graded-radius-negative", "nan-node",
+         "uniform-n-float", "graded-n-float", "graded-n-1"],
 )
 def test_grid_argument_checks(make):
     with pytest.raises(GridError):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -374,8 +375,7 @@ def test_hm_residual_constraint_enforced():
     grid = RadialGrid.uniform(p.R, 64)
     pg = PolarGrid(grid, 64)
     field = lift(explicit_profile(Branch.MINUS, p, grid), p.k, pg)
-    bad = field.copy()
-    bad.values *= 1.001
+    bad = Field2D(pg, field.values * 1.001)
     with pytest.raises(ConstraintViolated):
         hm_residual(bad, p)
 
@@ -445,7 +445,8 @@ _GRID64 = RadialGrid.uniform(1.0, 64)
 
 
 def _short_v_profile():
-    """An explicit profile on 65 nodes whose ``v`` was reassigned to 5 entries."""
+    """Rebind the ``v`` of an explicit profile on 65 nodes to 5 entries: a
+    profile is frozen, so this raises ``FrozenInstanceError``."""
     prof = explicit_profile(Branch.MINUS, limit_params(), _GRID64)
     prof.v = prof.v[:5]
     return prof
@@ -460,7 +461,14 @@ _HARMONIC_ARGUMENT_CHECKS = {
     "psi-uniaxial": (
         InvalidBranch, lambda: psi_of_branch(Branch.UNIAXIAL_ESCAPE, limit_params(k=2), _GRID64)),
     "e0-wrong-type": (InvalidParams, lambda: e0_energy(np.zeros(65), limit_params())),
-    "e0-v-reassigned": (GridError, lambda: e0_energy(_short_v_profile(), limit_params())),
+    "e0-v-reassigned": (
+        FrozenInstanceError, lambda: e0_energy(_short_v_profile(), limit_params())),
+    "first-integral-k-0": (
+        InvalidParams,
+        lambda: first_integral_defect(psi_of_branch(Branch.MINUS, limit_params(), _GRID64), 0)),
+    "first-integral-k-float": (
+        InvalidParams,
+        lambda: first_integral_defect(psi_of_branch(Branch.MINUS, limit_params(), _GRID64), 1.0)),
 }
 
 

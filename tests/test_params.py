@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from qdefect import InvalidParams, ModelParams
-from qdefect.params import equilibrium_order_parameter
+from qdefect.params import check_k, equilibrium_order_parameter
 
 
 def test_s_plus_b2_zero():
@@ -31,6 +32,11 @@ def test_s_plus_b2_one():
         {"a2": 1e300, "c2": 1e-300},  # s_plus^2 overflows
         {"L": 5e-324},  # 1/L overflows
         {"L": 3e-309},
+        {"k": True},  # a bool is not an integer here
+        {"k": 1.0},
+        {"k": np.float64(2.0)},
+        {"k": "2"},
+        {"k": 2**62 + 1},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
@@ -38,6 +44,13 @@ def test_invalid_parameters_rejected(kwargs):
     base.update(kwargs)
     with pytest.raises(InvalidParams):
         ModelParams(**base)
+
+
+def test_numpy_integer_k_is_stored_as_int():
+    for k in (np.int64(2), np.int32(-3)):
+        p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=k)
+        assert type(p.k) is int and p.k == k
+    assert check_k(np.int64(-2**62)) == -2**62
 
 
 def test_boundary_values_and_updates():

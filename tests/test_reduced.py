@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import FrozenInstanceError, fields
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
@@ -13,18 +14,24 @@ from hypothesis import strategies as st
 from qdefect import (
     Branch,
     CsvFormatError,
+    Field2D,
     GridError,
     InvalidParams,
     ModelParams,
     NonConvergence,
     OdeResidual,
+    PolarGrid,
     Profile,
+    PsiProfile,
     RadialGrid,
+    RenderSpec,
     apply_boundary,
     continuation_in_b2,
     explicit_profile,
+    lift,
     minimize,
     ode_residual,
+    psi_of_branch,
     read_profile_csv,
     reduced_energy,
     reduced_gradient,
@@ -1276,14 +1283,16 @@ def _write_csv(tmp_path, text):
 
 
 def _short_u():
-    """A profile whose ``u`` was reassigned to one node fewer than its grid."""
+    """Rebind a profile's ``u`` to one node fewer than its grid: a profile is
+    frozen, so this raises ``FrozenInstanceError`` and no entry point ever
+    sees a profile that does not match its grid."""
     prof = ramp_profile(params(), RadialGrid.uniform(1.0, 32))
     prof.u = prof.u[:-1]
     return prof
 
 
 def _short_v():
-    """A profile whose ``v`` was reassigned to 5 entries."""
+    """Rebind a profile's ``v`` to 5 entries, as :func:`_short_u` does ``u``."""
     prof = ramp_profile(params(), RadialGrid.uniform(1.0, 32))
     prof.v = prof.v[:5]
     return prof
@@ -1291,10 +1300,37 @@ def _short_v():
 
 @pytest.mark.parametrize("short", [_short_u, _short_v], ids=["u-reassigned", "v-reassigned"])
 def test_write_profile_csv_rejects_a_profile_that_does_not_match_its_grid(tmp_path, short):
-    # zipped columns would write a truncated file; the check comes before any write
-    with pytest.raises(GridError):
+    # zipped columns would write a truncated file; the rebinding raises before any write
+    with pytest.raises(FrozenInstanceError):
         write_profile_csv(tmp_path / "p.csv", short())
     assert list(tmp_path.iterdir()) == []  # no file and no .tmp
+
+
+_FROZEN_FIELDS = [(cls, f.name) for cls in (Profile, PsiProfile, Field2D, RenderSpec)
+                  for f in fields(cls)]
+
+
+@pytest.mark.parametrize(
+    "cls, name", _FROZEN_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in _FROZEN_FIELDS])
+def test_rebinding_a_field_raises_and_arrays_stay_writable_in_place(cls, name):
+    p = params()
+    grid = RadialGrid.uniform(1.0, 32)
+    prof = Profile(grid, np.ones(33), np.zeros(33))
+    value = {
+        Profile: prof,
+        PsiProfile: psi_of_branch(Branch.MINUS, p, grid),
+        Field2D: lift(prof, p.k, PolarGrid(grid, 64)),
+        RenderSpec: RenderSpec(),
+    }[cls]
+    held = getattr(value, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, name, held)
+    if cls is Profile and name != "grid":  # the fixed nodes are written in place
+        assert apply_boundary(prof, p) is prof
+        assert (prof.u[0], prof.u[-1], prof.v[-1]) == (0.0, p.boundary_u, p.boundary_v)
+    elif isinstance(held, np.ndarray):
+        held[...] = 0.5  # as field.values[...] = x
+        assert np.all(getattr(value, name) == 0.5)
 
 
 _REDUCED_ARGUMENT_CHECKS = {
@@ -1307,26 +1343,36 @@ _REDUCED_ARGUMENT_CHECKS = {
         CsvFormatError,
         lambda tmp: read_profile_csv(_write_csv(tmp, "r,u,v\n0.0,0.0,-0.4\n0.5,abc,-0.4\n")),
     ),
-    "reduced_energy-u-reassigned": (GridError, lambda tmp: reduced_energy(_short_u(), params())),
+    # a profile is frozen: each rebinding raises before its entry point runs
+    "reduced_energy-u-reassigned": (
+        FrozenInstanceError, lambda tmp: reduced_energy(_short_u(), params())),
     "reduced_gradient-u-reassigned": (
-        GridError, lambda tmp: reduced_gradient(_short_u(), params())),
-    "ode_residual-u-reassigned": (GridError, lambda tmp: ode_residual(_short_u(), params())),
-    "reduced_energy-v-reassigned": (GridError, lambda tmp: reduced_energy(_short_v(), params())),
+        FrozenInstanceError, lambda tmp: reduced_gradient(_short_u(), params())),
+    "ode_residual-u-reassigned": (
+        FrozenInstanceError, lambda tmp: ode_residual(_short_u(), params())),
+    "reduced_energy-v-reassigned": (
+        FrozenInstanceError, lambda tmp: reduced_energy(_short_v(), params())),
     "reduced_gradient-v-reassigned": (
-        GridError, lambda tmp: reduced_gradient(_short_v(), params())),
-    "ode_residual-v-reassigned": (GridError, lambda tmp: ode_residual(_short_v(), params())),
+        FrozenInstanceError, lambda tmp: reduced_gradient(_short_v(), params())),
+    "ode_residual-v-reassigned": (
+        FrozenInstanceError, lambda tmp: ode_residual(_short_v(), params())),
     "distance_to-self-v-reassigned": (
-        GridError,
+        FrozenInstanceError,
         lambda tmp: _short_v().distance_to(ramp_profile(params(), RadialGrid.uniform(1.0, 32))),
     ),
     "distance_to-other-v-reassigned": (
-        GridError,
+        FrozenInstanceError,
         lambda tmp: ramp_profile(params(), RadialGrid.uniform(1.0, 32)).distance_to(_short_v()),
     ),
     "minimize-init-v-reassigned": (
-        GridError, lambda tmp: minimize(params(), RadialGrid.uniform(1.0, 32), init=_short_v())),
-    # the fixed-node writes would land in the short array without the check
-    "apply_boundary-v-reassigned": (GridError, lambda tmp: apply_boundary(_short_v(), params())),
+        FrozenInstanceError,
+        lambda tmp: minimize(params(), RadialGrid.uniform(1.0, 32), init=_short_v()),
+    ),
+    "apply_boundary-v-reassigned": (
+        FrozenInstanceError, lambda tmp: apply_boundary(_short_v(), params())),
+    # the one place a profile's arrays meet its grid
+    "Profile-v-shape": (
+        GridError, lambda tmp: Profile(RadialGrid.uniform(1.0, 32), np.zeros(33), np.zeros(5))),
 }
 
 

@@ -2,13 +2,13 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from qdefect import (
     Branch,
-    GridError,
     InvalidParams,
     ModelParams,
     RadialGrid,
@@ -56,6 +56,24 @@ def test_render_spec_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParams):
             RenderSpec(style="box", shift=bad)
+    # one integer rule: NumPy integers pass; floats and bools do not
+    RenderSpec(density=np.int64(8), size=np.int32(320))
+    for kwargs in ({"density": 4.5}, {"density": 8.0}, {"density": True},
+                   {"size": 640.0}, {"size": np.float64(640.0)}):
+        with pytest.raises(InvalidParams):
+            RenderSpec(**kwargs)
+
+
+@pytest.mark.parametrize("k", [0, 0.5, 1.0, True])
+def test_glyph_svg_rejects_a_k_that_model_params_rejects(minus_profile, k):
+    with pytest.raises(InvalidParams):
+        glyph_svg(minus_profile[1], k, RenderSpec(density=4))
+
+
+@pytest.mark.parametrize("size", [-5, 0, 63, 65537, 640.0, 10.5, True])
+def test_eigenvalue_chart_rejects_a_size_that_render_spec_rejects(minus_profile, size):
+    with pytest.raises(InvalidParams):
+        eigenvalue_chart_svg(minus_profile[1], size=size)
 
 
 @pytest.mark.parametrize(
@@ -64,10 +82,11 @@ def test_render_spec_validation():
     ids=["glyph_svg", "eigenvalue_chart_svg"],
 )
 def test_render_rejects_a_profile_whose_v_was_reassigned(draw):
+    # a profile is frozen: the rebinding itself raises, so no mismatched profile reaches draw
     prof = explicit_profile(Branch.MINUS, limit_params(), RadialGrid.uniform(1.0, 32))
-    prof.v = prof.v[:5]
-    with pytest.raises(GridError):
-        draw(prof)
+    with pytest.raises(FrozenInstanceError):
+        prof.v = prof.v[:5]
+    draw(prof)
 
 
 def test_glyph_svg_is_valid_svg11(minus_profile):
