@@ -11,23 +11,14 @@ basis, coordinates first: ``(5,)`` for one tensor, ``(5, N+1, M)`` for a
 field (see :mod:`qdefect.tensor`), the package's one representation.
 """
 
-from .errors import (
-    ConstraintViolated,
-    CsvFormatError,
-    DecompositionInvalid,
-    GridError,
-    InvalidBranch,
-    InvalidParams,
-    NonConvergence,
-    OddKForUniaxial,
-    QDefectError,
-)
+from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence, QDefectError
 from .field import (
     Field2D,
     EnergyGapResult,
     SecondVariationResult,
     el_residual_2d,
     energy_gap,
+    hm_residual,
     ldg_energy_2d,
     ldg_energy_spectral,
     lift,
@@ -45,7 +36,6 @@ from .harmonic import (
     e0_energy,
     explicit_profile,
     first_integral_defect,
-    hm_residual,
     psi_of_branch,
     uniaxial_escape_components,
 )

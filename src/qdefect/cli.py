@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -224,7 +225,7 @@ def cmd_solve(eff: dict) -> int:
         _fail("E_NUMERIC", str(exc))
         status = 1
     write_profile_csv(f"{out}_profile.csv", profile)
-    _write_json(f"{out}_report.json", report.to_json_dict())
+    _write_json(f"{out}_report.json", asdict(report))
     print(
         f"solve: converged={report.converged} energy={report.energy!r} "
         f"grad_norm={report.grad_norm:.3e} -> {out}_profile.csv"
@@ -392,7 +393,7 @@ def cmd_energy(eff: dict) -> int:
         "reduced": reduced_energy(profile, params),
         "ldg_2d": dirichlet + pot / params.L,  # as ldg_energy_2d forms it
         "dirichlet_2d": dirichlet,
-        "e0": e0.value if e0.finite else "infinite",
+        "e0": "infinite" if e0.value is None else e0.value,
         "e0_constraint_deviation": e0.max_deviation,
     }
     if not all(math.isfinite(x) for x in payload.values() if isinstance(x, float)):

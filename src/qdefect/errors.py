@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer rule of its checks."""
+"""Exception types shared across the package, and the number rules of its checks."""
 
 import numbers
 
@@ -6,6 +6,18 @@ import numbers
 def _is_int(x) -> bool:
     """A Python or NumPy integer, not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A Python or NumPy real number (integers included), not a bool, that a float
+    can hold: an integer past the float range is not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 class QDefectError(Exception):
@@ -18,29 +30,6 @@ class InvalidParams(QDefectError, ValueError):
 
 class GridError(QDefectError, ValueError):
     """Bad grid construction or a grid mismatch between operands."""
-
-
-class InvalidBranch(QDefectError, ValueError):
-    """A branch tag is not valid for the requested operation."""
-
-
-class OddKForUniaxial(QDefectError, ValueError):
-    """The out-of-plane escape solution only exists for even defect index."""
-
-
-class ConstraintViolated(QDefectError, ValueError):
-    """A field violates the pointwise norm constraint of the limit problem.
-
-    Carries ``max_deviation``, the largest relative deviation observed.
-    """
-
-    def __init__(self, message, max_deviation):
-        super().__init__(f"{message} (max relative deviation {max_deviation:.3e})")
-        self.max_deviation = max_deviation
-
-
-class DecompositionInvalid(QDefectError, ValueError):
-    """The weighted (Hardy) decomposition P = v*U is not available."""
 
 
 class CsvFormatError(QDefectError, ValueError):

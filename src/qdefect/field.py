@@ -5,7 +5,7 @@ Two discretisations coexist deliberately:
 * a classic finite-difference scheme (compact/centred stencils in the
   angle, trapezoidal node quadrature in radius) behind
   :func:`fd_energy_terms`, :func:`ldg_energy_2d`, :func:`el_residual_2d`
-  and the harmonic-map residual :func:`qdefect.harmonic.hm_residual` --
+  and the harmonic-map residual :func:`hm_residual` --
   an independent route used to cross-check the reduced 1D functional;
   for a separable field ``sum_a f_a(r) G_a(phi)``,
   :func:`separable_dirichlet_quadrature` forms the same Dirichlet sum
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionInvalid, GridError, InvalidParams, _is_int
+from .errors import GridError, InvalidParams, _is_int, _is_real
 from .grid import GAUSS_XI, PolarGrid, three_point_derivatives
 from .params import ModelParams, check_k
 from .reduced import _HAT_PAIRS, Profile, _P1Gauss, _bulk_mask
@@ -49,7 +49,11 @@ from . import tensor
 @dataclass(frozen=True)
 class Field2D:
     """Q-tensor samples on a polar grid: ``(5, N+1, M)``, one coordinate
-    (:mod:`qdefect.tensor`) per row; frozen, as :class:`~qdefect.reduced.Profile` is."""
+    (:mod:`qdefect.tensor`) per row; frozen, as :class:`~qdefect.reduced.Profile` is.
+
+    Unlike a profile, a field does not copy a float array it is given: a
+    field is megabytes, and :func:`random_perturbation` writes its samples
+    once.  Later writes into that array show in the field."""
 
     grid: PolarGrid
     values: np.ndarray
@@ -59,9 +63,6 @@ class Field2D:
         expected = (5, self.grid.radial.nodes.size, self.grid.m)
         if self.values.shape != expected:
             raise GridError(f"field values {self.values.shape} do not match grid {expected}")
-
-    def copy(self) -> "Field2D":
-        return Field2D(self.grid, self.values.copy())
 
     def same_grid(self, other: "Field2D") -> bool:
         return self.grid.m == other.grid.m and self.grid.radial.same_nodes(
@@ -287,6 +288,33 @@ def el_residual_2d(field: Field2D, params: ModelParams) -> ResidualField:
     return _residual(field, params.L, bulk)
 
 
+def hm_residual(field: Field2D, params: ModelParams) -> ResidualField:
+    """Residual ``lap Q + (3/(2 s+^2)) |grad Q|^2 Q`` of the limit problem.
+
+    ``field`` is evaluated on its own polar grid.  It must satisfy the norm
+    constraint to 1e-8 relative, else :class:`~qdefect.errors.InvalidParams`
+    names the largest relative deviation; a non-finite sample violates it.
+    Five-point polar stencil and compact ``|grad Q|^2`` on interior rings,
+    streamed over ring blocks (the constraint check too), so working memory
+    is O(block x M) beside the result; boundary data mismatches are not this
+    function's concern.
+    """
+    values, grid = field.values, field.grid
+    target = params.limit_norm_sq
+    peaks = [_max_abs(tensor.frob_sq(values[:, lo:hi]) - target)
+             for lo, hi in _ring_blocks(grid.m, 0, values.shape[1])]
+    dev = float(np.max(peaks)) / target
+    if not dev <= 1e-8:  # a NaN sample violates the constraint too
+        raise InvalidParams(
+            f"harmonic-map residual needs |Q|^2 = (2/3) s+^2 (max relative deviation {dev:.3e})")
+    scale = 1.5 / params.s_plus**2
+
+    def tension(out, block, r):
+        out += scale * _gradient_sq(block, r, grid.dphi) * block[:, 1:-1]
+
+    return _residual(field, 1.0, tension)
+
+
 # ---------------------------------------------------------------------------
 # consistent spectral/Gauss scheme
 # ---------------------------------------------------------------------------
@@ -481,12 +509,6 @@ class SecondVariationResult:
     hardy: float
     perturbation_norm_sq: float
 
-    @property
-    def rayleigh(self) -> float:
-        if self.perturbation_norm_sq == 0.0:
-            raise InvalidParams("the Rayleigh quotient of a zero perturbation is undefined")
-        return self.direct / self.perturbation_norm_sq
-
 
 def second_variation(
     field_y: Field2D, params: ModelParams, perturbation: Field2D
@@ -496,7 +518,7 @@ def second_variation(
     Requires ``b2 = 0`` (the cubic term would contribute otherwise), finite
     fields and a perturbation vanishing on the boundary ring.  The weighted
     (Hardy) form needs ``v < 0`` strictly; otherwise
-    :class:`~qdefect.errors.DecompositionInvalid` is raised.
+    :class:`~qdefect.errors.InvalidParams` is raised.
 
     Both forms come from node products of ``P`` and ``Y`` (which need not be
     lifted) and from one transform of ``P``, in one streamed pass over ring
@@ -517,7 +539,7 @@ def second_variation(
     if not np.all(np.isfinite(v)):
         raise InvalidParams("fields must be finite")
     if np.any(v >= -1e-10):
-        raise DecompositionInvalid(
+        raise InvalidParams(
             "profile component v must be <= -1e-10 at every node for P = v U"
         )
 
@@ -652,7 +674,7 @@ def random_perturbation(
         raise InvalidParams(f"concentrate must be None, 'core' or 'boundary', got {concentrate!r}")
     if not (_is_int(seed) and seed >= 0):
         raise InvalidParams(f"seed must be an integer >= 0, got {seed!r}")
-    if not (math.isfinite(norm) and norm >= 0.0):
+    if not (_is_real(norm) and math.isfinite(norm) and norm >= 0.0):
         raise InvalidParams(f"norm must be finite and >= 0, got {norm!r}")
     rng = np.random.default_rng(seed)
     rho = grid.radial.nodes / grid.radial.radius

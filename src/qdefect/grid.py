@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, _is_int
+from .errors import GridError, _is_int, _is_real
 
 # 5-point Gauss-Legendre rule mapped to [0, 1]; exact through degree 9,
 # enough for the quartic potential of piecewise-linear profile data.
@@ -120,8 +120,9 @@ class RadialGrid:
 
 
 def _check_spacing(radius: float, n: int) -> None:
-    """``GridError`` unless ``radius > 0`` and ``n`` is an integer number of segments >= 16."""
-    if not radius > 0.0:
+    """``GridError`` unless ``radius`` is a real number > 0 and ``n`` an integer number of
+    segments >= 16."""
+    if not (_is_real(radius) and radius > 0.0):
         raise GridError(f"radius must be positive, got {radius}")
     if not (_is_int(n) and n >= 16):
         raise GridError(f"radial grid needs an integer N >= 16 segments, got {n!r}")

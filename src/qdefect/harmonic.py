@@ -23,26 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolated,
-    GridError,
-    InvalidBranch,
-    InvalidParams,
-    OddKForUniaxial,
-)
-from .field import (
-    Field2D,
-    ResidualField,
-    _gradient_sq,
-    _max_abs,
-    _residual,
-    _ring_blocks,
-    separable_dirichlet_quadrature,
-)
+from .errors import GridError, InvalidParams
+from .field import separable_dirichlet_quadrature
 from .grid import PolarGrid, RadialGrid
 from .params import ModelParams, check_k
 from .reduced import Profile, _dirichlet, _P1Gauss
-from .tensor import frame_escape_components, frame_fn_components, frob_sq
+from .tensor import frame_escape_components, frame_fn_components
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -77,7 +63,7 @@ def explicit_arrays(branch, k: int, s_plus: float, nodes: np.ndarray):
         u = 2.0 * _SQRT2 * s_plus * rk / den
         v = _SQRT23 * s_plus * (1.0 - 3.0 * rk * rk) / den
     else:
-        raise InvalidBranch("explicit (u, v) profiles exist for MINUS and PLUS only")
+        raise InvalidParams("explicit (u, v) profiles exist for MINUS and PLUS only")
     return u, v
 
 
@@ -92,7 +78,7 @@ def explicit_profile(branch, params: ModelParams, grid: RadialGrid) -> Profile:
         raise InvalidParams("explicit limit profiles require b2 = 0")
     branch = Branch(branch)
     if branch is Branch.UNIAXIAL_ESCAPE:
-        raise InvalidBranch(
+        raise InvalidParams(
             "the uniaxial escape solution leaves the two-mode ansatz; "
             "use uniaxial_escape_components"
         )
@@ -106,13 +92,14 @@ def explicit_profile(branch, params: ModelParams, grid: RadialGrid) -> Profile:
 
 @dataclass(frozen=True)
 class PsiProfile:
-    """Samples of the constraint angle ``psi(r)`` on a radial grid; frozen, as ``Profile`` is."""
+    """Samples of the constraint angle ``psi(r)`` on a radial grid; frozen, and holding
+    its own float copy of the caller's samples, as ``Profile`` is."""
 
     grid: RadialGrid
     psi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
+        object.__setattr__(self, "psi", np.array(self.psi, dtype=float))
         if self.psi.shape != self.grid.nodes.shape:
             raise GridError("psi samples do not match the grid")
 
@@ -136,7 +123,7 @@ def psi_of_branch(branch, params: ModelParams, grid: RadialGrid) -> PsiProfile:
         psi[0] = math.pi
         psi[1:] = 2.0 * np.arctan(rho[1:] ** (-kk) / math.sqrt(3.0))
     else:
-        raise InvalidBranch("no angle parametrisation for the uniaxial branch")
+        raise InvalidParams("no angle parametrisation for the uniaxial branch")
     psi[-1] = math.pi / 3.0
     return PsiProfile(grid, psi)
 
@@ -186,12 +173,11 @@ def first_integral_defect(psi_profile: PsiProfile, k: int) -> np.ndarray:
 class E0Result:
     """Extended-real value of the constrained limit energy.
 
-    ``finite`` is False when the input violates the norm constraint, in
-    which case ``value`` is None (the infinite-energy sentinel) and
-    ``max_deviation`` reports the largest relative constraint violation.
+    ``value`` is None (the infinite-energy sentinel) when the input
+    violates the norm constraint, and ``max_deviation`` reports the largest
+    relative constraint violation.
     """
 
-    finite: bool
     value: float | None
     max_deviation: float
 
@@ -207,23 +193,23 @@ def e0_energy(p, params: ModelParams) -> E0Result:
     """
     if isinstance(p, PsiProfile):  # the Dirichlet sum of (psi, 0) with u = sin(psi)
         if not np.all(np.isfinite(p.psi)):
-            return E0Result(finite=False, value=None, max_deviation=math.nan)
+            return E0Result(value=None, max_deviation=math.nan)
         q = _P1Gauss(p.grid, params)
         dpsi = np.diff(p.psi) / q.h
         sg = np.sin(q.at_gauss(p.psi))
         value = params.limit_norm_sq * float(_dirichlet(q, dpsi * dpsi, sg * sg))
-        return E0Result(finite=True, value=value, max_deviation=0.0)
+        return E0Result(value=value, max_deviation=0.0)
 
     if not isinstance(p, Profile):
         raise InvalidParams(f"expected Profile or PsiProfile, got {type(p)!r}")
     target = params.limit_norm_sq
     dev = float(np.max(np.abs(p.norm_sq_samples() - target))) / target
     if not dev <= 1e-8:  # a NaN sample violates the constraint too
-        return E0Result(finite=False, value=None, max_deviation=dev)
+        return E0Result(value=None, max_deviation=dev)
     q = _P1Gauss(p.grid, params)
     pt = q.point(p.u, p.v)
     value = float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu))
-    return E0Result(finite=True, value=value, max_deviation=dev)
+    return E0Result(value=value, max_deviation=dev)
 
 
 @dataclass
@@ -232,10 +218,6 @@ class DirichletEnergy:
 
     closed_form: float
     quadrature: float
-
-    @property
-    def relative_error(self) -> float:
-        return abs(self.quadrature - self.closed_form) / abs(self.closed_form)
 
 
 def closed_form_dirichlet(branch, params: ModelParams) -> float:
@@ -246,7 +228,7 @@ def closed_form_dirichlet(branch, params: ModelParams) -> float:
     if branch is Branch.MINUS:
         return (2.0 / 3.0) * kk * math.pi * s2
     if branch is Branch.UNIAXIAL_ESCAPE and params.k % 2 != 0:
-        raise OddKForUniaxial("the uniaxial escape solution needs even k")
+        raise InvalidParams("the uniaxial escape solution needs even k")
     return 2.0 * kk * math.pi * s2
 
 
@@ -312,36 +294,8 @@ def uniaxial_escape_components(r, phi, params: ModelParams) -> np.ndarray:
     broadcast against each other.
     """
     if params.k % 2 != 0:
-        raise OddKForUniaxial("the uniaxial escape solution needs even k")
+        raise InvalidParams("the uniaxial escape solution needs even k")
     rho = np.asarray(r, dtype=float) / params.R
     f, g = _escape_factors(rho, np.asarray(phi, dtype=float), params.k, params.s_plus)
     return np.stack([sum(f[..., a] * g[c, a] for a in range(3)) for c in range(5)])
 
-
-# ---------------------------------------------------------------------------
-# harmonic-map residual on the disk
-# ---------------------------------------------------------------------------
-
-def hm_residual(field: Field2D, params: ModelParams) -> ResidualField:
-    """Residual ``lap Q + (3/(2 s+^2)) |grad Q|^2 Q`` of the limit problem.
-
-    ``field`` is evaluated on its own polar grid.  It must satisfy the norm
-    constraint to 1e-8 relative, else :class:`ConstraintViolated`; a
-    non-finite sample violates it.  Five-point polar stencil and compact
-    ``|grad Q|^2`` on interior rings, streamed over ring blocks (the
-    constraint check too), so working memory is O(block x M) beside the
-    result; boundary data mismatches are not this function's concern.
-    """
-    values, grid = field.values, field.grid
-    target = params.limit_norm_sq
-    peaks = [_max_abs(frob_sq(values[:, lo:hi]) - target)
-             for lo, hi in _ring_blocks(grid.m, 0, values.shape[1])]
-    dev = float(np.max(peaks)) / target
-    if not dev <= 1e-8:  # a NaN sample violates the constraint too
-        raise ConstraintViolated("harmonic-map residual needs |Q|^2 = (2/3) s+^2", dev)
-    scale = 1.5 / params.s_plus**2
-
-    def tension(out, block, r):
-        out += scale * _gradient_sq(block, r, grid.dphi) * block[:, 1:-1]
-
-    return _residual(field, 1.0, tension)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidParams, _is_int
+from .errors import InvalidParams, _is_int, _is_real
 
 
 def check_k(k) -> int:
@@ -39,7 +39,8 @@ class ModelParams:
     ----------
     a2, b2, c2 : float
         Bulk potential coefficients; ``a2, c2 > 0`` and ``b2 >= 0``, with
-        ``s_plus^2`` finite.
+        ``s_plus^2`` finite.  These, ``L`` and ``R`` are real numbers, not
+        bools, each stored as a plain ``float``.
     L : float
         Elastic constant, ``> 0`` with ``1/L`` finite (``L`` at least
         about ``5.6e-309``).  The value ``0`` is accepted as the symbolic
@@ -64,6 +65,12 @@ class ModelParams:
     s_plus: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("a2", "b2", "c2", "L", "R"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise InvalidParams(
+                    f"{name} must be a real number in the float range, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (self.a2 > 0.0 and math.isfinite(self.a2)):
             raise InvalidParams(f"a2 must be positive, got {self.a2}")
         if not (self.c2 > 0.0 and math.isfinite(self.c2)):
@@ -72,7 +79,7 @@ class ModelParams:
             raise InvalidParams(f"b2 must be nonnegative, got {self.b2}")
         if not (self.L >= 0.0 and math.isfinite(self.L)):
             raise InvalidParams(f"L must be >= 0 and finite, got {self.L}")
-        if self.L != 0.0 and 1.0 / float(self.L) == math.inf:
+        if self.L != 0.0 and 1.0 / self.L == math.inf:
             raise InvalidParams(f"L = {self.L} is too small: 1/L overflows")
         if not (0.0 < self.R < math.inf):
             raise InvalidParams(f"R must satisfy 0 < R < inf, got {self.R}")

@@ -26,12 +26,12 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence, _is_int
+from .errors import CsvFormatError, GridError, InvalidParams, NonConvergence, _is_int, _is_real
 from .grid import GAUSS_W, GAUSS_XI, RadialGrid, three_point_derivatives
 from .params import ModelParams
 
@@ -54,7 +54,8 @@ _FREE = slice(1, -2)
 @dataclass(frozen=True)
 class Profile:
     """Sampled reduced degrees of freedom ``(u, v)`` on a radial grid; frozen, so ``u``
-    and ``v`` meet the grid once, here, and stay writable in place (:func:`apply_boundary`)."""
+    and ``v`` meet the grid once, here.  They are the profile's own float copies of the
+    caller's arrays, writable in place (:func:`apply_boundary`)."""
 
     grid: RadialGrid
     u: np.ndarray
@@ -62,13 +63,13 @@ class Profile:
 
     def __post_init__(self):
         for name in ("u", "v"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         u, v, nodes = self.u.shape, self.v.shape, self.grid.nodes.shape
         if not u == v == nodes:
             raise GridError(f"profile arrays {u}/{v} do not match the grid's nodes {nodes}")
 
     def copy(self) -> "Profile":
-        return Profile(self.grid, self.u.copy(), self.v.copy())
+        return Profile(self.grid, self.u, self.v)
 
     def norm_sq_samples(self) -> np.ndarray:
         """Pointwise ``|Y|^2 = u^2 + v^2`` at the nodes."""
@@ -526,9 +527,6 @@ class SolveReport:
     residual_core: float = math.nan
     checks: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 # A preset start on a grid of at least _NESTED_MIN_SEGMENTS segments is the
 # minimiser on every _NESTED_STRIDE-th node, interpolated (nested iteration).
@@ -740,7 +738,7 @@ def minimize(
     finite.  Raises :class:`InvalidParams` where ``c2 |Y|^4`` overflows at
     the limit norm (:func:`_check_bulk_scale`).
     """
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not (_is_real(tol) and math.isfinite(tol) and tol > 0.0):
         raise InvalidParams("tol must be finite and positive")
     if not (_is_int(max_iter) and max_iter >= 1):
         raise InvalidParams(f"max_iter must be an integer >= 1, got {max_iter!r}")
@@ -758,11 +756,10 @@ def minimize(
         y = np.stack([np.interp(grid.nodes, coarse_grid.nodes, c) for c in coarse.y.T], axis=1)
     run = _newton(_P1Gauss(grid, params), y, tol, max_iter, on_step, "newton")
 
-    u, v = run.y.T.copy()
-    profile = Profile(grid, u, v)
+    profile = Profile(grid, *run.y.T)
     res = ode_residual(profile, params)
     residual, peak_r = res.bulk_peak(_BULK_R_MIN * grid.radius)
-    checks = _structure_checks(u, v, params, res.neumann_defect)
+    checks = _structure_checks(profile.u, profile.v, params, res.neumann_defect)
     report = SolveReport(
         energy=run.energy,
         grad_norm=run.grad_norm,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, _is_int
+from .errors import InvalidParams, _is_int, _is_real
 from .params import check_k
 from .reduced import Profile
 from .tensor import ansatz_biaxiality, ansatz_eigenvalues
@@ -74,7 +74,7 @@ class RenderSpec:
             raise InvalidParams(f"glyph style must be 'rod' or 'box', got {self.style!r}")
         if not (_is_int(self.density) and 4 <= self.density <= 256):  # 262,145 glyphs at 256
             raise InvalidParams("glyph density must be in [4, 256], an integer")
-        if self.shift is not None and not np.isfinite(self.shift):
+        if self.shift is not None and not (_is_real(self.shift) and np.isfinite(self.shift)):
             raise InvalidParams(f"box shift must be finite, got {self.shift}")
         if not (_is_int(self.size) and 64 <= self.size <= 65536):
             raise InvalidParams("image size must be in [64, 65536] px, an integer")

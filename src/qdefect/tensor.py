@@ -133,12 +133,6 @@ def frame_escape_components(phi, k: int):
     return _planar_pair(0.5 * k * np.asarray(phi, dtype=float), 3)
 
 
-def boundary_tensor_components(phi, params: ModelParams):
-    """Components of the boundary data ``s_plus (n x n - I/3)``, which is
-    ``s_plus (F_n/sqrt(2) - F_3/sqrt(6))`` in the frame."""
-    return ansatz_components(params.boundary_u, params.boundary_v, phi, params.k)
-
-
 # ---------------------------------------------------------------------------
 # spectral analysis
 # ---------------------------------------------------------------------------

@@ -139,10 +139,20 @@ def test_three_point_derivatives_exact_on_quadratics_and_columnwise():
         lambda: RadialGrid.uniform(1, 64.0),
         lambda: RadialGrid.graded(1.0, 64.0),
         lambda: RadialGrid.graded(1.0, 1),  # gamma = ln 1000 / ln n would divide by 0
+        lambda: RadialGrid.uniform("1", 64),
+        lambda: RadialGrid.uniform(True, 64),
+        lambda: RadialGrid.graded("1", 64),
+        lambda: RadialGrid.uniform(10**400, 64),
     ],
     ids=["infinite-radius", "uniform-radius-0", "graded-radius-negative", "nan-node",
-         "uniform-n-float", "graded-n-float", "graded-n-1"],
+         "uniform-n-float", "graded-n-float", "graded-n-1", "uniform-radius-str",
+         "uniform-radius-bool", "graded-radius-str", "uniform-radius-past-float-range"],
 )
 def test_grid_argument_checks(make):
     with pytest.raises(GridError):
         make()
+
+
+def test_numpy_float_radius_is_accepted():
+    assert RadialGrid.uniform(np.float64(2.0), 64).same_nodes(RadialGrid.uniform(2.0, 64))
+    assert RadialGrid.graded(np.float32(2.0), 64).same_nodes(RadialGrid.graded(2.0, 64))

@@ -1,8 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+import qdefect
 from qdefect import InvalidParams, ModelParams
 from qdefect.params import check_k, equilibrium_order_parameter
 
@@ -37,6 +39,12 @@ def test_s_plus_b2_one():
         {"k": np.float64(2.0)},
         {"k": "2"},
         {"k": 2**62 + 1},
+        {"a2": "1"},  # one real-number rule: strings and bools are not numbers here
+        {"a2": True},
+        {"b2": False},
+        {"L": "0.1"},
+        {"R": True},
+        {"c2": 10**400},  # past the float range
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
@@ -51,6 +59,32 @@ def test_numpy_integer_k_is_stored_as_int():
         p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=k)
         assert type(p.k) is int and p.k == k
     assert check_k(np.int64(-2**62)) == -2**62
+
+
+def test_real_parameters_are_stored_as_float():
+    p = ModelParams(a2=np.float64(2.0), b2=np.float32(0.5), c2=1, L=np.float64(0.1), R=2, k=1)
+    for name in ("a2", "b2", "c2", "L", "R"):
+        assert type(getattr(p, name)) is float
+    assert (p.a2, p.b2, p.c2, p.L, p.R) == (2.0, 0.5, 1.0, 0.1, 2.0)
+
+
+def test_public_names_are_pinned():
+    # a new export has to be added here on purpose
+    names = sorted(n for n, v in vars(qdefect).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == [
+        "Branch", "CsvFormatError", "DirichletEnergy", "E0Result", "EnergyGapResult",
+        "Field2D", "GridError", "InvalidParams", "ModelParams", "NonConvergence",
+        "OdeResidual", "PolarGrid", "Profile", "PsiProfile", "QDefectError", "RadialGrid",
+        "RenderSpec", "SecondVariationResult", "SolveReport", "ansatz_components",
+        "ansatz_eigenvalues", "apply_boundary", "closed_form_dirichlet", "continuation_in_b2",
+        "dirichlet_energy_2d", "e0_energy", "eigenvalue_chart_svg", "el_residual_2d",
+        "energy_gap", "equilibrium_order_parameter", "explicit_profile",
+        "first_integral_defect", "glyph_svg", "hm_residual", "ldg_energy_2d",
+        "ldg_energy_spectral", "lift", "minimize", "ode_residual", "psi_of_branch",
+        "random_perturbation", "read_profile_csv", "reduced_energy", "reduced_gradient",
+        "second_variation", "uniaxial_escape_components", "write_profile_csv",
+    ]
 
 
 def test_boundary_values_and_updates():

@@ -950,7 +950,7 @@ def test_minimize_rejects_bad_inputs():
     grid = RadialGrid.uniform(1.0, 64)
     with pytest.raises(InvalidParams):
         minimize(p.with_updates(L=0.0), grid)
-    for tol in (-1.0, 0.0, math.nan, math.inf):
+    for tol in (-1.0, 0.0, math.nan, math.inf, "1e-9", True, 10**400):
         with pytest.raises(InvalidParams):
             minimize(p, grid, tol=tol)
     for max_iter in (0, -5):
@@ -1304,6 +1304,27 @@ def test_write_profile_csv_rejects_a_profile_that_does_not_match_its_grid(tmp_pa
     with pytest.raises(FrozenInstanceError):
         write_profile_csv(tmp_path / "p.csv", short())
     assert list(tmp_path.iterdir()) == []  # no file and no .tmp
+
+
+def test_profiles_own_their_samples():
+    p = params()
+    grid = RadialGrid.uniform(1.0, 32)
+    v = np.full(33, -0.3)
+    # the read-only grid nodes make a profile that still takes its boundary data
+    prof = apply_boundary(Profile(grid, grid.nodes, v), p)
+    assert (prof.u[0], prof.u[-1], prof.v[-1]) == (0.0, p.boundary_u, p.boundary_v)
+    assert np.array_equal(prof.u[1:-1], grid.nodes[1:-1]) and grid.nodes[0] == 0.0
+    # a later write into the caller's arrays leaves the profile as it was built
+    u = np.ones(33)
+    prof = Profile(grid, u, v)
+    u[5] = v[5] = 7.0
+    assert prof.u[5] == 1.0 and prof.v[5] == -0.3
+    psi = np.ones(33)
+    angle = PsiProfile(grid, psi)
+    psi[5] = 7.0
+    assert angle.psi[5] == 1.0
+    angle.psi[5] = 2.0  # and stays writable in place
+    assert angle.psi[5] == 2.0
 
 
 _FROZEN_FIELDS = [(cls, f.name) for cls in (Profile, PsiProfile, Field2D, RenderSpec)

@@ -53,9 +53,10 @@ def test_render_spec_validation():
     RenderSpec(density=256, shift=0.5)
     with pytest.raises(InvalidParams):
         RenderSpec(density=257)
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, "abc", True, 10**400):
         with pytest.raises(InvalidParams):
             RenderSpec(style="box", shift=bad)
+    RenderSpec(style="box", shift=np.float64(0.5))
     # one integer rule: NumPy integers pass; floats and bools do not
     RenderSpec(density=np.int64(8), size=np.int32(320))
     for kwargs in ({"density": 4.5}, {"density": 8.0}, {"density": True},

@@ -9,7 +9,6 @@ from qdefect.tensor import (
     ansatz_components,
     ansatz_eigenvalues,
     biaxiality,
-    boundary_tensor_components,
     bulk_density,
     components_to_matrix,
     deviatoric_square,
@@ -24,6 +23,11 @@ from qdefect.tensor import (
 
 SQ2 = math.sqrt(2.0)
 SQ6 = math.sqrt(6.0)
+
+
+def boundary_tensor(phi, p):
+    """The boundary data ``s_plus (n x n - I/3)``: the ansatz at the rim amplitudes."""
+    return ansatz_components(p.boundary_u, p.boundary_v, phi, p.k)
 
 
 def jacobi_eigenvalues(a, sweeps=30):
@@ -157,12 +161,12 @@ def test_frame_tensor_periodicity():
 
 def test_boundary_tensor_value_and_decomposition():
     p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=2)
-    q = boundary_tensor_components(0.0, p)
+    q = boundary_tensor(0.0, p)
     expected = (SQ6 / 2.0) * np.diag([2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])
     assert np.allclose(components_to_matrix(q), expected, atol=1e-15)
     # decomposition route s+ (F_n/sqrt(2) - F_3/sqrt(6))
     for phi in np.linspace(0.0, 2 * math.pi, 9):
-        direct = boundary_tensor_components(phi, p)
+        direct = boundary_tensor(phi, p)
         frames = p.s_plus * (
             (1.0 / SQ2) * frame_fn_components(phi, p.k) - (1.0 / SQ6) * F3_COMPONENTS
         )
@@ -185,7 +189,7 @@ def test_bulk_energy_zero():
 
 def test_bulk_energy_at_boundary_tensor():
     p = ModelParams(a2=1.0, b2=0.0, c2=1.0, L=0.1, R=1.0, k=2)
-    q = boundary_tensor_components(1.2, p)
+    q = boundary_tensor(1.2, p)
     assert float(bulk_density(q, p)) == pytest.approx(-0.25, rel=1e-14)
     # direct matrix oracle
     m = components_to_matrix(q)
