@@ -160,29 +160,30 @@ def read_profile_csv(path) -> Profile:
 @dataclass
 class _Point:
     """One evaluated point of the kernel: the Gauss values ``ug, vg`` of the
-    node values, with ``uu = ug*ug``, ``vv = vg*vg`` and ``t = uu + vv``, and
-    the per-segment node slopes ``du, dv``."""
+    node values and ``t = ug*ug + vg*vg`` (``(N, 5)`` each), the segment
+    slopes ``du, dv``; ``uu = ug*ug`` and ``vv = vg*vg`` are formed on read."""
 
     ug: np.ndarray
     vg: np.ndarray
-    uu: np.ndarray
-    vv: np.ndarray
     t: np.ndarray
     du: np.ndarray
     dv: np.ndarray
+    uu = property(lambda self: self.ug * self.ug)
+    vv = property(lambda self: self.vg * self.vg)
 
 
 class _P1Gauss:
     """The P1/Gauss kernel of one radial grid and ``params``, and the only
     place that forms the radial Gauss rule: Gauss weights ``wg`` of
-    ``int f(r) r dr``, interpolation parameters ``t`` and ``s = 1 - t``,
-    squared Gauss radii ``rg2`` (all ``(N, 5)``).  A plain value, built once
-    per solve level or public call, never cached on the grid (that would
-    keep every held grid's arrays alive).  :meth:`point` evaluates a point
-    once for its energy, gradient and Hessian, whose constants serve every
-    point: ``seg_r / 2``, ``seg_r / h`` (``seg_r`` the exact per-segment
-    ``int r dr``), ``wk = wg k^2 / r^2`` and ``wl = wg / L``, formed on first
-    use: the ``L = 0`` kernels of the limit's Dirichlet sums never divide by 0.
+    ``int f(r) r dr``, interpolation parameters ``t`` and ``s = 1 - t``
+    (all ``(N, 5)``).  A plain value, built once per solve level or public
+    call, never cached on the grid (that would keep every held grid's arrays
+    alive).  :meth:`point` evaluates a point once for its energy, gradient
+    and Hessian, whose constants serve every point: ``seg_r / 2``, ``seg_r /
+    h`` (``seg_r`` the exact per-segment ``int r dr``), ``wk = wg k^2 / r^2``
+    and ``wl = wg / L``.  ``wl`` and the squared Gauss radii ``rg2`` (which
+    the solver never reads) are formed on first use: the ``L = 0`` kernels
+    of the limit's Dirichlet sums never divide by 0.
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams):
@@ -193,10 +194,14 @@ class _P1Gauss:
         self.wg = self.h[:, None] * GAUSS_W * rg
         self.t = (rg - grid.nodes[:-1, None]) / self.h[:, None]
         self.s = 1.0 - self.t
-        self.rg2 = rg * rg
         seg_r = self.h * (rg @ GAUSS_W)  # the sum of wg over each segment
         self.half_seg_r, self.seg_r_h = 0.5 * seg_r, seg_r / self.h
-        self.wk = self.wg * (float(params.k * params.k) / self.rg2)
+        self.wk = self.wg * (float(params.k * params.k) / (rg * rg))
+
+    @cached_property
+    def rg2(self) -> np.ndarray:
+        rg = self.grid.nodes[:-1, None] + self.h[:, None] * GAUSS_XI  # as in __init__
+        return rg * rg
 
     @cached_property
     def wl(self) -> np.ndarray:
@@ -204,12 +209,15 @@ class _P1Gauss:
 
     def at_gauss(self, values) -> np.ndarray:
         """Piecewise-linear interpolation of node data to the Gauss radii."""
-        return values[:-1][:, None] * self.s + values[1:][:, None] * self.t
+        g = values[:-1][:, None] * self.s
+        g += values[1:][:, None] * self.t
+        return g
 
     def point(self, u, v) -> _Point:
         ug, vg = self.at_gauss(u), self.at_gauss(v)
-        uu, vv = ug * ug, vg * vg
-        return _Point(ug, vg, uu, vv, uu + vv, np.diff(u) / self.h, np.diff(v) / self.h)
+        t = ug * ug
+        t += vg * vg
+        return _Point(ug, vg, t, np.diff(u) / self.h, np.diff(v) / self.h)
 
 
 def _check_operands(params: ModelParams):
@@ -230,15 +238,20 @@ def _dirichlet(q: _P1Gauss, slope_sq: np.ndarray, uu: np.ndarray):
 #   f_vv = m - sqrt(2/3) b2 vg + 2 c2 vg^2
 # Each kernel adds its b2 terms only for b2 != 0: at b2 = 0 they are zeros,
 # and the terms left are the same operations on the same operands, so the
-# results keep their bits at every b2.
+# results keep their bits at every b2.  Each kernel forms its Gauss
+# coefficients in place, by the operations above in their order.
 
 def _energy(q: _P1Gauss, pt: _Point) -> float:
     p = q.params
-    # the bulk term first: fewer (N, 5) arrays are live at once, and at
-    # n = 4096 each one costs about 40 page faults per one-shot call
-    f = pt.t * (0.25 * p.c2 * pt.t - 0.5 * p.a2)
+    f = np.multiply(0.25 * p.c2, pt.t)  # the bulk density
+    f -= 0.5 * p.a2
+    f *= pt.t
     if p.b2 != 0.0:
-        f -= (p.b2 / (3.0 * _SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.uu)
+        cubic = pt.uu
+        cubic *= 3.0
+        np.subtract(pt.vv, cubic, out=cubic)
+        cubic *= p.b2 / (3.0 * _SQRT6) * pt.vg
+        f -= cubic
     # summed as Python floats: an inf Dirichlet part and a -inf bulk part
     # give NaN without a RuntimeWarning, as their BLAS sums overflow without one
     return float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu)) + float(np.vdot(q.wl, f))
@@ -266,13 +279,21 @@ def _gradient(q: _P1Gauss, pt: _Point) -> np.ndarray:
     ``(N+1, 2)`` rows ``(d/du_i, d/dv_i)``; the entries of the fixed DOFs
     ``u_0``, ``u_N``, ``v_N`` (those outside ``_FREE``) are 0."""
     p = q.params
-    m = p.c2 * pt.t - p.a2
-    mu, fv = m, pt.vg * m
+    coef = np.empty((2,) + pt.t.shape)
+    cu, cv = coef  # wg (k^2 u / r^2 + f_u / L), wg f_v / L
+    m = np.multiply(p.c2, pt.t, out=cu)
+    m -= p.a2
+    np.multiply(pt.vg, m, out=cv)
     if p.b2 != 0.0:
-        mu = m + _SQRT23 * p.b2 * pt.vg
-        fv -= (p.b2 / _SQRT6) * (pt.vv - pt.uu)
-    # wg (k^2 u / r^2 + f_u / L), wg f_v / L
-    coef = np.stack([(q.wl * mu + q.wk) * pt.ug, q.wl * fv])
+        m += _SQRT23 * p.b2 * pt.vg  # f_u / ug
+        d = pt.vv
+        d -= pt.uu
+        d *= p.b2 / _SQRT6
+        cv -= d
+    np.multiply(q.wl, m, out=cu)
+    cu += q.wk
+    cu *= pt.ug
+    cv *= q.wl
     ends = (coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
     stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
     g = np.empty((2, pt.du.size + 1))  # u and v columns, contiguous for the norm's sums
@@ -297,6 +318,33 @@ def reduced_gradient(profile: Profile, params: ModelParams):
     return gu / m, gv / m
 
 
+def _hessian_coef(q: _P1Gauss, pt: _Point) -> np.ndarray:
+    """``wg (k^2 / r^2 + f_uu / L)``, ``wg f_uv / L``, ``wg f_vv / L`` as one
+    ``(3, N, 5)`` array; the ``f_uv`` row is the others' scratch until last."""
+    p = q.params
+    coef = np.empty((3,) + pt.t.shape)
+    cuu, cuv, cvv = coef
+    m = np.multiply(p.c2, pt.t, out=cvv)
+    m -= p.a2
+    np.copyto(cuu, m)
+    if p.b2 != 0.0:
+        bv = np.multiply(_SQRT23 * p.b2, pt.vg, out=cuv)
+        cuu += bv
+        m -= bv
+    for row, x in ((cuu, pt.ug), (cvv, pt.vg)):  # + 2 c2 ug^2, + 2 c2 vg^2
+        sq = np.multiply(x, x, out=cuv)
+        sq *= 2.0 * p.c2
+        row += sq
+        row *= q.wl
+    cuu += q.wk
+    fuv = np.multiply(2.0 * p.c2, pt.vg, out=cuv)  # f_uv / ug
+    if p.b2 != 0.0:
+        np.add(_SQRT23 * p.b2, fuv, out=fuv)
+    fuv *= pt.ug
+    fuv *= q.wl
+    return coef
+
+
 def _assemble_hessian_banded(q: _P1Gauss, pt: _Point):
     """Hessian of the discrete energy over the free DOFs at the evaluated
     point ``pt``, in LAPACK's lower band storage: ``(4, 2N - 1)``, row ``d``
@@ -313,17 +361,7 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point):
     matrix, where ``dpbsv`` reads nothing.
     """
     n = q.grid.n_segments
-    p = q.params
-    m = p.c2 * pt.t - p.a2
-    muu = mvv = m  # f_uu - 2 c2 ug^2 and f_vv - 2 c2 vg^2
-    fuv = 2.0 * p.c2 * pt.vg  # f_uv / ug
-    if p.b2 != 0.0:
-        bv = _SQRT23 * p.b2 * pt.vg
-        muu, mvv, fuv = m + bv, m - bv, _SQRT23 * p.b2 + fuv
-    # wg (k^2 / r^2 + f_uu / L), wg f_uv / L, wg f_vv / L
-    coef = np.stack([q.wl * (muu + 2.0 * p.c2 * pt.uu) + q.wk, q.wl * (pt.ug * fuv),
-                     q.wl * (mvv + 2.0 * p.c2 * pt.vv)])
-    loc = (coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
+    loc = (_hessian_coef(q, pt).reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
     # the stiffness: seg_r / h^2 times the aa, ab, bb signs of the hat-slope products
     loc[0::2] += np.multiply.outer(q.seg_r_h / q.h, (1.0, -1.0, 1.0))
     (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
@@ -379,19 +417,20 @@ def _lapack_dpbsv():
     return module.dpbsv
 
 
-def _newton_step(lower, shift, rhs):
+def _newton_step(lower, shift, rhs, band):
     """Solve ``(H + diag(shift)) x = rhs``, ``H`` in LAPACK's lower band
     storage (:func:`_assemble_hessian_banded`); None where the
     factorisation fails (``H + diag(shift)`` not positive definite) or ``x``
     is not finite.
 
-    One ``dpbsv`` call factors and solves in place in a Fortran-order copy
-    of ``lower``, which a failed shift and the round-off floor reuse.  The
-    routine comes from :func:`_lapack_dpbsv`, which loads scipy's LAPACK
+    One ``dpbsv`` call factors and solves in place in ``band``, a
+    Fortran-order array of ``lower``'s shape that each shift an iteration
+    tries refills; ``lower`` stays for the next shift and the round-off
+    floor.  The routine comes from :func:`_lapack_dpbsv`, which loads scipy's LAPACK
     extension without the rest of ``scipy.linalg``, and falls back to
     ``scipy.linalg.lapack`` where the extension file cannot be loaded.
     """
-    band = np.array(lower, order="F")
+    band[...] = lower
     band[0] += shift
     _, x, info = _lapack_dpbsv()(band, rhs, lower=1, overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(x)):
@@ -463,14 +502,10 @@ def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
     """
     _check_operands(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = profile.grid.nodes
-        u = profile.u
-        v = profile.v
+        r, u, v = profile.grid.nodes, profile.u, profile.v
         du1, du2 = three_point_derivatives(u, r, 0)
         dv1, dv2 = three_point_derivatives(v, r, 0)
-        ri = r[1:-1]
-        ui = u[1:-1]
-        vi = v[1:-1]
+        ri, ui, vi = r[1:-1], u[1:-1], v[1:-1]
         t = ui * ui + vi * vi
         k2 = float(params.k * params.k)
         ru = (
@@ -482,8 +517,7 @@ def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
             - (vi / params.L) * (-params.a2 - params.b2 * vi / _SQRT6 + params.c2 * t)
             - params.b2 * ui * ui / (_SQRT6 * params.L)
         )
-        h0 = r[1] - r[0]
-        h1 = r[2] - r[1]
+        h0, h1 = r[1] - r[0], r[2] - r[1]
         vp0 = (
             -(2.0 * h0 + h1) / (h0 * (h0 + h1)) * v[0]
             + (h0 + h1) / (h0 * h1) * v[1]
@@ -531,16 +565,16 @@ class SolveReport:
 # A preset start on a grid of at least _NESTED_MIN_SEGMENTS segments is the
 # minimiser on every _NESTED_STRIDE-th node, interpolated (nested iteration).
 # Solve time summed over 16 random (k, L, b2, preset) cases per size, best of
-# 3, one BLAS thread on a 2-vCPU x86-64 host, cold -> nested: n = 256
-# 48.6 -> 53.5 ms, 512 63.7 -> 56.1, 1024 100 -> 79, 2048 146 -> 112,
-# 4096 259 -> 146.  Below 1024 the gain is small or a loss, so those stay cold.
+# 3 runs of 3, one BLAS thread on a 2-vCPU x86-64 host, cold -> nested: n = 256
+# 28.1 -> 30.3 ms, 512 38.1 -> 36.3, 1024 48.7 -> 42.0, 2048 96.4 -> 58.9,
+# 4096 222 -> 118.  Below 1024 the gain is small or a loss, so those stay cold.
 _NESTED_MIN_SEGMENTS = 1024
 # Over k in {1, -1, 2, -2, 3, 4}, b2 in {0, 0.7, 1.5}, L in {1e-4, ..., 0.1},
 # n in {1024, 1030, 2048, 4096} and both presets (576 cases, same host), every
 # 8th node leaves each solve at most 3 Newton iterations on its grid; every
 # 16th needs 4 in 20 cases (b2 = 1.5, L = 1e-4), every 4th costs more on the
-# coarse level.  All 576 nested solves: 4.63 / 4.31 / 3.69 s for every
-# 4th / 8th / 16th node, 6.8 s cold.
+# coarse level.  All 576 nested solves: 2.70 / 2.57 / 2.42 s for every
+# 4th / 8th / 16th node, 4.06 s cold.
 _NESTED_STRIDE = 8
 
 
@@ -636,6 +670,8 @@ def _newton(q: _P1Gauss, y, tol, max_iter, on_step, kind) -> _NewtonRun:
     stop = "tol" if gn <= tol else None
     while stop is None and iters < max_iter and math.isfinite(gn):
         lower = _assemble_hessian_banded(q, pt)
+        del pt  # the line search needs only the energy, g and lower
+        band = np.empty(lower.shape, order="F")
         lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
         rhs = -g.reshape(-1)[_FREE]
         # Each failed factorisation multiplies lam by 30 from at least 1e-8
@@ -643,13 +679,14 @@ def _newton(q: _P1Gauss, y, tol, max_iter, on_step, kind) -> _NewtonRun:
         # the count bounds the loop where lam_unit is 0 or NaN and the test
         # never fires.
         for _ in range(_MAX_DAMPING_REJECTS):
-            x = _newton_step(lower, lam * mass_free, rhs)
+            x = _newton_step(lower, lam * mass_free, rhs, band)
             if x is not None:
                 break
             failed += 1
             lam = max(lam * 30.0, 1e-8 * lam_unit)
             if lam > 1e12 * lam_unit:
                 break
+        del band
         accepted = stalled = False
         if x is not None:
             step = np.zeros_like(y)
@@ -658,22 +695,23 @@ def _newton(q: _P1Gauss, y, tol, max_iter, on_step, kind) -> _NewtonRun:
             beta = 1.0
             while beta > 1e-7:
                 y2 = y + beta * step
-                pt2 = q.point(y2[:, 0], y2[:, 1])
-                e2 = _energy(q, pt2)
+                pt = q.point(y2[:, 0], y2[:, 1])
+                e2 = _energy(q, pt)
                 if abs(e2 - energy) <= 1e-12 * abs(energy):
-                    g2, gn2 = grad_and_norm(pt2)
+                    g2, gn2 = grad_and_norm(pt)
                     accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
                     stalled = beta == 1.0 and gn2 > 0.5 * gn and \
                         gn <= _roundoff_floor(lower, y.reshape(-1)[_FREE], mass_free)
                 elif e2 <= energy + 1e-4 * beta * slope:
-                    g2, gn2 = grad_and_norm(pt2)
+                    g2, gn2 = grad_and_norm(pt)
                     accepted = True
                 if accepted or stalled:
                     break
+                del pt  # before the next trial point is formed
                 beta *= 0.5
                 backtracks += 1
         if accepted:
-            y, pt, energy, g, gn = y2, pt2, e2, g2, gn2
+            y, energy, g, gn = y2, e2, g2, gn2  # pt is the accepted point
             lam *= 0.3
             if lam < 1e-14 * lam_unit:
                 lam = 0.0
@@ -713,7 +751,8 @@ def minimize(
     round-off (``|dE| <= 1e-12 |E|``), by an Armijo test on the
     projected-gradient norm; a search that accepts no step ends the
     run.  Each trial point is evaluated once (:meth:`_P1Gauss.point`) for
-    its energy and, once accepted, its gradient and Hessian.  For ``b2 = 0``
+    its energy and, once accepted, its gradient and Hessian; it is dropped
+    once rejected, or once its Hessian band is built.  For ``b2 = 0``
     the start is reflected into the signed class ``u >= 0, v <= 0`` (the
     energy is invariant under those sign flips there).
 

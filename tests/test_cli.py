@@ -756,20 +756,24 @@ def test_overflowing_solve_exits_1_promptly(tmp_path):
     # there instead of iterating on inf, and without a RuntimeWarning on the way
     code = "import sys; from qdefect.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
-    runs = [("solve", "--L", L) for L in ("1e-300", "1e-200", "1e-160")]
-    runs += [("sweep", "--L-list", "1e-300"), ("sweep", "--b2-list", "0,0.5", "--L", "1e-300")]
+    runs = [("solve", "--L", L, "--n", "256") for L in ("1e-300", "1e-200", "1e-160")]
+    runs += [("sweep", "--L-list", "1e-300", "--n", "256"),
+             ("sweep", "--b2-list", "0,0.5", "--L", "1e-300", "--n", "256")]
+    # the nested start (n >= 1024) runs the in-place kernels on both levels
+    runs += [("solve", "--L", "1e-300", "--n", "2048", "--init", init)
+             for init in ("explicit", "ramp")]
+    runs += [("sweep", "--L-list", "1e-300,1e-301", "--n", "2048")]
     for argv in runs:
         proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *argv,
-             "--n", "256", "-o", "tiny"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *argv, "-o", "tiny"],
             capture_output=True, text=True, timeout=2.0, env=env, cwd=tmp_path,
         )
         assert proc.returncode == 1, argv
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr, argv
+        assert "[E_NUMERIC]" in proc.stderr, argv
         if argv[0] == "solve":
-            assert "[E_NUMERIC]" in proc.stderr
             report = json.loads((tmp_path / "tiny_report.json").read_text())
-            assert report["iterations"] == 0
+            assert report["iterations"] == report["coarse_iterations"] == 0
             reports = [report]
         else:
             reports = json.loads((tmp_path / "tiny_sweep.json").read_text())["records"]

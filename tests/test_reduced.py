@@ -376,8 +376,9 @@ def test_newton_step_matches_scipy_banded_cholesky(k, b2, n):
     from qdefect.reduced import _newton_step
 
     lower, rhs, mass_free, lam_unit = _newton_case(k, b2, n)
+    work = np.empty(lower.shape, order="F")  # refilled by every shift, as in minimize
     for lam in (0.0, 1e-8 * lam_unit, 1e-4 * lam_unit, 1e-1 * lam_unit):
-        step = _newton_step(lower, lam * mass_free, rhs)
+        step = _newton_step(lower, lam * mass_free, rhs, work)
         # the same bytes as scipy.linalg.lapack's dpbsv, whichever way the
         # solver resolved the routine
         band = lower.copy()
@@ -413,8 +414,9 @@ def _newton_steps():
     steps = []
     for k, b2, n in _NEWTON_CASES:
         lower, rhs, mass_free, lam_unit = _newton_case(k, b2, n)
+        work = np.empty(lower.shape, order="F")
         for lam in (0.0, 1e-8 * lam_unit, 1e-4 * lam_unit, 1e-1 * lam_unit):
-            x = _newton_step(lower, lam * mass_free, rhs)
+            x = _newton_step(lower, lam * mass_free, rhs, work)
             steps.append(None if x is None else x.tobytes())
     return steps
 
@@ -506,12 +508,13 @@ def test_newton_step_reads_no_band_slot_below_the_matrix(k, n):
     rhs = -_gradient(q, pt).reshape(-1)[_FREE]
     mass_free = _free(grid.node_masses, grid.node_masses)
     shift = 0.1 * float(np.max(np.abs(lower[0]))) / float(np.max(mass_free)) * mass_free
-    ref = _newton_step(lower, shift, rhs)
+    work = np.empty(lower.shape, order="F")
+    ref = _newton_step(lower, shift, rhs, work)
     assert ref is not None
     poisoned = lower.copy()
     for d, cols in below:
         poisoned[d, cols] = np.nan
-    step = _newton_step(poisoned, shift, rhs)
+    step = _newton_step(poisoned, shift, rhs, work)
     assert step is not None and step.tobytes() == ref.tobytes()
 
 
@@ -698,6 +701,121 @@ def test_kernels_skip_the_b2_terms_bit_for_bit(spacing, k, b2, rng):
             assert np.array_equal(g[_FREE], ref[_FREE])
             assert g[0] == g[-2] == g[-1] == 0.0  # u_0, u_N, v_N
             assert np.array_equal(_assemble_hessian_banded(q, pt), _full_hessian(q, pt, p))
+
+
+# The kernels as they were before they formed their coefficients in place: a
+# point stored uu and vv beside t, and each kernel stacked fresh products.  The
+# in-place kernels do the same operations in the same order, so they must
+# match this copy bit for bit.
+
+def _stored_point(q, u, v):
+    ug = u[:-1][:, None] * q.s + u[1:][:, None] * q.t
+    vg = v[:-1][:, None] * q.s + v[1:][:, None] * q.t
+    uu, vv = ug * ug, vg * vg
+    return dict(ug=ug, vg=vg, uu=uu, vv=vv, t=uu + vv, du=np.diff(u) / q.h, dv=np.diff(v) / q.h)
+
+
+def _stacked_energy(q, pt):
+    p = q.params
+    f = pt["t"] * (0.25 * p.c2 * pt["t"] - 0.5 * p.a2)
+    if p.b2 != 0.0:
+        f -= (p.b2 / (3.0 * SQRT6)) * pt["vg"] * (pt["vv"] - 3.0 * pt["uu"])
+    slope_sq = pt["du"] * pt["du"] + pt["dv"] * pt["dv"]
+    dirichlet = q.half_seg_r @ slope_sq + 0.5 * np.vdot(q.wk, pt["uu"])
+    return float(dirichlet) + float(np.vdot(q.wl, f))
+
+
+def _stacked_gradient(q, pt):
+    from qdefect.reduced import _HAT_ENDS
+
+    p = q.params
+    m = p.c2 * pt["t"] - p.a2
+    mu, fv = m, pt["vg"] * m
+    if p.b2 != 0.0:
+        mu = m + math.sqrt(2.0 / 3.0) * p.b2 * pt["vg"]
+        fv -= (p.b2 / SQRT6) * (pt["vv"] - pt["uu"])
+    coef = np.stack([(q.wl * mu + q.wk) * pt["ug"], q.wl * fv])
+    ends = (coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
+    stiff = q.seg_r_h * np.stack([pt["du"], pt["dv"]])
+    g = np.empty((2, pt["du"].size + 1))
+    g[:, :-1] = ends[:, :, 0] - stiff
+    g[:, 1:-1] += ends[:, :-1, 1] + stiff[:, :-1]
+    g[0, 0] = g[:, -1] = 0.0
+    return g.T
+
+
+def _stacked_hessian(q, pt):
+    from qdefect.reduced import _HAT_PAIRS
+
+    n = q.grid.n_segments
+    p = q.params
+    m = p.c2 * pt["t"] - p.a2
+    muu = mvv = m
+    fuv = 2.0 * p.c2 * pt["vg"]
+    if p.b2 != 0.0:
+        s23 = math.sqrt(2.0 / 3.0)
+        bv = s23 * p.b2 * pt["vg"]
+        muu, mvv, fuv = m + bv, m - bv, s23 * p.b2 + fuv
+    coef = np.stack([q.wl * (muu + 2.0 * p.c2 * pt["uu"]) + q.wk, q.wl * (pt["ug"] * fuv),
+                     q.wl * (mvv + 2.0 * p.c2 * pt["vv"])])
+    loc = (coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
+    loc[0::2] += np.multiply.outer(q.seg_r_h / q.h, (1.0, -1.0, 1.0))
+    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
+    columns = ((uu_aa, uv_aa, uu_ab, uv_ab), (vv_aa, uv_ab, vv_ab), (uu_bb, uv_bb), (vv_bb,))
+    band = np.zeros((4, 2 * n + 2))
+    for c, column in enumerate(columns):
+        for d, entry in enumerate(column):
+            band[d, c:c + 2 * n:2] += entry
+    return band[:, _FREE]
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "graded"])
+@pytest.mark.parametrize("n", [64, 1030, 2048])
+@pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
+def test_in_place_kernels_keep_the_stacked_kernels_bits(spacing, n, b2, rng):
+    from qdefect.grid import GAUSS_XI
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
+
+    grid = getattr(RadialGrid, spacing)(1.0, n)
+    rg = grid.nodes[:-1, None] + grid.h[:, None] * GAUSS_XI
+    for k in (1, -1, 2, -2, 3, 4):
+        p = params(L=0.01, b2=b2, k=k)
+        q = _P1Gauss(grid, p)
+        assert np.array_equal(q.rg2, rg * rg)
+        assert np.array_equal(q.wk, q.wg * (float(k * k) / (rg * rg)))
+        try:
+            solved = minimize(p, grid)[0]
+        except NonConvergence as exc:
+            solved = exc.profile
+        noise = 1e-3 * rng.standard_normal((2, n + 1))
+        for u, v in ((solved.u, solved.v), (solved.u + noise[0], solved.v + noise[1])):
+            pt, ref = q.point(u, v), _stored_point(q, u, v)
+            for name, value in ref.items():
+                assert np.array_equal(getattr(pt, name), value), (k, name)
+            assert _energy(q, pt) == _stacked_energy(q, ref), k
+            assert np.array_equal(_gradient(q, pt), _stacked_gradient(q, ref)), k
+            assert np.array_equal(_assemble_hessian_banded(q, pt), _stacked_hessian(q, ref)), k
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_newton_working_set_stays_below_900_bytes_per_segment(n):
+    # a Newton point holds ug, vg and t and is dropped once its Hessian band
+    # is built, and the kernels form their coefficients in place: a warm
+    # solve's peak stays below 900 bytes per segment (it was 1,128-1,184)
+    import tracemalloc
+
+    for k, b2 in ((1, 0.0), (-2, 0.0), (1, 1.0), (3, 1.0)):
+        p = params(L=1e-3, b2=b2, k=k)
+        grid = RadialGrid.for_defect(1.0, n, k)
+        for init in ("explicit", "ramp"):
+            minimize(p, grid, init=init)  # warm: the LAPACK routine is resolved
+            tracemalloc.start()
+            try:
+                minimize(p, grid, init=init)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 900 * n, (k, b2, init, peak / n)
 
 
 # (k, b2, init, iterations, energy) of minimize at L = 0.01, n = 256: a kernel
@@ -1024,7 +1142,7 @@ def test_newton_shift_ends_after_15_failed_factorisations_on_finite_data(monkeyp
     # before the count of _MAX_DAMPING_REJECTS ends the shift search.
     import qdefect.reduced as reduced
 
-    monkeypatch.setattr(reduced, "_newton_step", lambda lower, shift, rhs: None)
+    monkeypatch.setattr(reduced, "_newton_step", lambda lower, shift, rhs, band: None)
     with pytest.raises(NonConvergence) as info:
         minimize(params(L=0.05), RadialGrid.uniform(1.0, 64), init="ramp")
     rep = info.value.report
