@@ -41,6 +41,7 @@ from .reduced import (
     _BULK_R_MIN,
     _bulk_mask,
     _warm_started,
+    csv_cells,
     csv_text,
     minimize,
     ode_residual,
@@ -241,11 +242,12 @@ def cmd_limit(eff: dict) -> int:
     out = eff["out"]
 
     table = {}
+    r = csv_cells(grid.nodes)  # once for the four CSVs
     for branch, tag in ((harmonic.Branch.MINUS, "Y_minus"), (harmonic.Branch.PLUS, "Y_plus")):
         profile = harmonic.explicit_profile(branch, params, grid)
-        write_profile_csv(f"{out}_{branch.value}.csv", profile)
+        write_profile_csv(f"{out}_{branch.value}.csv", profile, r)
         lam = ansatz_eigenvalues(profile.u, profile.v)
-        text = csv_text("r,lam1,lam2,lam3", (grid.nodes, *lam.T))
+        text = csv_text("r,lam1,lam2,lam3", lam.T, [r])
         write_text_atomic(f"{out}_eigenvalues_{branch.value}.csv", text)
         en = harmonic.dirichlet_energy_2d(branch, params, n_r=eff["n"], m_phi=eff["m"])
         table[tag] = {"closed_form": en.closed_form, "quadrature": en.quadrature}
@@ -314,11 +316,10 @@ def cmd_render(eff: dict) -> int:
         profile = read_profile_csv(eff["input"])
         title = f"profile {os.path.basename(eff['input'])}, k={params.k}"
     out = eff["out"]
-    write_text_atomic(f"{out}_glyphs.svg", render.glyph_svg(profile, params.k, spec))
-    write_text_atomic(
-        f"{out}_eigenvalues.svg",
-        render.eigenvalue_chart_svg(profile, size=eff["size"], title=title),
-    )
+    glyphs = render.glyph_svg(profile, params.k, spec)  # both before either file is written
+    chart = render.eigenvalue_chart_svg(profile, size=eff["size"], title=title)
+    write_text_atomic(f"{out}_glyphs.svg", glyphs)
+    write_text_atomic(f"{out}_eigenvalues.svg", chart)
     print(f"render: wrote {out}_glyphs.svg and {out}_eigenvalues.svg")
     return 0
 

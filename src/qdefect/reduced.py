@@ -93,11 +93,14 @@ def apply_boundary(profile: Profile, params: ModelParams) -> Profile:
     return profile
 
 
-def csv_text(header: str, columns) -> str:
-    """CSV text of float columns under ``header``, shortest round-trip
-    decimals; each column is formatted whole, then the columns are zipped."""
-    cells = [list(map(repr, np.asarray(col, dtype=float).tolist())) for col in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+def csv_cells(column) -> list[str]:
+    """Shortest round-trip decimals of a float column, formatted whole."""
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
+
+
+def csv_text(header: str, columns, cells=()) -> str:
+    """CSV text under ``header`` of the formatted ``cells``, then the float ``columns``, zipped."""
+    return "\n".join([header, *map(",".join, zip(*cells, *map(csv_cells, columns)))]) + "\n"
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -113,9 +116,10 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def write_profile_csv(path, profile: Profile):
-    """Write ``r,u,v`` rows with shortest round-trip decimal formatting, atomically."""
-    write_text_atomic(path, csv_text("r,u,v", (profile.grid.nodes, profile.u, profile.v)))
+def write_profile_csv(path, profile: Profile, r_cells=None):
+    """Write ``r,u,v`` rows with shortest round-trip decimals, atomically; ``r_cells``: ``csv_cells`` of the radii."""
+    r = csv_cells(profile.grid.nodes) if r_cells is None else r_cells
+    write_text_atomic(path, csv_text("r,u,v", (profile.u, profile.v), [r]))
 
 
 def read_profile_csv(path) -> Profile:

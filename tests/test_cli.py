@@ -451,6 +451,35 @@ def test_render_rejects_a_shift_that_leaves_a_box_side_non_positive(tmp_path, ca
     assert run(tmp_path, *argv, "--shift", "0.5", "-o", "pos") == 0
 
 
+def test_render_of_an_overflowing_profile_exits_2_and_writes_no_svg(tmp_path, capsys):
+    # u rising to 1.7e308: the rod lengths are inf / inf and the chart's
+    # range overflows; v falling to -1.6e308: the glyphs are finite dots but
+    # the chart's range overflows below, so neither SVG may be written
+    r = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 65))
+    r[0], r[-1] = 0.0, 1.0
+    grid, ramp, ones = RadialGrid(r), np.linspace(0.0, 1.7e308, 65), np.ones(65)
+    write_profile_csv(tmp_path / "big.csv", Profile(grid, ramp, -ones))
+    write_profile_csv(tmp_path / "low.csv", Profile(grid, 0 * ones, -0.94 * ramp))
+    runs = [("big.csv", style) for style in ("rod", "box")] + [("low.csv", "rod")]
+    for name, style in runs:
+        argv = ("render", "--input", name, "--k", "1", "--style", style, "-o", "x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path, *argv) == 2, argv
+        assert capsys.readouterr().err.startswith("[E_CONFIG]"), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "low.csv"]
+    # and as a command line under -W error::RuntimeWarning
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdefect",
+         "render", "--input", "big.csv", "--k", "1", "--style", "rod", "-o", "x"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+    )
+    assert proc.returncode == 2 and proc.stderr.startswith("[E_CONFIG] cannot draw nan")
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "low.csv"]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

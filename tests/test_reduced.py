@@ -38,7 +38,7 @@ from qdefect import (
     write_profile_csv,
 )
 from qdefect.harmonic import explicit_arrays
-from qdefect.reduced import _FREE, csv_text
+from qdefect.reduced import _FREE, csv_cells, csv_text
 
 SQRT6 = math.sqrt(6.0)
 
@@ -1375,8 +1375,13 @@ def test_profile_csv_roundtrip(tmp_path, solve_cache):
     path2 = tmp_path / "profile2.csv"
     write_profile_csv(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+    # the radii formatted beforehand give the same bytes
+    path3 = tmp_path / "profile3.csv"
+    write_profile_csv(path3, prof, csv_cells(prof.grid.nodes))
+    assert path3.read_bytes() == path.read_bytes()
     # written through a temp file that the rename leaves no trace of
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["profile.csv", "profile2.csv"]
+    names = ["profile.csv", "profile2.csv", "profile3.csv"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == names
 
 
 def test_profile_csv_write_is_atomic(tmp_path, monkeypatch, solve_cache):

@@ -1,16 +1,20 @@
 import math
 import re
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdefect import (
     Branch,
     InvalidParams,
     ModelParams,
+    Profile,
     RadialGrid,
     RenderSpec,
     ansatz_components,
@@ -19,7 +23,9 @@ from qdefect import (
     glyph_svg,
     minimize,
 )
-from qdefect.render import _COLOR_STOPS, SVG_HEADER, biaxiality_colors
+from qdefect.render import (
+    _COLOR_STOPS, SVG_HEADER, _fixed, _text_rows, biaxiality_colors,
+)
 from qdefect.tensor import (
     ansatz_biaxiality, ansatz_eigenvalues, biaxiality, eigen3, frob_sq, trace_cubed,
 )
@@ -482,17 +488,127 @@ def oracle_profiles():
     return list(_oracle_cases())
 
 
+def _oracle_specs(style, density):
+    """The smallest, the default and the largest image size; boxes also
+    with an explicit shift (valid for every oracle profile)."""
+    for size in (64, 640, 65536):
+        yield RenderSpec(style=style, density=density, size=size)
+        if style == "box":
+            yield RenderSpec(style=style, density=density, size=size, shift=1.5)
+
+
 @pytest.mark.parametrize("density", [4, 16, 64])
 @pytest.mark.parametrize("style", ["rod", "box"])
 def test_glyph_svg_is_byte_identical_to_per_glyph_formatting(oracle_profiles, density, style):
-    spec = RenderSpec(style=style, density=density)
-    for name, p, prof in oracle_profiles:
-        _assert_same_text(glyph_svg(prof, p.k, spec), _per_glyph_svg(prof, p.k, spec), name)
+    for spec in _oracle_specs(style, density):
+        for name, p, prof in oracle_profiles:
+            want = _per_glyph_svg(prof, p.k, spec)
+            _assert_same_text(glyph_svg(prof, p.k, spec), want, f"{name}, {spec}")
 
 
-@pytest.mark.parametrize("size", [64, 640, 1000])
+@pytest.mark.parametrize("style", ["rod", "box"])
+def test_glyph_svg_at_density_256_is_byte_identical_to_per_glyph_formatting(
+    oracle_profiles, style
+):
+    # 262,145 glyphs: 64 blocks, the last one partial
+    name, p, prof = oracle_profiles[-1]
+    spec = RenderSpec(style=style, density=256)
+    _assert_same_text(glyph_svg(prof, p.k, spec), _per_glyph_svg(prof, p.k, spec), name)
+
+
+@pytest.mark.parametrize("size", [64, 640, 1000, 65536])
 def test_eigenvalue_chart_is_byte_identical_to_per_point_formatting(oracle_profiles, size):
     for name, p, prof in oracle_profiles:
         got = re.findall(r'points="([^"]*)"', eigenvalue_chart_svg(prof, size=size, title=name))
         want = _per_point_polylines(prof, size)
         _assert_same_text("\n".join(got), "\n".join(want), name)
+
+
+# ---------------------------------------------------------------------------
+# the whole-column formatter against printf, and the memory it takes
+# ---------------------------------------------------------------------------
+
+def _fixed_strings(values, p):
+    """``_fixed``'s text of each value, one string per value."""
+    rows = _text_rows(_fixed(np.asarray(values, dtype=float), p), b"\n")
+    return rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def _assert_fixed_matches_printf(values, p):
+    got = _fixed_strings(values, p)
+    want = ["%.*f" % (p, v) for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, f"p = {p}: {len(bad)} values differ, first {bad[:3]}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6, exclude_min=True, exclude_max=True),
+             min_size=1, max_size=64),
+    st.sampled_from([2, 3]),
+)
+def test_fixed_matches_printf_on_any_float_below_1e6(values, p):
+    _assert_fixed_matches_printf(np.array(values), p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fixed_matches_printf_at_ties_and_their_neighbours(rng, p):
+    # decimal ties of either precision, binary fractions (exact ties among
+    # them) and one ulp either side of each, over the whole domain
+    odd = 2 * np.concatenate([np.arange(20_000), rng.integers(0, 10**9, 20_000)]) + 1
+    sixteenths = np.concatenate([np.arange(20_000), rng.integers(0, 16 * 10**6, 20_000)])
+    base = np.concatenate([odd / 2000, odd[odd < 2 * 10**8] / 200, sixteenths / 16])
+    base = base[base < 1e6]
+    near = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)])
+    edge = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.0005, 0.005, 999999.9995,
+            999999.995, 999999.9999999999, math.nextafter(1e6, 0.0)]
+    values = np.concatenate([near, edge])
+    values = values[values < 1e6]
+    _assert_fixed_matches_printf(np.concatenate([values, -values]), p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e6, -1e6, 1e300])
+def test_fixed_rejects_a_value_outside_its_domain(bad):
+    for p in (2, 3):
+        with pytest.raises(InvalidParams, match="cannot draw"):
+            _fixed(np.array([1.0, bad, 2.0]), p)
+
+
+@pytest.mark.parametrize("style", ["rod", "box"])
+def test_glyph_svg_peak_memory_stays_within_three_times_its_text(minus_profile, style):
+    # the text is written in blocks of glyphs: beside the blocks and their
+    # joined copy, no whole-lattice array or list stays alive
+    p, prof = minus_profile
+    spec = RenderSpec(style=style, density=256)
+    tracemalloc.start()
+    try:
+        text = glyph_svg(prof, p.k, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text), f"peak {peak} B for {len(text)} B of text"
+
+
+def _overflowing_profile():
+    """The profile of an ``r,u,v`` CSV with ``u`` rising to 1.7e308."""
+    r = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 65))
+    r[0], r[-1] = 0.0, 1.0
+    return Profile(RadialGrid(r), np.linspace(0.0, 1.7e308, 65), -np.ones(65))
+
+
+def test_an_overflowing_profile_draws_no_nan():
+    # rod lengths inf / inf and the chart's range overflow: each raises,
+    # without a RuntimeWarning, instead of writing nan
+    prof = _overflowing_profile()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParams, match="cannot draw nan"):
+            glyph_svg(prof, 1, RenderSpec(style="rod"))
+        with pytest.raises(InvalidParams, match="overflows"):
+            glyph_svg(prof, 1, RenderSpec(style="box"))
+        with pytest.raises(InvalidParams, match="eigenvalue range overflows"):
+            eigenvalue_chart_svg(prof)
+        # the padded range overflows at its low end only: no -inf tick label
+        low = Profile(prof.grid, np.zeros(65), np.linspace(-1.6e308, 0.0, 65))
+        with pytest.raises(InvalidParams, match="eigenvalue range overflows"):
+            eigenvalue_chart_svg(low)
