@@ -395,44 +395,10 @@ def test_random_perturbation_structure(grid, kind, norm):
     assert pert.values.tobytes() == again.values.tobytes()
 
 
-def _old_random_perturbation(grid, seed, concentrate=None, norm=1.0):
-    """The earlier sampler: one full-field accumulation per (coordinate, mode),
-    then the norm summed over the field and the field scaled to it."""
-    rng = np.random.default_rng(seed)
-    rho = grid.radial.nodes / grid.radial.radius
-    phis = grid.phis
-    if concentrate == "core":
-        envelope = (1.0 - rho) * np.exp(-((4.0 * rho) ** 2))
-    elif concentrate == "boundary":
-        envelope = rho * (1.0 - rho) * np.exp(-((4.0 * (1.0 - rho)) ** 2))
-    else:
-        envelope = np.sin(np.pi * rho)
-    basis = np.eye(5)
-    vals = np.zeros((5, rho.size, grid.m))
-    for b in range(5):
-        for m in range(7):  # angular modes 0..6
-            amp = 1.0 / (1.0 + m * m)
-            ca = rng.standard_normal() * amp
-            sa = rng.standard_normal() * amp if m > 0 else 0.0
-            radial_shape = envelope * rho ** min(m, 2)
-            wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
-            shape = radial_shape * wig
-            ang = ca * np.cos(m * phis) + sa * np.sin(m * phis)
-            vals += shape[None, :, None] * ang[None, None, :] * basis[b][:, None, None]
-    vals[:, -1] = 0.0
-    vals[:, 0] = vals[:, 0, :1]
-    w = grid.radial.weights
-    nsq = float(np.sum(w * np.sum(frob_sq(vals), axis=1)) * grid.dphi)
-    if nsq > 0.0:
-        vals *= norm / math.sqrt(nsq)
-    return vals
-
-
-def _ref_random_perturbation(grid, seed, concentrate=None, norm=1.0):
-    """The sampler's definition: the draws and per-mode factors of
-    :func:`_old_random_perturbation`, each radial factor 0 on the rim, the
-    scale from the factors' Gram sums, and one ``+=`` outer product of the
-    scaled radial factor and the angular factor per (coordinate, mode)."""
+def _perturbation_factors(grid, seed, concentrate=None):
+    """The sampler's draws, in its order, as radial factors ``(5, 7, N+1)``
+    (not yet 0 on the rim) and angular factors ``(5, 7, M)``, one per
+    (coordinate, angular mode 0..6)."""
     rng = np.random.default_rng(seed)
     rho = grid.radial.nodes / grid.radial.radius
     phis = grid.phis
@@ -445,7 +411,7 @@ def _ref_random_perturbation(grid, seed, concentrate=None, norm=1.0):
     shapes = np.empty((5, 7, rho.size))
     angs = np.empty((5, 7, grid.m))
     for b in range(5):
-        for m in range(7):  # angular modes 0..6
+        for m in range(7):
             amp = 1.0 / (1.0 + m * m)
             ca = rng.standard_normal() * amp
             sa = rng.standard_normal() * amp if m > 0 else 0.0
@@ -453,13 +419,40 @@ def _ref_random_perturbation(grid, seed, concentrate=None, norm=1.0):
             wig = 1.0 + 0.3 * np.sin((1 + rng.integers(1, 4)) * np.pi * rho + rng.uniform(0, 2 * np.pi))
             shapes[b, m] = radial_shape * wig
             angs[b, m] = ca * np.cos(m * phis) + sa * np.sin(m * phis)
+    return shapes, angs
+
+
+def _old_random_perturbation(grid, seed, concentrate=None, norm=1.0):
+    """The earlier sampler: the factors' outer products accumulated over the
+    full field, then the rim set to 0, the norm summed over the field and the
+    field scaled to it."""
+    shapes, angs = _perturbation_factors(grid, seed, concentrate)
+    vals = np.zeros((5, grid.radial.nodes.size, grid.m))
+    for b in range(5):
+        for m in range(7):
+            vals[b] += shapes[b, m][:, None] * angs[b, m][None, :]
+    vals[:, -1] = 0.0
+    vals[:, 0] = vals[:, 0, :1]
+    w = grid.radial.weights
+    nsq = float(np.sum(w * np.sum(frob_sq(vals), axis=1)) * grid.dphi)
+    if nsq > 0.0:
+        vals *= norm / math.sqrt(nsq)
+    return vals
+
+
+def _ref_random_perturbation(grid, seed, concentrate=None, norm=1.0):
+    """The sampler's definition: the factors of :func:`_perturbation_factors`,
+    each radial factor 0 on the rim, the scale from the factors' Gram sums,
+    and one ``+=`` outer product of the scaled radial factor and the angular
+    factor per (coordinate, mode)."""
+    shapes, angs = _perturbation_factors(grid, seed, concentrate)
     shapes[:, :, -1] = 0.0
     # sum_j P_b(r_i, phi_j)^2 = S_b[:, i]^T (A_b A_b^T) S_b[:, i]
     gram = angs @ angs.transpose(0, 2, 1)
     ring_sq = np.sum(shapes * (gram @ shapes), axis=(0, 1))
     nsq = float(np.sum(grid.radial.weights * ring_sq) * grid.dphi)
     sigma = norm / math.sqrt(nsq) if nsq > 0.0 else 1.0
-    vals = np.zeros((5, rho.size, grid.m))
+    vals = np.zeros((5, shapes.shape[2], grid.m))
     for b in range(5):
         for m in range(7):
             vals[b] += np.multiply.outer(sigma * shapes[b, m], angs[b, m])

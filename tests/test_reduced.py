@@ -37,10 +37,12 @@ from qdefect import (
     reduced_gradient,
     write_profile_csv,
 )
+from qdefect.grid import GAUSS_XI
 from qdefect.harmonic import explicit_arrays
 from qdefect.reduced import _FREE, csv_cells, csv_text
 
 SQRT6 = math.sqrt(6.0)
+SQRT23 = math.sqrt(2.0 / 3.0)
 
 
 def params(**kw):
@@ -61,6 +63,20 @@ def preset_profile(p, grid, init):
     if init == "ramp":
         return ramp_profile(p, grid)
     return Profile(grid, *explicit_arrays("minus", p.k, p.s_plus, grid.nodes))
+
+
+def curved_profile(p, grid):
+    """A profile with the boundary data, u ~ r^|k| at the core and both
+    components curved, away from any critical point (unit radius)."""
+    x = grid.nodes
+    return apply_boundary(
+        Profile(
+            grid,
+            p.boundary_u * x ** abs(p.k) * (1.0 + 0.3 * np.sin(3.0 * np.pi * x)),
+            p.boundary_v * (0.5 + 0.5 * x) + 0.1 * np.cos(2.0 * np.pi * x),
+        ),
+        p,
+    )
 
 
 def bulk_density(u, v, p):
@@ -250,15 +266,7 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
     grid = RadialGrid.for_defect(1.0, 24, k)
     expected = RadialGrid.uniform(1.0, 24) if abs(k) == 1 else RadialGrid.graded(1.0, 24)
     assert np.array_equal(grid.nodes, expected.nodes)
-    x = grid.nodes / grid.radius
-    prof = apply_boundary(
-        Profile(
-            grid,
-            p.boundary_u * x ** abs(k) * (1.0 + 0.3 * np.sin(3.0 * np.pi * x)),
-            p.boundary_v * (0.5 + 0.5 * x) + 0.1 * np.cos(2.0 * np.pi * x),
-        ),
-        p,
-    )
+    prof = curved_profile(p, grid)
     q = _P1Gauss(grid, p)
     n = grid.n_segments
 
@@ -304,14 +312,7 @@ def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
     grid = getattr(RadialGrid, spacing)(1.0, 2048)
     n = grid.n_segments
     x = grid.nodes
-    prof = apply_boundary(
-        Profile(
-            grid,
-            p.boundary_u * x ** abs(k) * (1.0 + 0.3 * np.sin(3.0 * np.pi * x)),
-            p.boundary_v * (0.5 + 0.5 * x) + 0.1 * np.cos(2.0 * np.pi * x),
-        ),
-        p,
-    )
+    prof = curved_profile(p, grid)
     q = _P1Gauss(grid, p)
 
     def free_grad(u, v):
@@ -518,77 +519,90 @@ def test_newton_step_reads_no_band_slot_below_the_matrix(k, n):
     assert step is not None and step.tobytes() == ref.tobytes()
 
 
-# The per-term P1/Gauss kernel that the fused one replaced, kept as the reference:
-# the potential and each of its derivatives in a helper of its own, the gradient
-# as four hat-weighted sums and the Hessian blocks as a loop over Gauss points.
+# One reference of the P1/Gauss kernel: its k^2 / r^2 weights, a point, the
+# Dirichlet sum, the energy, the gradient and the lower Hessian band, each
+# written out term by term in the kernel's order of operations.  The b2 terms
+# are always evaluated (at b2 = 0 they are zeros, which change no bit), so the
+# kernel must match every result of the reference bit for bit.
 
-def _old_fhat(pt, p):
-    return -0.5 * p.a2 * pt.t \
-        - (p.b2 / (3.0 * SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.ug * pt.ug) \
-        + 0.25 * p.c2 * pt.t * pt.t
-
-
-def _old_fhat_hessian(pt, p):
-    s23 = math.sqrt(2.0 / 3.0)
-    fuu = -p.a2 + s23 * p.b2 * pt.vg + p.c2 * (pt.t + 2.0 * pt.uu)
-    fuv = s23 * p.b2 * pt.ug + 2.0 * p.c2 * pt.ug * pt.vg
-    fvv = -p.a2 - s23 * p.b2 * pt.vg + p.c2 * (pt.t + 2.0 * pt.vv)
-    return fuu, fuv, fvv
+_REF_ENDS = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=1)  # hats a, b at the Gauss points
+_REF_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
 
-def _dirichlet_density(q, pt, p):
-    """``(u'^2 + v'^2 + k^2 u^2 / r^2) / 2`` at the Gauss radii."""
-    return 0.5 * (pt.du * pt.du + pt.dv * pt.dv)[:, None] + 0.5 * p.k**2 * pt.ug * pt.ug / q.rg2
+def _ref_weights(q):
+    """``(rg2, wk)``: the squared Gauss radii and ``wk = wg k^2 / r^2``."""
+    rg = q.grid.nodes[:-1, None] + q.h[:, None] * GAUSS_XI
+    return rg * rg, q.wg * (float(q.params.k**2) / (rg * rg))
 
 
-def _old_energy(q, pt, p):
-    dens = _dirichlet_density(q, pt, p) + _old_fhat(pt, p) / p.L
-    return float(np.sum(q.wg * dens))
+def _ref_point(q, u, v):
+    ug = u[:-1, None] * q.s + u[1:, None] * q.t
+    vg = v[:-1, None] * q.s + v[1:, None] * q.t
+    return dict(ug=ug, vg=vg, uu=ug * ug, vv=vg * vg, t=ug * ug + vg * vg,
+                du=np.diff(u) / q.h, dv=np.diff(v) / q.h)
 
 
-def _old_gradient(q, pt, p):
-    from qdefect.grid import GAUSS_XI
-
-    fu = pt.ug * (-p.a2 + math.sqrt(2.0 / 3.0) * p.b2 * pt.vg + p.c2 * pt.t)
-    fv = pt.vg * (-p.a2 + p.c2 * pt.t) - (p.b2 / SQRT6) * (pt.vv - pt.uu)
-    seg_r = q.wg.sum(axis=1)
-    grads = []
-    for slope, wf in ((pt.du, q.wg * (p.k**2 * pt.ug / q.rg2 + fu / p.L)), (pt.dv, q.wg * fv / p.L)):
-        g = np.zeros(pt.du.size + 1)
-        a = seg_r * slope / q.h
-        g[:-1] -= a
-        g[1:] += a
-        g[:-1] += wf @ (1.0 - GAUSS_XI)
-        g[1:] += wf @ GAUSS_XI
-        grads.append(g)
-    return grads
+def _ref_dirichlet(q, wk, slope_sq, uu):
+    return q.half_seg_r @ slope_sq + 0.5 * np.vdot(wk, uu)
 
 
-def _old_hessian(q, pt, p):
-    from qdefect.grid import GAUSS_XI
+def _ref_energy(q, wk, pt):
+    p, vg, t = q.params, pt["vg"], pt["t"]
+    f = t * (0.25 * p.c2 * t - 0.5 * p.a2) - (p.b2 / (3.0 * SQRT6)) * vg * (pt["vv"] - 3.0 * pt["uu"])
+    dirichlet = _ref_dirichlet(q, wk, pt["du"] * pt["du"] + pt["dv"] * pt["dv"], pt["uu"])
+    return float(dirichlet) + float(np.vdot(q.wg / p.L, f))
 
-    n = q.grid.n_segments
-    fuu, fuv, fvv = _old_fhat_hessian(pt, p)
-    coef = np.stack([q.wg * (p.k**2 / q.rg2 + fuu / p.L), q.wg * fuv / p.L,
-                     q.wg * fvv / p.L]).transpose(0, 2, 1)  # (uu/uv/vv, 5, N)
-    pairs = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
-    loc = np.zeros((3, 3, n))  # (uu/uv/vv, aa/ab/bb, N)
-    loc[0::2] = np.array([[1.0], [-1.0], [1.0]]) * (q.wg.sum(axis=1) / (q.h * q.h))
-    for g in range(GAUSS_XI.size):
-        loc += coef[:, g, None, :] * pairs[g, :, None]
-    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc
-    ab = np.zeros((7, 2 * n - 1))
-    ab[3, 0::2] = vv_aa
-    ab[3, 2::2] += vv_bb[:-1]
-    ab[3, 1::2] = uu_bb[:-1] + uu_aa[1:]
-    ab[2, 2::2] = uv_bb[:-1] + uv_aa[1:]
-    ab[2, 1::2] = uv_ab[:-1]
-    ab[1, 2::2] = vv_ab[:-1]
-    ab[1, 3::2] = uu_ab[1:-1]
-    ab[0, 4::2] = uv_ab[1:-1]
-    for d in (1, 2, 3):
-        ab[3 + d, :-d] = ab[3 - d, d:]
-    return ab
+
+def _ref_gradient(q, wk, pt):
+    p, ug, vg = q.params, pt["ug"], pt["vg"]
+    wl, m = q.wg / p.L, p.c2 * pt["t"] - p.a2
+    cu = (wl * (m + SQRT23 * p.b2 * vg) + wk) * ug
+    cv = wl * (vg * m - (p.b2 / SQRT6) * (pt["vv"] - pt["uu"]))
+    ends = (np.stack([cu, cv]).reshape(-1, 5) @ _REF_ENDS).reshape(2, -1, 2)
+    stiff = q.seg_r_h * np.stack([pt["du"], pt["dv"]])
+    g = np.zeros((2, pt["du"].size + 1))
+    g[:, :-1] += ends[:, :, 0] - stiff
+    g[:, 1:] += ends[:, :, 1] + stiff
+    g[0, 0] = g[:, -1] = 0.0  # the fixed u_0, u_N, v_N
+    return g.T
+
+
+def _ref_band(q, wk, pt):
+    """The lower band over all ``2N + 2`` node values, free columns kept."""
+    p, ug, vg, n = q.params, pt["ug"], pt["vg"], q.grid.n_segments
+    wl, m, bv = q.wg / p.L, p.c2 * pt["t"] - p.a2, SQRT23 * p.b2 * vg
+    coef = np.stack([
+        wl * (m + bv + 2.0 * p.c2 * pt["uu"]) + wk,
+        wl * (ug * (SQRT23 * p.b2 + 2.0 * p.c2 * vg)),
+        wl * (m - bv + 2.0 * p.c2 * pt["vv"]),
+    ])
+    loc = (coef.reshape(3 * n, 5) @ _REF_PAIRS).reshape(3, n, 3)
+    loc[0::2] += np.multiply.outer(q.seg_r_h / q.h, [1.0, -1.0, 1.0])  # the stiffness
+    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
+    # the lower triangle of each segment's block over (u_a, v_a, u_b, v_b), by column
+    columns = ((uu_aa, uv_aa, uu_ab, uv_ab), (vv_aa, uv_ab, vv_ab), (uu_bb, uv_bb), (vv_bb,))
+    band = np.zeros((4, 2 * n + 2))
+    for c, column in enumerate(columns):
+        for d, entry in enumerate(column):
+            band[d, c:c + 2 * n:2] += entry
+    return band[:, _FREE]
+
+
+def _check_kernel(grid, p, points):
+    """The kernel's weights, and its point, energy, gradient and band at each
+    of the node values ``points``, equal the reference's bit for bit."""
+    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
+
+    q = _P1Gauss(grid, p)
+    rg2, wk = _ref_weights(q)
+    assert np.array_equal(q.rg2, rg2) and np.array_equal(q.wk, wk)
+    for u, v in points:
+        pt, ref = q.point(u, v), _ref_point(q, u, v)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(pt, name), value), name
+        assert _energy(q, pt) == _ref_energy(q, wk, ref)
+        assert np.array_equal(_gradient(q, pt), _ref_gradient(q, wk, ref))
+        assert np.array_equal(_assemble_hessian_banded(q, pt), _ref_band(q, wk, ref))
 
 
 @pytest.mark.parametrize("spacing", ["uniform", "graded"])
@@ -596,205 +610,43 @@ def _old_hessian(q, pt, p):
 @pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
 @pytest.mark.parametrize("n", [64, 2048])
 def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
-
+    # a curved profile away from any critical point; at k = -4, b2 = 1.5 the
+    # energy's terms cancel to 0.19 of their size
     p = params(L=0.01, b2=b2, k=k)
-    grid = getattr(RadialGrid, spacing)(1.0, n)
-    x = grid.nodes
-    prof = apply_boundary(
-        Profile(
-            grid,
-            p.boundary_u * x ** abs(k) * (1.0 + 0.3 * np.sin(3.0 * np.pi * x)),
-            p.boundary_v * (0.5 + 0.5 * x) + 0.1 * np.cos(2.0 * np.pi * x),
-        ),
-        p,
-    )
-    q = _P1Gauss(grid, p)
-    pt = q.point(prof.u, prof.v)
-    # the energy relative to the size of the terms it sums, which cancel to
-    # 0.19 at k = -4, b2 = 1.5
-    terms = np.sum(q.wg * (_dirichlet_density(q, pt, p) + np.abs(_old_fhat(pt, p)) / p.L))
-    assert abs(_energy(q, pt) - _old_energy(q, pt, p)) <= 1e-14 * terms
-
-    # the reference's rows 3-6 are its lower band storage
-    ab, ref = _assemble_hessian_banded(q, pt), _old_hessian(q, pt, p)[3:]
-    # every entry and every gradient component, scaled per row by the size
-    # |H| |x| of the terms that the row sums
-    ax = np.abs(_free(prof.u, prof.v))
-    scale = _banded_matvec(np.abs(ref), ax)
-    assert np.max(_banded_matvec(np.abs(ab - ref), ax) / scale) <= 1e-14
-    grad = _gradient(q, pt).reshape(-1)[_FREE]
-    assert np.max(np.abs(grad - _free(*_old_gradient(q, pt, p))) / scale) <= 1e-14
-
-
-# The fused kernel with its b2 terms always evaluated, as it was before they
-# were skipped at b2 = 0: the same operations on the same operands otherwise,
-# so the kernel must match it bit for bit at every b2.
-
-def _full_energy(q, pt, p):
-    f = pt.t * (0.25 * p.c2 * pt.t - 0.5 * p.a2) \
-        - (p.b2 / (3.0 * SQRT6)) * pt.vg * (pt.vv - 3.0 * pt.uu)
-    dirichlet = q.half_seg_r @ (pt.du * pt.du + pt.dv * pt.dv) + 0.5 * np.vdot(q.wk, pt.uu)
-    return float(dirichlet + np.vdot(q.wg / p.L, f))
-
-
-def _full_gradient(q, pt, p):
-    from qdefect.reduced import _HAT_ENDS
-
-    s23 = math.sqrt(2.0 / 3.0)
-    wl = q.wg / p.L
-    m = p.c2 * pt.t - p.a2
-    cu = (wl * (m + s23 * p.b2 * pt.vg) + q.wk) * pt.ug
-    cv = wl * (pt.vg * m - (p.b2 / SQRT6) * (pt.vv - pt.uu))
-    ends = (np.stack([cu, cv]).reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
-    stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
-    g = np.empty((2, pt.du.size + 1))
-    g[:, :-1] = ends[:, :, 0] - stiff
-    g[:, -1] = 0.0
-    g[:, 1:] += ends[:, :, 1] + stiff
-    return g.T
-
-
-def _full_hessian(q, pt, p):
-    from qdefect.reduced import _HAT_PAIRS
-
-    s23 = math.sqrt(2.0 / 3.0)
-    n = q.grid.n_segments
-    wl = q.wg / p.L
-    m = p.c2 * pt.t - p.a2
-    bv = s23 * p.b2 * pt.vg
-    coef = np.stack([
-        wl * (m + bv + 2.0 * p.c2 * pt.uu) + q.wk,
-        wl * (pt.ug * (s23 * p.b2 + 2.0 * p.c2 * pt.vg)),
-        wl * (m - bv + 2.0 * p.c2 * pt.vv),
-    ])
-    loc = (coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
-    loc[0::2] += np.multiply.outer(q.seg_r_h / q.h, [1.0, -1.0, 1.0])
-    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
-    columns = ((uu_aa, uv_aa, uu_ab, uv_ab), (vv_aa, uv_ab, vv_ab), (uu_bb, uv_bb), (vv_bb,))
-    band = np.zeros((4, 2 * n + 2))
-    for c, column in enumerate(columns):
-        for d, entry in enumerate(column):
-            band[d, c:c + 2 * n:2] += entry
-    return band[:, _FREE]
+    prof = curved_profile(p, getattr(RadialGrid, spacing)(1.0, n))
+    _check_kernel(prof.grid, p, [(prof.u, prof.v)])
 
 
 @pytest.mark.parametrize("spacing", ["uniform", "graded"])
 @pytest.mark.parametrize("k", [1, -1, 2, 3])
 @pytest.mark.parametrize("b2", [0.0, 0.7])
 def test_kernels_skip_the_b2_terms_bit_for_bit(spacing, k, b2, rng):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
-
-    p = params(L=0.01, b2=b2, k=k)
+    # the reference evaluates the b2 terms that the kernel skips at b2 = 0;
     # on a few segments the energy sums few terms, so a changed bit in one
     # of them shows in the sum
+    p = params(L=0.01, b2=b2, k=k)
     for n in (16, 300):
         grid = getattr(RadialGrid, spacing)(1.0, n)
-        q = _P1Gauss(grid, p)
         start = preset_profile(p, grid, "explicit")
         points = [(rng.standard_normal(n + 1), rng.standard_normal(n + 1)) for _ in range(4)]
-        for u, v in points + [(start.u, start.v)]:
-            pt = q.point(u, v)
-            assert _energy(q, pt) == _full_energy(q, pt, p)
-            # the reference forms every entry; the kernel only the free ones
-            g, ref = _gradient(q, pt).reshape(-1), _full_gradient(q, pt, p).reshape(-1)
-            assert np.array_equal(g[_FREE], ref[_FREE])
-            assert g[0] == g[-2] == g[-1] == 0.0  # u_0, u_N, v_N
-            assert np.array_equal(_assemble_hessian_banded(q, pt), _full_hessian(q, pt, p))
-
-
-# The kernels as they were before they formed their coefficients in place: a
-# point stored uu and vv beside t, and each kernel stacked fresh products.  The
-# in-place kernels do the same operations in the same order, so they must
-# match this copy bit for bit.
-
-def _stored_point(q, u, v):
-    ug = u[:-1][:, None] * q.s + u[1:][:, None] * q.t
-    vg = v[:-1][:, None] * q.s + v[1:][:, None] * q.t
-    uu, vv = ug * ug, vg * vg
-    return dict(ug=ug, vg=vg, uu=uu, vv=vv, t=uu + vv, du=np.diff(u) / q.h, dv=np.diff(v) / q.h)
-
-
-def _stacked_energy(q, pt):
-    p = q.params
-    f = pt["t"] * (0.25 * p.c2 * pt["t"] - 0.5 * p.a2)
-    if p.b2 != 0.0:
-        f -= (p.b2 / (3.0 * SQRT6)) * pt["vg"] * (pt["vv"] - 3.0 * pt["uu"])
-    slope_sq = pt["du"] * pt["du"] + pt["dv"] * pt["dv"]
-    dirichlet = q.half_seg_r @ slope_sq + 0.5 * np.vdot(q.wk, pt["uu"])
-    return float(dirichlet) + float(np.vdot(q.wl, f))
-
-
-def _stacked_gradient(q, pt):
-    from qdefect.reduced import _HAT_ENDS
-
-    p = q.params
-    m = p.c2 * pt["t"] - p.a2
-    mu, fv = m, pt["vg"] * m
-    if p.b2 != 0.0:
-        mu = m + math.sqrt(2.0 / 3.0) * p.b2 * pt["vg"]
-        fv -= (p.b2 / SQRT6) * (pt["vv"] - pt["uu"])
-    coef = np.stack([(q.wl * mu + q.wk) * pt["ug"], q.wl * fv])
-    ends = (coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
-    stiff = q.seg_r_h * np.stack([pt["du"], pt["dv"]])
-    g = np.empty((2, pt["du"].size + 1))
-    g[:, :-1] = ends[:, :, 0] - stiff
-    g[:, 1:-1] += ends[:, :-1, 1] + stiff[:, :-1]
-    g[0, 0] = g[:, -1] = 0.0
-    return g.T
-
-
-def _stacked_hessian(q, pt):
-    from qdefect.reduced import _HAT_PAIRS
-
-    n = q.grid.n_segments
-    p = q.params
-    m = p.c2 * pt["t"] - p.a2
-    muu = mvv = m
-    fuv = 2.0 * p.c2 * pt["vg"]
-    if p.b2 != 0.0:
-        s23 = math.sqrt(2.0 / 3.0)
-        bv = s23 * p.b2 * pt["vg"]
-        muu, mvv, fuv = m + bv, m - bv, s23 * p.b2 + fuv
-    coef = np.stack([q.wl * (muu + 2.0 * p.c2 * pt["uu"]) + q.wk, q.wl * (pt["ug"] * fuv),
-                     q.wl * (mvv + 2.0 * p.c2 * pt["vv"])])
-    loc = (coef.reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
-    loc[0::2] += np.multiply.outer(q.seg_r_h / q.h, (1.0, -1.0, 1.0))
-    (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
-    columns = ((uu_aa, uv_aa, uu_ab, uv_ab), (vv_aa, uv_ab, vv_ab), (uu_bb, uv_bb), (vv_bb,))
-    band = np.zeros((4, 2 * n + 2))
-    for c, column in enumerate(columns):
-        for d, entry in enumerate(column):
-            band[d, c:c + 2 * n:2] += entry
-    return band[:, _FREE]
+        _check_kernel(grid, p, points + [(start.u, start.v)])
 
 
 @pytest.mark.parametrize("spacing", ["uniform", "graded"])
 @pytest.mark.parametrize("n", [64, 1030, 2048])
 @pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
 def test_in_place_kernels_keep_the_stacked_kernels_bits(spacing, n, b2, rng):
-    from qdefect.grid import GAUSS_XI
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
-
+    # the kernel forms its coefficients in place, the reference stacks fresh
+    # products: at the solved profile and near it
     grid = getattr(RadialGrid, spacing)(1.0, n)
-    rg = grid.nodes[:-1, None] + grid.h[:, None] * GAUSS_XI
     for k in (1, -1, 2, -2, 3, 4):
         p = params(L=0.01, b2=b2, k=k)
-        q = _P1Gauss(grid, p)
-        assert np.array_equal(q.rg2, rg * rg)
-        assert np.array_equal(q.wk, q.wg * (float(k * k) / (rg * rg)))
         try:
             solved = minimize(p, grid)[0]
         except NonConvergence as exc:
             solved = exc.profile
         noise = 1e-3 * rng.standard_normal((2, n + 1))
-        for u, v in ((solved.u, solved.v), (solved.u + noise[0], solved.v + noise[1])):
-            pt, ref = q.point(u, v), _stored_point(q, u, v)
-            for name, value in ref.items():
-                assert np.array_equal(getattr(pt, name), value), (k, name)
-            assert _energy(q, pt) == _stacked_energy(q, ref), k
-            assert np.array_equal(_gradient(q, pt), _stacked_gradient(q, ref)), k
-            assert np.array_equal(_assemble_hessian_banded(q, pt), _stacked_hessian(q, ref)), k
+        _check_kernel(grid, p, [(solved.u, solved.v), (solved.u + noise[0], solved.v + noise[1])])
 
 
 @pytest.mark.parametrize("n", [2048, 4096])
