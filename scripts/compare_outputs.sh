@@ -4,7 +4,8 @@
 #
 #   sh scripts/compare_outputs.sh REV
 #
-# REV's tree is checked out in a temporary `git worktree`, removed on exit.
+# REV's tree is extracted with `git archive` into a temporary directory,
+# removed on exit.
 # Both sides run this checkout's scripts/readme_commands.sh, each with its
 # own `src` first on PYTHONPATH and under PYTHONWARNINGS=error::RuntimeWarning,
 # so a new overflow or invalid value fails its run.  The script prints
@@ -17,8 +18,10 @@ if [ $# -ne 1 ]; then
 fi
 repo=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
-trap 'git -C "$repo" worktree remove --force "$tmp/tree" 2>/dev/null; rm -rf "$tmp"' EXIT
-git -C "$repo" worktree add --quiet --detach "$tmp/tree" "$1" || exit 2
+trap 'rm -rf "$tmp"' EXIT
+git -C "$repo" rev-parse --quiet --verify "$1^{commit}" > /dev/null || exit 2
+mkdir "$tmp/tree"
+git -C "$repo" archive "$1" | tar -x -C "$tmp/tree" || exit 2
 export PYTHONWARNINGS=error::RuntimeWarning
 
 run_side() {  # run_side OUTDIR SRC

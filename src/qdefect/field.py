@@ -16,7 +16,11 @@ Two discretisations coexist deliberately:
   :func:`energy_gap`.  Sharing quadrature points with the 1D solver makes
   lifted minimisers exactly stationary for the discrete 2D functional, so
   the quadratic-form expansion of the energy difference holds to
-  round-off instead of to scheme mismatch.
+  round-off instead of to scheme mismatch.  Both hold on radial grids
+  where the reduced kernel lumps no segment.  Where it lumps
+  ``k^2 u^2 / r^2`` next to the origin (:mod:`qdefect.reduced`), this
+  scheme keeps the consistent Gauss rule there, and the two differ by
+  what the lumping adds.
 
 Fields are coordinates first, ``(5, N+1, M)``, so a ring block
 ``values[:, lo:hi]`` feeds the tensor helpers and the Gauss kernel as it is.
@@ -470,10 +474,13 @@ def _require_finite(*sums: np.ndarray) -> None:
 def ldg_energy_spectral(field: Field2D, params: ModelParams) -> float:
     """Landau-de Gennes energy under the consistent spectral/Gauss scheme.
 
-    For lifted ansatz fields this equals ``2 pi`` times the reduced 1D
-    energy to round-off by construction (same radial quadrature, exact
-    angular differentiation of band-limited data).  A non-finite field
-    raises :class:`~qdefect.errors.InvalidParams`.
+    For lifted ansatz fields on a radial grid where the reduced kernel
+    lumps no segment, this equals ``2 pi`` times the reduced 1D energy to
+    round-off by construction (same radial quadrature, exact angular
+    differentiation of band-limited data).  Where it lumps
+    ``k^2 u^2 / r^2`` (:mod:`qdefect.reduced`), the reduced energy is the
+    larger, by what the lumping adds.  A non-finite field raises
+    :class:`~qdefect.errors.InvalidParams`.
     """
     if params.L <= 0.0:
         raise InvalidParams("ldg_energy_spectral requires L > 0")

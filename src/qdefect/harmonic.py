@@ -197,7 +197,8 @@ def e0_energy(p, params: ModelParams) -> E0Result:
         q = _P1Gauss(p.grid, params)
         dpsi = np.diff(p.psi) / q.h
         sg = np.sin(q.at_gauss(p.psi))
-        value = params.limit_norm_sq * float(_dirichlet(q, dpsi * dpsi, sg * sg))
+        su = None if q.lumped is None else np.sin(p.psi)
+        value = params.limit_norm_sq * _dirichlet(q, dpsi * dpsi, sg * sg, su)
         return E0Result(value=value, max_deviation=0.0)
 
     if not isinstance(p, Profile):
@@ -208,7 +209,7 @@ def e0_energy(p, params: ModelParams) -> E0Result:
         return E0Result(value=None, max_deviation=dev)
     q = _P1Gauss(p.grid, params)
     pt = q.point(p.u, p.v)
-    value = float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu))
+    value = _dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu, pt.u)
     return E0Result(value=value, max_deviation=dev)
 
 

@@ -18,6 +18,23 @@ every term.  The discrete energy is smooth in the node values, so the
 stationarity system solved by the damped-Newton minimiser is exactly the
 weak form of the Euler-Lagrange ODEs; the strong-form finite-difference
 residual is reported separately by :func:`ode_residual`.
+
+Lumping.  On segment ``i`` the consistent quadrature of ``k^2 u^2 / r^2``
+couples ``u_i`` and ``u_{i+1}`` by ``M_ab = k^2 int phi_a phi_b / r dr > 0``,
+against the stiffness's ``-seg_r / h^2``.  Where ``M_ab`` is the larger, the
+operator is no M-matrix and the discrete ``u`` can turn negative next to the
+origin, where the paper's ``b2 = 0`` profile has ``u > 0``.  So segments
+``1 .. m``, ``m`` the last segment ``i >= 1`` with ``M_ab > seg_r / h^2``,
+take the row sums of their ``2 x 2`` block instead: ``W_a = k^2 int phi_a / r
+dr`` on ``u_a``'s diagonal, ``W_b`` on ``u_b``'s, nothing off it.  Segment 0
+keeps its block, which couples ``u_1`` only to the pinned ``u_0 = 0``.  No
+segment is lumped for ``|k| = 1``; on the CLI's grids ``|k| = 2`` lumps only
+for ``n <= 32``, ``|k| = 3`` for ``n <= 256`` and ``|k| >= 4`` segment 1 at
+least.  A lumped segment adds ``M_ab (u_a - u_b)^2 / 2 >= 0`` to the energy;
+as ``u^2 <= phi_a u_a^2 + phi_b u_b^2``, the lumped term bounds the exact
+``k^2 int u^2 / r dr`` of the P1 profile from above, so the discrete energy
+stays at or above the exact energy of the P1 profile, up to the Gauss rule's
+error in that ``1/r`` integrand.
 """
 
 from __future__ import annotations
@@ -161,17 +178,25 @@ def read_profile_csv(path) -> Profile:
 # the P1/Gauss kernel: energy, gradient, Hessian
 # ---------------------------------------------------------------------------
 
+# hat values 1 - xi, xi at the Gauss points (a segment's end nodes a, b) and
+# their products (1 - xi)^2, (1 - xi) xi, xi^2 (its node pairs aa, ab, bb)
+_HAT_ENDS = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=1)
+_HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
+
+
 @dataclass
 class _Point:
     """One evaluated point of the kernel: the Gauss values ``ug, vg`` of the
     node values and ``t = ug*ug + vg*vg`` (``(N, 5)`` each), the segment
-    slopes ``du, dv``; ``uu = ug*ug`` and ``vv = vg*vg`` are formed on read."""
+    slopes ``du, dv`` and the node values ``u`` (read on lumped segments
+    only); ``uu = ug*ug`` and ``vv = vg*vg`` are formed on read."""
 
     ug: np.ndarray
     vg: np.ndarray
     t: np.ndarray
     du: np.ndarray
     dv: np.ndarray
+    u: np.ndarray
     uu = property(lambda self: self.ug * self.ug)
     vv = property(lambda self: self.vg * self.vg)
 
@@ -184,10 +209,14 @@ class _P1Gauss:
     call, never cached on the grid (that would keep every held grid's arrays
     alive).  :meth:`point` evaluates a point once for its energy, gradient
     and Hessian, whose constants serve every point: ``seg_r / 2``, ``seg_r /
-    h`` (``seg_r`` the exact per-segment ``int r dr``), ``wk = wg k^2 / r^2``
-    and ``wl = wg / L``.  ``wl`` and the squared Gauss radii ``rg2`` (which
-    the solver never reads) are formed on first use: the ``L = 0`` kernels
-    of the limit's Dirichlet sums never divide by 0.
+    h``, ``seg_r / h^2`` (``seg_r`` the exact per-segment ``int r dr``),
+    ``wk = wg k^2 / r^2`` and ``wl = wg / L``.  ``wl`` and the squared Gauss
+    radii ``rg2`` (which the solver never reads) are formed on first use:
+    the ``L = 0`` kernels of the limit's Dirichlet sums never divide by 0.
+
+    ``lumped`` is the slice of u nodes of the lumped segments (see the
+    module docstring), None where none is; ``wu`` are their lumped
+    ``k^2 u^2 / r^2`` weights, and ``wk`` is 0 on those segments.
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams):
@@ -200,7 +229,19 @@ class _P1Gauss:
         self.s = 1.0 - self.t
         seg_r = self.h * (rg @ GAUSS_W)  # the sum of wg over each segment
         self.half_seg_r, self.seg_r_h = 0.5 * seg_r, seg_r / self.h
+        self.seg_r_h2 = self.seg_r_h / self.h
         self.wk = self.wg * (float(params.k * params.k) / (rg * rg))
+        # segments 1.. whose k^2 u_a u_b coupling outweighs the stiffness's
+        lumps = np.flatnonzero(self.wk[1:] @ _HAT_PAIRS[:, 1] > self.seg_r_h2[1:])
+        self.lumped = None
+        if lumps.size:
+            seg = slice(1, int(lumps[-1]) + 2)
+            self.lumped = slice(1, seg.stop + 1)
+            rows = self.wk[seg] @ _HAT_ENDS  # the block's row sums
+            self.wu = np.zeros(seg.stop)
+            self.wu[:-1] += rows[:, 0]
+            self.wu[1:] += rows[:, 1]
+            self.wk[seg] = 0.0
 
     @cached_property
     def rg2(self) -> np.ndarray:
@@ -221,7 +262,7 @@ class _P1Gauss:
         ug, vg = self.at_gauss(u), self.at_gauss(v)
         t = ug * ug
         t += vg * vg
-        return _Point(ug, vg, t, np.diff(u) / self.h, np.diff(v) / self.h)
+        return _Point(ug, vg, t, np.diff(u) / self.h, np.diff(v) / self.h, u)
 
 
 def _check_operands(params: ModelParams):
@@ -229,10 +270,15 @@ def _check_operands(params: ModelParams):
         raise InvalidParams("the reduced functional requires L > 0")
 
 
-def _dirichlet(q: _P1Gauss, slope_sq: np.ndarray, uu: np.ndarray):
+def _dirichlet(q: _P1Gauss, slope_sq: np.ndarray, uu: np.ndarray, u) -> float:
     """``int (u'^2 + v'^2 + k^2 u^2 / r^2) / 2 r dr`` from the per-segment
-    ``slope_sq = u'^2 + v'^2`` and ``uu = u^2`` at the Gauss radii."""
-    return q.half_seg_r @ slope_sq + 0.5 * np.vdot(q.wk, uu)
+    ``slope_sq = u'^2 + v'^2``, ``uu = u^2`` at the Gauss radii and, on the
+    lumped segments only, the node values ``u``; summed as Python floats."""
+    value = float(q.half_seg_r @ slope_sq) + 0.5 * float(np.vdot(q.wk, uu))
+    if q.lumped is not None:
+        ul = u[q.lumped]
+        value += 0.5 * float(np.vdot(q.wu, ul * ul))
+    return value
 
 
 # The bulk potential along the two-mode frame (|Y|^2 = t, m = c2 t - a2):
@@ -258,7 +304,7 @@ def _energy(q: _P1Gauss, pt: _Point) -> float:
         f -= cubic
     # summed as Python floats: an inf Dirichlet part and a -inf bulk part
     # give NaN without a RuntimeWarning, as their BLAS sums overflow without one
-    return float(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu)) + float(np.vdot(q.wl, f))
+    return _dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu, pt.u) + float(np.vdot(q.wl, f))
 
 
 def reduced_energy(profile: Profile, params: ModelParams) -> float:
@@ -270,12 +316,6 @@ def reduced_energy(profile: Profile, params: ModelParams) -> float:
     _check_operands(params)
     q = _P1Gauss(profile.grid, params)
     return _energy(q, q.point(profile.u, profile.v))
-
-
-# hat values 1 - xi, xi at the Gauss points (a segment's end nodes a, b) and
-# their products (1 - xi)^2, (1 - xi) xi, xi^2 (its node pairs aa, ab, bb)
-_HAT_ENDS = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=1)
-_HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
 
 def _gradient(q: _P1Gauss, pt: _Point) -> np.ndarray:
@@ -303,6 +343,8 @@ def _gradient(q: _P1Gauss, pt: _Point) -> np.ndarray:
     g = np.empty((2, pt.du.size + 1))  # u and v columns, contiguous for the norm's sums
     g[:, :-1] = ends[:, :, 0] - stiff
     g[:, 1:-1] += ends[:, :-1, 1] + stiff[:, :-1]
+    if q.lumped is not None:
+        g[0, q.lumped] += q.wu * pt.u[q.lumped]
     g[0, 0] = g[:, -1] = 0.0
     return g.T
 
@@ -367,7 +409,7 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point):
     n = q.grid.n_segments
     loc = (_hessian_coef(q, pt).reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
     # the stiffness: seg_r / h^2 times the aa, ab, bb signs of the hat-slope products
-    loc[0::2] += np.multiply.outer(q.seg_r_h / q.h, (1.0, -1.0, 1.0))
+    loc[0::2] += np.multiply.outer(q.seg_r_h2, (1.0, -1.0, 1.0))
     (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
     # the lower triangle of the block over (u_a, v_a, u_b, v_b), by column;
     # u_a v_b and v_a u_b share the weight (1 - xi) xi, so uv_ab serves both
@@ -377,6 +419,9 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point):
         for d, entry in enumerate(column):
             slots = band[d, c:c + 2 * n:2]
             slots += entry  # in place: no write-back copy of the slice
+    if q.lumped is not None:  # on the u_i diagonal
+        slots = band[0, 2 * q.lumped.start:2 * q.lumped.stop:2]
+        slots += q.wu
     return band[:, _FREE]
 
 

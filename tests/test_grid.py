@@ -86,7 +86,7 @@ def test_interpolation_is_linear():
     pt = q.point(vals, -vals)
     assert np.array_equal(pt.ug, interp) and np.array_equal(pt.vg, -interp)
     assert np.all(pt.du == 3.0) and np.all(pt.dv == -3.0)
-    assert np.isfinite(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu))
+    assert np.isfinite(_dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu, pt.u))
     assert "wl" not in q.__dict__
 
 

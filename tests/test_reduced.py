@@ -177,9 +177,8 @@ def test_energy_rejects_mismatched_grid():
 # gradient
 # ---------------------------------------------------------------------------
 
-def test_gradient_matches_central_differences(rng):
-    p = params(L=0.07, b2=0.3, k=2)
-    grid = RadialGrid.graded(1.0, 80)
+def _check_gradient_by_central_differences(p, grid, rng):
+    n = grid.n_segments
     prof = apply_boundary(
         Profile(
             grid,
@@ -193,9 +192,8 @@ def test_gradient_matches_central_differences(rng):
     m = grid.node_masses
     eps = 1e-5
     worst = 0.0
-    for _ in range(50):
-        qu = rng.standard_normal(grid.nodes.size)
-        qv = rng.standard_normal(grid.nodes.size)
+    directions = [rng.standard_normal((2, n + 1)) for _ in range(50)] + [np.eye(2, n + 1, j) for j in (1, 2)]
+    for qu, qv in directions:
         qu[0] = qu[-1] = qv[-1] = 0.0
         pair = float(np.sum(m * (du * qu + dv * qv)))
         ep = reduced_energy(Profile(grid, prof.u + eps * qu, prof.v + eps * qv), p)
@@ -203,6 +201,17 @@ def test_gradient_matches_central_differences(rng):
         fd = (ep - em) / (2.0 * eps)
         worst = max(worst, abs(pair - fd) / max(abs(fd), 1e-12))
     assert worst <= 1e-6
+
+
+def test_gradient_matches_central_differences(rng):
+    # k = 4 on the graded 256-segment grid lumps k^2 u^2 / r^2 on segment 1,
+    # whose row sums alone meet the directions along u_1 and u_2
+    from qdefect.reduced import _P1Gauss
+
+    for k, n, lumped in ((2, 80, None), (4, 256, slice(1, 3))):
+        p, grid = params(L=0.07, b2=0.3, k=k), RadialGrid.graded(1.0, n)
+        assert _P1Gauss(grid, p).lumped == lumped
+        _check_gradient_by_central_differences(p, grid, rng)
 
 
 def test_gradient_potential_dominates_at_small_l():
@@ -257,15 +266,9 @@ def _dense_from_banded(lower):
     return dense
 
 
-@pytest.mark.parametrize("k", [1, -2, 3])
-@pytest.mark.parametrize("b2", [0.0, 0.7])
-def test_hessian_matches_central_differences_of_gradient(k, b2):
+def _check_hessian_by_central_differences(p, grid):
     from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient
 
-    p = params(L=0.05, b2=b2, k=k)
-    grid = RadialGrid.for_defect(1.0, 24, k)
-    expected = RadialGrid.uniform(1.0, 24) if abs(k) == 1 else RadialGrid.graded(1.0, 24)
-    assert np.array_equal(grid.nodes, expected.nodes)
     prof = curved_profile(p, grid)
     q = _P1Gauss(grid, p)
     n = grid.n_segments
@@ -290,6 +293,25 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
     scale = np.sqrt(np.outer(np.abs(np.diag(hess)), np.abs(np.diag(hess))))
     assert np.max(np.abs(hess - fd) / scale) <= 1e-6
     assert np.array_equal(hess, hess.T)
+
+
+@pytest.mark.parametrize("k", [1, -2, 3])
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+def test_hessian_matches_central_differences_of_gradient(k, b2):
+    grid = RadialGrid.for_defect(1.0, 24, k)
+    expected = RadialGrid.uniform(1.0, 24) if abs(k) == 1 else RadialGrid.graded(1.0, 24)
+    assert np.array_equal(grid.nodes, expected.nodes)
+    _check_hessian_by_central_differences(params(L=0.05, b2=b2, k=k), grid)
+
+
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+def test_lumped_hessian_matches_central_differences_of_gradient(b2):
+    # k = 4 on the graded 256-segment grid lumps k^2 u^2 / r^2 on segment 1
+    from qdefect.reduced import _P1Gauss
+
+    p, grid = params(L=0.05, b2=b2, k=4), RadialGrid.graded(1.0, 256)
+    assert _P1Gauss(grid, p).lumped == slice(1, 3)
+    _check_hessian_by_central_differences(p, grid)
 
 
 def _banded_matvec(lower, x):
@@ -519,60 +541,76 @@ def test_newton_step_reads_no_band_slot_below_the_matrix(k, n):
     assert step is not None and step.tobytes() == ref.tobytes()
 
 
-# One reference of the P1/Gauss kernel: its k^2 / r^2 weights, a point, the
-# Dirichlet sum, the energy, the gradient and the lower Hessian band, each
-# written out term by term in the kernel's order of operations.  The b2 terms
-# are always evaluated (at b2 = 0 they are zeros, which change no bit), so the
-# kernel must match every result of the reference bit for bit.
+# One reference of the P1/Gauss kernel: its weights, a point, the Dirichlet
+# sum, the energy, the gradient and the lower Hessian band, each written out
+# term by term in the kernel's order of operations.  The b2 terms are always
+# evaluated (at b2 = 0 they are zeros, which change no bit), so the kernel
+# must match every result of the reference bit for bit.
 
 _REF_ENDS = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=1)  # hats a, b at the Gauss points
 _REF_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
 
 def _ref_weights(q):
-    """``(rg2, wk)``: the squared Gauss radii and ``wk = wg k^2 / r^2``."""
+    """``rg2``; ``wk = wg k^2 / r^2``, 0 on the lumped segments 1..m (m the
+    last segment whose k^2 coupling of u_a and u_b outweighs the stiffness's
+    -seg_r / h^2); the u nodes 1..m+1 as ``lumped`` (None for m = 0) and
+    ``wu``, the row sums of each lumped segment's k^2 block on its nodes."""
     rg = q.grid.nodes[:-1, None] + q.h[:, None] * GAUSS_XI
-    return rg * rg, q.wg * (float(q.params.k**2) / (rg * rg))
+    wk = q.wg * (float(q.params.k**2) / (rg * rg))
+    stiff = q.seg_r_h / q.h
+    m = max((i for i in range(1, q.grid.n_segments) if wk[i] @ _REF_PAIRS[:, 1] > stiff[i]), default=0)
+    rows = wk[1:m + 1] @ _REF_ENDS  # each block's two row sums
+    wu = np.zeros(m + 1)
+    wu[:-1] += rows[:, 0]
+    wu[1:] += rows[:, 1]
+    wk[1:m + 1] = 0.0
+    return dict(rg2=rg * rg, wk=wk, lumped=slice(1, m + 2) if m else None, wu=wu)
 
 
 def _ref_point(q, u, v):
     ug = u[:-1, None] * q.s + u[1:, None] * q.t
     vg = v[:-1, None] * q.s + v[1:, None] * q.t
     return dict(ug=ug, vg=vg, uu=ug * ug, vv=vg * vg, t=ug * ug + vg * vg,
-                du=np.diff(u) / q.h, dv=np.diff(v) / q.h)
+                du=np.diff(u) / q.h, dv=np.diff(v) / q.h, u=u)
 
 
-def _ref_dirichlet(q, wk, slope_sq, uu):
-    return q.half_seg_r @ slope_sq + 0.5 * np.vdot(wk, uu)
+def _ref_dirichlet(q, w, slope_sq, uu, u):
+    value = float(q.half_seg_r @ slope_sq) + 0.5 * float(np.vdot(w["wk"], uu))
+    if w["lumped"] is not None:
+        value += 0.5 * float(np.vdot(w["wu"], u[w["lumped"]] ** 2))
+    return value
 
 
-def _ref_energy(q, wk, pt):
+def _ref_energy(q, w, pt):
     p, vg, t = q.params, pt["vg"], pt["t"]
     f = t * (0.25 * p.c2 * t - 0.5 * p.a2) - (p.b2 / (3.0 * SQRT6)) * vg * (pt["vv"] - 3.0 * pt["uu"])
-    dirichlet = _ref_dirichlet(q, wk, pt["du"] * pt["du"] + pt["dv"] * pt["dv"], pt["uu"])
-    return float(dirichlet) + float(np.vdot(q.wg / p.L, f))
+    dirichlet = _ref_dirichlet(q, w, pt["du"] * pt["du"] + pt["dv"] * pt["dv"], pt["uu"], pt["u"])
+    return dirichlet + float(np.vdot(q.wg / p.L, f))
 
 
-def _ref_gradient(q, wk, pt):
+def _ref_gradient(q, w, pt):
     p, ug, vg = q.params, pt["ug"], pt["vg"]
     wl, m = q.wg / p.L, p.c2 * pt["t"] - p.a2
-    cu = (wl * (m + SQRT23 * p.b2 * vg) + wk) * ug
+    cu = (wl * (m + SQRT23 * p.b2 * vg) + w["wk"]) * ug
     cv = wl * (vg * m - (p.b2 / SQRT6) * (pt["vv"] - pt["uu"]))
     ends = (np.stack([cu, cv]).reshape(-1, 5) @ _REF_ENDS).reshape(2, -1, 2)
     stiff = q.seg_r_h * np.stack([pt["du"], pt["dv"]])
     g = np.zeros((2, pt["du"].size + 1))
     g[:, :-1] += ends[:, :, 0] - stiff
     g[:, 1:] += ends[:, :, 1] + stiff
+    if w["lumped"] is not None:
+        g[0, w["lumped"]] += w["wu"] * pt["u"][w["lumped"]]
     g[0, 0] = g[:, -1] = 0.0  # the fixed u_0, u_N, v_N
     return g.T
 
 
-def _ref_band(q, wk, pt):
+def _ref_band(q, w, pt):
     """The lower band over all ``2N + 2`` node values, free columns kept."""
     p, ug, vg, n = q.params, pt["ug"], pt["vg"], q.grid.n_segments
     wl, m, bv = q.wg / p.L, p.c2 * pt["t"] - p.a2, SQRT23 * p.b2 * vg
     coef = np.stack([
-        wl * (m + bv + 2.0 * p.c2 * pt["uu"]) + wk,
+        wl * (m + bv + 2.0 * p.c2 * pt["uu"]) + w["wk"],
         wl * (ug * (SQRT23 * p.b2 + 2.0 * p.c2 * vg)),
         wl * (m - bv + 2.0 * p.c2 * pt["vv"]),
     ])
@@ -585,6 +623,8 @@ def _ref_band(q, wk, pt):
     for c, column in enumerate(columns):
         for d, entry in enumerate(column):
             band[d, c:c + 2 * n:2] += entry
+    if w["lumped"] is not None:  # on the u_i diagonal
+        band[0, 2 * w["lumped"].start:2 * w["lumped"].stop:2] += w["wu"]
     return band[:, _FREE]
 
 
@@ -594,15 +634,16 @@ def _check_kernel(grid, p, points):
     from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
 
     q = _P1Gauss(grid, p)
-    rg2, wk = _ref_weights(q)
-    assert np.array_equal(q.rg2, rg2) and np.array_equal(q.wk, wk)
+    w = _ref_weights(q)
+    assert np.array_equal(q.rg2, w["rg2"]) and np.array_equal(q.wk, w["wk"])
+    assert q.lumped == w["lumped"] and (q.lumped is None or np.array_equal(q.wu, w["wu"]))
     for u, v in points:
         pt, ref = q.point(u, v), _ref_point(q, u, v)
         for name, value in ref.items():
             assert np.array_equal(getattr(pt, name), value), name
-        assert _energy(q, pt) == _ref_energy(q, wk, ref)
-        assert np.array_equal(_gradient(q, pt), _ref_gradient(q, wk, ref))
-        assert np.array_equal(_assemble_hessian_banded(q, pt), _ref_band(q, wk, ref))
+        assert _energy(q, pt) == _ref_energy(q, w, ref)
+        assert np.array_equal(_gradient(q, pt), _ref_gradient(q, w, ref))
+        assert np.array_equal(_assemble_hessian_banded(q, pt), _ref_band(q, w, ref))
 
 
 @pytest.mark.parametrize("spacing", ["uniform", "graded"])
@@ -647,6 +688,26 @@ def test_in_place_kernels_keep_the_stacked_kernels_bits(spacing, n, b2, rng):
             solved = exc.profile
         noise = 1e-3 * rng.standard_normal((2, n + 1))
         _check_kernel(grid, p, [(solved.u, solved.v), (solved.u + noise[0], solved.v + noise[1])])
+
+
+def test_e0_energy_sums_the_references_dirichlet_terms_on_a_lumped_grid(rng):
+    # both forms of the limit energy read k^2 u^2 / r^2 through the kernel,
+    # lumped segments included; u = c sin(psi), v = -c cos(psi)
+    from qdefect.harmonic import e0_energy
+    from qdefect.reduced import _P1Gauss
+
+    p, grid = params(L=0.0, k=4), RadialGrid.graded(1.0, 256)
+    q = _P1Gauss(grid, p)
+    w = _ref_weights(q)
+    assert w["lumped"] == slice(1, 3)
+    psi = rng.uniform(0.0, np.pi, grid.nodes.size)
+    c = math.sqrt(p.limit_norm_sq)
+    pt = _ref_point(q, c * np.sin(psi), -c * np.cos(psi))
+    ref = _ref_dirichlet(q, w, pt["du"] * pt["du"] + pt["dv"] * pt["dv"], pt["uu"], pt["u"])
+    assert e0_energy(Profile(grid, pt["u"], -c * np.cos(psi)), p).value == ref
+    dpsi, sg = np.diff(psi) / q.h, np.sin(_ref_point(q, psi, psi)["ug"])
+    ref = p.limit_norm_sq * _ref_dirichlet(q, w, dpsi * dpsi, sg * sg, np.sin(psi))
+    assert e0_energy(PsiProfile(grid, psi), p).value == ref
 
 
 @pytest.mark.parametrize("n", [2048, 4096])
@@ -1123,6 +1184,26 @@ def test_minimize_property_over_the_cli_parameter_space(k, b2, log_l, init, n):
         expected["v_negative"] = bool(np.all(prof.v < 0.0))
         expected["v_nondecreasing"] = bool(np.all(np.diff(prof.v) >= -1e-10))
     assert rep.checks == expected
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    k=st.integers(-6, 6).filter(lambda k: k != 0),
+    gamma=st.sampled_from((1, 2, 3, None)),  # None: the CLI's grid
+    log_l=st.floats(-4.0, 0.0),
+    init=st.sampled_from(("explicit", "ramp")),
+    n=st.integers(16, 4096),
+)
+def test_b2_zero_minimiser_keeps_the_sign_structure_on_any_power_map(k, gamma, log_l, init, n):
+    # u > 0 and v < 0, as the paper's b2 = 0 critical point has, also where
+    # the consistent k^2 u^2 / r^2 block would couple u_1 and u_2 positively
+    p = params(k=k, L=10.0**log_l)
+    if gamma is None:
+        grid = RadialGrid.for_defect(1.0, n, k)
+    else:
+        grid = RadialGrid((np.arange(n + 1) / n) ** gamma)
+    _, rep = minimize(p, grid, init=init)
+    assert rep.checks["u_positive"] and rep.checks["v_negative"]
 
 
 def test_gamma_limit_distance_shrinks(solve_cache):
