@@ -22,19 +22,21 @@ residual is reported separately by :func:`ode_residual`.
 Lumping.  On segment ``i`` the consistent quadrature of ``k^2 u^2 / r^2``
 couples ``u_i`` and ``u_{i+1}`` by ``M_ab = k^2 int phi_a phi_b / r dr > 0``,
 against the stiffness's ``-seg_r / h^2``.  Where ``M_ab`` is the larger, the
-operator is no M-matrix and the discrete ``u`` can turn negative next to the
-origin, where the paper's ``b2 = 0`` profile has ``u > 0``.  So segments
+operator is no M-matrix, and the discrete ``u`` can turn negative next to
+the origin, where the paper's ``b2 = 0`` profile has ``u > 0``.  So segments
 ``1 .. m``, ``m`` the last segment ``i >= 1`` with ``M_ab > seg_r / h^2``,
-take the row sums of their ``2 x 2`` block instead: ``W_a = k^2 int phi_a / r
-dr`` on ``u_a``'s diagonal, ``W_b`` on ``u_b``'s, nothing off it.  Segment 0
-keeps its block, which couples ``u_1`` only to the pinned ``u_0 = 0``.  No
-segment is lumped for ``|k| = 1``; on the CLI's grids ``|k| = 2`` lumps only
-for ``n <= 32``, ``|k| = 3`` for ``n <= 256`` and ``|k| >= 4`` segment 1 at
-least.  A lumped segment adds ``M_ab (u_a - u_b)^2 / 2 >= 0`` to the energy;
-as ``u^2 <= phi_a u_a^2 + phi_b u_b^2``, the lumped term bounds the exact
+take the row sums of their ``2 x 2`` block instead: ``W_a = k^2 int phi_a /
+r dr`` on ``u_a``'s diagonal, ``W_b`` on ``u_b``'s, nothing off it.  Segment
+0 keeps its block, which couples ``u_1`` only to the pinned ``u_0 = 0``.  No
+segment is lumped for ``|k| = 1``.  On the CLI's grids (``n = 16 .. 4096``),
+``|k| = 2`` lumps for ``n <= 34``, ``|k| = 3`` for ``n <= 278`` and
+``|k| >= 4`` at every ``n``.
+
+A lumped segment adds ``M_ab (u_a - u_b)^2 / 2 >= 0`` to the energy.  As
+``u^2 <= phi_a u_a^2 + phi_b u_b^2``, the lumped term bounds the exact
 ``k^2 int u^2 / r dr`` of the P1 profile from above, so the discrete energy
-stays at or above the exact energy of the P1 profile, up to the Gauss rule's
-error in that ``1/r`` integrand.
+stays at or above the exact energy of the P1 profile, up to the Gauss
+rule's error in that ``1/r`` integrand.
 """
 
 from __future__ import annotations
@@ -231,17 +233,17 @@ class _P1Gauss:
         self.half_seg_r, self.seg_r_h = 0.5 * seg_r, seg_r / self.h
         self.seg_r_h2 = self.seg_r_h / self.h
         self.wk = self.wg * (float(params.k * params.k) / (rg * rg))
-        # segments 1.. whose k^2 u_a u_b coupling outweighs the stiffness's
-        lumps = np.flatnonzero(self.wk[1:] @ _HAT_PAIRS[:, 1] > self.seg_r_h2[1:])
+        # segments i >= 1 whose k^2 coupling of u_i, u_{i+1} outweighs the stiffness's
+        couples = np.flatnonzero(self.wk[1:] @ _HAT_PAIRS[:, 1] > self.seg_r_h2[1:])
         self.lumped = None
-        if lumps.size:
-            seg = slice(1, int(lumps[-1]) + 2)
-            self.lumped = slice(1, seg.stop + 1)
-            rows = self.wk[seg] @ _HAT_ENDS  # the block's row sums
-            self.wu = np.zeros(seg.stop)
+        if couples.size:
+            m = int(couples[-1]) + 1  # segments 1..m are lumped, on u nodes 1..m+1
+            self.lumped = slice(1, m + 2)
+            rows = self.wk[1:m + 1] @ _HAT_ENDS  # each block's two row sums
+            self.wu = np.zeros(m + 1)
             self.wu[:-1] += rows[:, 0]
             self.wu[1:] += rows[:, 1]
-            self.wk[seg] = 0.0
+            self.wk[1:m + 1] = 0.0
 
     @cached_property
     def rg2(self) -> np.ndarray:

@@ -39,7 +39,9 @@ from qdefect import (
 )
 from qdefect.grid import GAUSS_XI
 from qdefect.harmonic import explicit_arrays
-from qdefect.reduced import _FREE, csv_cells, csv_text
+from qdefect.reduced import (
+    _FREE, _P1Gauss, _assemble_hessian_banded, _energy, _gradient, csv_cells, csv_text,
+)
 
 SQRT6 = math.sqrt(6.0)
 SQRT23 = math.sqrt(2.0 / 3.0)
@@ -192,7 +194,10 @@ def _check_gradient_by_central_differences(p, grid, rng):
     m = grid.node_masses
     eps = 1e-5
     worst = 0.0
-    directions = [rng.standard_normal((2, n + 1)) for _ in range(50)] + [np.eye(2, n + 1, j) for j in (1, 2)]
+    # along u_1 and along u_2, long enough that the quotient's round-off stays small
+    unit = np.zeros((2, 2, n + 1))
+    unit[0, 0, 1] = unit[1, 0, 2] = 10.0
+    directions = [rng.standard_normal((2, n + 1)) for _ in range(50)] + list(unit)
     for qu, qv in directions:
         qu[0] = qu[-1] = qv[-1] = 0.0
         pair = float(np.sum(m * (du * qu + dv * qv)))
@@ -204,10 +209,8 @@ def _check_gradient_by_central_differences(p, grid, rng):
 
 
 def test_gradient_matches_central_differences(rng):
-    # k = 4 on the graded 256-segment grid lumps k^2 u^2 / r^2 on segment 1,
-    # whose row sums alone meet the directions along u_1 and u_2
-    from qdefect.reduced import _P1Gauss
-
+    # k = 4 on the graded 256-segment grid lumps k^2 u^2 / r^2 on segment 1;
+    # the directions along u_1 and u_2 check its row sums
     for k, n, lumped in ((2, 80, None), (4, 256, slice(1, 3))):
         p, grid = params(L=0.07, b2=0.3, k=k), RadialGrid.graded(1.0, n)
         assert _P1Gauss(grid, p).lumped == lumped
@@ -267,8 +270,6 @@ def _dense_from_banded(lower):
 
 
 def _check_hessian_by_central_differences(p, grid):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient
-
     prof = curved_profile(p, grid)
     q = _P1Gauss(grid, p)
     n = grid.n_segments
@@ -307,8 +308,6 @@ def test_hessian_matches_central_differences_of_gradient(k, b2):
 @pytest.mark.parametrize("b2", [0.0, 0.7])
 def test_lumped_hessian_matches_central_differences_of_gradient(b2):
     # k = 4 on the graded 256-segment grid lumps k^2 u^2 / r^2 on segment 1
-    from qdefect.reduced import _P1Gauss
-
     p, grid = params(L=0.05, b2=b2, k=4), RadialGrid.graded(1.0, 256)
     assert _P1Gauss(grid, p).lumped == slice(1, 3)
     _check_hessian_by_central_differences(p, grid)
@@ -328,8 +327,6 @@ def _banded_matvec(lower, x):
 @pytest.mark.parametrize("k", [1, -2, 3])
 @pytest.mark.parametrize("b2", [0.0, 1.0])
 def test_hessian_vector_product_at_production_size(spacing, k, b2, rng):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient
-
     p = params(L=0.01, b2=b2, k=k)
     grid = getattr(RadialGrid, spacing)(1.0, 2048)
     n = grid.n_segments
@@ -368,8 +365,6 @@ def _newton_case(k, b2, n):
     """``(lower, rhs, mass_free, lam_unit)`` of a first Newton step from a
     perturbed ramp: the band of ``H``, the right-hand side, the free node
     masses and the scale of a shift ``lam``."""
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient
-
     p = params(L=0.01, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, n, k)
     x = grid.nodes / grid.radius
@@ -517,7 +512,7 @@ def test_solver_and_scipy_linalg_agree_in_either_import_order():
 def test_newton_step_reads_no_band_slot_below_the_matrix(k, n):
     # the couplings of v_{N-2}, u_{N-1}, v_{N-1} to the fixed u_N, v_N land in
     # the lower band below the matrix; dpbsv must not read them
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _gradient, _newton_step
+    from qdefect.reduced import _newton_step
 
     p = params(L=0.01, b2=0.7, k=k)
     grid = RadialGrid.for_defect(1.0, n, k)
@@ -541,25 +536,23 @@ def test_newton_step_reads_no_band_slot_below_the_matrix(k, n):
     assert step is not None and step.tobytes() == ref.tobytes()
 
 
-# One reference of the P1/Gauss kernel: its weights, a point, the Dirichlet
-# sum, the energy, the gradient and the lower Hessian band, each written out
-# term by term in the kernel's order of operations.  The b2 terms are always
-# evaluated (at b2 = 0 they are zeros, which change no bit), so the kernel
-# must match every result of the reference bit for bit.
+# One reference of the P1/Gauss kernel: its weights, a point, the Dirichlet sum,
+# the energy, the gradient and the lower Hessian band, written term by term in the
+# kernel's order of operations, with the b2 terms always evaluated (at b2 = 0 they
+# are zeros, which change no bit): the kernel must match it bit for bit.
 
 _REF_ENDS = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=1)  # hats a, b at the Gauss points
 _REF_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS_XI**2], axis=1)
 
 
 def _ref_weights(q):
-    """``rg2``; ``wk = wg k^2 / r^2``, 0 on the lumped segments 1..m (m the
-    last segment whose k^2 coupling of u_a and u_b outweighs the stiffness's
-    -seg_r / h^2); the u nodes 1..m+1 as ``lumped`` (None for m = 0) and
-    ``wu``, the row sums of each lumped segment's k^2 block on its nodes."""
+    """``rg2``; ``wk = wg k^2 / r^2``, 0 on the lumped segments 1..m (m the last whose
+    k^2 coupling of u_a, u_b outweighs the stiffness's -seg_r / h^2); ``lumped``, the
+    u nodes 1..m+1 (None for m = 0), and ``wu``, the k^2 blocks' row sums on them."""
     rg = q.grid.nodes[:-1, None] + q.h[:, None] * GAUSS_XI
     wk = q.wg * (float(q.params.k**2) / (rg * rg))
     stiff = q.seg_r_h / q.h
-    m = max((i for i in range(1, q.grid.n_segments) if wk[i] @ _REF_PAIRS[:, 1] > stiff[i]), default=0)
+    m = max([i for i in range(1, q.grid.n_segments) if wk[i] @ _REF_PAIRS[:, 1] > stiff[i]] or [0])
     rows = wk[1:m + 1] @ _REF_ENDS  # each block's two row sums
     wu = np.zeros(m + 1)
     wu[:-1] += rows[:, 0]
@@ -583,9 +576,9 @@ def _ref_dirichlet(q, w, slope_sq, uu, u):
 
 
 def _ref_energy(q, w, pt):
-    p, vg, t = q.params, pt["vg"], pt["t"]
-    f = t * (0.25 * p.c2 * t - 0.5 * p.a2) - (p.b2 / (3.0 * SQRT6)) * vg * (pt["vv"] - 3.0 * pt["uu"])
-    dirichlet = _ref_dirichlet(q, w, pt["du"] * pt["du"] + pt["dv"] * pt["dv"], pt["uu"], pt["u"])
+    p, t, uu, vv = q.params, pt["t"], pt["uu"], pt["vv"]
+    f = t * (0.25 * p.c2 * t - 0.5 * p.a2) - (p.b2 / (3.0 * SQRT6)) * pt["vg"] * (vv - 3.0 * uu)
+    dirichlet = _ref_dirichlet(q, w, pt["du"] * pt["du"] + pt["dv"] * pt["dv"], uu, pt["u"])
     return dirichlet + float(np.vdot(q.wg / p.L, f))
 
 
@@ -629,10 +622,7 @@ def _ref_band(q, w, pt):
 
 
 def _check_kernel(grid, p, points):
-    """The kernel's weights, and its point, energy, gradient and band at each
-    of the node values ``points``, equal the reference's bit for bit."""
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _energy, _gradient
-
+    """The kernel's weights, and its results at each of the node values ``points``."""
     q = _P1Gauss(grid, p)
     w = _ref_weights(q)
     assert np.array_equal(q.rg2, w["rg2"]) and np.array_equal(q.wk, w["wk"])
@@ -651,8 +641,7 @@ def _check_kernel(grid, p, points):
 @pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
 @pytest.mark.parametrize("n", [64, 2048])
 def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
-    # a curved profile away from any critical point; at k = -4, b2 = 1.5 the
-    # energy's terms cancel to 0.19 of their size
+    # a curved profile, away from any critical point
     p = params(L=0.01, b2=b2, k=k)
     prof = curved_profile(p, getattr(RadialGrid, spacing)(1.0, n))
     _check_kernel(prof.grid, p, [(prof.u, prof.v)])
@@ -662,9 +651,8 @@ def test_fused_kernel_matches_the_per_term_kernel(spacing, k, b2, n):
 @pytest.mark.parametrize("k", [1, -1, 2, 3])
 @pytest.mark.parametrize("b2", [0.0, 0.7])
 def test_kernels_skip_the_b2_terms_bit_for_bit(spacing, k, b2, rng):
-    # the reference evaluates the b2 terms that the kernel skips at b2 = 0;
-    # on a few segments the energy sums few terms, so a changed bit in one
-    # of them shows in the sum
+    # the kernel skips the b2 terms at b2 = 0; on 16 segments the energy sums
+    # few terms, so a changed bit in one of them shows in the sum
     p = params(L=0.01, b2=b2, k=k)
     for n in (16, 300):
         grid = getattr(RadialGrid, spacing)(1.0, n)
@@ -677,8 +665,7 @@ def test_kernels_skip_the_b2_terms_bit_for_bit(spacing, k, b2, rng):
 @pytest.mark.parametrize("n", [64, 1030, 2048])
 @pytest.mark.parametrize("b2", [0.0, 0.7, 1.5])
 def test_in_place_kernels_keep_the_stacked_kernels_bits(spacing, n, b2, rng):
-    # the kernel forms its coefficients in place, the reference stacks fresh
-    # products: at the solved profile and near it
+    # the kernel forms its coefficients in place: at the solved profile and near it
     grid = getattr(RadialGrid, spacing)(1.0, n)
     for k in (1, -1, 2, -2, 3, 4):
         p = params(L=0.01, b2=b2, k=k)
@@ -694,8 +681,6 @@ def test_e0_energy_sums_the_references_dirichlet_terms_on_a_lumped_grid(rng):
     # both forms of the limit energy read k^2 u^2 / r^2 through the kernel,
     # lumped segments included; u = c sin(psi), v = -c cos(psi)
     from qdefect.harmonic import e0_energy
-    from qdefect.reduced import _P1Gauss
-
     p, grid = params(L=0.0, k=4), RadialGrid.graded(1.0, 256)
     q = _P1Gauss(grid, p)
     w = _ref_weights(q)
@@ -852,7 +837,7 @@ def test_fine_grid_solve_stops_at_its_roundoff_floor_at_second_order():
 
 @pytest.mark.parametrize("k,b2", [(1, 0.0), (-2, 1.0), (3, 0.5)])
 def test_a_tol_below_the_roundoff_floor_stops_at_the_floor(k, b2):
-    from qdefect.reduced import _P1Gauss, _assemble_hessian_banded, _roundoff_floor
+    from qdefect.reduced import _roundoff_floor
 
     p = params(L=0.01, b2=b2, k=k)
     grid = RadialGrid.for_defect(1.0, 256, k)
