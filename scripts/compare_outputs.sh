@@ -6,9 +6,11 @@
 #
 # REV's tree is extracted with `git archive` into a temporary directory,
 # removed on exit.
-# Both sides run this checkout's scripts/readme_commands.sh, each with its
-# own `src` first on PYTHONPATH and under PYTHONWARNINGS=error::RuntimeWarning,
-# so a new overflow or invalid value fails its run.  The script prints
+# Both sides run this checkout's scripts/readme_commands.sh and
+# scripts/solve_digest.py (one sha256 per solve of a 1,120-case minimize
+# sweep, written to solve_digest.txt), each with its own `src` first on
+# PYTHONPATH and under PYTHONWARNINGS=error::RuntimeWarning, so a new
+# overflow or invalid value fails its run.  The script prints
 # `diff -r base work` of the two output directories and exits with its status:
 # 0 where every file matches, 1 where some differ; 2 where a side could not run.
 set -eu
@@ -32,6 +34,8 @@ sys.exit(os.path.dirname(os.path.dirname(os.path.realpath(qdefect.__file__))) !=
         || { echo "$2: qdefect is imported from elsewhere" >&2; exit 2; }
     (cd "$1" && PYTHONPATH="$2" sh "$repo/scripts/readme_commands.sh" > stdout.txt) \
         || { echo "readme_commands.sh failed on $2" >&2; exit 2; }
+    PYTHONPATH="$2" python "$repo/scripts/solve_digest.py" > "$1/solve_digest.txt" \
+        || { echo "solve_digest.py failed on $2" >&2; exit 2; }
 }
 run_side "$tmp/base" "$tmp/tree/src"
 run_side "$tmp/work" "$repo/src"

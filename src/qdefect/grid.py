@@ -93,7 +93,7 @@ class RadialGrid:
 
     @property
     def h(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        return self.nodes[1:] - self.nodes[:-1]  # np.diff's operation, without its wrapper
 
     @property
     def weights(self) -> np.ndarray:

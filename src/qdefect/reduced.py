@@ -190,8 +190,9 @@ _HAT_PAIRS = np.stack([(1.0 - GAUSS_XI) ** 2, (1.0 - GAUSS_XI) * GAUSS_XI, GAUSS
 class _Point:
     """One evaluated point of the kernel: the Gauss values ``ug, vg`` of the
     node values and ``t = ug*ug + vg*vg`` (``(N, 5)`` each), the segment
-    slopes ``du, dv`` and the node values ``u`` (read on lumped segments
-    only); ``uu = ug*ug`` and ``vv = vg*vg`` are formed on read."""
+    slopes ``du, dv`` (slice differences divided by ``h`` in place) and the
+    node values ``u`` (read on lumped segments only); ``uu = ug*ug`` and
+    ``vv = vg*vg`` are formed on read."""
 
     ug: np.ndarray
     vg: np.ndarray
@@ -210,11 +211,13 @@ class _P1Gauss:
     (all ``(N, 5)``).  A plain value, built once per solve level or public
     call, never cached on the grid (that would keep every held grid's arrays
     alive).  :meth:`point` evaluates a point once for its energy, gradient
-    and Hessian, whose constants serve every point: ``seg_r / 2``, ``seg_r /
-    h``, ``seg_r / h^2`` (``seg_r`` the exact per-segment ``int r dr``),
-    ``wk = wg k^2 / r^2`` and ``wl = wg / L``.  ``wl`` and the squared Gauss
-    radii ``rg2`` (which the solver never reads) are formed on first use:
-    the ``L = 0`` kernels of the limit's Dirichlet sums never divide by 0.
+    and Hessian, whose constants are built once per kernel and serve every
+    point: ``seg_r / 2``, ``seg_r / h``, the Hessian's stiffness ``stiff``
+    (``seg_r`` the exact per-segment ``int r dr``), ``wk = wg k^2 / r^2``
+    and ``wl = wg / L``.  ``wl``, ``stiff`` and the squared Gauss radii
+    ``rg2`` (which the solver never reads) are formed on first use: the
+    ``L = 0`` kernels of the limit's Dirichlet sums never divide by 0, and
+    the 2D layer, which reads no Hessian, never forms ``stiff``.
 
     ``lumped`` is the slice of u nodes of the lumped segments (see the
     module docstring), None where none is; ``wu`` are their lumped
@@ -231,10 +234,9 @@ class _P1Gauss:
         self.s = 1.0 - self.t
         seg_r = self.h * (rg @ GAUSS_W)  # the sum of wg over each segment
         self.half_seg_r, self.seg_r_h = 0.5 * seg_r, seg_r / self.h
-        self.seg_r_h2 = self.seg_r_h / self.h
         self.wk = self.wg * (float(params.k * params.k) / (rg * rg))
         # segments i >= 1 whose k^2 coupling of u_i, u_{i+1} outweighs the stiffness's
-        couples = np.flatnonzero(self.wk[1:] @ _HAT_PAIRS[:, 1] > self.seg_r_h2[1:])
+        couples = np.flatnonzero(self.wk[1:] @ _HAT_PAIRS[:, 1] > self.seg_r_h[1:] / self.h[1:])
         self.lumped = None
         if couples.size:
             m = int(couples[-1]) + 1  # segments 1..m are lumped, on u nodes 1..m+1
@@ -254,6 +256,17 @@ class _P1Gauss:
     def wl(self) -> np.ndarray:
         return self.wg / self.params.L
 
+    @cached_property
+    def stiff(self) -> np.ndarray:
+        """The Hessian's stiffness ``seg_r / h^2`` times the aa, ab, bb signs
+        (+, -, +) of the hat-slope products, ``(N, 3)``, written by column (an
+        outer product would loop 3 entries at a time)."""
+        seg_r_h2 = self.seg_r_h / self.h
+        stiff = np.empty((seg_r_h2.size, 3))
+        stiff[:, 0] = stiff[:, 2] = seg_r_h2
+        np.negative(seg_r_h2, out=stiff[:, 1])
+        return stiff
+
     def at_gauss(self, values) -> np.ndarray:
         """Piecewise-linear interpolation of node data to the Gauss radii."""
         g = values[:-1][:, None] * self.s
@@ -264,7 +277,10 @@ class _P1Gauss:
         ug, vg = self.at_gauss(u), self.at_gauss(v)
         t = ug * ug
         t += vg * vg
-        return _Point(ug, vg, t, np.diff(u) / self.h, np.diff(v) / self.h, u)
+        du, dv = u[1:] - u[:-1], v[1:] - v[:-1]
+        du /= self.h
+        dv /= self.h
+        return _Point(ug, vg, t, du, dv, u)
 
 
 def _check_operands(params: ModelParams):
@@ -295,18 +311,20 @@ def _dirichlet(q: _P1Gauss, slope_sq: np.ndarray, uu: np.ndarray, u) -> float:
 
 def _energy(q: _P1Gauss, pt: _Point) -> float:
     p = q.params
+    uu = pt.uu
+    dirichlet = _dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, uu, pt.u)
     f = np.multiply(0.25 * p.c2, pt.t)  # the bulk density
     f -= 0.5 * p.a2
     f *= pt.t
     if p.b2 != 0.0:
-        cubic = pt.uu
+        cubic = uu  # the Dirichlet part has read it
         cubic *= 3.0
         np.subtract(pt.vv, cubic, out=cubic)
         cubic *= p.b2 / (3.0 * _SQRT6) * pt.vg
         f -= cubic
     # summed as Python floats: an inf Dirichlet part and a -inf bulk part
     # give NaN without a RuntimeWarning, as their BLAS sums overflow without one
-    return _dirichlet(q, pt.du * pt.du + pt.dv * pt.dv, pt.uu, pt.u) + float(np.vdot(q.wl, f))
+    return dirichlet + float(np.vdot(q.wl, f))
 
 
 def reduced_energy(profile: Profile, params: ModelParams) -> float:
@@ -341,9 +359,11 @@ def _gradient(q: _P1Gauss, pt: _Point) -> np.ndarray:
     cu *= pt.ug
     cv *= q.wl
     ends = (coef.reshape(-1, 5) @ _HAT_ENDS).reshape(2, -1, 2)
-    stiff = q.seg_r_h * np.stack([pt.du, pt.dv])
+    stiff = np.empty((2, pt.du.size))
+    np.multiply(q.seg_r_h, pt.du, out=stiff[0])
+    np.multiply(q.seg_r_h, pt.dv, out=stiff[1])
     g = np.empty((2, pt.du.size + 1))  # u and v columns, contiguous for the norm's sums
-    g[:, :-1] = ends[:, :, 0] - stiff
+    np.subtract(ends[:, :, 0], stiff, out=g[:, :-1])
     g[:, 1:-1] += ends[:, :-1, 1] + stiff[:, :-1]
     if q.lumped is not None:
         g[0, q.lumped] += q.wu * pt.u[q.lumped]
@@ -405,18 +425,18 @@ def _assemble_hessian_banded(q: _P1Gauss, pt: _Point):
     each lower-triangle entry of the segments' 4x4 blocks is added into a
     band over all ``2N + 2`` values with one step-2 slice, so a node shared
     by two segments sums their two entries.  The free columns, ``_FREE``,
-    are returned.  The couplings to ``u_N`` and ``v_N`` land below the
+    are returned, Fortran-contiguous, so each shift's copy for ``dpbsv`` is
+    one block copy.  The couplings to ``u_N`` and ``v_N`` land below the
     matrix, where ``dpbsv`` reads nothing.
     """
     n = q.grid.n_segments
     loc = (_hessian_coef(q, pt).reshape(3 * n, 5) @ _HAT_PAIRS).reshape(3, n, 3)
-    # the stiffness: seg_r / h^2 times the aa, ab, bb signs of the hat-slope products
-    loc[0::2] += np.multiply.outer(q.seg_r_h2, (1.0, -1.0, 1.0))
+    loc[0::2] += q.stiff
     (uu_aa, uu_ab, uu_bb), (uv_aa, uv_ab, uv_bb), (vv_aa, vv_ab, vv_bb) = loc.transpose(0, 2, 1)
     # the lower triangle of the block over (u_a, v_a, u_b, v_b), by column;
     # u_a v_b and v_a u_b share the weight (1 - xi) xi, so uv_ab serves both
     columns = ((uu_aa, uv_aa, uu_ab, uv_ab), (vv_aa, uv_ab, vv_ab), (uu_bb, uv_bb), (vv_bb,))
-    band = np.zeros((4, 2 * n + 2))
+    band = np.zeros((4, 2 * n + 2), order="F")
     for c, column in enumerate(columns):
         for d, entry in enumerate(column):
             slots = band[d, c:c + 2 * n:2]
@@ -484,7 +504,7 @@ def _newton_step(lower, shift, rhs, band):
     band[...] = lower
     band[0] += shift
     _, x, info = _lapack_dpbsv()(band, rhs, lower=1, overwrite_ab=1)
-    if info != 0 or not np.all(np.isfinite(x)):
+    if info != 0 or not np.isfinite(x).all():
         return None
     return x
 
@@ -530,14 +550,14 @@ class OdeResidual:
 
     def max_interior(self) -> float:
         s = _SKIP_ORIGIN_NODES
-        return float(max(np.max(np.abs(self.ru[s:])), np.max(np.abs(self.rv[s:]))))
+        return float(max(np.abs(self.ru[s:]).max(), np.abs(self.rv[s:]).max()))
 
     def bulk_peak(self, r_min: float) -> tuple[float, float]:
         """``(value, r)``: the largest residual entry over the bulk nodes
         (:func:`_bulk_mask`) and its radius."""
         bulk = _bulk_mask(self.r, r_min)
         size = np.maximum(np.abs(self.ru[bulk]), np.abs(self.rv[bulk]))
-        i = int(np.argmax(size))
+        i = int(size.argmax())
         return float(size[i]), float(self.r[bulk][i])
 
 
@@ -554,18 +574,22 @@ def ode_residual(profile: Profile, params: ModelParams) -> OdeResidual:
     _check_operands(params)
     with np.errstate(over="ignore", invalid="ignore"):
         r, u, v = profile.grid.nodes, profile.u, profile.v
-        du1, du2 = three_point_derivatives(u, r, 0)
-        dv1, dv2 = three_point_derivatives(v, r, 0)
-        ri, ui, vi = r[1:-1], u[1:-1], v[1:-1]
-        t = ui * ui + vi * vi
+        # the u and v rows in one pass of each operation: the row axis only
+        # broadcasts, so each row keeps the bits of its own computation
+        y = np.stack([u, v])
+        d1, d2 = three_point_derivatives(y, r, 1)
+        ri, (ui, vi) = r[1:-1], y[:, 1:-1]
+        lap = d2 + d1 / ri  # u'' + u'/r, v'' + v'/r
+        over_l = y[:, 1:-1] / params.L  # u/L, v/L
+        c2t = params.c2 * (ui * ui + vi * vi)
         k2 = float(params.k * params.k)
         ru = (
-            du2 + du1 / ri - k2 * ui / (ri * ri)
-            - (ui / params.L) * (-params.a2 + _SQRT23 * params.b2 * vi + params.c2 * t)
+            lap[0] - k2 * ui / (ri * ri)
+            - over_l[0] * (-params.a2 + _SQRT23 * params.b2 * vi + c2t)
         )
         rv = (
-            dv2 + dv1 / ri
-            - (vi / params.L) * (-params.a2 - params.b2 * vi / _SQRT6 + params.c2 * t)
+            lap[1]
+            - over_l[1] * (-params.a2 - params.b2 * vi / _SQRT6 + c2t)
             - params.b2 * ui * ui / (_SQRT6 * params.L)
         )
         h0, h1 = r[1] - r[0], r[2] - r[1]
@@ -669,7 +693,7 @@ def _check_bulk_scale(params: ModelParams):
 
 
 def _structure_checks(u, v, params: ModelParams, neumann_defect: float) -> dict:
-    norm_max = float(np.max(u * u + v * v))
+    norm_max = float((u * u + v * v).max())
     bound = params.limit_norm_sq
     checks = {
         "norm_bound_ok": bool(norm_max <= bound + 1e-8),
@@ -677,9 +701,9 @@ def _structure_checks(u, v, params: ModelParams, neumann_defect: float) -> dict:
         "neumann_defect": neumann_defect,
     }
     if params.b2 == 0.0:
-        checks["u_positive"] = bool(np.all(u[1:] > 0.0))
-        checks["v_negative"] = bool(np.all(v < 0.0))
-        checks["v_nondecreasing"] = bool(np.all(np.diff(v) >= -1e-10))
+        checks["u_positive"] = bool((u[1:] > 0.0).all())
+        checks["v_negative"] = bool((v < 0.0).all())
+        checks["v_nondecreasing"] = bool((v[1:] - v[:-1] >= -1e-10).all())
     return checks
 
 
@@ -704,27 +728,30 @@ def _newton(q: _P1Gauss, y, tol, max_iter, on_step, kind) -> _NewtonRun:
     iteration."""
     masses = q.grid.node_masses
     mass_free = np.repeat(masses, 2)[_FREE]
+    mass_max = float(np.maximum.reduce(mass_free))
 
-    def grad_and_norm(at):
-        # a gradient or norm past the float range is inf (NaN where two inf
-        # terms cancel), which stops the loop below
+    def rhs_and_norm(at):
+        """The Newton right-hand side, minus the free DOFs' gradient, and the
+        gradient's norm; a gradient or norm past the float range is inf (NaN
+        where two inf terms cancel), which stops the loop below."""
         with np.errstate(over="ignore", invalid="ignore"):
             g = _gradient(q, at)
-            gu, gv = g[:, 0], g[:, 1]
-            return g, math.sqrt(float(np.sum(gu * gu / masses) + np.sum(gv * gv / masses)))
+            gg = g.T * g.T  # the u and v rows
+            gg /= masses
+            su, sv = np.add.reduce(gg, axis=1)  # np.sum's pairwise sums, along each row
+            return -g.reshape(-1)[_FREE], math.sqrt(float(su + sv))
 
     pt = q.point(y[:, 0], y[:, 1])
     energy = _energy(q, pt)
-    g, gn = grad_and_norm(pt)
+    rhs, gn = rhs_and_norm(pt)
     lam = 0.0
     iters = failed = backtracks = 0
     stop = "tol" if gn <= tol else None
     while stop is None and iters < max_iter and math.isfinite(gn):
         lower = _assemble_hessian_banded(q, pt)
-        del pt  # the line search needs only the energy, g and lower
+        del pt  # the line search needs only the energy, rhs and lower
         band = np.empty(lower.shape, order="F")
-        lam_unit = float(np.max(np.abs(lower[0]))) / float(np.max(mass_free))
-        rhs = -g.reshape(-1)[_FREE]
+        lam_unit = float(np.maximum.reduce(np.abs(lower[0]))) / mass_max
         # Each failed factorisation multiplies lam by 30 from at least 1e-8
         # lam_unit, so finite data passes 1e12 lam_unit within 15 failures;
         # the count bounds the loop where lam_unit is 0 or NaN and the test
@@ -740,29 +767,30 @@ def _newton(q: _P1Gauss, y, tol, max_iter, on_step, kind) -> _NewtonRun:
         del band
         accepted = stalled = False
         if x is not None:
-            step = np.zeros_like(y)
-            step.reshape(-1)[_FREE] = x
             slope = -float(rhs @ x)  # directional derivative, < 0
             beta = 1.0
             while beta > 1e-7:
-                y2 = y + beta * step
+                y2 = y.copy()  # the fixed entries gain nothing: they keep their bits
+                free = y2.reshape(-1)[_FREE]
+                free += beta * x  # in place: no write-back copy of the slice
                 pt = q.point(y2[:, 0], y2[:, 1])
                 e2 = _energy(q, pt)
                 if abs(e2 - energy) <= 1e-12 * abs(energy):
-                    g2, gn2 = grad_and_norm(pt)
+                    rhs2, gn2 = rhs_and_norm(pt)
                     accepted = gn2 <= (1.0 - 1e-4 * beta) * gn
                     stalled = beta == 1.0 and gn2 > 0.5 * gn and \
                         gn <= _roundoff_floor(lower, y.reshape(-1)[_FREE], mass_free)
                 elif e2 <= energy + 1e-4 * beta * slope:
-                    g2, gn2 = grad_and_norm(pt)
+                    rhs2, gn2 = rhs_and_norm(pt)
                     accepted = True
                 if accepted or stalled:
                     break
                 del pt  # before the next trial point is formed
                 beta *= 0.5
                 backtracks += 1
+        del lower, x  # before the next point's Hessian band is built
         if accepted:
-            y, energy, g, gn = y2, e2, g2, gn2  # pt is the accepted point
+            y, energy, rhs, gn = y2, e2, rhs2, gn2  # pt is the accepted point
             lam *= 0.3
             if lam < 1e-14 * lam_unit:
                 lam = 0.0
@@ -801,20 +829,24 @@ def minimize(
     Armijo test on the energy, or, when the energy change is below
     round-off (``|dE| <= 1e-12 |E|``), by an Armijo test on the
     projected-gradient norm; a search that accepts no step ends the
-    run.  Each trial point is evaluated once (:meth:`_P1Gauss.point`) for
-    its energy and, once accepted, its gradient and Hessian; it is dropped
-    once rejected, or once its Hessian band is built.  For ``b2 = 0``
-    the start is reflected into the signed class ``u >= 0, v <= 0`` (the
-    energy is invariant under those sign flips there).
+    run.  A trial is a copy of the iterate with ``beta x`` added into its
+    free slice, so the fixed entries keep their bits.  Each trial point is
+    evaluated once (:meth:`_P1Gauss.point`) for its energy and, once
+    accepted, its gradient and Hessian; it is dropped once rejected, or once
+    its Hessian band is built; an iteration's band and step go before the
+    next band is built.  For ``b2 = 0`` the start is reflected into the
+    signed class ``u >= 0, v <= 0`` (the energy is invariant under those
+    sign flips there).
 
     A preset start (``"explicit"`` or ``"ramp"``) on a grid of at least
     1024 segments is nested: the same Newton loop first runs from the
     preset on the grid of every 8th node (and the last), and its best
     iterate, interpolated linearly to the grid (exact for P1 profiles on
-    nested nodes), is the start.  ``max_iter`` caps each level, and
-    ``on_step("coarse", energy, grad_norm)`` is called after every coarse
-    iteration, ``on_step("newton", energy, grad_norm)`` after every one on
-    the grid.  A :class:`Profile` start is used as given.
+    nested nodes), is the start, handed to the loop and not held here.
+    ``max_iter`` caps each level, and ``on_step("coarse", energy,
+    grad_norm)`` is called after every coarse iteration, ``on_step("newton",
+    energy, grad_norm)`` after every one on the grid.  A :class:`Profile`
+    start is used as given.
 
     The run stops (``report.stop``) at ``"tol"`` once the gradient norm is
     at most ``tol``, or at ``"roundoff_floor"`` where round-off holds it
@@ -837,14 +869,16 @@ def minimize(
     _check_bulk_scale(params)
     n = grid.n_segments
     coarse = None
-    if isinstance(init, Profile) or n < _NESTED_MIN_SEGMENTS:
-        y = _start_rows(params, grid, init)
-    else:
+    if not (isinstance(init, Profile) or n < _NESTED_MIN_SEGMENTS):
         coarse_grid = RadialGrid(grid.nodes[np.r_[0:n:_NESTED_STRIDE, n]])
         coarse = _newton(_P1Gauss(coarse_grid, params), _start_rows(params, coarse_grid, init),
                          tol, max_iter, on_step, "coarse")
-        y = np.stack([np.interp(grid.nodes, coarse_grid.nodes, c) for c in coarse.y.T], axis=1)
-    run = _newton(_P1Gauss(grid, params), y, tol, max_iter, on_step, "newton")
+    # the start is handed over, not held here, so _newton frees it once a step is accepted
+    run = _newton(
+        _P1Gauss(grid, params),
+        _start_rows(params, grid, init) if coarse is None else
+        np.stack([np.interp(grid.nodes, coarse_grid.nodes, c) for c in coarse.y.T], axis=1),
+        tol, max_iter, on_step, "newton")
 
     profile = Profile(grid, *run.y.T)
     res = ode_residual(profile, params)

@@ -37,7 +37,7 @@ from qdefect import (
     reduced_gradient,
     write_profile_csv,
 )
-from qdefect.grid import GAUSS_XI
+from qdefect.grid import GAUSS_XI, three_point_derivatives
 from qdefect.harmonic import explicit_arrays
 from qdefect.reduced import (
     _FREE, _P1Gauss, _assemble_hessian_banded, _energy, _gradient, csv_cells, csv_text,
@@ -696,10 +696,12 @@ def test_e0_energy_sums_the_references_dirichlet_terms_on_a_lumped_grid(rng):
 
 
 @pytest.mark.parametrize("n", [2048, 4096])
-def test_newton_working_set_stays_below_900_bytes_per_segment(n):
+def test_newton_working_set_stays_below_820_bytes_per_segment(n):
     # a Newton point holds ug, vg and t and is dropped once its Hessian band
-    # is built, and the kernels form their coefficients in place: a warm
-    # solve's peak stays below 900 bytes per segment (it was 1,128-1,184)
+    # is built, the kernels form their coefficients in place, and an
+    # iteration's band, right-hand side and step go before the next band is
+    # built: a warm solve's peak stays below 820 bytes per segment (701-743
+    # measured)
     import tracemalloc
 
     for k, b2 in ((1, 0.0), (-2, 0.0), (1, 1.0), (3, 1.0)):
@@ -713,7 +715,7 @@ def test_newton_working_set_stays_below_900_bytes_per_segment(n):
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 900 * n, (k, b2, init, peak / n)
+            assert peak < 820 * n, (k, b2, init, peak / n)
 
 
 # (k, b2, init, iterations, energy) of minimize at L = 0.01, n = 256: a kernel
@@ -734,12 +736,31 @@ _NEWTON_PATH = [
 ]
 
 
+# (failed factorisations, backtracks) along each path of _NEWTON_PATH: a bent
+# path shows in these counts before it moves an energy by 1e-12
+_NEWTON_PATH_COUNTS = {
+    (1, 0.0, "explicit"): (0, 0),
+    (1, 0.0, "ramp"): (5, 0),
+    (1, 1.0, "explicit"): (0, 1),
+    (1, 1.0, "ramp"): (5, 0),
+    (-2, 0.0, "explicit"): (0, 0),
+    (-2, 0.0, "ramp"): (5, 0),
+    (-2, 1.0, "explicit"): (0, 2),
+    (-2, 1.0, "ramp"): (4, 2),
+    (3, 0.0, "explicit"): (0, 0),
+    (3, 0.0, "ramp"): (5, 0),
+    (3, 1.0, "explicit"): (0, 1),
+    (3, 1.0, "ramp"): (0, 1),
+}
+
+
 @pytest.mark.parametrize("k,b2,init,iterations,energy", _NEWTON_PATH)
 def test_newton_path_is_pinned(k, b2, init, iterations, energy):
     p = params(L=0.01, b2=b2, k=k)
     _, rep = minimize(p, RadialGrid.for_defect(1.0, 256, k), init=init)
     assert rep.iterations == iterations
     assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+    assert (rep.factorizations_failed, rep.backtracks) == _NEWTON_PATH_COUNTS[k, b2, init]
 
 
 # (k, b2, init, iterations, energy) of minimize at L = 1e-3, n = 2048 from the
@@ -750,6 +771,8 @@ _DAMPED_NEWTON_PATH = [
     (3, 1.0, "explicit", 9, -206.33784777198468),
     (-2, 0.5, "ramp", 8, -159.86010581073782),
 ]
+# backtracks along each path of _DAMPED_NEWTON_PATH
+_DAMPED_NEWTON_BACKTRACKS = {(1, 0.0, "ramp"): 0, (3, 1.0, "explicit"): 2, (-2, 0.5, "ramp"): 0}
 
 
 @pytest.mark.parametrize("k,b2,init,iterations,energy", _DAMPED_NEWTON_PATH)
@@ -771,6 +794,7 @@ def test_damped_newton_path_is_pinned(k, b2, init, iterations, energy, monkeypat
     assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
     assert sum(step is None for step in steps) == 4
     assert rep.factorizations_failed == 4
+    assert rep.backtracks == _DAMPED_NEWTON_BACKTRACKS[k, b2, init]
 
 
 @pytest.mark.parametrize("k,b2,init,iterations,energy", _DAMPED_NEWTON_PATH)
@@ -880,6 +904,44 @@ def test_ode_residual_of_minimizer_small(solve_cache):
     assert rep.residual_norm == max(np.max(np.abs(res.ru[bulk])), np.max(np.abs(res.rv[bulk])))
     assert rep.residual_norm <= rep.residual_core
     assert res.neumann_defect < 5e-3
+
+
+def _ref_ode_residual(prof, p):
+    """``(ru, rv, neumann_defect)`` of :func:`ode_residual` from one
+    ``three_point_derivatives`` call per field, in the formula's order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, u, v = prof.grid.nodes, prof.u, prof.v
+        du1, du2 = three_point_derivatives(u, r, 0)
+        dv1, dv2 = three_point_derivatives(v, r, 0)
+        ri, ui, vi = r[1:-1], u[1:-1], v[1:-1]
+        t = ui * ui + vi * vi
+        k2 = float(p.k * p.k)
+        ru = (du2 + du1 / ri - k2 * ui / (ri * ri)
+              - (ui / p.L) * (-p.a2 + SQRT23 * p.b2 * vi + p.c2 * t))
+        rv = (dv2 + dv1 / ri - (vi / p.L) * (-p.a2 - p.b2 * vi / SQRT6 + p.c2 * t)
+              - p.b2 * ui * ui / (SQRT6 * p.L))
+        h0, h1 = r[1] - r[0], r[2] - r[1]
+        vp0 = (-(2.0 * h0 + h1) / (h0 * (h0 + h1)) * v[0] + (h0 + h1) / (h0 * h1) * v[1]
+               - h0 / (h1 * (h0 + h1)) * v[2])
+    return ru, rv, abs(float(vp0))
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "for_defect"])
+@pytest.mark.parametrize("k", [1, -2, 3])
+@pytest.mark.parametrize("b2", [0.0, 0.7])
+def test_ode_residual_keeps_the_per_field_bits(spacing, k, b2, rng):
+    # ode_residual differentiates u and v in one stacked pass
+    p = params(L=0.01, b2=b2, k=k)
+    for n in (16, 300, 2048):
+        grid = RadialGrid.uniform(1.0, n) if spacing == "uniform" else \
+            RadialGrid.for_defect(1.0, n, k)
+        prof = curved_profile(p, grid)
+        noise = 1e-3 * rng.standard_normal((2, n + 1))
+        noisy = Profile(grid, prof.u + noise[0], prof.v + noise[1])
+        for case in (prof, noisy):
+            res, (ru, rv, neumann) = ode_residual(case, p), _ref_ode_residual(case, p)
+            assert np.array_equal(res.ru, ru) and np.array_equal(res.rv, rv)
+            assert res.neumann_defect == neumann and np.array_equal(res.r, grid.nodes[1:-1])
 
 
 def test_bulk_peak_keeps_the_last_node_when_every_node_is_in_the_core():
