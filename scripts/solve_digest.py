@@ -9,11 +9,11 @@ Each line names its case and hashes the profile's bytes and the ``repr`` of
 its report (energy, grad_norm, residuals, checks, stop and every count).
 A case that raises ``NonConvergence`` hashes the attached profile and
 report, tagged as such; one that raises another package error hashes its
-type and message.  Two trees whose digests match took the same Newton path
-on every case, bit for bit.
+type and message.  Two trees whose digests match end every case with the
+same profile bits, report values and counts.
 
-BLAS runs on one thread: OpenBLAS splits long dot products over its threads,
-so the n = 2048 sums, and with them the hashes, depend on the thread count.
+BLAS runs on one thread: with two, some n = 2048 hashes change, as the BLAS
+sums of those solves depend on the thread count.
 """
 
 import hashlib
